@@ -22,10 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from .fem import (DofMap, _cell_geometry, _facet_shape_values, apply_dirichlet,
-                  assemble_boundary_mass, assemble_load, assemble_stiffness,
-                  dirichlet_dofs, facet_rule, laser_flux, shape_bary_grads,
-                  shape_values)
+from .fem import (DofMap, _basis_at_points, _cell_geometry,
+                  _facet_shape_values, apply_dirichlet, assemble_boundary_mass,
+                  assemble_load, assemble_stiffness, dirichlet_dofs,
+                  evaluate_field, facet_rule, laser_flux, shape_bary_grads)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, interface_facets,
                    locate_point)
 
@@ -94,40 +94,33 @@ class CoupledOperators:
 # ----------------------------------------------------------------------
 
 def _interface_quadrature(local_mesh, m):
-    """Quadrature points/weights/normals on the coupling facets.
+    """Quadrature points/weights/normals on all coupling facets at once.
 
-    Yields (facet, owner_cell, normal, xq, wq) with wq scaled to physical
-    measure.
+    Returns (facets (nf, dim), normals (nf, dim), xq (nf, nq, dim),
+    wq (nf, nq)), facets in interface_facets order and wq scaled to
+    physical measure.
     """
     rule = facet_rule(local_mesh.dim, m)
     ref_measure = 1.0 if local_mesh.dim == 2 else 0.5
-    facets = interface_facets(local_mesh)
-    if not facets:
+    pairs = interface_facets(local_mesh)
+    if not pairs:
         raise OrphanInterfaceFacet("mesh has no interface facets")
-    owner = {tuple(f): c for f, c, t in zip(local_mesh.facet_vertices,
-                                            local_mesh.facet_cells,
-                                            local_mesh.facet_tags)
-             if t == FacetTag.INTERFACE_GAMMA.value}
-    for facet, normal in facets:
-        cell = owner.get(tuple(facet))
-        if cell is None:
-            raise OrphanInterfaceFacet(f"facet {facet} has no owner cell")
-        pts = local_mesh.vertices[list(facet)]
-        xq = rule.points @ pts
-        wq = rule.weights * (local_mesh.facet_measure(facet) / ref_measure)
-        yield facet, cell, normal, xq, wq, rule
+    facets = np.array([f for f, _n in pairs])
+    normals = np.array([n for _f, n in pairs])
+    xq = rule.points @ local_mesh.vertices[facets]
+    measure = np.array([local_mesh.facet_measure(f) for f, _n in pairs])
+    wq = rule.weights * (measure / ref_measure)[:, None]
+    return facets, normals, xq, wq
 
 
-def _global_basis_rows(global_mesh, global_dofmap, xq):
-    """Locate points in the box mesh and evaluate its basis there."""
-    dofs, vals = [], []
-    for x in xq:
-        loc = locate_point(global_mesh, x)
-        lam = np.asarray(loc.barycentric)
-        phi = shape_values(global_mesh.dim, global_dofmap.m, lam)[0]
-        dofs.append(global_dofmap.cell_dofs[loc.cell])
-        vals.append(phi)
-    return dofs, vals
+def _triplets_to_csr(vals, rows, cols, shape):
+    """Sum COO triplets into CSR; rows and cols broadcast to vals' shape."""
+    A = sp.coo_matrix((vals.ravel(),
+                       (np.broadcast_to(rows, vals.shape).ravel(),
+                        np.broadcast_to(cols, vals.shape).ravel())),
+                      shape=shape).tocsr()
+    A.sum_duplicates()
+    return A
 
 
 def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
@@ -135,46 +128,33 @@ def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
     """Matrix of sum_e int_e (kappa_plus - kappa_minus) (grad phi_loc . n) phi_glob.
 
     Rows are box dofs, columns strip dofs.  The normal gradient is taken
-    from the strip cell owning each facet; the normal points out of the
-    strip.  facet_weights overrides the constant jump weight per facet
-    (used by the nonlinear driver).
+    from the strip cell holding each quadrature point, i.e. the cell owning
+    its facet; the normal points out of the strip.  facet_weights overrides
+    the constant jump weight per facet (used by the nonlinear driver).
     """
-    rows, cols, vals = [], [], []
-    for fi, (facet, cell, normal, xq, wq, _rule) in enumerate(
-            _interface_quadrature(local_mesh, max(local_dofmap.m,
-                                                  global_dofmap.m))):
-        weight = (kappa_plus - kappa_minus) if facet_weights is None \
-            else facet_weights[fi]
-        if weight == 0.0:
-            continue
-        _, _, bgrads = _cell_geometry(local_mesh, cell)
-        lam = _cell_barycentric(local_mesh, cell, xq)
-        dlam = shape_bary_grads(local_mesh.dim, local_dofmap.m, lam)
-        grads = np.einsum("qna,ad->qnd", dlam, bgrads)
-        dn = grads @ normal  # (nq, n_loc)
-        gdofs, gvals = _global_basis_rows(global_mesh, global_dofmap, xq)
-        ldofs = local_dofmap.cell_dofs[cell]
-        for q in range(len(wq)):
-            contrib = weight * wq[q] * np.outer(gvals[q], dn[q])
-            rows.append(np.repeat(gdofs[q], len(ldofs)))
-            cols.append(np.tile(ldofs, len(gdofs[q])))
-            vals.append(contrib.ravel())
+    _facets, normals, xq, wq = _interface_quadrature(
+        local_mesh, max(local_dofmap.m, global_dofmap.m))
+    weight = np.full(len(normals), kappa_plus - kappa_minus) \
+        if facet_weights is None else np.asarray(facet_weights, dtype=float)
+    keep = weight != 0.0
     shape = (global_dofmap.n_dofs, local_dofmap.n_dofs)
-    if not rows:
+    if not keep.any():
         return sp.csr_matrix(shape)
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=shape).tocsr()
-    A.sum_duplicates()
-    return A
+    dim, nq = local_mesh.dim, xq.shape[1]
+    pts = xq[keep].reshape(-1, dim)
+    wq = (weight[keep, None] * wq[keep]).ravel()
+    normals = np.repeat(normals[keep], nq, axis=0)
 
-
-def _cell_barycentric(mesh, cell, xq):
-    pts = mesh.vertices[mesh.cells[cell]]
-    J = (pts[1:] - pts[0]).T
-    rest = np.linalg.solve(J, (xq - pts[0]).T).T
-    lam0 = 1.0 - rest.sum(axis=1, keepdims=True)
-    return np.hstack([lam0, rest])
+    lcells, lam = locate_point(local_mesh, pts)
+    cells, back = np.unique(lcells, return_inverse=True)
+    bgrads = np.array([_cell_geometry(local_mesh, c)[2] for c in cells])[back]
+    dlam = shape_bary_grads(dim, local_dofmap.m, lam)
+    grads = np.einsum("pna,pad->pnd", dlam, bgrads)
+    dn = np.einsum("pnd,pd->pn", grads, normals)
+    gdofs, gvals = _basis_at_points(global_mesh, global_dofmap, pts)
+    vals = wq[:, None, None] * (gvals[:, :, None] * dn[:, None, :])
+    return _triplets_to_csr(vals, gdofs[:, :, None],
+                            local_dofmap.cell_dofs[lcells][:, None, :], shape)
 
 
 def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
@@ -185,26 +165,18 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
     """
     if alpha < 0:
         raise NonpositiveCoefficient("penalty weight must be nonnegative")
-    rows, cols, vals = [], [], []
-    for facet, cell, normal, xq, wq, _rule in _interface_quadrature(
-            local_mesh, max(local_dofmap.m, global_dofmap.m)):
-        mu = _facet_param(local_mesh, facet, xq)
-        lvals = _facet_shape_values(local_dofmap.m, mu)
-        ldofs = np.asarray(local_dofmap.facet_dofs(tuple(facet)))
-        gdofs, gvals = _global_basis_rows(global_mesh, global_dofmap, xq)
-        for q in range(len(wq)):
-            contrib = -alpha * wq[q] * np.outer(lvals[q], gvals[q])
-            rows.append(np.repeat(ldofs, len(gdofs[q])))
-            cols.append(np.tile(gdofs[q], len(ldofs)))
-            vals.append(contrib.ravel())
-    shape = (local_dofmap.n_dofs, global_dofmap.n_dofs)
-    if not rows:
-        return sp.csr_matrix(shape)
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=shape).tocsr()
-    A.sum_duplicates()
-    return A
+    facets, _normals, xq, wq = _interface_quadrature(
+        local_mesh, max(local_dofmap.m, global_dofmap.m))
+    lvals = np.stack([_facet_shape_values(local_dofmap.m,
+                                          _facet_param(local_mesh, f, x))
+                      for f, x in zip(facets, xq)])
+    ldofs = np.array([local_dofmap.facet_dofs(tuple(f)) for f in facets])
+    gdofs, gvals = _basis_at_points(global_mesh, global_dofmap, xq)
+    vals = (-alpha * wq)[:, :, None, None] * (
+        lvals[:, :, :, None] * gvals[:, :, None, :])
+    return _triplets_to_csr(vals, ldofs[:, None, :, None],
+                            gdofs[:, :, None, :],
+                            (local_dofmap.n_dofs, global_dofmap.n_dofs))
 
 
 def _facet_param(mesh, facet, xq):
@@ -347,14 +319,8 @@ def _nonzero(f):
 def interface_trace_gap(ops: CoupledOperators, T_plus, T_minus):
     """L2 norm over gamma of the mismatch between the strip trace and the
     box trace; shrinks like 1/alpha."""
-    total = 0.0
-    lm, ld = ops.local_mesh, ops.local_dofmap
-    for facet, cell, normal, xq, wq, _rule in _interface_quadrature(lm, ld.m):
-        mu = _facet_param(lm, facet, xq)
-        lvals = _facet_shape_values(ld.m, mu)
-        ldofs = ld.facet_dofs(tuple(facet))
-        tm = lvals @ T_minus[ldofs]
-        gdofs, gvals = _global_basis_rows(ops.global_mesh, ops.global_dofmap, xq)
-        tp = np.array([gvals[q] @ T_plus[gdofs[q]] for q in range(len(xq))])
-        total += float(wq @ (tm - tp) ** 2)
-    return np.sqrt(total)
+    _facets, _normals, xq, wq = _interface_quadrature(
+        ops.local_mesh, ops.local_dofmap.m)
+    tm = evaluate_field(ops.local_mesh, ops.local_dofmap, T_minus, xq)
+    tp = evaluate_field(ops.global_mesh, ops.global_dofmap, T_plus, xq)
+    return np.sqrt(float(np.sum(wq * (tm - tp) ** 2)))

@@ -486,15 +486,28 @@ def dirichlet_dofs(mesh: StructuredMesh, dofmap: DofMap,
 # field evaluation and norms
 # ======================================================================
 
+def _basis_at_points(mesh, dofmap, points):
+    """Locate points (..., dim) and evaluate the cell basis there.
+
+    Returns the dofs of each point's cell and the basis values, both shaped
+    (..., n_loc).
+    """
+    points = np.asarray(points, dtype=float)
+    loc = locate_point(mesh, points.reshape(-1, mesh.dim))
+    phi = shape_values(mesh.dim, dofmap.m, loc.barycentric)
+    lead = points.shape[:-1] + (phi.shape[1],)
+    return dofmap.cell_dofs[loc.cell].reshape(lead), phi.reshape(lead)
+
+
 def evaluate_field(mesh, dofmap, coeffs, points):
-    """Evaluate a finite element field at arbitrary points inside the mesh."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(points.shape[0])
-    for k, x in enumerate(points):
-        loc = locate_point(mesh, x)
-        vals = shape_values(mesh.dim, dofmap.m, np.asarray(loc.barycentric))
-        out[k] = float(vals[0] @ coeffs[dofmap.cell_dofs[loc.cell]])
-    return out
+    """Evaluate a finite element field at arbitrary points inside the mesh.
+
+    points is one point (dim,) or an array (..., dim); all of them are
+    located in one call.  A single point gives a length-1 result.
+    """
+    dofs, phi = _basis_at_points(mesh, dofmap, np.atleast_2d(points))
+    # a stacked matmul gives each point the dot product a one-point call gets
+    return (phi[..., None, :] @ coeffs[dofs][..., None])[..., 0, 0]
 
 
 def l2_error(mesh, dofmap, coeffs, exact):

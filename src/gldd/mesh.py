@@ -4,9 +4,10 @@ The solver works on two meshes: a coarse mesh of the full box (the global
 domain) and a fine mesh of a thin strip at the top of the box (the local
 domain).  Both are built from an axis-aligned grid of squares or cubes with
 a fixed diagonal split, so point location is index arithmetic rather than
-search.  A third kind of mesh, used only by the single-domain reference
-solver, grades from the strip resolution down to the coarse one through
-conforming transition bands.
+search; ``locate_point`` takes one point or an (n, dim) array of points and
+locates a whole array in one vectorized call.  A third kind of mesh, used
+only by the single-domain reference solver, grades from the strip
+resolution down to the coarse one through conforming transition bands.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ class StructuredMesh(SimplicialMesh):
             pts = ref_corners[list(shape)] * self.h
             mat = (pts[1:] - pts[0]).T
             inv.append(np.linalg.inv(mat))
-        self._shape_inv = inv
+        self._shape_inv = np.array(inv)
 
     def cells_per_block(self):
         return len(_TRIS_PER_SQUARE) if self.dim == 2 else len(_TETS_PER_CUBE)
@@ -413,57 +414,71 @@ def _graded_mesh_2d(geom, h_plus, h_minus):
 # ----------------------------------------------------------------------
 
 def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
-    """Find the cell containing x and its barycentric coordinates.
+    """Find the cell containing each point and its barycentric coordinates.
 
-    Uses grid index arithmetic on structured meshes and a linear scan
-    otherwise; when x sits on a shared facet the cell with the lowest
-    index wins.  Raises OutOfDomain for points outside the box.
+    x is one point (dim,), giving PointLocation(int, tuple), or an array of
+    points (n, dim), giving PointLocation(cells (n,), barycentric
+    (n, dim+1)).  Uses grid index arithmetic on structured meshes and a
+    linear scan otherwise; when a point sits on a shared facet the cell
+    with the lowest index wins.  Raises OutOfDomain, naming the first
+    offending point, for points outside the box.
     """
     x = np.asarray(x, dtype=float)
-    if not hasattr(mesh, "origin"):
-        return _locate_point_scan(mesh, x)
-    rel = x - mesh.origin
-    for d in range(mesh.dim):
-        if rel[d] < -1e-12 or rel[d] > mesh.extents[d] + 1e-12:
-            raise OutOfDomain(f"point {tuple(x)} lies outside the mesh box")
-    # points within the box tolerance are snapped onto the closed box
-    x = np.clip(x, mesh.origin, mesh.origin + mesh.extents)
-    rel = x - mesh.origin
-
-    # candidate grid blocks around the nominal one, lowest block index first
-    s = rel / mesh.h
-    cand_axis = []
-    for d in range(mesh.dim):
-        n = mesh.ncells_axis[d]
-        i0 = int(np.floor(s[d]))
-        ids = {min(max(i0 + k, 0), n - 1) for k in (-1, 0, 1)}
-        cand_axis.append(sorted(ids))
-
-    nshapes = mesh.cells_per_block()
-    blocks = []
-    if mesh.dim == 2:
-        nx = mesh.ncells_axis[0]
-        for j in cand_axis[1]:
-            for i in cand_axis[0]:
-                blocks.append(j * nx + i)
+    pts = np.atleast_2d(x)
+    if hasattr(mesh, "origin"):
+        cells, lam = _locate_structured(mesh, pts)
     else:
-        nx, ny = mesh.ncells_axis[0], mesh.ncells_axis[1]
-        for k in cand_axis[2]:
-            for j in cand_axis[1]:
-                for i in cand_axis[0]:
-                    blocks.append((k * ny + j) * nx + i)
-    blocks.sort()
+        found = [_locate_point_scan(mesh, p) for p in pts]
+        cells = np.array([f.cell for f in found], dtype=np.int64)
+        lam = np.array([f.barycentric for f in found])
+    if x.ndim == 1:
+        return PointLocation(int(cells[0]), tuple(lam[0]))
+    return PointLocation(cells, lam)
 
-    for b in blocks:
-        for t in range(nshapes):
-            cell = b * nshapes + t
-            v0 = mesh.vertices[mesh.cells[cell, 0]]
-            lam_rest = mesh._shape_inv[t] @ (x - v0)
-            lam0 = 1.0 - lam_rest.sum()
-            lam = np.concatenate([[lam0], lam_rest])
-            if np.all(lam >= -_BARY_TOL):
-                return PointLocation(cell, tuple(lam))
-    raise OutOfDomain(f"point {tuple(x)} not contained in any candidate cell")
+
+def _locate_structured(mesh, pts):
+    rel = pts - mesh.origin
+    # written so that NaN coordinates count as outside
+    inside_box = ((rel >= -1e-12)
+                  & (rel <= mesh.extents + 1e-12)).all(axis=1)
+    if not inside_box.all():
+        bad = pts[np.argmin(inside_box)]
+        raise OutOfDomain(f"point {tuple(bad)} lies outside the mesh box")
+    # points within the box tolerance are snapped onto the closed box
+    x = np.clip(pts, mesh.origin, mesh.origin + mesh.extents)
+    rel = x - mesh.origin
+
+    # Candidate grid blocks: the nominal one and its nearer neighbour on each
+    # axis.  The far neighbour lies at least h/2 away, so it never holds the
+    # point within the barycentric slack.
+    s = rel / mesh.h
+    i0 = np.floor(s)
+    top = np.asarray(mesh.ncells_axis) - 1
+    nominal = np.clip(i0, 0, top).astype(np.int64)
+    near = np.clip(i0 + np.where(s - i0 < 0.5, -1, 1), 0, top).astype(np.int64)
+    lo, hi = np.minimum(nominal, near), np.maximum(nominal, near)
+    # corner rows run x fastest, so for every point the blocks come out in
+    # ascending index order, and so do the cells within them
+    choice = _block_corners(mesh.dim).astype(bool)
+    ids = np.where(choice, hi[:, None, :], lo[:, None, :])
+    strides = np.cumprod((1,) + mesh.ncells_axis[:-1])
+    nshapes = mesh.cells_per_block()
+    cells = ((ids @ strides)[:, :, None] * nshapes
+             + np.arange(nshapes)).reshape(len(pts), len(choice) * nshapes)
+
+    inv = mesh._shape_inv[np.arange(cells.shape[1]) % nshapes]
+    dx = x[:, None, :] - mesh.vertices[mesh.cells[cells, 0]]
+    lam_rest = (inv @ dx[..., None])[..., 0]
+    lam = np.concatenate(
+        [1.0 - lam_rest.sum(axis=2, keepdims=True), lam_rest], axis=2)
+    inside = (lam >= -_BARY_TOL).all(axis=2)
+    first = inside.argmax(axis=1)
+    rows = np.arange(len(pts))
+    if not inside[rows, first].all():
+        bad = x[np.argmin(inside[rows, first])]
+        raise OutOfDomain(
+            f"point {tuple(bad)} not contained in any candidate cell")
+    return cells[rows, first], lam[rows, first]
 
 
 def _locate_point_scan(mesh: SimplicialMesh, x) -> PointLocation:

@@ -23,10 +23,10 @@ from .dd_solver import DDConfig, run_fitted_reference, run_two_level_dd
 from .errors import (Diverged, MaxItersExceeded, NonpositiveCoefficient,
                      PicardNoConvergence)
 from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
-                  build_dofmap, dirichlet_dofs, shape_values)
+                  build_dofmap, dirichlet_dofs, evaluate_field, shape_values)
 from .linalg import LinearSolver, SolverConfig
-from .mesh import (FacetTag, GeometryConfig, build_fitted_mesh,
-                   build_global_mesh, build_local_mesh, interface_facets)
+from .mesh import (GeometryConfig, build_fitted_mesh, build_global_mesh,
+                   build_local_mesh, interface_facets)
 
 
 class MaterialCurve:
@@ -100,25 +100,6 @@ def cell_midpoint_values(mesh, dofmap, coeffs):
     return coeffs[dofmap.cell_dofs] @ phi
 
 
-def _facet_midpoint_values(mesh, dofmap, coeffs, facets_with_cells):
-    """Field value at the midpoint of each given boundary facet."""
-    out = []
-    for facet, cell in facets_with_cells:
-        pts = mesh.vertices[list(facet)]
-        mid = pts.mean(axis=0)
-        lam = _barycentric_in_cell(mesh, cell, mid)
-        phi = shape_values(mesh.dim, dofmap.m, lam[None, :])[0]
-        out.append(float(phi @ coeffs[dofmap.cell_dofs[cell]]))
-    return np.asarray(out)
-
-
-def _barycentric_in_cell(mesh, cell, x):
-    pts = mesh.vertices[mesh.cells[cell]]
-    J = (pts[1:] - pts[0]).T
-    rest = np.linalg.solve(J, x - pts[0])
-    return np.concatenate([[1.0 - rest.sum()], rest])
-
-
 def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
                      curve_A: MaterialCurve, curve_B: MaterialCurve,
                      nl: NonlinearConfig, dd: DDConfig | None = None,
@@ -141,12 +122,9 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     strip_floor = geom.H - geom.H_minus
     g_centroids = gmesh.vertices[gmesh.cells].mean(axis=1)
     in_strip = g_centroids[:, -1] > strip_floor
-    gamma = [(f, c) for f, c, t in zip(lmesh.facet_vertices, lmesh.facet_cells,
-                                       lmesh.facet_tags)
-             if t == FacetTag.INTERFACE_GAMMA.value]
-    # keep facet order aligned with interface_facets / the S assembler
-    order = {tuple(f): i for i, (f, _n) in enumerate(interface_facets(lmesh))}
-    gamma.sort(key=lambda fc: order[tuple(fc[0])])
+    # facet midpoints in interface_facets order, the S assembler's facet order
+    gamma_mids = np.array([lmesh.vertices[list(f)].mean(axis=0)
+                           for f, _n in interface_facets(lmesh)])
 
     T_plus = np.full(gdof.n_dofs, problem.T_D)
     T_minus = np.full(ldof.n_dofs, problem.T_D)
@@ -158,13 +136,13 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         Tl = cell_midpoint_values(lmesh, ldof, T_minus)
         kp_cells = np.where(in_strip, nl.kappa_plus_B, curve_A(Tg))
         km_cells = np.asarray(curve_B(Tl))
-        T_gamma = _facet_midpoint_values(lmesh, ldof, T_minus, gamma)
+        T_gamma = evaluate_field(lmesh, ldof, T_minus, gamma_mids)
         jump_weights = nl.kappa_plus_B - np.asarray(curve_B(T_gamma))
 
         frozen_minus = T_minus.copy()
 
         def flux_scale(x, _frozen=frozen_minus):
-            vals = _eval_local(lmesh, ldof, _frozen, np.atleast_2d(x))
+            vals = evaluate_field(lmesh, ldof, _frozen, x)
             return nl.kappa_plus_B / np.asarray(curve_B(vals))
 
         ops = build_coupled_operators(
@@ -201,12 +179,6 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     raise PicardNoConvergence(
         f"no outer convergence in {nl.picard_max} iterations",
         history=np.asarray(history))
-
-
-def _eval_local(mesh, dofmap, coeffs, points):
-    from .fem import evaluate_field
-
-    return evaluate_field(mesh, dofmap, coeffs, points)
 
 
 def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
+import gldd.experiments as experiments
 from gldd.cli import build_parser, fraction, main
 from gldd.errors import InsufficientRatios
 from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
@@ -15,6 +17,18 @@ from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               sweep_mesh_ratio, theta_coefficient_ratio,
                               theta_parabola_minimizer)
 from gldd.linalg import fit_rho_law
+
+
+def slow_setup(monkeypatch, delay=0.05):
+    """Make every set-up in the study drivers take at least `delay` s."""
+    real = experiments.setup_case
+
+    def slow(*args, **kwargs):
+        time.sleep(delay)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "setup_case", slow)
+    return delay
 
 
 class TestConfig:
@@ -52,6 +66,11 @@ class TestRunCase:
         assert 0.0 < rec.rho_measured < 1.0
         assert np.isnan(rec.rho_predicted)
         assert ops.n_plus == 25
+
+    def test_time_covers_setup(self, monkeypatch):
+        delay = slow_setup(monkeypatch)
+        rec, _ = run_case(ExperimentConfig())
+        assert rec.time_s >= delay
 
     def test_divergent_case_recorded(self):
         rec, _ = run_case(ExperimentConfig(kappa_minus=12.0))
@@ -135,6 +154,12 @@ class TestCompareMonolithic:
         assert row["fitted_gmres"] > 0
         assert row["fitted_dofs"] > 0
         assert row["theta"] == pytest.approx(0.5)  # kappa ratio 2 preset
+
+    def test_dd_time_covers_setup(self, monkeypatch):
+        delay = slow_setup(monkeypatch)
+        rows = compare_monolithic(ExperimentConfig(), kappa_ratios=[2.0],
+                                  mesh_ratios=[2])
+        assert rows[0]["dd_time_s"] >= delay
 
 
 class TestEmitReports:

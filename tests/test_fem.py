@@ -11,7 +11,7 @@ from gldd.fem import (apply_dirichlet, assemble_boundary_mass, assemble_load,
                       evaluate_field, facet_rule, l2_error, laser_flux,
                       shape_values, volume_rule)
 from gldd.mesh import (FacetTag, GeometryConfig, SimplicialMesh,
-                       build_global_mesh)
+                       build_global_mesh, locate_point)
 
 GEOM = GeometryConfig()
 
@@ -302,3 +302,21 @@ def test_evaluate_field_linear():
     vals = evaluate_field(mesh, dof, coeffs, pts)
     np.testing.assert_allclose(vals, 2 * pts[:, 0] + 3 * pts[:, 1],
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("geom", [GEOM, GeometryConfig(dim=3)],
+                         ids=["2d", "3d"])
+def test_evaluate_field_p2_matches_point_loop(geom):
+    mesh = build_global_mesh(geom, 1 / 160)
+    dof = build_dofmap(mesh, 2)
+    rng = np.random.default_rng(6)
+    coeffs = 300.0 + rng.random(dof.n_dofs)
+    ext = (geom.L, geom.H) if geom.dim == 2 else (geom.L, geom.W, geom.H)
+    pts = np.vstack([rng.random((100, geom.dim)) * ext, mesh.vertices[:20]])
+    want = []
+    for x in pts:
+        loc = locate_point(mesh, x)
+        phi = shape_values(geom.dim, 2, np.asarray(loc.barycentric))[0]
+        want.append(float(phi @ coeffs[dof.cell_dofs[loc.cell]]))
+    got = evaluate_field(mesh, dof, coeffs, pts)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)

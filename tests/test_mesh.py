@@ -1,5 +1,7 @@
 """Mesh construction, tagging, measures and point location."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,45 @@ class TestLocatePoint:
             loc = locate_point(mesh, p)
             assert np.asarray(loc.barycentric).min() >= -1e-12
 
+    @pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
+    @pytest.mark.parametrize("build", [build_global_mesh, build_local_mesh],
+                             ids=["global", "strip"])
+    def test_batch_matches_per_point(self, geom, build):
+        mesh = build(geom, 1 / 320)
+        pts = _location_probes(mesh, np.random.default_rng(14))
+        batch = locate_point(mesh, pts)
+        assert batch.cell.shape == (len(pts),)
+        assert batch.barycentric.shape == (len(pts), mesh.dim + 1)
+        for p, cell, lam in zip(pts, batch.cell, batch.barycentric):
+            one = locate_point(mesh, p)
+            ref_cell, ref_lam = _reference_locate(mesh, p)
+            assert one.cell == cell == ref_cell
+            np.testing.assert_allclose(lam, one.barycentric, rtol=0,
+                                       atol=1e-15)
+            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-15)
+
+    def test_batch_on_graded_mesh_scans(self):
+        mesh = build_fitted_mesh(GEOM, 1 / 160, 1 / 640, "graded")
+        rng = np.random.default_rng(15)
+        verts = mesh.vertices[rng.integers(0, mesh.num_vertices, 20)]
+        pts = np.vstack([rng.random((100, 2)) * [GEOM.L, GEOM.H], verts])
+        batch = locate_point(mesh, pts)
+        for p, cell, lam in zip(pts, batch.cell, batch.barycentric):
+            one = locate_point(mesh, p)
+            assert one.cell == cell
+            np.testing.assert_allclose(lam, one.barycentric, rtol=0,
+                                       atol=1e-15)
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_batch_with_outside_point_raises(self, graded):
+        mesh = build_fitted_mesh(GEOM, 1 / 160, 1 / 320,
+                                 "graded" if graded else "uniform-fine")
+        pts = np.random.default_rng(16).random((50, 2)) * [GEOM.L, GEOM.H]
+        pts[20] = [-0.002, 0.01]
+        pts[30] = [0.01, 0.75]
+        with pytest.raises(OutOfDomain, match=r"-0\.002"):
+            locate_point(mesh, pts)
+
     def test_tolerance_band(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
         locate_point(mesh, [-1e-13, 1e-3])  # snapped inside
@@ -151,6 +192,47 @@ class TestLocatePoint:
             locate_point(mesh, [-1e-3, 1e-3])
         with pytest.raises(OutOfDomain):
             locate_point(mesh, [GEOM.L + 1e-6, GEOM.H])
+
+
+def _reference_locate(mesh, x):
+    """Per-point structured location: every cell of the 3^d grid blocks
+    around the nominal one, in ascending cell order."""
+    x = np.clip(np.asarray(x, dtype=float), mesh.origin,
+                mesh.origin + mesh.extents)
+    s = (x - mesh.origin) / mesh.h
+    axes = [sorted({min(max(int(np.floor(s[d])) + k, 0), n - 1)
+                    for k in (-1, 0, 1)})
+            for d, n in enumerate(mesh.ncells_axis)]
+    strides = np.cumprod((1,) + mesh.ncells_axis[:-1])
+    blocks = sorted(int(np.dot(idx, strides))
+                    for idx in itertools.product(*axes))
+    nshapes = mesh.cells_per_block()
+    for b in blocks:
+        for t in range(nshapes):
+            cell = b * nshapes + t
+            v0 = mesh.vertices[mesh.cells[cell, 0]]
+            rest = mesh._shape_inv[t] @ (x - v0)
+            lam = np.concatenate([[1.0 - rest.sum()], rest])
+            if np.all(lam >= -1e-12):
+                return cell, lam
+    raise AssertionError(f"reference search found no cell for {x}")
+
+
+def _location_probes(mesh, rng):
+    """Random points, grid vertices, points on grid lines, the box corners
+    and points in the snap band just outside them."""
+    lo, hi = mesh.origin, mesh.origin + mesh.extents
+    dim = mesh.dim
+    rand = lo + rng.random((200, dim)) * (hi - lo)
+    verts = mesh.vertices[rng.integers(0, mesh.num_vertices, 60)]
+    lines = verts.copy()
+    axis = rng.integers(0, dim, len(lines))
+    lines[np.arange(len(lines)), axis] = rand[:len(lines)][
+        np.arange(len(lines)), axis]
+    bits = np.array(list(itertools.product((0, 1), repeat=dim)))
+    corners = np.where(bits, hi, lo)
+    band = corners + np.where(bits, 5e-13, -5e-13)
+    return np.vstack([rand, verts, lines, corners, band])
 
 
 def _assert_conforming(mesh):
