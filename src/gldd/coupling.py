@@ -22,11 +22,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from .fem import (DofMap, _basis_at_points, _cell_geometry,
-                  _facet_shape_values, apply_dirichlet, assemble_boundary_mass,
+from .fem import (DofMap, _basis_at_points, _facet_shape_values,
+                  _triplets_to_csr, apply_dirichlet, assemble_boundary_mass,
                   assemble_load, assemble_stiffness, dirichlet_dofs,
                   evaluate_field, facet_rule, laser_flux, shape_bary_grads)
-from .mesh import (FacetTag, GeometryConfig, StructuredMesh, interface_facets,
+from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    locate_point)
 
 
@@ -102,25 +102,14 @@ def _interface_quadrature(local_mesh, m):
     """
     rule = facet_rule(local_mesh.dim, m)
     ref_measure = 1.0 if local_mesh.dim == 2 else 0.5
-    pairs = interface_facets(local_mesh)
-    if not pairs:
+    gamma = local_mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
+    if not gamma.any():
         raise OrphanInterfaceFacet("mesh has no interface facets")
-    facets = np.array([f for f, _n in pairs])
-    normals = np.array([n for _f, n in pairs])
+    facets = local_mesh.facet_vertices[gamma]
+    normals = local_mesh.facet_normal(facets, local_mesh.facet_cells[gamma])
     xq = rule.points @ local_mesh.vertices[facets]
-    measure = np.array([local_mesh.facet_measure(f) for f, _n in pairs])
-    wq = rule.weights * (measure / ref_measure)[:, None]
+    wq = rule.weights * (local_mesh.facet_measure(facets) / ref_measure)[:, None]
     return facets, normals, xq, wq
-
-
-def _triplets_to_csr(vals, rows, cols, shape):
-    """Sum COO triplets into CSR; rows and cols broadcast to vals' shape."""
-    A = sp.coo_matrix((vals.ravel(),
-                       (np.broadcast_to(rows, vals.shape).ravel(),
-                        np.broadcast_to(cols, vals.shape).ravel())),
-                      shape=shape).tocsr()
-    A.sum_duplicates()
-    return A
 
 
 def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
@@ -146,8 +135,7 @@ def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
     normals = np.repeat(normals[keep], nq, axis=0)
 
     lcells, lam = locate_point(local_mesh, pts)
-    cells, back = np.unique(lcells, return_inverse=True)
-    bgrads = np.array([_cell_geometry(local_mesh, c)[2] for c in cells])[back]
+    bgrads = cell_geometry(local_mesh)[1][lcells]
     dlam = shape_bary_grads(dim, local_dofmap.m, lam)
     grads = np.einsum("pna,pad->pnd", dlam, bgrads)
     dn = np.einsum("pnd,pd->pn", grads, normals)
@@ -167,9 +155,9 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
         raise NonpositiveCoefficient("penalty weight must be nonnegative")
     facets, _normals, xq, wq = _interface_quadrature(
         local_mesh, max(local_dofmap.m, global_dofmap.m))
-    lvals = np.stack([_facet_shape_values(local_dofmap.m,
-                                          _facet_param(local_mesh, f, x))
-                      for f, x in zip(facets, xq)])
+    mu = _facet_param(local_mesh, facets, xq)
+    lvals = _facet_shape_values(local_dofmap.m, mu.reshape(-1, mu.shape[2]))
+    lvals = lvals.reshape(mu.shape[:2] + lvals.shape[1:])
     ldofs = np.array([local_dofmap.facet_dofs(tuple(f)) for f in facets])
     gdofs, gvals = _basis_at_points(global_mesh, global_dofmap, xq)
     vals = (-alpha * wq)[:, :, None, None] * (
@@ -179,18 +167,22 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
                             (local_dofmap.n_dofs, global_dofmap.n_dofs))
 
 
-def _facet_param(mesh, facet, xq):
-    """Barycentric coordinates of points on a boundary facet."""
-    pts = mesh.vertices[list(facet)]
+def _facet_param(mesh, facets, xq):
+    """Barycentric coordinates (nf, nq, dim) of points xq (nf, nq, dim) on
+    boundary facets (nf, dim), from the Gram system of the facet edges."""
+    pts = mesh.vertices[facets]
+    e = pts[:, 1:] - pts[:, :1]
+    rel = xq - pts[:, :1]
+    # a matrix-vector product per edge: one stacked matrix product rounds
+    # differently and moves D in the last bit
+    rhs = np.concatenate([rel @ e[:, i, :, None] for i in range(mesh.dim - 1)],
+                         axis=2)
+    gram = e @ np.swapaxes(e, 1, 2)
     if mesh.dim == 2:
-        t = pts[1] - pts[0]
-        s = (xq - pts[0]) @ t / (t @ t)
-        return np.stack([1.0 - s, s], axis=1)
-    e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
-    G = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-    rhs = np.stack([(xq - pts[0]) @ e1, (xq - pts[0]) @ e2], axis=1)
-    st = np.linalg.solve(G, rhs.T).T
-    return np.hstack([1.0 - st.sum(axis=1, keepdims=True), st])
+        s = rhs / gram
+    else:
+        s = np.swapaxes(np.linalg.solve(gram, np.swapaxes(rhs, 1, 2)), 1, 2)
+    return np.concatenate([1.0 - s.sum(axis=2, keepdims=True), s], axis=2)
 
 
 def _zero_rows(A, rows):
@@ -242,8 +234,8 @@ def build_coupled_operators(geom: GeometryConfig,
 
     K_plus = assemble_stiffness(global_mesh, global_dofmap, kp_cells)
     K_minus = assemble_stiffness(local_mesh, local_dofmap, km_cells)
-    gamma = [f for f, t in zip(local_mesh.facet_vertices, local_mesh.facet_tags)
-             if t == FacetTag.INTERFACE_GAMMA.value]
+    gamma = local_mesh.facet_vertices[
+        local_mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value]
     K_minus = (K_minus + assemble_boundary_mass(local_mesh, local_dofmap,
                                                 gamma, alpha)).tocsr()
 

@@ -99,23 +99,6 @@ class _Steppers:
         return self.plus.solve(self.ops.S @ self.minus.solve(self.ops.D @ v))
 
 
-def step0(ops: CoupledOperators, solver: SolverConfig | None = None):
-    """Box solve with the scaled data and no jump term."""
-    return LinearSolver(ops.K_plus, solver or SolverConfig()).solve(ops.f_plus)
-
-
-def local_step(ops: CoupledOperators, T_plus, solver: SolverConfig | None = None):
-    """Strip solve driven by the trace of the current box iterate."""
-    return LinearSolver(ops.K_minus, solver or SolverConfig()).solve(
-        ops.f_minus - ops.D @ T_plus)
-
-
-def global_step(ops: CoupledOperators, T_minus, solver: SolverConfig | None = None):
-    """Box solve driven by the strip's flux jump."""
-    return LinearSolver(ops.K_plus, solver or SolverConfig()).solve(
-        ops.f_plus - ops.S @ T_minus)
-
-
 def make_iteration_operator(ops: CoupledOperators,
                             solver: SolverConfig | None = None):
     """Callable applying M = K_plus^{-1} S K_minus^{-1} D (for spectral

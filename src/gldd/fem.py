@@ -1,8 +1,13 @@
 """Lagrange finite elements of degree 1 and 2 on simplicial meshes.
 
-Everything is assembled cell by cell in ascending cell order into COO
-triplets and compressed once at the end, so results are deterministic for a
-fixed scipy version.  Matrices are CSR, vectors plain numpy arrays.
+Cell terms are computed for all cells at once from the stacked geometry
+of ``mesh.cell_geometry`` (one einsum for the stiffness, one source call on
+every quadrature point for the load), and facet terms for all facets at
+once, except the top-flux quadrature, which goes facet by facet.  Matrix
+entries are laid out as COO triplets in ascending cell (or facet) order
+and summed into CSR once by ``_triplets_to_csr``, so results are
+deterministic for fixed numpy and scipy versions.  Matrices are CSR,
+vectors plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import scipy.sparse as sp
 
 from .errors import (ForeignFacet, IndexOutOfRange, NonpositiveCoefficient,
                      UnsupportedDegree)
-from .mesh import FacetTag, StructuredMesh, locate_point
+from .mesh import FacetTag, StructuredMesh, cell_geometry, locate_point
 
 # ======================================================================
 # quadrature
@@ -87,7 +92,8 @@ def _tet_rule(degree):
     if degree <= 2:
         a = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
         b = (5.0 - np.sqrt(5.0)) / 20.0
-        pts, w = _symmetric_points_tet4(a, b)
+        pts = np.full((4, 4), b)
+        np.fill_diagonal(pts, a)
         w = np.full(4, 0.25)
         deg = 2
     else:
@@ -109,15 +115,6 @@ def _tet_rule(degree):
         pts, w = np.array(pts), np.array(w)
         deg = 5
     return QuadratureRule(pts, w / 6.0, deg)
-
-
-def _symmetric_points_tet4(a, b):
-    pts = []
-    for i in range(4):
-        p = [b] * 4
-        p[i] = a
-        pts.append(p)
-    return np.array(pts), None
 
 
 def _cd_pairs(i, c, d):
@@ -260,21 +257,19 @@ def _facet_shape_values(m, mu):
     return np.stack(cols, axis=1)
 
 
-def _cell_geometry(mesh, c):
-    pts = mesh.vertices[mesh.cells[c]]
-    J = (pts[1:] - pts[0]).T
-    detJ = np.linalg.det(J)
-    Jinv = np.linalg.inv(J)
-    # gradients of the barycentric coordinates, rows = lambda_a
-    grads = np.empty((mesh.dim + 1, mesh.dim))
-    grads[1:] = Jinv
-    grads[0] = -Jinv.sum(axis=0)
-    return pts, abs(detJ), grads
-
-
 # ======================================================================
 # assembly
 # ======================================================================
+
+def _triplets_to_csr(vals, rows, cols, shape):
+    """Sum COO triplets into CSR; rows and cols broadcast to vals' shape."""
+    A = sp.coo_matrix((vals.ravel(),
+                       (np.broadcast_to(rows, vals.shape).ravel(),
+                        np.broadcast_to(cols, vals.shape).ravel())),
+                      shape=shape).tocsr()
+    A.sum_duplicates()
+    return A
+
 
 def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_matrix:
     """Stiffness matrix for -div(kappa grad u); kappa scalar or per-cell array."""
@@ -283,56 +278,45 @@ def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_ma
         raise NonpositiveCoefficient("kappa must be strictly positive")
     rule = volume_rule(mesh.dim, dofmap.m)
     dlam = shape_bary_grads(mesh.dim, dofmap.m, rule.points)
-    rows, cols, vals = [], [], []
+    adet, bgrads = cell_geometry(mesh)
     # weights sum to the reference measure, so |detJ| is the whole Jacobian
-    for c in range(mesh.num_cells):
-        _, adet, bgrads = _cell_geometry(mesh, c)
-        g = np.einsum("qna,ad->qnd", dlam, bgrads)
-        ke = kappa[c] * adet * np.einsum(
-            "q,qnd,qmd->nm", rule.weights, g, g)
-        dofs = dofmap.cell_dofs[c]
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(ke.ravel())
-    n = dofmap.n_dofs
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    return A
+    g = np.einsum("qna,cad->cqnd", dlam, bgrads)
+    ke = (kappa * adet)[:, None, None] * np.einsum(
+        "q,cqnd,cqmd->cnm", rule.weights, g, g)
+    dofs = dofmap.cell_dofs
+    return _triplets_to_csr(ke, dofs[:, :, None], dofs[:, None, :],
+                            (dofmap.n_dofs, dofmap.n_dofs))
 
 
 def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
                            weight: float) -> sp.csr_matrix:
     """weight * mass matrix over the given boundary facets.
 
-    Facets must be boundary facets of the mesh (vertex tuples as produced by
-    the mesh); anything else raises ForeignFacet.
+    Facets must be boundary facets of the mesh, in any vertex order;
+    anything else raises ForeignFacet.
     """
-    known = {tuple(f) for f in mesh.facet_vertices}
+    facets = np.asarray(facets, dtype=np.int64).reshape(-1, mesh.dim)
+    keys = np.sort(facets, axis=1)
+    # one id per distinct vertex set, the mesh's boundary facets first
+    known = len(mesh.facet_vertices)
+    _, ids = np.unique(np.vstack([mesh.facet_vertices, keys]), axis=0,
+                       return_inverse=True)
+    ids = ids.reshape(-1)
+    foreign = ~np.isin(ids[known:], ids[:known])
+    if foreign.any():
+        raise ForeignFacet(
+            f"facet {tuple(facets[foreign.argmax()].tolist())} is not a "
+            "boundary facet")
     rule = facet_rule(mesh.dim, dofmap.m)
     vals_at = _facet_shape_values(dofmap.m, rule.points)
     ref_measure = 1.0 if mesh.dim == 2 else 0.5
-    rows, cols, vals = [], [], []
-    for facet in facets:
-        key = tuple(sorted(facet))
-        if key not in known:
-            raise ForeignFacet(f"facet {facet} is not a boundary facet")
-        dofs = np.asarray(dofmap.facet_dofs(key))
-        measure = mesh.facet_measure(key)
-        me = weight * (measure / ref_measure) * np.einsum(
-            "q,qn,qm->nm", rule.weights, vals_at, vals_at)
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(me.ravel())
-    n = dofmap.n_dofs
-    if not rows:
-        return sp.csr_matrix((n, n))
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    return A
+    ref_mass = np.einsum("q,qn,qm->nm", rule.weights, vals_at, vals_at)
+    scale = weight * (mesh.facet_measure(keys) / ref_measure)
+    dofs = np.array([dofmap.facet_dofs(tuple(k)) for k in keys],
+                    dtype=np.int64).reshape(len(keys), vals_at.shape[1])
+    return _triplets_to_csr(scale[:, None, None] * ref_mass,
+                            dofs[:, :, None], dofs[:, None, :],
+                            (dofmap.n_dofs, dofmap.n_dofs))
 
 
 def _as_callable(f):
@@ -392,19 +376,14 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
         than this are subdivided until each panel is at most q_panel across
     """
     b = np.zeros(dofmap.n_dofs)
-    ffun = _as_callable(f)
-    vrule = volume_rule(mesh.dim, dofmap.m)
-    vvals = shape_values(mesh.dim, dofmap.m, vrule.points)
-    skip_volume = not callable(f) and float(f) == 0.0
-    if not skip_volume:
-        for c in range(mesh.num_cells):
-            pts = mesh.vertices[mesh.cells[c]]
-            _, adet, _ = _cell_geometry(mesh, c)
-            xq = vrule.points @ pts
-            fq = np.asarray(ffun(xq), dtype=float)
-            b_loc = adet * np.einsum("q,q,qn->n",
-                                     vrule.weights, fq, vvals)
-            np.add.at(b, dofmap.cell_dofs[c], b_loc)
+    if callable(f) or float(f) != 0.0:
+        vrule = volume_rule(mesh.dim, dofmap.m)
+        vvals = shape_values(mesh.dim, dofmap.m, vrule.points)
+        adet, _ = cell_geometry(mesh)
+        xq = vrule.points @ mesh.vertices[mesh.cells]
+        fq = np.asarray(_as_callable(f)(xq), dtype=float)
+        np.add.at(b, dofmap.cell_dofs, adet[:, None] * np.einsum(
+            "q,cq,qn->cn", vrule.weights, fq, vvals))
     if q is not None:
         qfun = _as_callable(q)
         ref_facet = 1.0 if mesh.dim == 2 else 0.5
@@ -514,15 +493,11 @@ def l2_error(mesh, dofmap, coeffs, exact):
     """L2 distance between a finite element field and a callable."""
     rule = volume_rule(mesh.dim, 2)  # generous rule, degree >= 4
     vvals = shape_values(mesh.dim, dofmap.m, rule.points)
-    total = 0.0
-    for c in range(mesh.num_cells):
-        pts = mesh.vertices[mesh.cells[c]]
-        _, adet, _ = _cell_geometry(mesh, c)
-        xq = rule.points @ pts
-        uh = vvals @ coeffs[dofmap.cell_dofs[c]]
-        diff = uh - np.asarray(exact(xq), dtype=float)
-        total += adet * float(rule.weights @ diff**2)
-    return np.sqrt(total)
+    adet, _ = cell_geometry(mesh)
+    uh = coeffs[dofmap.cell_dofs] @ vvals.T
+    diff = uh - np.asarray(exact(rule.points @ mesh.vertices[mesh.cells]),
+                           dtype=float)
+    return np.sqrt(float(adet @ (diff**2 @ rule.weights)))
 
 
 def export_matrix(A, path):

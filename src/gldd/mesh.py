@@ -8,6 +8,12 @@ search; ``locate_point`` takes one point or an (n, dim) array of points and
 locates a whole array in one vectorized call.  A third kind of mesh, used
 only by the single-domain reference solver, grades from the strip
 resolution down to the coarse one through conforming transition bands.
+
+Construction and geometry work on all cells or facets in one stacked
+pass, with no per-cell loop: the cell array, the boundary facets and their
+tags, ``cell_geometry`` (|det J| and barycentric gradients, the single
+source of cell geometry for assembly and for graded-mesh point location),
+``facet_measure`` and ``facet_normal``.
 """
 
 from __future__ import annotations
@@ -94,10 +100,16 @@ _TRIS_PER_SQUARE = _subdivision_2d()
 class SimplicialMesh:
     """Simplicial mesh given by explicit vertex and cell lists.
 
+    ``tag_rule`` maps the vertex coordinates of all boundary facets at once,
+    an (nf, dim, dim) array, to their FacetTag values (nf,).
+
     Attributes
     ----------
     vertices : (nv, dim) float array
     cells : (nc, dim+1) int array, positively oriented
+    facet_vertices : (nf, dim) sorted vertex ids of the boundary facets,
+        ordered by owner cell, then by the local vertex each one omits
+    facet_tags, facet_cells : (nf,) FacetTag values and owner cells
     boundary_facets : list of (vertex tuple, FacetTag)
     h : nominal cell size
     """
@@ -114,26 +126,17 @@ class SimplicialMesh:
 
     def _build_boundary(self, tag_rule):
         # A facet is a boundary facet iff it is a face of exactly one cell.
+        # Faces are listed by cell, then by the local vertex they omit.
         d = self.dim
-        counts: dict = {}
-        for c, cell in enumerate(self.cells):
-            for loc in range(d + 1):
-                face = tuple(sorted(np.delete(cell, loc)))
-                if face in counts:
-                    counts[face] = None
-                else:
-                    counts[face] = (c, loc)
-        facets, tags, owners = [], [], []
-        for c, cell in enumerate(self.cells):
-            for loc in range(d + 1):
-                face = tuple(sorted(np.delete(cell, loc)))
-                if counts[face] == (c, loc):
-                    facets.append(face)
-                    owners.append(c)
-                    tags.append(tag_rule(self.vertices[list(face)]).value)
-        self.facet_vertices = np.asarray(facets, dtype=np.int64)
-        self.facet_tags = np.asarray(tags, dtype=np.int64)
-        self.facet_cells = np.asarray(owners, dtype=np.int64)
+        omit = [[v for v in range(d + 1) if v != loc] for loc in range(d + 1)]
+        faces = np.sort(self.cells[:, omit], axis=2).reshape(-1, d)
+        _, inverse, counts = np.unique(faces, axis=0, return_inverse=True,
+                                       return_counts=True)
+        once = counts[inverse.reshape(-1)] == 1
+        self.facet_vertices = faces[once]
+        self.facet_cells = np.flatnonzero(once) // (d + 1)
+        self.facet_tags = np.asarray(
+            tag_rule(self.vertices[self.facet_vertices]), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # queries
@@ -152,31 +155,45 @@ class SimplicialMesh:
         return [(tuple(f), FacetTag(t))
                 for f, t in zip(self.facet_vertices, self.facet_tags)]
 
-    def cell_volume(self, c):
-        pts = self.vertices[self.cells[c]]
-        mat = (pts[1:] - pts[0]).T
-        return abs(np.linalg.det(mat)) / (2.0 if self.dim == 2 else 6.0)
-
-    def facet_measure(self, facet):
-        pts = self.vertices[list(facet)]
+    def facet_measure(self, facets):
+        """Measure of one facet (dim,) or of each facet in an (nf, dim) array."""
+        facets = np.asarray(facets)
+        pts = self.vertices[facets]
+        e = pts[..., 1:, :] - pts[..., :1, :]
         if self.dim == 2:
-            return float(np.linalg.norm(pts[1] - pts[0]))
-        return 0.5 * float(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])))
-
-    def facet_normal(self, facet, owner_cell):
-        """Unit normal of a boundary facet pointing out of its owner cell."""
-        pts = self.vertices[list(facet)]
-        if self.dim == 2:
-            t = pts[1] - pts[0]
-            n = np.array([t[1], -t[0]])
+            measure = np.linalg.norm(e[..., 0, :], axis=-1)
         else:
-            n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-        n = n / np.linalg.norm(n)
-        opposite = [v for v in self.cells[owner_cell] if v not in set(facet)]
-        outward = pts.mean(axis=0) - self.vertices[opposite[0]]
-        if np.dot(n, outward) < 0:
-            n = -n
-        return n
+            measure = 0.5 * np.linalg.norm(
+                np.cross(e[..., 0, :], e[..., 1, :]), axis=-1)
+        return float(measure) if facets.ndim == 1 else measure
+
+    def facet_normal(self, facets, owner_cells):
+        """Unit normals of boundary facets (nf, dim) pointing out of their
+        owner cells (nf,)."""
+        pts = self.vertices[facets]
+        e = pts[:, 1:] - pts[:, :1]
+        if self.dim == 2:
+            n = np.stack([e[:, 0, 1], -e[:, 0, 0]], axis=1)
+        else:
+            n = np.cross(e[:, 0], e[:, 1])
+        n = n / np.linalg.norm(n, axis=1, keepdims=True)
+        # the owner's vertex off the facet: cell and facet differ by it alone
+        opposite = self.cells[owner_cells].sum(axis=1) - facets.sum(axis=1)
+        outward = pts.mean(axis=1) - self.vertices[opposite]
+        return np.where(((n * outward).sum(axis=1) < 0)[:, None], -n, n)
+
+
+def cell_geometry(mesh: SimplicialMesh):
+    """|det J| and barycentric gradients of every cell, in one stacked pass.
+
+    Returns abs_det (nc,) and bary_grads (nc, dim+1, dim), whose row a is
+    the gradient of lambda_a.  abs_det is dim! times the cell volume.
+    """
+    pts = mesh.vertices[mesh.cells]
+    J = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
+    Jinv = np.linalg.inv(J)
+    grads = np.concatenate([-Jinv.sum(axis=1, keepdims=True), Jinv], axis=1)
+    return np.abs(np.linalg.det(J)), grads
 
 
 class StructuredMesh(SimplicialMesh):
@@ -201,36 +218,16 @@ class StructuredMesh(SimplicialMesh):
         # vertex index runs x fastest, then y, then z
         return np.stack([g.T.ravel() for g in grids], axis=1)
 
-    def _vertex_id(self, idx):
-        nx = self.ncells_axis[0] + 1
-        if len(idx) == 2:
-            i, j = idx
-            return j * nx + i
-        i, j, k = idx
-        ny = self.ncells_axis[1] + 1
-        return (k * ny + j) * nx + i
-
     def _make_cells(self, dim):
-        cells = []
-        if dim == 2:
-            nx, ny = self.ncells_axis
-            for j in range(ny):
-                for i in range(nx):
-                    # corner order inside the square: (0,0), (1,0), (0,1), (1,1)
-                    corners = [self._vertex_id((i + a, j + b))
-                               for b in (0, 1) for a in (0, 1)]
-                    for tri in _TRIS_PER_SQUARE:
-                        cells.append([corners[t] for t in tri])
-        else:
-            nx, ny, nz = self.ncells_axis
-            for k in range(nz):
-                for j in range(ny):
-                    for i in range(nx):
-                        corners = [self._vertex_id((i + a, j + b, k + c))
-                                   for c in (0, 1) for b in (0, 1) for a in (0, 1)]
-                        for tet in _TETS_PER_CUBE:
-                            cells.append([corners[t] for t in tet])
-        return np.asarray(cells, dtype=np.int64)
+        # the vertex index of every block's lower corner, x fastest, plus the
+        # offsets of the block's corners, in _block_corners order
+        n = np.asarray(self.ncells_axis)
+        vertex_grid = np.arange(np.prod(n + 1)).reshape(tuple(n[::-1] + 1))
+        base = vertex_grid[tuple(slice(k) for k in n[::-1])].ravel()
+        offsets = _block_corners(dim).astype(np.int64) @ np.cumprod(
+            np.concatenate([[1], n[:-1] + 1]))
+        shapes = np.array(_TRIS_PER_SQUARE if dim == 2 else _TETS_PER_CUBE)
+        return (base[:, None, None] + offsets[shapes]).reshape(-1, dim + 1)
 
     def _build_location_tables(self):
         # Inverse reference maps for every cell shape that occurs in a grid
@@ -246,9 +243,6 @@ class StructuredMesh(SimplicialMesh):
 
     def cells_per_block(self):
         return len(_TRIS_PER_SQUARE) if self.dim == 2 else len(_TETS_PER_CUBE)
-
-    def block_of_cell(self, cell_index):
-        return cell_index // self.cells_per_block()
 
 
 def _block_corners(dim):
@@ -272,19 +266,26 @@ def _divisions(extent, h):
 # public constructors
 # ----------------------------------------------------------------------
 
+def _wall_tags(top, gamma=None):
+    """Tag rule for facet points (nf, dim, dim) by height: NEUMANN_TOP at
+    ``top``, INTERFACE_GAMMA at ``gamma``, DIRICHLET_OUTER elsewhere."""
+    def tag(facet_pts):
+        def at(level):
+            return np.all(np.abs(facet_pts[..., -1] - level) < 1e-10, axis=-1)
+
+        tags = np.full(len(facet_pts), FacetTag.DIRICHLET_OUTER.value)
+        if gamma is not None:
+            tags[at(gamma)] = FacetTag.INTERFACE_GAMMA.value
+        tags[at(top)] = FacetTag.NEUMANN_TOP.value
+        return tags
+    return tag
+
+
 def build_global_mesh(geom: GeometryConfig, h_plus: float) -> StructuredMesh:
     """Mesh of the full box; top facets Neumann, every other wall Dirichlet."""
-    tol = 1e-10
-    top = geom.H
-
-    def tag(facet_pts):
-        if np.all(np.abs(facet_pts[:, -1] - top) < tol):
-            return FacetTag.NEUMANN_TOP
-        return FacetTag.DIRICHLET_OUTER
-
     extents = (geom.L, geom.H) if geom.dim == 2 else (geom.L, geom.W, geom.H)
     origin = np.zeros(geom.dim)
-    return StructuredMesh(origin, extents, h_plus, tag)
+    return StructuredMesh(origin, extents, h_plus, _wall_tags(geom.H))
 
 
 def build_local_mesh(geom: GeometryConfig, h_minus: float) -> StructuredMesh:
@@ -294,24 +295,15 @@ def build_local_mesh(geom: GeometryConfig, h_minus: float) -> StructuredMesh:
     interface, and the lateral sides (which lie on the outer walls) stay
     Dirichlet.
     """
-    tol = 1e-10
     bottom = geom.H - geom.H_minus
-
-    def tag(facet_pts):
-        vert = facet_pts[:, -1]
-        if np.all(np.abs(vert - geom.H) < tol):
-            return FacetTag.NEUMANN_TOP
-        if np.all(np.abs(vert - bottom) < tol):
-            return FacetTag.INTERFACE_GAMMA
-        return FacetTag.DIRICHLET_OUTER
-
     if geom.dim == 2:
         origin = (0.0, bottom)
         extents = (geom.L, geom.H_minus)
     else:
         origin = (0.0, 0.0, bottom)
         extents = (geom.L, geom.W, geom.H_minus)
-    return StructuredMesh(np.asarray(origin), extents, h_minus, tag)
+    return StructuredMesh(np.asarray(origin), extents, h_minus,
+                          _wall_tags(geom.H, gamma=bottom))
 
 
 def build_fitted_mesh(geom: GeometryConfig, h_plus: float, h_minus: float,
@@ -353,13 +345,6 @@ def _graded_mesh_2d(geom, h_plus, h_minus):
         raise NonDivisibleSpacing("strip offset is not a multiple of the fine spacing")
     extra_fine = slack_units % per
     ncoarse = (slack_units - extra_fine) // per
-
-    tol = 1e-10
-
-    def tag(facet_pts):
-        if np.all(np.abs(facet_pts[:, -1] - geom.H) < tol):
-            return FacetTag.NEUMANN_TOP
-        return FacetTag.DIRICHLET_OUTER
 
     verts: dict = {}
     coords = []
@@ -406,7 +391,8 @@ def _graded_mesh_2d(geom, h_plus, h_minus):
     y = uniform_rows(y, extra_fine + nfine, h_minus)
     if abs(y - geom.H) > 1e-12:
         raise NonDivisibleSpacing("graded construction did not close the box")
-    return SimplicialMesh(np.asarray(coords), np.asarray(cells), tag, h_minus)
+    return SimplicialMesh(np.asarray(coords), np.asarray(cells),
+                          _wall_tags(geom.H), h_minus)
 
 
 # ----------------------------------------------------------------------
@@ -428,9 +414,7 @@ def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
     if hasattr(mesh, "origin"):
         cells, lam = _locate_structured(mesh, pts)
     else:
-        found = [_locate_point_scan(mesh, p) for p in pts]
-        cells = np.array([f.cell for f in found], dtype=np.int64)
-        lam = np.array([f.barycentric for f in found])
+        cells, lam = _locate_scan(mesh, pts)
     if x.ndim == 1:
         return PointLocation(int(cells[0]), tuple(lam[0]))
     return PointLocation(cells, lam)
@@ -481,33 +465,35 @@ def _locate_structured(mesh, pts):
     return cells[rows, first], lam[rows, first]
 
 
-def _locate_point_scan(mesh: SimplicialMesh, x) -> PointLocation:
+def _locate_scan(mesh, pts):
+    # one point at a time, each tested against every cell at once
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
-    for d in range(mesh.dim):
-        if x[d] < lo[d] - 1e-12 or x[d] > hi[d] + 1e-12:
-            raise OutOfDomain(f"point {tuple(x)} lies outside the mesh box")
-    x = np.clip(x, lo, hi)
-    for cell in range(mesh.num_cells):
-        pts = mesh.vertices[mesh.cells[cell]]
-        if np.any(x < pts.min(axis=0) - 1e-12) or \
-                np.any(x > pts.max(axis=0) + 1e-12):
-            continue
-        J = (pts[1:] - pts[0]).T
-        lam_rest = np.linalg.solve(J, x - pts[0])
-        lam = np.concatenate([[1.0 - lam_rest.sum()], lam_rest])
-        if np.all(lam >= -_BARY_TOL):
-            return PointLocation(cell, tuple(lam))
-    raise OutOfDomain(f"point {tuple(x)} not contained in any cell")
+    inv = cell_geometry(mesh)[1][:, 1:]
+    v0 = mesh.vertices[mesh.cells[:, 0]]
+    cells = np.empty(len(pts), dtype=np.int64)
+    lam = np.empty((len(pts), mesh.dim + 1))
+    for i, p in enumerate(pts):
+        if not ((p >= lo - 1e-12) & (p <= hi + 1e-12)).all():
+            raise OutOfDomain(f"point {tuple(p)} lies outside the mesh box")
+        x = np.clip(p, lo, hi)
+        rest = (inv @ (x - v0)[:, :, None])[:, :, 0]
+        every = np.concatenate([1.0 - rest.sum(axis=1, keepdims=True), rest],
+                               axis=1)
+        inside = (every >= -_BARY_TOL).all(axis=1)
+        if not inside.any():
+            raise OutOfDomain(f"point {tuple(x)} not contained in any cell")
+        cells[i] = inside.argmax()
+        lam[i] = every[cells[i]]
+    return cells, lam
 
 
 def interface_facets(mesh: SimplicialMesh):
     """Coupling facets of the strip with their outward unit normals."""
-    out = []
-    for f, t, c in zip(mesh.facet_vertices, mesh.facet_tags, mesh.facet_cells):
-        if t == FacetTag.INTERFACE_GAMMA.value:
-            out.append((tuple(f), mesh.facet_normal(tuple(f), c)))
-    return out
+    gamma = mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
+    facets = mesh.facet_vertices[gamma]
+    normals = mesh.facet_normal(facets, mesh.facet_cells[gamma])
+    return [(tuple(f), n) for f, n in zip(facets, normals)]
 
 
 def dump_mesh(mesh: SimplicialMesh, path):

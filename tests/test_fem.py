@@ -3,15 +3,18 @@ manufactured solutions."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gldd.errors import NonpositiveCoefficient, UnsupportedDegree
-from gldd.fem import (apply_dirichlet, assemble_boundary_mass, assemble_load,
+from gldd.errors import (ForeignFacet, NonpositiveCoefficient,
+                         UnsupportedDegree)
+from gldd.fem import (_facet_shape_values, apply_dirichlet,
+                      assemble_boundary_mass, assemble_load,
                       assemble_stiffness, build_dofmap, dirichlet_dofs,
                       evaluate_field, facet_rule, l2_error, laser_flux,
-                      shape_values, volume_rule)
+                      shape_bary_grads, shape_values, volume_rule)
 from gldd.mesh import (FacetTag, GeometryConfig, SimplicialMesh,
-                       build_global_mesh, locate_point)
+                       build_global_mesh, build_local_mesh, locate_point)
 
 GEOM = GeometryConfig()
 
@@ -19,8 +22,9 @@ GEOM = GeometryConfig()
 def reference_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     cells = np.array([[0, 1, 2]])
-    return SimplicialMesh(verts, cells, lambda pts: FacetTag.DIRICHLET_OUTER,
-                          h=1.0)
+    return SimplicialMesh(
+        verts, cells,
+        lambda pts: np.full(len(pts), FacetTag.DIRICHLET_OUTER.value), h=1.0)
 
 
 def sympy_element_matrices(m):
@@ -171,6 +175,20 @@ class TestStiffness:
         np.testing.assert_allclose(Kd, Kd.T, atol=1e-14)
         assert np.linalg.eigvalsh(Kd).min() > 0
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_cell_assembly(self, dim, m):
+        geom = GeometryConfig(dim=dim)
+        for mesh in (build_global_mesh(geom, 1 / 160),
+                     build_local_mesh(geom, 1 / 320)):
+            dof = build_dofmap(mesh, m)
+            kappa = 0.5 + np.random.default_rng(dim * m).random(mesh.num_cells)
+            K = assemble_stiffness(mesh, dof, kappa)
+            ref = _reference_stiffness(mesh, dof, kappa)
+            np.testing.assert_array_equal(K.indptr, ref.indptr)
+            np.testing.assert_array_equal(K.indices, ref.indices)
+            np.testing.assert_array_equal(K.data, ref.data)
+
     def test_nonpositive_coefficient(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
         dof = build_dofmap(mesh, 1)
@@ -205,6 +223,74 @@ class TestBoundaryMass:
         assert ones @ (M @ ones) == pytest.approx(alpha * GEOM.L, rel=1e-12)
 
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_facet_assembly(self, dim, m):
+        mesh = build_local_mesh(GeometryConfig(dim=dim), 1 / 320)
+        dof = build_dofmap(mesh, m)
+        facets = mesh.facet_vertices[
+            mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value]
+        M = assemble_boundary_mass(mesh, dof, facets, 3.5)
+        rule = facet_rule(dim, m)
+        phi = _facet_shape_values(m, rule.points)
+        rows, cols, vals = [], [], []
+        for f in facets:
+            dofs = np.asarray(dof.facet_dofs(tuple(f)))
+            me = 3.5 * (mesh.facet_measure(f) / (1.0 if dim == 2 else 0.5)) * \
+                np.einsum("q,qn,qm->nm", rule.weights, phi, phi)
+            rows.append(np.repeat(dofs, len(dofs)))
+            cols.append(np.tile(dofs, len(dofs)))
+            vals.append(me.ravel())
+        ref = sp.coo_matrix((np.concatenate(vals),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=M.shape).tocsr()
+        ref.sum_duplicates()
+        np.testing.assert_array_equal(M.indptr, ref.indptr)
+        np.testing.assert_array_equal(M.indices, ref.indices)
+        np.testing.assert_array_equal(M.data, ref.data)
+
+    def test_foreign_facet(self):
+        mesh = build_global_mesh(GEOM, 1 / 160)
+        dof = build_dofmap(mesh, 2)
+        interior = tuple(sorted(mesh.cells[0][[0, 2]]))  # the square's diagonal
+        with pytest.raises(ForeignFacet,
+                           match=rf"\({interior[0]}, {interior[1]}\)"):
+            assemble_boundary_mass(mesh, dof, [mesh.facet_vertices[0], interior],
+                                   1.0)
+
+    def test_unsorted_facet_accepted(self):
+        mesh = build_global_mesh(GeometryConfig(dim=3), 1 / 160)
+        dof = build_dofmap(mesh, 2)
+        top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
+        M = assemble_boundary_mass(mesh, dof, top, 2.0)
+        flipped = assemble_boundary_mass(mesh, dof, top[:, ::-1], 2.0)
+        assert (M != flipped).nnz == 0
+
+
+def _reference_stiffness(mesh, dof, kappa):
+    """Cell-by-cell assembly with one det and inv per cell."""
+    rule = volume_rule(mesh.dim, dof.m)
+    dlam = shape_bary_grads(mesh.dim, dof.m, rule.points)
+    rows, cols, vals = [], [], []
+    for c in range(mesh.num_cells):
+        pts = mesh.vertices[mesh.cells[c]]
+        J = (pts[1:] - pts[0]).T
+        Jinv = np.linalg.inv(J)
+        bgrads = np.vstack([-Jinv.sum(axis=0), Jinv])
+        g = np.einsum("qna,ad->qnd", dlam, bgrads)
+        ke = kappa[c] * abs(np.linalg.det(J)) * np.einsum(
+            "q,qnd,qmd->nm", rule.weights, g, g)
+        dofs = dof.cell_dofs[c]
+        rows.append(np.repeat(dofs, len(dofs)))
+        cols.append(np.tile(dofs, len(dofs)))
+        vals.append(ke.ravel())
+    A = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dof.n_dofs, dof.n_dofs)).tocsr()
+    A.sum_duplicates()
+    return A
+
+
 class TestLoad:
     def test_constant_source_total(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
@@ -225,8 +311,9 @@ class TestLoad:
             cells.extend([(a, b_, d), (a, d, c)])
 
         def tag(pts):
-            return (FacetTag.NEUMANN_TOP if np.allclose(pts[:, 1], h)
-                    else FacetTag.DIRICHLET_OUTER)
+            return np.where(np.isclose(pts[..., 1], h).all(axis=1),
+                            FacetTag.NEUMANN_TOP.value,
+                            FacetTag.DIRICHLET_OUTER.value)
 
         mesh = SimplicialMesh(verts, np.array(cells), tag, h)
         dof = build_dofmap(mesh, 1)
@@ -270,6 +357,34 @@ class TestDirichlet:
         T = spla.spsolve(K2.tocsc(), b2)
         np.testing.assert_allclose(T[dirich], 293.15, atol=1e-10)
         assert T.min() >= 293.15 - 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_volume_terms_match_per_cell_loop(dim, m):
+    """The batched load is bitwise the cell-by-cell sum; the L2 error sums
+    in another order, so it matches to a few rounding errors."""
+    geom = GeometryConfig(dim=dim)
+    mesh = build_global_mesh(geom, 1 / 160)
+    dof = build_dofmap(mesh, m)
+    f = lambda x: np.sin(300.0 * x[..., 0]) + x[..., -1]
+    coeffs = np.random.default_rng(dim + m).random(dof.n_dofs)
+    b = assemble_load(mesh, dof, f=f)
+    vrule, erule = volume_rule(dim, m), volume_rule(dim, 2)
+    vvals = shape_values(dim, m, vrule.points)
+    evals = shape_values(dim, m, erule.points)
+    ref_b = np.zeros(dof.n_dofs)
+    total = 0.0
+    for c in range(mesh.num_cells):
+        pts = mesh.vertices[mesh.cells[c]]
+        adet = abs(np.linalg.det((pts[1:] - pts[0]).T))
+        np.add.at(ref_b, dof.cell_dofs[c], adet * np.einsum(
+            "q,q,qn->n", vrule.weights, f(vrule.points @ pts), vvals))
+        diff = evals @ coeffs[dof.cell_dofs[c]] - f(erule.points @ pts)
+        total += adet * float(erule.weights @ diff ** 2)
+    np.testing.assert_array_equal(b, ref_b)
+    assert l2_error(mesh, dof, coeffs, f) == pytest.approx(np.sqrt(total),
+                                                           rel=1e-14)
 
 
 class TestManufactured:

@@ -1,17 +1,22 @@
 """Mesh construction, tagging, measures and point location."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from gldd.errors import NonDivisibleSpacing, OutOfDomain
 from gldd.mesh import (FacetTag, GeometryConfig, build_fitted_mesh,
-                       build_global_mesh, build_local_mesh, dump_mesh,
-                       interface_facets, locate_point)
+                       build_global_mesh, build_local_mesh, cell_geometry,
+                       dump_mesh, interface_facets, locate_point)
 
 GEOM = GeometryConfig()
 GEOM3 = GeometryConfig(dim=3)
+
+
+def cell_volumes(mesh):
+    return cell_geometry(mesh)[0] / math.factorial(mesh.dim)
 
 
 def tag_counts(mesh):
@@ -46,12 +51,12 @@ class TestGlobalMesh:
 
     def test_volume_partition_2d(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
-        total = sum(mesh.cell_volume(c) for c in range(mesh.num_cells))
+        total = cell_volumes(mesh).sum()
         assert total == pytest.approx(GEOM.L * GEOM.H, abs=1e-15)
 
     def test_volume_partition_3d(self):
         mesh = build_global_mesh(GEOM3, 1 / 160)
-        total = sum(mesh.cell_volume(c) for c in range(mesh.num_cells))
+        total = cell_volumes(mesh).sum()
         assert total == pytest.approx(GEOM3.L * GEOM3.W * GEOM3.H, abs=1e-15)
 
     def test_positive_orientation_3d(self):
@@ -106,6 +111,76 @@ class TestLocalMesh:
             assert np.allclose(normal, [0.0, 0.0, -1.0], atol=1e-14)
             total += mesh.facet_measure(facet)
         assert total == pytest.approx(GEOM3.L * GEOM3.W, abs=1e-14)
+
+
+# meshes the batched geometry is checked on, 2D and 3D where they exist
+GEOMETRY_MESHES = {
+    "global-2d": lambda: build_global_mesh(GEOM, 1 / 160),
+    "global-3d": lambda: build_global_mesh(GEOM3, 1 / 160),
+    "strip-2d": lambda: build_local_mesh(GEOM, 1 / 640),
+    "strip-3d": lambda: build_local_mesh(GEOM3, 1 / 320),
+    "graded-2d": lambda: build_fitted_mesh(GEOM, 1 / 160, 1 / 640, "graded"),
+}
+
+
+@pytest.mark.parametrize("name", list(GEOMETRY_MESHES))
+class TestBatchedGeometry:
+    def test_cell_geometry_matches_per_cell(self, name):
+        mesh = GEOMETRY_MESHES[name]()
+        adet, grads = cell_geometry(mesh)
+        assert adet.shape == (mesh.num_cells,)
+        assert grads.shape == (mesh.num_cells, mesh.dim + 1, mesh.dim)
+        for c in range(mesh.num_cells):
+            pts = mesh.vertices[mesh.cells[c]]
+            J = (pts[1:] - pts[0]).T
+            Jinv = np.linalg.inv(J)
+            assert adet[c] == abs(np.linalg.det(J))
+            np.testing.assert_array_equal(grads[c, 1:], Jinv)
+            np.testing.assert_array_equal(grads[c, 0], -Jinv.sum(axis=0))
+
+    def test_boundary_facets_match_dict_extraction(self, name):
+        mesh = GEOMETRY_MESHES[name]()
+        facets, owners = _reference_boundary(mesh)
+        np.testing.assert_array_equal(mesh.facet_vertices, facets)
+        np.testing.assert_array_equal(mesh.facet_cells, owners)
+        tags = [_reference_tag(mesh, name, f) for f in facets]
+        np.testing.assert_array_equal(mesh.facet_tags, tags)
+
+    def test_facet_measure_batch_matches_single(self, name):
+        mesh = GEOMETRY_MESHES[name]()
+        batch = mesh.facet_measure(mesh.facet_vertices)
+        assert batch.shape == (len(mesh.facet_vertices),)
+        for f, m in zip(mesh.facet_vertices, batch):
+            assert mesh.facet_measure(tuple(f)) == m
+
+
+def _reference_boundary(mesh):
+    """Boundary facets by a per-cell dictionary pass: a face is a boundary
+    facet iff exactly one cell has it; listed by cell, then local face."""
+    seen = {}
+    for c, cell in enumerate(mesh.cells):
+        for loc in range(mesh.dim + 1):
+            face = tuple(sorted(np.delete(cell, loc)))
+            seen[face] = None if face in seen else (c, loc)
+    facets, owners = [], []
+    for c, cell in enumerate(mesh.cells):
+        for loc in range(mesh.dim + 1):
+            face = tuple(sorted(np.delete(cell, loc)))
+            if seen[face] == (c, loc):
+                facets.append(face)
+                owners.append(c)
+    return np.array(facets), np.array(owners)
+
+
+def _reference_tag(mesh, name, facet):
+    geom = GEOM3 if name.endswith("3d") else GEOM
+    height = mesh.vertices[list(facet)][:, -1]
+    if np.allclose(height, geom.H, rtol=0, atol=1e-10):
+        return FacetTag.NEUMANN_TOP.value
+    if name.startswith("strip") and np.allclose(
+            height, geom.H - geom.H_minus, rtol=0, atol=1e-10):
+        return FacetTag.INTERFACE_GAMMA.value
+    return FacetTag.DIRICHLET_OUTER.value
 
 
 class TestLocatePoint:
@@ -175,6 +250,17 @@ class TestLocatePoint:
             np.testing.assert_allclose(lam, one.barycentric, rtol=0,
                                        atol=1e-15)
 
+    def test_graded_scan_matches_per_cell_solve(self):
+        mesh = build_fitted_mesh(GEOM, 1 / 160, 1 / 320, "graded")
+        rng = np.random.default_rng(17)
+        pts = np.vstack([rng.random((60, 2)) * [GEOM.L, GEOM.H],
+                         mesh.vertices[::5]])
+        batch = locate_point(mesh, pts)
+        for p, cell, lam in zip(pts, batch.cell, batch.barycentric):
+            ref_cell, ref_lam = _reference_scan(mesh, p)
+            assert cell == ref_cell
+            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("graded", [False, True])
     def test_batch_with_outside_point_raises(self, graded):
         mesh = build_fitted_mesh(GEOM, 1 / 160, 1 / 320,
@@ -216,6 +302,17 @@ def _reference_locate(mesh, x):
             if np.all(lam >= -1e-12):
                 return cell, lam
     raise AssertionError(f"reference search found no cell for {x}")
+
+
+def _reference_scan(mesh, x):
+    """First cell, in index order, holding x: one solve per cell."""
+    for cell in range(mesh.num_cells):
+        pts = mesh.vertices[mesh.cells[cell]]
+        rest = np.linalg.solve((pts[1:] - pts[0]).T, x - pts[0])
+        lam = np.concatenate([[1.0 - rest.sum()], rest])
+        if np.all(lam >= -1e-12):
+            return cell, lam
+    raise AssertionError(f"reference scan found no cell for {x}")
 
 
 def _location_probes(mesh, rng):
@@ -266,7 +363,7 @@ class TestFittedMesh:
     def test_graded_closure(self, ratio):
         h_minus = 1 / (160 * ratio)
         mesh = build_fitted_mesh(GEOM, 1 / 160, h_minus, "graded")
-        total = sum(mesh.cell_volume(c) for c in range(mesh.num_cells))
+        total = cell_volumes(mesh).sum()
         assert total == pytest.approx(GEOM.L * GEOM.H, rel=1e-13)
         _assert_conforming(mesh)
         # fine rows must cover the strip
