@@ -22,10 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from .fem import (DofMap, _basis_at_points, _facet_shape_values,
-                  _triplets_to_csr, apply_dirichlet, assemble_boundary_mass,
-                  assemble_load, assemble_stiffness, dirichlet_dofs,
-                  evaluate_field, facet_rule, laser_flux, shape_bary_grads)
+from .fem import (DofMap, _basis_at_points, _triplets_to_csr,
+                  apply_dirichlet, assemble_boundary_mass, assemble_load,
+                  assemble_stiffness, dirichlet_dofs, evaluate_field,
+                  facet_rule, laser_flux, shape_bary_grads, shape_values)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    locate_point)
 
@@ -156,9 +156,10 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
     facets, _normals, xq, wq = _interface_quadrature(
         local_mesh, max(local_dofmap.m, global_dofmap.m))
     mu = _facet_param(local_mesh, facets, xq)
-    lvals = _facet_shape_values(local_dofmap.m, mu.reshape(-1, mu.shape[2]))
+    lvals = shape_values(local_mesh.dim - 1, local_dofmap.m,
+                         mu.reshape(-1, mu.shape[2]))
     lvals = lvals.reshape(mu.shape[:2] + lvals.shape[1:])
-    ldofs = np.array([local_dofmap.facet_dofs(tuple(f)) for f in facets])
+    ldofs = local_dofmap.facet_dofs(facets)
     gdofs, gvals = _basis_at_points(global_mesh, global_dofmap, xq)
     vals = (-alpha * wq)[:, :, None, None] * (
         lvals[:, :, :, None] * gvals[:, :, None, :])

@@ -29,7 +29,7 @@ from .errors import Diverged, MaxItersExceeded, SingularMatrix
 from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
                   build_dofmap, dirichlet_dofs)
 from .linalg import LinearSolver, SolverConfig
-from .mesh import GeometryConfig, build_fitted_mesh
+from .mesh import GeometryConfig, build_fitted_mesh, strip_cells
 
 
 @dataclass(frozen=True)
@@ -270,9 +270,7 @@ def run_fitted_reference(geom: GeometryConfig, h_plus, h_minus,
     mesh = build_fitted_mesh(geom, h_plus, h_minus, refinement_mode)
     dofmap = build_dofmap(mesh, m)
     if kappa_cells is None:
-        floor = geom.H - geom.H_minus
-        centroids = mesh.vertices[mesh.cells].mean(axis=1)
-        kappa_cells = np.where(centroids[:, -1] > floor, kappa_B, kappa_A)
+        kappa_cells = np.where(strip_cells(mesh, geom), kappa_B, kappa_A)
     A = assemble_stiffness(mesh, dofmap, kappa_cells)
     b = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
                       q_panel=problem.flux_panel)

@@ -59,8 +59,6 @@ class ExperimentConfig:
     power_max_iters: int = 5000
     seed: int = 0
     outdir: str = "out"
-    export_operators: bool = False
-    export_solutions: bool = False
 
     def geometry(self) -> GeometryConfig:
         return GeometryConfig(dim=self.dim, L=self.L, H=self.H, W=self.W,

@@ -3,17 +3,19 @@
 Cell terms are computed for all cells at once from the stacked geometry
 of ``mesh.cell_geometry`` (one einsum for the stiffness, one source call on
 every quadrature point for the load), and facet terms for all facets at
-once, except the top-flux quadrature, which goes facet by facet.  Matrix
-entries are laid out as COO triplets in ascending cell (or facet) order
-and summed into CSR once by ``_triplets_to_csr``, so results are
-deterministic for fixed numpy and scipy versions.  Matrices are CSR,
-vectors plain numpy arrays.
+once, except the top-flux quadrature, which calls the flux facet by facet.
+Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
+``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
+edge table.  Matrix entries are laid out as COO triplets in ascending cell
+(or facet) order and summed into CSR once by ``_triplets_to_csr``, so
+results are deterministic for fixed numpy and scipy versions.  Matrices
+are CSR, vectors plain numpy arrays.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +148,8 @@ class DofMap:
 
     Dofs are vertices first, then (for degree 2) one dof per edge, numbered
     in order of first appearance over cells in ascending index with local
-    edges in lexicographic vertex order.
+    edges in lexicographic vertex order.  Edges are found through a sorted
+    table of keys a * nv + b, a < b their vertex ids.
     """
 
     def __init__(self, mesh: StructuredMesh, m: int):
@@ -154,53 +157,59 @@ class DofMap:
             raise UnsupportedDegree(f"degree must be 1 or 2, got {m}")
         self.mesh = mesh
         self.m = m
-        nv = mesh.num_vertices
-        if m == 1:
-            self.cell_dofs = mesh.cells.copy()
-            self.n_dofs = nv
-            self.dof_coords = mesh.vertices.copy()
-            self.edge_dofs = {}
-        else:
-            edge_dofs: dict = {}
-            pairs = _local_edges(mesh.dim)
-            cell_dofs = np.empty((mesh.num_cells, mesh.dim + 1 + len(pairs)),
-                                 dtype=np.int64)
-            cell_dofs[:, :mesh.dim + 1] = mesh.cells
-            for c, cell in enumerate(mesh.cells):
-                for e, (a, b) in enumerate(pairs):
-                    key = tuple(sorted((cell[a], cell[b])))
-                    if key not in edge_dofs:
-                        edge_dofs[key] = nv + len(edge_dofs)
-                    cell_dofs[c, mesh.dim + 1 + e] = edge_dofs[key]
-            self.cell_dofs = cell_dofs
-            self.edge_dofs = edge_dofs
-            self.n_dofs = nv + len(edge_dofs)
-            coords = np.empty((self.n_dofs, mesh.dim))
-            coords[:nv] = mesh.vertices
-            for (a, b), d in edge_dofs.items():
-                coords[d] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            self.dof_coords = coords
+        self.cell_dofs = mesh.cells.copy()
+        self.dof_coords = mesh.vertices.copy()
+        if m == 2:
+            nv = mesh.num_vertices
+            keys = _edge_keys(mesh.cells, mesh.dim, nv)
+            self._edge_keys, first, inverse = np.unique(
+                keys.ravel(), return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            self._edge_dofs = np.empty_like(order)
+            self._edge_dofs[order] = nv + np.arange(len(order))
+            self.cell_dofs = np.hstack(
+                [mesh.cells, self._edge_dofs[inverse].reshape(keys.shape)])
+            a, b = np.divmod(self._edge_keys[order], nv)
+            self.dof_coords = np.vstack(
+                [mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+        self.n_dofs = len(self.dof_coords)
         self.cell_dofs.setflags(write=False)
         self.dof_coords.setflags(write=False)
 
-    def facet_dofs(self, facet):
-        """Dofs supported on a boundary facet: its vertices, then edge dofs."""
-        dofs = list(facet)
-        if self.m == 2:
-            vs = list(facet)
-            if len(vs) == 2:
-                local = [(0, 1)]
-            else:
-                local = [(0, 1), (0, 2), (1, 2)]
-            for a, b in local:
-                dofs.append(self.edge_dofs[tuple(sorted((vs[a], vs[b])))])
-        return dofs
+    def facet_dofs(self, facets):
+        """Dofs supported on one facet (k,) or on each facet of an (nf, k)
+        array: its vertices, then its edge dofs in local edge order.
+
+        Raises ForeignFacet when a facet edge is not a mesh edge.
+        """
+        facets = np.asarray(facets, dtype=np.int64)
+        if self.m == 1:
+            return facets.copy()
+        nv = self.mesh.num_vertices
+        keys = _edge_keys(facets, facets.shape[-1] - 1, nv)
+        pos = np.minimum(np.searchsorted(self._edge_keys, keys),
+                         len(self._edge_keys) - 1)
+        # a vertex id past nv could alias the key of another edge
+        foreign = ((self._edge_keys[pos] != keys) |
+                   (facets.max(axis=-1, keepdims=True) >= nv))
+        foreign = foreign.reshape(-1, keys.shape[-1]).any(axis=1)
+        if foreign.any():
+            facet = facets.reshape(len(foreign), -1)[foreign.argmax()]
+            raise ForeignFacet(
+                f"facet {tuple(facet.tolist())} has an edge that is not a "
+                "mesh edge")
+        return np.concatenate([facets, self._edge_dofs[pos]], axis=-1)
 
 
-def _local_edges(dim):
-    if dim == 2:
-        return [(0, 1), (0, 2), (1, 2)]
-    return [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+def _local_edges(d):
+    """Vertex pairs of a d-simplex in lexicographic order."""
+    return list(itertools.combinations(range(d + 1), 2))
+
+
+def _edge_keys(simplices, d, nv):
+    """Keys a * nv + b (a < b) of the local edges of d-simplices (..., d+1)."""
+    ends = np.sort(simplices[..., _local_edges(d)], axis=-1)
+    return ends[..., 0] * nv + ends[..., 1]
 
 
 def build_dofmap(mesh: StructuredMesh, m: int) -> DofMap:
@@ -242,19 +251,6 @@ def shape_bary_grads(dim, m, lam):
         out[:, nb + e, a] = 4.0 * lam[:, b]
         out[:, nb + e, b] = 4.0 * lam[:, a]
     return out
-
-
-def _facet_shape_values(m, mu):
-    """Trace shape functions on a facet simplex, matching facet_dofs order."""
-    mu = np.atleast_2d(mu)
-    k = mu.shape[1]  # 2 for segments, 3 for triangles
-    if m == 1:
-        return mu.copy()
-    cols = [mu[:, i] * (2.0 * mu[:, i] - 1.0) for i in range(k)]
-    local = [(0, 1)] if k == 2 else [(0, 1), (0, 2), (1, 2)]
-    for a, b in local:
-        cols.append(4.0 * mu[:, a] * mu[:, b])
-    return np.stack(cols, axis=1)
 
 
 # ======================================================================
@@ -308,12 +304,11 @@ def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
             f"facet {tuple(facets[foreign.argmax()].tolist())} is not a "
             "boundary facet")
     rule = facet_rule(mesh.dim, dofmap.m)
-    vals_at = _facet_shape_values(dofmap.m, rule.points)
+    vals_at = shape_values(mesh.dim - 1, dofmap.m, rule.points)
     ref_measure = 1.0 if mesh.dim == 2 else 0.5
     ref_mass = np.einsum("q,qn,qm->nm", rule.weights, vals_at, vals_at)
     scale = weight * (mesh.facet_measure(keys) / ref_measure)
-    dofs = np.array([dofmap.facet_dofs(tuple(k)) for k in keys],
-                    dtype=np.int64).reshape(len(keys), vals_at.shape[1])
+    dofs = dofmap.facet_dofs(keys)
     return _triplets_to_csr(scale[:, None, None] * ref_mass,
                             dofs[:, :, None], dofs[:, None, :],
                             (dofmap.n_dofs, dofmap.n_dofs))
@@ -338,29 +333,25 @@ def _composite_facet_rule(dim, m, splits):
     if splits <= 0:
         return base
     n = 1 << splits
-    pts, wts = [], []
     if dim == 2:
-        for i in range(n):
-            a, b = i / n, (i + 1) / n
-            corners = np.array([[1.0 - a, a], [1.0 - b, b]])
-            pts.append(base.points @ corners)
-            wts.append(base.weights / n)
+        ends = np.arange(n + 1) / n
+        ends = np.stack([1.0 - ends, ends], axis=1)
+        corners = np.stack([ends[:-1], ends[1:]], axis=1)
     else:
-        corner = np.eye(3)
-        for i in range(n):
-            for j in range(n - i):
-                v00 = (corner[0] * (n - i - j) + corner[1] * i + corner[2] * j) / n
-                v10 = v00 + (corner[1] - corner[0]) / n
-                v01 = v00 + (corner[2] - corner[0]) / n
-                v11 = v10 + v01 - v00
-                lower = np.vstack([v00, v10, v01])
-                pts.append(base.points @ lower)
-                wts.append(base.weights / n ** 2)
-                if j < n - i - 1:
-                    upper = np.vstack([v11, v01, v10])
-                    pts.append(base.points @ upper)
-                    wts.append(base.weights / n ** 2)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), base.degree)
+        # grid square (i, j) in barycentric steps of 1/n: its lower half,
+        # then its upper half where that lies inside the facet
+        i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+        v00 = np.stack([n - i - j, i, j], axis=1) / n
+        v10 = v00 + np.array([-1.0, 1.0, 0.0]) / n
+        v01 = v00 + np.array([-1.0, 0.0, 1.0]) / n
+        v11 = v10 + v01 - v00
+        halves = np.stack([np.stack([v00, v10, v01], axis=1),
+                           np.stack([v11, v01, v10], axis=1)], axis=1)
+        inside = np.stack([np.ones_like(i, dtype=bool), j < n - i - 1], axis=1)
+        corners = halves[inside]
+    return QuadratureRule((base.points @ corners).reshape(-1, dim),
+                          np.tile(base.weights / n ** (dim - 1), len(corners)),
+                          base.degree)
 
 
 def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
@@ -386,32 +377,29 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
             "q,cq,qn->cn", vrule.weights, fq, vvals))
     if q is not None:
         qfun = _as_callable(q)
-        ref_facet = 1.0 if mesh.dim == 2 else 0.5
-        shape_cache = {}
-        for facet, tag in zip(mesh.facet_vertices, mesh.facet_tags):
-            if tag != FacetTag.NEUMANN_TOP.value:
-                continue
-            key = tuple(facet)
-            dofs = np.asarray(dofmap.facet_dofs(key))
-            pts = mesh.vertices[list(key)]
-            splits = 0
-            if q_panel is not None:
-                diam = max(np.linalg.norm(pts[i] - pts[j])
-                           for i in range(len(pts)) for j in range(i))
-                if diam > q_panel:
-                    splits = min(8, math.ceil(math.log2(diam / q_panel)))
-            if splits not in shape_cache:
-                rule = _composite_facet_rule(mesh.dim, dofmap.m, splits)
-                shape_cache[splits] = (rule,
-                                       _facet_shape_values(dofmap.m,
-                                                           rule.points))
-            frule, fvals = shape_cache[splits]
-            xq = frule.points @ pts
-            qq = np.asarray(qfun(xq), dtype=float)
-            measure = mesh.facet_measure(key)
-            b_loc = (measure / ref_facet) * np.einsum("q,q,qn->n",
-                                                      frule.weights, qq, fvals)
-            np.add.at(b, dofs, b_loc)
+        top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
+        pts = mesh.vertices[top]
+        dofs = dofmap.facet_dofs(top)
+        scale = mesh.facet_measure(top) / (1.0 if mesh.dim == 2 else 0.5)
+        splits = np.zeros(len(top), dtype=np.int64)
+        if q_panel is not None:
+            i, j = np.transpose(_local_edges(mesh.dim - 1))
+            diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max(axis=1)
+            wide = diam > q_panel
+            splits[wide] = np.minimum(8, np.ceil(np.log2(diam[wide] / q_panel)))
+        rules = {}
+        for s in np.unique(splits).tolist():
+            rule = _composite_facet_rule(mesh.dim, dofmap.m, s)
+            rules[s] = (rule, shape_values(mesh.dim - 1, dofmap.m, rule.points))
+        b_loc = np.empty(dofs.shape)
+        # one flux call per facet: a finely split 3D facet holds ~5e4 points,
+        # and all top facets at once would hold millions
+        for k, s in enumerate(splits.tolist()):
+            rule, fvals = rules[s]
+            qq = np.asarray(qfun(rule.points @ pts[k]), dtype=float)
+            b_loc[k] = scale[k] * np.einsum("q,q,qn->n", rule.weights, qq,
+                                            fvals)
+        np.add.at(b, dofs, b_loc)
     return b
 
 
@@ -454,11 +442,8 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
 def dirichlet_dofs(mesh: StructuredMesh, dofmap: DofMap,
                    tag: FacetTag = FacetTag.DIRICHLET_OUTER) -> np.ndarray:
     """Sorted dof indices supported on boundary facets with the given tag."""
-    found = set()
-    for facet, t in zip(mesh.facet_vertices, mesh.facet_tags):
-        if t == tag.value:
-            found.update(dofmap.facet_dofs(tuple(facet)))
-    return np.array(sorted(found), dtype=np.int64)
+    return np.unique(dofmap.facet_dofs(
+        mesh.facet_vertices[mesh.facet_tags == tag.value]))
 
 
 # ======================================================================

@@ -106,13 +106,6 @@ class LinearSolver:
         return x
 
 
-def solve(A, b, config: SolverConfig | None = None):
-    """Solve A x = b, returning (x, iterations). Direct solves report 0."""
-    solver = LinearSolver(A, config)
-    x = solver.solve(b)
-    return x, solver.total_iterations
-
-
 # ----------------------------------------------------------------------
 # spectral radius
 # ----------------------------------------------------------------------

@@ -488,6 +488,13 @@ def _locate_scan(mesh, pts):
     return cells, lam
 
 
+def strip_cells(mesh: SimplicialMesh, geom: GeometryConfig):
+    """Mask of the cells whose centroid lies strictly above the strip floor
+    H - H_minus: the cells that take the strip coefficient."""
+    centroids = mesh.vertices[mesh.cells].mean(axis=1)
+    return centroids[:, -1] > geom.H - geom.H_minus
+
+
 def interface_facets(mesh: SimplicialMesh):
     """Coupling facets of the strip with their outward unit normals."""
     gamma = mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value

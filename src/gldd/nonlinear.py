@@ -25,8 +25,8 @@ from .errors import (Diverged, MaxItersExceeded, NonpositiveCoefficient,
 from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
                   build_dofmap, dirichlet_dofs, evaluate_field, shape_values)
 from .linalg import LinearSolver, SolverConfig
-from .mesh import (GeometryConfig, build_fitted_mesh, build_global_mesh,
-                   build_local_mesh, interface_facets)
+from .mesh import (FacetTag, GeometryConfig, build_fitted_mesh,
+                   build_global_mesh, build_local_mesh, strip_cells)
 
 
 class MaterialCurve:
@@ -119,12 +119,11 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     lmesh = build_local_mesh(geom, h_minus)
     gdof = build_dofmap(gmesh, m)
     ldof = build_dofmap(lmesh, m)
-    strip_floor = geom.H - geom.H_minus
-    g_centroids = gmesh.vertices[gmesh.cells].mean(axis=1)
-    in_strip = g_centroids[:, -1] > strip_floor
-    # facet midpoints in interface_facets order, the S assembler's facet order
-    gamma_mids = np.array([lmesh.vertices[list(f)].mean(axis=0)
-                           for f, _n in interface_facets(lmesh)])
+    in_strip = strip_cells(gmesh, geom)
+    # facet midpoints in the S assembler's facet order
+    gamma = lmesh.facet_vertices[
+        lmesh.facet_tags == FacetTag.INTERFACE_GAMMA.value]
+    gamma_mids = lmesh.vertices[gamma].mean(axis=1)
 
     T_plus = np.full(gdof.n_dofs, problem.T_D)
     T_minus = np.full(ldof.n_dofs, problem.T_D)
@@ -193,9 +192,7 @@ def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
     t0 = time.perf_counter()
     mesh = build_fitted_mesh(geom, h_plus, h_minus, refinement_mode)
     dofmap = build_dofmap(mesh, m)
-    strip_floor = geom.H - geom.H_minus
-    centroids = mesh.vertices[mesh.cells].mean(axis=1)
-    in_strip = centroids[:, -1] > strip_floor
+    in_strip = strip_cells(mesh, geom)
     ddofs = dirichlet_dofs(mesh, dofmap)
     load = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
                          q_panel=problem.flux_panel)

@@ -43,6 +43,14 @@ class TestConfig:
         assert cfg.kappa_list == (0.5, 0.25, 0.125)
         assert isinstance(cfg.kappa_list, tuple)
 
+    @pytest.mark.parametrize("key", ["export_operators", "export_solutions"])
+    def test_from_json_rejects_unknown_field(self, tmp_path, key):
+        # exports are CLI flags; a config field for them would do nothing
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m": 2, key: True}))
+        with pytest.raises(TypeError, match=key):
+            ExperimentConfig.from_json(path)
+
     def test_derived_objects(self):
         cfg = ExperimentConfig(dim=3, theta=0.7, tol=1e-6,
                                solver_method="cg", preconditioner="diagonal")

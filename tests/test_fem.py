@@ -8,15 +8,26 @@ import scipy.sparse.linalg as spla
 
 from gldd.errors import (ForeignFacet, NonpositiveCoefficient,
                          UnsupportedDegree)
-from gldd.fem import (_facet_shape_values, apply_dirichlet,
+from gldd.fem import (_composite_facet_rule, apply_dirichlet,
                       assemble_boundary_mass, assemble_load,
                       assemble_stiffness, build_dofmap, dirichlet_dofs,
                       evaluate_field, facet_rule, l2_error, laser_flux,
                       shape_bary_grads, shape_values, volume_rule)
 from gldd.mesh import (FacetTag, GeometryConfig, SimplicialMesh,
-                       build_global_mesh, build_local_mesh, locate_point)
+                       build_fitted_mesh, build_global_mesh, build_local_mesh,
+                       locate_point)
 
 GEOM = GeometryConfig()
+GEOM3 = GeometryConfig(dim=3)
+
+# meshes the batched dof lookup is checked on
+DOF_MESHES = {
+    "global-2d": lambda: build_global_mesh(GEOM, 1 / 160),
+    "global-3d": lambda: build_global_mesh(GEOM3, 1 / 160),
+    "strip-2d": lambda: build_local_mesh(GEOM, 1 / 640),
+    "strip-3d": lambda: build_local_mesh(GEOM3, 1 / 320),
+    "graded-2d": lambda: build_fitted_mesh(GEOM, 1 / 160, 1 / 640, "graded"),
+}
 
 
 def reference_triangle():
@@ -126,6 +137,129 @@ class TestDofMap:
                                        atol=1e-15)
 
 
+def _reference_dofmap(mesh):
+    """P2 numbering cell by cell through an edge dict: (cell_dofs,
+    dof_coords, {sorted vertex pair: dof})."""
+    pairs = ([(0, 1), (0, 2), (1, 2)] if mesh.dim == 2 else
+             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    nv = mesh.num_vertices
+    edge_dofs = {}
+    cell_dofs = np.empty((mesh.num_cells, mesh.dim + 1 + len(pairs)),
+                         dtype=np.int64)
+    cell_dofs[:, :mesh.dim + 1] = mesh.cells
+    for c, cell in enumerate(mesh.cells):
+        for e, (a, b) in enumerate(pairs):
+            key = tuple(sorted((cell[a], cell[b])))
+            if key not in edge_dofs:
+                edge_dofs[key] = nv + len(edge_dofs)
+            cell_dofs[c, mesh.dim + 1 + e] = edge_dofs[key]
+    coords = np.empty((nv + len(edge_dofs), mesh.dim))
+    coords[:nv] = mesh.vertices
+    for (a, b), d in edge_dofs.items():
+        coords[d] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+    return cell_dofs, coords, edge_dofs
+
+
+@pytest.mark.parametrize("name", list(DOF_MESHES))
+class TestBatchedDofLookup:
+    def test_p2_numbering_matches_edge_dict(self, name):
+        mesh = DOF_MESHES[name]()
+        dof = build_dofmap(mesh, 2)
+        cell_dofs, coords, _ = _reference_dofmap(mesh)
+        assert dof.n_dofs == len(coords)
+        np.testing.assert_array_equal(dof.cell_dofs, cell_dofs)
+        np.testing.assert_array_equal(dof.dof_coords, coords)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_facet_dofs_batch_matches_single(self, name, m):
+        mesh = DOF_MESHES[name]()
+        dof = build_dofmap(mesh, m)
+        _, _, edge_dofs = _reference_dofmap(mesh)
+        rng = np.random.default_rng(11)
+        facets = rng.permuted(mesh.facet_vertices, axis=1)
+        batch = dof.facet_dofs(facets)
+        n_loc = mesh.dim if m == 1 else mesh.dim * (mesh.dim + 1) // 2
+        assert batch.shape == (len(facets), n_loc)
+        for f, row in zip(facets, batch):
+            want = list(f)
+            if m == 2:
+                local = [(0, 1)] if mesh.dim == 2 else [(0, 1), (0, 2), (1, 2)]
+                want += [edge_dofs[tuple(sorted((f[a], f[b])))]
+                         for a, b in local]
+            np.testing.assert_array_equal(row, want)
+            np.testing.assert_array_equal(dof.facet_dofs(tuple(f)), want)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_dirichlet_dofs_match_set_loop(self, name, m):
+        mesh = DOF_MESHES[name]()
+        dof = build_dofmap(mesh, m)
+        for tag in FacetTag:
+            found = set()
+            for facet, t in zip(mesh.facet_vertices, mesh.facet_tags):
+                if t == tag.value:
+                    found.update(int(d) for d in dof.facet_dofs(tuple(facet)))
+            got = dirichlet_dofs(mesh, dof, tag)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, sorted(found))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_facet_dofs_foreign_edge(dim):
+    mesh = build_global_mesh(GeometryConfig(dim=dim), 1 / 160)
+    dof = build_dofmap(mesh, 2)
+    # the first vertex and the far corner of the box share no edge
+    far = mesh.num_vertices - 1
+    facet = (0, far) if dim == 2 else (0, 1, far)
+    with pytest.raises(ForeignFacet, match=rf"facet \({facet[0]}, "):
+        dof.facet_dofs(facet)
+    with pytest.raises(ForeignFacet, match=rf", {far}\)"):
+        dof.facet_dofs(np.vstack([mesh.facet_vertices[:3], facet]))
+    # with a vertex id past the last one, (0, nv + 2) has the key of the
+    # mesh edge (1, 2)
+    with pytest.raises(ForeignFacet):
+        dof.facet_dofs(facet[:-1] + (mesh.num_vertices + 2,))
+
+
+def _reference_composite_rule(dim, m, splits):
+    """The subdivided facet rule built piece by piece."""
+    base = facet_rule(dim, m)
+    if splits <= 0:
+        return base.points, base.weights
+    n = 1 << splits
+    pts, wts = [], []
+    if dim == 2:
+        for i in range(n):
+            a, b = i / n, (i + 1) / n
+            corners = np.array([[1.0 - a, a], [1.0 - b, b]])
+            pts.append(base.points @ corners)
+            wts.append(base.weights / n)
+    else:
+        corner = np.eye(3)
+        for i in range(n):
+            for j in range(n - i):
+                v00 = (corner[0] * (n - i - j) + corner[1] * i
+                       + corner[2] * j) / n
+                v10 = v00 + (corner[1] - corner[0]) / n
+                v01 = v00 + (corner[2] - corner[0]) / n
+                v11 = v10 + v01 - v00
+                pts.append(base.points @ np.vstack([v00, v10, v01]))
+                wts.append(base.weights / n ** 2)
+                if j < n - i - 1:
+                    pts.append(base.points @ np.vstack([v11, v01, v10]))
+                    wts.append(base.weights / n ** 2)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_composite_facet_rule_matches_piece_loop(dim, m):
+    for splits in range(8):
+        rule = _composite_facet_rule(dim, m, splits)
+        pts, wts = _reference_composite_rule(dim, m, splits)
+        np.testing.assert_array_equal(rule.points, pts)
+        np.testing.assert_array_equal(rule.weights, wts)
+
+
 class TestStiffness:
     def test_reference_p1_matrix(self):
         mesh = reference_triangle()
@@ -232,7 +366,7 @@ class TestBoundaryMass:
             mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value]
         M = assemble_boundary_mass(mesh, dof, facets, 3.5)
         rule = facet_rule(dim, m)
-        phi = _facet_shape_values(m, rule.points)
+        phi = shape_values(dim - 1, m, rule.points)
         rows, cols, vals = [], [], []
         for f in facets:
             dofs = np.asarray(dof.facet_dofs(tuple(f)))

@@ -8,7 +8,7 @@ from gldd.errors import (NonpositiveConstant, NoConvergence, RankDeficient,
                          SingularMatrix, TooLarge)
 from gldd.linalg import (LinearSolver, SolverConfig, dense_iteration_matrix,
                          dense_spectral_radius, fit_rho_law,
-                         least_squares_fit, power_iteration_rho, solve)
+                         least_squares_fit, power_iteration_rho)
 
 
 def spd_system(n=40, seed=0):
@@ -17,6 +17,12 @@ def spd_system(n=40, seed=0):
     A = A @ A.T + n * np.eye(n)
     x = rng.standard_normal(n)
     return sp.csr_matrix(A), A @ x, x
+
+
+def solve(A, b, config):
+    """One LinearSolver solve: (x, iterations), direct solves report 0."""
+    solver = LinearSolver(A, config)
+    return solver.solve(b), solver.total_iterations
 
 
 class TestSolve:

@@ -9,7 +9,7 @@ import pytest
 from gldd.errors import NonDivisibleSpacing, OutOfDomain
 from gldd.mesh import (FacetTag, GeometryConfig, build_fitted_mesh,
                        build_global_mesh, build_local_mesh, cell_geometry,
-                       dump_mesh, interface_facets, locate_point)
+                       dump_mesh, interface_facets, locate_point, strip_cells)
 
 GEOM = GeometryConfig()
 GEOM3 = GeometryConfig(dim=3)
@@ -381,6 +381,19 @@ class TestFittedMesh:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             build_fitted_mesh(GEOM, 1 / 160, 1 / 320, "adaptive")
+
+
+@pytest.mark.parametrize("geom,mode", [(GEOM, "uniform-fine"),
+                                       (GEOM, "graded"),
+                                       (GEOM3, "uniform-fine")])
+def test_strip_cells_fill_the_strip(geom, mode):
+    mesh = build_fitted_mesh(geom, 1 / 160, 1 / 320, mode)
+    strip = strip_cells(mesh, geom)
+    area = geom.L * (1.0 if geom.dim == 2 else geom.W)
+    assert cell_volumes(mesh)[strip].sum() == pytest.approx(
+        area * geom.H_minus, rel=1e-12)
+    assert cell_volumes(mesh)[~strip].sum() == pytest.approx(
+        area * (geom.H - geom.H_minus), rel=1e-12)
 
 
 def test_dump_mesh(tmp_path):
