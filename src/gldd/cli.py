@@ -14,13 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .coupling import interface_trace_gap
-from .dd_solver import export_solution_csv, run_two_level_dd, setup_case
-from .errors import Diverged, GlddError, MaxItersExceeded
+from .dd_solver import (export_solution_csv, make_iteration_operator,
+                        run_two_level_dd, setup_case)
+from .errors import Diverged, GlddError, MaxItersExceeded, NoConvergence
 from .experiments import (ExperimentConfig, compare_monolithic, emit_reports,
                           predict_divergence_threshold, relaxation_study,
                           run_case, sweep_kappa, sweep_mesh_ratio)
 from .fem import export_matrix
-from .linalg import dense_spectral_radius
+from .linalg import power_iteration_rho
 from .nonlinear import (MaterialCurve, NonlinearConfig, picard_two_level,
                         sweep_kappa_plus_B)
 
@@ -119,13 +120,19 @@ def _cmd_solve(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _config_from(args)
-    rec, ops = run_case(cfg, measure_rho=True)
+    rec, ops = run_case(cfg)
     line = (f"{rec.case_id}: rho={rec.rho_measured:.6f} "
             f"iterations={rec.iterations} converged={rec.converged}")
-    if args.dense:
-        rho_d = dense_spectral_radius(ops.K_plus, ops.S, ops.K_minus, ops.D,
-                                      theta=cfg.theta)
-        line += f" dense_rho={rho_d:.6f}"
+    if args.power:
+        op = make_iteration_operator(ops, cfg.solver())
+        try:
+            rho_p, _ = power_iteration_rho(op, ops.n_plus, theta=cfg.theta,
+                                           tol=cfg.power_tol,
+                                           max_iters=cfg.power_max_iters,
+                                           seed=cfg.seed)
+            line += f" power_rho={rho_p:.6f} power_converged=True"
+        except NoConvergence as exc:
+            line += f" power_rho={exc.estimate:.6f} power_converged=False"
     print(line)
     return 0
 
@@ -257,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump the full iteration report as JSON")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("spectrum", help="estimate the iteration radius")
+    p = sub.add_parser("spectrum", help="compute the iteration radius")
     _add_common(p)
-    p.add_argument("--dense", action="store_true",
-                   help="also compute the dense eigenvalue radius")
+    p.add_argument("--power", action="store_true",
+                   help="also print the power-iteration estimate")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("sweep-kappa", help="sweep the strip coefficient")

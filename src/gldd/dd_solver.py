@@ -46,6 +46,9 @@ class DDConfig:
 
 @dataclass
 class DDReport:
+    """One alternating run.  rho_estimate is a heuristic, the geometric mean
+    of the last three step ratios, not a spectral radius."""
+
     converged: bool
     iterations: int
     residual_history: np.ndarray

@@ -19,11 +19,12 @@ import numpy as np
 
 from . import __version__
 from .coupling import ProblemData
-from .dd_solver import (DDConfig, make_iteration_operator, run_fitted_reference,
-                        run_two_level_dd, setup_case)
+from .dd_solver import (DDConfig, run_fitted_reference, run_two_level_dd,
+                        setup_case)
 from .errors import (Diverged, InsufficientRatios, MaxItersExceeded,
                      NoConvergence, RankDeficient)
-from .linalg import SolverConfig, SpectralFit, fit_rho_law, least_squares_fit, power_iteration_rho
+from .linalg import (SolverConfig, SpectralFit, dense_spectral_radius,
+                     fit_rho_law, least_squares_fit)
 from .mesh import GeometryConfig
 
 
@@ -92,6 +93,8 @@ class ExperimentConfig:
 
 @dataclass
 class SweepRecord:
+    """One parameter point; rho_measured is the exact dense_spectral_radius."""
+
     case_id: str
     dim: int
     m: int
@@ -112,12 +115,12 @@ def _case_id(cfg, kappa_minus, h_minus, theta):
 
 
 def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
-             theta=None, measure_rho=True):
-    """One parameter point: assemble, estimate the radius, run the sweep.
+             theta=None):
+    """One parameter point: assemble, compute the radius, run the sweep.
 
     Returns (record, ops); divergent or stalled runs are recorded with
     converged=False rather than raised.  The record's time_s covers all
-    three steps: set-up, radius estimate and sweep.
+    three steps: set-up, radius and sweep.
     """
     kappa_minus = cfg.kappa_minus if kappa_minus is None else kappa_minus
     h_minus = cfg.h_minus if h_minus is None else h_minus
@@ -126,16 +129,8 @@ def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
     ops = setup_case(cfg.geometry(), cfg.h_plus, h_minus, cfg.m,
                      cfg.kappa_plus, kappa_minus, alpha=cfg.alpha,
                      problem=cfg.problem())
-    rho = float("nan")
-    if measure_rho:
-        op = make_iteration_operator(ops, cfg.solver())
-        try:
-            rho, _ = power_iteration_rho(op, ops.n_plus, theta=theta,
-                                         tol=cfg.power_tol,
-                                         max_iters=cfg.power_max_iters,
-                                         seed=cfg.seed)
-        except NoConvergence as exc:
-            rho = float(exc.estimate)
+    rho = dense_spectral_radius(ops.K_plus, ops.S, ops.K_minus, ops.D,
+                                theta=theta)
     try:
         report = run_two_level_dd(ops, cfg.dd(theta))
         iterations, converged = report.iterations, True

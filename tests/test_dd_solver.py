@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gldd.coupling import ProblemData
 from gldd.dd_solver import (DDConfig, DDReport, block_residual,
@@ -71,6 +73,16 @@ class TestSweepBasics:
         assert report.residual_history.shape == (report.iterations,)
         assert report.rho_estimate is not None
         assert report.inner_iterations == {"local": 0, "global": 0}
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(kappa_minus=st.floats(1 / 256, 16.0), m=st.sampled_from([1, 2]),
+       ratio=st.integers(2, 8))
+def test_blocks_symmetric_with_positive_diagonal(kappa_minus, m, ratio):
+    ops = setup_case(GEOM, 1 / 160, 1 / (160 * ratio), m, 1.0, kappa_minus)
+    for K in (ops.K_plus, ops.K_minus):
+        assert abs(K - K.T).max() <= 1e-14 * abs(K).max()
+        assert K.diagonal().min() > 0
 
 
 class TestFixedPoint:

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import gldd.experiments as experiments
 from gldd.cli import build_parser, fraction, main
@@ -29,6 +31,14 @@ def slow_setup(monkeypatch, delay=0.05):
 
     monkeypatch.setattr(experiments, "setup_case", slow)
     return delay
+
+
+def full_matrix_radius(ops):
+    """Spectral radius of K_plus^-1 S K_minus^-1 D from the dense n+ x n+
+    matrix, built with n+ solves per block."""
+    X = spla.splu(sp.csc_matrix(ops.K_minus)).solve(ops.D.toarray())
+    M = spla.splu(sp.csc_matrix(ops.K_plus)).solve(ops.S @ X)
+    return float(np.abs(np.linalg.eigvals(M)).max())
 
 
 class TestConfig:
@@ -85,6 +95,18 @@ class TestRunCase:
         assert not rec.converged
         assert rec.iterations > 0
         assert rec.rho_measured > 1.0
+
+    @pytest.mark.parametrize("kappa_minus, rho", [(0.5, 0.22095),
+                                                  (0.0625, 0.41428)])
+    def test_radius_exact_where_power_iteration_stalls(self, kappa_minus, rho):
+        # the dominant eigenvalues are a complex pair here, so a norm-ratio
+        # power iteration oscillates and never settles
+        cfg = ExperimentConfig(h_plus=1 / 640, h_minus=1 / 5120,
+                               kappa_minus=kappa_minus)
+        rec, ops = run_case(cfg)
+        want = full_matrix_radius(ops)
+        assert want == pytest.approx(rho, abs=1e-5)
+        assert abs(rec.rho_measured - want) <= 1e-6
 
 
 class TestSweepKappa:
@@ -240,7 +262,7 @@ class TestCli:
         assert main(["solve", "--kappa-minus", "-1.0"]) == 2
 
     def test_spectrum(self, capsys):
-        assert main(["spectrum", "--kappa-minus", "0.5", "--dense"]) == 0
+        assert main(["spectrum", "--kappa-minus", "0.5", "--power"]) == 0
         out = capsys.readouterr().out
         assert "rho" in out
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gldd.errors import (NonpositiveConstant, NoConvergence, RankDeficient,
                          SingularMatrix, TooLarge)
-from gldd.linalg import (LinearSolver, SolverConfig, dense_iteration_matrix,
-                         dense_spectral_radius, fit_rho_law,
-                         least_squares_fit, power_iteration_rho)
+from gldd.linalg import (LinearSolver, SolverConfig, dense_spectral_radius,
+                         fit_rho_law, least_squares_fit, power_iteration_rho)
 
 
 def spd_system(n=40, seed=0):
@@ -17,6 +19,13 @@ def spd_system(n=40, seed=0):
     A = A @ A.T + n * np.eye(n)
     x = rng.standard_normal(n)
     return sp.csr_matrix(A), A @ x, x
+
+
+def full_iteration_matrix(K_plus, S, K_minus, D):
+    """M = K_plus^{-1} S K_minus^{-1} D as a dense n+ x n+ matrix, from n+
+    solves per block."""
+    X = spla.splu(sp.csc_matrix(K_minus)).solve(D.toarray())
+    return spla.splu(sp.csc_matrix(K_plus)).solve(S @ X)
 
 
 def solve(A, b, config):
@@ -110,7 +119,7 @@ class TestPowerIteration:
         K_minus = sp.csr_matrix(Bm @ Bm.T + k * np.eye(k))
         S = sp.csr_matrix(rng.standard_normal((n, k)))
         D = sp.csr_matrix(S.T)
-        M = dense_iteration_matrix(K_plus, S, K_minus, D)
+        M = full_iteration_matrix(K_plus, S, K_minus, D)
         op = lambda v: M @ v
         rho, _ = power_iteration_rho(op, n, seed=1, max_iters=20000)
         assert rho == pytest.approx(np.abs(np.linalg.eigvals(M)).max(),
@@ -138,7 +147,7 @@ class TestDenseRadius:
         S = sp.csr_matrix(rng.standard_normal((n, k)))
         D = sp.csr_matrix(rng.standard_normal((k, n)))
         rho = dense_spectral_radius(K_plus, S, K_minus, D)
-        M = dense_iteration_matrix(K_plus, S, K_minus, D)
+        M = full_iteration_matrix(K_plus, S, K_minus, D)
         coeffs = np.zeros(n + 1)
         coeffs[0] = 1.0
         Mk = np.eye(n)
@@ -155,11 +164,33 @@ class TestDenseRadius:
         K_minus = sp.csr_matrix(rng.standard_normal((k, k)) + 8 * np.eye(k))
         S = sp.csr_matrix(rng.standard_normal((n, k)))
         D = sp.csr_matrix(rng.standard_normal((k, n)))
-        M = dense_iteration_matrix(K_plus, S, K_minus, D)
+        M = full_iteration_matrix(K_plus, S, K_minus, D)
         theta = 0.3
         want = np.abs((1 - theta) + theta * np.linalg.eigvals(M)).max()
         got = dense_spectral_radius(K_plus, S, K_minus, D, theta=theta)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 10), k=st.integers(2, 8),
+           seed=st.integers(0, 2 ** 32 - 1),
+           theta=st.floats(0.0, 1.0, exclude_min=True))
+    def test_reduced_matches_full_matrix(self, n, k, seed, theta):
+        # random SPD blocks and a D supported on a random column subset J,
+        # so |J| < n+ is drawn often and the relaxed eigenvalue 1 - theta
+        # of M's null space counts
+        rng = np.random.default_rng(seed)
+        Bp = rng.standard_normal((n, n))
+        Bm = rng.standard_normal((k, k))
+        K_plus = sp.csr_matrix(Bp @ Bp.T + n * np.eye(n))
+        K_minus = sp.csr_matrix(Bm @ Bm.T + k * np.eye(k))
+        S = sp.csr_matrix(rng.standard_normal((n, k)))
+        support = rng.random(n) < rng.uniform(0.2, 1.0)
+        support[rng.integers(n)] = True
+        D = sp.csr_matrix(rng.standard_normal((k, n)) * support)
+        M = full_iteration_matrix(K_plus, S, K_minus, D)
+        want = np.abs((1 - theta) + theta * np.linalg.eigvals(M)).max()
+        got = dense_spectral_radius(K_plus, S, K_minus, D, theta=theta)
+        assert abs(got - want) <= 1e-10 * max(1.0, want)
 
     def test_size_guard(self):
         n = 12
