@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from .fem import (DofMap, _basis_at_points, _triplets_to_csr,
+from .fem import (LASER_CUTOFF, DofMap, _basis_at_points, _triplets_to_csr,
                   apply_dirichlet, assemble_boundary_mass, assemble_load,
                   assemble_stiffness, dirichlet_dofs, evaluate_field,
                   facet_rule, laser_flux, shape_bary_grads, shape_values)
@@ -41,7 +41,11 @@ class ProblemData:
     """Volume source, top-wall flux and wall temperature.
 
     f and q may be constants or callables of coordinate arrays (..., dim);
-    q = None selects the concentrated laser flux for the geometry.
+    q = None selects the concentrated laser flux for the geometry.  That
+    flux carries its support, the spot centre (L/2 in each wall coordinate)
+    and the half-width ``fem.LASER_CUTOFF`` past which it is exactly 0.0,
+    so the top-flux quadrature visits only the facets near the spot; a
+    user-supplied q is integrated over every top facet.
     flux_panel is the quadrature panel size used for the top flux: the
     default laser spot is ~1e-3 wide, far below the coarse facet size, so
     facets are subdivided for that integral until panels reach this size.
@@ -54,7 +58,9 @@ class ProblemData:
 
     def flux(self, geom: GeometryConfig):
         if self.q is None:
-            return functools.partial(laser_flux, dim=geom.dim, L=geom.L)
+            q = functools.partial(laser_flux, dim=geom.dim, L=geom.L)
+            q.support = (np.full(geom.dim - 1, geom.L / 2.0), LASER_CUTOFF)
+            return q
         return self.q
 
 
@@ -264,6 +270,9 @@ def build_coupled_operators(geom: GeometryConfig,
 
     def q_tilde(x):
         return _scaled(_call(q, x), x)
+
+    # scaling keeps a zero flux zero, so q_tilde has the support of q
+    q_tilde.support = getattr(q, "support", None)
 
     def f_tilde(x):
         return _scaled(_call(problem.f, x), x)

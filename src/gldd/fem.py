@@ -3,7 +3,10 @@
 Cell terms are computed for all cells at once from the stacked geometry
 of ``mesh.cell_geometry`` (one einsum for the stiffness, one source call on
 every quadrature point for the load), and facet terms for all facets at
-once, except the top-flux quadrature, which calls the flux facet by facet.
+once, except the top-flux quadrature, which calls the flux facet by facet
+and only on the top facets within the flux's ``support`` when it has one
+(the laser flux of ``coupling.ProblemData`` does; a user callable without
+one is called on every top facet).
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
@@ -23,7 +26,8 @@ import scipy.sparse as sp
 
 from .errors import (ForeignFacet, IndexOutOfRange, NonpositiveCoefficient,
                      UnsupportedDegree)
-from .mesh import FacetTag, StructuredMesh, cell_geometry, locate_point
+from .mesh import (FacetTag, StructuredMesh, cell_geometry, face_keys,
+                   locate_point)
 
 # ======================================================================
 # quadrature
@@ -208,8 +212,7 @@ def _local_edges(d):
 
 def _edge_keys(simplices, d, nv):
     """Keys a * nv + b (a < b) of the local edges of d-simplices (..., d+1)."""
-    ends = np.sort(simplices[..., _local_edges(d)], axis=-1)
-    return ends[..., 0] * nv + ends[..., 1]
+    return face_keys(np.sort(simplices[..., _local_edges(d)], axis=-1), nv)
 
 
 def build_dofmap(mesh: StructuredMesh, m: int) -> DofMap:
@@ -293,12 +296,11 @@ def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
     """
     facets = np.asarray(facets, dtype=np.int64).reshape(-1, mesh.dim)
     keys = np.sort(facets, axis=1)
-    # one id per distinct vertex set, the mesh's boundary facets first
-    known = len(mesh.facet_vertices)
-    _, ids = np.unique(np.vstack([mesh.facet_vertices, keys]), axis=0,
-                       return_inverse=True)
-    ids = ids.reshape(-1)
-    foreign = ~np.isin(ids[known:], ids[:known])
+    nv = mesh.num_vertices
+    # a vertex id outside [0, nv) could alias the key of another facet
+    foreign = ~np.isin(face_keys(keys, nv),
+                       face_keys(mesh.facet_vertices, nv))
+    foreign |= (keys[:, 0] < 0) | (keys[:, -1] >= nv)
     if foreign.any():
         raise ForeignFacet(
             f"facet {tuple(facets[foreign.argmax()].tolist())} is not a "
@@ -362,7 +364,12 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
     ----------
     f : volume density, callable of coordinates (..., dim) or constant
     q : flux density on NEUMANN_TOP facets, callable or constant; None skips
-        the boundary term
+        the boundary term.  A callable may carry ``q.support = (centre,
+        radius)``, promising q(x) == 0.0 exactly wherever the wall
+        coordinates x[..., :-1] lie farther than radius from centre in the
+        max norm; the flux is then integrated only on the top facets whose
+        bounding box comes that close (``ProblemData.flux`` sets it for the
+        laser).  Any other q is integrated on every top facet.
     q_panel : target quadrature panel size for the flux term; facets wider
         than this are subdivided until each panel is at most q_panel across
     """
@@ -379,6 +386,14 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
         qfun = _as_callable(q)
         top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
         pts = mesh.vertices[top]
+        support = getattr(q, "support", None)
+        if support is not None:
+            # max-norm distance of each facet's bounding box from the centre
+            centre, radius = support
+            wall = pts[..., :-1]
+            gap = np.maximum(wall.min(axis=1) - centre, centre - wall.max(axis=1))
+            near = gap.max(axis=1) <= radius
+            top, pts = top[near], pts[near]
         dofs = dofmap.facet_dofs(top)
         scale = mesh.facet_measure(top) / (1.0 if mesh.dim == 2 else 0.5)
         splits = np.zeros(len(top), dtype=np.int64)
@@ -407,13 +422,19 @@ def laser_flux(x, dim, L=1.0 / 40.0):
     """Surface heat flux concentrated at the middle of the top wall.
 
     2D: 4e4 * exp(-(L/2 - x)^4 / 1e-12); 3D adds the same quartic in y.
-    Accepts a single point or an array of points (..., dim).
+    Accepts a single point or an array of points (..., dim).  The value is
+    exactly 0.0 wherever max(|L/2 - x|, |L/2 - y|) > LASER_CUTOFF.
     """
     x = np.asarray(x, dtype=float)
-    expo = (L / 2.0 - x[..., 0]) ** 4
+    expo = np.square(np.square(L / 2.0 - x[..., 0]))
     if dim == 3:
-        expo = expo + (L / 2.0 - x[..., 1]) ** 4
+        expo = expo + np.square(np.square(L / 2.0 - x[..., 1]))
     return 0.4e5 * np.exp(-expo / 1e-12)
+
+
+# exp(-a) rounds to 0.0 in float64 for a > 1075 ln 2; one ln 2 more covers
+# the rounding of the quartic and of exp itself
+LASER_CUTOFF = (1076 * np.log(2.0) * 1e-12) ** 0.25
 
 
 def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):

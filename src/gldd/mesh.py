@@ -12,8 +12,10 @@ resolution down to the coarse one through conforming transition bands.
 Construction and geometry work on all cells or facets in one stacked
 pass, with no per-cell loop: the cell array, the boundary facets and their
 tags, ``cell_geometry`` (|det J| and barycentric gradients, the single
-source of cell geometry for assembly and for graded-mesh point location),
-``facet_measure`` and ``facet_normal``.
+source of cell geometry for assembly and for graded-mesh point location,
+computed once per mesh), ``facet_measure`` and ``facet_normal``.  Faces
+and edges are matched through ``face_keys``, one int64 per sorted vertex
+tuple.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ class SimplicialMesh:
         d = self.dim
         omit = [[v for v in range(d + 1) if v != loc] for loc in range(d + 1)]
         faces = np.sort(self.cells[:, omit], axis=2).reshape(-1, d)
-        _, inverse, counts = np.unique(faces, axis=0, return_inverse=True,
-                                       return_counts=True)
-        once = counts[inverse.reshape(-1)] == 1
+        _, inverse, counts = np.unique(face_keys(faces, self.num_vertices),
+                                       return_inverse=True, return_counts=True)
+        once = counts[inverse] == 1
         self.facet_vertices = faces[once]
         self.facet_cells = np.flatnonzero(once) // (d + 1)
         self.facet_tags = np.asarray(
@@ -183,17 +185,36 @@ class SimplicialMesh:
         return np.where(((n * outward).sum(axis=1) < 0)[:, None], -n, n)
 
 
+def face_keys(ids, nv):
+    """One int64 key per row of sorted vertex ids (..., k) below nv:
+    a * nv + b for k = 2, (a * nv + b) * nv + c for k = 3."""
+    if int(nv) ** ids.shape[-1] > np.iinfo(np.int64).max:
+        raise GlddError(f"{ids.shape[-1]}-vertex keys over {nv} vertices "
+                        "overflow int64")
+    keys = ids[..., 0].astype(np.int64)
+    for col in range(1, ids.shape[-1]):
+        keys = keys * nv + ids[..., col]
+    return keys
+
+
 def cell_geometry(mesh: SimplicialMesh):
     """|det J| and barycentric gradients of every cell, in one stacked pass.
 
     Returns abs_det (nc,) and bary_grads (nc, dim+1, dim), whose row a is
-    the gradient of lambda_a.  abs_det is dim! times the cell volume.
+    the gradient of lambda_a.  abs_det is dim! times the cell volume.  The
+    mesh arrays are read-only, so the result is computed once per mesh and
+    returned read-only.
     """
-    pts = mesh.vertices[mesh.cells]
-    J = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
-    Jinv = np.linalg.inv(J)
-    grads = np.concatenate([-Jinv.sum(axis=1, keepdims=True), Jinv], axis=1)
-    return np.abs(np.linalg.det(J)), grads
+    if "_cell_geometry" not in vars(mesh):
+        pts = mesh.vertices[mesh.cells]
+        J = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
+        Jinv = np.linalg.inv(J)
+        grads = np.concatenate([-Jinv.sum(axis=1, keepdims=True), Jinv],
+                               axis=1)
+        mesh._cell_geometry = (np.abs(np.linalg.det(J)), grads)
+        for arr in mesh._cell_geometry:
+            arr.setflags(write=False)
+    return mesh._cell_geometry
 
 
 class StructuredMesh(SimplicialMesh):

@@ -1,5 +1,7 @@
 """Cross-mesh coupling matrices and the coupled-system builder."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,8 @@ from gldd.coupling import (ProblemData, assemble_flux_jump_S,
                            assemble_penalty_D, build_coupled_operators,
                            default_alpha, interface_trace_gap)
 from gldd.errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from gldd.fem import assemble_boundary_mass, build_dofmap, laser_flux
+from gldd.fem import (assemble_boundary_mass, build_dofmap, evaluate_field,
+                      laser_flux)
 from gldd.mesh import (FacetTag, GeometryConfig, build_global_mesh,
                        build_local_mesh, interface_facets)
 
@@ -219,6 +222,60 @@ class TestBuilder:
             build_ops(0.0)
         with pytest.raises(NonpositiveCoefficient):
             build_ops(0.5, kappa_plus=-1.0)
+
+
+def pow_laser_flux(x, dim, L):
+    """The laser flux with its quartic written d ** 4."""
+    expo = (L / 2.0 - x[..., 0]) ** 4
+    if dim == 3:
+        expo = expo + (L / 2.0 - x[..., 1]) ** 4
+    return 0.4e5 * np.exp(-expo / 1e-12)
+
+
+class TestLaserSupport:
+    @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
+    def test_picard_scaled_flux_bitwise_equal(self, dim, m):
+        # a Picard-style flux_scale that looks up a strip field; the
+        # support of the default flux must not change the scaled box load
+        geom, gm, gd, lm, ld = make_pair(dim=dim, m=m)
+        T = interp(ld, lambda x: 300.0 + 4000.0 * x[:, 0])
+        calls = []
+
+        def flux_scale(x):
+            calls.append(len(x))
+            return 0.5 / (1.0 + 1e-3 * evaluate_field(lm, ld, T, x))
+
+        def loads(problem):
+            calls.clear()
+            ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                          problem=problem,
+                                          flux_scale=flux_scale)
+            return ops.f_plus, ops.f_minus, len(calls)
+
+        # coarser 3D panels keep the scale's point location small
+        panel = ProblemData().flux_panel if dim == 2 else 1e-3
+        plain = ProblemData(q=lambda x: laser_flux(x, dim, geom.L),
+                            flux_panel=panel)
+        fp, fm, n_near = loads(ProblemData(flux_panel=panel))
+        fp_plain, fm_plain, n_all = loads(plain)
+        np.testing.assert_array_equal(fp, fp_plain)
+        np.testing.assert_array_equal(fm, fm_plain)
+        # one scale call per box top facet near the spot, of 4 or 32
+        assert n_near == (2 if dim == 2 else 8)
+        assert n_all == (4 if dim == 2 else 32)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_squared_quartic_within_tolerance(self, dim, m):
+        geom, gm, gd, lm, ld = make_pair(dim=dim, m=m)
+        q_pow = functools.partial(pow_laser_flux, dim=dim, L=geom.L)
+        q_pow.support = ProblemData().flux(geom).support
+        new = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5)
+        old = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                      problem=ProblemData(q=q_pow))
+        for a, b in [(new.f_plus, old.f_plus), (new.f_minus, old.f_minus)]:
+            np.testing.assert_array_equal(a == 0.0, b == 0.0)
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
 
 
 class TestPenaltyLimit:

@@ -6,9 +6,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from gldd.coupling import ProblemData
 from gldd.errors import (ForeignFacet, NonpositiveCoefficient,
                          UnsupportedDegree)
-from gldd.fem import (_composite_facet_rule, apply_dirichlet,
+from gldd.fem import (LASER_CUTOFF, _composite_facet_rule, apply_dirichlet,
                       assemble_boundary_mass, assemble_load,
                       assemble_stiffness, build_dofmap, dirichlet_dofs,
                       evaluate_field, facet_rule, l2_error, laser_flux,
@@ -392,6 +393,16 @@ class TestBoundaryMass:
             assemble_boundary_mass(mesh, dof, [mesh.facet_vertices[0], interior],
                                    1.0)
 
+    def test_out_of_range_vertex_is_foreign(self):
+        mesh = build_global_mesh(GEOM, 1 / 160)
+        dof = build_dofmap(mesh, 1)
+        # (0, nv + 2) and (-1, nv + 1) have the keys of the bottom-wall
+        # facets (1, 2) and (0, 1)
+        nv = mesh.num_vertices
+        for facet in [(0, nv + 2), (-1, nv + 1)]:
+            with pytest.raises(ForeignFacet):
+                assemble_boundary_mass(mesh, dof, [facet], 1.0)
+
     def test_unsorted_facet_accepted(self):
         mesh = build_global_mesh(GeometryConfig(dim=3), 1 / 160)
         dof = build_dofmap(mesh, 2)
@@ -467,6 +478,90 @@ class TestLoad:
         assert vals[1] == 0.0 and vals[2] == 0.0
         assert laser_flux(np.array([[GEOM.L / 2, GEOM.L / 2, GEOM.H]]),
                           dim=3, L=GEOM.L)[0] == pytest.approx(0.4e5)
+
+
+# box and strip meshes the top-flux support is checked on
+FLUX_MESHES = {
+    "box-2d": lambda: (GEOM, build_global_mesh(GEOM, 1 / 160)),
+    "strip-2d": lambda: (GEOM, build_local_mesh(GEOM, 1 / 640)),
+    "box-3d": lambda: (GEOM3, build_global_mesh(GEOM3, 1 / 160)),
+    "strip-3d": lambda: (GEOM3, build_local_mesh(GEOM3, 1 / 320)),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", list(FLUX_MESHES))
+def test_laser_support_leaves_load_bitwise_equal(name, m):
+    geom, mesh = FLUX_MESHES[name]()
+    dof = build_dofmap(mesh, m)
+    problem = ProblemData()
+    q = problem.flux(geom)
+    assert q.support is not None
+    b = assemble_load(mesh, dof, q=q, q_panel=problem.flux_panel)
+    plain = assemble_load(mesh, dof,
+                          q=lambda x: laser_flux(x, geom.dim, geom.L),
+                          q_panel=problem.flux_panel)
+    np.testing.assert_array_equal(b, plain)
+    assert np.count_nonzero(b) > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_laser_flux_vanishes_past_cutoff(dim):
+    c, r = GEOM.L / 2, LASER_CUTOFF
+    # max-norm distance d from the spot centre, along an axis, on the
+    # diagonal and (3D) with the other wall coordinate in between
+    if dim == 2:
+        offsets = np.array([[1.0], [-1.0]])
+    else:
+        offsets = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0],
+                            [-1.0, 1.0], [0.3, -1.0], [1.0, 0.999]])
+
+    def flux_at(d):
+        wall = c + d * offsets
+        x = np.column_stack([wall, np.full(len(wall), GEOM.H)])
+        return laser_flux(x, dim, GEOM.L)
+
+    for d in [r, np.nextafter(r, 1.0), 1.001 * r, 2.0 * r, c]:
+        assert np.all(flux_at(d) == 0.0), d
+    # inside, along an axis (in 3D the two quartics add up off the axes)
+    assert np.all(flux_at(0.99 * r)[:2] > 0.0)
+
+
+@pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
+def test_flux_called_once_per_facet_in_support(geom):
+    mesh = build_global_mesh(geom, 1 / 320)
+    dof = build_dofmap(mesh, 1)
+    top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
+    centroids = mesh.vertices[top].mean(axis=1)
+    centre, radius = np.full(geom.dim - 1, 0.3 * geom.L), 0.2 * geom.L
+    # facet by facet: the max-norm distance of its bounding box from centre
+    want = []
+    for k, facet in enumerate(top):
+        wall = mesh.vertices[facet][:, :-1]
+        gap = max(max(lo - a, a - hi, 0.0) for a, lo, hi in
+                  zip(centre, wall.min(axis=0), wall.max(axis=0)))
+        if gap <= radius:
+            want.append(k)
+    assert 0 < len(want) < len(top)
+
+    def called_facets(support):
+        calls = []
+
+        def q(x):
+            calls.append(x.mean(axis=0))
+            return np.ones(x.shape[:-1])
+
+        if support:
+            q.support = (centre, radius)
+        assemble_load(mesh, dof, q=q, q_panel=1e-3)
+        # the composite rule is symmetric, so its points average to the
+        # centroid of their facet
+        dist = np.abs(np.asarray(calls)[:, None] - centroids).max(axis=2)
+        assert np.all(dist.min(axis=1) < 1e-12)
+        return dist.argmin(axis=1)
+
+    np.testing.assert_array_equal(called_facets(True), want)
+    np.testing.assert_array_equal(called_facets(False), np.arange(len(top)))
 
 
 class TestDirichlet:

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from gldd.errors import NonDivisibleSpacing, OutOfDomain
+from gldd.errors import GlddError, NonDivisibleSpacing, OutOfDomain
 from gldd.mesh import (FacetTag, GeometryConfig, build_fitted_mesh,
                        build_global_mesh, build_local_mesh, cell_geometry,
-                       dump_mesh, interface_facets, locate_point, strip_cells)
+                       dump_mesh, face_keys, interface_facets, locate_point,
+                       strip_cells)
 
 GEOM = GeometryConfig()
 GEOM3 = GeometryConfig(dim=3)
@@ -146,12 +147,29 @@ class TestBatchedGeometry:
         tags = [_reference_tag(mesh, name, f) for f in facets]
         np.testing.assert_array_equal(mesh.facet_tags, tags)
 
+    def test_cell_geometry_computed_once_read_only(self, name):
+        mesh = GEOMETRY_MESHES[name]()
+        first = cell_geometry(mesh)
+        assert cell_geometry(mesh) is first
+        for arr in first:
+            assert not arr.flags.writeable
+
     def test_facet_measure_batch_matches_single(self, name):
         mesh = GEOMETRY_MESHES[name]()
         batch = mesh.facet_measure(mesh.facet_vertices)
         assert batch.shape == (len(mesh.facet_vertices),)
         for f, m in zip(mesh.facet_vertices, batch):
             assert mesh.facet_measure(tuple(f)) == m
+
+
+def test_face_keys():
+    ids = np.array([[0, 1, 2], [2, 3, 4]])
+    np.testing.assert_array_equal(face_keys(ids, 5), [7, 69])
+    np.testing.assert_array_equal(face_keys(ids[:, :2], 5), [1, 13])
+    # (2**21 - 1)**3 fits in int64, (2**21)**3 = 2**63 does not
+    assert face_keys(ids, 2 ** 21 - 1).dtype == np.int64
+    with pytest.raises(GlddError, match="overflow"):
+        face_keys(ids, 2 ** 21)
 
 
 def _reference_boundary(mesh):
