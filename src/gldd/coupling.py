@@ -10,6 +10,17 @@ cols: box dofs).  Together with the two stiffness blocks they form
 
 with the sign convention of that block system: S stores the negative
 flux-jump integral, D stores -alpha times the cross mass matrix.
+
+What does not depend on the coefficients is built once per mesh pair and
+kept on the mesh and dof-map objects: the unit cell matrices and CSR
+patterns of both stiffness blocks (on each dof map), and the interface
+terms (on the strip dof map), which are the gamma quadrature, the box and
+strip basis at every gamma point located once, the unit S and D terms per
+point and the gamma mass pattern.  A new set of coefficients on the same
+objects (another strip conductivity, a Picard step with per-cell
+conductivities, per-facet jump weights and a new penalty) then costs one
+weighted bincount per block, the Dirichlet masks on the matrix data, the
+load vectors and, in the solver, one factorization per block.
 """
 
 from __future__ import annotations
@@ -22,12 +33,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from .fem import (LASER_CUTOFF, DofMap, _basis_at_points, _triplets_to_csr,
-                  apply_dirichlet, assemble_boundary_mass, assemble_load,
-                  assemble_stiffness, dirichlet_dofs, evaluate_field,
-                  facet_rule, laser_flux, shape_bary_grads, shape_values)
+from .fem import (LASER_CUTOFF, DofMap, _basis_at_points,
+                  _boundary_mass_pattern, _CsrPattern, apply_dirichlet,
+                  assemble_load, assemble_stiffness, dirichlet_dofs,
+                  evaluate_field, facet_rule, laser_flux, shape_bary_grads,
+                  shape_values)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
-                   locate_point)
+                   locate_point, memoised)
 
 
 def default_alpha(kappa_minus, h_minus):
@@ -118,6 +130,51 @@ def _interface_quadrature(local_mesh, m):
     return facets, normals, xq, wq
 
 
+class _Interface:
+    """The coefficient-free cross-mesh terms of a mesh pair.
+
+    Holds the gamma quadrature weights wq (nf, nq), the unit S and D
+    patterns with one owner per quadrature point, and the strip's gamma
+    mass pattern with its facet scales.  The box basis is located once for
+    both S and D.
+    """
+
+    def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap):
+        facets, normals, xq, self.wq = _interface_quadrature(
+            local_mesh, max(local_dofmap.m, global_dofmap.m))
+        dim, nq = local_mesh.dim, xq.shape[1]
+        pts = xq.reshape(-1, dim)
+        gdofs, gvals = _basis_at_points(global_mesh, global_dofmap, pts)
+        # S: normal derivative of the strip basis in the cell holding each
+        # point, i.e. the cell owning its facet
+        lcells, lam = locate_point(local_mesh, pts)
+        bgrads = cell_geometry(local_mesh)[1][lcells]
+        dlam = shape_bary_grads(dim, local_dofmap.m, lam)
+        grads = np.einsum("pna,pad->pnd", dlam, bgrads)
+        dn = np.einsum("pnd,pd->pn", grads, np.repeat(normals, nq, axis=0))
+        self.S = _CsrPattern(gvals[:, :, None] * dn[:, None, :],
+                             gdofs[:, :, None],
+                             local_dofmap.cell_dofs[lcells][:, None, :],
+                             (global_dofmap.n_dofs, local_dofmap.n_dofs))
+        # D: the strip trace basis on each facet times the box basis
+        mu = _facet_param(local_mesh, facets, xq)
+        lvals = shape_values(dim - 1, local_dofmap.m, mu.reshape(-1, dim))
+        ldofs = np.repeat(local_dofmap.facet_dofs(facets), nq, axis=0)
+        self.D = _CsrPattern(lvals[:, :, None] * gvals[:, None, :],
+                             ldofs[:, :, None], gdofs[:, None, :],
+                             (local_dofmap.n_dofs, global_dofmap.n_dofs))
+        self.gamma_mass, self.gamma_scale = _boundary_mass_pattern(
+            local_mesh, local_dofmap, facets)
+
+
+def _interface(global_mesh, local_mesh, global_dofmap, local_dofmap):
+    """The _Interface of a mesh pair, kept on the strip dof map."""
+    return memoised(local_dofmap, "_interface",
+                    (global_mesh, local_mesh, global_dofmap),
+                    lambda: _Interface(global_mesh, local_mesh, global_dofmap,
+                                       local_dofmap))
+
+
 def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
                          kappa_plus, kappa_minus, facet_weights=None):
     """Matrix of sum_e int_e (kappa_plus - kappa_minus) (grad phi_loc . n) phi_glob.
@@ -126,52 +183,30 @@ def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
     from the strip cell holding each quadrature point, i.e. the cell owning
     its facet; the normal points out of the strip.  facet_weights overrides
     the constant jump weight per facet (used by the nonlinear driver).
+    The unit term of every quadrature point is built on the first call for
+    a mesh pair; later calls only weight and sum them.
     """
-    _facets, normals, xq, wq = _interface_quadrature(
-        local_mesh, max(local_dofmap.m, global_dofmap.m))
-    weight = np.full(len(normals), kappa_plus - kappa_minus) \
+    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
+    weight = np.full(len(terms.wq), kappa_plus - kappa_minus) \
         if facet_weights is None else np.asarray(facet_weights, dtype=float)
-    keep = weight != 0.0
-    shape = (global_dofmap.n_dofs, local_dofmap.n_dofs)
-    if not keep.any():
-        return sp.csr_matrix(shape)
-    dim, nq = local_mesh.dim, xq.shape[1]
-    pts = xq[keep].reshape(-1, dim)
-    wq = (weight[keep, None] * wq[keep]).ravel()
-    normals = np.repeat(normals[keep], nq, axis=0)
-
-    lcells, lam = locate_point(local_mesh, pts)
-    bgrads = cell_geometry(local_mesh)[1][lcells]
-    dlam = shape_bary_grads(dim, local_dofmap.m, lam)
-    grads = np.einsum("pna,pad->pnd", dlam, bgrads)
-    dn = np.einsum("pnd,pd->pn", grads, normals)
-    gdofs, gvals = _basis_at_points(global_mesh, global_dofmap, pts)
-    vals = wq[:, None, None] * (gvals[:, :, None] * dn[:, None, :])
-    return _triplets_to_csr(vals, gdofs[:, :, None],
-                            local_dofmap.cell_dofs[lcells][:, None, :], shape)
+    S = terms.S.matrix((weight[:, None] * terms.wq).ravel())
+    S.eliminate_zeros()
+    return S
 
 
 def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
                        alpha):
     """-alpha times the cross mass matrix on the interface.
 
-    Rows are strip dofs, columns box dofs.
+    Rows are strip dofs, columns box dofs.  Built, like S, from unit terms
+    kept per mesh pair.
     """
     if alpha < 0:
         raise NonpositiveCoefficient("penalty weight must be nonnegative")
-    facets, _normals, xq, wq = _interface_quadrature(
-        local_mesh, max(local_dofmap.m, global_dofmap.m))
-    mu = _facet_param(local_mesh, facets, xq)
-    lvals = shape_values(local_mesh.dim - 1, local_dofmap.m,
-                         mu.reshape(-1, mu.shape[2]))
-    lvals = lvals.reshape(mu.shape[:2] + lvals.shape[1:])
-    ldofs = local_dofmap.facet_dofs(facets)
-    gdofs, gvals = _basis_at_points(global_mesh, global_dofmap, xq)
-    vals = (-alpha * wq)[:, :, None, None] * (
-        lvals[:, :, :, None] * gvals[:, :, None, :])
-    return _triplets_to_csr(vals, ldofs[:, None, :, None],
-                            gdofs[:, :, None, :],
-                            (local_dofmap.n_dofs, global_dofmap.n_dofs))
+    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
+    D = terms.D.matrix((-alpha * terms.wq).ravel())
+    D.eliminate_zeros()
+    return D
 
 
 def _facet_param(mesh, facets, xq):
@@ -193,13 +228,12 @@ def _facet_param(mesh, facets, xq):
 
 
 def _zero_rows(A, rows):
-    if len(rows) == 0:
-        return A.tocsr()
-    mask = np.ones(A.shape[0])
-    mask[rows] = 0.0
-    out = (sp.diags(mask) @ A).tocsr()
-    out.eliminate_zeros()
-    return out
+    """Clear the given rows of A on its data, in place."""
+    mask = np.zeros(A.shape[0], dtype=bool)
+    mask[rows] = True
+    A.data[np.repeat(mask, np.diff(A.indptr))] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 # ----------------------------------------------------------------------
@@ -239,12 +273,17 @@ def build_coupled_operators(geom: GeometryConfig,
     kp_cells = kappa_plus if kappa_plus_cells is None else kappa_plus_cells
     km_cells = kappa_minus if kappa_minus_cells is None else kappa_minus_cells
 
+    # on a new mesh pair S's assembly builds the kept interface terms; D
+    # and the gamma mass below reuse them
+    S = (-assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
+                               local_dofmap, kappa_plus, kappa_minus,
+                               facet_weights=jump_facet_weights)).tocsr()
+    D = assemble_penalty_D(global_mesh, local_mesh, global_dofmap,
+                           local_dofmap, alpha)
+    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
     K_plus = assemble_stiffness(global_mesh, global_dofmap, kp_cells)
-    K_minus = assemble_stiffness(local_mesh, local_dofmap, km_cells)
-    gamma = local_mesh.facet_vertices[
-        local_mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value]
-    K_minus = (K_minus + assemble_boundary_mass(local_mesh, local_dofmap,
-                                                gamma, alpha)).tocsr()
+    K_minus = (assemble_stiffness(local_mesh, local_dofmap, km_cells)
+               + terms.gamma_mass.matrix(alpha * terms.gamma_scale)).tocsr()
 
     q = problem.flux(geom)
     strip_floor = geom.H - geom.H_minus
@@ -282,13 +321,6 @@ def build_coupled_operators(geom: GeometryConfig,
                            q_panel=problem.flux_panel)
     f_minus = assemble_load(local_mesh, local_dofmap, problem.f, q,
                             q_panel=problem.flux_panel)
-
-    S_literal = assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
-                                     local_dofmap, kappa_plus, kappa_minus,
-                                     facet_weights=jump_facet_weights)
-    S = (-S_literal).tocsr()
-    D = assemble_penalty_D(global_mesh, local_mesh, global_dofmap,
-                           local_dofmap, alpha)
 
     gdir = dirichlet_dofs(global_mesh, global_dofmap)
     ldir = dirichlet_dofs(local_mesh, local_dofmap)

@@ -29,7 +29,8 @@ from .errors import Diverged, MaxItersExceeded, SingularMatrix
 from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
                   build_dofmap, dirichlet_dofs)
 from .linalg import LinearSolver, SolverConfig
-from .mesh import GeometryConfig, build_fitted_mesh, strip_cells
+from .mesh import (GeometryConfig, build_fitted_mesh, build_global_mesh,
+                   build_local_mesh, strip_cells)
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,14 @@ class DDReport:
 
 
 class _Steppers:
-    """Cached factorizations/solvers for the two blocks."""
+    """Cached factorizations/solvers for the two blocks: new ones for the
+    config, or the (plus, minus) pair given."""
 
-    def __init__(self, ops: CoupledOperators, config: SolverConfig):
+    def __init__(self, ops: CoupledOperators, config: SolverConfig,
+                 solvers=None):
         self.ops = ops
-        self.plus = LinearSolver(ops.K_plus, config)
-        self.minus = LinearSolver(ops.K_minus, config)
+        self.plus, self.minus = solvers or (LinearSolver(ops.K_plus, config),
+                                            LinearSolver(ops.K_minus, config))
 
     def step0(self):
         return self.plus.solve(self.ops.f_plus)
@@ -111,9 +114,14 @@ def make_iteration_operator(ops: CoupledOperators,
 
 
 def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
-                     initial=None) -> DDReport:
+                     initial=None, solvers=None) -> DDReport:
     """Run the alternating iteration until the relative change of the box
     iterate drops below config.tol.
+
+    solvers, a (plus, minus) pair of LinearSolvers bound to ops.K_plus and
+    ops.K_minus, replaces the pair config.solver would make, so that runs
+    and radius computations on the same operators share one factorization
+    pair; the report counts only this run's inner iterations.
 
     The residual history holds ||T^k - T^{k-1}|| / ||T^k|| per sweep.
     Divergence is detected on the unnormalized step ||T^k - T^{k-1}||,
@@ -125,7 +133,8 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     """
     config = config or DDConfig()
     t0 = time.perf_counter()
-    steppers = _Steppers(ops, config.solver)
+    steppers = _Steppers(ops, config.solver, solvers)
+    inner0 = (steppers.minus.total_iterations, steppers.plus.total_iterations)
     T_plus = steppers.step0() if initial is None else np.array(initial, dtype=float)
     history = []
     iterates = [T_plus.copy()] if config.store_iterates else None
@@ -155,8 +164,10 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
                             rho_estimate=rho,
                             wall_time=time.perf_counter() - t0,
                             inner_iterations={
-                                "local": steppers.minus.total_iterations,
-                                "global": steppers.plus.total_iterations},
+                                "local": steppers.minus.total_iterations
+                                - inner0[0],
+                                "global": steppers.plus.total_iterations
+                                - inner0[1]},
                             iterates=iterates)
         if first_step is None:
             first_step = step if step > 0 else None
@@ -298,16 +309,25 @@ def export_solution_csv(mesh, dofmap, coeffs, path):
             writer.writerow([i, *(f"{c:.17g}" for c in xy), f"{v:.17g}"])
 
 
+def build_mesh_pair(geom: GeometryConfig, h_plus, h_minus, m):
+    """Box and strip meshes with their dof maps, in the argument order of
+    build_coupled_operators: (global mesh, global dofmap, local mesh,
+    local dofmap).  Coupled operators built again on the same four objects
+    reuse their coefficient-free terms."""
+    gmesh = build_global_mesh(geom, h_plus)
+    lmesh = build_local_mesh(geom, h_minus)
+    return gmesh, build_dofmap(gmesh, m), lmesh, build_dofmap(lmesh, m)
+
+
 def setup_case(geom: GeometryConfig, h_plus, h_minus, m,
                kappa_plus, kappa_minus, alpha=None,
                problem: ProblemData | None = None) -> CoupledOperators:
-    """Meshes, dof maps and coupled operators for one parameter point."""
-    from .mesh import build_global_mesh, build_local_mesh
+    """Meshes, dof maps and coupled operators for one parameter point.
 
-    gmesh = build_global_mesh(geom, h_plus)
-    lmesh = build_local_mesh(geom, h_minus)
-    gdof = build_dofmap(gmesh, m)
-    ldof = build_dofmap(lmesh, m)
-    return build_coupled_operators(geom, gmesh, gdof, lmesh, ldof,
-                                   kappa_plus, kappa_minus, alpha=alpha,
-                                   problem=problem)
+    Every call builds new meshes, so it also builds their coefficient-free
+    terms; a study on one mesh pair should build the pair once
+    (build_mesh_pair) and call build_coupled_operators per coefficient.
+    """
+    return build_coupled_operators(
+        geom, *build_mesh_pair(geom, h_plus, h_minus, m), kappa_plus,
+        kappa_minus, alpha=alpha, problem=problem)

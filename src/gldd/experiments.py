@@ -18,13 +18,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .coupling import ProblemData
-from .dd_solver import (DDConfig, run_fitted_reference, run_two_level_dd,
-                        setup_case)
+from .coupling import ProblemData, build_coupled_operators
+from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
+                        run_two_level_dd, setup_case)
 from .errors import (Diverged, InsufficientRatios, MaxItersExceeded,
                      NoConvergence, RankDeficient)
-from .linalg import (SolverConfig, SpectralFit, dense_spectral_radius,
-                     fit_rho_law, least_squares_fit)
+from .linalg import (LinearSolver, SolverConfig, SpectralFit,
+                     dense_spectral_radius, fit_rho_law, least_squares_fit)
 from .mesh import GeometryConfig
 
 
@@ -93,7 +93,13 @@ class ExperimentConfig:
 
 @dataclass
 class SweepRecord:
-    """One parameter point; rho_measured is the exact dense_spectral_radius."""
+    """One parameter point; rho_measured is the exact dense_spectral_radius.
+
+    time_s is the wall time the record's own call spent.  Studies that
+    share work between records (sweep_kappa's meshes and cross-mesh terms,
+    relaxation_study's operators and factorizations) charge the shared
+    part to the record that paid for it, the first one.
+    """
 
     case_id: str
     dim: int
@@ -119,8 +125,9 @@ def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
     """One parameter point: assemble, compute the radius, run the sweep.
 
     Returns (record, ops); divergent or stalled runs are recorded with
-    converged=False rather than raised.  The record's time_s covers all
-    three steps: set-up, radius and sweep.
+    converged=False rather than raised.  The radius and the sweep share one
+    factorization of each block.  The record's time_s covers all three
+    steps: set-up, radius and sweep.
     """
     kappa_minus = cfg.kappa_minus if kappa_minus is None else kappa_minus
     h_minus = cfg.h_minus if h_minus is None else h_minus
@@ -129,34 +136,55 @@ def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
     ops = setup_case(cfg.geometry(), cfg.h_plus, h_minus, cfg.m,
                      cfg.kappa_plus, kappa_minus, alpha=cfg.alpha,
                      problem=cfg.problem())
-    rho = dense_spectral_radius(ops.K_plus, ops.S, ops.K_minus, ops.D,
-                                theta=theta)
-    try:
-        report = run_two_level_dd(ops, cfg.dd(theta))
-        iterations, converged = report.iterations, True
-    except (Diverged, MaxItersExceeded) as exc:
-        iterations, converged = exc.report.iterations, False
-    elapsed = time.perf_counter() - t0
-    rec = SweepRecord(case_id=_case_id(cfg, kappa_minus, h_minus, theta),
-                      dim=cfg.dim, m=cfg.m, h_ratio=cfg.h_plus / h_minus,
-                      kappa_ratio=kappa_minus / cfg.kappa_plus, theta=theta,
-                      rho_measured=rho, rho_predicted=float("nan"),
-                      iterations=iterations, converged=converged,
-                      time_s=elapsed)
+    [rec] = _run_thetas(cfg, ops, kappa_minus, h_minus, [theta], t0)
     return rec, ops
+
+
+def _run_thetas(cfg, ops, kappa_minus, h_minus, thetas, t0):
+    """One record per relaxation weight: radius and sweep on ops, all on
+    one factorization pair.  The first record's time runs from t0, each
+    later one from the end of the record before it."""
+    solvers = (LinearSolver(ops.K_plus, cfg.solver()),
+               LinearSolver(ops.K_minus, cfg.solver()))
+    records = []
+    for theta in thetas:
+        rho = dense_spectral_radius(solvers[0], ops.S, solvers[1], ops.D,
+                                    theta=theta)
+        try:
+            report = run_two_level_dd(ops, cfg.dd(theta), solvers=solvers)
+            iterations, converged = report.iterations, True
+        except (Diverged, MaxItersExceeded) as exc:
+            iterations, converged = exc.report.iterations, False
+        t1 = time.perf_counter()
+        records.append(SweepRecord(
+            case_id=_case_id(cfg, kappa_minus, h_minus, theta), dim=cfg.dim,
+            m=cfg.m, h_ratio=cfg.h_plus / h_minus,
+            kappa_ratio=kappa_minus / cfg.kappa_plus, theta=theta,
+            rho_measured=rho, rho_predicted=float("nan"),
+            iterations=iterations, converged=converged, time_s=t1 - t0))
+        t0 = t1
+    return records
 
 
 def sweep_kappa(cfg: ExperimentConfig, h_minus=None):
     """Sweep the strip coefficient, then fit the radius-vs-ratio law.
 
-    Returns (records, fit, warnings); fit is None if the data are
-    degenerate, with the reason appended to warnings.
+    The meshes, dof maps and coefficient-free coupling terms are built
+    once and every coefficient runs on them; the first record's time_s
+    includes that build.  Returns (records, fit, warnings); fit is None if
+    the data are degenerate, with the reason appended to warnings.
     """
+    h_minus = cfg.h_minus if h_minus is None else h_minus
+    geom = cfg.geometry()
     records = []
     warnings = []
+    t0 = time.perf_counter()
+    pair = build_mesh_pair(geom, cfg.h_plus, h_minus, cfg.m)
     for km in cfg.kappa_list:
-        rec, _ = run_case(cfg, kappa_minus=km, h_minus=h_minus)
-        records.append(rec)
+        ops = build_coupled_operators(geom, *pair, cfg.kappa_plus, km,
+                                      alpha=cfg.alpha, problem=cfg.problem())
+        records += _run_thetas(cfg, ops, km, h_minus, [cfg.theta], t0)
+        t0 = time.perf_counter()
     ratios = [r.kappa_ratio for r in records]
     rhos = [r.rho_measured for r in records]
     fit = None
@@ -234,11 +262,17 @@ class RelaxationStudy:
 
 
 def relaxation_study(cfg: ExperimentConfig) -> RelaxationStudy:
-    """Run the iteration across relaxation weights and report the winner."""
-    records = []
-    for theta in cfg.theta_list:
-        rec, _ = run_case(cfg, theta=theta)
-        records.append(rec)
+    """Run the iteration across relaxation weights and report the winner.
+
+    The weights share one set-up and one factorization pair; the first
+    record's time_s includes them.
+    """
+    t0 = time.perf_counter()
+    ops = setup_case(cfg.geometry(), cfg.h_plus, cfg.h_minus, cfg.m,
+                     cfg.kappa_plus, cfg.kappa_minus, alpha=cfg.alpha,
+                     problem=cfg.problem())
+    records = _run_thetas(cfg, ops, cfg.kappa_minus, cfg.h_minus,
+                          cfg.theta_list, t0)
     converged = [r for r in records if r.converged]
     best = min(converged, key=lambda r: r.iterations).theta if converged \
         else float("nan")

@@ -10,9 +10,12 @@ one is called on every top facet).
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
-(or facet) order and summed into CSR once by ``_triplets_to_csr``, so
-results are deterministic for fixed numpy and scipy versions.  Matrices
-are CSR, vectors plain numpy arrays.
+(or facet, or quadrature point) order; a ``_CsrPattern`` finds their CSR
+pattern once and sums weighted unit values into it with one bincount, in
+the order scipy's COO-to-CSR conversion would, so results are
+deterministic for fixed numpy and scipy versions.  The stiffness keeps its
+unit cell matrices and pattern on the dof map: a new coefficient costs one
+scaled bincount.  Matrices are CSR, vectors plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import scipy.sparse as sp
 from .errors import (ForeignFacet, IndexOutOfRange, NonpositiveCoefficient,
                      UnsupportedDegree)
 from .mesh import (FacetTag, StructuredMesh, cell_geometry, face_keys,
-                   locate_point)
+                   locate_point, memoised)
 
 # ======================================================================
 # quadrature
@@ -260,31 +263,78 @@ def shape_bary_grads(dim, m, lam):
 # assembly
 # ======================================================================
 
-def _triplets_to_csr(vals, rows, cols, shape):
-    """Sum COO triplets into CSR; rows and cols broadcast to vals' shape."""
-    A = sp.coo_matrix((vals.ravel(),
-                       (np.broadcast_to(rows, vals.shape).ravel(),
-                        np.broadcast_to(cols, vals.shape).ravel())),
-                      shape=shape).tocsr()
-    A.sum_duplicates()
-    return A
+class _CsrPattern:
+    """A fixed set of COO triplets, summed into CSR for any owner weights.
+
+    units (n, a, b) holds the unit values of n owners (cells, facets or
+    quadrature points), and rows and cols, which broadcast to its shape,
+    their row and column indices.  The CSR pattern and the slot of every
+    triplet in it are found once; ``matrix(w)`` then sums w[k] * units[k]
+    over the owners with one bincount.  The triplets are kept in the order
+    in which scipy's COO-to-CSR conversion sums them (rows stable, then
+    scipy's own index sort within each row), so a matrix from the pattern
+    is bitwise the one scipy sums from the same triplets.
+    """
+
+    def __init__(self, units, rows, cols, shape):
+        rows = np.broadcast_to(rows, units.shape).ravel()
+        cols = np.broadcast_to(cols, units.shape).ravel()
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(
+            rows, minlength=shape[0]))])
+        # the triplet ids ride along as data while scipy sorts each row
+        order = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
+                              shape=shape)
+        order.sort_indices()
+        self.perm = order.data.astype(np.int32)
+        rows, cols = rows[self.perm], order.indices
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        self.slot = (np.cumsum(new) - 1).astype(np.int32)
+        self.indices = cols[new]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
+            rows[new], minlength=shape[0]))])
+        self.units = units
+        self.shape = shape
+        for arr in (self.perm, self.slot, self.indices, self.indptr):
+            arr.setflags(write=False)
+
+    def matrix(self, weights):
+        """CSR matrix of sum_k weights[k] * units[k]; weights (n,)."""
+        vals = np.asarray(weights, dtype=float)[:, None, None] * self.units
+        data = np.bincount(self.slot, vals.ravel()[self.perm],
+                           minlength=len(self.indices))
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape, copy=True)
+
+
+def _stiffness_pattern(mesh, dofmap):
+    """The unit stiffness of every cell (kappa = 1, |det J| left out) in
+    its CSR pattern, kept on the dof map for the mesh."""
+    def build():
+        rule = volume_rule(mesh.dim, dofmap.m)
+        dlam = shape_bary_grads(mesh.dim, dofmap.m, rule.points)
+        g = np.einsum("qna,cad->cqnd", dlam, cell_geometry(mesh)[1])
+        units = np.einsum("q,cqnd,cqmd->cnm", rule.weights, g, g)
+        dofs = dofmap.cell_dofs
+        return _CsrPattern(units, dofs[:, :, None], dofs[:, None, :],
+                           (dofmap.n_dofs, dofmap.n_dofs))
+
+    return memoised(dofmap, "_stiffness", (mesh,), build)
 
 
 def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_matrix:
-    """Stiffness matrix for -div(kappa grad u); kappa scalar or per-cell array."""
+    """Stiffness matrix for -div(kappa grad u); kappa scalar or per-cell array.
+
+    The unit cell matrices and the CSR pattern are built on the first call
+    for a dof map; later calls only scale and sum them.
+    """
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (mesh.num_cells,))
     if np.any(kappa <= 0):
         raise NonpositiveCoefficient("kappa must be strictly positive")
-    rule = volume_rule(mesh.dim, dofmap.m)
-    dlam = shape_bary_grads(mesh.dim, dofmap.m, rule.points)
-    adet, bgrads = cell_geometry(mesh)
     # weights sum to the reference measure, so |detJ| is the whole Jacobian
-    g = np.einsum("qna,cad->cqnd", dlam, bgrads)
-    ke = (kappa * adet)[:, None, None] * np.einsum(
-        "q,cqnd,cqmd->cnm", rule.weights, g, g)
-    dofs = dofmap.cell_dofs
-    return _triplets_to_csr(ke, dofs[:, :, None], dofs[:, None, :],
-                            (dofmap.n_dofs, dofmap.n_dofs))
+    return _stiffness_pattern(mesh, dofmap).matrix(
+        kappa * cell_geometry(mesh)[0])
 
 
 def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
@@ -294,6 +344,13 @@ def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
     Facets must be boundary facets of the mesh, in any vertex order;
     anything else raises ForeignFacet.
     """
+    pattern, scale = _boundary_mass_pattern(mesh, dofmap, facets)
+    return pattern.matrix(weight * scale)
+
+
+def _boundary_mass_pattern(mesh, dofmap, facets):
+    """The reference facet mass on every facet in its CSR pattern, and each
+    facet's measure over the reference measure."""
     facets = np.asarray(facets, dtype=np.int64).reshape(-1, mesh.dim)
     keys = np.sort(facets, axis=1)
     nv = mesh.num_vertices
@@ -309,11 +366,11 @@ def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
     vals_at = shape_values(mesh.dim - 1, dofmap.m, rule.points)
     ref_measure = 1.0 if mesh.dim == 2 else 0.5
     ref_mass = np.einsum("q,qn,qm->nm", rule.weights, vals_at, vals_at)
-    scale = weight * (mesh.facet_measure(keys) / ref_measure)
     dofs = dofmap.facet_dofs(keys)
-    return _triplets_to_csr(scale[:, None, None] * ref_mass,
-                            dofs[:, :, None], dofs[:, None, :],
-                            (dofmap.n_dofs, dofmap.n_dofs))
+    units = np.broadcast_to(ref_mass, (len(keys),) + ref_mass.shape)
+    pattern = _CsrPattern(units, dofs[:, :, None], dofs[:, None, :],
+                          (dofmap.n_dofs, dofmap.n_dofs))
+    return pattern, mesh.facet_measure(keys) / ref_measure
 
 
 def _as_callable(f):
@@ -442,7 +499,9 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
 
     Constrained rows and columns are zeroed, the diagonal is set to 1 with
     the boundary value on the right-hand side, and the column contribution
-    is moved into b for the remaining rows.  Returns new (A, b).
+    is moved into b for the remaining rows (one product with A).  The
+    entries are masked on A's data; only a constrained dof without a
+    diagonal entry in A's pattern needs a sparse sum.  Returns new (A, b).
     """
     n = A.shape[0]
     dofs = np.asarray(dofs, dtype=np.int64)
@@ -450,14 +509,20 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
         raise IndexOutOfRange("dirichlet dof index outside [0, n)")
     mask = np.zeros(n, dtype=bool)
     mask[dofs] = True
-    indicator = mask.astype(float)
-    b_new = b - value * (A @ indicator)
+    A = sp.csr_matrix(A, dtype=float, copy=True)
+    A.sum_duplicates()
+    b_new = b - value * (A @ mask.astype(float))
     b_new[mask] = value
-    keep = sp.diags((~mask).astype(float), format="csr")
-    pin = sp.diags(mask.astype(float), format="csr")
-    A_new = (keep @ A @ keep + pin).tocsr()
-    A_new.eliminate_zeros()
-    return A_new, b_new
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    diagonal = rows == A.indices
+    A.data[mask[rows] | mask[A.indices]] = 0.0
+    A.data[diagonal & mask[rows]] = 1.0
+    bare = mask.copy()
+    bare[rows[diagonal]] = False
+    if bare.any():
+        A = (A + sp.diags(bare.astype(float), format="csr")).tocsr()
+    A.eliminate_zeros()
+    return A, b_new
 
 
 def dirichlet_dofs(mesh: StructuredMesh, dofmap: DofMap,

@@ -153,20 +153,28 @@ def dense_spectral_radius(K_plus, S, K_minus, D, theta=1.0, size_guard=2000):
     the interface, so the nonzero eigenvalues of M are those of the block
     M[J, J] (eig(AB) and eig(BA) agree away from zero; Horn & Johnson,
     Matrix Analysis, Thm 1.3.22).  size_guard bounds |J|.
+
+    K_plus and K_minus are the blocks, or LinearSolvers bound to them: a
+    direct solver's factorization is used for the block solves and kept
+    for later ones, such as the sweep's.
     """
     D = sp.csc_matrix(D)
     J = np.flatnonzero(np.diff(D.indptr))
     if J.size > size_guard:
         raise TooLarge(f"|J| = {J.size} exceeds dense guard {size_guard}")
-    try:
-        X = spla.splu(sp.csc_matrix(K_minus)).solve(D[:, J].toarray())
-        Y = spla.splu(sp.csc_matrix(K_plus)).solve(S @ X)
-    except RuntimeError as exc:
-        raise SingularMatrix(str(exc)) from exc
+    X = _direct(K_minus).solve(D[:, J].toarray())
+    Y = _direct(K_plus).solve(S @ X)
     lam = np.linalg.eigvals(Y[J])
-    if J.size < K_plus.shape[0]:
+    if J.size < S.shape[0]:
         lam = np.append(lam, 0.0)  # M has rank at most |J| < n
     return float(np.abs((1.0 - theta) + theta * lam).max())
+
+
+def _direct(K):
+    """K when it is a direct LinearSolver, else a direct one for its matrix."""
+    if isinstance(K, LinearSolver):
+        return K if K.config.kind() == "direct" else LinearSolver(K.A)
+    return LinearSolver(K)
 
 
 # ----------------------------------------------------------------------

@@ -197,6 +197,21 @@ def face_keys(ids, nv):
     return keys
 
 
+def memoised(owner, name, key, build):
+    """build(), kept on owner as attribute ``name`` and built again only
+    when asked for with another key, a tuple of objects compared by
+    identity.
+
+    What is kept depends only on read-only mesh and dof-map arrays, so it
+    lives on those objects, is built once per object and dies with it.
+    """
+    held = vars(owner).get(name)
+    if held is None or not all(a is b for a, b in zip(held[0], key)):
+        held = (key, build())
+        setattr(owner, name, held)
+    return held[1]
+
+
 def cell_geometry(mesh: SimplicialMesh):
     """|det J| and barycentric gradients of every cell, in one stacked pass.
 
@@ -205,16 +220,18 @@ def cell_geometry(mesh: SimplicialMesh):
     mesh arrays are read-only, so the result is computed once per mesh and
     returned read-only.
     """
-    if "_cell_geometry" not in vars(mesh):
-        pts = mesh.vertices[mesh.cells]
-        J = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
-        Jinv = np.linalg.inv(J)
-        grads = np.concatenate([-Jinv.sum(axis=1, keepdims=True), Jinv],
-                               axis=1)
-        mesh._cell_geometry = (np.abs(np.linalg.det(J)), grads)
-        for arr in mesh._cell_geometry:
-            arr.setflags(write=False)
-    return mesh._cell_geometry
+    return memoised(mesh, "_cell_geometry", (), lambda: _cell_geometry(mesh))
+
+
+def _cell_geometry(mesh):
+    pts = mesh.vertices[mesh.cells]
+    J = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
+    Jinv = np.linalg.inv(J)
+    grads = np.concatenate([-Jinv.sum(axis=1, keepdims=True), Jinv], axis=1)
+    out = (np.abs(np.linalg.det(J)), grads)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 class StructuredMesh(SimplicialMesh):
@@ -441,6 +458,12 @@ def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
     return PointLocation(cells, lam)
 
 
+# Points located per pass of _locate_candidates: each point holds 2^dim
+# blocks of candidate cells (48 in 3D) with a barycentric vector apiece, so
+# a pass over a fixed number of points bounds the temporaries at a few MB.
+_LOCATE_CHUNK = 1024
+
+
 def _locate_structured(mesh, pts):
     rel = pts - mesh.origin
     # written so that NaN coordinates count as outside
@@ -451,12 +474,21 @@ def _locate_structured(mesh, pts):
         raise OutOfDomain(f"point {tuple(bad)} lies outside the mesh box")
     # points within the box tolerance are snapped onto the closed box
     x = np.clip(pts, mesh.origin, mesh.origin + mesh.extents)
-    rel = x - mesh.origin
+    cells = np.empty(len(x), dtype=np.int64)
+    lam = np.empty((len(x), mesh.dim + 1))
+    for start in range(0, len(x), _LOCATE_CHUNK):
+        part = slice(start, start + _LOCATE_CHUNK)
+        cells[part], lam[part] = _locate_candidates(mesh, x[part])
+    return cells, lam
 
+
+def _locate_candidates(mesh, x):
+    """Cell and barycentric coordinates of points x (n, dim) on the closed
+    box: the lowest-index candidate cell that holds each point."""
     # Candidate grid blocks: the nominal one and its nearer neighbour on each
     # axis.  The far neighbour lies at least h/2 away, so it never holds the
     # point within the barycentric slack.
-    s = rel / mesh.h
+    s = (x - mesh.origin) / mesh.h
     i0 = np.floor(s)
     top = np.asarray(mesh.ncells_axis) - 1
     nominal = np.clip(i0, 0, top).astype(np.int64)
@@ -469,7 +501,7 @@ def _locate_structured(mesh, pts):
     strides = np.cumprod((1,) + mesh.ncells_axis[:-1])
     nshapes = mesh.cells_per_block()
     cells = ((ids @ strides)[:, :, None] * nshapes
-             + np.arange(nshapes)).reshape(len(pts), len(choice) * nshapes)
+             + np.arange(nshapes)).reshape(len(x), len(choice) * nshapes)
 
     inv = mesh._shape_inv[np.arange(cells.shape[1]) % nshapes]
     dx = x[:, None, :] - mesh.vertices[mesh.cells[cells, 0]]
@@ -478,7 +510,7 @@ def _locate_structured(mesh, pts):
         [1.0 - lam_rest.sum(axis=2, keepdims=True), lam_rest], axis=2)
     inside = (lam >= -_BARY_TOL).all(axis=2)
     first = inside.argmax(axis=1)
-    rows = np.arange(len(pts))
+    rows = np.arange(len(x))
     if not inside[rows, first].all():
         bad = x[np.argmin(inside[rows, first])]
         raise OutOfDomain(

@@ -19,14 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .coupling import ProblemData, build_coupled_operators, default_alpha
-from .dd_solver import DDConfig, run_fitted_reference, run_two_level_dd
+from .dd_solver import DDConfig, build_mesh_pair, run_two_level_dd
 from .errors import (Diverged, MaxItersExceeded, NonpositiveCoefficient,
                      PicardNoConvergence)
 from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
                   build_dofmap, dirichlet_dofs, evaluate_field, shape_values)
 from .linalg import LinearSolver, SolverConfig
-from .mesh import (FacetTag, GeometryConfig, build_fitted_mesh,
-                   build_global_mesh, build_local_mesh, strip_cells)
+from .mesh import FacetTag, GeometryConfig, build_fitted_mesh, strip_cells
 
 
 class MaterialCurve:
@@ -115,10 +114,7 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     dd = dd or DDConfig()
     problem = problem or ProblemData()
     t0 = time.perf_counter()
-    gmesh = build_global_mesh(geom, h_plus)
-    lmesh = build_local_mesh(geom, h_minus)
-    gdof = build_dofmap(gmesh, m)
-    ldof = build_dofmap(lmesh, m)
+    gmesh, gdof, lmesh, ldof = build_mesh_pair(geom, h_plus, h_minus, m)
     in_strip = strip_cells(gmesh, geom)
     # facet midpoints in the S assembler's facet order
     gamma = lmesh.facet_vertices[

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gldd.coupling import (ProblemData, assemble_flux_jump_S,
                            assemble_penalty_D, build_coupled_operators,
@@ -317,6 +319,84 @@ class TestPenaltyLimit:
         assert interface_trace_gap(ops, T_plus, T_minus) < 1e-10
         gap = interface_trace_gap(ops, T_plus, T_minus + 1.0)
         assert gap == pytest.approx(np.sqrt(ops.geom.L), rel=1e-12)
+
+
+OPERATOR_FIELDS = ("K_plus", "K_minus", "S", "D", "f_plus", "f_minus")
+
+
+def assert_same_operators(a, b):
+    """Bitwise equality of every block and load of two builds."""
+    for name in OPERATOR_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        if sp.issparse(x):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(x, part),
+                                              getattr(y, part), err_msg=name)
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+class TestGeometryReuse:
+    """Coupled operators built again on the same mesh objects reuse the
+    coefficient-free terms kept on them; the result is bitwise the build on
+    freshly constructed meshes."""
+
+    @staticmethod
+    def picard_build(geom, gm, gd, lm, ld, draw):
+        kp_cells, km_cells, weights, alpha, T = draw
+
+        def flux_scale(x):
+            return 0.5 / (1.0 + 1e-3 * evaluate_field(lm, ld, T, x))
+
+        # coarser 3D panels keep the scale's point location small
+        panel = 1e-4 if geom.dim == 2 else 1e-3
+        return build_coupled_operators(
+            geom, gm, gd, lm, ld, kappa_plus=0.5,
+            kappa_minus=float(np.mean(km_cells)), alpha=alpha,
+            problem=ProblemData(flux_panel=panel), kappa_plus_cells=kp_cells,
+            kappa_minus_cells=km_cells, jump_facet_weights=weights,
+            flux_scale=flux_scale)
+
+    @staticmethod
+    def draw(gm, lm, ld, rng):
+        nf = len(interface_facets(lm))
+        return (rng.uniform(0.1, 4.0, gm.num_cells),
+                rng.uniform(0.1, 4.0, lm.num_cells),
+                rng.uniform(-2.0, 2.0, nf), rng.uniform(0.0, 1e7),
+                rng.uniform(290.0, 400.0, ld.n_dofs))
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(dim=st.sampled_from([2, 3]), m=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_second_build_equals_fresh_build(self, dim, m, seed):
+        rng = np.random.default_rng(seed)
+        geom, gm, gd, lm, ld = make_pair(dim=dim, m=m)
+        first = self.draw(gm, lm, ld, rng)
+        second = self.draw(gm, lm, ld, rng)
+        self.picard_build(geom, gm, gd, lm, ld, first)
+        reused = self.picard_build(geom, gm, gd, lm, ld, second)
+        fresh = self.picard_build(*make_pair(dim=dim, m=m), second)
+        assert_same_operators(reused, fresh)
+
+    @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
+    def test_constant_coefficients_reuse(self, dim, m):
+        geom, gm, gd, lm, ld = make_pair(dim=dim, m=m)
+        for km in (0.5, 0.125):
+            reused = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, km)
+        fresh = build_coupled_operators(*make_pair(dim=dim, m=m), 1.0, 0.125)
+        assert_same_operators(reused, fresh)
+
+    def test_other_global_pair_rebuilds(self):
+        # the terms kept on the strip dof map belong to one box mesh pair;
+        # a build with another box mesh must not reuse them
+        geom, gm, gd, lm, ld = make_pair()
+        build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5)
+        gm2 = build_global_mesh(geom, 1 / 320)
+        gd2 = build_dofmap(gm2, 1)
+        ops = build_coupled_operators(geom, gm2, gd2, lm, ld, 1.0, 0.5)
+        want = build_coupled_operators(*make_pair(h_plus=1 / 320), 1.0, 0.5)
+        assert ops.S.shape == (gd2.n_dofs, ld.n_dofs)
+        assert_same_operators(ops, want)
 
 
 class TestDefaults:

@@ -16,6 +16,7 @@ from gldd.dd_solver import (DDConfig, DDReport, block_residual,
                             setup_case)
 from gldd.errors import Diverged, MaxItersExceeded
 from gldd.fem import evaluate_field
+from gldd.linalg import LinearSolver, SolverConfig
 from gldd.mesh import GeometryConfig
 
 GEOM = GeometryConfig()
@@ -83,6 +84,20 @@ def test_blocks_symmetric_with_positive_diagonal(kappa_minus, m, ratio):
     for K in (ops.K_plus, ops.K_minus):
         assert abs(K - K.T).max() <= 1e-14 * abs(K).max()
         assert K.diagonal().min() > 0
+
+
+def test_shared_solvers_count_own_inner_iterations():
+    # runs that share a solver pair report what each run spent, the same
+    # as a run on solvers of its own
+    ops = make_ops()
+    config = DDConfig(solver=SolverConfig(method="cg"))
+    alone = run_two_level_dd(ops, config)
+    solvers = (LinearSolver(ops.K_plus, config.solver),
+               LinearSolver(ops.K_minus, config.solver))
+    for _ in range(2):
+        shared = run_two_level_dd(ops, config, solvers=solvers)
+        assert shared.inner_iterations == alone.inner_iterations
+        np.testing.assert_array_equal(shared.T_plus, alone.T_plus)
 
 
 class TestFixedPoint:

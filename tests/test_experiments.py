@@ -3,12 +3,15 @@
 import csv
 import json
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import gldd.coupling as coupling
+import gldd.dd_solver as dd_solver
 import gldd.experiments as experiments
 from gldd.cli import build_parser, fraction, main
 from gldd.errors import InsufficientRatios
@@ -19,6 +22,7 @@ from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               sweep_mesh_ratio, theta_coefficient_ratio,
                               theta_parabola_minimizer)
 from gldd.linalg import fit_rho_law
+from gldd.mesh import GeometryConfig
 
 
 def slow_setup(monkeypatch, delay=0.05):
@@ -31,6 +35,38 @@ def slow_setup(monkeypatch, delay=0.05):
 
     monkeypatch.setattr(experiments, "setup_case", slow)
     return delay
+
+
+def count_factorizations(monkeypatch):
+    """Count sparse LU factorizations from here on."""
+    calls = []
+    real = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+def count_builds(monkeypatch):
+    """Count mesh builds and builds of coefficient-free operator terms."""
+    counts = {"global": 0, "local": 0, "interface": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dd_solver, "build_global_mesh",
+                        counting("global", dd_solver.build_global_mesh))
+    monkeypatch.setattr(dd_solver, "build_local_mesh",
+                        counting("local", dd_solver.build_local_mesh))
+    monkeypatch.setattr(coupling, "_Interface",
+                        counting("interface", coupling._Interface))
+    return counts
 
 
 def full_matrix_radius(ops):
@@ -89,6 +125,13 @@ class TestRunCase:
         delay = slow_setup(monkeypatch)
         rec, _ = run_case(ExperimentConfig())
         assert rec.time_s >= delay
+
+    def test_one_factorization_pair(self, monkeypatch):
+        # the radius uses the factorizations the sweep then reuses
+        calls = count_factorizations(monkeypatch)
+        rec, _ = run_case(ExperimentConfig())
+        assert rec.converged
+        assert len(calls) == 2
 
     def test_divergent_case_recorded(self):
         rec, _ = run_case(ExperimentConfig(kappa_minus=12.0))
@@ -156,6 +199,52 @@ class TestMeshRatioStudy:
         assert len(study.records) == 9
 
 
+    def test_records_match_fresh_setups(self):
+        cfg = ExperimentConfig(kappa_list=(0.5, 0.125, 0.03125),
+                               mesh_ratios=(2, 4, 8))
+        study = sweep_mesh_ratio(cfg)
+        for rec in study.records:
+            fresh, _ = run_case(cfg, kappa_minus=rec.kappa_ratio,
+                                h_minus=cfg.h_plus / rec.h_ratio)
+            assert rec.case_id == fresh.case_id
+            assert abs(rec.rho_measured - fresh.rho_measured) <= \
+                1e-12 * fresh.rho_measured
+            assert (rec.iterations, rec.converged) == \
+                (fresh.iterations, fresh.converged)
+
+    def test_one_build_per_mesh_pair(self, monkeypatch):
+        counts = count_builds(monkeypatch)
+        cfg = ExperimentConfig(kappa_list=(0.5, 0.25, 0.125),
+                               mesh_ratios=(2, 4, 8))
+        study = sweep_mesh_ratio(cfg)
+        assert len(study.records) == 9
+        assert counts == {"global": 3, "local": 3, "interface": 3}
+
+    def test_time_charged_to_first_record(self, monkeypatch):
+        # the shared mesh build is paid once, by the first coefficient
+        delay = 0.2
+        real = experiments.build_mesh_pair
+
+        def slow(*args, **kwargs):
+            time.sleep(delay)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_mesh_pair", slow)
+        records, _, _ = sweep_kappa(ExperimentConfig(
+            kappa_list=(0.5, 0.25, 0.125)))
+        assert records[0].time_s >= delay
+        assert all(r.time_s < delay for r in records[1:])
+
+
+class TestSetupCase:
+    def test_each_call_builds(self, monkeypatch):
+        counts = count_builds(monkeypatch)
+        for _ in range(2):
+            experiments.setup_case(GeometryConfig(), 1 / 160, 1 / 320, 1,
+                                   1.0, 0.5)
+        assert counts == {"global": 2, "local": 2, "interface": 2}
+
+
 class TestRelaxation:
     def test_presets(self):
         assert theta_parabola_minimizer(1.0, 3.0) == pytest.approx(0.2)
@@ -170,6 +259,19 @@ class TestRelaxation:
         fastest = min(study.records, key=lambda r: r.iterations)
         assert study.best_theta == fastest.theta
         assert set(study.presets) == {"parabola", "coefficient-ratio"}
+
+    def test_one_setup_and_factorization_pair(self, monkeypatch):
+        cfg = ExperimentConfig(kappa_minus=3.0, theta_list=(1.0, 0.7, 0.5))
+        want = [run_case(cfg, theta=t)[0] for t in cfg.theta_list]
+        counts = count_builds(monkeypatch)
+        calls = count_factorizations(monkeypatch)
+        study = relaxation_study(cfg)
+        assert counts == {"global": 1, "local": 1, "interface": 1}
+        assert len(calls) == 2
+        for rec, ref in zip(study.records, want):
+            # records agree apart from time_s; rho_predicted is NaN in both
+            np.testing.assert_equal(asdict(replace(rec, time_s=0.0)),
+                                    asdict(replace(ref, time_s=0.0)))
 
 
 class TestCompareMonolithic:

@@ -576,6 +576,27 @@ class TestDirichlet:
         x = np.linalg.solve(A2.toarray(), b2)
         assert x[0] == pytest.approx(5.0)
 
+    def test_matches_dense_elimination(self):
+        # a dense oracle of the symmetric elimination, on a matrix whose
+        # constrained dof 2 has no diagonal entry in the pattern
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((6, 6))
+        dense[2, 2] = 0.0
+        A = sp.csr_matrix(dense)
+        b = rng.standard_normal(6)
+        dofs = [0, 2, 5]
+        A2, b2 = apply_dirichlet(A, b, dofs, 7.0)
+        keep = np.ones(6)
+        keep[dofs] = 0.0
+        want = keep[:, None] * dense * keep[None, :] + np.diag(1.0 - keep)
+        want_b = np.where(keep > 0, b - 7.0 * dense @ (1.0 - keep), 7.0)
+        np.testing.assert_array_equal(A2.toarray(), want)
+        np.testing.assert_allclose(b2, want_b, rtol=1e-15)
+        assert (A2.data != 0.0).all()
+        np.testing.assert_array_equal(A.toarray(), dense)
+
     def test_solution_hits_value(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
         dof = build_dofmap(mesh, 1)

@@ -192,6 +192,23 @@ class TestDenseRadius:
         got = dense_spectral_radius(K_plus, S, K_minus, D, theta=theta)
         assert abs(got - want) <= 1e-10 * max(1.0, want)
 
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    def test_solver_blocks_match_matrices(self, method):
+        # LinearSolvers in place of the blocks give the same radius; a
+        # direct one keeps its factorization for later solves
+        rng = np.random.default_rng(17)
+        n, k = 7, 5
+        Bp, Bm = rng.standard_normal((n, n)), rng.standard_normal((k, k))
+        K_plus = sp.csr_matrix(Bp @ Bp.T + n * np.eye(n))
+        K_minus = sp.csr_matrix(Bm @ Bm.T + k * np.eye(k))
+        S = sp.csr_matrix(rng.standard_normal((n, k)))
+        D = sp.csr_matrix(rng.standard_normal((k, n)))
+        plus = LinearSolver(K_plus, SolverConfig(method=method))
+        minus = LinearSolver(K_minus, SolverConfig(method=method))
+        got = dense_spectral_radius(plus, S, minus, D, theta=0.6)
+        assert got == dense_spectral_radius(K_plus, S, K_minus, D, theta=0.6)
+        assert (plus._lu is not None) == (method == "direct")
+
     def test_size_guard(self):
         n = 12
         eye = sp.identity(n, format="csr")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gldd.mesh as mesh_module
 from gldd.errors import GlddError, NonDivisibleSpacing, OutOfDomain
 from gldd.mesh import (FacetTag, GeometryConfig, build_fitted_mesh,
                        build_global_mesh, build_local_mesh, cell_geometry,
@@ -255,6 +256,28 @@ class TestLocatePoint:
             np.testing.assert_allclose(lam, one.barycentric, rtol=0,
                                        atol=1e-15)
             np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-15)
+
+    def test_chunked_batch_bitwise_and_lowest_cell(self):
+        # more points than one location pass takes, many of them on grid
+        # lines and vertices, so shared facets are common
+        mesh = build_global_mesh(GEOM3, 1 / 160)
+        rng = np.random.default_rng(18)
+        probes = np.vstack([_location_probes(mesh, rng) for _ in range(5)])
+        # points on the cube diagonals, which all six tetrahedra share
+        corner = mesh.vertices[rng.integers(0, mesh.num_vertices, 300)]
+        diagonal = np.minimum(corner + rng.random((300, 1)) * mesh.h,
+                              mesh.origin + mesh.extents)
+        pts = rng.permutation(np.vstack([probes, diagonal]))
+        assert len(pts) > mesh_module._LOCATE_CHUNK
+        batch = locate_point(mesh, pts)
+        for start in range(0, len(pts), 97):
+            part = locate_point(mesh, pts[start:start + 97])
+            np.testing.assert_array_equal(part.cell,
+                                          batch.cell[start:start + 97])
+            np.testing.assert_array_equal(part.barycentric,
+                                          batch.barycentric[start:start + 97])
+        for p, cell in zip(pts[::7], batch.cell[::7]):
+            assert cell == _reference_locate(mesh, p)[0]
 
     def test_batch_on_graded_mesh_scans(self):
         mesh = build_fitted_mesh(GEOM, 1 / 160, 1 / 640, "graded")

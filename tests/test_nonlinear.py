@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import gldd.coupling as coupling
+import gldd.dd_solver as dd_solver
 from gldd.dd_solver import DDConfig, run_two_level_dd, setup_case
 from gldd.errors import NonpositiveCoefficient, PicardNoConvergence
 from gldd.fem import build_dofmap
@@ -103,6 +105,27 @@ class TestPicardTwoLevel:
         Tl = cell_midpoint_values(rep.local_mesh, rep.local_dofmap,
                                   rep.T_minus)
         assert rep.kappa_B_mean == pytest.approx(float(np.mean(CURVE_B(Tl))))
+
+    def test_one_geometry_build_per_run(self, monkeypatch):
+        # every outer step rebuilds the operators on the same meshes, which
+        # keep the coefficient-free terms of the first step
+        counts = {"mesh": 0, "interface": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dd_solver, "build_global_mesh",
+                            counting("mesh", dd_solver.build_global_mesh))
+        monkeypatch.setattr(coupling, "_Interface",
+                            counting("interface", coupling._Interface))
+        nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-8)
+        rep = picard_two_level(GEOM, 1 / 160, 1 / 320, 1,
+                               MaterialCurve.constant(1.0), CURVE_B, nl)
+        assert rep.picard_iterations > 2
+        assert counts == {"mesh": 1, "interface": 1}
 
     def test_damping_reaches_same_fixed_point(self):
         nl_full = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-10)
