@@ -20,7 +20,8 @@ point and the gamma mass pattern.  A new set of coefficients on the same
 objects (another strip conductivity, a Picard step with per-cell
 conductivities, per-facet jump weights and a new penalty) then costs one
 weighted bincount per block, the Dirichlet masks on the matrix data, the
-load vectors and, in the solver, one factorization per block.
+box load and, in the solver, one factorization per block; the strip load
+is kept too.
 """
 
 from __future__ import annotations
@@ -262,7 +263,12 @@ def build_coupled_operators(geom: GeometryConfig,
     cleared so the identity rows stay exact.
 
     The per-cell/per-facet overrides exist for the nonlinear driver; the
-    plain scalar arguments cover the piecewise-constant case.
+    plain scalar arguments cover the piecewise-constant case.  flux_scale,
+    which replaces kappa_plus/kappa_minus on the top flux, is called once
+    per flux call of the box load, only on the points where the flux is
+    nonzero.  The strip load before its Dirichlet rows depends on no
+    coefficient and is kept on the strip dof map for the same geometry and
+    problem data (f, q and flux_panel, compared by identity).
     """
     problem = problem or ProblemData()
     if kappa_plus <= 0 or (np.ndim(kappa_minus) == 0 and kappa_minus <= 0):
@@ -287,40 +293,49 @@ def build_coupled_operators(geom: GeometryConfig,
 
     q = problem.flux(geom)
     strip_floor = geom.H - geom.H_minus
+    ratio = kappa_plus / kappa_minus
 
-    if flux_scale is None:
-        ratio = kappa_plus / kappa_minus
-
-        def scale(x):
-            return np.full(np.asarray(x).shape[:-1], ratio)
-    else:
-        scale = flux_scale
-
-    def _scaled(base, x):
-        # Evaluate the scale only where the mask holds: callable scales may
-        # be undefined outside the strip footprint (e.g. local-field lookups).
+    def f_tilde(x):
+        # Evaluate the scale only inside the strip footprint: callable
+        # scales may be undefined outside it (e.g. local-field lookups).
         x = np.asarray(x)
         inside = x[..., -1] >= strip_floor - 1e-12
-        out = np.broadcast_to(np.asarray(base, dtype=float),
+        out = np.broadcast_to(np.asarray(_call(problem.f, x), dtype=float),
                               inside.shape).copy()
         if np.any(inside):
-            out[inside] *= scale(x[inside])
+            out[inside] *= ratio if flux_scale is None else \
+                flux_scale(x[inside])
         return out
 
     def q_tilde(x):
-        return _scaled(_call(q, x), x)
+        # the top facets lie on the strip's top, inside its footprint
+        out = np.broadcast_to(np.asarray(_call(q, x), dtype=float),
+                              x.shape[:-1])
+        if flux_scale is None:
+            return out * ratio
+        out = out.copy()
+        hot = out != 0.0
+        # a zero flux stays zero under any finite scale
+        if np.any(hot):
+            out[hot] *= flux_scale(x[hot])
+        return out
 
-    # scaling keeps a zero flux zero, so q_tilde has the support of q
     q_tilde.support = getattr(q, "support", None)
-
-    def f_tilde(x):
-        return _scaled(_call(problem.f, x), x)
 
     f_plus = assemble_load(global_mesh, global_dofmap,
                            f_tilde if _nonzero(problem.f) else 0.0, q_tilde,
                            q_panel=problem.flux_panel)
-    f_minus = assemble_load(local_mesh, local_dofmap, problem.f, q,
-                            q_panel=problem.flux_panel)
+
+    def strip_load():
+        b = assemble_load(local_mesh, local_dofmap, problem.f, q,
+                          q_panel=problem.flux_panel)
+        b.setflags(write=False)
+        return b
+
+    f_minus = memoised(
+        local_dofmap, "_strip_load",
+        (local_mesh, geom, problem.f, problem.q, problem.flux_panel),
+        strip_load)
 
     gdir = dirichlet_dofs(global_mesh, global_dofmap)
     ldir = dirichlet_dofs(local_mesh, local_dofmap)

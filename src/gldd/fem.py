@@ -3,10 +3,11 @@
 Cell terms are computed for all cells at once from the stacked geometry
 of ``mesh.cell_geometry`` (one einsum for the stiffness, one source call on
 every quadrature point for the load), and facet terms for all facets at
-once, except the top-flux quadrature, which calls the flux facet by facet
-and only on the top facets within the flux's ``support`` when it has one
-(the laser flux of ``coupling.ProblemData`` does; a user callable without
-one is called on every top facet).
+once.  The top-flux quadrature calls the flux once per chunk of whole
+facets of at most ``_FLUX_CHUNK`` points, and only on the top facets within
+the flux's ``support`` when it has one (the laser flux of
+``coupling.ProblemData`` does; a user callable without one is called on
+every top facet).
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
@@ -413,6 +414,12 @@ def _composite_facet_rule(dim, m, splits):
                           base.degree)
 
 
+# points per top-flux call: one finest 3D box facet (2**14 pieces of the
+# 6-point rule), so a call's arrays stay a few MB, while every top facet of
+# a 2D mesh fits in one call
+_FLUX_CHUNK = 98_304
+
+
 def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
                   q_panel=None) -> np.ndarray:
     """Load vector: volume source f plus surface flux q on the top facets.
@@ -421,12 +428,16 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
     ----------
     f : volume density, callable of coordinates (..., dim) or constant
     q : flux density on NEUMANN_TOP facets, callable or constant; None skips
-        the boundary term.  A callable may carry ``q.support = (centre,
-        radius)``, promising q(x) == 0.0 exactly wherever the wall
-        coordinates x[..., :-1] lie farther than radius from centre in the
-        max norm; the flux is then integrated only on the top facets whose
-        bounding box comes that close (``ProblemData.flux`` sets it for the
-        laser).  Any other q is integrated on every top facet.
+        the boundary term.  A callable is called once per chunk of facets
+        with the same rule, on points of shape (nc, nq, dim), and returns
+        values (nc, nq); a chunk holds whole facets and at most
+        ``_FLUX_CHUNK`` points unless one facet alone holds more.  It may
+        carry ``q.support = (centre, radius)``, promising q(x) == 0.0
+        exactly wherever the wall coordinates x[..., :-1] lie farther than
+        radius from centre in the max norm; the flux is then integrated
+        only on the top facets whose bounding box comes that close
+        (``ProblemData.flux`` sets it for the laser).  Any other q is
+        integrated on every top facet.
     q_panel : target quadrature panel size for the flux term; facets wider
         than this are subdivided until each panel is at most q_panel across
     """
@@ -459,18 +470,19 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
             diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max(axis=1)
             wide = diam > q_panel
             splits[wide] = np.minimum(8, np.ceil(np.log2(diam[wide] / q_panel)))
-        rules = {}
+        b_loc = np.empty(dofs.shape)
         for s in np.unique(splits).tolist():
             rule = _composite_facet_rule(mesh.dim, dofmap.m, s)
-            rules[s] = (rule, shape_values(mesh.dim - 1, dofmap.m, rule.points))
-        b_loc = np.empty(dofs.shape)
-        # one flux call per facet: a finely split 3D facet holds ~5e4 points,
-        # and all top facets at once would hold millions
-        for k, s in enumerate(splits.tolist()):
-            rule, fvals = rules[s]
-            qq = np.asarray(qfun(rule.points @ pts[k]), dtype=float)
-            b_loc[k] = scale[k] * np.einsum("q,q,qn->n", rule.weights, qq,
-                                            fvals)
+            fvals = shape_values(mesh.dim - 1, dofmap.m, rule.points)
+            same = np.flatnonzero(splits == s)
+            per = max(1, _FLUX_CHUNK // len(rule.weights))
+            for start in range(0, len(same), per):
+                k = same[start:start + per]
+                qq = np.asarray(qfun(rule.points @ pts[k]), dtype=float)
+                # a stacked matmul is one vector-matrix product per facet,
+                # so a facet's sum does not depend on the facets beside it
+                b_loc[k] = scale[k, None] * (
+                    (qq * rule.weights)[:, None, :] @ fvals)[:, 0]
         np.add.at(b, dofs, b_loc)
     return b
 
@@ -479,19 +491,27 @@ def laser_flux(x, dim, L=1.0 / 40.0):
     """Surface heat flux concentrated at the middle of the top wall.
 
     2D: 4e4 * exp(-(L/2 - x)^4 / 1e-12); 3D adds the same quartic in y.
-    Accepts a single point or an array of points (..., dim).  The value is
-    exactly 0.0 wherever max(|L/2 - x|, |L/2 - y|) > LASER_CUTOFF.
+    Accepts a single point or an array of points (..., dim).  Where that
+    exponential would fall below the smallest normal double the value is
+    exactly 0.0, so it is 0.0 or at least 4e4 * DBL_MIN, and exactly 0.0
+    wherever max(|L/2 - x|, |L/2 - y|) > LASER_CUTOFF.
     """
     x = np.asarray(x, dtype=float)
     expo = np.square(np.square(L / 2.0 - x[..., 0]))
     if dim == 3:
         expo = expo + np.square(np.square(L / 2.0 - x[..., 1]))
-    return 0.4e5 * np.exp(-expo / 1e-12)
+    a = expo / 1e-12
+    # a subnormal exp costs about a hundred normal ones
+    out = np.zeros(a.shape)
+    np.exp(-a, out=out, where=a < _EXP_NORMAL)
+    return 0.4e5 * out
 
 
-# exp(-a) rounds to 0.0 in float64 for a > 1075 ln 2; one ln 2 more covers
-# the rounding of the quartic and of exp itself
-LASER_CUTOFF = (1076 * np.log(2.0) * 1e-12) ** 0.25
+# exp(-a) is a normal double for a < -ln DBL_MIN = 1022 ln 2
+_EXP_NORMAL = 1022 * np.log(2.0)
+# past 1022 ln 2 laser_flux is 0.0; one ln 2 more covers the rounding of
+# the quartic and of the division
+LASER_CUTOFF = (1023 * np.log(2.0) * 1e-12) ** 0.25
 
 
 def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):

@@ -175,6 +175,36 @@ class TestSweepKappa:
         assert len(records) == 2
         assert any("fit skipped" in w for w in warnings)
 
+    def test_strip_load_built_once(self, monkeypatch):
+        # the strip load depends on no coefficient, so the eight builds on
+        # one mesh pair integrate the strip's flux once and the box's eight
+        # times (every 2D top facet fits in one flux call)
+        pairs, loading, calls = [], [], []
+        real_pair, real_load = experiments.build_mesh_pair, \
+            coupling.assemble_load
+
+        def pair(*args):
+            pairs.append(real_pair(*args))
+            return pairs[-1]
+
+        def load(mesh, *args, **kwargs):
+            loading.append(mesh)
+            return real_load(mesh, *args, **kwargs)
+
+        def q(x):
+            calls.append(loading[-1])
+            return np.full(x.shape[:-1], 1e3)
+
+        monkeypatch.setattr(experiments, "build_mesh_pair", pair)
+        monkeypatch.setattr(coupling, "assemble_load", load)
+        monkeypatch.setattr(ExperimentConfig, "problem",
+                            lambda cfg: coupling.ProblemData(T_D=cfg.T_0, q=q))
+        records, _, _ = sweep_kappa(ExperimentConfig())
+        assert len(records) == 8
+        gmesh, _, lmesh, _ = pairs[0]
+        assert sum(mesh is lmesh for mesh in calls) == 1
+        assert sum(mesh is gmesh for mesh in calls) == 8
+
 
 class TestMeshRatioStudy:
     def test_slope_helper_exact(self):

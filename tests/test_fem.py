@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from gldd import fem
 from gldd.coupling import ProblemData
 from gldd.errors import (ForeignFacet, NonpositiveCoefficient,
                          UnsupportedDegree)
@@ -545,10 +546,12 @@ def test_flux_called_once_per_facet_in_support(geom):
     assert 0 < len(want) < len(top)
 
     def called_facets(support):
-        calls = []
+        # one row of points (nq, dim) per facet in each call
+        rows = []
 
         def q(x):
-            calls.append(x.mean(axis=0))
+            assert x.ndim == 3
+            rows.extend(x.mean(axis=1))
             return np.ones(x.shape[:-1])
 
         if support:
@@ -556,12 +559,60 @@ def test_flux_called_once_per_facet_in_support(geom):
         assemble_load(mesh, dof, q=q, q_panel=1e-3)
         # the composite rule is symmetric, so its points average to the
         # centroid of their facet
-        dist = np.abs(np.asarray(calls)[:, None] - centroids).max(axis=2)
+        dist = np.abs(np.asarray(rows)[:, None] - centroids).max(axis=2)
         assert np.all(dist.min(axis=1) < 1e-12)
-        return dist.argmin(axis=1)
+        # sorted, so a facet whose points arrived twice would show up twice
+        return np.sort(dist.argmin(axis=1))
 
     np.testing.assert_array_equal(called_facets(True), want)
     np.testing.assert_array_equal(called_facets(False), np.arange(len(top)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", list(FLUX_MESHES))
+@pytest.mark.parametrize("chunk", [1, 2 ** 30], ids=["facet", "all"])
+def test_flux_chunking_leaves_load_bitwise_equal(name, m, chunk, monkeypatch):
+    # one facet per flux call, or every facet of a rule in one call
+    geom, mesh = FLUX_MESHES[name]()
+    dof = build_dofmap(mesh, m)
+    problem = ProblemData()
+    calls = []
+
+    def q(x):
+        calls.append(x.shape[0])
+        return laser_flux(x, geom.dim, geom.L)
+
+    q.support = problem.flux(geom).support
+
+    def load():
+        calls.clear()
+        return assemble_load(mesh, dof, q=q, q_panel=problem.flux_panel)
+
+    default = load()
+    n_default = len(calls)
+    monkeypatch.setattr(fem, "_FLUX_CHUNK", chunk)
+    np.testing.assert_array_equal(load(), default)
+    if chunk == 1:
+        assert max(calls) == 1 and len(calls) >= n_default
+    else:
+        assert len(calls) <= n_default
+    assert np.count_nonzero(default) > 0
+
+
+def test_laser_flux_never_subnormal():
+    # dense distances from the centre, the band just inside the cut-off
+    # included, where the exponential passes below the smallest normal
+    c, r = GEOM.L / 2, LASER_CUTOFF
+    d = np.concatenate([np.linspace(0.0, 2.0 * r, 200_001),
+                        np.linspace(0.99 * r, r, 200_001)])
+    tiny = np.finfo(float).tiny
+    for dim, wall in [(2, [c + d]), (3, [c + d, np.full_like(d, c)]),
+                      (3, [c + d, c - d])]:
+        x = np.column_stack(wall + [np.full_like(d, GEOM.H)])
+        vals = laser_flux(x, dim, GEOM.L)
+        assert np.all((vals == 0.0) | (vals >= 0.4e5 * tiny))
+        # both sides of the subnormal threshold are reached
+        assert np.any(vals == 0.0) and np.any((vals > 0.0) & (vals < 1e-290))
 
 
 class TestDirichlet:
