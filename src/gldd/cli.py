@@ -18,8 +18,8 @@ from .dd_solver import (export_solution_csv, make_iteration_operator,
                         run_two_level_dd, setup_case)
 from .errors import Diverged, GlddError, MaxItersExceeded, NoConvergence
 from .experiments import (ExperimentConfig, compare_monolithic, emit_reports,
-                          predict_divergence_threshold, relaxation_study,
-                          run_case, sweep_kappa, sweep_mesh_ratio)
+                          relaxation_study, run_case, sweep_kappa,
+                          sweep_mesh_ratio)
 from .fem import export_matrix
 from .linalg import power_iteration_rho
 from .nonlinear import (MaterialCurve, NonlinearConfig, picard_two_level,
@@ -148,7 +148,7 @@ def _cmd_sweep_kappa(args) -> int:
         fits["kappa-sweep"] = fit
         print(f"C={fit.C_tilde:.4f} (linear fit r2={fit.r2_linear:.5f}); "
               f"predicted divergence beyond ratio "
-              f"{predict_divergence_threshold(fit):.3f}")
+              f"{fit.divergence_threshold():.3f}")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     emit_reports(records, fits, cfg.outdir, config=cfg, warnings=warnings)

@@ -14,9 +14,11 @@ flux-jump integral, D stores -alpha times the cross mass matrix.
 What does not depend on the coefficients is built once per mesh pair and
 kept on the mesh and dof-map objects: the unit cell matrices and CSR
 patterns of both stiffness blocks (on each dof map), and the interface
-terms (on the strip dof map), which are the gamma quadrature, the box and
-strip basis at every gamma point located once, the unit S and D terms per
-point and the gamma mass pattern.  A new set of coefficients on the same
+terms (on the strip dof map), which are the gamma quadrature, the box
+basis at every gamma point (the only points located, in one call), the
+strip basis there (known from the strip's facet rule, so not located), the
+unit S and D terms per point and the gamma mass pattern.  The trace gap
+reads the same two bases.  A new set of coefficients on the same
 objects (another strip conductivity, a Picard step with per-cell
 conductivities, per-facet jump weights and a new penalty) then costs one
 weighted bincount per block, the Dirichlet masks on the matrix data, the
@@ -34,13 +36,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from .fem import (LASER_CUTOFF, DofMap, _basis_at_points,
+from .fem import (LASER_CUTOFF, DofMap, _as_callable, _basis_at_points,
                   _boundary_mass_pattern, _CsrPattern, apply_dirichlet,
                   assemble_load, assemble_stiffness, dirichlet_dofs,
-                  evaluate_field, facet_rule, laser_flux, shape_bary_grads,
-                  shape_values)
+                  facet_rule, laser_flux, shape_bary_grads, shape_values)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
-                   locate_point, memoised)
+                   memoised)
 
 
 def default_alpha(kappa_minus, h_minus):
@@ -92,9 +93,6 @@ class CoupledOperators:
     local_mesh: Optional[StructuredMesh] = None
     global_dofmap: Optional[DofMap] = None
     local_dofmap: Optional[DofMap] = None
-    kappa_plus: float = 1.0
-    kappa_minus: float = 1.0
-    alpha: float = 0.0
     T_D: float = 0.0
     global_dirichlet: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
     local_dirichlet: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
@@ -112,60 +110,66 @@ class CoupledOperators:
 # cross-mesh assembly
 # ----------------------------------------------------------------------
 
-def _interface_quadrature(local_mesh, m):
-    """Quadrature points/weights/normals on all coupling facets at once.
-
-    Returns (facets (nf, dim), normals (nf, dim), xq (nf, nq, dim),
-    wq (nf, nq)), facets in interface_facets order and wq scaled to
-    physical measure.
-    """
-    rule = facet_rule(local_mesh.dim, m)
-    ref_measure = 1.0 if local_mesh.dim == 2 else 0.5
-    gamma = local_mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
-    if not gamma.any():
-        raise OrphanInterfaceFacet("mesh has no interface facets")
-    facets = local_mesh.facet_vertices[gamma]
-    normals = local_mesh.facet_normal(facets, local_mesh.facet_cells[gamma])
-    xq = rule.points @ local_mesh.vertices[facets]
-    wq = rule.weights * (local_mesh.facet_measure(facets) / ref_measure)[:, None]
-    return facets, normals, xq, wq
-
-
 class _Interface:
     """The coefficient-free cross-mesh terms of a mesh pair.
 
-    Holds the gamma quadrature weights wq (nf, nq), the unit S and D
-    patterns with one owner per quadrature point, and the strip's gamma
-    mass pattern with its facet scales.  The box basis is located once for
-    both S and D.
+    Every gamma point is a facet-rule point, rule.points @ vertices[facet],
+    of a strip facet on gamma, so its strip barycentrics are known (see
+    _owner_barycentrics) and only the box basis is located, in one call.
+    Holds the gamma quadrature weights wq (nf, nq), the strip trace basis
+    (facet dofs ldofs (nf, n) and values lvals (nq, n), the same on every
+    facet), the box basis at the nf * nq points (gdofs, gvals), the unit S
+    and D patterns with one owner per point, and the strip's gamma mass
+    pattern with its facet scales.
     """
 
     def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap):
-        facets, normals, xq, self.wq = _interface_quadrature(
-            local_mesh, max(local_dofmap.m, global_dofmap.m))
-        dim, nq = local_mesh.dim, xq.shape[1]
-        pts = xq.reshape(-1, dim)
-        gdofs, gvals = _basis_at_points(global_mesh, global_dofmap, pts)
-        # S: normal derivative of the strip basis in the cell holding each
-        # point, i.e. the cell owning its facet
-        lcells, lam = locate_point(local_mesh, pts)
-        bgrads = cell_geometry(local_mesh)[1][lcells]
-        dlam = shape_bary_grads(dim, local_dofmap.m, lam)
-        grads = np.einsum("pna,pad->pnd", dlam, bgrads)
+        dim = local_mesh.dim
+        rule = facet_rule(dim, max(local_dofmap.m, global_dofmap.m))
+        nq = len(rule.weights)
+        gamma = local_mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
+        if not gamma.any():
+            raise OrphanInterfaceFacet("mesh has no interface facets")
+        facets = local_mesh.facet_vertices[gamma]
+        owners = local_mesh.facet_cells[gamma]
+        ref_measure = 1.0 if dim == 2 else 0.5
+        self.wq = rule.weights * (local_mesh.facet_measure(facets)
+                                  / ref_measure)[:, None]
+        xq = rule.points @ local_mesh.vertices[facets]
+        self.gdofs, self.gvals = gdofs, gvals = _basis_at_points(
+            global_mesh, global_dofmap, xq.reshape(-1, dim))
+        # S: normal derivative of the strip basis in each facet's owner cell
+        lam = _owner_barycentrics(local_mesh, facets, owners,
+                                  rule.points).reshape(-1, dim + 1)
+        cells = np.repeat(owners, nq)
+        grads = np.einsum("pna,pad->pnd",
+                          shape_bary_grads(dim, local_dofmap.m, lam),
+                          cell_geometry(local_mesh)[1][cells])
+        normals = local_mesh.facet_normal(facets, owners)
         dn = np.einsum("pnd,pd->pn", grads, np.repeat(normals, nq, axis=0))
         self.S = _CsrPattern(gvals[:, :, None] * dn[:, None, :],
                              gdofs[:, :, None],
-                             local_dofmap.cell_dofs[lcells][:, None, :],
+                             local_dofmap.cell_dofs[cells][:, None, :],
                              (global_dofmap.n_dofs, local_dofmap.n_dofs))
         # D: the strip trace basis on each facet times the box basis
-        mu = _facet_param(local_mesh, facets, xq)
-        lvals = shape_values(dim - 1, local_dofmap.m, mu.reshape(-1, dim))
-        ldofs = np.repeat(local_dofmap.facet_dofs(facets), nq, axis=0)
+        self.ldofs = local_dofmap.facet_dofs(facets)
+        self.lvals = shape_values(dim - 1, local_dofmap.m, rule.points)
+        lvals = np.tile(self.lvals, (len(facets), 1))
         self.D = _CsrPattern(lvals[:, :, None] * gvals[:, None, :],
-                             ldofs[:, :, None], gdofs[:, None, :],
+                             np.repeat(self.ldofs, nq, axis=0)[:, :, None],
+                             gdofs[:, None, :],
                              (local_dofmap.n_dofs, global_dofmap.n_dofs))
         self.gamma_mass, self.gamma_scale = _boundary_mass_pattern(
             local_mesh, local_dofmap, facets)
+
+
+def _owner_barycentrics(mesh, facets, owners, points):
+    """Barycentrics (nf, nq, dim+1), in the owner cells (nf,) of boundary
+    facets (nf, dim), of the facet points with facet barycentrics points
+    (nq, dim): each column of points moves to its vertex's slot in the
+    owner, and the owner's vertex off the facet gets 0."""
+    at_vertex = mesh.cells[owners][:, None, :] == facets[:, :, None]
+    return points @ at_vertex
 
 
 def _interface(global_mesh, local_mesh, global_dofmap, local_dofmap):
@@ -181,8 +185,8 @@ def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
     """Matrix of sum_e int_e (kappa_plus - kappa_minus) (grad phi_loc . n) phi_glob.
 
     Rows are box dofs, columns strip dofs.  The normal gradient is taken
-    from the strip cell holding each quadrature point, i.e. the cell owning
-    its facet; the normal points out of the strip.  facet_weights overrides
+    in the strip cell owning each quadrature point's facet; the normal
+    points out of the strip.  facet_weights overrides
     the constant jump weight per facet (used by the nonlinear driver).
     The unit term of every quadrature point is built on the first call for
     a mesh pair; later calls only weight and sum them.
@@ -208,24 +212,6 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
     D = terms.D.matrix((-alpha * terms.wq).ravel())
     D.eliminate_zeros()
     return D
-
-
-def _facet_param(mesh, facets, xq):
-    """Barycentric coordinates (nf, nq, dim) of points xq (nf, nq, dim) on
-    boundary facets (nf, dim), from the Gram system of the facet edges."""
-    pts = mesh.vertices[facets]
-    e = pts[:, 1:] - pts[:, :1]
-    rel = xq - pts[:, :1]
-    # a matrix-vector product per edge: one stacked matrix product rounds
-    # differently and moves D in the last bit
-    rhs = np.concatenate([rel @ e[:, i, :, None] for i in range(mesh.dim - 1)],
-                         axis=2)
-    gram = e @ np.swapaxes(e, 1, 2)
-    if mesh.dim == 2:
-        s = rhs / gram
-    else:
-        s = np.swapaxes(np.linalg.solve(gram, np.swapaxes(rhs, 1, 2)), 1, 2)
-    return np.concatenate([1.0 - s.sum(axis=2, keepdims=True), s], axis=2)
 
 
 def _zero_rows(A, rows):
@@ -271,7 +257,10 @@ def build_coupled_operators(geom: GeometryConfig,
     problem data (f, q and flux_panel, compared by identity).
     """
     problem = problem or ProblemData()
-    if kappa_plus <= 0 or (np.ndim(kappa_minus) == 0 and kappa_minus <= 0):
+    if np.ndim(kappa_minus) != 0:
+        raise ValueError("kappa_minus must be a scalar; per-cell strip "
+                         "values go through kappa_minus_cells")
+    if kappa_plus <= 0 or kappa_minus <= 0:
         raise NonpositiveCoefficient("conductivities must be positive")
     if alpha is None:
         alpha = default_alpha(kappa_minus, local_mesh.h)
@@ -292,6 +281,7 @@ def build_coupled_operators(geom: GeometryConfig,
                + terms.gamma_mass.matrix(alpha * terms.gamma_scale)).tocsr()
 
     q = problem.flux(geom)
+    f, qfun = _as_callable(problem.f), _as_callable(q)
     strip_floor = geom.H - geom.H_minus
     ratio = kappa_plus / kappa_minus
 
@@ -300,7 +290,7 @@ def build_coupled_operators(geom: GeometryConfig,
         # scales may be undefined outside it (e.g. local-field lookups).
         x = np.asarray(x)
         inside = x[..., -1] >= strip_floor - 1e-12
-        out = np.broadcast_to(np.asarray(_call(problem.f, x), dtype=float),
+        out = np.broadcast_to(np.asarray(f(x), dtype=float),
                               inside.shape).copy()
         if np.any(inside):
             out[inside] *= ratio if flux_scale is None else \
@@ -309,7 +299,7 @@ def build_coupled_operators(geom: GeometryConfig,
 
     def q_tilde(x):
         # the top facets lie on the strip's top, inside its footprint
-        out = np.broadcast_to(np.asarray(_call(q, x), dtype=float),
+        out = np.broadcast_to(np.asarray(qfun(x), dtype=float),
                               x.shape[:-1])
         if flux_scale is None:
             return out * ratio
@@ -322,8 +312,9 @@ def build_coupled_operators(geom: GeometryConfig,
 
     q_tilde.support = getattr(q, "support", None)
 
+    volume = callable(problem.f) or float(problem.f) != 0.0
     f_plus = assemble_load(global_mesh, global_dofmap,
-                           f_tilde if _nonzero(problem.f) else 0.0, q_tilde,
+                           f_tilde if volume else 0.0, q_tilde,
                            q_panel=problem.flux_panel)
 
     def strip_load():
@@ -349,27 +340,16 @@ def build_coupled_operators(geom: GeometryConfig,
         f_plus=f_plus, f_minus=f_minus,
         geom=geom, global_mesh=global_mesh, local_mesh=local_mesh,
         global_dofmap=global_dofmap, local_dofmap=local_dofmap,
-        kappa_plus=float(kappa_plus),
-        kappa_minus=float(np.mean(kappa_minus)),
-        alpha=float(alpha), T_D=problem.T_D,
+        T_D=problem.T_D,
         global_dirichlet=gdir, local_dirichlet=ldir)
-
-
-def _call(f, x):
-    if callable(f):
-        return f(x)
-    return np.full(np.asarray(x).shape[:-1], float(f))
-
-
-def _nonzero(f):
-    return callable(f) or float(f) != 0.0
 
 
 def interface_trace_gap(ops: CoupledOperators, T_plus, T_minus):
     """L2 norm over gamma of the mismatch between the strip trace and the
-    box trace; shrinks like 1/alpha."""
-    _facets, _normals, xq, wq = _interface_quadrature(
-        ops.local_mesh, ops.local_dofmap.m)
-    tm = evaluate_field(ops.local_mesh, ops.local_dofmap, T_minus, xq)
-    tp = evaluate_field(ops.global_mesh, ops.global_dofmap, T_plus, xq)
-    return np.sqrt(float(np.sum(wq * (tm - tp) ** 2)))
+    box trace; shrinks like 1/alpha.  Both traces come from the bases the
+    interface terms keep at the gamma points, so nothing is located."""
+    terms = _interface(ops.global_mesh, ops.local_mesh, ops.global_dofmap,
+                       ops.local_dofmap)
+    tm = (T_minus[terms.ldofs] @ terms.lvals.T).ravel()
+    tp = (terms.gvals * T_plus[terms.gdofs]).sum(axis=1)
+    return np.sqrt(float(np.sum(terms.wq.ravel() * (tm - tp) ** 2)))

@@ -44,6 +44,11 @@ class DDConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     store_iterates: bool = False
 
+    def __post_init__(self):
+        # at theta = 0 every step is zero, which reads as convergence
+        if not self.theta > 0:
+            raise ValueError(f"theta must be positive, got {self.theta}")
+
 
 @dataclass
 class DDReport:
@@ -128,8 +133,9 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     which keeps growing geometrically when the radius exceeds one while
     the normalized quantity saturates; Diverged is raised when the step
     exceeds divergence_guard times its first value (or stops being
-    finite), MaxItersExceeded when the sweep budget runs out.  Both carry
-    the partial report.
+    finite), MaxItersExceeded when the sweep budget runs out.  Every exit
+    builds one report, with the tail heuristic rho_estimate and the inner
+    iterations; the errors carry it as the partial report.
     """
     config = config or DDConfig()
     t0 = time.perf_counter()
@@ -140,7 +146,8 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     iterates = [T_plus.copy()] if config.store_iterates else None
     T_minus = None
     first_step = None
-    rho = None
+    failure = None
+    k = 0
     for k in range(1, config.max_iters + 1):
         T_minus = steppers.local(T_plus)
         T_tilde = steppers.global_(T_minus)
@@ -152,42 +159,35 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
         if iterates is not None:
             iterates.append(T_next.copy())
         T_plus = T_next
-        if len(history) >= 4:
-            tail = [history[-i] / history[-i - 1] for i in (1, 2, 3)
-                    if history[-i - 1] > 0]
-            rho = float(np.exp(np.mean(np.log(tail)))) if tail else None
         if diff < config.tol:
             T_minus = steppers.local(T_plus)
-            return DDReport(converged=True, iterations=k,
-                            residual_history=np.asarray(history),
-                            T_plus=T_plus, T_minus=T_minus, theta=config.theta,
-                            rho_estimate=rho,
-                            wall_time=time.perf_counter() - t0,
-                            inner_iterations={
-                                "local": steppers.minus.total_iterations
-                                - inner0[0],
-                                "global": steppers.plus.total_iterations
-                                - inner0[1]},
-                            iterates=iterates)
+            break
         if first_step is None:
             first_step = step if step > 0 else None
         elif not np.isfinite(step) or \
                 step > config.divergence_guard * first_step:
-            report = DDReport(converged=False, iterations=k,
-                              residual_history=np.asarray(history),
-                              T_plus=T_plus, T_minus=T_minus, theta=config.theta,
-                              rho_estimate=rho,
-                              wall_time=time.perf_counter() - t0,
-                              iterates=iterates)
-            raise Diverged(f"step grew {config.divergence_guard}x after {k} sweeps",
-                           report=report)
-    report = DDReport(converged=False, iterations=config.max_iters,
+            failure = Diverged(
+                f"step grew {config.divergence_guard}x after {k} sweeps")
+            break
+    else:
+        failure = MaxItersExceeded(
+            f"no convergence in {config.max_iters} sweeps")
+    rho = None
+    if len(history) >= 4:
+        tail = [history[-i] / history[-i - 1] for i in (1, 2, 3)
+                if history[-i - 1] > 0]
+        rho = float(np.exp(np.mean(np.log(tail)))) if tail else None
+    inner = {"local": steppers.minus.total_iterations - inner0[0],
+             "global": steppers.plus.total_iterations - inner0[1]}
+    report = DDReport(converged=failure is None, iterations=k,
                       residual_history=np.asarray(history),
                       T_plus=T_plus, T_minus=T_minus, theta=config.theta,
                       rho_estimate=rho, wall_time=time.perf_counter() - t0,
-                      iterates=iterates)
-    raise MaxItersExceeded(f"no convergence in {config.max_iters} sweeps",
-                           report=report)
+                      inner_iterations=inner, iterates=iterates)
+    if failure is None:
+        return report
+    failure.report = report
+    raise failure
 
 
 def neumann_partial_sum(ops: CoupledOperators, k: int, T_plus_0,
@@ -214,33 +214,16 @@ def neumann_partial_sum(ops: CoupledOperators, k: int, T_plus_0,
     return total + tail
 
 
-def run_coupled_direct(ops: CoupledOperators, direct_limit: int = 200000):
-    """Solve the full block system monolithically; the fixed-point oracle.
-
-    Small systems go through a sparse LU; larger ones through GMRES with a
-    block-diagonal preconditioner built from the two factorized blocks.
-    """
+def run_coupled_direct(ops: CoupledOperators):
+    """Solve the full block system with one sparse LU; the fixed-point
+    oracle."""
     A = sp.bmat([[ops.K_plus, ops.S], [ops.D, ops.K_minus]], format="csc")
     b = np.concatenate([ops.f_plus, ops.f_minus])
-    n_plus = ops.n_plus
-    if A.shape[0] <= direct_limit:
-        try:
-            x = spla.splu(A).solve(b)
-        except RuntimeError as exc:
-            raise SingularMatrix(str(exc)) from exc
-    else:
-        lu_p = spla.splu(sp.csc_matrix(ops.K_plus))
-        lu_m = spla.splu(sp.csc_matrix(ops.K_minus))
-
-        def prec(v):
-            return np.concatenate([lu_p.solve(v[:n_plus]),
-                                   lu_m.solve(v[n_plus:])])
-
-        M = spla.LinearOperator(A.shape, matvec=prec)
-        x, info = spla.gmres(A, b, rtol=1e-12, atol=0.0, restart=100, M=M)
-        if info != 0:
-            raise SingularMatrix("block solve did not converge")
-    return x[:n_plus], x[n_plus:]
+    try:
+        x = spla.splu(A).solve(b)
+    except RuntimeError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    return x[:ops.n_plus], x[ops.n_plus:]
 
 
 def block_residual(ops: CoupledOperators, T_plus, T_minus):
@@ -271,8 +254,7 @@ def run_fitted_reference(geom: GeometryConfig, h_plus, h_minus,
                          kappa_A, kappa_B, m,
                          refinement_mode: str = "uniform-fine",
                          problem: ProblemData | None = None,
-                         solver: SolverConfig | None = None,
-                         kappa_cells=None) -> FittedSolution:
+                         solver: SolverConfig | None = None) -> FittedSolution:
     """Solve the piecewise-coefficient problem on one conforming mesh.
 
     The mesh resolves the strip at h_minus ('uniform-fine' everywhere, or
@@ -283,8 +265,7 @@ def run_fitted_reference(geom: GeometryConfig, h_plus, h_minus,
     t0 = time.perf_counter()
     mesh = build_fitted_mesh(geom, h_plus, h_minus, refinement_mode)
     dofmap = build_dofmap(mesh, m)
-    if kappa_cells is None:
-        kappa_cells = np.where(strip_cells(mesh, geom), kappa_B, kappa_A)
+    kappa_cells = np.where(strip_cells(mesh, geom), kappa_B, kappa_A)
     A = assemble_stiffness(mesh, dofmap, kappa_cells)
     b = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
                       q_panel=problem.flux_panel)

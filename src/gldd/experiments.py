@@ -23,8 +23,8 @@ from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
 from .errors import (Diverged, InsufficientRatios, MaxItersExceeded,
                      NoConvergence, RankDeficient)
-from .linalg import (LinearSolver, SolverConfig, SpectralFit,
-                     dense_spectral_radius, fit_rho_law, least_squares_fit)
+from .linalg import (LinearSolver, SolverConfig, dense_spectral_radius,
+                     fit_rho_law, least_squares_fit)
 from .mesh import GeometryConfig
 
 
@@ -195,11 +195,6 @@ def sweep_kappa(cfg: ExperimentConfig, h_minus=None):
     except RankDeficient as exc:
         warnings.append(f"radius fit skipped: {exc}")
     return records, fit, warnings
-
-
-def predict_divergence_threshold(fit: SpectralFit) -> float:
-    """Coefficient ratio at which the plain iteration stops converging."""
-    return fit.divergence_threshold()
 
 
 @dataclass

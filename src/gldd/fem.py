@@ -188,24 +188,29 @@ class DofMap:
         """Dofs supported on one facet (k,) or on each facet of an (nf, k)
         array: its vertices, then its edge dofs in local edge order.
 
-        Raises ForeignFacet when a facet edge is not a mesh edge.
+        Raises ForeignFacet when a facet vertex is not a mesh vertex or a
+        facet edge is not a mesh edge.
         """
         facets = np.asarray(facets, dtype=np.int64)
+        nv = self.mesh.num_vertices
+        rows = facets.reshape(-1, facets.shape[-1])
+        # a vertex id outside [0, nv) could alias the key of another edge
+        outside = ((rows < 0) | (rows >= nv)).any(axis=1)
+        if outside.any():
+            raise ForeignFacet(
+                f"facet {tuple(rows[outside.argmax()].tolist())} has a vertex "
+                f"outside [0, {nv})")
         if self.m == 1:
             return facets.copy()
-        nv = self.mesh.num_vertices
         keys = _edge_keys(facets, facets.shape[-1] - 1, nv)
         pos = np.minimum(np.searchsorted(self._edge_keys, keys),
                          len(self._edge_keys) - 1)
-        # a vertex id past nv could alias the key of another edge
-        foreign = ((self._edge_keys[pos] != keys) |
-                   (facets.max(axis=-1, keepdims=True) >= nv))
-        foreign = foreign.reshape(-1, keys.shape[-1]).any(axis=1)
+        foreign = (self._edge_keys[pos] != keys).reshape(
+            -1, keys.shape[-1]).any(axis=1)
         if foreign.any():
-            facet = facets.reshape(len(foreign), -1)[foreign.argmax()]
             raise ForeignFacet(
-                f"facet {tuple(facet.tolist())} has an edge that is not a "
-                "mesh edge")
+                f"facet {tuple(rows[foreign.argmax()].tolist())} has an edge "
+                "that is not a mesh edge")
         return np.concatenate([facets, self._edge_dofs[pos]], axis=-1)
 
 

@@ -197,10 +197,6 @@ class SpectralFit:
     def predict_linear(self, ratio):
         return np.abs(self.a0 + self.a1 * np.asarray(ratio))
 
-    def predict_quadratic(self, ratio):
-        r = np.asarray(ratio)
-        return np.abs(self.b0 + self.b1 * r + self.b2 * r * r)
-
     def divergence_threshold(self):
         if self.C_tilde <= 0:
             raise NonpositiveConstant(

@@ -116,10 +116,12 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     t0 = time.perf_counter()
     gmesh, gdof, lmesh, ldof = build_mesh_pair(geom, h_plus, h_minus, m)
     in_strip = strip_cells(gmesh, geom)
-    # facet midpoints in the S assembler's facet order
-    gamma = lmesh.facet_vertices[
-        lmesh.facet_tags == FacetTag.INTERFACE_GAMMA.value]
-    gamma_mids = lmesh.vertices[gamma].mean(axis=1)
+    # the strip trace at the gamma facet midpoints, in the S assembler's
+    # facet order, from each facet's dofs as cell_midpoint_values does
+    gamma_dofs = ldof.facet_dofs(lmesh.facet_vertices[
+        lmesh.facet_tags == FacetTag.INTERFACE_GAMMA.value])
+    gamma_mid = shape_values(lmesh.dim - 1, m,
+                             np.full((1, lmesh.dim), 1.0 / lmesh.dim))[0]
 
     T_plus = np.full(gdof.n_dofs, problem.T_D)
     T_minus = np.full(ldof.n_dofs, problem.T_D)
@@ -131,7 +133,7 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         Tl = cell_midpoint_values(lmesh, ldof, T_minus)
         kp_cells = np.where(in_strip, nl.kappa_plus_B, curve_A(Tg))
         km_cells = np.asarray(curve_B(Tl))
-        T_gamma = evaluate_field(lmesh, ldof, T_minus, gamma_mids)
+        T_gamma = T_minus[gamma_dofs] @ gamma_mid
         jump_weights = nl.kappa_plus_B - np.asarray(curve_B(T_gamma))
 
         frozen_minus = T_minus.copy()

@@ -1,6 +1,7 @@
 """Cross-mesh coupling matrices and the coupled-system builder."""
 
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gldd.coupling as coupling
+import gldd.mesh as mesh_module
 from gldd.coupling import (ProblemData, assemble_flux_jump_S,
                            assemble_penalty_D, build_coupled_operators,
                            default_alpha, interface_trace_gap)
 from gldd.errors import NonpositiveCoefficient, OrphanInterfaceFacet
 from gldd.fem import (assemble_boundary_mass, build_dofmap, evaluate_field,
-                      laser_flux)
+                      facet_rule, laser_flux)
 from gldd.mesh import (FacetTag, GeometryConfig, build_global_mesh,
-                       build_local_mesh, interface_facets)
+                       build_local_mesh, interface_facets, locate_point)
 
 
 def make_pair(dim=2, h_plus=1 / 160, h_minus=1 / 320, m=1):
@@ -223,7 +226,15 @@ class TestBuilder:
         with pytest.raises(NonpositiveCoefficient):
             build_ops(0.0)
         with pytest.raises(NonpositiveCoefficient):
+            build_ops(-0.5)
+        with pytest.raises(NonpositiveCoefficient):
             build_ops(0.5, kappa_plus=-1.0)
+
+    @pytest.mark.parametrize("values", [[0.5, 0.25], [0.5, -1.0]])
+    def test_array_kappa_minus_rejected(self, values):
+        # per-cell strip values go through kappa_minus_cells
+        with pytest.raises(ValueError, match="kappa_minus_cells"):
+            build_ops(np.array(values))
 
 
 def pow_laser_flux(x, dim, L):
@@ -320,6 +331,83 @@ class TestPenaltyLimit:
         assert interface_trace_gap(ops, T_plus, T_minus) < 1e-10
         gap = interface_trace_gap(ops, T_plus, T_minus + 1.0)
         assert gap == pytest.approx(np.sqrt(ops.geom.L), rel=1e-12)
+
+
+def count_locations(monkeypatch):
+    """The meshes of every locate_point call from now on, made from any
+    gldd module."""
+    calls = []
+    real = mesh_module.locate_point
+
+    def counting(mesh, x):
+        calls.append(mesh)
+        return real(mesh, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gldd") and \
+                getattr(module, "locate_point", None) is real:
+            monkeypatch.setattr(module, "locate_point", counting)
+    return calls
+
+
+def gamma_facets(mesh):
+    gamma = mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
+    return mesh.facet_vertices[gamma], mesh.facet_cells[gamma]
+
+
+class TestInterfaceTerms:
+    """The gamma points are facet-rule points of the strip, so only the box
+    basis is located; the strip basis comes from the facet rule."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_strip_barycentrics_match_location(self, dim, m):
+        geom, _, _, lm, _ = make_pair(dim=dim, m=m)
+        rule = facet_rule(dim, m)
+        facets, owners = gamma_facets(lm)
+        lam = coupling._owner_barycentrics(lm, facets, owners, rule.points)
+        loc = locate_point(lm, (rule.points @ lm.vertices[facets]).reshape(
+            -1, dim))
+        np.testing.assert_array_equal(
+            loc.cell, np.repeat(owners, len(rule.weights)))
+        # located barycentrics are coordinate offsets over h, so they carry
+        # rounding of order eps * L / h (1.5e-15 at h = 1/320)
+        atol = 4 * np.finfo(float).eps * geom.L / lm.h
+        np.testing.assert_allclose(lam.reshape(-1, dim + 1), loc.barycentric,
+                                   rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_location_per_mesh_pair(self, dim, monkeypatch):
+        geom, gm, gd, lm, ld = make_pair(dim=dim)
+        calls = count_locations(monkeypatch)
+        coupling._Interface(gm, lm, gd, ld)
+        assert calls == [gm]
+        # a build keeps its interface terms; a second one locates nothing
+        calls.clear()
+        for km in (0.5, 0.25):
+            build_coupled_operators(geom, gm, gd, lm, ld, 1.0, km)
+        assert calls == [gm]
+
+    @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
+    def test_trace_gap_matches_located_fields(self, dim, m, monkeypatch):
+        ops = build_ops(0.5, dim=dim, m=m)
+        rng = np.random.default_rng(11)
+        T_plus = rng.uniform(290.0, 400.0, ops.n_plus)
+        T_minus = rng.uniform(290.0, 400.0, ops.n_minus)
+        calls = count_locations(monkeypatch)
+        gap = interface_trace_gap(ops, T_plus, T_minus)
+        assert calls == []
+        # both fields evaluated at the located gamma points
+        lm = ops.local_mesh
+        rule = facet_rule(dim, m)
+        facets, _ = gamma_facets(lm)
+        xq = rule.points @ lm.vertices[facets]
+        wq = rule.weights * (lm.facet_measure(facets)
+                             / (1.0 if dim == 2 else 0.5))[:, None]
+        tm = evaluate_field(lm, ops.local_dofmap, T_minus, xq)
+        tp = evaluate_field(ops.global_mesh, ops.global_dofmap, T_plus, xq)
+        assert gap == pytest.approx(np.sqrt(np.sum(wq * (tm - tp) ** 2)),
+                                    rel=1e-12)
 
 
 OPERATOR_FIELDS = ("K_plus", "K_minus", "S", "D", "f_plus", "f_minus")

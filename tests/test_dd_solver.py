@@ -161,6 +161,28 @@ class TestFailureModes:
         assert info.value.report.iterations == 3
         assert len(info.value.report.residual_history) == 3
 
+    @pytest.mark.parametrize("error,kappa_minus,config", [
+        (Diverged, 12.0, DDConfig(max_iters=500)),
+        (MaxItersExceeded, 0.5, DDConfig(tol=1e-16, max_iters=3))])
+    def test_failed_reports_carry_inner_iterations(self, error, kappa_minus,
+                                                   config):
+        ops = make_ops(kappa_minus=kappa_minus)
+        cg = SolverConfig(method="cg")
+        solvers = (LinearSolver(ops.K_plus, cg), LinearSolver(ops.K_minus, cg))
+        with pytest.raises(error) as info:
+            run_two_level_dd(ops, config, solvers=solvers)
+        assert info.value.report.inner_iterations == {
+            "local": solvers[1].total_iterations,
+            "global": solvers[0].total_iterations}
+        assert solvers[1].total_iterations > 0
+
+    @pytest.mark.parametrize("theta", [0.0, -0.5, float("nan")])
+    def test_nonpositive_theta_rejected(self, theta):
+        # at theta = 0 every step is zero, and the first sweep would report
+        # convergence on the initial iterate
+        with pytest.raises(ValueError, match="theta"):
+            DDConfig(theta=theta)
+
 
 class TestFittedReference:
     def test_agrees_with_coupled_fields(self):

@@ -17,9 +17,9 @@ from gldd.cli import build_parser, fraction, main
 from gldd.errors import InsufficientRatios
 from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               SweepRecord, compare_monolithic, emit_reports,
-                              log2_growth_slope, predict_divergence_threshold,
-                              relaxation_study, run_case, sweep_kappa,
-                              sweep_mesh_ratio, theta_coefficient_ratio,
+                              log2_growth_slope, relaxation_study, run_case,
+                              sweep_kappa, sweep_mesh_ratio,
+                              theta_coefficient_ratio,
                               theta_parabola_minimizer)
 from gldd.linalg import fit_rho_law
 from gldd.mesh import GeometryConfig
@@ -163,8 +163,7 @@ class TestSweepKappa:
         assert fit.r2_linear > 0.999
         assert abs(fit.b2) < 1e-2 * abs(fit.b1)
         assert fit.C_tilde == pytest.approx(0.2172, rel=0.02)
-        assert predict_divergence_threshold(fit) == pytest.approx(5.60,
-                                                                  rel=0.02)
+        assert fit.divergence_threshold() == pytest.approx(5.60, rel=0.02)
         for r in records:
             assert r.rho_predicted == pytest.approx(r.rho_measured, rel=0.02)
 

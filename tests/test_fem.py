@@ -222,6 +222,20 @@ def test_facet_dofs_foreign_edge(dim):
         dof.facet_dofs(facet[:-1] + (mesh.num_vertices + 2,))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_facet_dofs_vertex_range_p1(dim):
+    mesh = build_global_mesh(GeometryConfig(dim=dim), 1 / 160)
+    dof = build_dofmap(mesh, 1)
+    np.testing.assert_array_equal(dof.facet_dofs(mesh.facet_vertices),
+                                  mesh.facet_vertices)
+    far = tuple(range(10 ** 6, 10 ** 6 + dim))
+    with pytest.raises(ForeignFacet, match=rf"facet \({far[0]}, "):
+        dof.facet_dofs(far)
+    with pytest.raises(ForeignFacet, match=r"facet \(-1, "):
+        dof.facet_dofs(np.vstack([mesh.facet_vertices[:3],
+                                  (-1,) + tuple(range(1, dim))]))
+
+
 def _reference_composite_rule(dim, m, splits):
     """The subdivided facet rule built piece by piece."""
     base = facet_rule(dim, m)

@@ -5,10 +5,11 @@ import pytest
 
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
+import gldd.nonlinear as nonlinear
 from gldd.dd_solver import DDConfig, run_two_level_dd, setup_case
 from gldd.errors import NonpositiveCoefficient, PicardNoConvergence
-from gldd.fem import build_dofmap
-from gldd.mesh import GeometryConfig, build_global_mesh
+from gldd.fem import build_dofmap, evaluate_field
+from gldd.mesh import GeometryConfig, build_global_mesh, interface_facets
 from gldd.nonlinear import (MaterialCurve, NonlinearConfig,
                             cell_midpoint_values, picard_monolithic,
                             picard_two_level, sweep_kappa_plus_B)
@@ -126,6 +127,37 @@ class TestPicardTwoLevel:
                                MaterialCurve.constant(1.0), CURVE_B, nl)
         assert rep.picard_iterations > 2
         assert counts == {"mesh": 1, "interface": 1}
+
+    def test_gamma_temperatures_match_field_at_facet_midpoints(
+            self, monkeypatch):
+        # each step's jump weights read the previous strip iterate at the
+        # gamma facet midpoints, from the facet dofs without locating them
+        weights, reports = [], []
+        build, run = (nonlinear.build_coupled_operators,
+                      nonlinear.run_two_level_dd)
+
+        def recording_build(*args, **kwargs):
+            weights.append(kwargs["jump_facet_weights"])
+            return build(*args, **kwargs)
+
+        def recording_run(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(nonlinear, "build_coupled_operators",
+                            recording_build)
+        monkeypatch.setattr(nonlinear, "run_two_level_dd", recording_run)
+        nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-8)
+        rep = picard_two_level(GEOM, 1 / 160, 1 / 320, 2,
+                               MaterialCurve.constant(1.0), CURVE_B, nl)
+        lm, ld = rep.local_mesh, rep.local_dofmap
+        mids = np.array([lm.vertices[list(f)].mean(axis=0)
+                         for f, _n in interface_facets(lm)])
+        assert len(weights) > 2
+        # without damping each step starts from the last report's iterate
+        for w, prev in zip(weights[1:], reports):
+            want = 0.5 - CURVE_B(evaluate_field(lm, ld, prev.T_minus, mids))
+            np.testing.assert_allclose(w, want, rtol=1e-13, atol=1e-15)
 
     def test_damping_reaches_same_fixed_point(self):
         nl_full = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-10)
