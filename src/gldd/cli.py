@@ -7,9 +7,7 @@ seed any run and individual flags override it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,9 +144,13 @@ def _cmd_sweep_kappa(args) -> int:
     fits = {}
     if fit is not None:
         fits["kappa-sweep"] = fit
-        print(f"C={fit.C_tilde:.4f} (linear fit r2={fit.r2_linear:.5f}); "
-              f"predicted divergence beyond ratio "
-              f"{fit.divergence_threshold():.3f}")
+        line = f"C={fit.C_tilde:.4f} (linear fit r2={fit.r2_linear:.5f})"
+        if fit.C_tilde > 0:
+            print(f"{line}; predicted divergence beyond ratio "
+                  f"{fit.divergence_threshold():.3f}")
+        else:
+            warnings.append(f"{line}: the slope constant is not positive, "
+                            "so no divergence threshold is predicted")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     emit_reports(records, fits, cfg.outdir, config=cfg, warnings=warnings)

@@ -25,12 +25,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
-from .errors import Diverged, MaxItersExceeded, SingularMatrix
+from .errors import (Diverged, MaxItersExceeded, NoConvergence,
+                     SingularMatrix)
 from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
                   build_dofmap, dirichlet_dofs)
 from .linalg import LinearSolver, SolverConfig
 from .mesh import (GeometryConfig, build_fitted_mesh, build_global_mesh,
                    build_local_mesh, strip_cells)
+
+
+# Diverged is raised once the sweep's step exceeds this multiple of its
+# first value.
+_DIVERGENCE_GUARD = 1e6
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,6 @@ class DDConfig:
     theta: float = 1.0
     tol: float = 1e-8
     max_iters: int = 5000
-    divergence_guard: float = 1e6
     solver: SolverConfig = field(default_factory=SolverConfig)
     store_iterates: bool = False
 
@@ -132,10 +137,12 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     Divergence is detected on the unnormalized step ||T^k - T^{k-1}||,
     which keeps growing geometrically when the radius exceeds one while
     the normalized quantity saturates; Diverged is raised when the step
-    exceeds divergence_guard times its first value (or stops being
-    finite), MaxItersExceeded when the sweep budget runs out.  Every exit
-    builds one report, with the tail heuristic rho_estimate and the inner
-    iterations; the errors carry it as the partial report.
+    exceeds _DIVERGENCE_GUARD times its first value (or stops being
+    finite), MaxItersExceeded when the sweep budget runs out, and an inner
+    solve's NoConvergence when an iterative solver stalls in a sweep.
+    Every exit builds one report, with the sweeps completed, the tail
+    heuristic rho_estimate and the inner iterations; the errors carry it
+    as the partial report.
     """
     config = config or DDConfig()
     t0 = time.perf_counter()
@@ -147,31 +154,33 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     T_minus = None
     first_step = None
     failure = None
-    k = 0
-    for k in range(1, config.max_iters + 1):
-        T_minus = steppers.local(T_plus)
-        T_tilde = steppers.global_(T_minus)
-        T_next = config.theta * T_tilde + (1.0 - config.theta) * T_plus
-        step = np.linalg.norm(T_next - T_plus)
-        denom = np.linalg.norm(T_next)
-        diff = step / (denom if denom > 0 else 1.0)
-        history.append(diff)
-        if iterates is not None:
-            iterates.append(T_next.copy())
-        T_plus = T_next
-        if diff < config.tol:
+    try:
+        for k in range(1, config.max_iters + 1):
             T_minus = steppers.local(T_plus)
-            break
-        if first_step is None:
-            first_step = step if step > 0 else None
-        elif not np.isfinite(step) or \
-                step > config.divergence_guard * first_step:
-            failure = Diverged(
-                f"step grew {config.divergence_guard}x after {k} sweeps")
-            break
-    else:
-        failure = MaxItersExceeded(
-            f"no convergence in {config.max_iters} sweeps")
+            T_tilde = steppers.global_(T_minus)
+            T_next = config.theta * T_tilde + (1.0 - config.theta) * T_plus
+            step = np.linalg.norm(T_next - T_plus)
+            denom = np.linalg.norm(T_next)
+            diff = step / (denom if denom > 0 else 1.0)
+            history.append(diff)
+            if iterates is not None:
+                iterates.append(T_next.copy())
+            T_plus = T_next
+            if diff < config.tol:
+                T_minus = steppers.local(T_plus)
+                break
+            if first_step is None:
+                first_step = step if step > 0 else None
+            elif not np.isfinite(step) or \
+                    step > _DIVERGENCE_GUARD * first_step:
+                failure = Diverged(
+                    f"step grew {_DIVERGENCE_GUARD}x after {k} sweeps")
+                break
+        else:
+            failure = MaxItersExceeded(
+                f"no convergence in {config.max_iters} sweeps")
+    except NoConvergence as exc:
+        failure = exc
     rho = None
     if len(history) >= 4:
         tail = [history[-i] / history[-i - 1] for i in (1, 2, 3)
@@ -179,7 +188,7 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
         rho = float(np.exp(np.mean(np.log(tail)))) if tail else None
     inner = {"local": steppers.minus.total_iterations - inner0[0],
              "global": steppers.plus.total_iterations - inner0[1]}
-    report = DDReport(converged=failure is None, iterations=k,
+    report = DDReport(converged=failure is None, iterations=len(history),
                       residual_history=np.asarray(history),
                       T_plus=T_plus, T_minus=T_minus, theta=config.theta,
                       rho_estimate=rho, wall_time=time.perf_counter() - t0,

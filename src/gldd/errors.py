@@ -38,12 +38,16 @@ class SingularMatrix(GlddError):
 
 
 class NoConvergence(GlddError):
-    """Iterative method exhausted its budget without meeting the tolerance."""
+    """Iterative method exhausted its budget without meeting the tolerance.
 
-    def __init__(self, msg, estimate=None, iterations=None):
+    report is the partial DDReport when an inner solve of the alternating
+    sweep stalled."""
+
+    def __init__(self, msg, estimate=None, iterations=None, report=None):
         super().__init__(msg)
         self.estimate = estimate
         self.iterations = iterations
+        self.report = report
 
 
 class TooLarge(GlddError):

@@ -51,10 +51,8 @@ class ExperimentConfig:
     T_0: float = 293.15
     tol: float = 1e-8
     max_iters: int = 5000
-    divergence_guard: float = 1e6
     solver_method: str = "dense-direct"
     solver_rel_tol: float = 1e-12
-    restart: int = 50
     preconditioner: str = "none"
     power_tol: float = 1e-10
     power_max_iters: int = 5000
@@ -71,13 +69,11 @@ class ExperimentConfig:
     def solver(self) -> SolverConfig:
         return SolverConfig(method=self.solver_method,
                             rel_tol=self.solver_rel_tol,
-                            restart=self.restart,
                             preconditioner=self.preconditioner)
 
     def dd(self, theta=None) -> DDConfig:
         return DDConfig(theta=self.theta if theta is None else theta,
                         tol=self.tol, max_iters=self.max_iters,
-                        divergence_guard=self.divergence_guard,
                         solver=self.solver())
 
     @classmethod
@@ -286,8 +282,7 @@ def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None,
     kappa_ratios = kappa_ratios or [2.0, 2.5, 3.0]
     mesh_ratios = mesh_ratios or list(cfg.mesh_ratios)
     gmres = SolverConfig(method="restarted-minimal-residual",
-                         rel_tol=cfg.solver_rel_tol, restart=cfg.restart,
-                         preconditioner="diagonal")
+                         rel_tol=cfg.solver_rel_tol, preconditioner="diagonal")
     rows = []
     for x in kappa_ratios:
         km = x * cfg.kappa_plus
@@ -302,7 +297,7 @@ def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None,
                              cfg.kappa_plus, km, alpha=cfg.alpha,
                              problem=cfg.problem())
             dd = DDConfig(theta=theta, tol=cfg.tol, max_iters=cfg.max_iters,
-                          divergence_guard=cfg.divergence_guard, solver=gmres)
+                          solver=gmres)
             row = {"kappa_ratio": x, "h_ratio": r, "theta": theta}
             try:
                 rep = run_two_level_dd(ops, dd)

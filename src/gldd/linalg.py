@@ -26,6 +26,10 @@ _METHOD_ALIASES = {
 }
 
 
+# Krylov vectors kept between GMRES restarts (scipy's own default is 20).
+_GMRES_RESTART = 50
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """How linear systems are solved.
@@ -37,7 +41,6 @@ class SolverConfig:
 
     method: str = "dense-direct"
     rel_tol: float = 1e-12
-    restart: int = 50
     preconditioner: str = "none"
     max_iters: int = 20000
 
@@ -95,7 +98,7 @@ class LinearSolver:
                               callback=cb)
         else:
             x, info = spla.gmres(self.A, b, rtol=self.config.rel_tol, atol=0.0,
-                                 restart=self.config.restart,
+                                 restart=_GMRES_RESTART,
                                  maxiter=self.config.max_iters, M=self._precond,
                                  callback=cb, callback_type="pr_norm")
         self.total_iterations += count[0]

@@ -2,12 +2,16 @@
 
 The solver works on two meshes: a coarse mesh of the full box (the global
 domain) and a fine mesh of a thin strip at the top of the box (the local
-domain).  Both are built from an axis-aligned grid of squares or cubes with
-a fixed diagonal split, so point location is index arithmetic rather than
-search; ``locate_point`` takes one point or an (n, dim) array of points and
-locates a whole array in one vectorized call.  A third kind of mesh, used
-only by the single-domain reference solver, grades from the strip
-resolution down to the coarse one through conforming transition bands.
+domain).  Both are built from an axis-aligned grid of squares or cubes,
+each split into the dim! simplices that share its main diagonal, one per
+axis order (Kuhn's split, the same rule in 2D and 3D).  Point location is
+index arithmetic rather than search: a point's grid block is the lowest
+one holding it, and its simplex is the first axis order along which its
+in-block coordinates do not rise.  ``locate_point`` takes one point or an
+(n, dim) array of points and locates a whole array in one vectorized
+call.  A third kind of mesh, used only by the single-domain reference
+solver, grades from the strip resolution down to the coarse one through
+conforming transition bands.
 
 Construction and geometry work on all cells or facets in one stacked
 pass, with no per-cell loop: the cell array, the boundary facets and their
@@ -70,33 +74,22 @@ class PointLocation(NamedTuple):
     barycentric: tuple
 
 
-def _subdivision_2d():
-    # Two triangles per grid square, diagonal from the lower-left corner.
-    # Corner order inside a square: (0,0), (1,0), (0,1), (1,1).
-    return [(0, 1, 3), (0, 3, 2)]
+def _block_simplices(dim):
+    """Kuhn split of the unit block: one positively oriented simplex per
+    axis order p, in permutations order, running from the lower corner one
+    step along p[0], then p[1], ..., so it holds the block points whose
+    in-block coordinates do not rise along p.  A step along axis a adds 2**a
+    to the _block_corners index; an odd p swaps the last two vertices."""
+    shapes = []
+    for perm in permutations(range(dim)):
+        ids = list(np.cumsum([0] + [2 ** a for a in perm]))
+        if np.linalg.det(np.eye(dim)[list(perm)]) < 0:
+            ids[-2], ids[-1] = ids[-1], ids[-2]
+        shapes.append(ids)
+    return np.array(shapes)
 
 
-def _subdivision_3d():
-    """Six positively oriented tetrahedra per cube, all sharing the main diagonal."""
-    corners = np.array([[x, y, z] for z in (0, 1) for y in (0, 1) for x in (0, 1)])
-    corner_id = {tuple(c): i for i, c in enumerate(corners)}
-    tets = []
-    for perm in permutations(range(3)):
-        path = [np.zeros(3, dtype=int)]
-        for axis in perm:
-            step = path[-1].copy()
-            step[axis] += 1
-            path.append(step)
-        ids = [corner_id[tuple(p)] for p in path]
-        mat = (corners[ids[1:]] - corners[ids[0]]).T
-        if np.linalg.det(mat) < 0:
-            ids[2], ids[3] = ids[3], ids[2]
-        tets.append(tuple(ids))
-    return tets
-
-
-_TETS_PER_CUBE = _subdivision_3d()
-_TRIS_PER_SQUARE = _subdivision_2d()
+_BLOCK_SIMPLICES = {dim: _block_simplices(dim) for dim in (2, 3)}
 
 
 class SimplicialMesh:
@@ -264,30 +257,23 @@ class StructuredMesh(SimplicialMesh):
         base = vertex_grid[tuple(slice(k) for k in n[::-1])].ravel()
         offsets = _block_corners(dim).astype(np.int64) @ np.cumprod(
             np.concatenate([[1], n[:-1] + 1]))
-        shapes = np.array(_TRIS_PER_SQUARE if dim == 2 else _TETS_PER_CUBE)
-        return (base[:, None, None] + offsets[shapes]).reshape(-1, dim + 1)
+        return (base[:, None, None]
+                + offsets[_BLOCK_SIMPLICES[dim]]).reshape(-1, dim + 1)
 
     def _build_location_tables(self):
         # Inverse reference maps for every cell shape that occurs in a grid
         # block; cells are translated copies, so one inverse per shape.
-        shapes = _TRIS_PER_SQUARE if self.dim == 2 else _TETS_PER_CUBE
-        ref_corners = _block_corners(self.dim)
-        inv = []
-        for shape in shapes:
-            pts = ref_corners[list(shape)] * self.h
-            mat = (pts[1:] - pts[0]).T
-            inv.append(np.linalg.inv(mat))
-        self._shape_inv = np.array(inv)
+        pts = _block_corners(self.dim)[_BLOCK_SIMPLICES[self.dim]] * self.h
+        self._shape_inv = np.linalg.inv(
+            np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))
 
     def cells_per_block(self):
-        return len(_TRIS_PER_SQUARE) if self.dim == 2 else len(_TETS_PER_CUBE)
+        return len(_BLOCK_SIMPLICES[self.dim])
 
 
 def _block_corners(dim):
-    if dim == 2:
-        return np.array([[a, b] for b in (0, 1) for a in (0, 1)], dtype=float)
-    return np.array([[a, b, c] for c in (0, 1) for b in (0, 1) for a in (0, 1)],
-                    dtype=float)
+    # corner i of the unit block has bit a of i as its coordinate on axis a
+    return ((np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1).astype(float)
 
 
 def _divisions(extent, h):
@@ -442,10 +428,19 @@ def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
 
     x is one point (dim,), giving PointLocation(int, tuple), or an array of
     points (n, dim), giving PointLocation(cells (n,), barycentric
-    (n, dim+1)).  Uses grid index arithmetic on structured meshes and a
-    linear scan otherwise; when a point sits on a shared facet the cell
-    with the lowest index wins.  Raises OutOfDomain, naming the first
-    offending point, for points outside the box.
+    (n, dim+1)).  When a point sits on a shared facet the cell with the
+    lowest index wins.  Raises OutOfDomain, naming the first offending
+    point, for points outside the box.
+
+    Structured meshes locate by index arithmetic alone.  With s the
+    point's offset from the origin in units of h, its block is
+    ceil(s - slack) - 1 on each axis, clipped to the grid, so a point on a
+    grid plane, or within the barycentric slack above one, goes to the
+    block below.  Its cell in the block is the first axis order, in
+    itertools.permutations order, along which the in-block coordinates
+    s - block do not rise by more than the slack.  Both choices give the
+    lowest cell that holds the point, and the barycentrics follow from the
+    cell's inverse reference map.  Other meshes are scanned cell by cell.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
@@ -458,12 +453,6 @@ def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
     return PointLocation(cells, lam)
 
 
-# Points located per pass of _locate_candidates: each point holds 2^dim
-# blocks of candidate cells (48 in 3D) with a barycentric vector apiece, so
-# a pass over a fixed number of points bounds the temporaries at a few MB.
-_LOCATE_CHUNK = 1024
-
-
 def _locate_structured(mesh, pts):
     rel = pts - mesh.origin
     # written so that NaN coordinates count as outside
@@ -474,48 +463,22 @@ def _locate_structured(mesh, pts):
         raise OutOfDomain(f"point {tuple(bad)} lies outside the mesh box")
     # points within the box tolerance are snapped onto the closed box
     x = np.clip(pts, mesh.origin, mesh.origin + mesh.extents)
-    cells = np.empty(len(x), dtype=np.int64)
-    lam = np.empty((len(x), mesh.dim + 1))
-    for start in range(0, len(x), _LOCATE_CHUNK):
-        part = slice(start, start + _LOCATE_CHUNK)
-        cells[part], lam[part] = _locate_candidates(mesh, x[part])
-    return cells, lam
-
-
-def _locate_candidates(mesh, x):
-    """Cell and barycentric coordinates of points x (n, dim) on the closed
-    box: the lowest-index candidate cell that holds each point."""
-    # Candidate grid blocks: the nominal one and its nearer neighbour on each
-    # axis.  The far neighbour lies at least h/2 away, so it never holds the
-    # point within the barycentric slack.
+    # block and axis order as in locate_point's docstring; sorting the
+    # in-block coordinates t gives an order, so one always exists
     s = (x - mesh.origin) / mesh.h
-    i0 = np.floor(s)
-    top = np.asarray(mesh.ncells_axis) - 1
-    nominal = np.clip(i0, 0, top).astype(np.int64)
-    near = np.clip(i0 + np.where(s - i0 < 0.5, -1, 1), 0, top).astype(np.int64)
-    lo, hi = np.minimum(nominal, near), np.maximum(nominal, near)
-    # corner rows run x fastest, so for every point the blocks come out in
-    # ascending index order, and so do the cells within them
-    choice = _block_corners(mesh.dim).astype(bool)
-    ids = np.where(choice, hi[:, None, :], lo[:, None, :])
+    block = np.clip(np.ceil(s - _BARY_TOL) - 1, 0,
+                    np.asarray(mesh.ncells_axis) - 1)
+    t = s - block
+    rises = t[:, None, :] - t[:, :, None] > _BARY_TOL
+    orders = np.array(list(permutations(range(mesh.dim))))
+    shape = rises[:, orders[:, :-1], orders[:, 1:]].any(axis=2).argmin(axis=1)
     strides = np.cumprod((1,) + mesh.ncells_axis[:-1])
-    nshapes = mesh.cells_per_block()
-    cells = ((ids @ strides)[:, :, None] * nshapes
-             + np.arange(nshapes)).reshape(len(x), len(choice) * nshapes)
-
-    inv = mesh._shape_inv[np.arange(cells.shape[1]) % nshapes]
-    dx = x[:, None, :] - mesh.vertices[mesh.cells[cells, 0]]
-    lam_rest = (inv @ dx[..., None])[..., 0]
-    lam = np.concatenate(
-        [1.0 - lam_rest.sum(axis=2, keepdims=True), lam_rest], axis=2)
-    inside = (lam >= -_BARY_TOL).all(axis=2)
-    first = inside.argmax(axis=1)
-    rows = np.arange(len(x))
-    if not inside[rows, first].all():
-        bad = x[np.argmin(inside[rows, first])]
-        raise OutOfDomain(
-            f"point {tuple(bad)} not contained in any candidate cell")
-    return cells[rows, first], lam[rows, first]
+    cells = (block.astype(np.int64) @ strides) * mesh.cells_per_block() + shape
+    dx = x - mesh.vertices[mesh.cells[cells, 0]]
+    lam_rest = (mesh._shape_inv[shape] @ dx[..., None])[..., 0]
+    lam = np.concatenate([1.0 - lam_rest.sum(axis=1, keepdims=True), lam_rest],
+                         axis=1)
+    return cells, lam
 
 
 def _locate_scan(mesh, pts):

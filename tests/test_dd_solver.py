@@ -14,7 +14,7 @@ from gldd.dd_solver import (DDConfig, DDReport, block_residual,
                             neumann_partial_sum, run_coupled_direct,
                             run_fitted_reference, run_two_level_dd,
                             setup_case)
-from gldd.errors import Diverged, MaxItersExceeded
+from gldd.errors import Diverged, MaxItersExceeded, NoConvergence
 from gldd.fem import evaluate_field
 from gldd.linalg import LinearSolver, SolverConfig
 from gldd.mesh import GeometryConfig
@@ -175,6 +175,22 @@ class TestFailureModes:
             "local": solvers[1].total_iterations,
             "global": solvers[0].total_iterations}
         assert solvers[1].total_iterations > 0
+
+    def test_inner_stall_raises_with_partial_report(self):
+        # a 40-step CG budget stalls the strip solve of the second sweep
+        ops = make_ops()
+        cg = SolverConfig(method="cg", max_iters=40)
+        solvers = (LinearSolver(ops.K_plus, cg), LinearSolver(ops.K_minus, cg))
+        with pytest.raises(NoConvergence) as info:
+            run_two_level_dd(ops, DDConfig(solver=cg), solvers=solvers,
+                             initial=np.zeros(ops.n_plus))
+        report = info.value.report
+        assert isinstance(report, DDReport) and not report.converged
+        assert report.iterations == len(report.residual_history) == 1
+        assert report.inner_iterations == {
+            "local": solvers[1].total_iterations,
+            "global": solvers[0].total_iterations}
+        assert report.inner_iterations["local"] >= cg.max_iters
 
     @pytest.mark.parametrize("theta", [0.0, -0.5, float("nan")])
     def test_nonpositive_theta_rejected(self, theta):

@@ -406,6 +406,20 @@ class TestCli:
         for name in ("records.csv", "fits.csv", "manifest.json"):
             assert (tmp_path / name).exists()
 
+    def test_sweep_kappa_nonpositive_constant_still_reports(self, tmp_path,
+                                                             capsys):
+        # kappa_minus > kappa_plus: the fitted slope constant is negative
+        rc = main(["sweep-kappa", "--kappa-list", "2,3,4",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "predicted divergence" not in captured.out
+        assert "not positive" in captured.err
+        for name in ("records.csv", "fits.csv", "manifest.json"):
+            assert (tmp_path / name).exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert any("not positive" in w for w in manifest["warnings"])
+
     def test_config_file_plus_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"kappa_minus": 0.25}))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gldd.mesh as mesh_module
 from gldd.errors import GlddError, NonDivisibleSpacing, OutOfDomain
@@ -67,6 +69,15 @@ class TestGlobalMesh:
             pts = mesh.vertices[mesh.cells[c]]
             det = np.linalg.det((pts[1:] - pts[0]).T)
             assert det > 0
+
+    def test_block_split_tables(self):
+        # one simplex per axis order, corner i holding bit a of i on axis a;
+        # the order within a block decides which cell wins a shared facet
+        assert mesh_module._BLOCK_SIMPLICES[2].tolist() == [[0, 1, 3],
+                                                           [0, 3, 2]]
+        assert mesh_module._BLOCK_SIMPLICES[3].tolist() == [
+            [0, 1, 3, 7], [0, 1, 7, 5], [0, 2, 7, 3], [0, 2, 6, 7],
+            [0, 4, 5, 7], [0, 4, 7, 6]]
 
     def test_boundary_facets_unique(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
@@ -258,8 +269,7 @@ class TestLocatePoint:
             np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-15)
 
     def test_chunked_batch_bitwise_and_lowest_cell(self):
-        # more points than one location pass takes, many of them on grid
-        # lines and vertices, so shared facets are common
+        # many points on grid lines and vertices, so shared facets are common
         mesh = build_global_mesh(GEOM3, 1 / 160)
         rng = np.random.default_rng(18)
         probes = np.vstack([_location_probes(mesh, rng) for _ in range(5)])
@@ -268,7 +278,6 @@ class TestLocatePoint:
         diagonal = np.minimum(corner + rng.random((300, 1)) * mesh.h,
                               mesh.origin + mesh.extents)
         pts = rng.permutation(np.vstack([probes, diagonal]))
-        assert len(pts) > mesh_module._LOCATE_CHUNK
         batch = locate_point(mesh, pts)
         for start in range(0, len(pts), 97):
             part = locate_point(mesh, pts[start:start + 97])
@@ -319,6 +328,20 @@ class TestLocatePoint:
             locate_point(mesh, [-1e-3, 1e-3])
         with pytest.raises(OutOfDomain):
             locate_point(mesh, [GEOM.L + 1e-6, GEOM.H])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_index_arithmetic_matches_search(self, data):
+        mesh = data.draw(st.sampled_from(_PROBE_MESHES), label="mesh")
+        pts = data.draw(st.lists(_grid_probe(mesh), min_size=1, max_size=12),
+                        label="points")
+        loc = locate_point(mesh, np.array(pts))
+        np.testing.assert_array_equal(
+            loc.cell, mesh_module._locate_scan(mesh, np.array(pts))[0])
+        for p, cell, lam in zip(pts, loc.cell, loc.barycentric):
+            ref_cell, ref_lam = _reference_locate(mesh, p)
+            assert cell == ref_cell
+            np.testing.assert_array_equal(lam, ref_lam)
 
 
 def _reference_locate(mesh, x):
@@ -371,6 +394,34 @@ def _location_probes(mesh, rng):
     corners = np.where(bits, hi, lo)
     band = corners + np.where(bits, 5e-13, -5e-13)
     return np.vstack([rand, verts, lines, corners, band])
+
+
+_PROBE_MESHES = [build(geom, 1 / 320) for geom in (GEOM, GEOM3)
+                 for build in (build_global_mesh, build_local_mesh)]
+
+
+@st.composite
+def _grid_probe(draw, mesh):
+    """A random point, a grid vertex, a point on a grid plane, or a point on
+    a face or cube diagonal of a grid block, on the closed box."""
+    lo, hi = mesh.origin, mesh.origin + mesh.extents
+    unit = np.array(draw(st.lists(st.floats(0, 1), min_size=mesh.dim,
+                                  max_size=mesh.dim)))
+    corner = mesh.vertices[draw(st.integers(0, mesh.num_vertices - 1))]
+    kind = draw(st.sampled_from(["random", "vertex", "plane", "face", "cube"]))
+    point = lo + unit * (hi - lo)
+    if kind == "vertex":
+        point = corner
+    elif kind == "plane":
+        axis = draw(st.integers(0, mesh.dim - 1))
+        point[axis] = corner[axis]
+    elif kind == "face":
+        axes = draw(st.permutations(range(mesh.dim)))[:2]
+        point = corner.copy()
+        point[axes] += unit[0] * mesh.h
+    elif kind == "cube":
+        point = corner + unit[0] * mesh.h
+    return np.minimum(point, hi)
 
 
 def _assert_conforming(mesh):
