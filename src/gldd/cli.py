@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,16 +68,9 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _config_from(args) -> ExperimentConfig:
-    overrides = {k: getattr(args, k, None) for k in (
-        "dim", "m", "h_plus", "h_minus", "kappa_plus", "kappa_minus",
-        "theta", "alpha", "tol", "max_iters", "solver_method",
-        "preconditioner", "seed", "outdir")}
-    if getattr(args, "kappa_list", None) is not None:
-        overrides["kappa_list"] = args.kappa_list
-    if getattr(args, "mesh_ratios", None) is not None:
-        overrides["mesh_ratios"] = args.mesh_ratios
-    if getattr(args, "theta_list", None) is not None:
-        overrides["theta_list"] = args.theta_list
+    # a flag overrides the config field its destination is named after
+    overrides = {f.name: getattr(args, f.name, None)
+                 for f in fields(ExperimentConfig)}
     if args.config is not None:
         return ExperimentConfig.from_json(args.config, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items()

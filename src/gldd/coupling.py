@@ -40,6 +40,7 @@ from .fem import (LASER_CUTOFF, DofMap, _as_callable, _basis_at_points,
                   _boundary_mass_pattern, _CsrPattern, apply_dirichlet,
                   assemble_load, assemble_stiffness, dirichlet_dofs,
                   facet_rule, laser_flux, shape_bary_grads, shape_values)
+from .linalg import LinearSolver, SolverConfig
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
 
@@ -80,7 +81,8 @@ class ProblemData:
 
 @dataclass
 class CoupledOperators:
-    """All blocks of the coupled system, Dirichlet conditions eliminated."""
+    """All blocks of the coupled system, Dirichlet conditions eliminated,
+    and the owner of the block solves on them (solvers)."""
 
     K_plus: sp.csr_matrix
     K_minus: sp.csr_matrix
@@ -104,6 +106,17 @@ class CoupledOperators:
     @property
     def n_minus(self):
         return self.K_minus.shape[0]
+
+    def solvers(self, config: SolverConfig):
+        """The (plus, minus) LinearSolver pair on K_plus and K_minus for
+        config, made once and kept while both blocks are the same objects,
+        so the sweep, the radius, M and the partial sums on these
+        operators share one factorization per block."""
+        pairs = memoised(self, "_solvers", (self.K_plus, self.K_minus), dict)
+        if config not in pairs:
+            pairs[config] = (LinearSolver(self.K_plus, config),
+                             LinearSolver(self.K_minus, config))
+        return pairs[config]
 
 
 # ----------------------------------------------------------------------

@@ -58,13 +58,14 @@ class DDConfig:
 @dataclass
 class DDReport:
     """One alternating run.  rho_estimate is a heuristic, the geometric mean
-    of the last three step ratios, not a spectral radius."""
+    of the last three step ratios, not a spectral radius.  A partial
+    report holds None for an iterate its run never reached."""
 
     converged: bool
     iterations: int
     residual_history: np.ndarray
-    T_plus: np.ndarray
-    T_minus: np.ndarray
+    T_plus: Optional[np.ndarray]
+    T_minus: Optional[np.ndarray]
     theta: float
     rho_estimate: Optional[float] = None
     wall_time: float = 0.0
@@ -82,8 +83,8 @@ class DDReport:
             "inner_iterations": {k: int(v)
                                  for k, v in self.inner_iterations.items()},
             "residual_history": [float(r) for r in self.residual_history],
-            "n_plus": int(self.T_plus.shape[0]),
-            "n_minus": int(self.T_minus.shape[0]),
+            "n_plus": None if self.T_plus is None else len(self.T_plus),
+            "n_minus": None if self.T_minus is None else len(self.T_minus),
         }
         text = json.dumps(payload, indent=2)
         if path is not None:
@@ -92,46 +93,22 @@ class DDReport:
         return text
 
 
-class _Steppers:
-    """Cached factorizations/solvers for the two blocks: new ones for the
-    config, or the (plus, minus) pair given."""
-
-    def __init__(self, ops: CoupledOperators, config: SolverConfig,
-                 solvers=None):
-        self.ops = ops
-        self.plus, self.minus = solvers or (LinearSolver(ops.K_plus, config),
-                                            LinearSolver(ops.K_minus, config))
-
-    def step0(self):
-        return self.plus.solve(self.ops.f_plus)
-
-    def local(self, T_plus):
-        return self.minus.solve(self.ops.f_minus - self.ops.D @ T_plus)
-
-    def global_(self, T_minus):
-        return self.plus.solve(self.ops.f_plus - self.ops.S @ T_minus)
-
-    def apply_M(self, v):
-        return self.plus.solve(self.ops.S @ self.minus.solve(self.ops.D @ v))
-
-
 def make_iteration_operator(ops: CoupledOperators,
                             solver: SolverConfig | None = None):
     """Callable applying M = K_plus^{-1} S K_minus^{-1} D (for spectral
-    estimation); inner solves follow the given config."""
-    steppers = _Steppers(ops, solver or SolverConfig())
-    return steppers.apply_M
+    estimation); inner solves use ops.solvers for the given config."""
+    plus, minus = ops.solvers(solver or SolverConfig())
+    return lambda v: plus.solve(ops.S @ minus.solve(ops.D @ v))
 
 
 def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
-                     initial=None, solvers=None) -> DDReport:
+                     initial=None) -> DDReport:
     """Run the alternating iteration until the relative change of the box
     iterate drops below config.tol.
 
-    solvers, a (plus, minus) pair of LinearSolvers bound to ops.K_plus and
-    ops.K_minus, replaces the pair config.solver would make, so that runs
-    and radius computations on the same operators share one factorization
-    pair; the report counts only this run's inner iterations.
+    The block solves are ops.solvers(config.solver), the pair that every
+    run, radius and partial sum on ops with that config shares; the
+    report counts only this run's inner iterations.
 
     The residual history holds ||T^k - T^{k-1}|| / ||T^k|| per sweep.
     Divergence is detected on the unnormalized step ||T^k - T^{k-1}||,
@@ -139,25 +116,28 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     the normalized quantity saturates; Diverged is raised when the step
     exceeds _DIVERGENCE_GUARD times its first value (or stops being
     finite), MaxItersExceeded when the sweep budget runs out, and an inner
-    solve's NoConvergence when an iterative solver stalls in a sweep.
-    Every exit builds one report, with the sweeps completed, the tail
-    heuristic rho_estimate and the inner iterations; the errors carry it
-    as the partial report.
+    solve's NoConvergence when an iterative solver stalls, in the start
+    solve or in a sweep.  Every exit builds one report, with the sweeps
+    completed, the tail heuristic rho_estimate and the inner iterations;
+    every error carries it as the partial report.
     """
     config = config or DDConfig()
     t0 = time.perf_counter()
-    steppers = _Steppers(ops, config.solver, solvers)
-    inner0 = (steppers.minus.total_iterations, steppers.plus.total_iterations)
-    T_plus = steppers.step0() if initial is None else np.array(initial, dtype=float)
+    plus, minus = ops.solvers(config.solver)
+    inner0 = (minus.total_iterations, plus.total_iterations)
     history = []
-    iterates = [T_plus.copy()] if config.store_iterates else None
+    T_plus = None
+    iterates = None
     T_minus = None
     first_step = None
     failure = None
     try:
+        T_plus = (plus.solve(ops.f_plus) if initial is None
+                  else np.array(initial, dtype=float))
+        iterates = [T_plus.copy()] if config.store_iterates else None
         for k in range(1, config.max_iters + 1):
-            T_minus = steppers.local(T_plus)
-            T_tilde = steppers.global_(T_minus)
+            T_minus = minus.solve(ops.f_minus - ops.D @ T_plus)
+            T_tilde = plus.solve(ops.f_plus - ops.S @ T_minus)
             T_next = config.theta * T_tilde + (1.0 - config.theta) * T_plus
             step = np.linalg.norm(T_next - T_plus)
             denom = np.linalg.norm(T_next)
@@ -167,7 +147,7 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
                 iterates.append(T_next.copy())
             T_plus = T_next
             if diff < config.tol:
-                T_minus = steppers.local(T_plus)
+                T_minus = minus.solve(ops.f_minus - ops.D @ T_plus)
                 break
             if first_step is None:
                 first_step = step if step > 0 else None
@@ -186,8 +166,8 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
         tail = [history[-i] / history[-i - 1] for i in (1, 2, 3)
                 if history[-i - 1] > 0]
         rho = float(np.exp(np.mean(np.log(tail)))) if tail else None
-    inner = {"local": steppers.minus.total_iterations - inner0[0],
-             "global": steppers.plus.total_iterations - inner0[1]}
+    inner = {"local": minus.total_iterations - inner0[0],
+             "global": plus.total_iterations - inner0[1]}
     report = DDReport(converged=failure is None, iterations=len(history),
                       residual_history=np.asarray(history),
                       T_plus=T_plus, T_minus=T_minus, theta=config.theta,
@@ -205,21 +185,23 @@ def neumann_partial_sum(ops: CoupledOperators, k: int, T_plus_0,
 
         (sum_{j<k} M^j) K_plus^{-1}(f_plus - S K_minus^{-1} f_minus) + M^k T0
 
-    evaluated matrix-free, accumulating the powers term by term.
+    evaluated matrix-free, accumulating the powers term by term, on
+    ops.solvers for the given config.
     """
-    steppers = _Steppers(ops, solver or SolverConfig())
-    c = steppers.plus.solve(ops.f_plus - ops.S @ steppers.minus.solve(ops.f_minus))
+    plus, minus = ops.solvers(solver or SolverConfig())
+    apply_M = make_iteration_operator(ops, solver)
+    c = plus.solve(ops.f_plus - ops.S @ minus.solve(ops.f_minus))
     T_plus_0 = np.asarray(T_plus_0, dtype=float)
     if k == 0:
         return T_plus_0.copy()
     total = c.copy()
     term = c
     for _ in range(1, k):
-        term = steppers.apply_M(term)
+        term = apply_M(term)
         total += term
     tail = T_plus_0
     for _ in range(k):
-        tail = steppers.apply_M(tail)
+        tail = apply_M(tail)
     return total + tail
 
 
@@ -275,16 +257,26 @@ def run_fitted_reference(geom: GeometryConfig, h_plus, h_minus,
     mesh = build_fitted_mesh(geom, h_plus, h_minus, refinement_mode)
     dofmap = build_dofmap(mesh, m)
     kappa_cells = np.where(strip_cells(mesh, geom), kappa_B, kappa_A)
-    A = assemble_stiffness(mesh, dofmap, kappa_cells)
-    b = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
-                      q_panel=problem.flux_panel)
-    A, b = apply_dirichlet(A, b, dirichlet_dofs(mesh, dofmap), problem.T_D)
-    lin = LinearSolver(A, solver or SolverConfig())
-    T = lin.solve(b)
+    load = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
+                         q_panel=problem.flux_panel)
+    T, iterations = solve_fitted(mesh, dofmap, kappa_cells, load,
+                                 dirichlet_dofs(mesh, dofmap), problem.T_D,
+                                 solver)
     return FittedSolution(mesh=mesh, dofmap=dofmap, T=T,
-                          iterations=lin.total_iterations,
+                          iterations=iterations,
                           wall_time=time.perf_counter() - t0,
                           n_dofs=dofmap.n_dofs)
+
+
+def solve_fitted(mesh, dofmap, kappa_cells, load, dirichlet, T_D,
+                 solver: SolverConfig | None = None):
+    """One solve on a fitted mesh at per-cell conductivities kappa_cells:
+    the stiffness, the Dirichlet dofs eliminated at T_D (load itself is
+    left unchanged) and a LinearSolver.  Returns (T, inner iterations)."""
+    A = assemble_stiffness(mesh, dofmap, kappa_cells)
+    A, b = apply_dirichlet(A, load, dirichlet, T_D)
+    lin = LinearSolver(A, solver or SolverConfig())
+    return lin.solve(b), lin.total_iterations
 
 
 def export_solution_csv(mesh, dofmap, coeffs, path):

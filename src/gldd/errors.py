@@ -41,7 +41,7 @@ class NoConvergence(GlddError):
     """Iterative method exhausted its budget without meeting the tolerance.
 
     report is the partial DDReport when an inner solve of the alternating
-    sweep stalled."""
+    iteration (its start solve or a sweep) stalled."""
 
     def __init__(self, msg, estimate=None, iterations=None, report=None):
         super().__init__(msg)

@@ -23,8 +23,8 @@ from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
 from .errors import (Diverged, InsufficientRatios, MaxItersExceeded,
                      NoConvergence, RankDeficient)
-from .linalg import (LinearSolver, SolverConfig, dense_spectral_radius,
-                     fit_rho_law, least_squares_fit)
+from .linalg import (SolverConfig, dense_spectral_radius, fit_rho_law,
+                     least_squares_fit)
 from .mesh import GeometryConfig
 
 
@@ -138,26 +138,24 @@ def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
 
 def _run_thetas(cfg, ops, kappa_minus, h_minus, thetas, t0):
     """One record per relaxation weight: radius and sweep on ops, all on
-    one factorization pair.  The first record's time runs from t0, each
+    ops.solvers(cfg.solver()).  The first record's time runs from t0, each
     later one from the end of the record before it."""
-    solvers = (LinearSolver(ops.K_plus, cfg.solver()),
-               LinearSolver(ops.K_minus, cfg.solver()))
+    plus, minus = ops.solvers(cfg.solver())
     records = []
     for theta in thetas:
-        rho = dense_spectral_radius(solvers[0], ops.S, solvers[1], ops.D,
-                                    theta=theta)
+        rho = dense_spectral_radius(plus, ops.S, minus, ops.D, theta=theta)
         try:
-            report = run_two_level_dd(ops, cfg.dd(theta), solvers=solvers)
-            iterations, converged = report.iterations, True
+            report = run_two_level_dd(ops, cfg.dd(theta))
         except (Diverged, MaxItersExceeded) as exc:
-            iterations, converged = exc.report.iterations, False
+            report = exc.report
         t1 = time.perf_counter()
         records.append(SweepRecord(
             case_id=_case_id(cfg, kappa_minus, h_minus, theta), dim=cfg.dim,
             m=cfg.m, h_ratio=cfg.h_plus / h_minus,
             kappa_ratio=kappa_minus / cfg.kappa_plus, theta=theta,
             rho_measured=rho, rho_predicted=float("nan"),
-            iterations=iterations, converged=converged, time_s=t1 - t0))
+            iterations=report.iterations, converged=report.converged,
+            time_s=t1 - t0))
         t0 = t1
     return records
 
@@ -306,8 +304,8 @@ def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None,
                            dd_global_gmres=rep.inner_iterations["global"],
                            dd_time_s=time.perf_counter() - t0)
             except (Diverged, MaxItersExceeded, NoConvergence) as exc:
-                its = getattr(getattr(exc, "report", None), "iterations", -1)
-                row.update(dd_converged=False, dd_iterations=its,
+                row.update(dd_converged=False,
+                           dd_iterations=exc.report.iterations,
                            dd_local_gmres=-1, dd_global_gmres=-1,
                            dd_time_s=time.perf_counter() - t0)
             fitted = run_fitted_reference(cfg.geometry(), cfg.h_plus, h_minus,

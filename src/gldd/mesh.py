@@ -195,8 +195,9 @@ def memoised(owner, name, key, build):
     when asked for with another key, a tuple of objects compared by
     identity.
 
-    What is kept depends only on read-only mesh and dof-map arrays, so it
-    lives on those objects, is built once per object and dies with it.
+    What is kept depends only on owner and key objects that are never
+    changed in place, so it lives on owner, is built once per object and
+    dies with it.
     """
     held = vars(owner).get(name)
     if held is None or not all(a is b for a, b in zip(held[0], key)):

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .coupling import ProblemData, build_coupled_operators, default_alpha
-from .dd_solver import DDConfig, build_mesh_pair, run_two_level_dd
+from .dd_solver import (DDConfig, build_mesh_pair, run_two_level_dd,
+                        solve_fitted)
 from .errors import (Diverged, MaxItersExceeded, NonpositiveCoefficient,
                      PicardNoConvergence)
-from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
-                  build_dofmap, dirichlet_dofs, evaluate_field, shape_values)
-from .linalg import LinearSolver, SolverConfig
+from .fem import (assemble_load, build_dofmap, dirichlet_dofs, evaluate_field,
+                  shape_values)
+from .linalg import SolverConfig
 from .mesh import FacetTag, GeometryConfig, build_fitted_mesh, strip_cells
 
 
@@ -99,6 +100,29 @@ def cell_midpoint_values(mesh, dofmap, coeffs):
     return coeffs[dofmap.cell_dofs] @ phi
 
 
+def _picard(step, iterates, nl: NonlinearConfig):
+    """The outer loop of both routes: step(iterates, first) solves the
+    problem frozen at the iterates, a tuple of arrays, and returns the next
+    ones undamped.  The change is ||new - old|| / ||new|| over all damped
+    iterates together, ||new|| = 0 read as 1 so that zero data converge.
+    Returns (iterates, steps, history), or raises PicardNoConvergence."""
+    history = []
+    for it in range(1, nl.picard_max + 1):
+        new = tuple(nl.damping * x + (1 - nl.damping) * old
+                    for x, old in zip(step(iterates, it == 1), iterates))
+        num = np.sqrt(sum(np.linalg.norm(x - old) ** 2
+                          for x, old in zip(new, iterates)))
+        den = np.sqrt(sum(np.linalg.norm(x) ** 2 for x in new))
+        change = num / (den if den > 0 else 1.0)
+        history.append(change)
+        iterates = new
+        if change < nl.picard_tol:
+            return iterates, it, np.asarray(history)
+    raise PicardNoConvergence(
+        f"no outer convergence in {nl.picard_max} iterations",
+        history=np.asarray(history))
+
+
 def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
                      curve_A: MaterialCurve, curve_B: MaterialCurve,
                      nl: NonlinearConfig, dd: DDConfig | None = None,
@@ -122,13 +146,11 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         lmesh.facet_tags == FacetTag.INTERFACE_GAMMA.value])
     gamma_mid = shape_values(lmesh.dim - 1, m,
                              np.full((1, lmesh.dim), 1.0 / lmesh.dim))[0]
-
-    T_plus = np.full(gdof.n_dofs, problem.T_D)
-    T_minus = np.full(ldof.n_dofs, problem.T_D)
-    history = []
     dd_iters = []
     lin_iters = []
-    for it in range(1, nl.picard_max + 1):
+
+    def step(iterates, first):
+        T_plus, T_minus = iterates
         Tg = cell_midpoint_values(gmesh, gdof, T_plus)
         Tl = cell_midpoint_values(lmesh, ldof, T_minus)
         kp_cells = np.where(in_strip, nl.kappa_plus_B, curve_A(Tg))
@@ -136,10 +158,8 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         T_gamma = T_minus[gamma_dofs] @ gamma_mid
         jump_weights = nl.kappa_plus_B - np.asarray(curve_B(T_gamma))
 
-        frozen_minus = T_minus.copy()
-
-        def flux_scale(x, _frozen=frozen_minus):
-            vals = evaluate_field(lmesh, ldof, _frozen, x)
+        def flux_scale(x):
+            vals = evaluate_field(lmesh, ldof, T_minus, x)
             return nl.kappa_plus_B / np.asarray(curve_B(vals))
 
         ops = build_coupled_operators(
@@ -149,33 +169,23 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
             kappa_plus_cells=kp_cells, kappa_minus_cells=km_cells,
             jump_facet_weights=jump_weights, flux_scale=flux_scale)
 
-        report = run_two_level_dd(ops, dd, initial=None if it == 1 else T_plus)
+        report = run_two_level_dd(ops, dd, initial=None if first else T_plus)
         dd_iters.append(report.iterations)
-        lin_iters.append(report.inner_iterations.get("local", 0) +
-                         report.inner_iterations.get("global", 0))
-        new_plus = nl.damping * report.T_plus + (1 - nl.damping) * T_plus
-        new_minus = nl.damping * report.T_minus + (1 - nl.damping) * T_minus
-        num = np.sqrt(np.linalg.norm(new_plus - T_plus) ** 2 +
-                      np.linalg.norm(new_minus - T_minus) ** 2)
-        den = np.sqrt(np.linalg.norm(new_plus) ** 2 +
-                      np.linalg.norm(new_minus) ** 2)
-        change = num / (den if den > 0 else 1.0)
-        history.append(change)
-        T_plus, T_minus = new_plus, new_minus
-        if change < nl.picard_tol:
-            Tl = cell_midpoint_values(lmesh, ldof, T_minus)
-            return NonlinearReport(
-                converged=True, picard_iterations=it,
-                history=np.asarray(history), T_plus=T_plus, T_minus=T_minus,
-                kappa_B_mean=float(np.mean(curve_B(Tl))),
-                inner_dd_iterations=dd_iters,
-                inner_linear_iterations=lin_iters,
-                wall_time=time.perf_counter() - t0,
-                local_mesh=lmesh, local_dofmap=ldof,
-                global_mesh=gmesh, global_dofmap=gdof)
-    raise PicardNoConvergence(
-        f"no outer convergence in {nl.picard_max} iterations",
-        history=np.asarray(history))
+        lin_iters.append(sum(report.inner_iterations.values()))
+        return report.T_plus, report.T_minus
+
+    (T_plus, T_minus), steps, history = _picard(
+        step, (np.full(gdof.n_dofs, problem.T_D),
+               np.full(ldof.n_dofs, problem.T_D)), nl)
+    Tl = cell_midpoint_values(lmesh, ldof, T_minus)
+    return NonlinearReport(
+        converged=True, picard_iterations=steps, history=history,
+        T_plus=T_plus, T_minus=T_minus,
+        kappa_B_mean=float(np.mean(curve_B(Tl))),
+        inner_dd_iterations=dd_iters, inner_linear_iterations=lin_iters,
+        wall_time=time.perf_counter() - t0,
+        local_mesh=lmesh, local_dofmap=ldof,
+        global_mesh=gmesh, global_dofmap=gdof)
 
 
 def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
@@ -194,33 +204,25 @@ def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
     ddofs = dirichlet_dofs(mesh, dofmap)
     load = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
                          q_panel=problem.flux_panel)
-    T = np.full(dofmap.n_dofs, problem.T_D)
-    history = []
     lin_iters = []
-    for it in range(1, nl.picard_max + 1):
-        Tc = cell_midpoint_values(mesh, dofmap, T)
+
+    def step(iterates, first):
+        Tc = cell_midpoint_values(mesh, dofmap, iterates[0])
         kappa_cells = np.where(in_strip, curve_B(Tc), curve_A(Tc))
-        A = assemble_stiffness(mesh, dofmap, kappa_cells)
-        A, b = apply_dirichlet(A, load.copy(), ddofs, problem.T_D)
-        lin = LinearSolver(A, solver or SolverConfig())
-        T_new = lin.solve(b)
-        lin_iters.append(lin.total_iterations)
-        T_new = nl.damping * T_new + (1 - nl.damping) * T
-        change = np.linalg.norm(T_new - T) / np.linalg.norm(T_new)
-        history.append(change)
-        T = T_new
-        if change < nl.picard_tol:
-            Tc = cell_midpoint_values(mesh, dofmap, T)
-            return NonlinearReport(
-                converged=True, picard_iterations=it,
-                history=np.asarray(history), T=T,
-                kappa_B_mean=float(np.mean(curve_B(Tc[in_strip]))),
-                inner_linear_iterations=lin_iters,
-                wall_time=time.perf_counter() - t0,
-                mesh=mesh, dofmap=dofmap)
-    raise PicardNoConvergence(
-        f"no outer convergence in {nl.picard_max} iterations",
-        history=np.asarray(history))
+        T, iterations = solve_fitted(mesh, dofmap, kappa_cells, load, ddofs,
+                                     problem.T_D, solver)
+        lin_iters.append(iterations)
+        return (T,)
+
+    (T,), steps, history = _picard(
+        step, (np.full(dofmap.n_dofs, problem.T_D),), nl)
+    Tc = cell_midpoint_values(mesh, dofmap, T)
+    return NonlinearReport(
+        converged=True, picard_iterations=steps, history=history, T=T,
+        kappa_B_mean=float(np.mean(curve_B(Tc[in_strip]))),
+        inner_linear_iterations=lin_iters,
+        wall_time=time.perf_counter() - t0,
+        mesh=mesh, dofmap=dofmap)
 
 
 def sweep_kappa_plus_B(geom, h_plus, h_minus, m, curve_A, curve_B,
@@ -232,8 +234,6 @@ def sweep_kappa_plus_B(geom, h_plus, h_minus, m, curve_A, curve_B,
     Returns a list of dicts (kappa_plus_B, picard_iterations, converged,
     mean inner iterations, kappa_B_mean, time).
     """
-    from dataclasses import replace
-
     rows = []
     for v in values:
         nl = replace(nl_base, kappa_plus_B=float(v))

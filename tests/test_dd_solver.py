@@ -1,6 +1,7 @@
 """Alternating iteration, closed-form equivalents and the fitted reference."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gldd.dd_solver import (DDConfig, DDReport, block_residual,
                             setup_case)
 from gldd.errors import Diverged, MaxItersExceeded, NoConvergence
 from gldd.fem import evaluate_field
-from gldd.linalg import LinearSolver, SolverConfig
+from gldd.linalg import SolverConfig, dense_spectral_radius
 from gldd.mesh import GeometryConfig
 
 GEOM = GeometryConfig()
@@ -87,17 +88,55 @@ def test_blocks_symmetric_with_positive_diagonal(kappa_minus, m, ratio):
 
 
 def test_shared_solvers_count_own_inner_iterations():
-    # runs that share a solver pair report what each run spent, the same
-    # as a run on solvers of its own
-    ops = make_ops()
+    # runs on one operators object share its solver pair and report what
+    # each run spent, the same as a run on operators of its own
     config = DDConfig(solver=SolverConfig(method="cg"))
-    alone = run_two_level_dd(ops, config)
-    solvers = (LinearSolver(ops.K_plus, config.solver),
-               LinearSolver(ops.K_minus, config.solver))
+    alone = run_two_level_dd(make_ops(), config)
+    ops = make_ops()
     for _ in range(2):
-        shared = run_two_level_dd(ops, config, solvers=solvers)
+        shared = run_two_level_dd(ops, config)
         assert shared.inner_iterations == alone.inner_iterations
         np.testing.assert_array_equal(shared.T_plus, alone.T_plus)
+
+
+class TestSolverPair:
+    def test_one_factorization_per_block(self, monkeypatch):
+        # the radius, the sweep, M and the partial sums on one operators
+        # object all solve on its one pair
+        ops = make_ops()
+        factored = []
+        real = spla.splu
+
+        def counting(A, *args, **kwargs):
+            factored.append(A.shape)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        plus, minus = ops.solvers(SolverConfig())
+        dense_spectral_radius(plus, ops.S, minus, ops.D)
+        report = run_two_level_dd(ops)
+        make_iteration_operator(ops)(report.T_plus)
+        neumann_partial_sum(ops, 2, report.T_plus)
+        assert sorted(factored) == sorted([ops.K_plus.shape,
+                                           ops.K_minus.shape])
+
+    def test_pair_kept_per_config_value(self):
+        ops = make_ops()
+        cg = SolverConfig(method="cg")
+        plus, minus = ops.solvers(cg)
+        again = ops.solvers(SolverConfig(method="cg"))
+        assert again[0] is plus and again[1] is minus
+        assert ops.solvers(SolverConfig())[0] is not plus
+
+    def test_new_block_gets_new_pair(self):
+        ops = make_ops()
+        plus, minus = ops.solvers(SolverConfig())
+        T = plus.solve(ops.f_plus)
+        ops.K_plus = 2.0 * ops.K_plus
+        new_plus, new_minus = ops.solvers(SolverConfig())
+        assert new_plus is not plus and new_minus is not minus
+        np.testing.assert_allclose(new_plus.solve(ops.f_plus), 0.5 * T,
+                                   rtol=1e-12)
 
 
 class TestFixedPoint:
@@ -168,9 +207,9 @@ class TestFailureModes:
                                                    config):
         ops = make_ops(kappa_minus=kappa_minus)
         cg = SolverConfig(method="cg")
-        solvers = (LinearSolver(ops.K_plus, cg), LinearSolver(ops.K_minus, cg))
+        solvers = ops.solvers(cg)
         with pytest.raises(error) as info:
-            run_two_level_dd(ops, config, solvers=solvers)
+            run_two_level_dd(ops, replace(config, solver=cg))
         assert info.value.report.inner_iterations == {
             "local": solvers[1].total_iterations,
             "global": solvers[0].total_iterations}
@@ -180,9 +219,9 @@ class TestFailureModes:
         # a 40-step CG budget stalls the strip solve of the second sweep
         ops = make_ops()
         cg = SolverConfig(method="cg", max_iters=40)
-        solvers = (LinearSolver(ops.K_plus, cg), LinearSolver(ops.K_minus, cg))
+        solvers = ops.solvers(cg)
         with pytest.raises(NoConvergence) as info:
-            run_two_level_dd(ops, DDConfig(solver=cg), solvers=solvers,
+            run_two_level_dd(ops, DDConfig(solver=cg),
                              initial=np.zeros(ops.n_plus))
         report = info.value.report
         assert isinstance(report, DDReport) and not report.converged
@@ -191,6 +230,27 @@ class TestFailureModes:
             "local": solvers[1].total_iterations,
             "global": solvers[0].total_iterations}
         assert report.inner_iterations["local"] >= cg.max_iters
+
+    @pytest.mark.parametrize("config,start,sizes", [
+        (DDConfig(max_iters=0), None, (True, False)),
+        (DDConfig(solver=SolverConfig(method="cg", max_iters=3)), "zeros",
+         (True, False)),
+        (DDConfig(solver=SolverConfig(method="cg", max_iters=3)), None,
+         (False, False))], ids=["no-sweep", "strip-stall", "start-stall"])
+    def test_partial_report_without_iterates_to_json(self, config, start,
+                                                     sizes):
+        # a run that stops before its first strip (or start) solve returns
+        # holds no such iterate, and the JSON says so with null sizes
+        ops = make_ops()
+        initial = np.zeros(ops.n_plus) if start == "zeros" else None
+        with pytest.raises((MaxItersExceeded, NoConvergence)) as info:
+            run_two_level_dd(ops, config, initial=initial)
+        report = info.value.report
+        assert report.iterations == 0
+        payload = json.loads(report.to_json())
+        assert (payload["n_plus"], payload["n_minus"]) == tuple(
+            n if present else None
+            for n, present in zip((ops.n_plus, ops.n_minus), sizes))
 
     @pytest.mark.parametrize("theta", [0.0, -0.5, float("nan")])
     def test_nonpositive_theta_rejected(self, theta):

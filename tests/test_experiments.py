@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
 import gldd.experiments as experiments
-from gldd.cli import build_parser, fraction, main
+from gldd.cli import _config_from, build_parser, fraction, main
 from gldd.errors import InsufficientRatios
 from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               SweepRecord, compare_monolithic, emit_reports,
@@ -368,6 +368,19 @@ class TestCli:
         assert args.kappa_minus == 0.25 and args.m == 2
         with pytest.raises(SystemExit):
             parser.parse_args(["unknown-command"])
+
+    @pytest.mark.parametrize("argv,field,value", [
+        (["solve", "--degree", "2"], "m", 2),
+        (["sweep-kappa", "--kappa-list", "0.5,1/4"], "kappa_list",
+         (0.5, 0.25)),
+        (["sweep-mesh", "--mesh-ratios", "2,4,8"], "mesh_ratios", (2, 4, 8)),
+        (["relax-study", "--theta-list", "1,0.5"], "theta_list", (1.0, 0.5)),
+        (["solve", "--preconditioner", "diagonal"], "preconditioner",
+         "diagonal")])
+    def test_flags_reach_config(self, argv, field, value):
+        cfg = _config_from(build_parser().parse_args(argv))
+        assert getattr(cfg, field) == value
+        assert cfg == replace(ExperimentConfig(), **{field: value})
 
     def test_solve(self, capsys):
         assert main(["solve", "--kappa-minus", "0.5"]) == 0

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used."""
+"""Every module-level import in the package is used, and every private
+module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,58 @@ def test_detector_sees_plain_from_and_aliased_imports():
     source = ("import json\nimport os.path\nfrom a import b as c, d\n"
               "__all__ = ['d']\nprint(os.path.sep)\n")
     assert unused_imports(source) == [(1, "json"), (3, "c")]
+
+
+def private_definitions(source):
+    """(line, name) of the private names a module binds at top level by
+    def, class or assignment; dunder names are not private."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and \
+                isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def names_read(source):
+    """Names a module reads: loaded names, attribute names and names
+    imported from other modules."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+PACKAGE_READS = set().union(*(names_read(p.read_text())
+                              for p in PACKAGE.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    # a private name nothing in the package reads is a leftover
+    assert [(line, name) for line, name in
+            private_definitions(path.read_text())
+            if name not in PACKAGE_READS] == []
+
+
+def test_private_name_detector():
+    source = ("class _Left:\n    pass\n_LIMIT: int = 3\n_USED = 2\n"
+              "__version__ = '1'\ndef public():\n    return _USED\n")
+    assert private_definitions(source) == [(1, "_Left"), (3, "_LIMIT"),
+                                           (4, "_USED")]
+    assert [d for d in private_definitions(source)
+            if d[1] not in names_read(source)] == [(1, "_Left"), (3, "_LIMIT")]

@@ -6,6 +6,7 @@ import pytest
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
 import gldd.nonlinear as nonlinear
+from gldd.coupling import ProblemData
 from gldd.dd_solver import DDConfig, run_two_level_dd, setup_case
 from gldd.errors import NonpositiveCoefficient, PicardNoConvergence
 from gldd.fem import build_dofmap, evaluate_field
@@ -191,6 +192,17 @@ class TestPicardMonolithic:
             mono.T.max() - T_D, rel=0.1)
         assert dd_rep.kappa_B_mean == pytest.approx(mono.kappa_B_mean,
                                                     rel=0.05)
+
+
+@pytest.mark.parametrize("route", [picard_two_level, picard_monolithic])
+def test_zero_data_converge_in_one_step(route):
+    # zero source, flux and wall temperature give the zero solution: the
+    # first step changes nothing, which reads as a change of 0, not 0/0
+    rep = route(GEOM, 1 / 160, 1 / 320, 1, MaterialCurve.constant(1.0),
+                MaterialCurve.constant(0.5), NonlinearConfig(),
+                problem=ProblemData(f=0.0, q=0.0, T_D=0.0))
+    assert rep.converged and rep.picard_iterations == 1
+    np.testing.assert_array_equal(rep.history, [0.0])
 
 
 class TestSweep:
