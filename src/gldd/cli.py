@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands map one-to-one onto the study functions; a JSON config can
-seed any run and individual flags override it.
+seed any run and individual flags override it.  Exits 1 when a run stops
+early (an IterationFailure) and 2 on any other package error.
 """
 
 from __future__ import annotations
@@ -12,15 +13,17 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .coupling import interface_trace_gap
 from .dd_solver import (export_solution_csv, make_iteration_operator,
                         run_two_level_dd, setup_case)
-from .errors import Diverged, GlddError, MaxItersExceeded, NoConvergence
+from .errors import GlddError, IterationFailure, NoConvergence
 from .experiments import (ExperimentConfig, compare_monolithic, emit_reports,
                           relaxation_study, run_case, sweep_kappa,
                           sweep_mesh_ratio)
 from .fem import export_matrix
-from .linalg import power_iteration_rho
+from .linalg import _METHOD_ALIASES, power_iteration_rho
 from .nonlinear import (MaterialCurve, NonlinearConfig, picard_two_level,
                         sweep_kappa_plus_B)
 
@@ -41,7 +44,6 @@ def _float_list(text: str):
 def _range_spec(text: str):
     """lo:hi:n geometric grid, e.g. '0.5:8:7'."""
     lo, hi, n = text.split(":")
-    import numpy as np
     return np.geomspace(float(lo), float(hi), int(n))
 
 
@@ -59,8 +61,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--solver", dest="solver_method", default=None,
-                   choices=("dense-direct", "direct", "conjugate-gradient",
-                            "cg", "restarted-minimal-residual", "gmres"))
+                   choices=tuple(_METHOD_ALIASES))
     p.add_argument("--preconditioner", default=None,
                    choices=("none", "diagonal"))
     p.add_argument("--seed", type=int, default=None)
@@ -82,11 +83,7 @@ def _cmd_solve(args) -> int:
     ops = setup_case(cfg.geometry(), cfg.h_plus, cfg.h_minus, cfg.m,
                      cfg.kappa_plus, cfg.kappa_minus, alpha=cfg.alpha,
                      problem=cfg.problem())
-    try:
-        report = run_two_level_dd(ops, cfg.dd())
-    except (Diverged, MaxItersExceeded) as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
+    report = run_two_level_dd(ops, cfg.dd())
     gap = interface_trace_gap(ops, report.T_plus, report.T_minus)
     rho = "n/a" if report.rho_estimate is None else f"{report.rho_estimate:.4f}"
     print(f"converged in {report.iterations} sweeps "
@@ -182,9 +179,7 @@ def _cmd_relax(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _config_from(args)
-    rows = compare_monolithic(cfg, kappa_ratios=list(args.kappa_ratios),
-                              mesh_ratios=list(args.mesh_ratios_cmp)
-                              if args.mesh_ratios_cmp else None)
+    rows = compare_monolithic(cfg, kappa_ratios=list(args.kappa_ratios))
     for row in rows:
         print(f"ratio={row['kappa_ratio']:g} h_ratio={row['h_ratio']:g}: "
               f"dd iters={row['dd_iterations']} "
@@ -214,11 +209,11 @@ def _cmd_nonlinear(args) -> int:
     nl = NonlinearConfig(kappa_plus_B=args.kappa_plus_b,
                          picard_tol=args.picard_tol,
                          picard_max=args.picard_max)
-    if args.sweep_kappa_plus_b:
-        values = _range_spec(args.sweep_kappa_plus_b)
+    if args.sweep_kappa_plus_b is not None:
         rows = sweep_kappa_plus_B(cfg.geometry(), cfg.h_plus, cfg.h_minus,
-                                  cfg.m, curve_a, curve_b, values, nl,
-                                  cfg.dd(), problem=cfg.problem())
+                                  cfg.m, curve_a, curve_b,
+                                  args.sweep_kappa_plus_b, nl, cfg.dd(),
+                                  problem=cfg.problem())
         for row in rows:
             print(f"kappa_plus_B={row['kappa_plus_B']:.4f}: "
                   f"picard={row['picard_iterations']} "
@@ -236,8 +231,7 @@ def _cmd_nonlinear(args) -> int:
     report = picard_two_level(cfg.geometry(), cfg.h_plus, cfg.h_minus, cfg.m,
                               curve_a, curve_b, nl, cfg.dd(),
                               problem=cfg.problem())
-    print(f"picard converged={report.converged} in "
-          f"{report.picard_iterations} updates "
+    print(f"picard converged in {report.picard_iterations} updates "
           f"(dd sweeps {report.inner_dd_iterations}, "
           f"strip mean conductivity {report.kappa_B_mean:.4f}, "
           f"{report.wall_time:.2f}s)")
@@ -288,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="two-mesh solver vs one fitted mesh")
     _add_common(p)
     p.add_argument("--kappa-ratios", type=_float_list, default=(2.0, 3.0))
-    p.add_argument("--mesh-ratios", dest="mesh_ratios_cmp",
-                   type=_ratio_list, default=None)
+    p.add_argument("--mesh-ratios", type=_ratio_list, default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("nonlinear",
@@ -305,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frozen background coefficient inside the strip")
     p.add_argument("--picard-tol", type=float, default=1e-6)
     p.add_argument("--picard-max", type=int, default=100)
-    p.add_argument("--sweep-kappa-plus-b", default=None, metavar="LO:HI:N",
+    p.add_argument("--sweep-kappa-plus-b", type=_range_spec, metavar="LO:HI:N",
                    help="geometric grid of background coefficients")
     p.set_defaults(func=_cmd_nonlinear)
     return parser
@@ -315,6 +308,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except IterationFailure as exc:
+        # a run that stopped early: diverged, out of sweeps or stalled
+        print(f"failed: {exc}", file=sys.stderr)
+        return 1
     except GlddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

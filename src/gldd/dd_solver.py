@@ -15,6 +15,7 @@ implemented and cross-checked in the tests.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
-from .errors import (Diverged, MaxItersExceeded, NoConvergence,
+from .errors import (Diverged, IterationFailure, MaxItersExceeded,
                      SingularMatrix)
 from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
                   build_dofmap, dirichlet_dofs)
@@ -119,7 +120,7 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     solve's NoConvergence when an iterative solver stalls, in the start
     solve or in a sweep.  Every exit builds one report, with the sweeps
     completed, the tail heuristic rho_estimate and the inner iterations;
-    every error carries it as the partial report.
+    each of these IterationFailures carries it as the partial report.
     """
     config = config or DDConfig()
     t0 = time.perf_counter()
@@ -159,7 +160,7 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
         else:
             failure = MaxItersExceeded(
                 f"no convergence in {config.max_iters} sweeps")
-    except NoConvergence as exc:
+    except IterationFailure as exc:
         failure = exc
     rho = None
     if len(history) >= 4:
@@ -281,8 +282,6 @@ def solve_fitted(mesh, dofmap, kappa_cells, load, dirichlet, T_D,
 
 def export_solution_csv(mesh, dofmap, coeffs, path):
     """Per-dof CSV: index, coordinates, value."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         cols = ["dof", "x", "y", "z"][:1 + mesh.dim] + ["value"]

@@ -37,17 +37,26 @@ class SingularMatrix(GlddError):
     """Direct solve hit a singular or numerically singular matrix."""
 
 
-class NoConvergence(GlddError):
+class IterationFailure(GlddError):
+    """An iteration stopped before its tolerance: it diverged, ran out of
+    iterations or stalled.  report is the stopped run's partial report, or
+    None.  The studies record such a run as not converged; the CLI exits 1."""
+
+    def __init__(self, msg, report=None):
+        super().__init__(msg)
+        self.report = report
+
+
+class NoConvergence(IterationFailure):
     """Iterative method exhausted its budget without meeting the tolerance.
 
     report is the partial DDReport when an inner solve of the alternating
     iteration (its start solve or a sweep) stalled."""
 
-    def __init__(self, msg, estimate=None, iterations=None, report=None):
+    def __init__(self, msg, estimate=None, iterations=None):
         super().__init__(msg)
         self.estimate = estimate
         self.iterations = iterations
-        self.report = report
 
 
 class TooLarge(GlddError):
@@ -58,20 +67,12 @@ class RankDeficient(GlddError):
     """Least-squares system does not determine the requested coefficients."""
 
 
-class Diverged(GlddError):
+class Diverged(IterationFailure):
     """Fixed-point iteration blew past the divergence guard."""
 
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
 
-
-class MaxItersExceeded(GlddError):
+class MaxItersExceeded(IterationFailure):
     """Fixed-point iteration hit the iteration cap before the tolerance."""
-
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
 
 
 class InsufficientRatios(GlddError):
@@ -82,8 +83,8 @@ class NonpositiveConstant(GlddError):
     """Fitted constant is nonpositive, derived quantity undefined."""
 
 
-class PicardNoConvergence(GlddError):
-    """Outer nonlinear loop exhausted its budget."""
+class PicardNoConvergence(IterationFailure):
+    """Outer Picard loop exhausted its budget; history holds its changes."""
 
     def __init__(self, msg, history=None):
         super().__init__(msg)

@@ -18,15 +18,16 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import ProblemData, build_coupled_operators, default_alpha
+from .coupling import (ProblemData, _interface, build_coupled_operators,
+                       default_alpha)
 from .dd_solver import (DDConfig, build_mesh_pair, run_two_level_dd,
                         solve_fitted)
-from .errors import (Diverged, MaxItersExceeded, NonpositiveCoefficient,
+from .errors import (IterationFailure, NonpositiveCoefficient,
                      PicardNoConvergence)
 from .fem import (assemble_load, build_dofmap, dirichlet_dofs, evaluate_field,
                   shape_values)
 from .linalg import SolverConfig
-from .mesh import FacetTag, GeometryConfig, build_fitted_mesh, strip_cells
+from .mesh import GeometryConfig, build_fitted_mesh, strip_cells
 
 
 class MaterialCurve:
@@ -71,6 +72,11 @@ class NonlinearConfig:
     picard_tol: float = 1e-6
     picard_max: int = 100
     damping: float = 1.0
+
+    def __post_init__(self):
+        # at damping = 0 the start never moves, which reads as convergence
+        if not self.damping > 0:
+            raise ValueError(f"damping must be positive, got {self.damping}")
 
 
 @dataclass
@@ -140,10 +146,9 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     t0 = time.perf_counter()
     gmesh, gdof, lmesh, ldof = build_mesh_pair(geom, h_plus, h_minus, m)
     in_strip = strip_cells(gmesh, geom)
-    # the strip trace at the gamma facet midpoints, in the S assembler's
-    # facet order, from each facet's dofs as cell_midpoint_values does
-    gamma_dofs = ldof.facet_dofs(lmesh.facet_vertices[
-        lmesh.facet_tags == FacetTag.INTERFACE_GAMMA.value])
+    # the strip trace at the gamma facet midpoints, in S's facet order, from
+    # the facet dofs the kept interface terms hold (as cell_midpoint_values)
+    gamma_dofs = _interface(gmesh, lmesh, gdof, ldof).ldofs
     gamma_mid = shape_values(lmesh.dim - 1, m,
                              np.full((1, lmesh.dim), 1.0 / lmesh.dim))[0]
     dd_iters = []
@@ -240,23 +245,22 @@ def sweep_kappa_plus_B(geom, h_plus, h_minus, m, curve_A, curve_B,
         try:
             rep = picard_two_level(geom, h_plus, h_minus, m, curve_A, curve_B,
                                    nl, dd, problem)
-            rows.append({
-                "kappa_plus_B": float(v),
-                "picard_iterations": rep.picard_iterations,
-                "converged": True,
-                "mean_dd_iterations": float(np.mean(rep.inner_dd_iterations)),
-                "mean_linear_iterations": float(np.mean(rep.inner_linear_iterations)),
-                "kappa_B_mean": rep.kappa_B_mean,
-                "time_s": rep.wall_time,
-            })
-        except (Diverged, MaxItersExceeded, PicardNoConvergence):
-            rows.append({
-                "kappa_plus_B": float(v),
-                "picard_iterations": -1,
-                "converged": False,
-                "mean_dd_iterations": float("nan"),
-                "mean_linear_iterations": float("nan"),
-                "kappa_B_mean": float("nan"),
-                "time_s": float("nan"),
-            })
+        except IterationFailure:
+            rep = None
+        rows.append(_sweep_row(float(v), rep))
     return rows
+
+
+def _sweep_row(kappa_plus_B, rep: NonlinearReport | None):
+    """One sweep row; a run that stopped early (rep None) gets -1 and NaNs."""
+    return {
+        "kappa_plus_B": kappa_plus_B,
+        "picard_iterations": -1 if rep is None else rep.picard_iterations,
+        "converged": rep is not None,
+        "mean_dd_iterations": np.nan if rep is None
+        else float(np.mean(rep.inner_dd_iterations)),
+        "mean_linear_iterations": np.nan if rep is None
+        else float(np.mean(rep.inner_linear_iterations)),
+        "kappa_B_mean": np.nan if rep is None else rep.kappa_B_mean,
+        "time_s": np.nan if rep is None else rep.wall_time,
+    }

@@ -14,14 +14,14 @@ import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
 import gldd.experiments as experiments
 from gldd.cli import _config_from, build_parser, fraction, main
-from gldd.errors import InsufficientRatios
+from gldd.errors import Diverged, InsufficientRatios, IterationFailure
 from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               SweepRecord, compare_monolithic, emit_reports,
                               log2_growth_slope, relaxation_study, run_case,
                               sweep_kappa, sweep_mesh_ratio,
                               theta_coefficient_ratio,
                               theta_parabola_minimizer)
-from gldd.linalg import fit_rho_law
+from gldd.linalg import SolverConfig, fit_rho_law
 from gldd.mesh import GeometryConfig
 
 
@@ -67,6 +67,24 @@ def count_builds(monkeypatch):
     monkeypatch.setattr(coupling, "_Interface",
                         counting("interface", coupling._Interface))
     return counts
+
+
+def stalling_solver(monkeypatch):
+    """Give every study's sweep a 40-step CG budget, which stalls an inner
+    solve of the first sweeps at the default case; the radius stays exact,
+    as it takes direct solves of its own."""
+    cg = SolverConfig(method="cg", max_iters=40)
+    monkeypatch.setattr(ExperimentConfig, "solver", lambda self: cg)
+    return cg
+
+
+def stopped_report(cfg, theta):
+    """The partial report of a fresh run of cfg's case at theta."""
+    ops = dd_solver.setup_case(cfg.geometry(), cfg.h_plus, cfg.h_minus,
+                               cfg.m, cfg.kappa_plus, cfg.kappa_minus)
+    with pytest.raises(IterationFailure) as info:
+        dd_solver.run_two_level_dd(ops, cfg.dd(theta))
+    return info.value.report
 
 
 def full_matrix_radius(ops):
@@ -138,6 +156,15 @@ class TestRunCase:
         assert not rec.converged
         assert rec.iterations > 0
         assert rec.rho_measured > 1.0
+
+    def test_inner_stall_recorded(self, monkeypatch):
+        # a stalled inner solve is a data point, like a divergent sweep
+        stalling_solver(monkeypatch)
+        cfg = ExperimentConfig()
+        rec, _ = run_case(cfg)
+        assert not rec.converged
+        assert rec.iterations == stopped_report(cfg, 1.0).iterations == 1
+        assert 0.0 < rec.rho_measured < 1.0
 
     @pytest.mark.parametrize("kappa_minus, rho", [(0.5, 0.22095),
                                                   (0.0625, 0.41428)])
@@ -303,6 +330,16 @@ class TestRelaxation:
                                     asdict(replace(ref, time_s=0.0)))
 
 
+    def test_inner_stall_recorded(self, monkeypatch):
+        stalling_solver(monkeypatch)
+        cfg = ExperimentConfig(theta_list=(1.0, 0.5))
+        study = relaxation_study(cfg)
+        assert [r.converged for r in study.records] == [False, False]
+        assert [r.iterations for r in study.records] == [
+            stopped_report(cfg, t).iterations for t in cfg.theta_list]
+        assert np.isnan(study.best_theta)
+
+
 class TestCompareMonolithic:
     def test_row_contents(self):
         cfg = ExperimentConfig()
@@ -315,6 +352,27 @@ class TestCompareMonolithic:
         assert row["fitted_gmres"] > 0
         assert row["fitted_dofs"] > 0
         assert row["theta"] == pytest.approx(0.5)  # kappa ratio 2 preset
+
+    def test_stopped_run_row_carries_partial_report(self):
+        # theta = 3 over-relaxes the sweep past its stability limit; the
+        # row reads the sweeps and inner GMRES steps of the partial report
+        cfg = ExperimentConfig(theta=3.0)
+        [row] = compare_monolithic(cfg, kappa_ratios=[1.5], mesh_ratios=[2])
+        gmres = SolverConfig(method="restarted-minimal-residual",
+                             rel_tol=cfg.solver_rel_tol,
+                             preconditioner="diagonal")
+        ops = dd_solver.setup_case(cfg.geometry(), cfg.h_plus,
+                                   cfg.h_plus / 2, cfg.m, cfg.kappa_plus, 1.5)
+        with pytest.raises(Diverged) as info:
+            dd_solver.run_two_level_dd(ops, replace(cfg.dd(), solver=gmres))
+        report = info.value.report
+        assert row["dd_converged"] is False
+        assert row["dd_iterations"] == report.iterations > 0
+        assert (row["dd_local_gmres"], row["dd_global_gmres"]) == (
+            report.inner_iterations["local"],
+            report.inner_iterations["global"])
+        assert row["dd_local_gmres"] > 0
+        assert row["fitted_gmres"] > 0
 
     def test_dd_time_covers_setup(self, monkeypatch):
         delay = slow_setup(monkeypatch)
@@ -376,7 +434,9 @@ class TestCli:
         (["sweep-mesh", "--mesh-ratios", "2,4,8"], "mesh_ratios", (2, 4, 8)),
         (["relax-study", "--theta-list", "1,0.5"], "theta_list", (1.0, 0.5)),
         (["solve", "--preconditioner", "diagonal"], "preconditioner",
-         "diagonal")])
+         "diagonal"),
+        (["compare-monolithic", "--mesh-ratios", "2,4"], "mesh_ratios",
+         (2, 4))])
     def test_flags_reach_config(self, argv, field, value):
         cfg = _config_from(build_parser().parse_args(argv))
         assert getattr(cfg, field) == value
@@ -404,6 +464,11 @@ class TestCli:
         assert main(["solve", "--kappa-minus", "12.0"]) == 1
         assert "failed" in capsys.readouterr().err
         assert main(["solve", "--kappa-minus", "-1.0"]) == 2
+
+    def test_nonlinear_budget_exhaustion_exits_1(self, capsys):
+        # an outer loop out of iterations stopped early; it is no input error
+        assert main(["nonlinear", "--picard-max", "1"]) == 1
+        assert "failed" in capsys.readouterr().err
 
     def test_spectrum(self, capsys):
         assert main(["spectrum", "--kappa-minus", "0.5", "--power"]) == 0

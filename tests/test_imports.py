@@ -1,10 +1,13 @@
-"""Every module-level import in the package is used, and every private
-module-level name is read somewhere in the package."""
+"""Every module-level import in the package is used, every private
+module-level name is read somewhere in the package, and no except clause
+lists two IterationFailure classes where the base would do."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from gldd import errors
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gldd"
 
@@ -97,3 +100,42 @@ def test_private_name_detector():
                                            (4, "_USED")]
     assert [d for d in private_definitions(source)
             if d[1] not in names_read(source)] == [(1, "_Left"), (3, "_LIMIT")]
+
+
+ITERATION_FAILURES = {name for name, obj in vars(errors).items()
+                      if isinstance(obj, type)
+                      and issubclass(obj, errors.IterationFailure)}
+
+
+def failure_catch_tuples(source, failures):
+    """(line, names) of the except clauses whose tuple names two or more
+    of failures; the base catches them all, so such a tuple is a second
+    rule for which stopped runs a caller survives."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and \
+                isinstance(node.type, ast.Tuple):
+            names = [getattr(e, "id", getattr(e, "attr", None))
+                     for e in node.type.elts]
+            hits = [n for n in names if n in failures]
+            if len(hits) >= 2:
+                found.append((node.lineno, hits))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_catch_tuples_over_iteration_failures(path):
+    assert failure_catch_tuples(path.read_text(), ITERATION_FAILURES) == []
+
+
+def test_catch_tuple_detector():
+    source = ("try:\n    pass\nexcept (Diverged, errors.NoConvergence):\n"
+              "    pass\nexcept (Diverged, ValueError):\n    pass\n"
+              "except IterationFailure:\n    pass\n")
+    failures = {"Diverged", "NoConvergence", "IterationFailure"}
+    assert failure_catch_tuples(source, failures) == [
+        (3, ["Diverged", "NoConvergence"])]
+    assert ITERATION_FAILURES == {"IterationFailure", "Diverged",
+                                  "MaxItersExceeded", "NoConvergence",
+                                  "PicardNoConvergence"}

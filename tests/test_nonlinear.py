@@ -9,6 +9,7 @@ import gldd.nonlinear as nonlinear
 from gldd.coupling import ProblemData
 from gldd.dd_solver import DDConfig, run_two_level_dd, setup_case
 from gldd.errors import NonpositiveCoefficient, PicardNoConvergence
+from gldd.linalg import SolverConfig
 from gldd.fem import build_dofmap, evaluate_field
 from gldd.mesh import GeometryConfig, build_global_mesh, interface_facets
 from gldd.nonlinear import (MaterialCurve, NonlinearConfig,
@@ -171,6 +172,13 @@ class TestPicardTwoLevel:
         assert b.picard_iterations >= a.picard_iterations
         np.testing.assert_allclose(b.T_plus, a.T_plus, rtol=1e-6)
 
+    @pytest.mark.parametrize("damping", [0.0, -0.5, float("nan")])
+    def test_nonpositive_damping_rejected(self, damping):
+        # at damping = 0 the first step leaves the start iterate in place,
+        # a change of 0 that would read as convergence at the wall value
+        with pytest.raises(ValueError, match="damping"):
+            NonlinearConfig(damping=damping)
+
     def test_budget_exhaustion_raises(self):
         nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-6, picard_max=1)
         with pytest.raises(PicardNoConvergence) as info:
@@ -230,3 +238,14 @@ class TestSweep:
         assert rows[0]["converged"] is False
         assert rows[0]["picard_iterations"] == -1
         assert np.isnan(rows[0]["mean_dd_iterations"])
+
+    def test_inner_stall_recorded_not_raised(self):
+        # a 3-step CG budget stalls the first inner start solve of every
+        # run; each becomes a non-converged row instead of aborting the sweep
+        dd = DDConfig(solver=SolverConfig(method="cg", max_iters=3))
+        rows = sweep_kappa_plus_B(GEOM, 1 / 160, 1 / 320, 1,
+                                  MaterialCurve.constant(1.0), CURVE_B,
+                                  [0.5, 1.0], NonlinearConfig(), dd)
+        assert [r["converged"] for r in rows] == [False, False]
+        assert [r["picard_iterations"] for r in rows] == [-1, -1]
+        assert all(np.isnan(r["kappa_B_mean"]) for r in rows)
