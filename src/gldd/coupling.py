@@ -13,17 +13,16 @@ flux-jump integral, D stores -alpha times the cross mass matrix.
 
 What does not depend on the coefficients is built once per mesh pair and
 kept on the mesh and dof-map objects: the unit cell matrices and CSR
-patterns of both stiffness blocks (on each dof map), and the interface
-terms (on the strip dof map), which are the gamma quadrature, the box
-basis at every gamma point (the only points located, in one call), the
-strip basis there (known from the strip's facet rule, so not located), the
-unit S and D terms per point and the gamma mass pattern.  The trace gap
-reads the same two bases.  A new set of coefficients on the same
-objects (another strip conductivity, a Picard step with per-cell
-conductivities, per-facet jump weights and a new penalty) then costs one
-weighted bincount per block, the Dirichlet masks on the matrix data, the
-box load and, in the solver, one factorization per block; the strip load
-is kept too.
+patterns of both stiffness blocks; the interface terms (the gamma
+quadrature, the box basis at every gamma point, the only points located,
+the strip basis there from its facet rule, and the unit S and D terms);
+the block layouts (the Dirichlet dofs, their elimination in each stiffness
+pattern, the gamma mass and its slots in the strip's); and both loads
+unscaled.  A new set of coefficients on the same objects (another strip
+conductivity, or a Picard step's per-cell conductivities, jump weights and
+penalty) then costs one weighted bincount per block, written into that
+block's one matrix in place, the box load outside + ratio * inside (only a
+Picard flux scale integrates it again) and one factorization per block.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
 from .fem import (LASER_CUTOFF, DofMap, _as_callable, _basis_at_points,
-                  _boundary_mass_pattern, _CsrPattern, apply_dirichlet,
-                  assemble_load, assemble_stiffness, dirichlet_dofs,
-                  facet_rule, laser_flux, shape_bary_grads, shape_values)
+                  _boundary_mass_pattern, _CsrPattern, _Elimination,
+                  _stiffness_pattern, assemble_load, assemble_stiffness,
+                  dirichlet_dofs, facet_rule, laser_flux, shape_bary_grads,
+                  shape_values)
 from .linalg import LinearSolver, SolverConfig
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
@@ -131,9 +131,8 @@ class _Interface:
     _owner_barycentrics) and only the box basis is located, in one call.
     Holds the gamma quadrature weights wq (nf, nq), the strip trace basis
     (facet dofs ldofs (nf, n) and values lvals (nq, n), the same on every
-    facet), the box basis at the nf * nq points (gdofs, gvals), the unit S
-    and D patterns with one owner per point, and the strip's gamma mass
-    pattern with its facet scales.
+    facet), the box basis at the nf * nq points (gdofs, gvals), and the
+    unit S and D patterns with one owner per point.
     """
 
     def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap):
@@ -172,8 +171,6 @@ class _Interface:
                              np.repeat(self.ldofs, nq, axis=0)[:, :, None],
                              gdofs[:, None, :],
                              (local_dofmap.n_dofs, global_dofmap.n_dofs))
-        self.gamma_mass, self.gamma_scale = _boundary_mass_pattern(
-            local_mesh, local_dofmap, facets)
 
 
 def _owner_barycentrics(mesh, facets, owners, points):
@@ -227,18 +224,84 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
     return D
 
 
-def _zero_rows(A, rows):
-    """Clear the given rows of A on its data, in place."""
-    mask = np.zeros(A.shape[0], dtype=bool)
-    mask[rows] = True
-    A.data[np.repeat(mask, np.diff(A.indptr))] = 0.0
-    A.eliminate_zeros()
-    return A
-
-
 # ----------------------------------------------------------------------
 # full system builder
 # ----------------------------------------------------------------------
+
+class _Layout:
+    """The Dirichlet elimination in each stiffness pattern of a mesh pair
+    (which also clears the constrained rows of S and D), and the gamma mass
+    with the slot of each of its entries in the strip stiffness pattern,
+    which holds them all: each facet's dofs are its owner cell's."""
+
+    def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap):
+        plus = _stiffness_pattern(global_mesh, global_dofmap)
+        minus = _stiffness_pattern(local_mesh, local_dofmap)
+        self.plus = _Elimination(plus, dirichlet_dofs(global_mesh,
+                                                      global_dofmap))
+        self.minus = _Elimination(minus, dirichlet_dofs(local_mesh,
+                                                        local_dofmap))
+        gamma = local_mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
+        self.gamma_mass, self.gamma_scale = _boundary_mass_pattern(
+            local_mesh, local_dofmap, local_mesh.facet_vertices[gamma])
+
+        def keys(pattern):
+            n = pattern.shape[0]
+            rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+            return rows * n + pattern.indices
+
+        self.gamma_slots = np.searchsorted(keys(minus), keys(self.gamma_mass))
+
+
+def _load(geom, mesh, dofmap, problem, flux_scale=None):
+    """The load on mesh before its Dirichlet rows, with the volume source
+    inside the strip footprint and the top flux (whose support lies on the
+    strip's top) multiplied by flux_scale(x).
+
+    flux_scale is called only inside the footprint (callable scales may be
+    undefined outside it, e.g. local-field lookups) and, on the flux, only
+    where the flux is nonzero (a zero flux stays zero under any finite
+    scale).  Without it the unscaled load is returned in two parts,
+    (outside, inside) the footprint, kept on the dof map for the same
+    geometry and problem data (f, q and flux_panel, compared by identity).
+    """
+    q = problem.flux(geom)
+    volume = callable(problem.f) or float(problem.f) != 0.0
+
+    def scaled(fun, where, scale):
+        call = _as_callable(fun)
+        def g(x):
+            out = np.broadcast_to(np.asarray(call(x), dtype=float),
+                                  x.shape[:-1]).copy()
+            hot = where(x, out)
+            if np.any(hot):
+                out[hot] *= scale(x[hot])
+            return out
+        g.support = getattr(fun, "support", None)
+        return g
+
+    def inside(x, _):
+        return x[..., -1] >= geom.H - geom.H_minus - 1e-12
+
+    def load(source, flux):
+        return assemble_load(mesh, dofmap, source if volume else 0.0, flux,
+                             q_panel=problem.flux_panel)
+
+    if flux_scale is not None:
+        return load(scaled(problem.f, inside, flux_scale),
+                    scaled(q, lambda x, v: v != 0.0, flux_scale))
+
+    def parts():
+        kept = (load(scaled(problem.f, inside, lambda x: 0.0), None),
+                load(scaled(problem.f, lambda x, v: ~inside(x, v),
+                            lambda x: 0.0), q))
+        for b in kept:
+            b.setflags(write=False)
+        return kept
+
+    return memoised(dofmap, "_load", (mesh, geom, problem.f, problem.q,
+                                      problem.flux_panel), parts)
+
 
 def build_coupled_operators(geom: GeometryConfig,
                             global_mesh, global_dofmap,
@@ -265,9 +328,13 @@ def build_coupled_operators(geom: GeometryConfig,
     plain scalar arguments cover the piecewise-constant case.  flux_scale,
     which replaces kappa_plus/kappa_minus on the top flux, is called once
     per flux call of the box load, only on the points where the flux is
-    nonzero.  The strip load before its Dirichlet rows depends on no
-    coefficient and is kept on the strip dof map for the same geometry and
-    problem data (f, q and flux_panel, compared by identity).
+    nonzero.
+
+    Each block is the one matrix its assembly returns, changed on its data
+    in place through the _Layout kept for the mesh pair.  Both loads are
+    kept unscaled (see _load), the box load as (outside, inside) so that
+    f_plus = outside + (kappa_plus/kappa_minus) * inside; only a
+    flux_scale integrates the box load again.
     """
     problem = problem or ProblemData()
     if np.ndim(kappa_minus) != 0:
@@ -281,72 +348,34 @@ def build_coupled_operators(geom: GeometryConfig,
     kp_cells = kappa_plus if kappa_plus_cells is None else kappa_plus_cells
     km_cells = kappa_minus if kappa_minus_cells is None else kappa_minus_cells
 
-    # on a new mesh pair S's assembly builds the kept interface terms; D
-    # and the gamma mass below reuse them
-    S = (-assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
-                               local_dofmap, kappa_plus, kappa_minus,
-                               facet_weights=jump_facet_weights)).tocsr()
+    # on a new mesh pair S's assembly builds the kept interface terms and
+    # the stiffness assembly the kept patterns; D and the layout reuse them
+    S = assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
+                             local_dofmap, kappa_plus, kappa_minus,
+                             facet_weights=jump_facet_weights)
+    np.negative(S.data, out=S.data)
     D = assemble_penalty_D(global_mesh, local_mesh, global_dofmap,
                            local_dofmap, alpha)
-    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
     K_plus = assemble_stiffness(global_mesh, global_dofmap, kp_cells)
-    K_minus = (assemble_stiffness(local_mesh, local_dofmap, km_cells)
-               + terms.gamma_mass.matrix(alpha * terms.gamma_scale)).tocsr()
+    K_minus = assemble_stiffness(local_mesh, local_dofmap, km_cells)
+    layout = memoised(local_dofmap, "_layout",
+                      (global_mesh, local_mesh, global_dofmap),
+                      functools.partial(_Layout, global_mesh, local_mesh,
+                                        global_dofmap, local_dofmap))
+    S = layout.plus.clear_rows(S)
+    D = layout.minus.clear_rows(D)
+    K_minus.data[layout.gamma_slots] += layout.gamma_mass.data(
+        alpha * layout.gamma_scale)
 
-    q = problem.flux(geom)
-    f, qfun = _as_callable(problem.f), _as_callable(q)
-    strip_floor = geom.H - geom.H_minus
-    ratio = kappa_plus / kappa_minus
-
-    def f_tilde(x):
-        # Evaluate the scale only inside the strip footprint: callable
-        # scales may be undefined outside it (e.g. local-field lookups).
-        x = np.asarray(x)
-        inside = x[..., -1] >= strip_floor - 1e-12
-        out = np.broadcast_to(np.asarray(f(x), dtype=float),
-                              inside.shape).copy()
-        if np.any(inside):
-            out[inside] *= ratio if flux_scale is None else \
-                flux_scale(x[inside])
-        return out
-
-    def q_tilde(x):
-        # the top facets lie on the strip's top, inside its footprint
-        out = np.broadcast_to(np.asarray(qfun(x), dtype=float),
-                              x.shape[:-1])
-        if flux_scale is None:
-            return out * ratio
-        out = out.copy()
-        hot = out != 0.0
-        # a zero flux stays zero under any finite scale
-        if np.any(hot):
-            out[hot] *= flux_scale(x[hot])
-        return out
-
-    q_tilde.support = getattr(q, "support", None)
-
-    volume = callable(problem.f) or float(problem.f) != 0.0
-    f_plus = assemble_load(global_mesh, global_dofmap,
-                           f_tilde if volume else 0.0, q_tilde,
-                           q_panel=problem.flux_panel)
-
-    def strip_load():
-        b = assemble_load(local_mesh, local_dofmap, problem.f, q,
-                          q_panel=problem.flux_panel)
-        b.setflags(write=False)
-        return b
-
-    f_minus = memoised(
-        local_dofmap, "_strip_load",
-        (local_mesh, geom, problem.f, problem.q, problem.flux_panel),
-        strip_load)
-
-    gdir = dirichlet_dofs(global_mesh, global_dofmap)
-    ldir = dirichlet_dofs(local_mesh, local_dofmap)
-    K_plus, f_plus = apply_dirichlet(K_plus, f_plus, gdir, problem.T_D)
-    K_minus, f_minus = apply_dirichlet(K_minus, f_minus, ldir, problem.T_D)
-    S = _zero_rows(S, gdir)
-    D = _zero_rows(D, ldir)
+    if flux_scale is None:
+        outside, inside = _load(geom, global_mesh, global_dofmap, problem)
+        f_plus = outside + (kappa_plus / kappa_minus) * inside
+    else:
+        f_plus = _load(geom, global_mesh, global_dofmap, problem, flux_scale)
+    # the strip lies inside its own footprint
+    f_minus = _load(geom, local_mesh, local_dofmap, problem)[1]
+    K_plus, f_plus = layout.plus.apply(K_plus, f_plus, problem.T_D)
+    K_minus, f_minus = layout.minus.apply(K_minus, f_minus, problem.T_D)
 
     return CoupledOperators(
         K_plus=K_plus, K_minus=K_minus, S=S, D=D,
@@ -354,7 +383,8 @@ def build_coupled_operators(geom: GeometryConfig,
         geom=geom, global_mesh=global_mesh, local_mesh=local_mesh,
         global_dofmap=global_dofmap, local_dofmap=local_dofmap,
         T_D=problem.T_D,
-        global_dirichlet=gdir, local_dirichlet=ldir)
+        global_dirichlet=layout.plus.dofs,
+        local_dirichlet=layout.minus.dofs)
 
 
 def interface_trace_gap(ops: CoupledOperators, T_plus, T_minus):

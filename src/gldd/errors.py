@@ -84,8 +84,5 @@ class NonpositiveConstant(GlddError):
 
 
 class PicardNoConvergence(IterationFailure):
-    """Outer Picard loop exhausted its budget; history holds its changes."""
-
-    def __init__(self, msg, history=None):
-        super().__init__(msg)
-        self.history = history
+    """Outer Picard loop exhausted its budget; report is the partial
+    NonlinearReport of the steps made (converged False)."""

@@ -305,12 +305,15 @@ class _CsrPattern:
         for arr in (self.perm, self.slot, self.indices, self.indptr):
             arr.setflags(write=False)
 
+    def data(self, weights):
+        """The CSR data of sum_k weights[k] * units[k]; weights (n,)."""
+        vals = np.asarray(weights, dtype=float)[:, None, None] * self.units
+        return np.bincount(self.slot, vals.ravel()[self.perm],
+                           minlength=len(self.indices))
+
     def matrix(self, weights):
         """CSR matrix of sum_k weights[k] * units[k]; weights (n,)."""
-        vals = np.asarray(weights, dtype=float)[:, None, None] * self.units
-        data = np.bincount(self.slot, vals.ravel()[self.perm],
-                           minlength=len(self.indices))
-        return sp.csr_matrix((data, self.indices, self.indptr),
+        return sp.csr_matrix((self.data(weights), self.indices, self.indptr),
                              shape=self.shape, copy=True)
 
 
@@ -519,35 +522,60 @@ _EXP_NORMAL = 1022 * np.log(2.0)
 LASER_CUTOFF = (1023 * np.log(2.0) * 1e-12) ** 0.25
 
 
-def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
-    """Eliminate Dirichlet dofs symmetrically.
+class _Elimination:
+    """Where Dirichlet dofs act in one canonical CSR pattern (sorted, no
+    duplicates; a matrix or a _CsrPattern), found once.  ``apply``
+    eliminates them symmetrically on the data of a matrix in that pattern;
+    ``clear_rows`` clears their rows in any matrix with the pattern's rows
+    (a coupling block)."""
 
-    Constrained rows and columns are zeroed, the diagonal is set to 1 with
-    the boundary value on the right-hand side, and the column contribution
-    is moved into b for the remaining rows (one product with A).  The
-    entries are masked on A's data; only a constrained dof without a
-    diagonal entry in A's pattern needs a sparse sum.  Returns new (A, b).
-    """
-    n = A.shape[0]
-    dofs = np.asarray(dofs, dtype=np.int64)
-    if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
-        raise IndexOutOfRange("dirichlet dof index outside [0, n)")
-    mask = np.zeros(n, dtype=bool)
-    mask[dofs] = True
+    def __init__(self, pattern, dofs):
+        n = len(pattern.indptr) - 1
+        self.dofs = np.asarray(dofs, dtype=np.int64)
+        if self.dofs.size and (self.dofs.min() < 0 or self.dofs.max() >= n):
+            raise IndexOutOfRange("dirichlet dof index outside [0, n)")
+        self.fixed = np.zeros(n, dtype=bool)
+        self.fixed[self.dofs] = True
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        fixed_row, fixed_col = self.fixed[rows], self.fixed[pattern.indices]
+        self.lift = np.flatnonzero(fixed_col & ~fixed_row)
+        self.lift_rows = rows[self.lift]
+        self.cleared = np.flatnonzero(fixed_row | fixed_col)
+        self.unit = np.flatnonzero(fixed_row & (rows == pattern.indices))
+        self.bare = np.setdiff1d(self.dofs, rows[self.unit])
+
+    def apply(self, A, b, value):
+        """Eliminate on A's data in place, zeros dropped: constrained rows
+        and columns cleared, constrained diagonals set to 1 (only one
+        missing from the pattern needs a sparse sum) and the cleared
+        columns' entries lifted into the returned copy of b.  Returns
+        (A, b)."""
+        b = b - value * np.bincount(self.lift_rows, A.data[self.lift],
+                                    minlength=len(b))
+        b[self.dofs] = value
+        A.data[self.cleared] = 0.0
+        A.data[self.unit] = 1.0
+        if self.bare.size:
+            A = A + sp.csr_matrix((np.ones(self.bare.size),
+                                   (self.bare, self.bare)), shape=A.shape)
+        A.eliminate_zeros()
+        return A, b
+
+    def clear_rows(self, A):
+        """Clear the constrained rows of A on its data in place, zeros
+        dropped, and return A."""
+        A.data[np.repeat(self.fixed, np.diff(A.indptr))] = 0.0
+        A.eliminate_zeros()
+        return A
+
+
+def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
+    """Eliminate Dirichlet dofs symmetrically (see ``_Elimination``, which
+    the coupled builder keeps per mesh pair) on a copy of A in canonical
+    form.  Returns new (A, b)."""
     A = sp.csr_matrix(A, dtype=float, copy=True)
     A.sum_duplicates()
-    b_new = b - value * (A @ mask.astype(float))
-    b_new[mask] = value
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    diagonal = rows == A.indices
-    A.data[mask[rows] | mask[A.indices]] = 0.0
-    A.data[diagonal & mask[rows]] = 1.0
-    bare = mask.copy()
-    bare[rows[diagonal]] = False
-    if bare.any():
-        A = (A + sp.diags(bare.astype(float), format="csr")).tocsr()
-    A.eliminate_zeros()
-    return A, b_new
+    return _Elimination(A, dofs).apply(A, b, value)
 
 
 def dirichlet_dofs(mesh: StructuredMesh, dofmap: DofMap,

@@ -16,10 +16,9 @@ conforming transition bands.
 Construction and geometry work on all cells or facets in one stacked
 pass, with no per-cell loop: the cell array, the boundary facets and their
 tags, ``cell_geometry`` (|det J| and barycentric gradients, the single
-source of cell geometry for assembly and for graded-mesh point location,
-computed once per mesh), ``facet_measure`` and ``facet_normal``.  Faces
-and edges are matched through ``face_keys``, one int64 per sorted vertex
-tuple.
+source of cell geometry for assembly and for point location, computed
+once per mesh), ``facet_measure`` and ``facet_normal``.  Faces and edges
+are matched through ``face_keys``, one int64 per sorted vertex tuple.
 """
 
 from __future__ import annotations
@@ -241,7 +240,6 @@ class StructuredMesh(SimplicialMesh):
         vertices = self._make_vertices(dim, h)
         cells = self._make_cells(dim)
         super().__init__(vertices, cells, tag_rule, h)
-        self._build_location_tables()
 
     def _make_vertices(self, dim, h):
         axes = [self.origin[d] + h * np.arange(self.ncells_axis[d] + 1)
@@ -260,13 +258,6 @@ class StructuredMesh(SimplicialMesh):
             np.concatenate([[1], n[:-1] + 1]))
         return (base[:, None, None]
                 + offsets[_BLOCK_SIMPLICES[dim]]).reshape(-1, dim + 1)
-
-    def _build_location_tables(self):
-        # Inverse reference maps for every cell shape that occurs in a grid
-        # block; cells are translated copies, so one inverse per shape.
-        pts = _block_corners(self.dim)[_BLOCK_SIMPLICES[self.dim]] * self.h
-        self._shape_inv = np.linalg.inv(
-            np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))
 
     def cells_per_block(self):
         return len(_BLOCK_SIMPLICES[self.dim])
@@ -441,7 +432,9 @@ def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
     itertools.permutations order, along which the in-block coordinates
     s - block do not rise by more than the slack.  Both choices give the
     lowest cell that holds the point, and the barycentrics follow from the
-    cell's inverse reference map.  Other meshes are scanned cell by cell.
+    cell's inverse reference map in ``cell_geometry``.  A point within
+    rounding of a slack edge, where s and the barycentrics may disagree,
+    is scanned instead.  Other meshes are scanned cell by cell.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
@@ -467,18 +460,26 @@ def _locate_structured(mesh, pts):
     # block and axis order as in locate_point's docstring; sorting the
     # in-block coordinates t gives an order, so one always exists
     s = (x - mesh.origin) / mesh.h
-    block = np.clip(np.ceil(s - _BARY_TOL) - 1, 0,
-                    np.asarray(mesh.ncells_axis) - 1)
+    lift = s - _BARY_TOL
+    block = np.clip(np.ceil(lift) - 1, 0, np.asarray(mesh.ncells_axis) - 1)
     t = s - block
-    rises = t[:, None, :] - t[:, :, None] > _BARY_TOL
+    rises = t[:, None, :] - t[:, :, None] - _BARY_TOL
     orders = np.array(list(permutations(range(mesh.dim))))
-    shape = rises[:, orders[:, :-1], orders[:, 1:]].any(axis=2).argmin(axis=1)
+    shape = (rises[:, orders[:, :-1], orders[:, 1:]] > 0).any(axis=2).argmin(
+        axis=1)
     strides = np.cumprod((1,) + mesh.ncells_axis[:-1])
     cells = (block.astype(np.int64) @ strides) * mesh.cells_per_block() + shape
     dx = x - mesh.vertices[mesh.cells[cells, 0]]
-    lam_rest = (mesh._shape_inv[shape] @ dx[..., None])[..., 0]
+    lam_rest = (cell_geometry(mesh)[1][cells, 1:] @ dx[..., None])[..., 0]
     lam = np.concatenate([1.0 - lam_rest.sum(axis=1, keepdims=True), lam_rest],
                          axis=1)
+    # s and the barycentrics round apart by a few ulps of s, so a point that
+    # close to a slack edge takes the lowest cell the barycentrics admit
+    band = 16 * np.finfo(float).eps * (1 + max(mesh.ncells_axis))
+    edge = ((np.abs(lift - np.round(lift)) < band).any(axis=1)
+            | (np.abs(rises) < band).any(axis=(1, 2)))
+    if edge.any():
+        cells[edge], lam[edge] = _locate_scan(mesh, x[edge])
     return cells, lam
 
 

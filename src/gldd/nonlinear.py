@@ -106,12 +106,13 @@ def cell_midpoint_values(mesh, dofmap, coeffs):
     return coeffs[dofmap.cell_dofs] @ phi
 
 
-def _picard(step, iterates, nl: NonlinearConfig):
+def _picard(step, iterates, nl: NonlinearConfig, fields):
     """The outer loop of both routes: step(iterates, first) solves the
     problem frozen at the iterates, a tuple of arrays, and returns the next
     ones undamped.  The change is ||new - old|| / ||new|| over all damped
     iterates together, ||new|| = 0 read as 1 so that zero data converge.
-    Returns (iterates, steps, history), or raises PicardNoConvergence."""
+    Returns the NonlinearReport with the route's fields(*iterates), or
+    raises PicardNoConvergence with that report of the steps made."""
     history = []
     for it in range(1, nl.picard_max + 1):
         new = tuple(nl.damping * x + (1 - nl.damping) * old
@@ -123,10 +124,12 @@ def _picard(step, iterates, nl: NonlinearConfig):
         history.append(change)
         iterates = new
         if change < nl.picard_tol:
-            return iterates, it, np.asarray(history)
+            return NonlinearReport(True, it, np.asarray(history),
+                                   **fields(*iterates))
     raise PicardNoConvergence(
         f"no outer convergence in {nl.picard_max} iterations",
-        history=np.asarray(history))
+        NonlinearReport(False, nl.picard_max, np.asarray(history),
+                        **fields(*iterates)))
 
 
 def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
@@ -179,18 +182,18 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         lin_iters.append(sum(report.inner_iterations.values()))
         return report.T_plus, report.T_minus
 
-    (T_plus, T_minus), steps, history = _picard(
-        step, (np.full(gdof.n_dofs, problem.T_D),
-               np.full(ldof.n_dofs, problem.T_D)), nl)
-    Tl = cell_midpoint_values(lmesh, ldof, T_minus)
-    return NonlinearReport(
-        converged=True, picard_iterations=steps, history=history,
-        T_plus=T_plus, T_minus=T_minus,
-        kappa_B_mean=float(np.mean(curve_B(Tl))),
-        inner_dd_iterations=dd_iters, inner_linear_iterations=lin_iters,
-        wall_time=time.perf_counter() - t0,
-        local_mesh=lmesh, local_dofmap=ldof,
-        global_mesh=gmesh, global_dofmap=gdof)
+    def fields(T_plus, T_minus):
+        Tl = cell_midpoint_values(lmesh, ldof, T_minus)
+        return dict(T_plus=T_plus, T_minus=T_minus,
+                    kappa_B_mean=float(np.mean(curve_B(Tl))),
+                    inner_dd_iterations=dd_iters,
+                    inner_linear_iterations=lin_iters,
+                    wall_time=time.perf_counter() - t0,
+                    local_mesh=lmesh, local_dofmap=ldof,
+                    global_mesh=gmesh, global_dofmap=gdof)
+
+    return _picard(step, (np.full(gdof.n_dofs, problem.T_D),
+                          np.full(ldof.n_dofs, problem.T_D)), nl, fields)
 
 
 def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
@@ -219,15 +222,14 @@ def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
         lin_iters.append(iterations)
         return (T,)
 
-    (T,), steps, history = _picard(
-        step, (np.full(dofmap.n_dofs, problem.T_D),), nl)
-    Tc = cell_midpoint_values(mesh, dofmap, T)
-    return NonlinearReport(
-        converged=True, picard_iterations=steps, history=history, T=T,
-        kappa_B_mean=float(np.mean(curve_B(Tc[in_strip]))),
-        inner_linear_iterations=lin_iters,
-        wall_time=time.perf_counter() - t0,
-        mesh=mesh, dofmap=dofmap)
+    def fields(T):
+        Tc = cell_midpoint_values(mesh, dofmap, T)
+        return dict(T=T, kappa_B_mean=float(np.mean(curve_B(Tc[in_strip]))),
+                    inner_linear_iterations=lin_iters,
+                    wall_time=time.perf_counter() - t0,
+                    mesh=mesh, dofmap=dofmap)
+
+    return _picard(step, (np.full(dofmap.n_dofs, problem.T_D),), nl, fields)
 
 
 def sweep_kappa_plus_B(geom, h_plus, h_minus, m, curve_A, curve_B,
@@ -245,18 +247,19 @@ def sweep_kappa_plus_B(geom, h_plus, h_minus, m, curve_A, curve_B,
         try:
             rep = picard_two_level(geom, h_plus, h_minus, m, curve_A, curve_B,
                                    nl, dd, problem)
-        except IterationFailure:
-            rep = None
+        except IterationFailure as exc:
+            # an exhausted outer budget carries its partial NonlinearReport
+            rep = exc.report if isinstance(exc, PicardNoConvergence) else None
         rows.append(_sweep_row(float(v), rep))
     return rows
 
 
 def _sweep_row(kappa_plus_B, rep: NonlinearReport | None):
-    """One sweep row; a run that stopped early (rep None) gets -1 and NaNs."""
+    """One sweep row; an inner stall (rep None) gets -1 and NaNs."""
     return {
         "kappa_plus_B": kappa_plus_B,
         "picard_iterations": -1 if rep is None else rep.picard_iterations,
-        "converged": rep is not None,
+        "converged": rep is not None and rep.converged,
         "mean_dd_iterations": np.nan if rep is None
         else float(np.mean(rep.inner_dd_iterations)),
         "mean_linear_iterations": np.nan if rep is None

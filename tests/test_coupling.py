@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gldd.coupling as coupling
+import gldd.fem as fem_module
 import gldd.mesh as mesh_module
 from gldd.coupling import (ProblemData, assemble_flux_jump_S,
                            assemble_penalty_D, build_coupled_operators,
@@ -19,7 +20,8 @@ from gldd.errors import NonpositiveCoefficient, OrphanInterfaceFacet
 from gldd.fem import (assemble_boundary_mass, build_dofmap, evaluate_field,
                       facet_rule, laser_flux)
 from gldd.mesh import (FacetTag, GeometryConfig, build_global_mesh,
-                       build_local_mesh, interface_facets, locate_point)
+                       build_local_mesh, cell_geometry, interface_facets,
+                       locate_point)
 
 
 def make_pair(dim=2, h_plus=1 / 160, h_minus=1 / 320, m=1):
@@ -333,21 +335,25 @@ class TestPenaltyLimit:
         assert gap == pytest.approx(np.sqrt(ops.geom.L), rel=1e-12)
 
 
-def count_locations(monkeypatch):
-    """The meshes of every locate_point call from now on, made from any
-    gldd module."""
+def count_calls(monkeypatch, home, attr):
+    """The first argument of every call of home.attr from now on, made from
+    any gldd module."""
     calls = []
-    real = mesh_module.locate_point
+    real = getattr(home, attr)
 
-    def counting(mesh, x):
-        calls.append(mesh)
-        return real(mesh, x)
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("gldd") and \
-                getattr(module, "locate_point", None) is real:
-            monkeypatch.setattr(module, "locate_point", counting)
+        if name.startswith("gldd") and getattr(module, attr, None) is real:
+            monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+def count_locations(monkeypatch):
+    """The meshes of every locate_point call from now on."""
+    return count_calls(monkeypatch, mesh_module, "locate_point")
 
 
 def gamma_facets(mesh):
@@ -501,6 +507,179 @@ class TestGeometryReuse:
         want = build_coupled_operators(*make_pair(h_plus=1 / 320), 1.0, 0.5)
         assert ops.S.shape == (gd2.n_dofs, ld.n_dofs)
         assert_same_operators(ops, want)
+
+
+# ----------------------------------------------------------------------
+# the pre-layout builder, written out as the reference of the kept layouts
+# ----------------------------------------------------------------------
+
+def coo_stiffness(mesh, dofmap, kappa_cells):
+    """The stiffness summed by scipy's COO-to-CSR conversion."""
+    units = fem_module._stiffness_pattern(mesh, dofmap).units
+    vals = (kappa_cells * cell_geometry(mesh)[0])[:, None, None] * units
+    dofs = dofmap.cell_dofs
+    rows = np.broadcast_to(dofs[:, :, None], vals.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], vals.shape).ravel()
+    n = dofmap.n_dofs
+    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def masked_apply_dirichlet(A, b, dofs, value):
+    """Symmetric elimination by masks on a copy of A and one product with
+    A for the lift."""
+    n = A.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    mask[dofs] = True
+    A = sp.csr_matrix(A, dtype=float, copy=True)
+    A.sum_duplicates()
+    b_new = b - value * (A @ mask.astype(float))
+    b_new[mask] = value
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    diagonal = rows == A.indices
+    A.data[mask[rows] | mask[A.indices]] = 0.0
+    A.data[diagonal & mask[rows]] = 1.0
+    bare = mask.copy()
+    bare[rows[diagonal]] = False
+    if bare.any():
+        A = (A + sp.diags(bare.astype(float), format="csr")).tocsr()
+    A.eliminate_zeros()
+    return A, b_new
+
+
+def zero_rows(A, rows):
+    mask = np.zeros(A.shape[0], dtype=bool)
+    mask[rows] = True
+    A.data[np.repeat(mask, np.diff(A.indptr))] = 0.0
+    A.eliminate_zeros()
+    return A
+
+
+def reference_box_load(geom, gm, gd, problem, scale):
+    """The box load with the data inside the strip footprint multiplied by
+    scale(x) there, integrated in one pass."""
+    f = problem.f if callable(problem.f) else \
+        (lambda x: np.full(x.shape[:-1], float(problem.f)))
+    q = problem.flux(geom)
+
+    def f_tilde(x):
+        inside = x[..., -1] >= geom.H - geom.H_minus - 1e-12
+        out = np.broadcast_to(np.asarray(f(x), dtype=float),
+                              inside.shape).copy()
+        if np.any(inside):
+            out[inside] *= scale(x[inside])
+        return out
+
+    def q_tilde(x):
+        out = np.broadcast_to(np.asarray(q(x), dtype=float),
+                              x.shape[:-1]).copy()
+        hot = out != 0.0
+        if np.any(hot):
+            out[hot] *= scale(x[hot])
+        return out
+
+    q_tilde.support = q.support
+    volume = callable(problem.f) or float(problem.f) != 0.0
+    return fem_module.assemble_load(gm, gd, f_tilde if volume else 0.0,
+                                    q_tilde, q_panel=problem.flux_panel)
+
+
+def reference_operators(geom, gm, gd, lm, ld, kp_cells, km_cells, weights,
+                        alpha, problem, flux_scale, ratio):
+    gdir = fem_module.dirichlet_dofs(gm, gd)
+    ldir = fem_module.dirichlet_dofs(lm, ld)
+    facets, _ = gamma_facets(lm)
+    S = zero_rows((-assemble_flux_jump_S(gm, lm, gd, ld, 1.0, 0.5,
+                                         facet_weights=weights)).tocsr(),
+                  gdir)
+    D = zero_rows(assemble_penalty_D(gm, lm, gd, ld, alpha), ldir)
+    K_minus = (coo_stiffness(lm, ld, km_cells)
+               + assemble_boundary_mass(lm, ld, facets, alpha)).tocsr()
+    scale = flux_scale if flux_scale is not None else (lambda x: ratio)
+    f_plus = box_load = reference_box_load(geom, gm, gd, problem, scale)
+    f_minus = fem_module.assemble_load(lm, ld, problem.f, problem.flux(geom),
+                                       q_panel=problem.flux_panel)
+    K_plus, f_plus = masked_apply_dirichlet(coo_stiffness(gm, gd, kp_cells),
+                                            f_plus, gdir, problem.T_D)
+    K_minus, f_minus = masked_apply_dirichlet(K_minus, f_minus, ldir,
+                                              problem.T_D)
+    return dict(K_plus=K_plus, K_minus=K_minus, S=S, D=D, f_plus=f_plus,
+                f_minus=f_minus, box_load=box_load)
+
+
+@functools.lru_cache(maxsize=None)
+def kept_pair(dim, m):
+    return make_pair(dim=dim, m=m)
+
+
+class TestKeptLayouts:
+    """A build on a kept mesh pair writes the blocks' data into their kept
+    Dirichlet-eliminated layouts and reads the kept unscaled box load."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(dim=st.sampled_from([2, 3]), m=st.sampled_from([1, 2]),
+           source=st.sampled_from(["none", "constant", "callable"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_match_reference(self, dim, m, source, seed):
+        rng = np.random.default_rng(seed)
+        geom, gm, gd, lm, ld = kept_pair(dim, m)
+        f = {"none": 0.0, "constant": 4.0e3,
+             "callable": lambda x: 1e3 * (1.0 + 40.0 * x[..., 0])}[source]
+        # coarser 3D panels keep the scale's point location small
+        problem = ProblemData(f=f, flux_panel=1e-4 if dim == 2 else 1e-3)
+        kp_cells = rng.uniform(0.1, 4.0, gm.num_cells)
+        km_cells = rng.uniform(0.1, 4.0, lm.num_cells)
+        weights = rng.uniform(-2.0, 2.0, len(interface_facets(lm)))
+        alpha = rng.uniform(0.0, 1e7)
+        kp, km = 1.0, float(np.mean(km_cells))
+        T = rng.uniform(290.0, 400.0, ld.n_dofs)
+
+        def flux_scale(x):
+            return 0.5 / (1.0 + 1e-3 * evaluate_field(lm, ld, T, x))
+
+        for scale in (None, flux_scale):
+            ops = build_coupled_operators(
+                geom, gm, gd, lm, ld, kp, km, alpha=alpha, problem=problem,
+                kappa_plus_cells=kp_cells, kappa_minus_cells=km_cells,
+                jump_facet_weights=weights, flux_scale=scale)
+            want = reference_operators(geom, gm, gd, lm, ld, kp_cells,
+                                       km_cells, weights, alpha, problem,
+                                       scale, kp / km)
+            for name in ("K_plus", "K_minus", "S", "D"):
+                for part in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(
+                        getattr(getattr(ops, name), part),
+                        getattr(want[name], part), err_msg=name)
+            np.testing.assert_array_equal(ops.f_minus, want["f_minus"])
+            if scale is None:
+                # outside + ratio * inside rounds apart from the one-pass
+                # sum; an entry that cancels to rounding noise (a P2 vertex
+                # dof under a constant source) is held to the load's scale
+                atol = 1e-14 * np.abs(want["box_load"]).max()
+                np.testing.assert_allclose(ops.f_plus, want["f_plus"],
+                                           rtol=1e-14, atol=atol)
+            else:
+                np.testing.assert_array_equal(ops.f_plus, want["f_plus"])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_second_build_keeps_dirichlet_and_box_load(self, dim,
+                                                       monkeypatch):
+        geom, gm, gd, lm, ld = make_pair(dim=dim)
+        problem = ProblemData(f=4.0, flux_panel=1e-3)
+        build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                problem=problem)
+        calls = {attr: count_calls(monkeypatch, fem_module, attr)
+                 for attr in ("dirichlet_dofs", "apply_dirichlet",
+                              "assemble_load")}
+        build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.25,
+                                problem=problem)
+        assert calls == {"dirichlet_dofs": [], "apply_dirichlet": [],
+                         "assemble_load": []}
+        # a flux_scale integrates the box load on every build, and only it
+        build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.25,
+                                problem=problem,
+                                flux_scale=lambda x: np.full(len(x), 2.0))
+        assert calls == {"dirichlet_dofs": [], "apply_dirichlet": [],
+                         "assemble_load": [gm]}
 
 
 class TestDefaults:

@@ -361,7 +361,7 @@ def _reference_locate(mesh, x):
         for t in range(nshapes):
             cell = b * nshapes + t
             v0 = mesh.vertices[mesh.cells[cell, 0]]
-            rest = mesh._shape_inv[t] @ (x - v0)
+            rest = cell_geometry(mesh)[1][cell, 1:] @ (x - v0)
             lam = np.concatenate([[1.0 - rest.sum()], rest])
             if np.all(lam >= -1e-12):
                 return cell, lam

@@ -184,7 +184,9 @@ class TestPicardTwoLevel:
         with pytest.raises(PicardNoConvergence) as info:
             picard_two_level(GEOM, 1 / 160, 1 / 320, 1,
                              MaterialCurve.constant(1.0), CURVE_B, nl)
-        assert len(info.value.history) == 1
+        report = info.value.report
+        assert not report.converged and report.picard_iterations == 1
+        assert len(report.history) == 1 and report.T_plus is not None
 
 
 class TestPicardMonolithic:
@@ -200,6 +202,16 @@ class TestPicardMonolithic:
             mono.T.max() - T_D, rel=0.1)
         assert dd_rep.kappa_B_mean == pytest.approx(mono.kappa_B_mean,
                                                     rel=0.05)
+
+    def test_budget_exhaustion_carries_report(self):
+        nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-12, picard_max=2)
+        with pytest.raises(PicardNoConvergence) as info:
+            picard_monolithic(GEOM, 1 / 160, 1 / 320, 1,
+                              MaterialCurve.constant(1.0), CURVE_B, nl)
+        report = info.value.report
+        assert not report.converged and report.picard_iterations == 2
+        assert len(report.inner_linear_iterations) == 2
+        assert np.isfinite(report.kappa_B_mean)
 
 
 @pytest.mark.parametrize("route", [picard_two_level, picard_monolithic])
@@ -230,14 +242,15 @@ class TestSweep:
 
     def test_failed_case_recorded_not_raised(self):
         # an exhausted outer budget becomes a non-converged row, it must
-        # not abort the rest of the sweep
+        # not abort the rest of the sweep; the row reads the partial report
+        # of the steps made
         nl = NonlinearConfig(picard_tol=1e-12, picard_max=2)
         rows = sweep_kappa_plus_B(GEOM, 1 / 160, 1 / 320, 1,
                                   MaterialCurve.constant(1.0), CURVE_B,
                                   [0.5], nl)
         assert rows[0]["converged"] is False
-        assert rows[0]["picard_iterations"] == -1
-        assert np.isnan(rows[0]["mean_dd_iterations"])
+        assert rows[0]["picard_iterations"] == 2
+        assert np.isfinite(rows[0]["mean_dd_iterations"])
 
     def test_inner_stall_recorded_not_raised(self):
         # a 3-step CG budget stalls the first inner start solve of every
