@@ -40,7 +40,7 @@ from .fem import (LASER_CUTOFF, DofMap, _as_callable, _basis_at_points,
                   _stiffness_pattern, assemble_load, assemble_stiffness,
                   dirichlet_dofs, facet_rule, laser_flux, shape_bary_grads,
                   shape_values)
-from .linalg import LinearSolver, SolverConfig
+from .linalg import InterfaceBlock, LinearSolver, SolverConfig
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
 
@@ -82,7 +82,8 @@ class ProblemData:
 @dataclass
 class CoupledOperators:
     """All blocks of the coupled system, Dirichlet conditions eliminated,
-    and the owner of the block solves on them (solvers)."""
+    and the owner of the block solves on them (solvers) and of their
+    interface block (interface)."""
 
     K_plus: sp.csr_matrix
     K_minus: sp.csr_matrix
@@ -117,6 +118,17 @@ class CoupledOperators:
             pairs[config] = (LinearSolver(self.K_plus, config),
                              LinearSolver(self.K_minus, config))
         return pairs[config]
+
+    def interface(self, config: SolverConfig):
+        """The InterfaceBlock on solvers(config) (on direct solvers of the
+        same blocks when config is iterative), made once and kept while
+        all four blocks are the same objects."""
+        blocks = memoised(self, "_interfaces",
+                          (self.K_plus, self.K_minus, self.S, self.D), dict)
+        if config not in blocks:
+            plus, minus = self.solvers(config)
+            blocks[config] = InterfaceBlock(plus, self.S, minus, self.D)
+        return blocks[config]
 
 
 # ----------------------------------------------------------------------

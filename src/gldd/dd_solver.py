@@ -11,6 +11,19 @@ The same sweep is a relaxed block Gauss-Seidel splitting of the coupled
 system, and for theta = 1 the iterates admit a closed-form partial
 geometric series in M = K_plus^{-1} S K_minus^{-1} D; both forms are
 implemented and cross-checked in the tests.
+
+D is nonzero only on the box columns J that touch gamma, so
+T_tilde = c + M T_plus = c + Y T_plus[J], with
+c = K_plus^{-1}(f_plus - S K_minus^{-1} f_minus) and the interface block
+Y = K_plus^{-1} S K_minus^{-1} D[:, J] that the exact radius forms.  A
+sweep given that block takes this route: two solves for c per run, then
+one n_plus x |J| product per sweep, and the strip solve only where T_minus
+is reported.  The studies that record a radius have built the block anyway
+and pass it with a direct solver; every other sweep (a bare set-up, each
+Picard step, every Krylov solver) makes the two block solves per sweep,
+since building the block costs 2|J| column solves, more than a few sweeps
+save.  M and the partial sums keep their two solves as the independent
+reference of both.
 """
 
 from __future__ import annotations
@@ -28,11 +41,11 @@ import scipy.sparse.linalg as spla
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
 from .errors import (Diverged, IterationFailure, MaxItersExceeded,
                      SingularMatrix)
-from .fem import (apply_dirichlet, assemble_load, assemble_stiffness,
-                  build_dofmap, dirichlet_dofs)
-from .linalg import LinearSolver, SolverConfig
+from .fem import (_Elimination, _stiffness_pattern, assemble_load,
+                  assemble_stiffness, build_dofmap, dirichlet_dofs)
+from .linalg import InterfaceBlock, LinearSolver, SolverConfig
 from .mesh import (GeometryConfig, build_fitted_mesh, build_global_mesh,
-                   build_local_mesh, strip_cells)
+                   build_local_mesh, memoised, strip_cells)
 
 
 # Diverged is raised once the sweep's step exceeds this multiple of its
@@ -103,13 +116,16 @@ def make_iteration_operator(ops: CoupledOperators,
 
 
 def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
-                     initial=None) -> DDReport:
+                     initial=None,
+                     block: InterfaceBlock | None = None) -> DDReport:
     """Run the alternating iteration until the relative change of the box
     iterate drops below config.tol.
 
     The block solves are ops.solvers(config.solver), the pair that every
     run, radius and partial sum on ops with that config shares; the
-    report counts only this run's inner iterations.
+    report counts only this run's inner iterations.  Given block, the
+    operators' interface block (ops.interface), each sweep is
+    T_tilde = c + Y T_plus[J] (see the module docstring).
 
     The residual history holds ||T^k - T^{k-1}|| / ||T^k|| per sweep.
     Divergence is detected on the unnormalized step ||T^k - T^{k-1}||,
@@ -119,26 +135,37 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     finite), MaxItersExceeded when the sweep budget runs out, and an inner
     solve's NoConvergence when an iterative solver stalls, in the start
     solve or in a sweep.  Every exit builds one report, with the sweeps
-    completed, the tail heuristic rho_estimate and the inner iterations;
-    each of these IterationFailures carries it as the partial report.
+    completed, the strip solve of the last one, the tail heuristic
+    rho_estimate and the inner iterations; each of these
+    IterationFailures carries it as the partial report.
     """
     config = config or DDConfig()
     t0 = time.perf_counter()
     plus, minus = ops.solvers(config.solver)
     inner0 = (minus.total_iterations, plus.total_iterations)
+
+    def strip(T_plus):
+        return minus.solve(ops.f_minus - ops.D @ T_plus)
+
     history = []
     T_plus = None
     iterates = None
     T_minus = None
+    T_prev = None
     first_step = None
     failure = None
     try:
         T_plus = (plus.solve(ops.f_plus) if initial is None
                   else np.array(initial, dtype=float))
         iterates = [T_plus.copy()] if config.store_iterates else None
+        if block is not None:
+            c = _affine_term(ops, plus, minus)
         for k in range(1, config.max_iters + 1):
-            T_minus = minus.solve(ops.f_minus - ops.D @ T_plus)
-            T_tilde = plus.solve(ops.f_plus - ops.S @ T_minus)
+            if block is None:
+                T_minus = strip(T_plus)
+                T_tilde = plus.solve(ops.f_plus - ops.S @ T_minus)
+            else:
+                T_tilde = c + block.Y @ T_plus[block.J]
             T_next = config.theta * T_tilde + (1.0 - config.theta) * T_plus
             step = np.linalg.norm(T_next - T_plus)
             denom = np.linalg.norm(T_next)
@@ -146,9 +173,9 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
             history.append(diff)
             if iterates is not None:
                 iterates.append(T_next.copy())
-            T_plus = T_next
+            T_prev, T_plus = T_plus, T_next
             if diff < config.tol:
-                T_minus = minus.solve(ops.f_minus - ops.D @ T_plus)
+                T_minus = strip(T_plus)
                 break
             if first_step is None:
                 first_step = step if step > 0 else None
@@ -160,6 +187,8 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
         else:
             failure = MaxItersExceeded(
                 f"no convergence in {config.max_iters} sweeps")
+        if T_minus is None and T_prev is not None:
+            T_minus = strip(T_prev)  # the block route's last strip solve
     except IterationFailure as exc:
         failure = exc
     rho = None
@@ -180,6 +209,12 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     raise failure
 
 
+def _affine_term(ops: CoupledOperators, plus, minus):
+    """c = K_plus^{-1}(f_plus - S K_minus^{-1} f_minus), the sweep's
+    constant term: T_tilde = c + M T_plus."""
+    return plus.solve(ops.f_plus - ops.S @ minus.solve(ops.f_minus))
+
+
 def neumann_partial_sum(ops: CoupledOperators, k: int, T_plus_0,
                         solver: SolverConfig | None = None):
     """Closed-form iterate for theta = 1:
@@ -189,9 +224,8 @@ def neumann_partial_sum(ops: CoupledOperators, k: int, T_plus_0,
     evaluated matrix-free, accumulating the powers term by term, on
     ops.solvers for the given config.
     """
-    plus, minus = ops.solvers(solver or SolverConfig())
     apply_M = make_iteration_operator(ops, solver)
-    c = plus.solve(ops.f_plus - ops.S @ minus.solve(ops.f_minus))
+    c = _affine_term(ops, *ops.solvers(solver or SolverConfig()))
     T_plus_0 = np.asarray(T_plus_0, dtype=float)
     if k == 0:
         return T_plus_0.copy()
@@ -261,21 +295,28 @@ def run_fitted_reference(geom: GeometryConfig, h_plus, h_minus,
     load = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
                          q_panel=problem.flux_panel)
     T, iterations = solve_fitted(mesh, dofmap, kappa_cells, load,
-                                 dirichlet_dofs(mesh, dofmap), problem.T_D,
-                                 solver)
+                                 problem.T_D, solver)
     return FittedSolution(mesh=mesh, dofmap=dofmap, T=T,
                           iterations=iterations,
                           wall_time=time.perf_counter() - t0,
                           n_dofs=dofmap.n_dofs)
 
 
-def solve_fitted(mesh, dofmap, kappa_cells, load, dirichlet, T_D,
+def solve_fitted(mesh, dofmap, kappa_cells, load, T_D,
                  solver: SolverConfig | None = None):
     """One solve on a fitted mesh at per-cell conductivities kappa_cells:
-    the stiffness, the Dirichlet dofs eliminated at T_D (load itself is
-    left unchanged) and a LinearSolver.  Returns (T, inner iterations)."""
-    A = assemble_stiffness(mesh, dofmap, kappa_cells)
-    A, b = apply_dirichlet(A, load, dirichlet, T_D)
+    the stiffness, the outer Dirichlet dofs eliminated at T_D (load itself
+    is left unchanged) and a LinearSolver.  Returns (T, inner iterations).
+
+    The elimination in the stiffness pattern is found once per dof map and
+    mesh, as the coupled builder keeps its own per mesh pair, so a Picard
+    loop finds it once."""
+    elimination = memoised(dofmap, "_elimination", (mesh,),
+                           lambda: _Elimination(
+                               _stiffness_pattern(mesh, dofmap),
+                               dirichlet_dofs(mesh, dofmap)))
+    A, b = elimination.apply(assemble_stiffness(mesh, dofmap, kappa_cells),
+                             load, T_D)
     lin = LinearSolver(A, solver or SolverConfig())
     return lin.solve(b), lin.total_iterations
 

@@ -22,8 +22,7 @@ from .coupling import ProblemData, build_coupled_operators
 from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
 from .errors import InsufficientRatios, IterationFailure, RankDeficient
-from .linalg import (SolverConfig, dense_spectral_radius, fit_rho_law,
-                     least_squares_fit)
+from .linalg import SolverConfig, fit_rho_law, least_squares_fit
 from .mesh import GeometryConfig
 
 
@@ -88,7 +87,8 @@ class ExperimentConfig:
 
 @dataclass
 class SweepRecord:
-    """One parameter point; rho_measured is the exact dense_spectral_radius.
+    """One parameter point; rho_measured is the exact radius of the
+    operators' interface block.
 
     time_s is the wall time the record's own call spent.  Studies that
     share work between records (sweep_kappa's meshes and cross-mesh terms,
@@ -137,14 +137,16 @@ def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
 
 def _run_thetas(cfg, ops, kappa_minus, h_minus, thetas, t0):
     """One record per relaxation weight: radius and sweep on ops, all on
-    ops.solvers(cfg.solver()).  The first record's time runs from t0, each
-    later one from the end of the record before it."""
-    plus, minus = ops.solvers(cfg.solver())
+    ops.solvers(cfg.solver()), with the radii from its one interface block,
+    which a direct sweep then runs on.  The first record's time runs from
+    t0, each later one from the end of the record before it."""
+    block = ops.interface(cfg.solver())
+    sweep_block = block if cfg.solver().kind() == "direct" else None
     records = []
     for theta in thetas:
-        rho = dense_spectral_radius(plus, ops.S, minus, ops.D, theta=theta)
+        rho = block.rho(theta)
         try:
-            report = run_two_level_dd(ops, cfg.dd(theta))
+            report = run_two_level_dd(ops, cfg.dd(theta), block=sweep_block)
         except IterationFailure as exc:
             report = exc.report
         t1 = time.perf_counter()

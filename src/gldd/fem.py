@@ -571,8 +571,8 @@ class _Elimination:
 
 def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
     """Eliminate Dirichlet dofs symmetrically (see ``_Elimination``, which
-    the coupled builder keeps per mesh pair) on a copy of A in canonical
-    form.  Returns new (A, b)."""
+    the coupled builder keeps per mesh pair and ``solve_fitted`` per dof
+    map) on a copy of A in canonical form.  Returns new (A, b)."""
     A = sp.csr_matrix(A, dtype=float, copy=True)
     A.sum_duplicates()
     return _Elimination(A, dofs).apply(A, b, value)

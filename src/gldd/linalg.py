@@ -1,8 +1,9 @@
 """Linear solvers, spectral-radius estimation and least-squares fits.
 
 The iteration operator of the two-level scheme is never formed explicitly:
-the exact radius needs only its block on the interface columns, and the
-power-iteration path only needs a callable that applies it.
+the exact radius and the direct sweep need only its block on the interface
+columns (InterfaceBlock), and the power-iteration path only needs a
+callable that applies it.
 """
 
 from __future__ import annotations
@@ -148,29 +149,45 @@ def power_iteration_rho(operator, n, theta=1.0, tol=1e-10, max_iters=2000,
                         estimate=float(rho_prev), iterations=max_iters)
 
 
-def dense_spectral_radius(K_plus, S, K_minus, D, theta=1.0, size_guard=2000):
-    """Exact spectral radius of (1 - theta) I + theta M, where
-    M = K_plus^{-1} S K_minus^{-1} D.
+class InterfaceBlock:
+    """The iteration operator M = K_plus^{-1} S K_minus^{-1} D on its
+    interface columns.
 
     D is nonzero only in its columns J, the box dofs whose basis touches
-    the interface, so the nonzero eigenvalues of M are those of the block
-    M[J, J] (eig(AB) and eig(BA) agree away from zero; Horn & Johnson,
-    Matrix Analysis, Thm 1.3.22).  size_guard bounds |J|.
+    the interface, so M v = Y v[J] with Y = K_plus^{-1} S K_minus^{-1}
+    D[:, J] (n_plus x |J|), and the nonzero eigenvalues of M are those of
+    Y[J] (eig(AB) and eig(BA) agree away from zero; Horn & Johnson, Matrix
+    Analysis, Thm 1.3.22).  lam holds them, with a 0 appended when
+    |J| < n_plus, where M is singular.  size_guard bounds |J|.
 
     K_plus and K_minus are the blocks, or LinearSolvers bound to them: a
-    direct solver's factorization is used for the block solves and kept
-    for later ones, such as the sweep's.
+    direct solver's factorization serves the 2|J| column solves of Y and
+    is kept for later ones, such as the sweep's.
     """
-    D = sp.csc_matrix(D)
-    J = np.flatnonzero(np.diff(D.indptr))
-    if J.size > size_guard:
-        raise TooLarge(f"|J| = {J.size} exceeds dense guard {size_guard}")
-    X = _direct(K_minus).solve(D[:, J].toarray())
-    Y = _direct(K_plus).solve(S @ X)
-    lam = np.linalg.eigvals(Y[J])
-    if J.size < S.shape[0]:
-        lam = np.append(lam, 0.0)  # M has rank at most |J| < n
-    return float(np.abs((1.0 - theta) + theta * lam).max())
+
+    def __init__(self, K_plus, S, K_minus, D, size_guard=2000):
+        D = sp.csr_matrix(D)
+        self.J = np.unique(D.indices)
+        if self.J.size > size_guard:
+            raise TooLarge(f"|J| = {self.J.size} exceeds dense guard "
+                           f"{size_guard}")
+        D_J = np.zeros((D.shape[0], self.J.size))
+        np.add.at(D_J, (np.repeat(np.arange(D.shape[0]), np.diff(D.indptr)),
+                        np.searchsorted(self.J, D.indices)), D.data)
+        self.Y = _direct(K_plus).solve(S @ _direct(K_minus).solve(D_J))
+        lam = np.linalg.eigvals(self.Y[self.J])
+        self.lam = np.append(lam, 0.0) if self.J.size < S.shape[0] else lam
+
+    def rho(self, theta=1.0):
+        """Spectral radius of (1 - theta) I + theta M."""
+        return float(np.abs((1.0 - theta) + theta * self.lam).max())
+
+
+def dense_spectral_radius(K_plus, S, K_minus, D, theta=1.0, size_guard=2000):
+    """Exact spectral radius of (1 - theta) I + theta M, where
+    M = K_plus^{-1} S K_minus^{-1} D, from the InterfaceBlock of the same
+    arguments."""
+    return InterfaceBlock(K_plus, S, K_minus, D, size_guard).rho(theta)
 
 
 def _direct(K):

@@ -24,8 +24,7 @@ from .dd_solver import (DDConfig, build_mesh_pair, run_two_level_dd,
                         solve_fitted)
 from .errors import (IterationFailure, NonpositiveCoefficient,
                      PicardNoConvergence)
-from .fem import (assemble_load, build_dofmap, dirichlet_dofs, evaluate_field,
-                  shape_values)
+from .fem import assemble_load, build_dofmap, evaluate_field, shape_values
 from .linalg import SolverConfig
 from .mesh import GeometryConfig, build_fitted_mesh, strip_cells
 
@@ -209,7 +208,6 @@ def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
     mesh = build_fitted_mesh(geom, h_plus, h_minus, refinement_mode)
     dofmap = build_dofmap(mesh, m)
     in_strip = strip_cells(mesh, geom)
-    ddofs = dirichlet_dofs(mesh, dofmap)
     load = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
                          q_panel=problem.flux_panel)
     lin_iters = []
@@ -217,7 +215,7 @@ def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
     def step(iterates, first):
         Tc = cell_midpoint_values(mesh, dofmap, iterates[0])
         kappa_cells = np.where(in_strip, curve_B(Tc), curve_A(Tc))
-        T, iterations = solve_fitted(mesh, dofmap, kappa_cells, load, ddofs,
+        T, iterations = solve_fitted(mesh, dofmap, kappa_cells, load,
                                      problem.T_D, solver)
         lin_iters.append(iterations)
         return (T,)

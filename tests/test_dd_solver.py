@@ -15,9 +15,10 @@ from gldd.dd_solver import (DDConfig, DDReport, block_residual,
                             neumann_partial_sum, run_coupled_direct,
                             run_fitted_reference, run_two_level_dd,
                             setup_case)
-from gldd.errors import Diverged, MaxItersExceeded, NoConvergence
+from gldd.errors import (Diverged, IterationFailure, MaxItersExceeded,
+                         NoConvergence)
 from gldd.fem import evaluate_field
-from gldd.linalg import SolverConfig, dense_spectral_radius
+from gldd.linalg import LinearSolver, SolverConfig, dense_spectral_radius
 from gldd.mesh import GeometryConfig
 
 GEOM = GeometryConfig()
@@ -137,6 +138,115 @@ class TestSolverPair:
         assert new_plus is not plus and new_minus is not minus
         np.testing.assert_allclose(new_plus.solve(ops.f_plus), 0.5 * T,
                                    rtol=1e-12)
+
+
+def count_solves(monkeypatch):
+    """The right-hand side of every LinearSolver.solve call from here on."""
+    calls = []
+    real = LinearSolver.solve
+
+    def counting(self, b):
+        calls.append(np.asarray(b))
+        return real(self, b)
+
+    monkeypatch.setattr(LinearSolver, "solve", counting)
+    return calls
+
+
+def run_or_stop(ops, config, **kwargs):
+    """(error class or None, report) of one run."""
+    try:
+        return None, run_two_level_dd(ops, config, **kwargs)
+    except IterationFailure as exc:
+        return type(exc), exc.report
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestInterfaceBlockRoute:
+    """A sweep given the operators' interface block forms each box iterate
+    as c + Y T_plus[J]; a sweep without it makes the two block solves."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(kappa_minus=st.floats(0.05, 16.0), dim=st.sampled_from([2, 3]),
+           m=st.sampled_from([1, 2]),
+           theta=st.floats(0.0, 1.2, exclude_min=True))
+    def test_block_route_matches_two_solves(self, kappa_minus, dim, m, theta):
+        # kappa_minus up to 16 puts rho well above 1 at theta near 1
+        ops = make_ops(kappa_minus=kappa_minus, m=m, dim=dim)
+        config = DDConfig(theta=theta, max_iters=200)
+        error, two = run_or_stop(ops, config)
+        block_error, block = run_or_stop(
+            ops, config, block=ops.interface(config.solver))
+        assert block_error is error
+        assert block.iterations == two.iterations
+        tol = 1e-12
+        if error is not None:
+            # the looser check of stopped runs: a diverging run amplifies
+            # the rounding of its first sweeps as it amplifies its step;
+            # perturbing the start by 1e-16 relative moves the two-solve
+            # route's stopped iterate by up to 6e-12 relative
+            first, last = two.residual_history[[0, -1]]
+            tol *= max(1.0, last / first) if first > 0 else 1.0
+        assert relative_gap(block.T_plus, two.T_plus) <= tol
+        assert relative_gap(block.T_minus, two.T_minus) <= tol
+
+    @pytest.mark.parametrize("error,kappa_minus,config", [
+        (None, 0.5, DDConfig(store_iterates=True)),
+        (Diverged, 12.0, DDConfig(max_iters=500, store_iterates=True)),
+        (MaxItersExceeded, 0.5, DDConfig(tol=1e-16, max_iters=3,
+                                         store_iterates=True))])
+    def test_strip_iterate_of_the_last_sweep(self, monkeypatch, error,
+                                             kappa_minus, config):
+        # on the block the start, c and the strip solve of T_minus are the
+        # only solves, whatever the sweep count; a stopped run reports the
+        # strip solve of its last sweep, a converged one that of its final
+        # iterate
+        ops = make_ops(kappa_minus=kappa_minus)
+        block = ops.interface(config.solver)
+        solves = count_solves(monkeypatch)
+        got, report = run_or_stop(ops, config, block=block)
+        assert got is error and report.iterations > 1
+        assert len(solves) == 4
+        last = report.iterates[-1 if error is None else -2]
+        _, minus = ops.solvers(config.solver)
+        np.testing.assert_array_equal(
+            report.T_minus, minus.solve(ops.f_minus - ops.D @ last))
+
+    @pytest.mark.parametrize("solver", [SolverConfig(),
+                                        SolverConfig(method="cg")])
+    def test_sweep_without_block_makes_two_solves(self, monkeypatch, solver):
+        # and makes no 2-D solve: it builds no block, even where ops keeps one
+        ops = make_ops()
+        if solver.kind() == "direct":
+            ops.interface(solver)
+        solves = count_solves(monkeypatch)
+        report = run_two_level_dd(ops, DDConfig(solver=solver))
+        assert report.iterations > 1
+        assert len(solves) == 2 * report.iterations + 2
+        assert all(b.ndim == 1 for b in solves)
+
+    def test_iteration_operator_keeps_two_solves(self, monkeypatch):
+        # M stays the independent two-solve reference of the series and
+        # of the radius once a block is kept
+        ops = make_ops()
+        ops.interface(SolverConfig())
+        solves = count_solves(monkeypatch)
+        apply_M = make_iteration_operator(ops)
+        v = np.random.default_rng(3).standard_normal(ops.n_plus)
+        for k in range(1, 4):
+            v = apply_M(v)
+            assert len(solves) == 2 * k
+
+    def test_block_kept_per_config_and_blocks(self):
+        ops = make_ops()
+        block = ops.interface(SolverConfig())
+        assert ops.interface(SolverConfig()) is block
+        assert ops.interface(SolverConfig(method="cg")) is not block
+        ops.D = ops.D.copy()
+        assert ops.interface(SolverConfig()) is not block
 
 
 class TestFixedPoint:

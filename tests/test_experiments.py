@@ -21,7 +21,7 @@ from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               sweep_kappa, sweep_mesh_ratio,
                               theta_coefficient_ratio,
                               theta_parabola_minimizer)
-from gldd.linalg import SolverConfig, fit_rho_law
+from gldd.linalg import LinearSolver, SolverConfig, fit_rho_law
 from gldd.mesh import GeometryConfig
 
 
@@ -329,6 +329,35 @@ class TestRelaxation:
             np.testing.assert_equal(asdict(replace(rec, time_s=0.0)),
                                     asdict(replace(ref, time_s=0.0)))
 
+    @pytest.mark.parametrize("method", ["dense-direct", "cg"])
+    def test_interface_block_solved_once(self, monkeypatch, method):
+        # X = K_minus^{-1} D[:, J] and Y = K_plus^{-1} S X, the only solves
+        # with a 2-D right-hand side, are made once for all weights; every
+        # weight's direct sweep then runs on that block, a Krylov sweep
+        # makes its two block solves
+        cfg = ExperimentConfig(kappa_minus=3.0, solver_method=method,
+                               theta_list=(1.0, 0.8, 0.67, 0.5))
+        blocks = []
+        real = experiments.setup_case
+        monkeypatch.setattr(experiments, "setup_case", lambda *a, **k:
+                            blocks.append(real(*a, **k)) or blocks[-1])
+        solves = []
+        real_solve = LinearSolver.solve
+        monkeypatch.setattr(LinearSolver, "solve", lambda self, b:
+                            solves.append(np.ndim(b)) or real_solve(self, b))
+        study = relaxation_study(cfg)
+        assert solves.count(2) == 2
+        if method == "cg":
+            # the start, two per sweep and, on convergence, the strip
+            assert solves.count(1) == sum(2 * r.iterations + 1 + r.converged
+                                          for r in study.records)
+        else:
+            # per weight: the start, the two of c and the final strip
+            assert solves.count(1) == 4 * len(cfg.theta_list)
+        [ops] = blocks
+        block = ops.interface(cfg.solver())
+        assert [r.rho_measured for r in study.records] == [
+            block.rho(t) for t in cfg.theta_list]
 
     def test_inner_stall_recorded(self, monkeypatch):
         stalling_solver(monkeypatch)

@@ -213,6 +213,25 @@ class TestPicardMonolithic:
         assert len(report.inner_linear_iterations) == 2
         assert np.isfinite(report.kappa_B_mean)
 
+    def test_one_dirichlet_elimination_per_run(self, monkeypatch):
+        # every step solves on the same dof map with the same Dirichlet
+        # dofs, so the elimination is found once and only applied after
+        found = []
+        real = dd_solver._Elimination
+
+        def counting(*args):
+            found.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dd_solver, "_Elimination", counting)
+        nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-8)
+        for _ in range(2):
+            found.clear()
+            rep = picard_monolithic(GEOM, 1 / 160, 1 / 320, 1,
+                                    MaterialCurve.constant(1.0), CURVE_B, nl)
+            assert rep.converged and rep.picard_iterations > 2
+            assert len(found) == 1
+
 
 @pytest.mark.parametrize("route", [picard_two_level, picard_monolithic])
 def test_zero_data_converge_in_one_step(route):
