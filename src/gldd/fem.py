@@ -1,13 +1,13 @@
 """Lagrange finite elements of degree 1 and 2 on simplicial meshes.
 
 Cell terms are computed for all cells at once from the stacked geometry
-of ``mesh.cell_geometry`` (one einsum for the stiffness, one source call on
-every quadrature point for the load), and facet terms for all facets at
-once.  The top-flux quadrature calls the flux once per chunk of whole
-facets of at most ``_FLUX_CHUNK`` points, and only on the top facets within
-the flux's ``support`` when it has one (the laser flux of
-``coupling.ProblemData`` does; a user callable without one is called on
-every top facet).
+of ``mesh.cell_geometry`` (stacked passes over the quadrature points for
+the stiffness, one source call on every quadrature point for the load),
+and facet terms for all facets at once.  The top-flux quadrature calls
+the flux once per chunk of whole facets of at most ``_FLUX_CHUNK`` points,
+and only on the top facets within the flux's ``support`` when it has one
+(the laser flux of ``coupling.ProblemData`` does; a user callable without
+one is called on every top facet).
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
@@ -323,13 +323,40 @@ def _stiffness_pattern(mesh, dofmap):
     def build():
         rule = volume_rule(mesh.dim, dofmap.m)
         dlam = shape_bary_grads(mesh.dim, dofmap.m, rule.points)
-        g = np.einsum("qna,cad->cqnd", dlam, cell_geometry(mesh)[1])
-        units = np.einsum("q,cqnd,cqmd->cnm", rule.weights, g, g)
+        units = _unit_stiffness(dlam, cell_geometry(mesh)[1], rule.weights)
         dofs = dofmap.cell_dofs
         return _CsrPattern(units, dofs[:, :, None], dofs[:, None, :],
                            (dofmap.n_dofs, dofmap.n_dofs))
 
     return memoised(dofmap, "_stiffness", (mesh,), build)
+
+
+def _unit_stiffness(dlam, bary_grads, weights):
+    """sum_q w_q g_q g_q^T per cell, with g = dlam . bary_grads the shape
+    gradients (c, q, n, d).
+
+    The passes sum in the order of numpy's einsum loop for
+    einsum("qna,cad->cqnd") and einsum("q,cqnd,cqmd->cnm"): over a in turn,
+    then per q the products (w_q g_n) g_m summed over d before they are
+    added to the cell matrix, so the result is bitwise einsum's.
+    """
+    nq, nl, nb = dlam.shape
+    dim = bary_grads.shape[2]
+    g = dlam[None, :, :, 0, None] * bary_grads[:, None, None, 0, :]
+    for a in range(1, nb):
+        g += dlam[None, :, :, a, None] * bary_grads[:, None, None, a, :]
+    units = np.zeros((len(bary_grads), nl, nl))
+    acc = np.empty_like(units)
+    term = np.empty_like(units)
+    for q in range(nq):
+        gq = g[:, q]
+        np.multiply(weights[q] * gq[:, :, None, 0], gq[:, None, :, 0], out=acc)
+        for d in range(1, dim):
+            np.multiply(weights[q] * gq[:, :, None, d], gq[:, None, :, d],
+                        out=term)
+            acc += term
+        units += acc
+    return units
 
 
 def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_matrix:
@@ -505,14 +532,25 @@ def laser_flux(x, dim, L=1.0 / 40.0):
     wherever max(|L/2 - x|, |L/2 - y|) > LASER_CUTOFF.
     """
     x = np.asarray(x, dtype=float)
-    expo = np.square(np.square(L / 2.0 - x[..., 0]))
+    if x.ndim == 1:
+        # a 0-d result cannot be written in place
+        return laser_flux(x[None], dim, L)[0]
+    a = np.subtract(L / 2.0, x[..., 0])
+    np.square(a, out=a)
+    np.square(a, out=a)
     if dim == 3:
-        expo = expo + np.square(np.square(L / 2.0 - x[..., 1]))
-    a = expo / 1e-12
+        b = np.subtract(L / 2.0, x[..., 1])
+        np.square(b, out=b)
+        np.square(b, out=b)
+        a += b
+    a /= 1e-12
     # a subnormal exp costs about a hundred normal ones
+    normal = a < _EXP_NORMAL
+    np.negative(a, out=a)
     out = np.zeros(a.shape)
-    np.exp(-a, out=out, where=a < _EXP_NORMAL)
-    return 0.4e5 * out
+    np.exp(a, out=out, where=normal)
+    out *= 0.4e5
+    return out
 
 
 # exp(-a) is a normal double for a < -ln DBL_MIN = 1022 ln 2

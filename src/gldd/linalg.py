@@ -81,7 +81,12 @@ class LinearSolver:
         if kind == "direct":
             if self._lu is None:
                 try:
-                    self._lu = spla.splu(self.A.tocsc())
+                    # minimum degree on A^T + A with diagonal pivots
+                    # preferred suits the SPD blocks; SuperLU's default
+                    # threshold still pivots off a weak diagonal
+                    self._lu = spla.splu(
+                        self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                        options=dict(SymmetricMode=True))
                 except RuntimeError as exc:
                     raise SingularMatrix(str(exc)) from exc
             x = self._lu.solve(b)

@@ -339,6 +339,18 @@ class TestStiffness:
             np.testing.assert_array_equal(K.indices, ref.indices)
             np.testing.assert_array_equal(K.data, ref.data)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_graded_mesh_matches_per_cell_assembly(self, m):
+        # the transition bands give cells of several shapes and sizes
+        mesh = build_fitted_mesh(GEOM, 1 / 160, 1 / 640, "graded")
+        dof = build_dofmap(mesh, m)
+        kappa = 0.5 + np.random.default_rng(10 + m).random(mesh.num_cells)
+        K = assemble_stiffness(mesh, dof, kappa)
+        ref = _reference_stiffness(mesh, dof, kappa)
+        np.testing.assert_array_equal(K.indptr, ref.indptr)
+        np.testing.assert_array_equal(K.indices, ref.indices)
+        np.testing.assert_array_equal(K.data, ref.data)
+
     def test_nonpositive_coefficient(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
         dof = build_dofmap(mesh, 1)

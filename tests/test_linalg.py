@@ -76,6 +76,28 @@ class TestSolve:
         with pytest.raises(SingularMatrix):
             solve(A, np.ones(2), SolverConfig(method="dense-direct"))
 
+    def test_direct_pivots_off_zero_diagonal(self):
+        # the direct kind orders for symmetric input and prefers diagonal
+        # pivots; on a non-symmetric matrix whose leading diagonal is zero
+        # it must still pivot, and still report an exactly singular one
+        n = 60
+        rng = np.random.default_rng(5)
+        A = sp.random(n, n, density=0.1, random_state=rng,
+                      data_rvs=lambda k: rng.uniform(-1.0, 1.0, k)).tolil()
+        A.setdiag(np.r_[np.zeros(10), rng.uniform(0.5, 1.0, n - 10)])
+        A += sp.eye(n, k=1) * 4.0 + sp.eye(n, k=-(n - 1)) * 4.0
+        A = sp.csr_matrix(A)
+        assert not A.diagonal()[:10].any() and (A != A.T).nnz
+        b = rng.standard_normal(n)
+        x, _ = solve(A, b, SolverConfig(method="dense-direct"))
+        ref = spla.spsolve(A.tocsc(), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        singular = A.tolil()
+        singular[:, 7] = 0.0
+        with pytest.raises(SingularMatrix):
+            solve(sp.csr_matrix(singular), b,
+                  SolverConfig(method="dense-direct"))
+
     def test_no_convergence_carries_estimate(self):
         A, b, _ = spd_system(50, seed=3)
         cfg = SolverConfig(method="conjugate-gradient", rel_tol=1e-14,
