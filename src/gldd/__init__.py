@@ -19,8 +19,8 @@ from .experiments import (ExperimentConfig, SweepRecord, emit_reports,
                           relaxation_study, sweep_kappa, sweep_mesh_ratio)
 from .fem import (DofMap, assemble_load, assemble_stiffness, build_dofmap,
                   l2_error, laser_flux)
-from .linalg import (SolverConfig, SpectralFit, dense_spectral_radius,
-                     fit_rho_law, power_iteration_rho)
+from .linalg import (SolverConfig, SpectralFit, fit_rho_law,
+                     power_iteration_rho)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, build_fitted_mesh,
                    build_global_mesh, build_local_mesh)
 from .nonlinear import (MaterialCurve, NonlinearConfig, picard_monolithic,
@@ -33,8 +33,7 @@ __all__ = [
     "build_global_mesh", "build_local_mesh", "build_fitted_mesh",
     "DofMap", "build_dofmap", "assemble_stiffness", "assemble_load",
     "laser_flux", "l2_error",
-    "SolverConfig", "SpectralFit", "power_iteration_rho",
-    "dense_spectral_radius", "fit_rho_law",
+    "SolverConfig", "SpectralFit", "power_iteration_rho", "fit_rho_law",
     "ProblemData", "CoupledOperators", "build_coupled_operators",
     "default_alpha", "interface_trace_gap",
     "DDConfig", "DDReport", "setup_case", "run_two_level_dd",

@@ -11,18 +11,19 @@ cols: box dofs).  Together with the two stiffness blocks they form
 with the sign convention of that block system: S stores the negative
 flux-jump integral, D stores -alpha times the cross mass matrix.
 
-What does not depend on the coefficients is built once per mesh pair and
-kept on the mesh and dof-map objects: the unit cell matrices and CSR
-patterns of both stiffness blocks; the interface terms (the gamma
-quadrature, the box basis at every gamma point, the only points located,
-the strip basis there from its facet rule, and the unit S and D terms);
-the block layouts (the Dirichlet dofs, their elimination in each stiffness
-pattern, the gamma mass and its slots in the strip's); and both loads
-unscaled.  A new set of coefficients on the same objects (another strip
-conductivity, or a Picard step's per-cell conductivities, jump weights and
-penalty) then costs one weighted bincount per block, written into that
-block's one matrix in place, the box load outside + ratio * inside (only a
-Picard flux scale integrates it again) and one factorization per block.
+What does not depend on the coefficients is built once and kept on the
+mesh and dof-map objects it depends on: per dof map, the unit cell
+matrices and CSR pattern of its stiffness block and the Dirichlet
+elimination in that pattern (fem._elimination, shared with solve_fitted);
+per strip, the gamma mass and its slots in the strip's pattern; per mesh
+pair, the interface terms (the gamma quadrature, the box basis at every
+gamma point, the only points located, the strip basis there from its
+facet rule, and the unit S and D terms); and both loads unscaled.  A new
+set of coefficients on the same objects (another strip conductivity, or a
+Picard step's per-cell conductivities, jump weights and penalty) then
+costs one weighted bincount per block, written into that block's one
+matrix in place, the box load outside + ratio * inside (only a Picard flux
+scale integrates it again) and one factorization per block.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
 from .fem import (LASER_CUTOFF, DofMap, _as_callable, _basis_at_points,
-                  _boundary_mass_pattern, _CsrPattern, _Elimination,
+                  _boundary_mass_pattern, _CsrPattern, _elimination,
                   _stiffness_pattern, assemble_load, assemble_stiffness,
-                  dirichlet_dofs, facet_rule, laser_flux, shape_bary_grads,
-                  shape_values)
+                  facet_rule, laser_flux, shape_bary_grads, shape_values)
 from .linalg import InterfaceBlock, LinearSolver, SolverConfig
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
@@ -82,7 +82,7 @@ class ProblemData:
 @dataclass
 class CoupledOperators:
     """All blocks of the coupled system, Dirichlet conditions eliminated,
-    and the owner of the block solves on them (solvers) and of their
+    and the owner of the block solves on them (solvers) and of their one
     interface block (interface)."""
 
     K_plus: sp.csr_matrix
@@ -119,16 +119,19 @@ class CoupledOperators:
                              LinearSolver(self.K_minus, config))
         return pairs[config]
 
-    def interface(self, config: SolverConfig):
-        """The InterfaceBlock on solvers(config) (on direct solvers of the
-        same blocks when config is iterative), made once and kept while
-        all four blocks are the same objects."""
-        blocks = memoised(self, "_interfaces",
-                          (self.K_plus, self.K_minus, self.S, self.D), dict)
-        if config not in blocks:
-            plus, minus = self.solvers(config)
-            blocks[config] = InterfaceBlock(plus, self.S, minus, self.D)
-        return blocks[config]
+    def interface(self):
+        """The InterfaceBlock on the direct pair solvers(SolverConfig()),
+        made once and kept while all four blocks are the same objects.  A
+        direct sweep on these operators runs on it once it is kept."""
+        plus, minus = self.solvers(SolverConfig())
+        return self._kept_interface(
+            lambda: InterfaceBlock(plus, self.S, minus, self.D))
+
+    def _kept_interface(self, build=None):
+        """The interface block kept for the current blocks, made by build()
+        if there is none; without build, None then."""
+        return memoised(self, "_interface",
+                        (self.K_plus, self.K_minus, self.S, self.D), build)
 
 
 # ----------------------------------------------------------------------
@@ -240,29 +243,25 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
 # full system builder
 # ----------------------------------------------------------------------
 
-class _Layout:
-    """The Dirichlet elimination in each stiffness pattern of a mesh pair
-    (which also clears the constrained rows of S and D), and the gamma mass
-    with the slot of each of its entries in the strip stiffness pattern,
-    which holds them all: each facet's dofs are its owner cell's."""
-
-    def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap):
-        plus = _stiffness_pattern(global_mesh, global_dofmap)
-        minus = _stiffness_pattern(local_mesh, local_dofmap)
-        self.plus = _Elimination(plus, dirichlet_dofs(global_mesh,
-                                                      global_dofmap))
-        self.minus = _Elimination(minus, dirichlet_dofs(local_mesh,
-                                                        local_dofmap))
-        gamma = local_mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
-        self.gamma_mass, self.gamma_scale = _boundary_mass_pattern(
-            local_mesh, local_dofmap, local_mesh.facet_vertices[gamma])
+def _gamma_mass(mesh, dofmap):
+    """The strip's gamma mass pattern, its facet scale and the slot of each
+    of its entries in the strip stiffness pattern, which holds them all
+    (each facet's dofs are its owner cell's); kept on the dof map."""
+    def build():
+        gamma = mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
+        mass, scale = _boundary_mass_pattern(mesh, dofmap,
+                                             mesh.facet_vertices[gamma])
 
         def keys(pattern):
             n = pattern.shape[0]
             rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
             return rows * n + pattern.indices
 
-        self.gamma_slots = np.searchsorted(keys(minus), keys(self.gamma_mass))
+        slots = np.searchsorted(keys(_stiffness_pattern(mesh, dofmap)),
+                                keys(mass))
+        return mass, scale, slots
+
+    return memoised(dofmap, "_gamma_mass", (mesh,), build)
 
 
 def _load(geom, mesh, dofmap, problem, flux_scale=None):
@@ -343,9 +342,9 @@ def build_coupled_operators(geom: GeometryConfig,
     nonzero.
 
     Each block is the one matrix its assembly returns, changed on its data
-    in place through the _Layout kept for the mesh pair.  Both loads are
-    kept unscaled (see _load), the box load as (outside, inside) so that
-    f_plus = outside + (kappa_plus/kappa_minus) * inside; only a
+    in place through the kept Dirichlet eliminations and gamma mass.  Both
+    loads are kept unscaled (see _load), the box load as (outside, inside)
+    so that f_plus = outside + (kappa_plus/kappa_minus) * inside; only a
     flux_scale integrates the box load again.
     """
     problem = problem or ProblemData()
@@ -361,7 +360,8 @@ def build_coupled_operators(geom: GeometryConfig,
     km_cells = kappa_minus if kappa_minus_cells is None else kappa_minus_cells
 
     # on a new mesh pair S's assembly builds the kept interface terms and
-    # the stiffness assembly the kept patterns; D and the layout reuse them
+    # the stiffness assembly the kept patterns; D, the eliminations and the
+    # gamma mass reuse them
     S = assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
                              local_dofmap, kappa_plus, kappa_minus,
                              facet_weights=jump_facet_weights)
@@ -370,14 +370,12 @@ def build_coupled_operators(geom: GeometryConfig,
                            local_dofmap, alpha)
     K_plus = assemble_stiffness(global_mesh, global_dofmap, kp_cells)
     K_minus = assemble_stiffness(local_mesh, local_dofmap, km_cells)
-    layout = memoised(local_dofmap, "_layout",
-                      (global_mesh, local_mesh, global_dofmap),
-                      functools.partial(_Layout, global_mesh, local_mesh,
-                                        global_dofmap, local_dofmap))
-    S = layout.plus.clear_rows(S)
-    D = layout.minus.clear_rows(D)
-    K_minus.data[layout.gamma_slots] += layout.gamma_mass.data(
-        alpha * layout.gamma_scale)
+    plus = _elimination(global_mesh, global_dofmap)
+    minus = _elimination(local_mesh, local_dofmap)
+    mass, scale, slots = _gamma_mass(local_mesh, local_dofmap)
+    S = plus.clear_rows(S)
+    D = minus.clear_rows(D)
+    K_minus.data[slots] += mass.data(alpha * scale)
 
     if flux_scale is None:
         outside, inside = _load(geom, global_mesh, global_dofmap, problem)
@@ -386,8 +384,8 @@ def build_coupled_operators(geom: GeometryConfig,
         f_plus = _load(geom, global_mesh, global_dofmap, problem, flux_scale)
     # the strip lies inside its own footprint
     f_minus = _load(geom, local_mesh, local_dofmap, problem)[1]
-    K_plus, f_plus = layout.plus.apply(K_plus, f_plus, problem.T_D)
-    K_minus, f_minus = layout.minus.apply(K_minus, f_minus, problem.T_D)
+    K_plus, f_plus = plus.apply(K_plus, f_plus, problem.T_D)
+    K_minus, f_minus = minus.apply(K_minus, f_minus, problem.T_D)
 
     return CoupledOperators(
         K_plus=K_plus, K_minus=K_minus, S=S, D=D,
@@ -395,8 +393,8 @@ def build_coupled_operators(geom: GeometryConfig,
         geom=geom, global_mesh=global_mesh, local_mesh=local_mesh,
         global_dofmap=global_dofmap, local_dofmap=local_dofmap,
         T_D=problem.T_D,
-        global_dirichlet=layout.plus.dofs,
-        local_dirichlet=layout.minus.dofs)
+        global_dirichlet=plus.dofs,
+        local_dirichlet=minus.dofs)
 
 
 def interface_trace_gap(ops: CoupledOperators, T_plus, T_minus):

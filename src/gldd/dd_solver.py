@@ -15,15 +15,15 @@ implemented and cross-checked in the tests.
 D is nonzero only on the box columns J that touch gamma, so
 T_tilde = c + M T_plus = c + Y T_plus[J], with
 c = K_plus^{-1}(f_plus - S K_minus^{-1} f_minus) and the interface block
-Y = K_plus^{-1} S K_minus^{-1} D[:, J] that the exact radius forms.  A
-sweep given that block takes this route: two solves for c per run, then
-one n_plus x |J| product per sweep, and the strip solve only where T_minus
-is reported.  The studies that record a radius have built the block anyway
-and pass it with a direct solver; every other sweep (a bare set-up, each
-Picard step, every Krylov solver) makes the two block solves per sweep,
-since building the block costs 2|J| column solves, more than a few sweeps
-save.  M and the partial sums keep their two solves as the independent
-reference of both.
+Y = K_plus^{-1} S K_minus^{-1} D[:, J] that the exact radius forms.  One
+rule picks the route: a direct run on operators that keep their block
+(ops.interface, which every study that records a radius has called) takes
+it, with two solves for c per run, then one n_plus x |J| product per
+sweep, and the strip solve only where T_minus is reported.  Any other run
+(a bare set-up, each Picard step, every Krylov solver) makes the two block
+solves per sweep, since building the block costs 2|J| column solves, more
+than a few sweeps save.  M and the partial sums keep their two solves as
+the independent reference of both.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ import scipy.sparse.linalg as spla
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
 from .errors import (Diverged, IterationFailure, MaxItersExceeded,
                      SingularMatrix)
-from .fem import (_Elimination, _stiffness_pattern, assemble_load,
-                  assemble_stiffness, build_dofmap, dirichlet_dofs)
-from .linalg import InterfaceBlock, LinearSolver, SolverConfig
+from .fem import (_elimination, assemble_load, assemble_stiffness,
+                  build_dofmap)
+from .linalg import LinearSolver, SolverConfig
 from .mesh import (GeometryConfig, build_fitted_mesh, build_global_mesh,
-                   build_local_mesh, memoised, strip_cells)
+                   build_local_mesh, strip_cells)
 
 
 # Diverged is raised once the sweep's step exceeds this multiple of its
@@ -116,16 +116,16 @@ def make_iteration_operator(ops: CoupledOperators,
 
 
 def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
-                     initial=None,
-                     block: InterfaceBlock | None = None) -> DDReport:
+                     initial=None) -> DDReport:
     """Run the alternating iteration until the relative change of the box
     iterate drops below config.tol.
 
     The block solves are ops.solvers(config.solver), the pair that every
     run, radius and partial sum on ops with that config shares; the
-    report counts only this run's inner iterations.  Given block, the
-    operators' interface block (ops.interface), each sweep is
-    T_tilde = c + Y T_plus[J] (see the module docstring).
+    report counts only this run's inner iterations.  A direct run on
+    operators that keep their interface block (ops.interface) sweeps
+    T_tilde = c + Y T_plus[J]; any other makes the two block solves (see
+    the module docstring).
 
     The residual history holds ||T^k - T^{k-1}|| / ||T^k|| per sweep.
     Divergence is detected on the unnormalized step ||T^k - T^{k-1}||,
@@ -142,6 +142,8 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     config = config or DDConfig()
     t0 = time.perf_counter()
     plus, minus = ops.solvers(config.solver)
+    block = ops._kept_interface() if config.solver.method == "direct" \
+        else None
     inner0 = (minus.total_iterations, plus.total_iterations)
 
     def strip(T_plus):
@@ -308,15 +310,10 @@ def solve_fitted(mesh, dofmap, kappa_cells, load, T_D,
     the stiffness, the outer Dirichlet dofs eliminated at T_D (load itself
     is left unchanged) and a LinearSolver.  Returns (T, inner iterations).
 
-    The elimination in the stiffness pattern is found once per dof map and
-    mesh, as the coupled builder keeps its own per mesh pair, so a Picard
-    loop finds it once."""
-    elimination = memoised(dofmap, "_elimination", (mesh,),
-                           lambda: _Elimination(
-                               _stiffness_pattern(mesh, dofmap),
-                               dirichlet_dofs(mesh, dofmap)))
-    A, b = elimination.apply(assemble_stiffness(mesh, dofmap, kappa_cells),
-                             load, T_D)
+    The elimination is the one kept on the dof map (fem._elimination), so a
+    Picard loop finds it once."""
+    A, b = _elimination(mesh, dofmap).apply(
+        assemble_stiffness(mesh, dofmap, kappa_cells), load, T_D)
     lin = LinearSolver(A, solver or SolverConfig())
     return lin.solve(b), lin.total_iterations
 

@@ -29,7 +29,8 @@ from .mesh import GeometryConfig
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One declarative bundle of geometry, discretization, physics and
-    study parameters; JSON files mirror these field names."""
+    study parameters; JSON files mirror these field names.  seed,
+    power_tol and power_max_iters feed only ``gldd spectrum --power``."""
 
     dim: int = 2
     m: int = 1
@@ -136,17 +137,16 @@ def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
 
 
 def _run_thetas(cfg, ops, kappa_minus, h_minus, thetas, t0):
-    """One record per relaxation weight: radius and sweep on ops, all on
-    ops.solvers(cfg.solver()), with the radii from its one interface block,
-    which a direct sweep then runs on.  The first record's time runs from
-    t0, each later one from the end of the record before it."""
-    block = ops.interface(cfg.solver())
-    sweep_block = block if cfg.solver().kind() == "direct" else None
+    """One record per relaxation weight: radius and sweep on ops, with the
+    radii from its one interface block, which a direct sweep then runs on.
+    The first record's time runs from t0, each later one from the end of
+    the record before it."""
+    block = ops.interface()
     records = []
     for theta in thetas:
         rho = block.rho(theta)
         try:
-            report = run_two_level_dd(ops, cfg.dd(theta), block=sweep_block)
+            report = run_two_level_dd(ops, cfg.dd(theta))
         except IterationFailure as exc:
             report = exc.report
         t1 = time.perf_counter()

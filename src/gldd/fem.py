@@ -607,10 +607,18 @@ class _Elimination:
         return A
 
 
+def _elimination(mesh, dofmap):
+    """The _Elimination of the outer Dirichlet dofs in the stiffness
+    pattern of mesh, kept on the dof map for the mesh: the coupled builder
+    and solve_fitted share it."""
+    return memoised(dofmap, "_elimination", (mesh,), lambda: _Elimination(
+        _stiffness_pattern(mesh, dofmap), dirichlet_dofs(mesh, dofmap)))
+
+
 def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
     """Eliminate Dirichlet dofs symmetrically (see ``_Elimination``, which
-    the coupled builder keeps per mesh pair and ``solve_fitted`` per dof
-    map) on a copy of A in canonical form.  Returns new (A, b)."""
+    the stiffness of a dof map keeps, ``_elimination``) on a copy of A in
+    canonical form.  Returns new (A, b)."""
     A = sp.csr_matrix(A, dtype=float, copy=True)
     A.sum_duplicates()
     return _Elimination(A, dofs).apply(A, b, value)

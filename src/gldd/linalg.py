@@ -36,8 +36,11 @@ class SolverConfig:
     """How linear systems are solved.
 
     method: 'conjugate-gradient', 'restarted-minimal-residual' or
-    'dense-direct' (short aliases cg/gmres/direct accepted).  The direct
-    method factorizes once and reports zero iterations.
+    'dense-direct' (short aliases cg/gmres/direct accepted), held as its
+    kind (cg, gmres or direct), so configs that differ only by an alias
+    are equal; an unknown method or preconditioner raises here.  The
+    direct method factorizes once, reports zero iterations and uses no
+    preconditioner.
     """
 
     method: str = "dense-direct"
@@ -45,11 +48,13 @@ class SolverConfig:
     preconditioner: str = "none"
     max_iters: int = 20000
 
-    def kind(self):
+    def __post_init__(self):
         try:
-            return _METHOD_ALIASES[self.method]
+            object.__setattr__(self, "method", _METHOD_ALIASES[self.method])
         except KeyError:
             raise ValueError(f"unknown solver method {self.method!r}") from None
+        if self.preconditioner not in ("none", "diagonal"):
+            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 class LinearSolver:
@@ -62,22 +67,20 @@ class LinearSolver:
         self.total_iterations = 0
         self._lu = None
         self._precond = None
-        if self.config.preconditioner == "diagonal":
+        if self.config.preconditioner == "diagonal" and \
+                self.config.method != "direct":
             d = self.A.diagonal()
             if np.any(d == 0):
                 raise SingularMatrix("zero diagonal entry, cannot precondition")
             inv = 1.0 / d
             self._precond = spla.LinearOperator(self.A.shape,
                                                 matvec=lambda v: inv * v)
-        elif self.config.preconditioner != "none":
-            raise ValueError(
-                f"unknown preconditioner {self.config.preconditioner!r}")
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         if not np.any(b):
             return np.zeros_like(b)
-        kind = self.config.kind()
+        kind = self.config.method
         if kind == "direct":
             if self._lu is None:
                 try:
@@ -165,12 +168,13 @@ class InterfaceBlock:
     Analysis, Thm 1.3.22).  lam holds them, with a 0 appended when
     |J| < n_plus, where M is singular.  size_guard bounds |J|.
 
-    K_plus and K_minus are the blocks, or LinearSolvers bound to them: a
-    direct solver's factorization serves the 2|J| column solves of Y and
-    is kept for later ones, such as the sweep's.
+    plus and minus are direct LinearSolvers on K_plus and K_minus: their
+    factorizations serve the 2|J| column solves of Y and are kept for later
+    solves, such as the sweep's.  CoupledOperators.interface builds the one
+    block of a set of operators.
     """
 
-    def __init__(self, K_plus, S, K_minus, D, size_guard=2000):
+    def __init__(self, plus, S, minus, D, size_guard=2000):
         D = sp.csr_matrix(D)
         self.J = np.unique(D.indices)
         if self.J.size > size_guard:
@@ -179,27 +183,13 @@ class InterfaceBlock:
         D_J = np.zeros((D.shape[0], self.J.size))
         np.add.at(D_J, (np.repeat(np.arange(D.shape[0]), np.diff(D.indptr)),
                         np.searchsorted(self.J, D.indices)), D.data)
-        self.Y = _direct(K_plus).solve(S @ _direct(K_minus).solve(D_J))
+        self.Y = plus.solve(S @ minus.solve(D_J))
         lam = np.linalg.eigvals(self.Y[self.J])
         self.lam = np.append(lam, 0.0) if self.J.size < S.shape[0] else lam
 
     def rho(self, theta=1.0):
         """Spectral radius of (1 - theta) I + theta M."""
         return float(np.abs((1.0 - theta) + theta * self.lam).max())
-
-
-def dense_spectral_radius(K_plus, S, K_minus, D, theta=1.0, size_guard=2000):
-    """Exact spectral radius of (1 - theta) I + theta M, where
-    M = K_plus^{-1} S K_minus^{-1} D, from the InterfaceBlock of the same
-    arguments."""
-    return InterfaceBlock(K_plus, S, K_minus, D, size_guard).rho(theta)
-
-
-def _direct(K):
-    """K when it is a direct LinearSolver, else a direct one for its matrix."""
-    if isinstance(K, LinearSolver):
-        return K if K.config.kind() == "direct" else LinearSolver(K.A)
-    return LinearSolver(K)
 
 
 # ----------------------------------------------------------------------

@@ -189,10 +189,10 @@ def face_keys(ids, nv):
     return keys
 
 
-def memoised(owner, name, key, build):
+def memoised(owner, name, key, build=None):
     """build(), kept on owner as attribute ``name`` and built again only
     when asked for with another key, a tuple of objects compared by
-    identity.
+    identity.  Without build, the value kept for key, or None.
 
     What is kept depends only on owner and key objects that are never
     changed in place, so it lives on owner, is built once per object and
@@ -200,6 +200,8 @@ def memoised(owner, name, key, build):
     """
     held = vars(owner).get(name)
     if held is None or not all(a is b for a, b in zip(held[0], key)):
+        if build is None:
+            return None
         held = (key, build())
         setattr(owner, name, held)
     return held[1]

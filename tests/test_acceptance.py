@@ -20,7 +20,7 @@ from gldd.errors import Diverged, MaxItersExceeded
 from gldd.experiments import ExperimentConfig, sweep_kappa
 from gldd.fem import (apply_dirichlet, assemble_load, assemble_stiffness,
                       build_dofmap, l2_error)
-from gldd.linalg import SolverConfig, dense_spectral_radius, power_iteration_rho
+from gldd.linalg import SolverConfig, power_iteration_rho
 from gldd.mesh import GeometryConfig, build_global_mesh
 from gldd.nonlinear import (MaterialCurve, NonlinearConfig, picard_monolithic,
                             picard_two_level, sweep_kappa_plus_B)
@@ -136,8 +136,7 @@ def test_04_power_iteration_matches_dense_radius():
                 rho_p, _ = power_iteration_rho(make_iteration_operator(ops),
                                                ops.n_plus, theta=theta,
                                                tol=1e-12, max_iters=5000)
-                rho_d = dense_spectral_radius(ops.K_plus, ops.S, ops.K_minus,
-                                              ops.D, theta=theta)
+                rho_d = ops.interface().rho(theta)
                 worst = max(worst, abs(rho_p - rho_d) / rho_d)
                 n_checked += 1
     ok = n_checked == 18 and worst <= 1e-6

@@ -16,6 +16,7 @@ import gldd.mesh as mesh_module
 from gldd.coupling import (ProblemData, assemble_flux_jump_S,
                            assemble_penalty_D, build_coupled_operators,
                            default_alpha, interface_trace_gap)
+from gldd.dd_solver import solve_fitted
 from gldd.errors import NonpositiveCoefficient, OrphanInterfaceFacet
 from gldd.fem import (assemble_boundary_mass, build_dofmap, evaluate_field,
                       facet_rule, laser_flux)
@@ -680,6 +681,19 @@ class TestKeptLayouts:
                                 flux_scale=lambda x: np.full(len(x), 2.0))
         assert calls == {"dirichlet_dofs": [], "apply_dirichlet": [],
                          "assemble_load": [gm]}
+
+    def test_fitted_solve_shares_the_elimination(self, monkeypatch):
+        # the coupled build and a fitted solve on the box dof map find its
+        # Dirichlet elimination once, in one object
+        geom, gm, gd, lm, ld = make_pair()
+        found = count_calls(monkeypatch, fem_module, "_Elimination")
+        ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5)
+        kept = fem_module._elimination(gm, gd)
+        T, _ = solve_fitted(gm, gd, np.ones(gm.num_cells), ops.f_plus,
+                            ops.T_D)
+        assert len(found) == 2
+        assert fem_module._elimination(gm, gd) is kept
+        np.testing.assert_array_equal(T[ops.global_dirichlet], ops.T_D)
 
 
 class TestDefaults:

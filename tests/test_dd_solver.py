@@ -18,7 +18,7 @@ from gldd.dd_solver import (DDConfig, DDReport, block_residual,
 from gldd.errors import (Diverged, IterationFailure, MaxItersExceeded,
                          NoConvergence)
 from gldd.fem import evaluate_field
-from gldd.linalg import LinearSolver, SolverConfig, dense_spectral_radius
+from gldd.linalg import InterfaceBlock, LinearSolver, SolverConfig
 from gldd.mesh import GeometryConfig
 
 GEOM = GeometryConfig()
@@ -100,23 +100,39 @@ def test_shared_solvers_count_own_inner_iterations():
         np.testing.assert_array_equal(shared.T_plus, alone.T_plus)
 
 
+def count_factorizations(monkeypatch):
+    """The shape of every matrix splu factors from here on."""
+    factored = []
+    real = spla.splu
+
+    def counting(A, *args, **kwargs):
+        factored.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return factored
+
+
 class TestSolverPair:
     def test_one_factorization_per_block(self, monkeypatch):
         # the radius, the sweep, M and the partial sums on one operators
         # object all solve on its one pair
         ops = make_ops()
-        factored = []
-        real = spla.splu
-
-        def counting(A, *args, **kwargs):
-            factored.append(A.shape)
-            return real(A, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counting)
-        plus, minus = ops.solvers(SolverConfig())
-        dense_spectral_radius(plus, ops.S, minus, ops.D)
+        factored = count_factorizations(monkeypatch)
+        ops.interface()
         report = run_two_level_dd(ops)
         make_iteration_operator(ops)(report.T_plus)
+        neumann_partial_sum(ops, 2, report.T_plus)
+        assert sorted(factored) == sorted([ops.K_plus.shape,
+                                           ops.K_minus.shape])
+
+    def test_alias_shares_the_pair(self, monkeypatch):
+        # a sweep asking for "direct" and partial sums on the default
+        # config ("dense-direct") solve on one pair
+        ops = make_ops()
+        factored = count_factorizations(monkeypatch)
+        report = run_two_level_dd(ops, DDConfig(
+            solver=SolverConfig(method="direct")))
         neumann_partial_sum(ops, 2, report.T_plus)
         assert sorted(factored) == sorted([ops.K_plus.shape,
                                            ops.K_minus.shape])
@@ -166,20 +182,22 @@ def relative_gap(a, b):
 
 
 class TestInterfaceBlockRoute:
-    """A sweep given the operators' interface block forms each box iterate
-    as c + Y T_plus[J]; a sweep without it makes the two block solves."""
+    """A direct sweep on operators that keep their interface block forms
+    each box iterate as c + Y T_plus[J]; any other sweep makes the two
+    block solves."""
 
     @settings(max_examples=12, deadline=None, database=None)
     @given(kappa_minus=st.floats(0.05, 16.0), dim=st.sampled_from([2, 3]),
            m=st.sampled_from([1, 2]),
            theta=st.floats(0.0, 1.2, exclude_min=True))
     def test_block_route_matches_two_solves(self, kappa_minus, dim, m, theta):
-        # kappa_minus up to 16 puts rho well above 1 at theta near 1
+        # kappa_minus up to 16 puts rho well above 1 at theta near 1; the
+        # same operators run before and after their block is kept
         ops = make_ops(kappa_minus=kappa_minus, m=m, dim=dim)
         config = DDConfig(theta=theta, max_iters=200)
         error, two = run_or_stop(ops, config)
-        block_error, block = run_or_stop(
-            ops, config, block=ops.interface(config.solver))
+        ops.interface()
+        block_error, block = run_or_stop(ops, config)
         assert block_error is error
         assert block.iterations == two.iterations
         tol = 1e-12
@@ -205,9 +223,9 @@ class TestInterfaceBlockRoute:
         # strip solve of its last sweep, a converged one that of its final
         # iterate
         ops = make_ops(kappa_minus=kappa_minus)
-        block = ops.interface(config.solver)
+        ops.interface()
         solves = count_solves(monkeypatch)
-        got, report = run_or_stop(ops, config, block=block)
+        got, report = run_or_stop(ops, config)
         assert got is error and report.iterations > 1
         assert len(solves) == 4
         last = report.iterates[-1 if error is None else -2]
@@ -218,21 +236,28 @@ class TestInterfaceBlockRoute:
     @pytest.mark.parametrize("solver", [SolverConfig(),
                                         SolverConfig(method="cg")])
     def test_sweep_without_block_makes_two_solves(self, monkeypatch, solver):
-        # and makes no 2-D solve: it builds no block, even where ops keeps one
+        # a direct run on operators that keep no block builds none, and a
+        # cg run solves on its own pair although the operators keep one:
+        # both make two one-column solves per sweep and no 2-D solve
         ops = make_ops()
-        if solver.kind() == "direct":
-            ops.interface(solver)
+        if solver.method == "cg":
+            ops.interface()
         solves = count_solves(monkeypatch)
+        built = []
+        monkeypatch.setattr(InterfaceBlock, "__init__",
+                            lambda *a, **k: built.append(1))
         report = run_two_level_dd(ops, DDConfig(solver=solver))
         assert report.iterations > 1
         assert len(solves) == 2 * report.iterations + 2
         assert all(b.ndim == 1 for b in solves)
+        assert built == []
+        assert (ops._kept_interface() is None) == (solver.method == "direct")
 
     def test_iteration_operator_keeps_two_solves(self, monkeypatch):
         # M stays the independent two-solve reference of the series and
         # of the radius once a block is kept
         ops = make_ops()
-        ops.interface(SolverConfig())
+        ops.interface()
         solves = count_solves(monkeypatch)
         apply_M = make_iteration_operator(ops)
         v = np.random.default_rng(3).standard_normal(ops.n_plus)
@@ -240,13 +265,16 @@ class TestInterfaceBlockRoute:
             v = apply_M(v)
             assert len(solves) == 2 * k
 
-    def test_block_kept_per_config_and_blocks(self):
+    def test_block_kept_per_blocks(self):
+        # one block per operators, on the default direct pair, made again
+        # only when a block is replaced
         ops = make_ops()
-        block = ops.interface(SolverConfig())
-        assert ops.interface(SolverConfig()) is block
-        assert ops.interface(SolverConfig(method="cg")) is not block
+        block = ops.interface()
+        assert ops.interface() is block
+        assert all(s._lu is not None for s in ops.solvers(SolverConfig()))
         ops.D = ops.D.copy()
-        assert ops.interface(SolverConfig()) is not block
+        assert ops._kept_interface() is None
+        assert ops.interface() is not block
 
 
 class TestFixedPoint:

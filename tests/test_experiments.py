@@ -123,7 +123,7 @@ class TestConfig:
         assert cfg.dd().theta == 0.7
         assert cfg.dd(0.4).theta == 0.4
         assert cfg.dd().tol == 1e-6
-        assert cfg.solver().kind() == "cg"
+        assert cfg.solver().method == "cg"
 
 
 class TestRunCase:
@@ -355,7 +355,7 @@ class TestRelaxation:
             # per weight: the start, the two of c and the final strip
             assert solves.count(1) == 4 * len(cfg.theta_list)
         [ops] = blocks
-        block = ops.interface(cfg.solver())
+        block = ops.interface()
         assert [r.rho_measured for r in study.records] == [
             block.rho(t) for t in cfg.theta_list]
 

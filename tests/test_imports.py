@@ -139,3 +139,77 @@ def test_catch_tuple_detector():
     assert ITERATION_FAILURES == {"IterationFailure", "Diverged",
                                   "MaxItersExceeded", "NoConvergence",
                                   "PicardNoConvergence"}
+
+
+def pass_through_wrappers(source):
+    """(line, name) of the module-level functions whose body, docstring
+    aside, is one return of a call chain (f(a).g(b)...) whose arguments
+    are exactly the function's own parameters: wrappers that only re-call
+    another function."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) and \
+                isinstance(body[0].value, ast.Constant) and \
+                isinstance(body[0].value.value, str):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or \
+                not isinstance(body[0].value, ast.Call):
+            continue
+        spec = node.args
+        params = {a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs}
+        params |= {a.arg for a in (spec.vararg, spec.kwarg) if a is not None}
+        passed, call = [], body[0].value
+        while isinstance(call, ast.Call):
+            passed += [a.value if isinstance(a, ast.Starred) else a
+                       for a in call.args]
+            passed += [k.value for k in call.keywords]
+            call = getattr(call.func, "value", None)
+        if all(isinstance(a, ast.Name) for a in passed) and \
+                {a.id for a in passed} == params:
+            found.append((node.lineno, node.name))
+    return found
+
+
+def traced_names():
+    """module.attr of every function perfbench/tracing.py's TARGETS patch;
+    the tracer times a call only where it crosses such a name."""
+    tracing = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(tracing.read_text()).body:
+        if isinstance(node, ast.Assign) and \
+                [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return {f"{t.elts[0].value}.{t.elts[1].value}"
+                    for t in node.value.elts}
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+TRACED_NAMES = traced_names()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_pass_through_wrappers(path):
+    # a function that only re-calls another with its own arguments is a
+    # second name for one thing, unless the benchmark's tracer needs it
+    assert [(line, name) for line, name in
+            pass_through_wrappers(path.read_text())
+            if f"{path.stem}.{name}" not in TRACED_NAMES] == []
+
+
+def test_pass_through_detector():
+    source = (
+        "def radius(K_plus, S, K_minus, D, theta=1.0, size_guard=2000):\n"
+        "    '''doc'''\n"
+        "    return Block(K_plus, S, K_minus, D, size_guard).rho(theta)\n"
+        "def build(mesh, m):\n    return DofMap(mesh, m=m)\n"
+        "def more(x):\n    return f(x, 2)\n"
+        "def fewer(x, y):\n    return f(x)\n"
+        "def nested(x):\n    return f(g(x))\n"
+        "def attr(x):\n    return f(x.y)\n"
+        "def two(x):\n    y = f(x)\n    return y\n"
+        "def star(*args, **kwargs):\n    return f(*args, **kwargs)\n")
+    assert pass_through_wrappers(source) == [(1, "radius"), (4, "build"),
+                                             (17, "star")]
+    assert "fem.build_dofmap" in TRACED_NAMES

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gldd.errors import (NonpositiveConstant, NoConvergence, RankDeficient,
                          SingularMatrix, TooLarge)
-from gldd.linalg import (LinearSolver, SolverConfig, dense_spectral_radius,
+from gldd.linalg import (InterfaceBlock, LinearSolver, SolverConfig,
                          fit_rho_law, least_squares_fit, power_iteration_rho)
 
 
@@ -26,6 +26,12 @@ def full_iteration_matrix(K_plus, S, K_minus, D):
     solves per block."""
     X = spla.splu(sp.csc_matrix(K_minus)).solve(D.toarray())
     return spla.splu(sp.csc_matrix(K_plus)).solve(S @ X)
+
+
+def block_radius(K_plus, S, K_minus, D, theta=1.0, size_guard=2000):
+    """rho(theta) of the InterfaceBlock on direct solvers of the blocks."""
+    return InterfaceBlock(LinearSolver(K_plus), S, LinearSolver(K_minus), D,
+                          size_guard).rho(theta)
 
 
 def solve(A, b, config):
@@ -45,12 +51,29 @@ class TestSolve:
         assert (iters == 0) == (method == "dense-direct")
 
     def test_aliases(self):
-        assert SolverConfig(method="conjugate-gradient").kind() == "cg"
-        assert SolverConfig(method="cg").kind() == "cg"
-        assert SolverConfig(method="restarted-minimal-residual").kind() == "gmres"
-        assert SolverConfig(method="dense-direct").kind() == "direct"
+        # a config holds its method's kind, so an alias makes an equal
+        # config; an unknown method or preconditioner raises at once
+        assert SolverConfig(method="conjugate-gradient").method == "cg"
+        assert SolverConfig(method="cg").method == "cg"
+        assert SolverConfig(method="restarted-minimal-residual").method == "gmres"
+        assert SolverConfig(method="dense-direct").method == "direct"
+        assert SolverConfig() == SolverConfig(method="direct")
+        assert hash(SolverConfig()) == hash(SolverConfig(method="direct"))
         with pytest.raises(ValueError):
-            SolverConfig(method="sor").kind()
+            SolverConfig(method="sor")
+        with pytest.raises(ValueError):
+            SolverConfig(preconditioner="ilu")
+
+    def test_direct_ignores_diagonal_preconditioner(self):
+        # the direct solve never uses the preconditioner, so a zero
+        # diagonal is no reason to refuse it; a Krylov solve still refuses
+        A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        x, _ = solve(A, np.array([1.0, 2.0]),
+                     SolverConfig(method="direct", preconditioner="diagonal"))
+        np.testing.assert_array_equal(x, [2.0, 1.0])
+        with pytest.raises(SingularMatrix):
+            LinearSolver(A, SolverConfig(method="gmres",
+                                         preconditioner="diagonal"))
 
     def test_diagonal_preconditioner_helps(self):
         # badly scaled SPD system: Jacobi restores iteration counts
@@ -168,7 +191,7 @@ class TestDenseRadius:
         K_minus = sp.csr_matrix(rng.standard_normal((k, k)) + 8 * np.eye(k))
         S = sp.csr_matrix(rng.standard_normal((n, k)))
         D = sp.csr_matrix(rng.standard_normal((k, n)))
-        rho = dense_spectral_radius(K_plus, S, K_minus, D)
+        rho = block_radius(K_plus, S, K_minus, D)
         M = full_iteration_matrix(K_plus, S, K_minus, D)
         coeffs = np.zeros(n + 1)
         coeffs[0] = 1.0
@@ -189,7 +212,7 @@ class TestDenseRadius:
         M = full_iteration_matrix(K_plus, S, K_minus, D)
         theta = 0.3
         want = np.abs((1 - theta) + theta * np.linalg.eigvals(M)).max()
-        got = dense_spectral_radius(K_plus, S, K_minus, D, theta=theta)
+        got = block_radius(K_plus, S, K_minus, D, theta=theta)
         assert got == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -211,13 +234,12 @@ class TestDenseRadius:
         D = sp.csr_matrix(rng.standard_normal((k, n)) * support)
         M = full_iteration_matrix(K_plus, S, K_minus, D)
         want = np.abs((1 - theta) + theta * np.linalg.eigvals(M)).max()
-        got = dense_spectral_radius(K_plus, S, K_minus, D, theta=theta)
+        got = block_radius(K_plus, S, K_minus, D, theta=theta)
         assert abs(got - want) <= 1e-10 * max(1.0, want)
 
-    @pytest.mark.parametrize("method", ["direct", "cg"])
-    def test_solver_blocks_match_matrices(self, method):
-        # LinearSolvers in place of the blocks give the same radius; a
-        # direct one keeps its factorization for later solves
+    def test_pair_keeps_its_factorizations(self, monkeypatch):
+        # the 2|J| column solves of Y factor each block once, and the pair
+        # keeps both factorizations for later solves
         rng = np.random.default_rng(17)
         n, k = 7, 5
         Bp, Bm = rng.standard_normal((n, n)), rng.standard_normal((k, k))
@@ -225,17 +247,24 @@ class TestDenseRadius:
         K_minus = sp.csr_matrix(Bm @ Bm.T + k * np.eye(k))
         S = sp.csr_matrix(rng.standard_normal((n, k)))
         D = sp.csr_matrix(rng.standard_normal((k, n)))
-        plus = LinearSolver(K_plus, SolverConfig(method=method))
-        minus = LinearSolver(K_minus, SolverConfig(method=method))
-        got = dense_spectral_radius(plus, S, minus, D, theta=0.6)
-        assert got == dense_spectral_radius(K_plus, S, K_minus, D, theta=0.6)
-        assert (plus._lu is not None) == (method == "direct")
+        factored = []
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda A, *a, **kw:
+                            factored.append(A.shape) or real(A, *a, **kw))
+        plus, minus = LinearSolver(K_plus), LinearSolver(K_minus)
+        block = InterfaceBlock(plus, S, minus, D)
+        plus.solve(np.ones(n))
+        minus.solve(np.ones(k))
+        assert sorted(factored) == [(k, k), (n, n)]
+        M = full_iteration_matrix(K_plus, S, K_minus, D)
+        want = np.abs(0.4 + 0.6 * np.linalg.eigvals(M)).max()
+        assert block.rho(0.6) == pytest.approx(want, rel=1e-12)
 
     def test_size_guard(self):
         n = 12
         eye = sp.identity(n, format="csr")
         with pytest.raises(TooLarge):
-            dense_spectral_radius(eye, eye, eye, eye, size_guard=n - 1)
+            block_radius(eye, eye, eye, eye, size_guard=n - 1)
 
 
 class TestFits:

@@ -5,6 +5,7 @@ import pytest
 
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
+import gldd.fem as fem
 import gldd.nonlinear as nonlinear
 from gldd.coupling import ProblemData
 from gldd.dd_solver import DDConfig, run_two_level_dd, setup_case
@@ -217,13 +218,13 @@ class TestPicardMonolithic:
         # every step solves on the same dof map with the same Dirichlet
         # dofs, so the elimination is found once and only applied after
         found = []
-        real = dd_solver._Elimination
+        real = fem._Elimination
 
         def counting(*args):
             found.append(1)
             return real(*args)
 
-        monkeypatch.setattr(dd_solver, "_Elimination", counting)
+        monkeypatch.setattr(fem, "_Elimination", counting)
         nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-8)
         for _ in range(2):
             found.clear()
