@@ -18,12 +18,15 @@ elimination in that pattern (fem._elimination, shared with solve_fitted);
 per strip, the gamma mass and its slots in the strip's pattern; per mesh
 pair, the interface terms (the gamma quadrature, the box basis at every
 gamma point, the only points located, the strip basis there from its
-facet rule, and the unit S and D terms); and both loads unscaled.  A new
-set of coefficients on the same objects (another strip conductivity, or a
-Picard step's per-cell conductivities, jump weights and penalty) then
-costs one weighted bincount per block, written into that block's one
-matrix in place, the box load outside + ratio * inside (only a Picard flux
-scale integrates it again) and one factorization per block.
+facet rule, and the unit S and D terms); both loads unscaled; and per box
+dof map the top-flux quadrature with the flux values and nonzero points
+(fem.ScaledFlux).  A new set of coefficients on the same objects (another
+strip conductivity, or a Picard step's per-cell conductivities, jump
+weights and penalty) then costs one weighted bincount per block, written
+into that block's one matrix in place, the box load outside + ratio *
+inside (a Picard flux scale instead re-weights the kept flux values, with
+one scale call per quadrature chunk on the same kept points) and one
+factorization per block.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from .fem import (LASER_CUTOFF, DofMap, _as_callable, _basis_at_points,
-                  _boundary_mass_pattern, _CsrPattern, _elimination,
-                  _stiffness_pattern, assemble_load, assemble_stiffness,
-                  facet_rule, laser_flux, shape_bary_grads, shape_values)
+from .fem import (LASER_CUTOFF, DofMap, ScaledFlux, _as_callable,
+                  _basis_at_points, _boundary_mass_pattern, _CsrPattern,
+                  _elimination, _stiffness_pattern, assemble_load,
+                  assemble_stiffness, facet_rule, laser_flux,
+                  shape_bary_grads, shape_values)
 from .linalg import InterfaceBlock, LinearSolver, SolverConfig
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
@@ -112,7 +116,11 @@ class CoupledOperators:
         """The (plus, minus) LinearSolver pair on K_plus and K_minus for
         config, made once and kept while both blocks are the same objects,
         so the sweep, the radius, M and the partial sums on these
-        operators share one factorization per block."""
+        operators share one factorization per block.  A direct solve reads
+        no rel_tol, max_iters or preconditioner, so every direct config
+        gets the pair of SolverConfig()."""
+        if config.method == "direct":
+            config = SolverConfig()
         pairs = memoised(self, "_solvers", (self.K_plus, self.K_minus), dict)
         if config not in pairs:
             pairs[config] = (LinearSolver(self.K_plus, config),
@@ -272,9 +280,12 @@ def _load(geom, mesh, dofmap, problem, flux_scale=None):
     flux_scale is called only inside the footprint (callable scales may be
     undefined outside it, e.g. local-field lookups) and, on the flux, only
     where the flux is nonzero (a zero flux stays zero under any finite
-    scale).  Without it the unscaled load is returned in two parts,
-    (outside, inside) the footprint, kept on the dof map for the same
-    geometry and problem data (f, q and flux_panel, compared by identity).
+    scale): there once per chunk of the top-flux quadrature per call, always
+    on the same read-only array of points, which the fem.ScaledFlux kept on
+    the dof map holds.  Without it the unscaled load is returned in two
+    parts, (outside, inside) the footprint, kept on the dof map.  Both are
+    kept for the same geometry and problem data (f, q and flux_panel,
+    compared by identity).
     """
     q = problem.flux(geom)
     volume = callable(problem.f) or float(problem.f) != 0.0
@@ -284,14 +295,13 @@ def _load(geom, mesh, dofmap, problem, flux_scale=None):
         def g(x):
             out = np.broadcast_to(np.asarray(call(x), dtype=float),
                                   x.shape[:-1]).copy()
-            hot = where(x, out)
+            hot = where(x)
             if np.any(hot):
                 out[hot] *= scale(x[hot])
             return out
-        g.support = getattr(fun, "support", None)
         return g
 
-    def inside(x, _):
+    def inside(x):
         return x[..., -1] >= geom.H - geom.H_minus - 1e-12
 
     def load(source, flux):
@@ -299,12 +309,18 @@ def _load(geom, mesh, dofmap, problem, flux_scale=None):
                              q_panel=problem.flux_panel)
 
     if flux_scale is not None:
-        return load(scaled(problem.f, inside, flux_scale),
-                    scaled(q, lambda x, v: v != 0.0, flux_scale))
+        # the volume term first, then the flux into the same b, as one
+        # assemble_load call sums them
+        b = load(scaled(problem.f, inside, flux_scale), None)
+        memoised(dofmap, "_scaled_flux", (mesh, geom, problem.q,
+                                          problem.flux_panel),
+                 lambda: ScaledFlux(mesh, dofmap, q, problem.flux_panel)
+                 ).add_to(b, flux_scale)
+        return b
 
     def parts():
         kept = (load(scaled(problem.f, inside, lambda x: 0.0), None),
-                load(scaled(problem.f, lambda x, v: ~inside(x, v),
+                load(scaled(problem.f, lambda x: ~inside(x),
                             lambda x: 0.0), q))
         for b in kept:
             b.setflags(write=False)
@@ -337,15 +353,18 @@ def build_coupled_operators(geom: GeometryConfig,
 
     The per-cell/per-facet overrides exist for the nonlinear driver; the
     plain scalar arguments cover the piecewise-constant case.  flux_scale,
-    which replaces kappa_plus/kappa_minus on the top flux, is called once
-    per flux call of the box load, only on the points where the flux is
-    nonzero.
+    which replaces kappa_plus/kappa_minus on the box data inside the strip
+    footprint, is called on the top flux once per chunk of its quadrature
+    per build, only on the points where the flux is nonzero, and always on
+    the same read-only array of them (see _load); a volume source inside
+    the footprint is scaled by one more call per build.
 
     Each block is the one matrix its assembly returns, changed on its data
     in place through the kept Dirichlet eliminations and gamma mass.  Both
     loads are kept unscaled (see _load), the box load as (outside, inside)
-    so that f_plus = outside + (kappa_plus/kappa_minus) * inside; only a
-    flux_scale integrates the box load again.
+    so that f_plus = outside + (kappa_plus/kappa_minus) * inside; with a
+    flux_scale the volume source is integrated again and the kept flux
+    values re-weighted.
     """
     problem = problem or ProblemData()
     if np.ndim(kappa_minus) != 0:

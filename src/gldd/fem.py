@@ -7,7 +7,11 @@ and facet terms for all facets at once.  The top-flux quadrature calls
 the flux once per chunk of whole facets of at most ``_FLUX_CHUNK`` points,
 and only on the top facets within the flux's ``support`` when it has one
 (the laser flux of ``coupling.ProblemData`` does; a user callable without
-one is called on every top facet).
+one is called on every top facet).  A ``ScaledFlux`` keeps that quadrature
+with the flux values and nonzero points of each chunk, so a flux scaled
+again and again (a Picard step's) costs one scale call and one stacked
+product per chunk, and ``evaluate_field`` locates such a kept read-only
+point array once.
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -487,25 +492,43 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
             "q,cq,qn->cn", vrule.weights, fq, vvals))
     if q is not None:
         qfun = _as_callable(q)
-        top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
-        pts = mesh.vertices[top]
-        support = getattr(q, "support", None)
-        if support is not None:
-            # max-norm distance of each facet's bounding box from the centre
-            centre, radius = support
-            wall = pts[..., :-1]
-            gap = np.maximum(wall.min(axis=1) - centre, centre - wall.max(axis=1))
-            near = gap.max(axis=1) <= radius
-            top, pts = top[near], pts[near]
-        dofs = dofmap.facet_dofs(top)
-        scale = mesh.facet_measure(top) / (1.0 if mesh.dim == 2 else 0.5)
-        splits = np.zeros(len(top), dtype=np.int64)
-        if q_panel is not None:
-            i, j = np.transpose(_local_edges(mesh.dim - 1))
-            diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max(axis=1)
-            wide = diam > q_panel
-            splits[wide] = np.minimum(8, np.ceil(np.log2(diam[wide] / q_panel)))
-        b_loc = np.empty(dofs.shape)
+        dofs, scale, chunks = _flux_chunks(mesh, dofmap,
+                                           getattr(q, "support", None), q_panel)
+        # the points are made inside the call, so no chunk's points outlive
+        # its flux values
+        _add_flux(b, dofs, scale,
+                  ((k, rule.weights, fvals,
+                    np.asarray(qfun(rule.points @ corners), dtype=float))
+                   for k, rule, fvals, corners in chunks))
+    return b
+
+
+def _flux_chunks(mesh, dofmap, support, q_panel):
+    """The top-flux quadrature of assemble_load (see there for support and
+    q_panel): the dofs (nt, n) and measure scales (nt,) of the top facets
+    it visits, and a generator of its chunks (k, rule, fvals, corners), k
+    the rows of whole facets with one composite rule, fvals (nq, n) that
+    rule's shape values and corners (nc, dim, dim) the facets' vertices,
+    so that rule.points @ corners are the chunk's points."""
+    top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
+    pts = mesh.vertices[top]
+    if support is not None:
+        # max-norm distance of each facet's bounding box from the centre
+        centre, radius = support
+        wall = pts[..., :-1]
+        gap = np.maximum(wall.min(axis=1) - centre, centre - wall.max(axis=1))
+        near = gap.max(axis=1) <= radius
+        top, pts = top[near], pts[near]
+    dofs = dofmap.facet_dofs(top)
+    scale = mesh.facet_measure(top) / (1.0 if mesh.dim == 2 else 0.5)
+    splits = np.zeros(len(top), dtype=np.int64)
+    if q_panel is not None:
+        i, j = np.transpose(_local_edges(mesh.dim - 1))
+        diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max(axis=1)
+        wide = diam > q_panel
+        splits[wide] = np.minimum(8, np.ceil(np.log2(diam[wide] / q_panel)))
+
+    def chunks():
         for s in np.unique(splits).tolist():
             rule = _composite_facet_rule(mesh.dim, dofmap.m, s)
             fvals = shape_values(mesh.dim - 1, dofmap.m, rule.points)
@@ -513,13 +536,57 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
             per = max(1, _FLUX_CHUNK // len(rule.weights))
             for start in range(0, len(same), per):
                 k = same[start:start + per]
-                qq = np.asarray(qfun(rule.points @ pts[k]), dtype=float)
-                # a stacked matmul is one vector-matrix product per facet,
-                # so a facet's sum does not depend on the facets beside it
-                b_loc[k] = scale[k, None] * (
-                    (qq * rule.weights)[:, None, :] @ fvals)[:, 0]
-        np.add.at(b, dofs, b_loc)
-    return b
+                yield k, rule, fvals, pts[k]
+
+    return dofs, scale, chunks()
+
+
+def _add_flux(b, dofs, scale, chunks):
+    """Add the top flux to b from its chunks (k, weights, fvals, qq), qq
+    (nc, nq) the flux at the chunk's points: one stacked product per chunk,
+    then one np.add.at over all facets."""
+    b_loc = np.empty(dofs.shape)
+    for k, weights, fvals, qq in chunks:
+        # a stacked matmul is one vector-matrix product per facet, so a
+        # facet's sum does not depend on the facets beside it
+        b_loc[k] = scale[k, None] * ((qq * weights)[:, None, :] @ fvals)[:, 0]
+    np.add.at(b, dofs, b_loc)
+
+
+class ScaledFlux:
+    """The top flux q of assemble_load on a dof map, kept for scaling again
+    and again: its quadrature with, per chunk, the facet rows, q at the
+    points, where q is nonzero, and those nonzero points as one read-only
+    array, the same object at every ``add_to``.  q is called and its
+    support culled once, here."""
+
+    def __init__(self, mesh, dofmap, q, q_panel):
+        qfun = _as_callable(q)
+        self.dofs, self.scale, chunks = _flux_chunks(
+            mesh, dofmap, getattr(q, "support", None), q_panel)
+        self.chunks = []
+        for k, rule, fvals, corners in chunks:
+            x = rule.points @ corners
+            qq = np.broadcast_to(np.asarray(qfun(x), dtype=float),
+                                 x.shape[:-1]).copy()
+            hot = qq != 0.0
+            x_hot = x[hot]
+            for arr in (qq, hot, x_hot):
+                arr.setflags(write=False)
+            self.chunks.append((k, rule.weights, fvals, qq, hot, x_hot))
+
+    def add_to(self, b, scale):
+        """Add the flux to b with q multiplied by scale(x) where it is
+        nonzero (a zero flux stays zero under any finite scale): one
+        scale(x_hot) call per chunk with a nonzero point."""
+        def scaled():
+            for k, weights, fvals, qq, hot, x_hot in self.chunks:
+                if len(x_hot):
+                    qq = qq.copy()
+                    qq[hot] *= scale(x_hot)
+                yield k, weights, fvals, qq
+
+        _add_flux(b, self.dofs, self.scale, scaled())
 
 
 def laser_flux(x, dim, L=1.0 / 40.0):
@@ -653,8 +720,23 @@ def evaluate_field(mesh, dofmap, coeffs, points):
 
     points is one point (dim,) or an array (..., dim); all of them are
     located in one call.  A single point gives a length-1 result.
+
+    A read-only array that owns its data (such as the nonzero points
+    a ScaledFlux hands its scale) is located once: its cells' dofs and
+    basis values are kept on the dof map while the array lives.  Any other
+    array is located on every call.
     """
-    dofs, phi = _basis_at_points(mesh, dofmap, np.atleast_2d(points))
+    points = np.atleast_2d(points)
+    if points.flags.writeable or not points.flags.owndata:
+        dofs, phi = _basis_at_points(mesh, dofmap, points)
+    else:
+        kept = memoised(dofmap, "_located", (mesh,), dict)
+        key = id(points)
+        if key not in kept:
+            kept[key] = _basis_at_points(mesh, dofmap, points)
+            # the entry goes with the array, before its id can be reused
+            weakref.finalize(points, kept.pop, key, None)
+        dofs, phi = kept[key]
     # a stacked matmul gives each point the dot product a one-point call gets
     return (phi[..., None, :] @ coeffs[dofs][..., None])[..., 0, 0]
 

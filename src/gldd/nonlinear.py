@@ -140,8 +140,10 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     The box coefficient is curve_A at the frozen temperature outside the
     strip footprint and the constant kappa_plus_B inside it; the strip
     coefficient is curve_B at the frozen temperature.  The top-flux scaling
-    and the jump weights follow the same frozen values.  Warm-starts each
-    inner run from the previous outer iterate.
+    and the jump weights follow the same frozen values; the flux scale
+    reads the strip field at the box-top flux points the box dof map keeps,
+    one read-only array that evaluate_field locates once per run.
+    Warm-starts each inner run from the previous outer iterate.
     """
     dd = dd or DDConfig()
     problem = problem or ProblemData()

@@ -712,3 +712,89 @@ class TestDefaults:
     def test_problem_flux_passthrough(self):
         my_q = lambda x: np.zeros(np.asarray(x).shape[:-1])
         assert ProblemData(q=my_q).flux(GeometryConfig()) is my_q
+
+
+class TestKeptScaledFlux:
+    """A build with a flux_scale re-weights the top-flux quadrature kept on
+    the box dof map: the points, the flux values and the culled support
+    are found on the first build only."""
+
+    @pytest.mark.parametrize("source", ["none", "constant", "callable"])
+    @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
+    def test_builds_match_one_pass_reference(self, dim, m, source,
+                                             monkeypatch):
+        geom, gm, gd, lm, ld = make_pair(dim=dim, m=m)
+        f = {"none": 0.0, "constant": 4.0e3,
+             "callable": lambda x: 1e3 * (1.0 + 40.0 * x[..., 0])}[source]
+        # coarser 3D panels keep the scale's point location small
+        problem = ProblemData(f=f, flux_panel=1e-4 if dim == 2 else 1e-3)
+        chunks = count_calls(monkeypatch, fem_module, "_flux_chunks")
+        loads = count_calls(monkeypatch, fem_module, "assemble_load")
+        gdir = fem_module.dirichlet_dofs(gm, gd)
+        K = coo_stiffness(gm, gd, np.ones(gm.num_cells))
+        built = []
+        for step in range(3):
+            # a strip field that changes from build to build
+            T = interp(ld, lambda x: 300.0 + (1000.0 + 500.0 * step)
+                       * x[:, 0] + 20.0 * step * x[:, -1])
+
+            def flux_scale(x):
+                return 0.5 / (1.0 + 1e-3 * evaluate_field(lm, ld, T, x))
+
+            chunks.clear()
+            loads.clear()
+            ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                          problem=problem,
+                                          flux_scale=flux_scale)
+            built.append(([x is gm for x in chunks].count(True),
+                          [x is gm for x in loads].count(True)))
+            want = reference_box_load(geom, gm, gd, problem, flux_scale)
+            np.testing.assert_array_equal(
+                coupling._load(geom, gm, gd, problem, flux_scale), want)
+            np.testing.assert_array_equal(
+                ops.f_plus,
+                masked_apply_dirichlet(K, want, gdir, problem.T_D)[1])
+        # per build: the box's volume term goes through assemble_load, then
+        # the flux into the same b; the box quadrature is made once
+        assert built == [(1, 1), (0, 1), (0, 1)]
+
+    def test_scale_sees_one_read_only_array(self):
+        geom, gm, gd, lm, ld = make_pair()
+        seen = []
+
+        def flux_scale(x):
+            seen.append(x)
+            return np.full(len(x), 0.5)
+
+        for _ in range(3):
+            build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                    flux_scale=flux_scale)
+        assert len(seen) == 3
+        assert all(x is seen[0] for x in seen)
+        assert not seen[0].flags.writeable
+
+        def writing_scale(x):
+            x[0, 0] = 0.0
+            return 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                    flux_scale=writing_scale)
+
+    def test_flux_called_on_first_build_only(self):
+        geom, gm, gd, lm, ld = make_pair()
+        calls = []
+
+        def q(x):
+            calls.append(x.shape)
+            return laser_flux(x, 2, geom.L)
+
+        problem = ProblemData(q=q)
+        for c in (0.5, 0.25, 2.0):
+            ops = build_coupled_operators(
+                geom, gm, gd, lm, ld, 1.0, 0.5, problem=problem,
+                flux_scale=lambda x, c=c: np.full(len(x), c))
+        # the strip's kept load and the box's kept quadrature
+        assert len(calls) == 2
+        assert np.count_nonzero(ops.f_plus[~np.isin(
+            np.arange(gd.n_dofs), ops.global_dirichlet)]) > 0

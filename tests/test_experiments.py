@@ -151,6 +151,19 @@ class TestRunCase:
         assert rec.converged
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"solver_rel_tol": 1e-10}, {"preconditioner": "diagonal"}],
+        ids=["rel_tol", "diagonal"])
+    def test_direct_configs_share_one_pair(self, monkeypatch, overrides):
+        # a direct solve reads no tolerance or preconditioner, so the sweep
+        # under any direct config reuses the radius's pair
+        default, _ = run_case(ExperimentConfig())
+        calls = count_factorizations(monkeypatch)
+        rec, _ = run_case(ExperimentConfig(**overrides))
+        assert len(calls) == 2
+        np.testing.assert_equal(asdict(replace(rec, time_s=0.0)),
+                                asdict(replace(default, time_s=0.0)))
+
     def test_divergent_case_recorded(self):
         rec, _ = run_case(ExperimentConfig(kappa_minus=12.0))
         assert not rec.converged

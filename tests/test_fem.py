@@ -762,3 +762,106 @@ def test_evaluate_field_p2_matches_point_loop(geom):
         want.append(float(phi @ coeffs[dof.cell_dofs[loc.cell]]))
     got = evaluate_field(mesh, dof, coeffs, pts)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def counted_locate(monkeypatch):
+    """The number of points of every locate_point call fem makes from now
+    on."""
+    calls = []
+    real = fem.locate_point
+
+    def counting(mesh, points):
+        calls.append(len(points))
+        return real(mesh, points)
+
+    monkeypatch.setattr(fem, "locate_point", counting)
+    return calls
+
+
+class TestKeptLocation:
+    @staticmethod
+    def field(m=1):
+        mesh = build_global_mesh(GEOM, 1 / 160)
+        dof = build_dofmap(mesh, m)
+        coeffs = 300.0 + np.random.default_rng(8).random(dof.n_dofs)
+        pts = np.random.default_rng(9).random((40, 2)) * [GEOM.L, GEOM.H]
+        return mesh, dof, coeffs, pts
+
+    def test_writable_points_located_on_every_call(self, monkeypatch):
+        mesh, dof, coeffs, pts = self.field()
+        calls = counted_locate(monkeypatch)
+        first = evaluate_field(mesh, dof, coeffs, pts)
+        # moved in place between calls: the values follow the points
+        pts[:, 0] = GEOM.L - pts[:, 0]
+        second = evaluate_field(mesh, dof, coeffs, pts)
+        assert calls == [40, 40]
+        np.testing.assert_array_equal(
+            second, evaluate_field(mesh, dof, coeffs, pts.copy()))
+        assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_read_only_points_located_once(self, m, monkeypatch):
+        mesh, dof, coeffs, pts = self.field(m)
+        kept = pts.copy()
+        kept.setflags(write=False)
+        calls = counted_locate(monkeypatch)
+        for scale in (1.0, 2.0, -0.5):
+            got = evaluate_field(mesh, dof, scale * coeffs, kept)
+            np.testing.assert_array_equal(
+                got, evaluate_field(mesh, dof, scale * coeffs, pts))
+        # one location for the kept array, one per call for the fresh ones
+        assert calls == [40] * 4
+
+    def test_read_only_view_located_on_every_call(self, monkeypatch):
+        # a view does not own its data, so its base may still change
+        mesh, dof, coeffs, pts = self.field()
+        view = pts[:20]
+        view.setflags(write=False)
+        calls = counted_locate(monkeypatch)
+        evaluate_field(mesh, dof, coeffs, view)
+        pts[:20, 0] = GEOM.L - pts[:20, 0]
+        np.testing.assert_array_equal(
+            evaluate_field(mesh, dof, coeffs, view),
+            evaluate_field(mesh, dof, coeffs, pts[:20].copy()))
+        assert calls == [20, 20, 20]
+
+    def test_kept_location_goes_with_its_array(self):
+        mesh, dof, coeffs, pts = self.field()
+        kept = pts.copy()
+        kept.setflags(write=False)
+        evaluate_field(mesh, dof, coeffs, kept)
+        assert len(dof._located[1]) == 1
+        del kept
+        assert len(dof._located[1]) == 0
+
+
+@pytest.mark.parametrize("support", [True, False], ids=["laser", "plain"])
+def test_scaled_flux_matches_one_pass_load(support):
+    # ScaledFlux.add_to against assemble_load with the scale folded into q
+    mesh = build_global_mesh(GEOM3, 1 / 160)
+    dof = build_dofmap(mesh, 1)
+    q = ProblemData().flux(GEOM3)
+    if not support:
+        q = lambda x, q=q: q(x)
+    kept = fem.ScaledFlux(mesh, dof, q, 1e-3)
+    seen = []
+    for c in (0.5, 2.0):
+        def scale(x):
+            seen.append(x)
+            return c * (1.0 + x[:, 0])
+
+        def q_scaled(x):
+            out = np.asarray(q(x), dtype=float).copy()
+            hot = out != 0.0
+            out[hot] *= c * (1.0 + x[hot][:, 0])
+            return out
+
+        q_scaled.support = getattr(q, "support", None)
+        b = np.zeros(dof.n_dofs)
+        kept.add_to(b, scale)
+        np.testing.assert_array_equal(
+            b, assemble_load(mesh, dof, q=q_scaled, q_panel=1e-3))
+    # the same read-only arrays each time, one per chunk with a hot point
+    half = len(seen) // 2
+    assert half >= 1 and all(a is b for a, b in zip(seen[:half], seen[half:]))
+    assert not any(x.flags.writeable for x in seen)

@@ -213,3 +213,41 @@ def test_pass_through_detector():
     assert pass_through_wrappers(source) == [(1, "radius"), (4, "build"),
                                              (17, "star")]
     assert "fem.build_dofmap" in TRACED_NAMES
+
+
+# the top-flux quadrature: its composite rule, its chunks and its per-facet
+# sum; one copy of each, in fem, which assemble_load and ScaledFlux share
+FEM_ONLY = {"_composite_facet_rule", "_flux_chunks", "_add_flux"}
+
+
+def foreign_uses(source, names):
+    """(line, name) of every use of one of names in a module: a call, a
+    read or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in names]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "fem.py"),
+                         ids=lambda p: p.name)
+def test_top_flux_quadrature_stays_in_fem(path):
+    assert foreign_uses(path.read_text(), FEM_ONLY) == []
+
+
+def test_foreign_use_detector():
+    source = ("from .fem import _add_flux, assemble_load\n"
+              "import gldd.fem as fem\n"
+              "rule = fem._composite_facet_rule(2, 1, 3)\n"
+              "def f(b):\n    return _add_flux(b, None, None, ())\n")
+    assert foreign_uses(source, FEM_ONLY) == [
+        (1, "_add_flux"), (3, "_composite_facet_rule"), (5, "_add_flux")]
+    assert FEM_ONLY <= {name for _line, name in private_definitions(
+        (PACKAGE / "fem.py").read_text())}

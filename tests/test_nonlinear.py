@@ -6,6 +6,7 @@ import pytest
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
 import gldd.fem as fem
+import gldd.mesh as mesh_module
 import gldd.nonlinear as nonlinear
 from gldd.coupling import ProblemData
 from gldd.dd_solver import DDConfig, run_two_level_dd, setup_case
@@ -161,6 +162,35 @@ class TestPicardTwoLevel:
         for w, prev in zip(weights[1:], reports):
             want = 0.5 - CURVE_B(evaluate_field(lm, ld, prev.T_minus, mids))
             np.testing.assert_allclose(w, want, rtol=1e-13, atol=1e-15)
+
+    def test_two_point_locations_per_run(self, monkeypatch):
+        # the criterion-11 curves under the laser: the gamma points once,
+        # and the box-top points where the flux is nonzero once, whose
+        # one read-only array every step's flux scale evaluates the strip
+        # field at
+        located, evaluated = [], []
+        locate, evaluate = mesh_module.locate_point, nonlinear.evaluate_field
+
+        def counting_locate(mesh, points):
+            located.append(len(points))
+            return locate(mesh, points)
+
+        def recording_evaluate(mesh, dofmap, coeffs, points):
+            evaluated.append(points)
+            return evaluate(mesh, dofmap, coeffs, points)
+
+        for module in (fem, coupling, mesh_module):
+            if getattr(module, "locate_point", None) is locate:
+                monkeypatch.setattr(module, "locate_point", counting_locate)
+        monkeypatch.setattr(nonlinear, "evaluate_field", recording_evaluate)
+        nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-8)
+        rep = picard_two_level(GEOM, 1 / 160, 1 / 320, 1,
+                               MaterialCurve.constant(1.0), CURVE_B, nl)
+        assert rep.converged and rep.picard_iterations > 2
+        assert len(located) == 2
+        assert len(evaluated) == rep.picard_iterations
+        assert all(x is evaluated[0] for x in evaluated)
+        assert not evaluated[0].flags.writeable
 
     def test_damping_reaches_same_fixed_point(self):
         nl_full = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-10)
