@@ -32,8 +32,8 @@ factorization per block.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,14 +95,14 @@ class CoupledOperators:
     D: sp.csr_matrix
     f_plus: np.ndarray
     f_minus: np.ndarray
-    geom: Optional[GeometryConfig] = None
-    global_mesh: Optional[StructuredMesh] = None
-    local_mesh: Optional[StructuredMesh] = None
-    global_dofmap: Optional[DofMap] = None
-    local_dofmap: Optional[DofMap] = None
-    T_D: float = 0.0
-    global_dirichlet: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-    local_dirichlet: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
+    geom: GeometryConfig
+    global_mesh: StructuredMesh
+    local_mesh: StructuredMesh
+    global_dofmap: DofMap
+    local_dofmap: DofMap
+    T_D: float
+    global_dirichlet: np.ndarray
+    local_dirichlet: np.ndarray
 
     @property
     def n_plus(self):
@@ -282,10 +282,12 @@ def _load(geom, mesh, dofmap, problem, flux_scale=None):
     where the flux is nonzero (a zero flux stays zero under any finite
     scale): there once per chunk of the top-flux quadrature per call, always
     on the same read-only array of points, which the fem.ScaledFlux kept on
-    the dof map holds.  Without it the unscaled load is returned in two
-    parts, (outside, inside) the footprint, kept on the dof map.  Both are
-    kept for the same geometry and problem data (f, q and flux_panel,
-    compared by identity).
+    the dof map holds, so a caller may keep what it derives from them
+    (picard_two_level keeps their strip location for its run).  The volume
+    source's footprint points are a new array on every call.  Without
+    flux_scale the unscaled load is returned in two parts, (outside,
+    inside) the footprint, kept on the dof map.  Both are kept for the same
+    geometry and problem data (f, q and flux_panel, compared by identity).
     """
     q = problem.flux(geom)
     volume = callable(problem.f) or float(problem.f) != 0.0
@@ -356,8 +358,9 @@ def build_coupled_operators(geom: GeometryConfig,
     which replaces kappa_plus/kappa_minus on the box data inside the strip
     footprint, is called on the top flux once per chunk of its quadrature
     per build, only on the points where the flux is nonzero, and always on
-    the same read-only array of them (see _load); a volume source inside
-    the footprint is scaled by one more call per build.
+    the same read-only array of them (see _load), which the caller may
+    locate once; a volume source inside the footprint is scaled by one
+    more call per build, on new points.
 
     Each block is the one matrix its assembly returns, changed on its data
     in place through the kept Dirichlet eliminations and gamma mass.  Both

@@ -217,17 +217,16 @@ def _affine_term(ops: CoupledOperators, plus, minus):
     return plus.solve(ops.f_plus - ops.S @ minus.solve(ops.f_minus))
 
 
-def neumann_partial_sum(ops: CoupledOperators, k: int, T_plus_0,
-                        solver: SolverConfig | None = None):
+def neumann_partial_sum(ops: CoupledOperators, k: int, T_plus_0):
     """Closed-form iterate for theta = 1:
 
         (sum_{j<k} M^j) K_plus^{-1}(f_plus - S K_minus^{-1} f_minus) + M^k T0
 
     evaluated matrix-free, accumulating the powers term by term, on
-    ops.solvers for the given config.
+    ops.solvers(SolverConfig()), the pair make_iteration_operator(ops) uses.
     """
-    apply_M = make_iteration_operator(ops, solver)
-    c = _affine_term(ops, *ops.solvers(solver or SolverConfig()))
+    apply_M = make_iteration_operator(ops)
+    c = _affine_term(ops, *ops.solvers(SolverConfig()))
     T_plus_0 = np.asarray(T_plus_0, dtype=float)
     if k == 0:
         return T_plus_0.copy()

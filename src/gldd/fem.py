@@ -10,8 +10,7 @@ and only on the top facets within the flux's ``support`` when it has one
 one is called on every top facet).  A ``ScaledFlux`` keeps that quadrature
 with the flux values and nonzero points of each chunk, so a flux scaled
 again and again (a Picard step's) costs one scale call and one stacked
-product per chunk, and ``evaluate_field`` locates such a kept read-only
-point array once.
+product per chunk.
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -715,30 +713,22 @@ def _basis_at_points(mesh, dofmap, points):
     return dofmap.cell_dofs[loc.cell].reshape(lead), phi.reshape(lead)
 
 
+def _field_at(coeffs, basis):
+    """The field with coefficients coeffs at the points whose (dofs, values)
+    _basis_at_points gives as basis."""
+    dofs, phi = basis
+    # a stacked matmul gives each point the dot product a one-point call gets
+    return (phi[..., None, :] @ coeffs[dofs][..., None])[..., 0, 0]
+
+
 def evaluate_field(mesh, dofmap, coeffs, points):
     """Evaluate a finite element field at arbitrary points inside the mesh.
 
     points is one point (dim,) or an array (..., dim); all of them are
     located in one call.  A single point gives a length-1 result.
-
-    A read-only array that owns its data (such as the nonzero points
-    a ScaledFlux hands its scale) is located once: its cells' dofs and
-    basis values are kept on the dof map while the array lives.  Any other
-    array is located on every call.
     """
-    points = np.atleast_2d(points)
-    if points.flags.writeable or not points.flags.owndata:
-        dofs, phi = _basis_at_points(mesh, dofmap, points)
-    else:
-        kept = memoised(dofmap, "_located", (mesh,), dict)
-        key = id(points)
-        if key not in kept:
-            kept[key] = _basis_at_points(mesh, dofmap, points)
-            # the entry goes with the array, before its id can be reused
-            weakref.finalize(points, kept.pop, key, None)
-        dofs, phi = kept[key]
-    # a stacked matmul gives each point the dot product a one-point call gets
-    return (phi[..., None, :] @ coeffs[dofs][..., None])[..., 0, 0]
+    return _field_at(coeffs, _basis_at_points(mesh, dofmap,
+                                              np.atleast_2d(points)))
 
 
 def l2_error(mesh, dofmap, coeffs, exact):

@@ -24,7 +24,8 @@ from .dd_solver import (DDConfig, build_mesh_pair, run_two_level_dd,
                         solve_fitted)
 from .errors import (IterationFailure, NonpositiveCoefficient,
                      PicardNoConvergence)
-from .fem import assemble_load, build_dofmap, evaluate_field, shape_values
+from .fem import (_basis_at_points, _field_at, assemble_load, build_dofmap,
+                  shape_values)
 from .linalg import SolverConfig
 from .mesh import GeometryConfig, build_fitted_mesh, strip_cells
 
@@ -140,10 +141,12 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     The box coefficient is curve_A at the frozen temperature outside the
     strip footprint and the constant kappa_plus_B inside it; the strip
     coefficient is curve_B at the frozen temperature.  The top-flux scaling
-    and the jump weights follow the same frozen values; the flux scale
-    reads the strip field at the box-top flux points the box dof map keeps,
-    one read-only array that evaluate_field locates once per run.
-    Warm-starts each inner run from the previous outer iterate.
+    and the jump weights follow the same frozen values.  The flux scale
+    keeps, for the run, the strip basis at each point array it is handed,
+    matched by identity: the box-top flux points the box dof map keeps come
+    back at every step and are located once per run, a volume source's
+    fresh footprint points on every call.  Warm-starts each inner run from
+    the previous outer iterate.
     """
     dd = dd or DDConfig()
     problem = problem or ProblemData()
@@ -157,6 +160,8 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
                              np.full((1, lmesh.dim), 1.0 / lmesh.dim))[0]
     dd_iters = []
     lin_iters = []
+    # id(x) -> (x, strip basis at x); holding x keeps its id from reuse
+    located = {}
 
     def step(iterates, first):
         T_plus, T_minus = iterates
@@ -168,7 +173,9 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         jump_weights = nl.kappa_plus_B - np.asarray(curve_B(T_gamma))
 
         def flux_scale(x):
-            vals = evaluate_field(lmesh, ldof, T_minus, x)
+            if id(x) not in located:
+                located[id(x)] = x, _basis_at_points(lmesh, ldof, x)
+            vals = _field_at(T_minus, located[id(x)][1])
             return nl.kappa_plus_B / np.asarray(curve_B(vals))
 
         ops = build_coupled_operators(

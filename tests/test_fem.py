@@ -779,6 +779,8 @@ def counted_locate(monkeypatch):
 
 
 class TestKeptLocation:
+    """evaluate_field keeps no location: every call locates its points."""
+
     @staticmethod
     def field(m=1):
         mesh = build_global_mesh(GEOM, 1 / 160)
@@ -799,18 +801,22 @@ class TestKeptLocation:
             second, evaluate_field(mesh, dof, coeffs, pts.copy()))
         assert not np.array_equal(first, second)
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_read_only_points_located_once(self, m, monkeypatch):
-        mesh, dof, coeffs, pts = self.field(m)
-        kept = pts.copy()
-        kept.setflags(write=False)
+    def test_refrozen_points_located_again(self, monkeypatch):
+        # a read-only array that owns its data can be thawed, moved and
+        # frozen again: the values of T = x follow the points
+        mesh, dof, _coeffs, pts = self.field()
+        coeffs = dof.dof_coords[:, 0].copy()
+        frozen = pts.copy()
+        frozen.setflags(write=False)
         calls = counted_locate(monkeypatch)
-        for scale in (1.0, 2.0, -0.5):
-            got = evaluate_field(mesh, dof, scale * coeffs, kept)
-            np.testing.assert_array_equal(
-                got, evaluate_field(mesh, dof, scale * coeffs, pts))
-        # one location for the kept array, one per call for the fresh ones
-        assert calls == [40] * 4
+        first = evaluate_field(mesh, dof, coeffs, frozen)
+        frozen.setflags(write=True)
+        frozen[:, 0] = GEOM.L - frozen[:, 0]
+        frozen.setflags(write=False)
+        second = evaluate_field(mesh, dof, coeffs, frozen)
+        np.testing.assert_allclose(first, pts[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(second, frozen[:, 0], rtol=1e-12)
+        assert calls == [40, 40]
 
     def test_read_only_view_located_on_every_call(self, monkeypatch):
         # a view does not own its data, so its base may still change
@@ -824,15 +830,6 @@ class TestKeptLocation:
             evaluate_field(mesh, dof, coeffs, view),
             evaluate_field(mesh, dof, coeffs, pts[:20].copy()))
         assert calls == [20, 20, 20]
-
-    def test_kept_location_goes_with_its_array(self):
-        mesh, dof, coeffs, pts = self.field()
-        kept = pts.copy()
-        kept.setflags(write=False)
-        evaluate_field(mesh, dof, coeffs, kept)
-        assert len(dof._located[1]) == 1
-        del kept
-        assert len(dof._located[1]) == 0
 
 
 @pytest.mark.parametrize("support", [True, False], ids=["laser", "plain"])

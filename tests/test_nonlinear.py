@@ -165,32 +165,35 @@ class TestPicardTwoLevel:
 
     def test_two_point_locations_per_run(self, monkeypatch):
         # the criterion-11 curves under the laser: the gamma points once,
-        # and the box-top points where the flux is nonzero once, whose
-        # one read-only array every step's flux scale evaluates the strip
-        # field at
-        located, evaluated = [], []
-        locate, evaluate = mesh_module.locate_point, nonlinear.evaluate_field
+        # and the box-top points where the flux is nonzero once, the one
+        # read-only array every step's flux scale is handed
+        located, handed = [], []
+        locate, build = mesh_module.locate_point, \
+            nonlinear.build_coupled_operators
 
         def counting_locate(mesh, points):
             located.append(len(points))
             return locate(mesh, points)
 
-        def recording_evaluate(mesh, dofmap, coeffs, points):
-            evaluated.append(points)
-            return evaluate(mesh, dofmap, coeffs, points)
+        def recording_build(*args, flux_scale, **kwargs):
+            def scale(x):
+                handed.append(x)
+                return flux_scale(x)
+            return build(*args, flux_scale=scale, **kwargs)
 
         for module in (fem, coupling, mesh_module):
             if getattr(module, "locate_point", None) is locate:
                 monkeypatch.setattr(module, "locate_point", counting_locate)
-        monkeypatch.setattr(nonlinear, "evaluate_field", recording_evaluate)
+        monkeypatch.setattr(nonlinear, "build_coupled_operators",
+                            recording_build)
         nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-8)
         rep = picard_two_level(GEOM, 1 / 160, 1 / 320, 1,
                                MaterialCurve.constant(1.0), CURVE_B, nl)
         assert rep.converged and rep.picard_iterations > 2
         assert len(located) == 2
-        assert len(evaluated) == rep.picard_iterations
-        assert all(x is evaluated[0] for x in evaluated)
-        assert not evaluated[0].flags.writeable
+        assert len(handed) == rep.picard_iterations
+        assert all(x is handed[0] for x in handed)
+        assert not handed[0].flags.writeable
 
     def test_damping_reaches_same_fixed_point(self):
         nl_full = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-10)
