@@ -15,18 +15,19 @@ What does not depend on the coefficients is built once and kept on the
 mesh and dof-map objects it depends on: per dof map, the unit cell
 matrices and CSR pattern of its stiffness block and the Dirichlet
 elimination in that pattern (fem._elimination, shared with solve_fitted);
-per strip, the gamma mass and its slots in the strip's pattern; per mesh
-pair, the interface terms (the gamma quadrature, the box basis at every
-gamma point, the only points located, the strip basis there from its
-facet rule, and the unit S and D terms); both loads unscaled; and per box
-dof map the top-flux quadrature with the flux values and nonzero points
-(fem.ScaledFlux).  A new set of coefficients on the same objects (another
-strip conductivity, or a Picard step's per-cell conductivities, jump
-weights and penalty) then costs one weighted bincount per block, written
-into that block's one matrix in place, the box load outside + ratio *
-inside (a Picard flux scale instead re-weights the kept flux values, with
-one scale call per quadrature chunk on the same kept points) and one
-factorization per block.
+per mesh pair, the interface terms, the one owner of the gamma quadrature
+(the box basis at every gamma point, the only points located, the strip
+trace basis there from its facet rule, the unit S and D terms, and the
+gamma mass with its slots in the strip's pattern); both loads unscaled;
+and per box dof map the top-flux quadrature with the flux values and
+nonzero points (fem.ScaledFlux).  A new set of coefficients on the same
+objects (another strip conductivity, or a Picard step's per-cell
+conductivities, jump weights and penalty) then costs one weighted
+bincount per block, written into that block's one matrix in place (the
+strip block's penalty alpha * M_gamma through the kept gamma mass), the
+box load outside + ratio * inside (a Picard flux scale instead re-weights
+the kept flux values, with one scale call per quadrature chunk on the
+same kept points) and one factorization per block.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
 from .fem import (LASER_CUTOFF, DofMap, ScaledFlux, _as_callable,
-                  _basis_at_points, _boundary_mass_pattern, _CsrPattern,
-                  _elimination, _stiffness_pattern, assemble_load,
-                  assemble_stiffness, facet_rule, laser_flux,
-                  shape_bary_grads, shape_values)
+                  _basis_at_points, _CsrPattern, _elimination,
+                  _stiffness_pattern, assemble_load, assemble_stiffness,
+                  facet_rule, laser_flux, shape_bary_grads, shape_values)
 from .linalg import InterfaceBlock, LinearSolver, SolverConfig
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
@@ -147,15 +147,20 @@ class CoupledOperators:
 # ----------------------------------------------------------------------
 
 class _Interface:
-    """The coefficient-free cross-mesh terms of a mesh pair.
+    """The coefficient-free cross-mesh terms of a mesh pair: the one gamma
+    quadrature and every term built on it.
 
     Every gamma point is a facet-rule point, rule.points @ vertices[facet],
     of a strip facet on gamma, so its strip barycentrics are known (see
     _owner_barycentrics) and only the box basis is located, in one call.
-    Holds the gamma quadrature weights wq (nf, nq), the strip trace basis
-    (facet dofs ldofs (nf, n) and values lvals (nq, n), the same on every
-    facet), the box basis at the nf * nq points (gdofs, gvals), and the
-    unit S and D patterns with one owner per point.
+    Holds each facet's measure over the reference measure (scale (nf,)),
+    the gamma quadrature weights wq (nf, nq), the strip trace basis (facet
+    dofs ldofs (nf, n) and values lvals (nq, n), the same on every facet,
+    and mid (n,) at the facet midpoint), the box basis at the nf * nq
+    points (gdofs, gvals), the unit S and D patterns with one owner per
+    point, and the reference gamma mass with one owner per facet, with the
+    slot of each of its entries in the strip stiffness pattern, which holds
+    them all (each facet's dofs are its owner cell's).
     """
 
     def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap):
@@ -168,8 +173,8 @@ class _Interface:
         facets = local_mesh.facet_vertices[gamma]
         owners = local_mesh.facet_cells[gamma]
         ref_measure = 1.0 if dim == 2 else 0.5
-        self.wq = rule.weights * (local_mesh.facet_measure(facets)
-                                  / ref_measure)[:, None]
+        self.scale = local_mesh.facet_measure(facets) / ref_measure
+        self.wq = rule.weights * self.scale[:, None]
         xq = rule.points @ local_mesh.vertices[facets]
         self.gdofs, self.gvals = gdofs, gvals = _basis_at_points(
             global_mesh, global_dofmap, xq.reshape(-1, dim))
@@ -182,18 +187,35 @@ class _Interface:
                           cell_geometry(local_mesh)[1][cells])
         normals = local_mesh.facet_normal(facets, owners)
         dn = np.einsum("pnd,pd->pn", grads, np.repeat(normals, nq, axis=0))
+        n = local_dofmap.n_dofs
         self.S = _CsrPattern(gvals[:, :, None] * dn[:, None, :],
                              gdofs[:, :, None],
                              local_dofmap.cell_dofs[cells][:, None, :],
-                             (global_dofmap.n_dofs, local_dofmap.n_dofs))
+                             (global_dofmap.n_dofs, n))
         # D: the strip trace basis on each facet times the box basis
-        self.ldofs = local_dofmap.facet_dofs(facets)
+        self.ldofs = ldofs = local_dofmap.facet_dofs(facets)
         self.lvals = shape_values(dim - 1, local_dofmap.m, rule.points)
+        self.mid = shape_values(dim - 1, local_dofmap.m,
+                                np.full((1, dim), 1.0 / dim))[0]
         lvals = np.tile(self.lvals, (len(facets), 1))
         self.D = _CsrPattern(lvals[:, :, None] * gvals[:, None, :],
-                             np.repeat(self.ldofs, nq, axis=0)[:, :, None],
+                             np.repeat(ldofs, nq, axis=0)[:, :, None],
                              gdofs[:, None, :],
-                             (local_dofmap.n_dofs, global_dofmap.n_dofs))
+                             (n, global_dofmap.n_dofs))
+        # M_gamma: the trace basis's reference mass on each facet
+        ref_mass = np.einsum("q,qn,qm->nm", rule.weights, self.lvals,
+                             self.lvals)
+        self.mass = _CsrPattern(
+            np.broadcast_to(ref_mass, (len(facets),) + ref_mass.shape),
+            ldofs[:, :, None], ldofs[:, None, :], (n, n))
+
+        def keys(pattern):
+            rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+            return rows * n + pattern.indices
+
+        self.mass_slots = np.searchsorted(
+            keys(_stiffness_pattern(local_mesh, local_dofmap)),
+            keys(self.mass))
 
 
 def _owner_barycentrics(mesh, facets, owners, points):
@@ -250,27 +272,6 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
 # ----------------------------------------------------------------------
 # full system builder
 # ----------------------------------------------------------------------
-
-def _gamma_mass(mesh, dofmap):
-    """The strip's gamma mass pattern, its facet scale and the slot of each
-    of its entries in the strip stiffness pattern, which holds them all
-    (each facet's dofs are its owner cell's); kept on the dof map."""
-    def build():
-        gamma = mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value
-        mass, scale = _boundary_mass_pattern(mesh, dofmap,
-                                             mesh.facet_vertices[gamma])
-
-        def keys(pattern):
-            n = pattern.shape[0]
-            rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-            return rows * n + pattern.indices
-
-        slots = np.searchsorted(keys(_stiffness_pattern(mesh, dofmap)),
-                                keys(mass))
-        return mass, scale, slots
-
-    return memoised(dofmap, "_gamma_mass", (mesh,), build)
-
 
 def _load(geom, mesh, dofmap, problem, flux_scale=None):
     """The load on mesh before its Dirichlet rows, with the volume source
@@ -363,7 +364,9 @@ def build_coupled_operators(geom: GeometryConfig,
     more call per build, on new points.
 
     Each block is the one matrix its assembly returns, changed on its data
-    in place through the kept Dirichlet eliminations and gamma mass.  Both
+    in place through the kept Dirichlet eliminations and, for the strip's
+    penalty alpha * M_gamma, the gamma mass of the kept interface terms,
+    which S and D are weighted from too.  Both
     loads are kept unscaled (see _load), the box load as (outside, inside)
     so that f_plus = outside + (kappa_plus/kappa_minus) * inside; with a
     flux_scale the volume source is integrated again and the kept flux
@@ -381,23 +384,24 @@ def build_coupled_operators(geom: GeometryConfig,
     kp_cells = kappa_plus if kappa_plus_cells is None else kappa_plus_cells
     km_cells = kappa_minus if kappa_minus_cells is None else kappa_minus_cells
 
-    # on a new mesh pair S's assembly builds the kept interface terms and
-    # the stiffness assembly the kept patterns; D, the eliminations and the
-    # gamma mass reuse them
+    # on a new mesh pair the stiffness assembly builds the kept patterns
+    # first, so that S's assembly, which builds the kept interface terms,
+    # finds the gamma mass's slots in the strip's pattern without building
+    # it; D and the eliminations reuse them
+    K_plus = assemble_stiffness(global_mesh, global_dofmap, kp_cells)
+    K_minus = assemble_stiffness(local_mesh, local_dofmap, km_cells)
     S = assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
                              local_dofmap, kappa_plus, kappa_minus,
                              facet_weights=jump_facet_weights)
     np.negative(S.data, out=S.data)
     D = assemble_penalty_D(global_mesh, local_mesh, global_dofmap,
                            local_dofmap, alpha)
-    K_plus = assemble_stiffness(global_mesh, global_dofmap, kp_cells)
-    K_minus = assemble_stiffness(local_mesh, local_dofmap, km_cells)
+    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
+    K_minus.data[terms.mass_slots] += terms.mass.data(alpha * terms.scale)
     plus = _elimination(global_mesh, global_dofmap)
     minus = _elimination(local_mesh, local_dofmap)
-    mass, scale, slots = _gamma_mass(local_mesh, local_dofmap)
     S = plus.clear_rows(S)
     D = minus.clear_rows(D)
-    K_minus.data[slots] += mass.data(alpha * scale)
 
     if flux_scale is None:
         outside, inside = _load(geom, global_mesh, global_dofmap, problem)

@@ -121,23 +121,14 @@ def _tet_rule(degree):
                 p[i] = a
                 pts.append(p)
                 w.append(wg)
-        for i in range(3):
-            for pair in _cd_pairs(i, c, d):
-                pts.append(pair)
-                w.append(w3)
+        # the six (c, c, d, d) permutations, two per axis pairing
+        for p in ((c, c, d, d), (d, d, c, c), (c, d, c, d), (d, c, d, c),
+                  (c, d, d, c), (d, c, c, d)):
+            pts.append(p)
+            w.append(w3)
         pts, w = np.array(pts), np.array(w)
         deg = 5
     return QuadratureRule(pts, w / 6.0, deg)
-
-
-def _cd_pairs(i, c, d):
-    # the six (c,c,d,d) permutation patterns, two per axis pairing
-    patterns = {
-        0: [(c, c, d, d), (d, d, c, c)],
-        1: [(c, d, c, d), (d, c, d, c)],
-        2: [(c, d, d, c), (d, c, c, d)],
-    }
-    return patterns[i]
 
 
 def volume_rule(dim, m) -> QuadratureRule:
@@ -383,13 +374,6 @@ def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
     Facets must be boundary facets of the mesh, in any vertex order;
     anything else raises ForeignFacet.
     """
-    pattern, scale = _boundary_mass_pattern(mesh, dofmap, facets)
-    return pattern.matrix(weight * scale)
-
-
-def _boundary_mass_pattern(mesh, dofmap, facets):
-    """The reference facet mass on every facet in its CSR pattern, and each
-    facet's measure over the reference measure."""
     facets = np.asarray(facets, dtype=np.int64).reshape(-1, mesh.dim)
     keys = np.sort(facets, axis=1)
     nv = mesh.num_vertices
@@ -409,7 +393,7 @@ def _boundary_mass_pattern(mesh, dofmap, facets):
     units = np.broadcast_to(ref_mass, (len(keys),) + ref_mass.shape)
     pattern = _CsrPattern(units, dofs[:, :, None], dofs[:, None, :],
                           (dofmap.n_dofs, dofmap.n_dofs))
-    return pattern, mesh.facet_measure(keys) / ref_measure
+    return pattern.matrix(weight * (mesh.facet_measure(keys) / ref_measure))
 
 
 def _as_callable(f):

@@ -30,6 +30,9 @@ _METHOD_ALIASES = {
 # Krylov vectors kept between GMRES restarts (scipy's own default is 20).
 _GMRES_RESTART = 50
 
+# Largest |J| an InterfaceBlock accepts: Y is dense, n_plus x |J|.
+_DENSE_GUARD = 2000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -166,7 +169,7 @@ class InterfaceBlock:
     D[:, J] (n_plus x |J|), and the nonzero eigenvalues of M are those of
     Y[J] (eig(AB) and eig(BA) agree away from zero; Horn & Johnson, Matrix
     Analysis, Thm 1.3.22).  lam holds them, with a 0 appended when
-    |J| < n_plus, where M is singular.  size_guard bounds |J|.
+    |J| < n_plus, where M is singular.  _DENSE_GUARD bounds |J|.
 
     plus and minus are direct LinearSolvers on K_plus and K_minus: their
     factorizations serve the 2|J| column solves of Y and are kept for later
@@ -174,12 +177,12 @@ class InterfaceBlock:
     block of a set of operators.
     """
 
-    def __init__(self, plus, S, minus, D, size_guard=2000):
+    def __init__(self, plus, S, minus, D):
         D = sp.csr_matrix(D)
         self.J = np.unique(D.indices)
-        if self.J.size > size_guard:
+        if self.J.size > _DENSE_GUARD:
             raise TooLarge(f"|J| = {self.J.size} exceeds dense guard "
-                           f"{size_guard}")
+                           f"{_DENSE_GUARD}")
         D_J = np.zeros((D.shape[0], self.J.size))
         np.add.at(D_J, (np.repeat(np.arange(D.shape[0]), np.diff(D.indptr)),
                         np.searchsorted(self.J, D.indices)), D.data)

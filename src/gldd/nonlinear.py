@@ -141,26 +141,25 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     The box coefficient is curve_A at the frozen temperature outside the
     strip footprint and the constant kappa_plus_B inside it; the strip
     coefficient is curve_B at the frozen temperature.  The top-flux scaling
-    and the jump weights follow the same frozen values.  The flux scale
-    keeps, for the run, the strip basis at each point array it is handed,
-    matched by identity: the box-top flux points the box dof map keeps come
-    back at every step and are located once per run, a volume source's
-    fresh footprint points on every call.  Warm-starts each inner run from
-    the previous outer iterate.
+    and the jump weights follow the same frozen values; the jump weights
+    read the strip iterate at the gamma facet midpoints through the kept
+    interface terms.  The flux scale keeps, for the run, the strip basis at
+    each read-only point array it is handed, matched by identity: the
+    box-top flux points the box dof map keeps come back at every step and
+    are located once per run.  A volume source's fresh (writable) footprint
+    points are located on each call and not kept.  Warm-starts each inner
+    run from the previous outer iterate.
     """
     dd = dd or DDConfig()
     problem = problem or ProblemData()
     t0 = time.perf_counter()
     gmesh, gdof, lmesh, ldof = build_mesh_pair(geom, h_plus, h_minus, m)
     in_strip = strip_cells(gmesh, geom)
-    # the strip trace at the gamma facet midpoints, in S's facet order, from
-    # the facet dofs the kept interface terms hold (as cell_midpoint_values)
-    gamma_dofs = _interface(gmesh, lmesh, gdof, ldof).ldofs
-    gamma_mid = shape_values(lmesh.dim - 1, m,
-                             np.full((1, lmesh.dim), 1.0 / lmesh.dim))[0]
+    gamma = _interface(gmesh, lmesh, gdof, ldof)
     dd_iters = []
     lin_iters = []
-    # id(x) -> (x, strip basis at x); holding x keeps its id from reuse
+    # id(x) -> (x, strip basis at x) for the read-only kept flux points;
+    # holding x keeps its id from reuse
     located = {}
 
     def step(iterates, first):
@@ -169,14 +168,18 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         Tl = cell_midpoint_values(lmesh, ldof, T_minus)
         kp_cells = np.where(in_strip, nl.kappa_plus_B, curve_A(Tg))
         km_cells = np.asarray(curve_B(Tl))
-        T_gamma = T_minus[gamma_dofs] @ gamma_mid
+        # the strip iterate at the gamma facet midpoints, in facet order
+        T_gamma = T_minus[gamma.ldofs] @ gamma.mid
         jump_weights = nl.kappa_plus_B - np.asarray(curve_B(T_gamma))
 
         def flux_scale(x):
-            if id(x) not in located:
-                located[id(x)] = x, _basis_at_points(lmesh, ldof, x)
-            vals = _field_at(T_minus, located[id(x)][1])
-            return nl.kappa_plus_B / np.asarray(curve_B(vals))
+            kept = located.get(id(x))
+            if kept is None:
+                kept = x, _basis_at_points(lmesh, ldof, x)
+                if not x.flags.writeable:
+                    located[id(x)] = kept
+            return nl.kappa_plus_B / np.asarray(
+                curve_B(_field_at(T_minus, kept[1])))
 
         ops = build_coupled_operators(
             geom, gmesh, gdof, lmesh, ldof,

@@ -696,6 +696,63 @@ class TestKeptLayouts:
         np.testing.assert_array_equal(T[ops.global_dirichlet], ops.T_D)
 
 
+class TestMixedDegrees:
+    """A box and a strip of different degrees, which no builder makes: the
+    gamma quadrature is the interface terms' rule of the higher degree, so
+    the strip penalty alpha * M_gamma, exact under either rule, may round
+    apart from the strip-degree mass of assemble_boundary_mass, and the
+    Dirichlet lift of its entries with it.  Every other block is bitwise
+    the reference builder's."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m_box,m_strip", [(2, 1), (1, 2)])
+    def test_blocks_match_reference(self, dim, m_box, m_strip):
+        geom, gm, _, lm, _ = make_pair(dim=dim)
+        gd, ld = build_dofmap(gm, m_box), build_dofmap(lm, m_strip)
+        rng = np.random.default_rng(5)
+        kp_cells = rng.uniform(0.1, 4.0, gm.num_cells)
+        km_cells = rng.uniform(0.1, 4.0, lm.num_cells)
+        facets, _ = gamma_facets(lm)
+        weights = rng.uniform(-2.0, 2.0, len(facets))
+        alpha = rng.uniform(0.0, 1e7)
+        problem = ProblemData(f=4.0e3, flux_panel=1e-3)
+
+        def flux_scale(x):
+            return np.full(len(x), 0.7)
+
+        ops = build_coupled_operators(
+            geom, gm, gd, lm, ld, 1.0, float(np.mean(km_cells)), alpha=alpha,
+            problem=problem, kappa_plus_cells=kp_cells,
+            kappa_minus_cells=km_cells, jump_facet_weights=weights,
+            flux_scale=flux_scale)
+        want = reference_operators(geom, gm, gd, lm, ld, kp_cells, km_cells,
+                                   weights, alpha, problem, flux_scale, None)
+        for name in ("K_plus", "S", "D", "K_minus"):
+            for part in ("indptr", "indices") + (
+                    ("data",) if name != "K_minus" else ()):
+                np.testing.assert_array_equal(
+                    getattr(getattr(ops, name), part),
+                    getattr(want[name], part), err_msg=name)
+        np.testing.assert_array_equal(ops.f_plus, want["f_plus"])
+        # within 4 eps of the summed magnitudes |K_stiff| + alpha |M_gamma|
+        # (measured: up to 2.6 eps in 3D), and the lift within T_D times
+        # that bound summed over the row
+        eps = np.finfo(float).eps
+        mag = (abs(coo_stiffness(lm, ld, km_cells))
+               + abs(assemble_boundary_mass(lm, ld, facets, alpha))).tocsr()
+        K = ops.K_minus
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        bound = 4 * eps * np.asarray(mag[rows, K.indices]).ravel()
+        assert np.all(np.abs(K.data - want["K_minus"].data) <= bound)
+        lift = 4 * eps * (np.abs(want["f_minus"])
+                          + problem.T_D * (mag @ np.ones(ld.n_dofs)))
+        assert np.all(np.abs(ops.f_minus - want["f_minus"]) <= lift)
+        if m_strip >= m_box:
+            # the strip's own rule: the reference is met bitwise
+            np.testing.assert_array_equal(K.data, want["K_minus"].data)
+            np.testing.assert_array_equal(ops.f_minus, want["f_minus"])
+
+
 class TestDefaults:
     def test_default_alpha(self):
         assert default_alpha(0.5, 1 / 320) == pytest.approx(1e6 * 320.0)

@@ -251,3 +251,43 @@ def test_foreign_use_detector():
         (1, "_add_flux"), (3, "_composite_facet_rule"), (5, "_add_flux")]
     assert FEM_ONLY <= {name for _line, name in private_definitions(
         (PACKAGE / "fem.py").read_text())}
+
+
+# the gamma facets: mesh tags them, and coupling._Interface, the one owner
+# of the gamma quadrature, is the one reader of that tag outside mesh
+GAMMA_READERS = {"coupling.py": {"_Interface"}}
+
+
+def gamma_tag_reads(source):
+    """(line, owner) of every read of INTERFACE_GAMMA in a module, owner
+    the top-level def or class it sits in (None at module level)."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        found += [(sub.lineno, owner) for sub in ast.walk(node)
+                  if getattr(sub, "attr", getattr(sub, "id", None))
+                  == "INTERFACE_GAMMA"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "mesh.py"),
+                         ids=lambda p: p.name)
+def test_gamma_tag_read_only_by_the_interface_terms(path):
+    allowed = GAMMA_READERS.get(path.name, set())
+    assert [(line, owner) for line, owner in
+            gamma_tag_reads(path.read_text()) if owner not in allowed] == []
+
+
+def test_gamma_tag_reader_detector():
+    source = ("class _Interface:\n"
+              "    def __init__(self, mesh):\n"
+              "        self.gamma = mesh.facet_tags == "
+              "FacetTag.INTERFACE_GAMMA.value\n"
+              "def _gamma_mass(mesh):\n"
+              "    return mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value\n"
+              "TAG = INTERFACE_GAMMA\n")
+    assert gamma_tag_reads(source) == [(3, "_Interface"), (5, "_gamma_mass"),
+                                       (6, None)]
+    assert [owner for _line, owner in gamma_tag_reads(
+        (PACKAGE / "coupling.py").read_text())] == ["_Interface"]

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gldd import linalg
 from gldd.errors import (NonpositiveConstant, NoConvergence, RankDeficient,
                          SingularMatrix, TooLarge)
 from gldd.linalg import (InterfaceBlock, LinearSolver, SolverConfig,
@@ -28,10 +29,10 @@ def full_iteration_matrix(K_plus, S, K_minus, D):
     return spla.splu(sp.csc_matrix(K_plus)).solve(S @ X)
 
 
-def block_radius(K_plus, S, K_minus, D, theta=1.0, size_guard=2000):
+def block_radius(K_plus, S, K_minus, D, theta=1.0):
     """rho(theta) of the InterfaceBlock on direct solvers of the blocks."""
-    return InterfaceBlock(LinearSolver(K_plus), S, LinearSolver(K_minus), D,
-                          size_guard).rho(theta)
+    return InterfaceBlock(LinearSolver(K_plus), S, LinearSolver(K_minus),
+                          D).rho(theta)
 
 
 def solve(A, b, config):
@@ -260,11 +261,12 @@ class TestDenseRadius:
         want = np.abs(0.4 + 0.6 * np.linalg.eigvals(M)).max()
         assert block.rho(0.6) == pytest.approx(want, rel=1e-12)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         n = 12
         eye = sp.identity(n, format="csr")
+        monkeypatch.setattr(linalg, "_DENSE_GUARD", n - 1)
         with pytest.raises(TooLarge):
-            block_radius(eye, eye, eye, eye, size_guard=n - 1)
+            block_radius(eye, eye, eye, eye)
 
 
 class TestFits:

@@ -1,5 +1,8 @@
 """Temperature-dependent conductivity and the outer Picard loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,40 @@ class TestPicardTwoLevel:
         assert len(handed) == rep.picard_iterations
         assert all(x is handed[0] for x in handed)
         assert not handed[0].flags.writeable
+
+    def test_footprint_points_not_kept(self, monkeypatch):
+        # a volume source's footprint points are a new (writable) array on
+        # every build; the flux scale locates them on their own call and
+        # keeps none of them past it
+        handed, alive = [], []
+        build = nonlinear.build_coupled_operators
+
+        def recording_build(*args, flux_scale, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in handed))
+
+            def scale(x):
+                if x.flags.writeable:
+                    handed.append(weakref.ref(x))
+                return flux_scale(x)
+            return build(*args, flux_scale=scale, **kwargs)
+
+        monkeypatch.setattr(nonlinear, "build_coupled_operators",
+                            recording_build)
+        sigma = GEOM.L / 6.0
+
+        def source(x):
+            r2 = (x[..., 0] - GEOM.L / 2) ** 2 \
+                + (x[..., 1] - 0.75 * GEOM.H) ** 2
+            return 4e5 * np.exp(-r2 / (2 * sigma ** 2))
+
+        nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-8)
+        rep = picard_two_level(GEOM, 1 / 160, 1 / 320, 1,
+                               MaterialCurve.constant(1.0), CURVE_B, nl,
+                               problem=ProblemData(f=source, flux_panel=1e-3))
+        assert rep.converged and rep.picard_iterations > 2
+        assert len(handed) == rep.picard_iterations
+        assert alive == [0] * rep.picard_iterations
 
     def test_damping_reaches_same_fixed_point(self):
         nl_full = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-10)
