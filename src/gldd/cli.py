@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the study functions; a JSON config can
 seed any run and individual flags override it.  Exits 1 when a run stops
-early (an IterationFailure) and 2 on any other package error.
+early (an IterationFailure) and 2 on a usage error or any other package
+error, invalid config values and keys included.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ from .nonlinear import (MaterialCurve, NonlinearConfig, picard_two_level,
 
 
 def fraction(text: str) -> float:
-    """Parse '1/160' or '0.00625' into a float."""
-    return float(Fraction(text))
+    """Parse '1/160' or '0.00625' into a float; a ValueError, which argparse
+    reports as a usage error, for anything else, '1/0' included."""
+    try:
+        return float(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _ratio_list(text: str):

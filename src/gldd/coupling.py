@@ -19,15 +19,16 @@ per mesh pair, the interface terms, the one owner of the gamma quadrature
 (the box basis at every gamma point, the only points located, the strip
 trace basis there from its facet rule, the unit S and D terms, and the
 gamma mass with its slots in the strip's pattern); both loads unscaled;
-and per box dof map the top-flux quadrature with the flux values and
-nonzero points (fem.ScaledFlux).  A new set of coefficients on the same
+and per box dof map the load a Picard step scales, the source values and
+footprint points with the top-flux quadrature, flux values and nonzero
+points (fem.ScaledLoad).  A new set of coefficients on the same
 objects (another strip conductivity, or a Picard step's per-cell
 conductivities, jump weights and penalty) then costs one weighted
 bincount per block, written into that block's one matrix in place (the
 strip block's penalty alpha * M_gamma through the kept gamma mass), the
 box load outside + ratio * inside (a Picard flux scale instead re-weights
-the kept flux values, with one scale call per quadrature chunk on the
-same kept points) and one factorization per block.
+the kept source and flux values, with one scale call per kept point
+array, the same arrays at every step) and one factorization per block.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
-from .fem import (LASER_CUTOFF, DofMap, ScaledFlux, _as_callable,
+from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
                   _basis_at_points, _CsrPattern, _elimination,
-                  _stiffness_pattern, assemble_load, assemble_stiffness,
-                  facet_rule, laser_flux, shape_bary_grads, shape_values)
+                  _stiffness_pattern, _zero, assemble_load,
+                  assemble_stiffness, facet_rule, laser_flux,
+                  shape_bary_grads, shape_values)
 from .linalg import InterfaceBlock, LinearSolver, SolverConfig
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
@@ -281,56 +283,39 @@ def _load(geom, mesh, dofmap, problem, flux_scale=None):
     flux_scale is called only inside the footprint (callable scales may be
     undefined outside it, e.g. local-field lookups) and, on the flux, only
     where the flux is nonzero (a zero flux stays zero under any finite
-    scale): there once per chunk of the top-flux quadrature per call, always
-    on the same read-only array of points, which the fem.ScaledFlux kept on
-    the dof map holds, so a caller may keep what it derives from them
-    (picard_two_level keeps their strip location for its run).  The volume
-    source's footprint points are a new array on every call.  Without
-    flux_scale the unscaled load is returned in two parts, (outside,
-    inside) the footprint, kept on the dof map.  Both are kept for the same
-    geometry and problem data (f, q and flux_panel, compared by identity).
+    scale): once per non-empty point array of the fem.ScaledLoad kept on
+    the dof map, the same read-only arrays at every call, so a caller may
+    keep what it derives from them (picard_two_level keeps their strip
+    location for its run).  Without flux_scale the unscaled load is
+    returned in two parts, (outside, inside) the footprint, kept on the
+    dof map.  Both are kept for the same geometry and problem data (f, q
+    and flux_panel, compared by identity).
     """
     q = problem.flux(geom)
-    volume = callable(problem.f) or float(problem.f) != 0.0
-
-    def scaled(fun, where, scale):
-        call = _as_callable(fun)
-        def g(x):
-            out = np.broadcast_to(np.asarray(call(x), dtype=float),
-                                  x.shape[:-1]).copy()
-            hot = where(x)
-            if np.any(hot):
-                out[hot] *= scale(x[hot])
-            return out
-        return g
+    key = (mesh, geom, problem.f, problem.q, problem.flux_panel)
 
     def inside(x):
         return x[..., -1] >= geom.H - geom.H_minus - 1e-12
 
-    def load(source, flux):
-        return assemble_load(mesh, dofmap, source if volume else 0.0, flux,
-                             q_panel=problem.flux_panel)
-
     if flux_scale is not None:
-        # the volume term first, then the flux into the same b, as one
-        # assemble_load call sums them
-        b = load(scaled(problem.f, inside, flux_scale), None)
-        memoised(dofmap, "_scaled_flux", (mesh, geom, problem.q,
-                                          problem.flux_panel),
-                 lambda: ScaledFlux(mesh, dofmap, q, problem.flux_panel)
+        b = np.zeros(dofmap.n_dofs)
+        memoised(dofmap, "_scaled_load", key,
+                 lambda: ScaledLoad(mesh, dofmap, problem.f, q,
+                                    problem.flux_panel, inside)
                  ).add_to(b, flux_scale)
         return b
 
-    def parts():
-        kept = (load(scaled(problem.f, inside, lambda x: 0.0), None),
-                load(scaled(problem.f, lambda x: ~inside(x),
-                            lambda x: 0.0), q))
-        for b in kept:
-            b.setflags(write=False)
-        return kept
+    def load(where, flux):
+        f = _as_callable(problem.f)
+        source = 0.0 if _zero(problem.f) else (
+            lambda x: np.asarray(f(x), dtype=float) * where(x))
+        b = assemble_load(mesh, dofmap, source, flux,
+                          q_panel=problem.flux_panel)
+        b.setflags(write=False)
+        return b
 
-    return memoised(dofmap, "_load", (mesh, geom, problem.f, problem.q,
-                                      problem.flux_panel), parts)
+    return memoised(dofmap, "_load", key, lambda: (
+        load(lambda x: ~inside(x), None), load(inside, q)))
 
 
 def build_coupled_operators(geom: GeometryConfig,
@@ -357,11 +342,10 @@ def build_coupled_operators(geom: GeometryConfig,
     The per-cell/per-facet overrides exist for the nonlinear driver; the
     plain scalar arguments cover the piecewise-constant case.  flux_scale,
     which replaces kappa_plus/kappa_minus on the box data inside the strip
-    footprint, is called on the top flux once per chunk of its quadrature
-    per build, only on the points where the flux is nonzero, and always on
-    the same read-only array of them (see _load), which the caller may
-    locate once; a volume source inside the footprint is scaled by one
-    more call per build, on new points.
+    footprint, is called once per kept point array per build: the volume
+    source's footprint points and, per chunk of the top-flux quadrature,
+    the points where the flux is nonzero, always the same read-only arrays
+    (see _load), which the caller may locate once.
 
     Each block is the one matrix its assembly returns, changed on its data
     in place through the kept Dirichlet eliminations and, for the strip's
@@ -369,8 +353,7 @@ def build_coupled_operators(geom: GeometryConfig,
     which S and D are weighted from too.  Both
     loads are kept unscaled (see _load), the box load as (outside, inside)
     so that f_plus = outside + (kappa_plus/kappa_minus) * inside; with a
-    flux_scale the volume source is integrated again and the kept flux
-    values re-weighted.
+    flux_scale the kept source and flux values are re-weighted.
     """
     problem = problem or ProblemData()
     if np.ndim(kappa_minus) != 0:

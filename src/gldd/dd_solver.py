@@ -39,8 +39,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
-from .errors import (Diverged, IterationFailure, MaxItersExceeded,
-                     SingularMatrix)
+from .errors import (Diverged, InvalidConfig, IterationFailure,
+                     MaxItersExceeded, SingularMatrix)
 from .fem import (_elimination, assemble_load, assemble_stiffness,
                   build_dofmap)
 from .linalg import LinearSolver, SolverConfig
@@ -66,7 +66,7 @@ class DDConfig:
     def __post_init__(self):
         # at theta = 0 every step is zero, which reads as convergence
         if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+            raise InvalidConfig(f"theta must be positive, got {self.theta}")
 
 
 @dataclass

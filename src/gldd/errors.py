@@ -9,6 +9,14 @@ class NonDivisibleSpacing(GlddError):
     """Requested spacing does not tile the domain extent."""
 
 
+class InvalidConfig(GlddError, ValueError):
+    """A config value outside what the package accepts."""
+
+
+class UnknownConfigKey(GlddError, TypeError):
+    """A config file key that names no config field."""
+
+
 class OutOfDomain(GlddError):
     """Point lies outside the mesh bounding box."""
 

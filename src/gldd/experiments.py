@@ -11,7 +11,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +21,8 @@ from . import __version__
 from .coupling import ProblemData, build_coupled_operators
 from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
-from .errors import InsufficientRatios, IterationFailure, RankDeficient
+from .errors import (InsufficientRatios, IterationFailure, RankDeficient,
+                     UnknownConfigKey)
 from .linalg import SolverConfig, fit_rho_law, least_squares_fit
 from .mesh import GeometryConfig
 
@@ -80,6 +81,10 @@ class ExperimentConfig:
         with open(path) as fh:
             data = json.load(fh)
         data.update({k: v for k, v in overrides.items() if v is not None})
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise UnknownConfigKey(f"{path}: unknown config keys "
+                                   f"{', '.join(unknown)}")
         for key in ("kappa_list", "mesh_ratios", "theta_list"):
             if key in data:
                 data[key] = tuple(data[key])

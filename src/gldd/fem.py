@@ -7,10 +7,11 @@ and facet terms for all facets at once.  The top-flux quadrature calls
 the flux once per chunk of whole facets of at most ``_FLUX_CHUNK`` points,
 and only on the top facets within the flux's ``support`` when it has one
 (the laser flux of ``coupling.ProblemData`` does; a user callable without
-one is called on every top facet).  A ``ScaledFlux`` keeps that quadrature
-with the flux values and nonzero points of each chunk, so a flux scaled
-again and again (a Picard step's) costs one scale call and one stacked
-product per chunk.
+one is called on every top facet).  A ``ScaledLoad`` keeps both
+quadratures with the source values and footprint points, and the flux
+values and nonzero points of each chunk, so a load scaled again and again
+(a Picard step's) costs one scale call and one stacked product per kept
+array.
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
@@ -464,15 +465,10 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
         than this are subdivided until each panel is at most q_panel across
     """
     b = np.zeros(dofmap.n_dofs)
-    if callable(f) or float(f) != 0.0:
-        vrule = volume_rule(mesh.dim, dofmap.m)
-        vvals = shape_values(mesh.dim, dofmap.m, vrule.points)
-        adet, _ = cell_geometry(mesh)
-        xq = vrule.points @ mesh.vertices[mesh.cells]
-        fq = np.asarray(_as_callable(f)(xq), dtype=float)
-        np.add.at(b, dofmap.cell_dofs, adet[:, None] * np.einsum(
-            "q,cq,qn->cn", vrule.weights, fq, vvals))
-    if q is not None:
+    if not _zero(f):
+        _add_volume(b, mesh, dofmap, np.asarray(
+            _as_callable(f)(_volume_points(mesh, dofmap)), dtype=float))
+    if q is not None and not _zero(q):
         qfun = _as_callable(q)
         dofs, scale, chunks = _flux_chunks(mesh, dofmap,
                                            getattr(q, "support", None), q_panel)
@@ -483,6 +479,24 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
                     np.asarray(qfun(rule.points @ corners), dtype=float))
                    for k, rule, fvals, corners in chunks))
     return b
+
+
+def _zero(f):
+    """Whether the source or flux f is the constant 0, which adds nothing."""
+    return not callable(f) and float(f) == 0.0
+
+
+def _volume_points(mesh, dofmap):
+    """The volume quadrature points (nc, nq, dim) of assemble_load."""
+    return volume_rule(mesh.dim, dofmap.m).points @ mesh.vertices[mesh.cells]
+
+
+def _add_volume(b, mesh, dofmap, fq):
+    """Add the volume source to b from its values fq (nc, nq) there."""
+    rule = volume_rule(mesh.dim, dofmap.m)
+    vvals = shape_values(mesh.dim, dofmap.m, rule.points)
+    np.add.at(b, dofmap.cell_dofs, cell_geometry(mesh)[0][:, None]
+              * np.einsum("q,cq,qn->cn", rule.weights, fq, vvals))
 
 
 def _flux_chunks(mesh, dofmap, support, q_panel):
@@ -535,40 +549,53 @@ def _add_flux(b, dofs, scale, chunks):
     np.add.at(b, dofs, b_loc)
 
 
-class ScaledFlux:
-    """The top flux q of assemble_load on a dof map, kept for scaling again
-    and again: its quadrature with, per chunk, the facet rows, q at the
-    points, where q is nonzero, and those nonzero points as one read-only
-    array, the same object at every ``add_to``.  q is called and its
-    support culled once, here."""
+class ScaledLoad:
+    """The load of assemble_load on a dof map, kept for scaling again and
+    again: f times scale(x) where footprint(x), q where it is nonzero (a
+    zero flux stays zero under any finite scale).  Keeps f at the volume
+    points and q at each flux chunk's, each with where the scale applies
+    and those points as one array, all read-only and the same objects at
+    every ``add_to``: f and q are called once, here."""
 
-    def __init__(self, mesh, dofmap, q, q_panel):
-        qfun = _as_callable(q)
-        self.dofs, self.scale, chunks = _flux_chunks(
-            mesh, dofmap, getattr(q, "support", None), q_panel)
-        self.chunks = []
-        for k, rule, fvals, corners in chunks:
-            x = rule.points @ corners
-            qq = np.broadcast_to(np.asarray(qfun(x), dtype=float),
-                                 x.shape[:-1]).copy()
-            hot = qq != 0.0
-            x_hot = x[hot]
-            for arr in (qq, hot, x_hot):
+    def __init__(self, mesh, dofmap, f, q, q_panel, footprint):
+        def kept(fun, x, hot=None):
+            values = np.broadcast_to(np.asarray(_as_callable(fun)(x),
+                                                dtype=float), x.shape[:-1])
+            if hot is None:
+                hot = values != 0.0
+            arrays = values.copy(), hot, x[hot]
+            for arr in arrays:
                 arr.setflags(write=False)
-            self.chunks.append((k, rule.weights, fvals, qq, hot, x_hot))
+            return arrays
+
+        self.mesh, self.dofmap = mesh, dofmap
+        self.volume = self.flux = None
+        if not _zero(f):
+            x = _volume_points(mesh, dofmap)
+            self.volume = kept(f, x, footprint(x))
+        if not _zero(q):
+            dofs, scale, chunks = _flux_chunks(
+                mesh, dofmap, getattr(q, "support", None), q_panel)
+            self.flux = dofs, scale, [
+                (k, rule.weights, fvals) + kept(q, rule.points @ corners)
+                for k, rule, fvals, corners in chunks]
 
     def add_to(self, b, scale):
-        """Add the flux to b with q multiplied by scale(x) where it is
-        nonzero (a zero flux stays zero under any finite scale): one
-        scale(x_hot) call per chunk with a nonzero point."""
-        def scaled():
-            for k, weights, fvals, qq, hot, x_hot in self.chunks:
-                if len(x_hot):
-                    qq = qq.copy()
-                    qq[hot] *= scale(x_hot)
-                yield k, weights, fvals, qq
+        """Add the load to b, the volume term first and then the flux, as
+        assemble_load sums them: one scale call per non-empty point array."""
+        def scaled(values, hot, x_hot):
+            if len(x_hot):
+                values = values.copy()
+                values[hot] *= scale(x_hot)
+            return values
 
-        _add_flux(b, self.dofs, self.scale, scaled())
+        if self.volume is not None:
+            _add_volume(b, self.mesh, self.dofmap, scaled(*self.volume))
+        if self.flux is not None:
+            dofs, facet_scale, chunks = self.flux
+            _add_flux(b, dofs, facet_scale,
+                      ((k, weights, fvals, scaled(*arrays))
+                       for k, weights, fvals, *arrays in chunks))
 
 
 def laser_flux(x, dim, L=1.0 / 40.0):

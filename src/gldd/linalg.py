@@ -14,8 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (NoConvergence, NonpositiveConstant, RankDeficient,
-                     SingularMatrix, TooLarge)
+from .errors import (InvalidConfig, NoConvergence, NonpositiveConstant,
+                     RankDeficient, SingularMatrix, TooLarge)
 
 _METHOD_ALIASES = {
     "conjugate-gradient": "cg",
@@ -55,9 +55,11 @@ class SolverConfig:
         try:
             object.__setattr__(self, "method", _METHOD_ALIASES[self.method])
         except KeyError:
-            raise ValueError(f"unknown solver method {self.method!r}") from None
+            raise InvalidConfig(
+                f"unknown solver method {self.method!r}") from None
         if self.preconditioner not in ("none", "diagonal"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
+            raise InvalidConfig(
+                f"unknown preconditioner {self.preconditioner!r}")
 
 
 class LinearSolver:

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GlddError, NonDivisibleSpacing, OutOfDomain
+from .errors import (GlddError, InvalidConfig, NonDivisibleSpacing,
+                     OutOfDomain)
 
 # Containment slack for barycentric coordinates in point location.
 _BARY_TOL = 1e-12
@@ -61,11 +62,12 @@ class GeometryConfig:
 
     def __post_init__(self):
         if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+            raise InvalidConfig(f"dim must be 2 or 3, got {self.dim}")
         if min(self.L, self.H, self.H_minus) <= 0 or (self.dim == 3 and self.W <= 0):
-            raise ValueError("extents must be positive")
+            raise InvalidConfig("extents must be positive")
         if self.H_minus >= self.H:
-            raise ValueError("strip thickness must be smaller than the box height")
+            raise InvalidConfig(
+                "strip thickness must be smaller than the box height")
 
 
 class PointLocation(NamedTuple):
@@ -271,6 +273,8 @@ def _block_corners(dim):
 
 
 def _divisions(extent, h):
+    if not 0.0 < h < np.inf:
+        raise NonDivisibleSpacing(f"spacing {h} is not positive and finite")
     n = extent / h
     if abs(n - round(n)) > 1e-9:
         raise NonDivisibleSpacing(f"extent {extent} is not a multiple of spacing {h}")

@@ -22,8 +22,8 @@ from .coupling import (ProblemData, _interface, build_coupled_operators,
                        default_alpha)
 from .dd_solver import (DDConfig, build_mesh_pair, run_two_level_dd,
                         solve_fitted)
-from .errors import (IterationFailure, NonpositiveCoefficient,
-                     PicardNoConvergence)
+from .errors import (InvalidConfig, IterationFailure,
+                     NonpositiveCoefficient, PicardNoConvergence)
 from .fem import (_basis_at_points, _field_at, assemble_load, build_dofmap,
                   shape_values)
 from .linalg import SolverConfig
@@ -76,7 +76,7 @@ class NonlinearConfig:
     def __post_init__(self):
         # at damping = 0 the start never moves, which reads as convergence
         if not self.damping > 0:
-            raise ValueError(f"damping must be positive, got {self.damping}")
+            raise InvalidConfig(f"damping must be positive, got {self.damping}")
 
 
 @dataclass
@@ -144,11 +144,10 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     and the jump weights follow the same frozen values; the jump weights
     read the strip iterate at the gamma facet midpoints through the kept
     interface terms.  The flux scale keeps, for the run, the strip basis at
-    each read-only point array it is handed, matched by identity: the
-    box-top flux points the box dof map keeps come back at every step and
-    are located once per run.  A volume source's fresh (writable) footprint
-    points are located on each call and not kept.  Warm-starts each inner
-    run from the previous outer iterate.
+    each point array it is handed, matched by identity: the read-only
+    footprint and box-top flux points the box dof map keeps come back at
+    every step and are located once per run.  Warm-starts each inner run
+    from the previous outer iterate.
     """
     dd = dd or DDConfig()
     problem = problem or ProblemData()
@@ -158,8 +157,8 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     gamma = _interface(gmesh, lmesh, gdof, ldof)
     dd_iters = []
     lin_iters = []
-    # id(x) -> (x, strip basis at x) for the read-only kept flux points;
-    # holding x keeps its id from reuse
+    # id(x) -> (x, strip basis at x) for the kept footprint and flux
+    # points; holding x keeps its id from reuse
     located = {}
 
     def step(iterates, first):
@@ -173,13 +172,10 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         jump_weights = nl.kappa_plus_B - np.asarray(curve_B(T_gamma))
 
         def flux_scale(x):
-            kept = located.get(id(x))
-            if kept is None:
-                kept = x, _basis_at_points(lmesh, ldof, x)
-                if not x.flags.writeable:
-                    located[id(x)] = kept
+            if id(x) not in located:
+                located[id(x)] = x, _basis_at_points(lmesh, ldof, x)
             return nl.kappa_plus_B / np.asarray(
-                curve_B(_field_at(T_minus, kept[1])))
+                curve_B(_field_at(T_minus, located[id(x)][1])))
 
         ops = build_coupled_operators(
             geom, gmesh, gdof, lmesh, ldof,

@@ -675,12 +675,13 @@ class TestKeptLayouts:
                                 problem=problem)
         assert calls == {"dirichlet_dofs": [], "apply_dirichlet": [],
                          "assemble_load": []}
-        # a flux_scale integrates the box load on every build, and only it
+        # a flux_scale re-weights the box load kept for it: nothing is
+        # integrated again
         build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.25,
                                 problem=problem,
                                 flux_scale=lambda x: np.full(len(x), 2.0))
         assert calls == {"dirichlet_dofs": [], "apply_dirichlet": [],
-                         "assemble_load": [gm]}
+                         "assemble_load": []}
 
     def test_fitted_solve_shares_the_elimination(self, monkeypatch):
         # the coupled build and a fitted solve on the box dof map find its
@@ -772,9 +773,9 @@ class TestDefaults:
 
 
 class TestKeptScaledFlux:
-    """A build with a flux_scale re-weights the top-flux quadrature kept on
-    the box dof map: the points, the flux values and the culled support
-    are found on the first build only."""
+    """A build with a flux_scale re-weights the load kept on the box dof
+    map: the source values, the footprint, the flux quadrature, the flux
+    values and the culled support are found on the first build only."""
 
     @pytest.mark.parametrize("source", ["none", "constant", "callable"])
     @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
@@ -811,9 +812,33 @@ class TestKeptScaledFlux:
             np.testing.assert_array_equal(
                 ops.f_plus,
                 masked_apply_dirichlet(K, want, gdir, problem.T_D)[1])
-        # per build: the box's volume term goes through assemble_load, then
-        # the flux into the same b; the box quadrature is made once
-        assert built == [(1, 1), (0, 1), (0, 1)]
+        # the box's flux quadrature is made once, and no build integrates
+        # the box load
+        assert built == [(1, 0), (0, 0), (0, 0)]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_flux_makes_no_quadrature(self, dim, monkeypatch):
+        # a constant zero flux adds nothing, so neither load makes the
+        # flux quadrature; both stay bitwise equal to integrating zeros
+        geom, gm, gd, lm, ld = make_pair(dim=dim)
+        chunks = count_calls(monkeypatch, fem_module, "_flux_chunks")
+        T = interp(ld, lambda x: 300.0 + 4000.0 * x[:, 0])
+
+        def flux_scale(x):
+            return 0.5 / (1.0 + 1e-3 * evaluate_field(lm, ld, T, x))
+
+        def loads(q):
+            problem = ProblemData(f=lambda x: 1e3 * (1.0 + 40.0 * x[..., 0]),
+                                  q=q, flux_panel=1e-3)
+            return [*coupling._load(geom, gm, gd, problem),
+                    *coupling._load(geom, lm, ld, problem),
+                    coupling._load(geom, gm, gd, problem, flux_scale)]
+
+        zero = loads(0.0)
+        assert chunks == []
+        for got, want in zip(zero, loads(lambda x: np.zeros(x.shape[:-1]))):
+            np.testing.assert_array_equal(got, want)
+        assert chunks == [gm, lm, gm]
 
     def test_scale_sees_one_read_only_array(self):
         geom, gm, gd, lm, ld = make_pair()

@@ -507,6 +507,27 @@ class TestCli:
         assert "failed" in capsys.readouterr().err
         assert main(["solve", "--kappa-minus", "-1.0"]) == 2
 
+    @pytest.mark.parametrize("argv,config", [
+        (["--h-plus", "0"], None),
+        (["--h-plus", "1/0"], None),
+        (["--theta", "0"], None),
+        ([], {"H_minus": 1 / 40}),
+        ([], {"m": 2, "export_operators": True})],
+        ids=["zero-spacing", "zero-denominator", "zero-theta",
+             "strip-too-thick", "unknown-key"])
+    def test_invalid_input_exits_2(self, argv, config, tmp_path, capsys):
+        # an input the package rejects is a usage error, not a traceback
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        try:
+            code = main(["solve"] + argv)
+        except SystemExit as exc:  # argparse rejects a malformed value
+            code = exc.code
+        assert code == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_nonlinear_budget_exhaustion_exits_1(self, capsys):
         # an outer loop out of iterations stopped early; it is no input error
         assert main(["nonlinear", "--picard-max", "1"]) == 1

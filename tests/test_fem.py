@@ -834,31 +834,43 @@ class TestKeptLocation:
 
 @pytest.mark.parametrize("support", [True, False], ids=["laser", "plain"])
 def test_scaled_flux_matches_one_pass_load(support):
-    # ScaledFlux.add_to against assemble_load with the scale folded into q
+    # ScaledLoad.add_to against assemble_load with the scale folded into a
+    # volume source inside a footprint and into q where it is nonzero
     mesh = build_global_mesh(GEOM3, 1 / 160)
     dof = build_dofmap(mesh, 1)
     q = ProblemData().flux(GEOM3)
     if not support:
         q = lambda x, q=q: q(x)
-    kept = fem.ScaledFlux(mesh, dof, q, 1e-3)
+
+    def f(x):
+        return 1e3 * (1.0 + 40.0 * x[..., 0])
+
+    def footprint(x):
+        return x[..., -1] >= GEOM3.H - GEOM3.H_minus - 1e-12
+
+    kept = fem.ScaledLoad(mesh, dof, f, q, 1e-3, footprint)
     seen = []
     for c in (0.5, 2.0):
         def scale(x):
             seen.append(x)
             return c * (1.0 + x[:, 0])
 
-        def q_scaled(x):
-            out = np.asarray(q(x), dtype=float).copy()
-            hot = out != 0.0
-            out[hot] *= c * (1.0 + x[hot][:, 0])
-            return out
+        def scaled(fun, where):
+            def g(x):
+                out = np.asarray(fun(x), dtype=float).copy()
+                hot = where(x, out)
+                out[hot] *= c * (1.0 + x[hot][:, 0])
+                return out
+            g.support = getattr(fun, "support", None)
+            return g
 
-        q_scaled.support = getattr(q, "support", None)
         b = np.zeros(dof.n_dofs)
         kept.add_to(b, scale)
-        np.testing.assert_array_equal(
-            b, assemble_load(mesh, dof, q=q_scaled, q_panel=1e-3))
-    # the same read-only arrays each time, one per chunk with a hot point
+        np.testing.assert_array_equal(b, assemble_load(
+            mesh, dof, scaled(f, lambda x, _v: footprint(x)),
+            scaled(q, lambda _x, v: v != 0.0), q_panel=1e-3))
+    # the same read-only arrays each time: the footprint's points, then
+    # one per chunk with a hot point
     half = len(seen) // 2
-    assert half >= 1 and all(a is b for a, b in zip(seen[:half], seen[half:]))
+    assert half >= 2 and all(a is b for a, b in zip(seen[:half], seen[half:]))
     assert not any(x.flags.writeable for x in seen)

@@ -215,9 +215,11 @@ def test_pass_through_detector():
     assert "fem.build_dofmap" in TRACED_NAMES
 
 
-# the top-flux quadrature: its composite rule, its chunks and its per-facet
-# sum; one copy of each, in fem, which assemble_load and ScaledFlux share
-FEM_ONLY = {"_composite_facet_rule", "_flux_chunks", "_add_flux"}
+# the load quadratures: the volume points and per-cell sum, and the top
+# flux's composite rule, chunks and per-facet sum; one copy of each, in
+# fem, which assemble_load and ScaledLoad share
+FEM_ONLY = {"_volume_points", "_add_volume", "_composite_facet_rule",
+            "_flux_chunks", "_add_flux"}
 
 
 def foreign_uses(source, names):

@@ -88,6 +88,11 @@ class TestGlobalMesh:
         with pytest.raises(NonDivisibleSpacing):
             build_global_mesh(GEOM, 1 / 150)
 
+    @pytest.mark.parametrize("h", [0.0, -1 / 160, np.nan, np.inf])
+    def test_spacing_not_positive_and_finite(self, h):
+        with pytest.raises(NonDivisibleSpacing, match="positive and finite"):
+            build_global_mesh(GEOM, h)
+
 
 class TestLocalMesh:
     def test_counts(self):

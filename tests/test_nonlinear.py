@@ -1,8 +1,5 @@
 """Temperature-dependent conductivity and the outer Picard loop."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -198,23 +195,33 @@ class TestPicardTwoLevel:
         assert all(x is handed[0] for x in handed)
         assert not handed[0].flags.writeable
 
-    def test_footprint_points_not_kept(self, monkeypatch):
-        # a volume source's footprint points are a new (writable) array on
-        # every build; the flux scale locates them on their own call and
-        # keeps none of them past it
-        handed, alive = [], []
-        build = nonlinear.build_coupled_operators
+    @pytest.mark.parametrize("q,panel,locations", [
+        (0.0, 1e-4, 2), (None, 1e-3, 3)], ids=["q0", "laser"])
+    def test_kept_load_points_located_once(self, monkeypatch, q, panel,
+                                           locations):
+        # a volume source's footprint points are kept with the flux points:
+        # every build hands the scale the same read-only arrays, so a run
+        # locates the gamma points, the footprint points and, under the
+        # laser, the flux points once each
+        located, handed = [], []
+        locate, build = mesh_module.locate_point, \
+            nonlinear.build_coupled_operators
+
+        def counting_locate(mesh, points):
+            located.append(len(points))
+            return locate(mesh, points)
 
         def recording_build(*args, flux_scale, **kwargs):
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in handed))
+            handed.append([])
 
             def scale(x):
-                if x.flags.writeable:
-                    handed.append(weakref.ref(x))
+                handed[-1].append(x)
                 return flux_scale(x)
             return build(*args, flux_scale=scale, **kwargs)
 
+        for module in (fem, coupling, mesh_module):
+            if getattr(module, "locate_point", None) is locate:
+                monkeypatch.setattr(module, "locate_point", counting_locate)
         monkeypatch.setattr(nonlinear, "build_coupled_operators",
                             recording_build)
         sigma = GEOM.L / 6.0
@@ -227,10 +234,16 @@ class TestPicardTwoLevel:
         nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-8)
         rep = picard_two_level(GEOM, 1 / 160, 1 / 320, 1,
                                MaterialCurve.constant(1.0), CURVE_B, nl,
-                               problem=ProblemData(f=source, flux_panel=1e-3))
+                               problem=ProblemData(f=source, q=q,
+                                                   flux_panel=panel))
         assert rep.converged and rep.picard_iterations > 2
         assert len(handed) == rep.picard_iterations
-        assert alive == [0] * rep.picard_iterations
+        assert len(handed[0]) == locations - 1
+        for arrays in handed:
+            assert len(arrays) == len(handed[0])
+            assert all(x is y for x, y in zip(arrays, handed[0]))
+            assert not any(x.flags.writeable for x in arrays)
+        assert len(located) == locations
 
     def test_damping_reaches_same_fixed_point(self):
         nl_full = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-10)
