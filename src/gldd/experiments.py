@@ -21,8 +21,8 @@ from . import __version__
 from .coupling import ProblemData, build_coupled_operators
 from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
-from .errors import (InsufficientRatios, IterationFailure, RankDeficient,
-                     UnknownConfigKey)
+from .errors import (InsufficientRatios, InvalidConfig, IterationFailure,
+                     RankDeficient, UnknownConfigKey)
 from .linalg import SolverConfig, fit_rho_law, least_squares_fit
 from .mesh import GeometryConfig
 
@@ -78,8 +78,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides):
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidConfig(f"config file {path}: {exc}") from None
+        if not isinstance(data, dict):
+            raise InvalidConfig(f"config file {path} holds no JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:

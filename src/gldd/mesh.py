@@ -1,8 +1,9 @@
 """Structured simplicial meshes for a layered box geometry.
 
-The solver works on two meshes: a coarse mesh of the full box (the global
-domain) and a fine mesh of a thin strip at the top of the box (the local
-domain).  Both are built from an axis-aligned grid of squares or cubes,
+The solver works on two meshes, placed by ``GeometryConfig``, the one
+owner of the box extents and the strip floor: a coarse mesh of the full
+box (the global domain) and a fine mesh of a thin strip at the top of the
+box (the local domain).  Both are axis-aligned grids of squares or cubes,
 each split into the dim! simplices that share its main diagonal, one per
 axis order (Kuhn's split, the same rule in 2D and 3D).  Point location is
 index arithmetic rather than search: a point's grid block is the lowest
@@ -11,10 +12,11 @@ in-block coordinates do not rise.  ``locate_point`` takes one point or an
 (n, dim) array of points and locates a whole array in one vectorized
 call.  A third kind of mesh, used only by the single-domain reference
 solver, grades from the strip resolution down to the coarse one through
-conforming transition bands.
+conforming transition rows, numbered like the grids and built by the
+same index arithmetic, one row at a time.
 
-Construction and geometry work on all cells or facets in one stacked
-pass, with no per-cell loop: the cell array, the boundary facets and their
+Construction and geometry work on all cells or facets in stacked passes,
+with no per-cell loop: the cell array, the boundary facets and their
 tags, ``cell_geometry`` (|det J| and barycentric gradients, the single
 source of cell geometry for assembly and for point location, computed
 once per mesh), ``facet_measure`` and ``facet_normal``.  Faces and edges
@@ -47,7 +49,7 @@ class FacetTag(Enum):
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """Box extents and strip thickness.
+    """Box extents and strip thickness, and the one owner of the layout.
 
     ``L`` is the x extent, ``H`` the vertical extent (y in 2D, z in 3D),
     ``W`` the y extent in 3D (ignored in 2D).  The strip occupies the top
@@ -68,6 +70,16 @@ class GeometryConfig:
         if self.H_minus >= self.H:
             raise InvalidConfig(
                 "strip thickness must be smaller than the box height")
+
+    @property
+    def extents(self):
+        """The box extent on each axis, the vertical one last."""
+        return (self.L, self.H) if self.dim == 2 else (self.L, self.W, self.H)
+
+    @property
+    def floor(self):
+        """Height of the strip floor, the interface gamma."""
+        return self.H - self.H_minus
 
 
 class PointLocation(NamedTuple):
@@ -91,6 +103,11 @@ def _block_simplices(dim):
 
 
 _BLOCK_SIMPLICES = {dim: _block_simplices(dim) for dim in (2, 3)}
+
+# a graded-mesh row's cells on the corners (b, b + 1, t, t + 1, t + 2) of
+# a bottom edge b with k top edges are the first k + 1: StructuredMesh's
+# split of the square (b, t + 1), then (b + 1, t + 2, t + 1)
+_ROW_SPLIT = np.vstack([_BLOCK_SIMPLICES[2], [[1, 4, 3]]])
 
 
 class SimplicialMesh:
@@ -305,9 +322,8 @@ def _wall_tags(top, gamma=None):
 
 def build_global_mesh(geom: GeometryConfig, h_plus: float) -> StructuredMesh:
     """Mesh of the full box; top facets Neumann, every other wall Dirichlet."""
-    extents = (geom.L, geom.H) if geom.dim == 2 else (geom.L, geom.W, geom.H)
-    origin = np.zeros(geom.dim)
-    return StructuredMesh(origin, extents, h_plus, _wall_tags(geom.H))
+    return StructuredMesh(np.zeros(geom.dim), geom.extents, h_plus,
+                          _wall_tags(geom.H))
 
 
 def build_local_mesh(geom: GeometryConfig, h_minus: float) -> StructuredMesh:
@@ -317,15 +333,9 @@ def build_local_mesh(geom: GeometryConfig, h_minus: float) -> StructuredMesh:
     interface, and the lateral sides (which lie on the outer walls) stay
     Dirichlet.
     """
-    bottom = geom.H - geom.H_minus
-    if geom.dim == 2:
-        origin = (0.0, bottom)
-        extents = (geom.L, geom.H_minus)
-    else:
-        origin = (0.0, 0.0, bottom)
-        extents = (geom.L, geom.W, geom.H_minus)
-    return StructuredMesh(np.asarray(origin), extents, h_minus,
-                          _wall_tags(geom.H, gamma=bottom))
+    return StructuredMesh(np.append(np.zeros(geom.dim - 1), geom.floor),
+                          geom.extents[:-1] + (geom.H_minus,), h_minus,
+                          _wall_tags(geom.H, gamma=geom.floor))
 
 
 def build_fitted_mesh(geom: GeometryConfig, h_plus: float, h_minus: float,
@@ -354,9 +364,8 @@ def _graded_mesh_2d(geom, h_plus, h_minus):
         raise NonDivisibleSpacing(
             "graded mode needs a power-of-two spacing ratio of at least 2")
     doublings = int(round(np.log2(ratio)))
-    below = geom.H - geom.H_minus
     trans_height = 2.0 * h_plus - 2.0 * h_minus
-    slack = below - trans_height
+    slack = geom.floor - trans_height
     if slack < -1e-12:
         raise NonDivisibleSpacing(
             "box too shallow for the transition bands below the strip")
@@ -368,53 +377,28 @@ def _graded_mesh_2d(geom, h_plus, h_minus):
     extra_fine = slack_units % per
     ncoarse = (slack_units - extra_fine) // per
 
-    verts: dict = {}
-    coords = []
-
-    def vid(x, y):
-        key = (round(x / h_minus * 2), round(y / h_minus * 2))
-        if key not in verts:
-            verts[key] = len(coords)
-            coords.append((x, y))
-        return verts[key]
-
-    cells = []
-
-    def uniform_rows(y0, nrows, s):
-        ncols = int(round(geom.L / s))
-        for r in range(nrows):
-            y, yt = y0 + r * s, y0 + (r + 1) * s
-            for c in range(ncols):
-                x, xr = c * s, (c + 1) * s
-                v00, v10 = vid(x, y), vid(xr, y)
-                v01, v11 = vid(x, yt), vid(xr, yt)
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
-        return y0 + nrows * s
-
-    def transition_row(y0, s):
-        # one band of height s: bottom edges of length s, top edges s/2
-        ncols = int(round(geom.L / s))
-        yt = y0 + s
-        for c in range(ncols):
-            x = c * s
-            b0, b1 = vid(x, y0), vid(x + s, y0)
-            t0, t1, t2 = vid(x, yt), vid(x + s / 2.0, yt), vid(x + s, yt)
-            cells.append((b0, b1, t1))
-            cells.append((b0, t1, t0))
-            cells.append((b1, t2, t1))
-        return yt
-
-    y = uniform_rows(0.0, ncoarse, h_plus)
-    s = h_plus
-    for _ in range(doublings):
-        y = transition_row(y, s)
-        s /= 2.0
-    y = uniform_rows(y, extra_fine + nfine, h_minus)
-    if abs(y - geom.H) > 1e-12:
+    # the horizontal grid lines, bottom up, by spacing: the coarse rows,
+    # one halving per transition row, then the fine rows
+    spacing = np.concatenate([np.full(ncoarse + 1, h_plus),
+                              h_plus / 2.0 ** np.arange(1, doublings + 1),
+                              np.full(extra_fine + nfine, h_minus)])
+    heights = np.concatenate([[0.0], np.cumsum(spacing[:-1])])
+    if abs(heights[-1] - geom.H) > 1e-12:
         raise NonDivisibleSpacing("graded construction did not close the box")
-    return SimplicialMesh(np.asarray(coords), np.asarray(cells),
-                          _wall_tags(geom.H), h_minus)
+    # vertices x fastest, then y, as in StructuredMesh
+    ncols = np.rint(geom.L / spacing).astype(np.int64)
+    first = np.concatenate([[0], np.cumsum(ncols + 1)])
+    line = np.repeat(np.arange(len(spacing)), ncols + 1)
+    vertices = np.stack([(np.arange(first[-1]) - first[line]) * spacing[line],
+                         heights[line]], axis=1)
+    cells = []
+    for k, n in enumerate(ncols[:-1]):
+        step = ncols[k + 1] // n
+        b, t = first[k] + np.arange(n), first[k + 1] + step * np.arange(n)
+        corners = np.stack([b, b + 1, t, t + 1, t + 2], axis=1)
+        cells.append(corners[:, _ROW_SPLIT[:step + 1]].reshape(-1, 3))
+    return SimplicialMesh(vertices, np.concatenate(cells), _wall_tags(geom.H),
+                          h_minus)
 
 
 # ----------------------------------------------------------------------
@@ -514,9 +498,9 @@ def _locate_scan(mesh, pts):
 
 def strip_cells(mesh: SimplicialMesh, geom: GeometryConfig):
     """Mask of the cells whose centroid lies strictly above the strip floor
-    H - H_minus: the cells that take the strip coefficient."""
+    geom.floor: the cells that take the strip coefficient."""
     centroids = mesh.vertices[mesh.cells].mean(axis=1)
-    return centroids[:, -1] > geom.H - geom.H_minus
+    return centroids[:, -1] > geom.floor
 
 
 def interface_facets(mesh: SimplicialMesh):

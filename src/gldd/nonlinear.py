@@ -38,9 +38,10 @@ class MaterialCurve:
         T = np.asarray(temperatures, dtype=float)
         k = np.asarray(kappas, dtype=float)
         if T.ndim != 1 or T.shape != k.shape or T.size < 1:
-            raise ValueError("curve needs matching 1-d T and kappa arrays")
+            raise InvalidConfig("curve needs matching 1-d T and kappa arrays")
         if T.size > 1 and np.any(np.diff(T) <= 0):
-            raise ValueError("curve temperatures must be strictly increasing")
+            raise InvalidConfig(
+                "curve temperatures must be strictly increasing")
         if np.any(k <= 0):
             raise NonpositiveCoefficient("curve conductivities must be positive")
         self.T = T
@@ -55,15 +56,17 @@ class MaterialCurve:
 
     @classmethod
     def from_csv(cls, path):
-        """Read a curve from a CSV file with header 'T,kappa'."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+        """Read a curve from a CSV file with header 'T,kappa'; InvalidConfig,
+        naming the file, when it cannot be read as such a curve."""
+        try:
+            with open(path, newline="") as fh:
+                header, *rows = list(csv.reader(fh)) or [[]]
             if [h.strip() for h in header[:2]] != ["T", "kappa"]:
                 raise ValueError(f"expected header 'T,kappa', got {header!r}")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        rows.sort()
-        return cls([r[0] for r in rows], [r[1] for r in rows])
+            rows = sorted((float(r[0]), float(r[1])) for r in rows if r)
+            return cls([r[0] for r in rows], [r[1] for r in rows])
+        except (OSError, ValueError, IndexError) as exc:
+            raise InvalidConfig(f"curve file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -145,10 +145,11 @@ class TestPenaltyD:
             M[k + 1, k] += h / 6
         np.testing.assert_allclose(D[np.ix_(li, gi)], -alpha * M,
                                    rtol=1e-13, atol=1e-16)
-        # nothing outside that block beyond point-location roundoff
+        # nothing outside that block: the box basis functions of dofs off
+        # gamma vanish there exactly, not to point-location roundoff
         block = np.zeros_like(D)
         block[np.ix_(li, gi)] = D[np.ix_(li, gi)]
-        assert np.abs(D - block).max() < 1e-14 * alpha * h
+        assert np.abs(D - block).max() == 0.0
 
     def test_rows_live_on_gamma(self):
         geom, gm, gd, lm, ld = make_pair()
@@ -394,6 +395,21 @@ class TestInterfaceTerms:
         for km in (0.5, 0.25):
             build_coupled_operators(geom, gm, gd, lm, ld, 1.0, km)
         assert calls == [gm]
+
+    @pytest.mark.parametrize("dim,m,h_plus,ratio", [
+        (2, 1, 1 / 160, 2), (2, 1, 1 / 160, 16), (2, 1, 1 / 640, 8),
+        (2, 2, 1 / 160, 2), (2, 2, 1 / 160, 4), (3, 1, 1 / 160, 2),
+        (3, 2, 1 / 160, 2)])
+    def test_interface_columns_are_the_box_dofs_on_gamma(self, dim, m,
+                                                          h_plus, ratio):
+        # gamma lies on a box grid plane here, so every box basis function
+        # of a dof off that plane vanishes on gamma
+        ops = build_ops(0.5, dim=dim, m=m, h_plus=h_plus,
+                        h_minus=h_plus / ratio)
+        height = ops.global_dofmap.dof_coords[:, -1]
+        np.testing.assert_array_equal(
+            ops.interface().J,
+            np.flatnonzero(np.abs(height - ops.geom.floor) < 1e-12))
 
     @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
     def test_trace_gap_matches_located_fields(self, dim, m, monkeypatch):

@@ -456,6 +456,11 @@ class TestEmitReports:
         assert rows == [["a", "b"], ["1", "2.5"]]
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestCli:
     def test_fraction(self):
         assert fraction("1/160") == pytest.approx(1 / 160)
@@ -507,26 +512,38 @@ class TestCli:
         assert "failed" in capsys.readouterr().err
         assert main(["solve", "--kappa-minus", "-1.0"]) == 2
 
-    @pytest.mark.parametrize("argv,config", [
-        (["--h-plus", "0"], None),
-        (["--h-plus", "1/0"], None),
-        (["--theta", "0"], None),
-        ([], {"H_minus": 1 / 40}),
-        ([], {"m": 2, "export_operators": True})],
+    @pytest.mark.parametrize("argv,files,named", [
+        (["solve", "--h-plus", "0"], {}, None),
+        (["solve", "--h-plus", "1/0"], {}, None),
+        (["solve", "--theta", "0"], {}, None),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"H_minus": 1 / 40})}, None),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"m": 2, "export_operators": True})},
+         "cfg.json"),
+        (["nonlinear", "--curve-b", "bad.csv"],
+         {"bad.csv": "T,kappa\n300,abc\n"}, "bad.csv"),
+        (["solve", "--config", "missing.json"], {}, "missing.json"),
+        (["solve", "--config", "cfg.json"], {"cfg.json": "[1, 2]"},
+         "cfg.json")],
         ids=["zero-spacing", "zero-denominator", "zero-theta",
-             "strip-too-thick", "unknown-key"])
-    def test_invalid_input_exits_2(self, argv, config, tmp_path, capsys):
-        # an input the package rejects is a usage error, not a traceback
-        if config is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config))
-            argv = argv + ["--config", str(path)]
+             "strip-too-thick", "unknown-key", "curve-not-a-number",
+             "config-missing", "config-not-an-object"])
+    def test_invalid_input_exits_2(self, argv, files, named, tmp_path,
+                                   capsys, monkeypatch):
+        # an input the package rejects is a usage error, not a traceback,
+        # and a file that holds the bad input is named
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
         try:
-            code = main(["solve"] + argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse rejects a malformed value
             code = exc.code
         assert code == 2
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert named is None or named in err
 
     def test_nonlinear_budget_exhaustion_exits_1(self, capsys):
         # an outer loop out of iterations stopped early; it is no input error
@@ -546,6 +563,67 @@ class TestCli:
         assert "C=" in out and "predicted divergence" in out
         for name in ("records.csv", "fits.csv", "manifest.json"):
             assert (tmp_path / name).exists()
+
+    def test_sweep_mesh_writes_reports(self, tmp_path, capsys):
+        rc = main(["sweep-mesh", "--mesh-ratios", "2,4,8", "--kappa-list",
+                   "0.5,0.25,0.125", "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert "slope per doubling" in capsys.readouterr().out
+        assert [r["h_ratio"] for r in read_csv(tmp_path / "records.csv")] \
+            == ["2.0"] * 3 + ["4.0"] * 3 + ["8.0"] * 3
+        assert [r["case_id"] for r in read_csv(tmp_path / "fits.csv")] == [
+            "ratio-2", "ratio-4", "ratio-8"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["records"] == 9
+        assert manifest["config"]["mesh_ratios"] == [2, 4, 8]
+
+    def test_relax_study_writes_reports(self, tmp_path, capsys):
+        rc = main(["relax-study", "--theta-list", "1,0.5",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert "best theta" in capsys.readouterr().out
+        assert [r["theta"] for r in read_csv(tmp_path / "records.csv")] == [
+            "1.0", "0.5"]
+        assert read_csv(tmp_path / "fits.csv") == []
+        assert (tmp_path / "manifest.json").exists()
+
+    def test_compare_monolithic_writes_table(self, tmp_path, capsys):
+        rc = main(["compare-monolithic", "--kappa-ratios", "2",
+                   "--mesh-ratios", "2", "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert "vs fitted" in capsys.readouterr().out
+        rows = read_csv(tmp_path / "monolithic.csv")
+        assert [(r["kappa_ratio"], r["h_ratio"], r["dd_converged"])
+                for r in rows] == [("2.0", "2", "True")]
+        assert read_csv(tmp_path / "records.csv") == []
+        assert (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("curve", ["constant", "csv"])
+    def test_nonlinear_single_run(self, curve, tmp_path, capsys):
+        spec = "0.5"
+        if curve == "csv":
+            spec = str(tmp_path / "curve.csv")
+            (tmp_path / "curve.csv").write_text(
+                "T,kappa\n430,0.35\n290,0.65\n")
+        out = tmp_path / "out"
+        rc = main(["nonlinear", "--curve-b", spec, "--kappa-plus-b", "0.5",
+                   "--outdir", str(out)])
+        assert rc == 0
+        assert "picard converged" in capsys.readouterr().out
+        # one run prints its summary and writes no report
+        assert not out.exists()
+
+    def test_nonlinear_sweep_writes_table(self, tmp_path, capsys):
+        rc = main(["nonlinear", "--sweep-kappa-plus-b", "0.3:0.8:3",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert "fastest at" in capsys.readouterr().out
+        rows = read_csv(tmp_path / "kappa_plus_B_sweep.csv")
+        np.testing.assert_allclose(
+            [float(r["kappa_plus_B"]) for r in rows],
+            np.geomspace(0.3, 0.8, 3), rtol=1e-15)
+        assert {r["converged"] for r in rows} == {"True"}
+        assert (tmp_path / "manifest.json").exists()
 
     def test_sweep_kappa_nonpositive_constant_still_reports(self, tmp_path,
                                                              capsys):

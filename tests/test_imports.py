@@ -293,3 +293,42 @@ def test_gamma_tag_reader_detector():
                                        (6, None)]
     assert [owner for _line, owner in gamma_tag_reads(
         (PACKAGE / "coupling.py").read_text())] == ["_Interface"]
+
+
+# the strip floor H - H_minus: GeometryConfig computes it, and every mesh
+# builder, strip test and load footprint reads it from there
+FLOOR_OWNERS = {"mesh.py": {"GeometryConfig"}}
+
+
+def strip_floor_computations(source):
+    """(line, owner) of every subtraction of H_minus in a module, owner the
+    top-level def or class it sits in (None at module level)."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        found += [(sub.lineno, owner) for sub in ast.walk(node)
+                  if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+                  and "H_minus" in (getattr(sub.right, "attr", None),
+                                    getattr(sub.right, "id", None))]
+    return sorted(found)
+
+
+def test_strip_floor_computed_only_by_the_geometry():
+    assert [(path.name, line, owner) for path in sorted(PACKAGE.glob("*.py"))
+            for line, owner in strip_floor_computations(path.read_text())
+            if owner not in FLOOR_OWNERS.get(path.name, set())] == []
+
+
+def test_strip_floor_detector():
+    source = ("class GeometryConfig:\n"
+              "    def floor(self):\n"
+              "        return self.H - self.H_minus\n"
+              "def inside(x, geom):\n"
+              "    return x >= geom.H - geom.H_minus - 1e-12\n"
+              "BOTTOM = H - H_minus\n"
+              "TOP = H_minus - H\n"
+              "def thick(geom):\n    return geom.H_minus + geom.H_minus\n")
+    assert strip_floor_computations(source) == [
+        (3, "GeometryConfig"), (5, "inside"), (6, None)]
+    assert [owner for _line, owner in strip_floor_computations(
+        (PACKAGE / "mesh.py").read_text())] == ["GeometryConfig"]

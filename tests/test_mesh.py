@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import gldd.mesh as mesh_module
 from gldd.errors import GlddError, NonDivisibleSpacing, OutOfDomain
-from gldd.mesh import (FacetTag, GeometryConfig, build_fitted_mesh,
-                       build_global_mesh, build_local_mesh, cell_geometry,
-                       dump_mesh, face_keys, interface_facets, locate_point,
-                       strip_cells)
+from gldd.mesh import (FacetTag, GeometryConfig, SimplicialMesh,
+                       build_fitted_mesh, build_global_mesh, build_local_mesh,
+                       cell_geometry, dump_mesh, face_keys, interface_facets,
+                       locate_point, strip_cells)
 
 GEOM = GeometryConfig()
 GEOM3 = GeometryConfig(dim=3)
@@ -479,6 +479,82 @@ class TestFittedMesh:
         with pytest.raises(ValueError):
             build_fitted_mesh(GEOM, 1 / 160, 1 / 320, "adaptive")
 
+    def test_graded_matches_dict_builder(self):
+        # (H, H_minus, h+, h-): both strip thicknesses and box heights,
+        # h+ from 1/160 to 1/40 and h- down to 1/2560
+        for H, H_minus, h_plus, h_minus in [
+                (1 / 40, 1 / 160, 1 / 160, 1 / 320),
+                (1 / 40, 1 / 160, 1 / 160, 1 / 2560),
+                (1 / 40, 1 / 160, 1 / 80, 1 / 320),
+                (3 / 80, 1 / 160, 1 / 160, 1 / 1280),
+                (3 / 80, 1 / 160, 1 / 80, 1 / 2560),
+                (1 / 40, 1 / 80, 1 / 160, 1 / 640),
+                (1 / 40, 1 / 80, 1 / 80, 1 / 160),
+                (3 / 80, 1 / 80, 1 / 160, 1 / 2560),
+                (3 / 80, 1 / 80, 1 / 80, 1 / 640),
+                (3 / 80, 1 / 80, 1 / 40, 1 / 80)]:
+            geom = GeometryConfig(H=H, H_minus=H_minus)
+            mesh = build_fitted_mesh(geom, h_plus, h_minus, "graded")
+            ref = _reference_graded(geom, h_plus, h_minus)
+            # the same cells, in the same order and local vertex order
+            np.testing.assert_allclose(mesh.vertices[mesh.cells],
+                                       ref.vertices[ref.cells],
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(mesh.facet_tags, ref.facet_tags)
+            np.testing.assert_array_equal(mesh.facet_cells, ref.facet_cells)
+            # the vertices run x fastest, then y, as on the structured grids
+            np.testing.assert_array_equal(np.lexsort(mesh.vertices.T),
+                                          np.arange(mesh.num_vertices))
+
+
+def _reference_graded(geom, h_plus, h_minus):
+    """The graded mesh placed vertex by vertex through a dict keyed by
+    rounded coordinates, inside a per-cell loop; the caller validates."""
+    nfine = round(geom.H_minus / h_minus)
+    doublings = round(math.log2(h_plus / h_minus))
+    slack_units = round((geom.H - geom.H_minus - 2 * h_plus + 2 * h_minus)
+                        / h_minus)
+    per = round(h_plus / h_minus)
+    extra_fine = slack_units % per
+    ncoarse = (slack_units - extra_fine) // per
+    verts, coords, cells = {}, [], []
+
+    def vid(x, y):
+        key = (round(x / h_minus * 2), round(y / h_minus * 2))
+        if key not in verts:
+            verts[key] = len(coords)
+            coords.append((x, y))
+        return verts[key]
+
+    def uniform_rows(y0, nrows, s):
+        for r in range(nrows):
+            y, yt = y0 + r * s, y0 + (r + 1) * s
+            for c in range(round(geom.L / s)):
+                x, xr = c * s, (c + 1) * s
+                v00, v10 = vid(x, y), vid(xr, y)
+                v01, v11 = vid(x, yt), vid(xr, yt)
+                cells.extend([(v00, v10, v11), (v00, v11, v01)])
+        return y0 + nrows * s
+
+    def transition_row(y0, s):
+        # one band of height s: bottom edges of length s, top edges s/2
+        yt = y0 + s
+        for c in range(round(geom.L / s)):
+            x = c * s
+            b0, b1 = vid(x, y0), vid(x + s, y0)
+            t0, t1, t2 = vid(x, yt), vid(x + s / 2.0, yt), vid(x + s, yt)
+            cells.extend([(b0, b1, t1), (b0, t1, t0), (b1, t2, t1)])
+        return yt
+
+    y = uniform_rows(0.0, ncoarse, h_plus)
+    s = h_plus
+    for _ in range(doublings):
+        y = transition_row(y, s)
+        s /= 2.0
+    uniform_rows(y, extra_fine + nfine, h_minus)
+    return SimplicialMesh(np.asarray(coords), np.asarray(cells),
+                          mesh_module._wall_tags(geom.H), h_minus)
+
 
 @pytest.mark.parametrize("geom,mode", [(GEOM, "uniform-fine"),
                                        (GEOM, "graded"),
@@ -491,6 +567,20 @@ def test_strip_cells_fill_the_strip(geom, mode):
         area * geom.H_minus, rel=1e-12)
     assert cell_volumes(mesh)[~strip].sum() == pytest.approx(
         area * (geom.H - geom.H_minus), rel=1e-12)
+
+
+def test_geometry_owns_the_layout():
+    assert GEOM.extents == (GEOM.L, GEOM.H)
+    assert GEOM3.extents == (GEOM3.L, GEOM3.W, GEOM3.H)
+    assert GEOM.floor == GEOM.H - GEOM.H_minus
+    for geom in (GEOM, GEOM3):
+        strip = build_local_mesh(geom, 1 / 320)
+        np.testing.assert_array_equal(strip.origin,
+                                      [0.0] * (geom.dim - 1) + [geom.floor])
+        np.testing.assert_array_equal(
+            strip.extents, geom.extents[:-1] + (geom.H_minus,))
+        np.testing.assert_array_equal(build_global_mesh(geom, 1 / 160).extents,
+                                      geom.extents)
 
 
 def test_dump_mesh(tmp_path):
