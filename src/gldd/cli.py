@@ -18,7 +18,7 @@ import numpy as np
 
 from .coupling import interface_trace_gap
 from .dd_solver import (export_solution_csv, make_iteration_operator,
-                        run_two_level_dd, setup_case)
+                        run_two_level_dd)
 from .errors import GlddError, IterationFailure, NoConvergence
 from .experiments import (ExperimentConfig, compare_monolithic, emit_reports,
                           relaxation_study, run_case, sweep_kappa,
@@ -85,9 +85,7 @@ def _config_from(args) -> ExperimentConfig:
 
 def _cmd_solve(args) -> int:
     cfg = _config_from(args)
-    ops = setup_case(cfg.geometry(), cfg.h_plus, cfg.h_minus, cfg.m,
-                     cfg.kappa_plus, cfg.kappa_minus, alpha=cfg.alpha,
-                     problem=cfg.problem())
+    ops = cfg.operators()
     report = run_two_level_dd(ops, cfg.dd())
     gap = interface_trace_gap(ops, report.T_plus, report.T_minus)
     rho = "n/a" if report.rho_estimate is None else f"{report.rho_estimate:.4f}"
@@ -184,7 +182,7 @@ def _cmd_relax(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _config_from(args)
-    rows = compare_monolithic(cfg, kappa_ratios=list(args.kappa_ratios))
+    rows = compare_monolithic(cfg, kappa_ratios=args.kappa_ratios)
     for row in rows:
         print(f"ratio={row['kappa_ratio']:g} h_ratio={row['h_ratio']:g}: "
               f"dd iters={row['dd_iterations']} "
@@ -286,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-monolithic",
                        help="two-mesh solver vs one fitted mesh")
     _add_common(p)
-    p.add_argument("--kappa-ratios", type=_float_list, default=(2.0, 3.0))
+    p.add_argument("--kappa-ratios", type=_float_list, default=None,
+                   help="comma separated coefficient ratios (default 2,3)")
     p.add_argument("--mesh-ratios", type=_ratio_list, default=None)
     p.set_defaults(func=_cmd_compare)
 

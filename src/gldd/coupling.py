@@ -266,8 +266,9 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
     Rows are strip dofs, columns box dofs.  Built, like S, from unit terms
     kept per mesh pair.
     """
-    if alpha < 0:
-        raise NonpositiveCoefficient("penalty weight must be nonnegative")
+    if not (alpha >= 0 and np.isfinite(alpha)):
+        raise NonpositiveCoefficient(
+            f"penalty weight must be nonnegative and finite, got {alpha}")
     terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
     D = terms.D.matrix((-alpha * terms.wq).ravel())
     D.eliminate_zeros()
@@ -362,8 +363,10 @@ def build_coupled_operators(geom: GeometryConfig,
     if np.ndim(kappa_minus) != 0:
         raise ValueError("kappa_minus must be a scalar; per-cell strip "
                          "values go through kappa_minus_cells")
-    if kappa_plus <= 0 or kappa_minus <= 0:
-        raise NonpositiveCoefficient("conductivities must be positive")
+    if not all(k > 0 and np.isfinite(k) for k in (kappa_plus, kappa_minus)):
+        raise NonpositiveCoefficient(
+            f"conductivities must be positive and finite, got kappa_plus = "
+            f"{kappa_plus}, kappa_minus = {kappa_minus}")
     if alpha is None:
         alpha = default_alpha(kappa_minus, local_mesh.h)
 

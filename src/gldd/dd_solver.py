@@ -64,9 +64,11 @@ class DDConfig:
     store_iterates: bool = False
 
     def __post_init__(self):
-        # at theta = 0 every step is zero, which reads as convergence
-        if not self.theta > 0:
-            raise InvalidConfig(f"theta must be positive, got {self.theta}")
+        # at theta = 0 every step is zero, which reads as convergence; at
+        # theta = inf the first step is non-finite
+        if not (self.theta > 0 and np.isfinite(self.theta)):
+            raise InvalidConfig(
+                f"theta must be positive and finite, got {self.theta}")
 
 
 @dataclass

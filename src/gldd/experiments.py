@@ -11,7 +11,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -30,8 +30,10 @@ from .mesh import GeometryConfig
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One declarative bundle of geometry, discretization, physics and
-    study parameters; JSON files mirror these field names.  seed,
-    power_tol and power_max_iters feed only ``gldd spectrum --power``."""
+    study parameters; JSON files mirror these field names.  Every study
+    point is one: a study varies a field through dataclasses.replace, never
+    through an argument of its own.  seed, power_tol and power_max_iters
+    feed only ``gldd spectrum --power``."""
 
     dim: int = 2
     m: int = 1
@@ -71,10 +73,15 @@ class ExperimentConfig:
                             rel_tol=self.solver_rel_tol,
                             preconditioner=self.preconditioner)
 
-    def dd(self, theta=None) -> DDConfig:
-        return DDConfig(theta=self.theta if theta is None else theta,
-                        tol=self.tol, max_iters=self.max_iters,
-                        solver=self.solver())
+    def dd(self) -> DDConfig:
+        return DDConfig(theta=self.theta, tol=self.tol,
+                        max_iters=self.max_iters, solver=self.solver())
+
+    def operators(self):
+        """The point's coupled operators, freshly built on every call."""
+        return setup_case(self.geometry(), self.h_plus, self.h_minus, self.m,
+                          self.kappa_plus, self.kappa_minus, alpha=self.alpha,
+                          problem=self.problem())
 
     @classmethod
     def from_json(cls, path, **overrides):
@@ -92,6 +99,9 @@ class ExperimentConfig:
                                    f"{', '.join(unknown)}")
         for key in ("kappa_list", "mesh_ratios", "theta_list"):
             if key in data:
+                if not isinstance(data[key], (list, tuple)):
+                    raise InvalidConfig(f"config file {path}: {key} must be "
+                                        f"a list, got {data[key]!r}")
                 data[key] = tuple(data[key])
         return cls(**data)
 
@@ -120,14 +130,7 @@ class SweepRecord:
     time_s: float
 
 
-def _case_id(cfg, kappa_minus, h_minus, theta):
-    ratio = cfg.h_plus / h_minus
-    return (f"d{cfg.dim}m{cfg.m}r{ratio:g}"
-            f"k{kappa_minus / cfg.kappa_plus:g}t{theta:g}")
-
-
-def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
-             theta=None):
+def run_case(cfg: ExperimentConfig):
     """One parameter point: assemble, compute the radius, run the sweep.
 
     Returns (record, ops); divergent or stalled runs are recorded with
@@ -135,43 +138,41 @@ def run_case(cfg: ExperimentConfig, kappa_minus=None, h_minus=None,
     factorization of each block.  The record's time_s covers all three
     steps: set-up, radius and sweep.
     """
-    kappa_minus = cfg.kappa_minus if kappa_minus is None else kappa_minus
-    h_minus = cfg.h_minus if h_minus is None else h_minus
-    theta = cfg.theta if theta is None else theta
     t0 = time.perf_counter()
-    ops = setup_case(cfg.geometry(), cfg.h_plus, h_minus, cfg.m,
-                     cfg.kappa_plus, kappa_minus, alpha=cfg.alpha,
-                     problem=cfg.problem())
-    [rec] = _run_thetas(cfg, ops, kappa_minus, h_minus, [theta], t0)
+    ops = cfg.operators()
+    [rec] = _run_points(ops, [cfg], t0)
     return rec, ops
 
 
-def _run_thetas(cfg, ops, kappa_minus, h_minus, thetas, t0):
-    """One record per relaxation weight: radius and sweep on ops, with the
-    radii from its one interface block, which a direct sweep then runs on.
-    The first record's time runs from t0, each later one from the end of
-    the record before it."""
+def _run_points(ops, points, t0):
+    """One record per point, each a config of ops's case that may differ
+    in its relaxation weight: radius and sweep on ops, with the radii from
+    its one interface block, which a direct sweep then runs on.  The first
+    record's time runs from t0, each later one from the end of the record
+    before it."""
     block = ops.interface()
     records = []
-    for theta in thetas:
-        rho = block.rho(theta)
+    for point in points:
+        rho = block.rho(point.theta)
         try:
-            report = run_two_level_dd(ops, cfg.dd(theta))
+            report = run_two_level_dd(ops, point.dd())
         except IterationFailure as exc:
             report = exc.report
         t1 = time.perf_counter()
+        h_ratio = point.h_plus / point.h_minus
+        kappa_ratio = point.kappa_minus / point.kappa_plus
         records.append(SweepRecord(
-            case_id=_case_id(cfg, kappa_minus, h_minus, theta), dim=cfg.dim,
-            m=cfg.m, h_ratio=cfg.h_plus / h_minus,
-            kappa_ratio=kappa_minus / cfg.kappa_plus, theta=theta,
-            rho_measured=rho, rho_predicted=float("nan"),
-            iterations=report.iterations, converged=report.converged,
-            time_s=t1 - t0))
+            case_id=f"d{point.dim}m{point.m}r{h_ratio:g}k{kappa_ratio:g}"
+                    f"t{point.theta:g}",
+            dim=point.dim, m=point.m, h_ratio=h_ratio,
+            kappa_ratio=kappa_ratio, theta=point.theta, rho_measured=rho,
+            rho_predicted=float("nan"), iterations=report.iterations,
+            converged=report.converged, time_s=t1 - t0))
         t0 = t1
     return records
 
 
-def sweep_kappa(cfg: ExperimentConfig, h_minus=None):
+def sweep_kappa(cfg: ExperimentConfig):
     """Sweep the strip coefficient, then fit the radius-vs-ratio law.
 
     The meshes, dof maps and coefficient-free coupling terms are built
@@ -179,16 +180,15 @@ def sweep_kappa(cfg: ExperimentConfig, h_minus=None):
     includes that build.  Returns (records, fit, warnings); fit is None if
     the data are degenerate, with the reason appended to warnings.
     """
-    h_minus = cfg.h_minus if h_minus is None else h_minus
     geom = cfg.geometry()
     records = []
     warnings = []
     t0 = time.perf_counter()
-    pair = build_mesh_pair(geom, cfg.h_plus, h_minus, cfg.m)
+    pair = build_mesh_pair(geom, cfg.h_plus, cfg.h_minus, cfg.m)
     for km in cfg.kappa_list:
         ops = build_coupled_operators(geom, *pair, cfg.kappa_plus, km,
                                       alpha=cfg.alpha, problem=cfg.problem())
-        records += _run_thetas(cfg, ops, km, h_minus, [cfg.theta], t0)
+        records += _run_points(ops, [replace(cfg, kappa_minus=km)], t0)
         t0 = time.perf_counter()
     ratios = [r.kappa_ratio for r in records]
     rhos = [r.rho_measured for r in records]
@@ -200,6 +200,13 @@ def sweep_kappa(cfg: ExperimentConfig, h_minus=None):
     except RankDeficient as exc:
         warnings.append(f"radius fit skipped: {exc}")
     return records, fit, warnings
+
+
+def _at_spacing_ratio(cfg, r):
+    """cfg with the strip spacing h+ / r."""
+    if not r > 0:
+        raise InvalidConfig(f"spacing ratio {r} is not positive")
+    return replace(cfg, h_minus=cfg.h_plus / r)
 
 
 @dataclass
@@ -227,8 +234,7 @@ def sweep_mesh_ratio(cfg: ExperimentConfig) -> MeshRatioStudy:
         raise InsufficientRatios("need at least three spacing ratios")
     c_tildes, all_records, fits, warnings = [], [], {}, []
     for r in ratios:
-        h_minus = cfg.h_plus / r
-        records, fit, warns = sweep_kappa(cfg, h_minus=h_minus)
+        records, fit, warns = sweep_kappa(_at_spacing_ratio(cfg, r))
         warnings.extend(warns)
         all_records.extend(records)
         if fit is None:
@@ -267,12 +273,9 @@ def relaxation_study(cfg: ExperimentConfig) -> RelaxationStudy:
     The weights share one set-up and one factorization pair; the first
     record's time_s includes them.
     """
+    points = [replace(cfg, theta=theta) for theta in cfg.theta_list]
     t0 = time.perf_counter()
-    ops = setup_case(cfg.geometry(), cfg.h_plus, cfg.h_minus, cfg.m,
-                     cfg.kappa_plus, cfg.kappa_minus, alpha=cfg.alpha,
-                     problem=cfg.problem())
-    records = _run_thetas(cfg, ops, cfg.kappa_minus, cfg.h_minus,
-                          cfg.theta_list, t0)
+    records = _run_points(cfg.operators(), points, t0)
     converged = [r for r in records if r.converged]
     best = min(converged, key=lambda r: r.iterations).theta if converged \
         else float("nan")
@@ -285,30 +288,29 @@ def relaxation_study(cfg: ExperimentConfig) -> RelaxationStudy:
 
 
 def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None,
-                       mesh_ratios=None, refinement_mode="uniform-fine"):
+                       refinement_mode="uniform-fine"):
     """Two-mesh run vs single fitted-mesh solve, preconditioned GMRES
-    everywhere; returns comparison rows.  A two-mesh run that stops early
-    is recorded from its partial report; a stalled fitted solve raises."""
-    kappa_ratios = kappa_ratios or [2.0, 2.5, 3.0]
-    mesh_ratios = mesh_ratios or list(cfg.mesh_ratios)
-    gmres = SolverConfig(method="restarted-minimal-residual",
-                         rel_tol=cfg.solver_rel_tol, preconditioner="diagonal")
+    everywhere, at each coefficient ratio (default 2 and 3) and each of
+    cfg's spacing ratios; returns comparison rows.  A two-mesh run that
+    stops early is recorded from its partial report; a stalled fitted solve
+    raises."""
+    kappa_ratios = (2.0, 3.0) if kappa_ratios is None else kappa_ratios
     rows = []
     for x in kappa_ratios:
         km = x * cfg.kappa_plus
-        for r in mesh_ratios:
-            h_minus = cfg.h_plus / r
-            theta = theta_coefficient_ratio(cfg.kappa_plus, km) if x >= 2 \
-                else cfg.theta
+        theta = theta_coefficient_ratio(cfg.kappa_plus, km) if x >= 2 \
+            else cfg.theta
+        for r in cfg.mesh_ratios:
+            point = replace(_at_spacing_ratio(cfg, r), kappa_minus=km,
+                            theta=theta,
+                            solver_method="restarted-minimal-residual",
+                            preconditioner="diagonal")
             # both sides time set-up plus solve, as the fitted side's
             # wall_time includes its mesh build and assembly
             t0 = time.perf_counter()
-            ops = setup_case(cfg.geometry(), cfg.h_plus, h_minus, cfg.m,
-                             cfg.kappa_plus, km, alpha=cfg.alpha,
-                             problem=cfg.problem())
+            ops = point.operators()
             try:
-                rep = run_two_level_dd(ops, replace(cfg.dd(theta),
-                                                    solver=gmres))
+                rep = run_two_level_dd(ops, point.dd())
             except IterationFailure as exc:
                 rep = exc.report
             row = {"kappa_ratio": x, "h_ratio": r, "theta": theta,
@@ -317,10 +319,11 @@ def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None,
                    "dd_local_gmres": rep.inner_iterations["local"],
                    "dd_global_gmres": rep.inner_iterations["global"],
                    "dd_time_s": time.perf_counter() - t0}
-            fitted = run_fitted_reference(cfg.geometry(), cfg.h_plus, h_minus,
-                                          cfg.kappa_plus, km, cfg.m,
-                                          refinement_mode=refinement_mode,
-                                          problem=cfg.problem(), solver=gmres)
+            fitted = run_fitted_reference(
+                point.geometry(), point.h_plus, point.h_minus,
+                point.kappa_plus, point.kappa_minus, point.m,
+                refinement_mode=refinement_mode, problem=point.problem(),
+                solver=point.solver())
             row.update(fitted_gmres=fitted.iterations,
                        fitted_time_s=fitted.wall_time,
                        fitted_dofs=fitted.n_dofs)
@@ -332,10 +335,16 @@ def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None,
 # reporting
 # ----------------------------------------------------------------------
 
-RECORD_COLUMNS = ["case_id", "dim", "m", "h_ratio", "kappa_ratio", "theta",
-                  "rho_measured", "rho_predicted", "iterations", "converged",
-                  "time_s"]
+RECORD_COLUMNS = [f.name for f in fields(SweepRecord)]
 FIT_COLUMNS = ["case_id", "a0", "a1", "b0", "b1", "b2", "C_tilde"]
+
+
+def _write_table(path, columns, rows):
+    """One CSV table: a header of columns, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def emit_reports(records, fits, outdir, config: ExperimentConfig | None = None,
@@ -343,24 +352,16 @@ def emit_reports(records, fits, outdir, config: ExperimentConfig | None = None,
     """Write records.csv, fits.csv and manifest.json into outdir.
 
     fits maps case-id prefixes to SpectralFit objects; extra_tables maps
-    file stems to lists of dicts.
+    file stems to lists of dicts, each written only when it has rows.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "records.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            d = asdict(r)
-            writer.writerow([d[c] for c in RECORD_COLUMNS])
-    with open(out / "fits.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIT_COLUMNS)
-        for case_id, fit in (fits or {}).items():
-            if fit is None:
-                continue
-            writer.writerow([case_id, fit.a0, fit.a1, fit.b0, fit.b1, fit.b2,
-                             fit.C_tilde])
+    _write_table(out / "records.csv", RECORD_COLUMNS,
+                 [astuple(r) for r in records])
+    _write_table(out / "fits.csv", FIT_COLUMNS,
+                 [[case_id, fit.a0, fit.a1, fit.b0, fit.b1, fit.b2,
+                   fit.C_tilde]
+                  for case_id, fit in (fits or {}).items() if fit is not None])
     manifest = {
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "versions": {
@@ -377,10 +378,8 @@ def emit_reports(records, fits, outdir, config: ExperimentConfig | None = None,
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
     for stem, rows in (extra_tables or {}).items():
-        if not rows:
-            continue
-        with open(out / f"{stem}.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        if rows:
+            columns = list(rows[0])
+            _write_table(out / f"{stem}.csv", columns,
+                         [[row[c] for c in columns] for row in rows])
     return out

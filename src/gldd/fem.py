@@ -361,8 +361,8 @@ def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_ma
     for a dof map; later calls only scale and sum them.
     """
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (mesh.num_cells,))
-    if np.any(kappa <= 0):
-        raise NonpositiveCoefficient("kappa must be strictly positive")
+    if not np.all((kappa > 0) & np.isfinite(kappa)):
+        raise NonpositiveCoefficient("kappa must be positive and finite")
     # weights sum to the reference measure, so |detJ| is the whole Jacobian
     return _stiffness_pattern(mesh, dofmap).matrix(
         kappa * cell_geometry(mesh)[0])

@@ -39,11 +39,12 @@ class MaterialCurve:
         k = np.asarray(kappas, dtype=float)
         if T.ndim != 1 or T.shape != k.shape or T.size < 1:
             raise InvalidConfig("curve needs matching 1-d T and kappa arrays")
-        if T.size > 1 and np.any(np.diff(T) <= 0):
+        if not (np.all(np.isfinite(T)) and np.all(np.diff(T) > 0)):
             raise InvalidConfig(
-                "curve temperatures must be strictly increasing")
-        if np.any(k <= 0):
-            raise NonpositiveCoefficient("curve conductivities must be positive")
+                "curve temperatures must be finite and strictly increasing")
+        if not np.all((k > 0) & np.isfinite(k)):
+            raise NonpositiveCoefficient(
+                "curve conductivities must be positive and finite")
         self.T = T
         self.k = k
 

@@ -55,8 +55,8 @@ def m1_fits():
     out = {}
     for ratio in (2, 4, 8, 16):
         t0 = time.perf_counter()
-        records, fit, _ = sweep_kappa(ExperimentConfig(m=1),
-                                      h_minus=H_PLUS / ratio)
+        records, fit, _ = sweep_kappa(ExperimentConfig(
+            m=1, h_minus=H_PLUS / ratio))
         out[ratio] = (records, fit, time.perf_counter() - t0)
     return out
 
@@ -66,8 +66,8 @@ def m2_fits():
     out = {}
     for ratio in (2, 4, 8):
         t0 = time.perf_counter()
-        records, fit, _ = sweep_kappa(ExperimentConfig(m=2),
-                                      h_minus=H_PLUS / ratio)
+        records, fit, _ = sweep_kappa(ExperimentConfig(
+            m=2, h_minus=H_PLUS / ratio))
         out[ratio] = (records, fit, time.perf_counter() - t0)
     return out
 

@@ -163,6 +163,12 @@ class TestPenaltyD:
         with pytest.raises(NonpositiveCoefficient):
             assemble_penalty_D(gm, lm, gd, ld, -1.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_raises(self, alpha):
+        _, gm, gd, lm, ld = make_pair()
+        with pytest.raises(NonpositiveCoefficient, match="finite"):
+            assemble_penalty_D(gm, lm, gd, ld, alpha)
+
 
 def build_ops(kappa_minus, kappa_plus=1.0, problem=None, alpha=None, dim=2,
               m=1, h_plus=1 / 160, h_minus=1 / 320):
@@ -233,6 +239,15 @@ class TestBuilder:
             build_ops(-0.5)
         with pytest.raises(NonpositiveCoefficient):
             build_ops(0.5, kappa_plus=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_kappa_raises(self, value):
+        with pytest.raises(NonpositiveCoefficient, match="finite"):
+            build_ops(value)
+        with pytest.raises(NonpositiveCoefficient, match="finite"):
+            build_ops(0.5, kappa_plus=value)
+        with pytest.raises(NonpositiveCoefficient, match="finite"):
+            build_ops(0.5, alpha=value)
 
     @pytest.mark.parametrize("values", [[0.5, 0.25], [0.5, -1.0]])
     def test_array_kappa_minus_rejected(self, values):

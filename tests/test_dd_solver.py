@@ -16,7 +16,7 @@ from gldd.dd_solver import (DDConfig, DDReport, block_residual,
                             run_fitted_reference, run_two_level_dd,
                             setup_case)
 from gldd.errors import (Diverged, IterationFailure, MaxItersExceeded,
-                         NoConvergence)
+                         NoConvergence, SingularMatrix)
 from gldd.fem import evaluate_field
 from gldd.linalg import InterfaceBlock, LinearSolver, SolverConfig
 from gldd.mesh import GeometryConfig
@@ -331,6 +331,12 @@ class TestFailureModes:
         Tp, _ = run_coupled_direct(ops)
         np.testing.assert_allclose(report.T_plus, Tp, rtol=1e-6)
 
+    def test_coupled_direct_singular_raises(self):
+        # a zero box block leaves the first block column of the system zero
+        ops = make_ops()
+        with pytest.raises(SingularMatrix, match="singular"):
+            run_coupled_direct(replace(ops, K_plus=0.0 * ops.K_plus))
+
     def test_max_iters_raises_with_partial_report(self):
         ops = make_ops()
         with pytest.raises(MaxItersExceeded) as info:
@@ -390,10 +396,12 @@ class TestFailureModes:
             n if present else None
             for n, present in zip((ops.n_plus, ops.n_minus), sizes))
 
-    @pytest.mark.parametrize("theta", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("theta", [0.0, -0.5, float("nan"),
+                                       float("inf")])
     def test_nonpositive_theta_rejected(self, theta):
         # at theta = 0 every step is zero, and the first sweep would report
-        # convergence on the initial iterate
+        # convergence on the initial iterate; at theta = inf the first step
+        # is inf - inf
         with pytest.raises(ValueError, match="theta"):
             DDConfig(theta=theta)
 

@@ -14,7 +14,8 @@ import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
 import gldd.experiments as experiments
 from gldd.cli import _config_from, build_parser, fraction, main
-from gldd.errors import Diverged, InsufficientRatios, IterationFailure
+from gldd.errors import (Diverged, InsufficientRatios, InvalidConfig,
+                         IterationFailure, RankDeficient)
 from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               SweepRecord, compare_monolithic, emit_reports,
                               log2_growth_slope, relaxation_study, run_case,
@@ -83,7 +84,7 @@ def stopped_report(cfg, theta):
     ops = dd_solver.setup_case(cfg.geometry(), cfg.h_plus, cfg.h_minus,
                                cfg.m, cfg.kappa_plus, cfg.kappa_minus)
     with pytest.raises(IterationFailure) as info:
-        dd_solver.run_two_level_dd(ops, cfg.dd(theta))
+        dd_solver.run_two_level_dd(ops, replace(cfg, theta=theta).dd())
     return info.value.report
 
 
@@ -115,13 +116,22 @@ class TestConfig:
         with pytest.raises(TypeError, match=key):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("key", ["kappa_list", "mesh_ratios",
+                                     "theta_list"])
+    def test_from_json_rejects_a_list_field_given_a_number(self, tmp_path,
+                                                           key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: 0.5}))
+        with pytest.raises(InvalidConfig, match=f"cfg.json: {key}"):
+            ExperimentConfig.from_json(path)
+
     def test_derived_objects(self):
         cfg = ExperimentConfig(dim=3, theta=0.7, tol=1e-6,
                                solver_method="cg", preconditioner="diagonal")
         assert cfg.geometry().dim == 3
         assert cfg.problem().T_D == cfg.T_0
         assert cfg.dd().theta == 0.7
-        assert cfg.dd(0.4).theta == 0.4
+        assert replace(cfg, theta=0.4).dd().theta == 0.4
         assert cfg.dd().tol == 1e-6
         assert cfg.solver().method == "cg"
 
@@ -255,6 +265,17 @@ class TestMeshRatioStudy:
         with pytest.raises(InsufficientRatios):
             sweep_mesh_ratio(ExperimentConfig(mesh_ratios=(2, 4)))
 
+    def test_unusable_fit_raises(self):
+        # two coefficients leave the parabola of the radius law undetermined
+        cfg = ExperimentConfig(kappa_list=(0.5, 0.25), mesh_ratios=(2, 4, 8))
+        with pytest.raises(RankDeficient, match="spacing ratio 2"):
+            sweep_mesh_ratio(cfg)
+
+    @pytest.mark.parametrize("ratios", [(0, 2, 4), (-2, 2, 4)])
+    def test_nonpositive_ratio_rejected(self, ratios):
+        with pytest.raises(InvalidConfig, match=f"spacing ratio {ratios[0]}"):
+            sweep_mesh_ratio(ExperimentConfig(mesh_ratios=ratios))
+
     def test_constant_grows_with_refinement(self):
         cfg = ExperimentConfig(kappa_list=(0.5, 0.25, 0.125),
                                mesh_ratios=(2, 4, 8))
@@ -273,8 +294,8 @@ class TestMeshRatioStudy:
                                mesh_ratios=(2, 4, 8))
         study = sweep_mesh_ratio(cfg)
         for rec in study.records:
-            fresh, _ = run_case(cfg, kappa_minus=rec.kappa_ratio,
-                                h_minus=cfg.h_plus / rec.h_ratio)
+            fresh, _ = run_case(replace(cfg, kappa_minus=rec.kappa_ratio,
+                                        h_minus=cfg.h_plus / rec.h_ratio))
             assert rec.case_id == fresh.case_id
             assert abs(rec.rho_measured - fresh.rho_measured) <= \
                 1e-12 * fresh.rho_measured
@@ -331,7 +352,7 @@ class TestRelaxation:
 
     def test_one_setup_and_factorization_pair(self, monkeypatch):
         cfg = ExperimentConfig(kappa_minus=3.0, theta_list=(1.0, 0.7, 0.5))
-        want = [run_case(cfg, theta=t)[0] for t in cfg.theta_list]
+        want = [run_case(replace(cfg, theta=t))[0] for t in cfg.theta_list]
         counts = count_builds(monkeypatch)
         calls = count_factorizations(monkeypatch)
         study = relaxation_study(cfg)
@@ -384,8 +405,8 @@ class TestRelaxation:
 
 class TestCompareMonolithic:
     def test_row_contents(self):
-        cfg = ExperimentConfig()
-        rows = compare_monolithic(cfg, kappa_ratios=[2.0], mesh_ratios=[2])
+        cfg = ExperimentConfig(mesh_ratios=(2,))
+        rows = compare_monolithic(cfg, kappa_ratios=[2.0])
         assert len(rows) == 1
         row = rows[0]
         assert row["dd_converged"] is True
@@ -398,8 +419,8 @@ class TestCompareMonolithic:
     def test_stopped_run_row_carries_partial_report(self):
         # theta = 3 over-relaxes the sweep past its stability limit; the
         # row reads the sweeps and inner GMRES steps of the partial report
-        cfg = ExperimentConfig(theta=3.0)
-        [row] = compare_monolithic(cfg, kappa_ratios=[1.5], mesh_ratios=[2])
+        cfg = ExperimentConfig(theta=3.0, mesh_ratios=(2,))
+        [row] = compare_monolithic(cfg, kappa_ratios=[1.5])
         gmres = SolverConfig(method="restarted-minimal-residual",
                              rel_tol=cfg.solver_rel_tol,
                              preconditioner="diagonal")
@@ -416,10 +437,22 @@ class TestCompareMonolithic:
         assert row["dd_local_gmres"] > 0
         assert row["fitted_gmres"] > 0
 
+    def test_default_and_empty_coefficient_ratios(self):
+        cfg = ExperimentConfig(mesh_ratios=(2,))
+        assert [row["kappa_ratio"] for row in compare_monolithic(cfg)] == [
+            2.0, 3.0]
+        # an empty grid is an empty comparison, not the default one
+        assert compare_monolithic(cfg, kappa_ratios=[]) == []
+
+    def test_zero_ratio_rejected(self):
+        with pytest.raises(InvalidConfig, match="spacing ratio 0"):
+            compare_monolithic(ExperimentConfig(mesh_ratios=(0,)),
+                               kappa_ratios=[2.0])
+
     def test_dd_time_covers_setup(self, monkeypatch):
         delay = slow_setup(monkeypatch)
-        rows = compare_monolithic(ExperimentConfig(), kappa_ratios=[2.0],
-                                  mesh_ratios=[2])
+        rows = compare_monolithic(ExperimentConfig(mesh_ratios=(2,)),
+                                  kappa_ratios=[2.0])
         assert rows[0]["dd_time_s"] >= delay
 
 
@@ -525,10 +558,30 @@ class TestCli:
          {"bad.csv": "T,kappa\n300,abc\n"}, "bad.csv"),
         (["solve", "--config", "missing.json"], {}, "missing.json"),
         (["solve", "--config", "cfg.json"], {"cfg.json": "[1, 2]"},
-         "cfg.json")],
+         "cfg.json"),
+        (["spectrum", "--kappa-minus", "nan"], {}, "kappa_minus = nan"),
+        (["spectrum", "--kappa-minus", "inf"], {}, "kappa_minus = inf"),
+        (["spectrum", "--kappa-plus", "nan"], {}, "kappa_plus = nan"),
+        (["solve", "--alpha", "inf"], {}, "penalty weight"),
+        (["solve", "--theta", "inf"], {}, "theta must be positive and finite"),
+        (["nonlinear", "--kappa-minus", "inf"], {}, "curve conductivities"),
+        (["sweep-mesh", "--mesh-ratios", "0,2,4"], {}, "spacing ratio 0"),
+        (["compare-monolithic", "--mesh-ratios", "0"], {},
+         "spacing ratio 0"),
+        (["sweep-kappa", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"kappa_list": 0.5})}, "cfg.json: kappa_list"),
+        (["sweep-mesh", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"mesh_ratios": 4})}, "cfg.json: mesh_ratios"),
+        (["relax-study", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"theta_list": 0.5})},
+         "cfg.json: theta_list")],
         ids=["zero-spacing", "zero-denominator", "zero-theta",
              "strip-too-thick", "unknown-key", "curve-not-a-number",
-             "config-missing", "config-not-an-object"])
+             "config-missing", "config-not-an-object", "kappa-minus-nan",
+             "kappa-minus-inf", "kappa-plus-nan", "alpha-inf", "theta-inf",
+             "curve-kappa-inf", "sweep-mesh-zero-ratio",
+             "compare-zero-ratio", "kappa-list-not-a-list",
+             "mesh-ratios-not-a-list", "theta-list-not-a-list"])
     def test_invalid_input_exits_2(self, argv, files, named, tmp_path,
                                    capsys, monkeypatch):
         # an input the package rejects is a usage error, not a traceback,

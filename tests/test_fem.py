@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 
 from gldd import fem
 from gldd.coupling import ProblemData
-from gldd.errors import (ForeignFacet, NonpositiveCoefficient,
-                         UnsupportedDegree)
+from gldd.errors import (ForeignFacet, IndexOutOfRange,
+                         NonpositiveCoefficient, UnsupportedDegree)
 from gldd.fem import (LASER_CUTOFF, _composite_facet_rule, apply_dirichlet,
                       assemble_boundary_mass, assemble_load,
                       assemble_stiffness, build_dofmap, dirichlet_dofs,
@@ -92,6 +92,13 @@ class TestQuadrature:
         with pytest.raises(UnsupportedDegree):
             volume_rule(2, 3)
 
+    @pytest.mark.parametrize("rule,dim,match", [
+        (volume_rule, 3, "tetrahedron"), (facet_rule, 2, "segment")])
+    def test_unsupported_degree_tet_and_segment(self, rule, dim, match):
+        # degree 3 asks for a rule exact to degree 6 or 7, past every table
+        with pytest.raises(UnsupportedDegree, match=match):
+            rule(dim, 3)
+
 
 class TestShapeFunctions:
     @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -117,6 +124,11 @@ class TestDofMap:
     def test_p1_dof_count(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
         assert build_dofmap(mesh, 1).n_dofs == 25
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_unsupported_degree(self, m):
+        with pytest.raises(UnsupportedDegree, match="1 or 2"):
+            build_dofmap(build_global_mesh(GEOM, 1 / 160), m)
 
     def test_p2_dof_count_euler(self):
         # V - E + F = 1 for the planar mesh interior: E = V + C - 1
@@ -358,6 +370,17 @@ class TestStiffness:
             assemble_stiffness(mesh, dof, 0.0)
         with pytest.raises(NonpositiveCoefficient):
             assemble_stiffness(mesh, dof, np.full(mesh.num_cells, -1.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient(self, value):
+        mesh = build_global_mesh(GEOM, 1 / 160)
+        dof = build_dofmap(mesh, 1)
+        with pytest.raises(NonpositiveCoefficient, match="finite"):
+            assemble_stiffness(mesh, dof, value)
+        kappa = np.ones(mesh.num_cells)
+        kappa[3] = value
+        with pytest.raises(NonpositiveCoefficient, match="finite"):
+            assemble_stiffness(mesh, dof, kappa)
 
 
 class TestBoundaryMass:
@@ -625,6 +648,20 @@ def test_flux_chunking_leaves_load_bitwise_equal(name, m, chunk, monkeypatch):
     assert np.count_nonzero(default) > 0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_laser_flux_single_point(dim):
+    # one point (dim,) gives a float, the value of the batched call
+    c = GEOM.L / 2
+    for p in (np.full(dim, c), np.array([c + 1e-4] * (dim - 1) + [GEOM.H]),
+              np.array([c + 2 * LASER_CUTOFF] * (dim - 1) + [GEOM.H])):
+        p[-1] = GEOM.H
+        value = laser_flux(p, dim, GEOM.L)
+        assert np.ndim(value) == 0
+        assert value == laser_flux(p[None], dim, GEOM.L)[0]
+    assert laser_flux(np.array([c] * (dim - 1) + [GEOM.H]), dim,
+                      GEOM.L) == 0.4e5
+
+
 def test_laser_flux_never_subnormal():
     # dense distances from the centre, the band just inside the cut-off
     # included, where the exponential passes below the smallest normal
@@ -673,6 +710,12 @@ class TestDirichlet:
         np.testing.assert_allclose(b2, want_b, rtol=1e-15)
         assert (A2.data != 0.0).all()
         np.testing.assert_array_equal(A.toarray(), dense)
+
+    @pytest.mark.parametrize("dofs", [[0, 2], [-1]])
+    def test_dof_out_of_range(self, dofs):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        with pytest.raises(IndexOutOfRange):
+            apply_dirichlet(A, np.ones(2), dofs, 5.0)
 
     def test_solution_hits_value(self):
         mesh = build_global_mesh(GEOM, 1 / 160)

@@ -3,11 +3,13 @@ module-level name is read somewhere in the package, and no except clause
 lists two IterationFailure classes where the base would do."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from gldd import errors
+from gldd.experiments import ExperimentConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gldd"
 
@@ -332,3 +334,56 @@ def test_strip_floor_detector():
         (3, "GeometryConfig"), (5, "inside"), (6, None)]
     assert [owner for _line, owner in strip_floor_computations(
         (PACKAGE / "mesh.py").read_text())] == ["GeometryConfig"]
+
+
+# a study point is one ExperimentConfig: a function that takes the config
+# reads every parameter of the point from it, so none of its other
+# parameters is named after a config field
+CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+
+def config_shadows(source, field_names):
+    """(line, function, parameter) of every parameter named after one of
+    field_names in a function that also takes the config: one with a
+    ``cfg`` parameter, or a method of ExperimentConfig that takes
+    ``self``."""
+    found = []
+    for top in ast.parse(source).body:
+        methods = top.body if isinstance(top, ast.ClassDef) and \
+            top.name == "ExperimentConfig" else []
+        for node in ast.walk(top):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            spec = node.args
+            params = [a.arg for a in
+                      spec.posonlyargs + spec.args + spec.kwonlyargs]
+            if "cfg" in params or (node in methods and
+                                   params[:1] == ["self"]):
+                found += [(node.lineno, node.name, name) for name in params
+                          if name in field_names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_study_argument_shadows_a_config_field(path):
+    assert config_shadows(path.read_text(), CONFIG_FIELDS) == []
+
+
+def test_config_shadow_detector():
+    source = ("class ExperimentConfig:\n"
+              "    def dd(self, theta=None):\n        pass\n"
+              "    @classmethod\n"
+              "    def from_json(cls, path, theta=None):\n        pass\n"
+              "class Other:\n"
+              "    def dd(self, theta=None):\n        pass\n"
+              "def run_case(cfg, kappa_minus=None, h_minus=None):\n"
+              "    def inner(cfg, m):\n        pass\n"
+              "def compare(cfg, kappa_ratios=None, *, mesh_ratios=None):\n"
+              "    pass\n"
+              "def emit(records, config, seed=0):\n    pass\n")
+    assert config_shadows(source, CONFIG_FIELDS) == [
+        (2, "dd", "theta"), (10, "run_case", "kappa_minus"),
+        (10, "run_case", "h_minus"), (11, "inner", "m"),
+        (13, "compare", "mesh_ratios")]
+    assert {"theta", "h_minus", "kappa_minus", "mesh_ratios"} <= CONFIG_FIELDS

@@ -76,6 +76,12 @@ class TestSolve:
             LinearSolver(A, SolverConfig(method="gmres",
                                          preconditioner="diagonal"))
 
+    def test_direct_non_finite_result_raises(self):
+        # a subnormal pivot factors, but 1 / 1e-320 overflows to inf
+        A = sp.csr_matrix(np.diag([1.0, 1e-320]))
+        with pytest.raises(SingularMatrix, match="non-finite"):
+            LinearSolver(A, SolverConfig(method="direct")).solve(np.ones(2))
+
     def test_diagonal_preconditioner_helps(self):
         # badly scaled SPD system: Jacobi restores iteration counts
         n = 60
@@ -170,6 +176,10 @@ class TestPowerIteration:
         rho, _ = power_iteration_rho(op, n, seed=1, max_iters=20000)
         assert rho == pytest.approx(np.abs(np.linalg.eigvals(M)).max(),
                                     rel=1e-6)
+
+    def test_zero_operator_has_zero_radius(self):
+        # the first application vanishes, so no ratio is ever taken
+        assert power_iteration_rho(lambda v: 0.0 * v, 3, seed=0) == (0.0, 0.0)
 
     def test_nonconvergence_raises(self):
         # involution with skewed eigenvectors: the normalized iterate flips
@@ -294,6 +304,13 @@ class TestFits:
             least_squares_fit([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], 1)
         with pytest.raises(RankDeficient):
             fit_rho_law([0.5, 0.25], [0.1, 0.2])
+
+    @pytest.mark.parametrize("xs,ys", [([0.1, 0.2, 0.4], [0.0, 0.1]),
+                                       ([[0.1, 0.2]], [[0.0, 0.1]])],
+                             ids=["lengths", "not-1d"])
+    def test_mismatched_shapes(self, xs, ys):
+        with pytest.raises(ValueError, match="equal length"):
+            least_squares_fit(xs, ys, 1)
 
     def test_threshold_needs_negative_slope(self):
         fit = fit_rho_law([0.1, 0.2, 0.4, 0.8], [0.0, 0.1, 0.3, 0.7])

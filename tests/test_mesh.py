@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gldd.mesh as mesh_module
-from gldd.errors import GlddError, NonDivisibleSpacing, OutOfDomain
+from gldd.errors import (GlddError, InvalidConfig, NonDivisibleSpacing,
+                         OutOfDomain)
 from gldd.mesh import (FacetTag, GeometryConfig, SimplicialMesh,
                        build_fitted_mesh, build_global_mesh, build_local_mesh,
                        cell_geometry, dump_mesh, face_keys, interface_facets,
@@ -92,6 +93,21 @@ class TestGlobalMesh:
     def test_spacing_not_positive_and_finite(self, h):
         with pytest.raises(NonDivisibleSpacing, match="positive and finite"):
             build_global_mesh(GEOM, h)
+
+    def test_spacing_too_coarse(self):
+        # extent / h rounds to zero divisions within the divisibility slack
+        with pytest.raises(NonDivisibleSpacing, match="too coarse"):
+            build_global_mesh(GEOM, 1e9)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"dim": 1}, "dim must be 2 or 3"),
+        ({"L": 0.0}, "extents must be positive"),
+        ({"H_minus": -1 / 160}, "extents must be positive"),
+        ({"dim": 3, "W": -1 / 40}, "extents must be positive")],
+        ids=["dim", "length", "strip", "width-3d"])
+    def test_geometry_rejects_bad_dim_and_extents(self, kwargs, match):
+        with pytest.raises(InvalidConfig, match=match):
+            GeometryConfig(**kwargs)
 
 
 class TestLocalMesh:
@@ -326,6 +342,15 @@ class TestLocatePoint:
         with pytest.raises(OutOfDomain, match=r"-0\.002"):
             locate_point(mesh, pts)
 
+    def test_scan_point_in_box_but_in_no_cell(self):
+        # a mesh that does not cover its bounding box: one triangle, the
+        # lower-left half of the unit square
+        mesh = SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                              [[0, 1, 2]], mesh_module._wall_tags(1.0), 1.0)
+        assert locate_point(mesh, [0.2, 0.3]).cell == 0
+        with pytest.raises(OutOfDomain, match="not contained in any cell"):
+            locate_point(mesh, [0.9, 0.9])
+
     def test_tolerance_band(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
         locate_point(mesh, [-1e-13, 1e-3])  # snapped inside
@@ -478,6 +503,21 @@ class TestFittedMesh:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             build_fitted_mesh(GEOM, 1 / 160, 1 / 320, "adaptive")
+
+    @pytest.mark.parametrize("geom,h_plus,h_minus,error,match", [
+        (GEOM3, 1 / 160, 1 / 320, GlddError, "dim=2 only"),
+        (GEOM, 1 / 160, 1 / 480, NonDivisibleSpacing, "power-of-two"),
+        (GEOM, 1 / 40, 1 / 160, NonDivisibleSpacing, "too shallow"),
+        (GeometryConfig(H=0.03), 1 / 160, 1 / 320, NonDivisibleSpacing,
+         "strip offset"),
+        # 1,002 rows of 0.1 and less summed in floating point end 1.4e-12
+        # below H = 100, past the absolute 1e-12 closure tolerance
+        (GeometryConfig(L=1.0, H=100.0, H_minus=0.1), 0.1, 0.05,
+         NonDivisibleSpacing, "did not close")],
+        ids=["dim-3", "ratio-3", "too-shallow", "offset", "closure"])
+    def test_graded_rejects(self, geom, h_plus, h_minus, error, match):
+        with pytest.raises(error, match=match):
+            build_fitted_mesh(geom, h_plus, h_minus, "graded")
 
     def test_graded_matches_dict_builder(self):
         # (H, H_minus, h+, h-): both strip thicknesses and box heights,

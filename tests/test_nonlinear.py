@@ -10,7 +10,8 @@ import gldd.mesh as mesh_module
 import gldd.nonlinear as nonlinear
 from gldd.coupling import ProblemData
 from gldd.dd_solver import DDConfig, run_two_level_dd, setup_case
-from gldd.errors import NonpositiveCoefficient, PicardNoConvergence
+from gldd.errors import (InvalidConfig, NonpositiveCoefficient,
+                         PicardNoConvergence)
 from gldd.linalg import SolverConfig
 from gldd.fem import build_dofmap, evaluate_field
 from gldd.mesh import GeometryConfig, build_global_mesh, interface_facets
@@ -52,6 +53,17 @@ class TestMaterialCurve:
             MaterialCurve([300.0], [1.0, 0.9])
         with pytest.raises(NonpositiveCoefficient):
             MaterialCurve([300.0, 400.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tables(self, value):
+        with pytest.raises(NonpositiveCoefficient, match="finite"):
+            MaterialCurve([300.0, 400.0], [1.0, value])
+        with pytest.raises(NonpositiveCoefficient, match="finite"):
+            MaterialCurve.constant(value)
+        with pytest.raises(InvalidConfig, match="finite"):
+            MaterialCurve([300.0, value], [1.0, 0.9])
+        with pytest.raises(InvalidConfig, match="finite"):
+            MaterialCurve([value], [1.0])
 
     def test_from_csv_header_check(self, tmp_path):
         path = tmp_path / "curve.csv"
