@@ -209,9 +209,10 @@ def _cmd_nonlinear(args) -> int:
     cfg = _config_from(args)
     curve_a = _curve(args.curve_a, cfg.kappa_plus)
     curve_b = _curve(args.curve_b, cfg.kappa_minus)
-    nl = NonlinearConfig(kappa_plus_B=args.kappa_plus_b,
-                         picard_tol=args.picard_tol,
-                         picard_max=args.picard_max)
+    # NonlinearConfig owns the defaults; only the flags given override them
+    given = {"kappa_plus_B": args.kappa_plus_b, "picard_tol": args.picard_tol,
+             "picard_max": args.picard_max}
+    nl = NonlinearConfig(**{k: v for k, v in given.items() if v is not None})
     if args.sweep_kappa_plus_b is not None:
         rows = sweep_kappa_plus_B(cfg.geometry(), cfg.h_plus, cfg.h_minus,
                                   cfg.m, curve_a, curve_b,
@@ -298,10 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve-b", default=None,
                    help="strip conductivity: constant or CSV with columns "
                         "T,kappa")
-    p.add_argument("--kappa-plus-b", type=float, default=1.0,
+    p.add_argument("--kappa-plus-b", type=float, default=None,
                    help="frozen background coefficient inside the strip")
-    p.add_argument("--picard-tol", type=float, default=1e-6)
-    p.add_argument("--picard-max", type=int, default=100)
+    p.add_argument("--picard-tol", type=float, default=None)
+    p.add_argument("--picard-max", type=int, default=None)
     p.add_argument("--sweep-kappa-plus-b", type=_range_spec, metavar="LO:HI:N",
                    help="geometric grid of background coefficients")
     p.set_defaults(func=_cmd_nonlinear)

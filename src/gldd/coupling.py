@@ -42,8 +42,8 @@ import scipy.sparse as sp
 
 from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
 from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
-                  _basis_at_points, _CsrPattern, _elimination,
-                  _stiffness_pattern, _zero, assemble_load,
+                  _basis_at_points, _CsrPattern, _elimination, _facet_mass,
+                  _facet_terms, _stiffness_pattern, _zero, assemble_load,
                   assemble_stiffness, facet_rule, laser_flux,
                   shape_bary_grads, shape_values)
 from .linalg import InterfaceBlock, LinearSolver, SolverConfig
@@ -69,7 +69,8 @@ class ProblemData:
     user-supplied q is integrated over every top facet.
     flux_panel is the quadrature panel size used for the top flux: the
     default laser spot is ~1e-3 wide, far below the coarse facet size, so
-    facets are subdivided for that integral until panels reach this size.
+    the top facets share one composite rule for that integral, subdivided
+    until the widest visited facet's panels reach this size.
     """
 
     f: object = 0.0
@@ -155,14 +156,14 @@ class _Interface:
     Every gamma point is a facet-rule point, rule.points @ vertices[facet],
     of a strip facet on gamma, so its strip barycentrics are known (see
     _owner_barycentrics) and only the box basis is located, in one call.
-    Holds each facet's measure over the reference measure (scale (nf,)),
-    the gamma quadrature weights wq (nf, nq), the strip trace basis (facet
-    dofs ldofs (nf, n) and values lvals (nq, n), the same on every facet,
-    and mid (n,) at the facet midpoint), the box basis at the nf * nq
-    points (gdofs, gvals), the unit S and D patterns with one owner per
-    point, and the reference gamma mass with one owner per facet, with the
-    slot of each of its entries in the strip stiffness pattern, which holds
-    them all (each facet's dofs are its owner cell's).
+    Holds the strip's fem._facet_terms (facet dofs ldofs (nf, n), measure
+    scales scale (nf,), trace basis lvals (nq, n)), the trace basis mid
+    (n,) at the facet midpoint, the gamma quadrature weights wq (nf, nq),
+    the box basis at the nf * nq points (gdofs, gvals), the unit S and D
+    patterns with one owner per point, and the gamma mass of
+    fem._facet_mass with one owner per facet, with the slot of each of its
+    entries in the strip stiffness pattern, which holds them all (each
+    facet's dofs are its owner cell's).
     """
 
     def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap):
@@ -174,8 +175,8 @@ class _Interface:
             raise OrphanInterfaceFacet("mesh has no interface facets")
         facets = local_mesh.facet_vertices[gamma]
         owners = local_mesh.facet_cells[gamma]
-        ref_measure = 1.0 if dim == 2 else 0.5
-        self.scale = local_mesh.facet_measure(facets) / ref_measure
+        self.ldofs, self.scale, self.lvals = _facet_terms(
+            local_mesh, local_dofmap, facets, rule)
         self.wq = rule.weights * self.scale[:, None]
         xq = rule.points @ local_mesh.vertices[facets]
         self.gdofs, self.gvals = gdofs, gvals = _basis_at_points(
@@ -198,21 +199,15 @@ class _Interface:
                              local_dofmap.cell_dofs[cells][:, None, :],
                              (global_dofmap.n_dofs, n))
         # D: the strip trace basis on each facet times the box basis
-        self.ldofs = ldofs = local_dofmap.facet_dofs(facets)
-        self.lvals = shape_values(dim - 1, local_dofmap.m, rule.points)
         self.mid = shape_values(dim - 1, local_dofmap.m,
                                 np.full((1, dim), 1.0 / dim))[0]
         lvals = np.tile(self.lvals, (len(facets), 1))
         self.D = _CsrPattern(lvals[:, :, None] * gvals[:, None, :],
-                             np.repeat(ldofs, nq, axis=0)[:, :, None],
+                             np.repeat(self.ldofs, nq, axis=0)[:, :, None],
                              gdofs[:, None, :],
                              (n, global_dofmap.n_dofs))
         # M_gamma: the trace basis's reference mass on each facet
-        ref_mass = np.einsum("q,qn,qm->nm", rule.weights, self.lvals,
-                             self.lvals)
-        self.mass = _CsrPattern(
-            np.broadcast_to(ref_mass, (len(facets),) + ref_mass.shape),
-            ldofs[:, :, None], ldofs[:, None, :], (n, n))
+        self.mass = _facet_mass(self.ldofs, rule.weights, self.lvals, n)
 
         def keys(pattern):
             rows = np.repeat(np.arange(n), np.diff(pattern.indptr))

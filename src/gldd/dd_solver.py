@@ -69,6 +69,13 @@ class DDConfig:
         if not (self.theta > 0 and np.isfinite(self.theta)):
             raise InvalidConfig(
                 f"theta must be positive and finite, got {self.theta}")
+        # a NaN tolerance is never met; without a sweep nothing is solved
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise InvalidConfig(
+                f"tol must be positive and finite, got {self.tol}")
+        if not self.max_iters >= 1:
+            raise InvalidConfig(
+                f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass

@@ -38,7 +38,7 @@ class IndexOutOfRange(GlddError, IndexError):
 
 
 class OrphanInterfaceFacet(GlddError):
-    """Interface facet without an adjacent cell."""
+    """Strip mesh with no interface (gamma) facets to couple through."""
 
 
 class SingularMatrix(GlddError):

@@ -3,11 +3,12 @@
 Cell terms are computed for all cells at once from the stacked geometry
 of ``mesh.cell_geometry`` (stacked passes over the quadrature points for
 the stiffness, one source call on every quadrature point for the load),
-and facet terms for all facets at once.  The top-flux quadrature calls
-the flux once per chunk of whole facets of at most ``_FLUX_CHUNK`` points,
-and only on the top facets within the flux's ``support`` when it has one
-(the laser flux of ``coupling.ProblemData`` does; a user callable without
-one is called on every top facet).  A ``ScaledLoad`` keeps both
+and facet terms for all facets at once, from one ``_facet_terms``.  The
+top flux is one composite rule; it calls the flux once per chunk of
+whole facets of at most ``_FLUX_CHUNK`` points, and only on the top
+facets within the flux's ``support`` when it has one (the laser flux of
+``coupling.ProblemData`` does; a user callable without one is called on
+every top facet).  A ``ScaledLoad`` keeps both
 quadratures with the source values and footprint points, and the flux
 values and nonzero points of each chunk, so a load scaled again and again
 (a Picard step's) costs one scale call and one stacked product per kept
@@ -387,14 +388,26 @@ def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
             f"facet {tuple(facets[foreign.argmax()].tolist())} is not a "
             "boundary facet")
     rule = facet_rule(mesh.dim, dofmap.m)
-    vals_at = shape_values(mesh.dim - 1, dofmap.m, rule.points)
-    ref_measure = 1.0 if mesh.dim == 2 else 0.5
-    ref_mass = np.einsum("q,qn,qm->nm", rule.weights, vals_at, vals_at)
-    dofs = dofmap.facet_dofs(keys)
-    units = np.broadcast_to(ref_mass, (len(keys),) + ref_mass.shape)
-    pattern = _CsrPattern(units, dofs[:, :, None], dofs[:, None, :],
-                          (dofmap.n_dofs, dofmap.n_dofs))
-    return pattern.matrix(weight * (mesh.facet_measure(keys) / ref_measure))
+    dofs, scale, values = _facet_terms(mesh, dofmap, keys, rule)
+    return _facet_mass(dofs, rule.weights, values,
+                       dofmap.n_dofs).matrix(weight * scale)
+
+
+def _facet_terms(mesh, dofmap, facets, rule):
+    """The dofs (nf, n) of boundary facets (nf, dim), their measures over
+    the reference measure (nf,) and the trace basis (nq, n) at rule's
+    points: the terms of every boundary-facet quadrature."""
+    return (dofmap.facet_dofs(facets),
+            mesh.facet_measure(facets) / (1.0 if mesh.dim == 2 else 0.5),
+            shape_values(mesh.dim - 1, dofmap.m, rule.points))
+
+
+def _facet_mass(dofs, weights, values, n):
+    """The reference mass of the trace basis values (nq, k) on each facet
+    of dofs (nf, k), one owner per facet: the facets' scales weight it."""
+    ref = np.einsum("q,qn,qm->nm", weights, values, values)
+    return _CsrPattern(np.broadcast_to(ref, (len(dofs),) + ref.shape),
+                       dofs[:, :, None], dofs[:, None, :], (n, n))
 
 
 def _as_callable(f):
@@ -451,8 +464,8 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
     ----------
     f : volume density, callable of coordinates (..., dim) or constant
     q : flux density on NEUMANN_TOP facets, callable or constant; None skips
-        the boundary term.  A callable is called once per chunk of facets
-        with the same rule, on points of shape (nc, nq, dim), and returns
+        the boundary term.  A callable is called once per chunk of facets,
+        on points of shape (nc, nq, dim), and returns
         values (nc, nq); a chunk holds whole facets and at most
         ``_FLUX_CHUNK`` points unless one facet alone holds more.  It may
         carry ``q.support = (centre, radius)``, promising q(x) == 0.0
@@ -461,8 +474,9 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
         only on the top facets whose bounding box comes that close
         (``ProblemData.flux`` sets it for the laser).  Any other q is
         integrated on every top facet.
-    q_panel : target quadrature panel size for the flux term; facets wider
-        than this are subdivided until each panel is at most q_panel across
+    q_panel : target quadrature panel size for the flux term; the widest
+        top facet visited sets the one rule, split until its panels are at
+        most q_panel across (at most 2**8 times per axis)
     """
     b = np.zeros(dofmap.n_dofs)
     if not _zero(f):
@@ -470,14 +484,13 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
             _as_callable(f)(_volume_points(mesh, dofmap)), dtype=float))
     if q is not None and not _zero(q):
         qfun = _as_callable(q)
-        dofs, scale, chunks = _flux_chunks(mesh, dofmap,
+        terms, rule, chunks = _flux_chunks(mesh, dofmap,
                                            getattr(q, "support", None), q_panel)
         # the points are made inside the call, so no chunk's points outlive
         # its flux values
-        _add_flux(b, dofs, scale,
-                  ((k, rule.weights, fvals,
-                    np.asarray(qfun(rule.points @ corners), dtype=float))
-                   for k, rule, fvals, corners in chunks))
+        _add_flux(b, terms, rule.weights,
+                  ((k, np.asarray(qfun(rule.points @ corners), dtype=float))
+                   for k, corners in chunks))
     return b
 
 
@@ -501,11 +514,10 @@ def _add_volume(b, mesh, dofmap, fq):
 
 def _flux_chunks(mesh, dofmap, support, q_panel):
     """The top-flux quadrature of assemble_load (see there for support and
-    q_panel): the dofs (nt, n) and measure scales (nt,) of the top facets
-    it visits, and a generator of its chunks (k, rule, fvals, corners), k
-    the rows of whole facets with one composite rule, fvals (nq, n) that
-    rule's shape values and corners (nc, dim, dim) the facets' vertices,
-    so that rule.points @ corners are the chunk's points."""
+    q_panel): the _facet_terms (dofs, scales, fvals) of the top facets it
+    visits, its one composite rule, and its chunks (k, corners), k a slice
+    of whole facets and corners (nc, dim, dim) their vertices, so that
+    rule.points @ corners are the chunk's points."""
     top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
     pts = mesh.vertices[top]
     if support is not None:
@@ -515,34 +527,25 @@ def _flux_chunks(mesh, dofmap, support, q_panel):
         gap = np.maximum(wall.min(axis=1) - centre, centre - wall.max(axis=1))
         near = gap.max(axis=1) <= radius
         top, pts = top[near], pts[near]
-    dofs = dofmap.facet_dofs(top)
-    scale = mesh.facet_measure(top) / (1.0 if mesh.dim == 2 else 0.5)
-    splits = np.zeros(len(top), dtype=np.int64)
-    if q_panel is not None:
+    splits = 0
+    if q_panel is not None and len(top):
         i, j = np.transpose(_local_edges(mesh.dim - 1))
-        diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max(axis=1)
-        wide = diam > q_panel
-        splits[wide] = np.minimum(8, np.ceil(np.log2(diam[wide] / q_panel)))
-
-    def chunks():
-        for s in np.unique(splits).tolist():
-            rule = _composite_facet_rule(mesh.dim, dofmap.m, s)
-            fvals = shape_values(mesh.dim - 1, dofmap.m, rule.points)
-            same = np.flatnonzero(splits == s)
-            per = max(1, _FLUX_CHUNK // len(rule.weights))
-            for start in range(0, len(same), per):
-                k = same[start:start + per]
-                yield k, rule, fvals, pts[k]
-
-    return dofs, scale, chunks()
+        diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max()
+        splits = int(np.clip(np.ceil(np.log2(diam / q_panel)), 0, 8))
+    rule = _composite_facet_rule(mesh.dim, dofmap.m, splits)
+    per = max(1, _FLUX_CHUNK // len(rule.weights))
+    chunks = [(slice(a, a + per), pts[a:a + per])
+              for a in range(0, len(top), per)]
+    return _facet_terms(mesh, dofmap, top, rule), rule, chunks
 
 
-def _add_flux(b, dofs, scale, chunks):
-    """Add the top flux to b from its chunks (k, weights, fvals, qq), qq
-    (nc, nq) the flux at the chunk's points: one stacked product per chunk,
-    then one np.add.at over all facets."""
+def _add_flux(b, terms, weights, chunks):
+    """Add the top flux to b from its _facet_terms, rule weights and chunks
+    (k, qq), qq (nc, nq) the flux at the chunk's points: one stacked
+    product per chunk, then one np.add.at over all facets."""
+    dofs, scale, fvals = terms
     b_loc = np.empty(dofs.shape)
-    for k, weights, fvals, qq in chunks:
+    for k, qq in chunks:
         # a stacked matmul is one vector-matrix product per facet, so a
         # facet's sum does not depend on the facets beside it
         b_loc[k] = scale[k, None] * ((qq * weights)[:, None, :] @ fvals)[:, 0]
@@ -574,11 +577,10 @@ class ScaledLoad:
             x = _volume_points(mesh, dofmap)
             self.volume = kept(f, x, footprint(x))
         if not _zero(q):
-            dofs, scale, chunks = _flux_chunks(
+            terms, rule, chunks = _flux_chunks(
                 mesh, dofmap, getattr(q, "support", None), q_panel)
-            self.flux = dofs, scale, [
-                (k, rule.weights, fvals) + kept(q, rule.points @ corners)
-                for k, rule, fvals, corners in chunks]
+            self.flux = terms, rule.weights, [
+                (k, kept(q, rule.points @ corners)) for k, corners in chunks]
 
     def add_to(self, b, scale):
         """Add the load to b, the volume term first and then the flux, as
@@ -592,10 +594,9 @@ class ScaledLoad:
         if self.volume is not None:
             _add_volume(b, self.mesh, self.dofmap, scaled(*self.volume))
         if self.flux is not None:
-            dofs, facet_scale, chunks = self.flux
-            _add_flux(b, dofs, facet_scale,
-                      ((k, weights, fvals, scaled(*arrays))
-                       for k, weights, fvals, *arrays in chunks))
+            terms, weights, chunks = self.flux
+            _add_flux(b, terms, weights,
+                      ((k, scaled(*arrays)) for k, arrays in chunks))
 
 
 def laser_flux(x, dim, L=1.0 / 40.0):

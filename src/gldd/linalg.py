@@ -137,12 +137,14 @@ def power_iteration_rho(operator, n, theta=1.0, tol=1e-10, max_iters=2000,
     n : dimension of the iteration space
     tol : stop when successive radius estimates differ by less than
         tol * max(1, estimate)
-    seed : seed for the random start vector
+    seed : seed for the random start vector, a nonnegative integer
 
     Returns
     -------
     (rho, rayleigh) : magnitude estimate and the signed Rayleigh quotient
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)

@@ -307,10 +307,12 @@ def _divisions(extent, h):
 
 def _wall_tags(top, gamma=None):
     """Tag rule for facet points (nf, dim, dim) by height: NEUMANN_TOP at
-    ``top``, INTERFACE_GAMMA at ``gamma``, DIRICHLET_OUTER elsewhere."""
+    ``top``, INTERFACE_GAMMA at ``gamma``, DIRICHLET_OUTER elsewhere, to
+    1e-10 relative to the box height ``top``."""
     def tag(facet_pts):
         def at(level):
-            return np.all(np.abs(facet_pts[..., -1] - level) < 1e-10, axis=-1)
+            return np.all(np.abs(facet_pts[..., -1] - level) < 1e-10 * top,
+                          axis=-1)
 
         tags = np.full(len(facet_pts), FacetTag.DIRICHLET_OUTER.value)
         if gamma is not None:
@@ -372,7 +374,7 @@ def _graded_mesh_2d(geom, h_plus, h_minus):
     # extra fine rows so the remaining depth is a whole number of coarse rows
     per = int(round(h_plus / h_minus))
     slack_units = int(round(slack / h_minus))
-    if abs(slack - slack_units * h_minus) > 1e-12:
+    if abs(slack / h_minus - slack_units) > 1e-9:
         raise NonDivisibleSpacing("strip offset is not a multiple of the fine spacing")
     extra_fine = slack_units % per
     ncoarse = (slack_units - extra_fine) // per
@@ -383,7 +385,7 @@ def _graded_mesh_2d(geom, h_plus, h_minus):
                               h_plus / 2.0 ** np.arange(1, doublings + 1),
                               np.full(extra_fine + nfine, h_minus)])
     heights = np.concatenate([[0.0], np.cumsum(spacing[:-1])])
-    if abs(heights[-1] - geom.H) > 1e-12:
+    if abs(heights[-1] - geom.H) > 1e-12 * geom.H:
         raise NonDivisibleSpacing("graded construction did not close the box")
     # vertices x fastest, then y, as in StructuredMesh
     ncols = np.rint(geom.L / spacing).astype(np.int64)

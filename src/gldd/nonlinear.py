@@ -81,6 +81,12 @@ class NonlinearConfig:
         # at damping = 0 the start never moves, which reads as convergence
         if not self.damping > 0:
             raise InvalidConfig(f"damping must be positive, got {self.damping}")
+        if not (self.picard_tol > 0 and np.isfinite(self.picard_tol)):
+            raise InvalidConfig(f"picard_tol must be positive and finite, "
+                                f"got {self.picard_tol}")
+        if not self.picard_max >= 1:
+            raise InvalidConfig(
+                f"picard_max must be at least 1, got {self.picard_max}")
 
 
 @dataclass

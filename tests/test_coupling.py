@@ -400,6 +400,19 @@ class TestInterfaceTerms:
                                    rtol=0, atol=atol)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_gamma_mass_is_the_boundary_mass(self, dim, m):
+        # both come from fem's one facet quadrature, so they agree bitwise
+        _, gm, gd, lm, ld = make_pair(dim=dim, m=m)
+        terms = coupling._interface(gm, lm, gd, ld)
+        alpha = 3.5
+        want = terms.mass.matrix(alpha * terms.scale)
+        got = assemble_boundary_mass(lm, ld, gamma_facets(lm)[0], alpha)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part),
+                                          getattr(want, part))
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_one_location_per_mesh_pair(self, dim, monkeypatch):
         geom, gm, gd, lm, ld = make_pair(dim=dim)
         calls = count_locations(monkeypatch)

@@ -15,8 +15,8 @@ from gldd.dd_solver import (DDConfig, DDReport, block_residual,
                             neumann_partial_sum, run_coupled_direct,
                             run_fitted_reference, run_two_level_dd,
                             setup_case)
-from gldd.errors import (Diverged, IterationFailure, MaxItersExceeded,
-                         NoConvergence, SingularMatrix)
+from gldd.errors import (Diverged, InvalidConfig, IterationFailure,
+                         MaxItersExceeded, NoConvergence, SingularMatrix)
 from gldd.fem import evaluate_field
 from gldd.linalg import InterfaceBlock, LinearSolver, SolverConfig
 from gldd.mesh import GeometryConfig
@@ -376,11 +376,10 @@ class TestFailureModes:
         assert report.inner_iterations["local"] >= cg.max_iters
 
     @pytest.mark.parametrize("config,start,sizes", [
-        (DDConfig(max_iters=0), None, (True, False)),
         (DDConfig(solver=SolverConfig(method="cg", max_iters=3)), "zeros",
          (True, False)),
         (DDConfig(solver=SolverConfig(method="cg", max_iters=3)), None,
-         (False, False))], ids=["no-sweep", "strip-stall", "start-stall"])
+         (False, False))], ids=["strip-stall", "start-stall"])
     def test_partial_report_without_iterates_to_json(self, config, start,
                                                      sizes):
         # a run that stops before its first strip (or start) solve returns
@@ -404,6 +403,15 @@ class TestFailureModes:
         # is inf - inf
         with pytest.raises(ValueError, match="theta"):
             DDConfig(theta=theta)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
+        ("tol", float("inf")), ("max_iters", 0), ("max_iters", -3)])
+    def test_malformed_budget_rejected(self, field, value):
+        # a NaN or negative tolerance is never met, so the run would spend
+        # its whole budget; a budget below one sweep solves nothing
+        with pytest.raises(InvalidConfig, match=field):
+            DDConfig(**{field: value})
 
 
 class TestFittedReference:

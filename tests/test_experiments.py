@@ -574,14 +574,28 @@ class TestCli:
          {"cfg.json": json.dumps({"mesh_ratios": 4})}, "cfg.json: mesh_ratios"),
         (["relax-study", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"theta_list": 0.5})},
-         "cfg.json: theta_list")],
+         "cfg.json: theta_list"),
+        (["solve", "--tol", "nan"], {}, "tol must be positive and finite"),
+        (["solve", "--tol", "-1"], {}, "tol must be positive and finite"),
+        (["solve", "--max-iters", "-3"], {}, "max_iters must be at least 1"),
+        (["nonlinear", "--picard-tol", "nan"], {},
+         "picard_tol must be positive and finite"),
+        (["nonlinear", "--picard-max", "0"], {},
+         "picard_max must be at least 1"),
+        (["spectrum", "--power", "--seed", "-1"], {},
+         "seed must be a nonnegative integer"),
+        (["spectrum", "--power", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"seed": 1.5})},
+         "seed must be a nonnegative integer")],
         ids=["zero-spacing", "zero-denominator", "zero-theta",
              "strip-too-thick", "unknown-key", "curve-not-a-number",
              "config-missing", "config-not-an-object", "kappa-minus-nan",
              "kappa-minus-inf", "kappa-plus-nan", "alpha-inf", "theta-inf",
              "curve-kappa-inf", "sweep-mesh-zero-ratio",
              "compare-zero-ratio", "kappa-list-not-a-list",
-             "mesh-ratios-not-a-list", "theta-list-not-a-list"])
+             "mesh-ratios-not-a-list", "theta-list-not-a-list", "tol-nan",
+             "tol-negative", "max-iters-negative", "picard-tol-nan",
+             "picard-max-zero", "seed-negative", "seed-not-an-integer"])
     def test_invalid_input_exits_2(self, argv, files, named, tmp_path,
                                    capsys, monkeypatch):
         # an input the package rejects is a usage error, not a traceback,

@@ -1,6 +1,8 @@
 """Assembly oracles: symbolic element matrices, quadrature exactness,
 manufactured solutions."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -646,6 +648,81 @@ def test_flux_chunking_leaves_load_bitwise_equal(name, m, chunk, monkeypatch):
     else:
         assert len(calls) <= n_default
     assert np.count_nonzero(default) > 0
+
+
+# every mesh gldd builds, at the spacings its studies and tests use
+SPLIT_MESHES = {
+    "box-2d": lambda: [build_global_mesh(GEOM, 1 / n) for n in
+                       (40, 80, 160, 320, 640, 1280, 2560, 5120)],
+    "strip-2d": lambda: [build_local_mesh(GEOM, 1 / n) for n in
+                         (160, 320, 640, 1280, 2560, 5120)],
+    "box-3d": lambda: [build_global_mesh(GEOM3, 1 / n) for n in
+                       (40, 80, 160, 320, 640)],
+    "strip-3d": lambda: [build_local_mesh(GEOM3, 1 / n) for n in
+                         (160, 320, 640)],
+    "uniform-fine": lambda: [build_fitted_mesh(GEOM, 1 / 160, 1 / 640),
+                             build_fitted_mesh(GEOM3, 1 / 160, 1 / 320)],
+    "graded": lambda: [
+        build_fitted_mesh(GeometryConfig(H=H), hp, hm, "graded")
+        for H, hp, hm in [(1 / 40, 1 / 160, 1 / 320),
+                          (1 / 40, 1 / 160, 1 / 2560),
+                          (1 / 40, 1 / 80, 1 / 320),
+                          (3 / 80, 1 / 80, 1 / 2560)]],
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_MESHES))
+def test_one_flux_rule_is_every_facets_own(name):
+    # splitting each visited top facet until its own panels reach q_panel
+    # gives every facet the split count of the one rule of the widest
+    for mesh in SPLIT_MESHES[name]():
+        dof = build_dofmap(mesh, 1)
+        geom = GeometryConfig(dim=mesh.dim)
+        for panel in (1e-4, 1e-3):
+            for support in (ProblemData().flux(geom).support, None):
+                (top, _, _), rule, _ = fem._flux_chunks(mesh, dof, support,
+                                                        panel)
+                pts = mesh.vertices[top]  # P1 facet dofs are its vertices
+                i, j = np.transpose(list(itertools.combinations(
+                    range(mesh.dim), 2)))
+                diam = np.linalg.norm(pts[:, i] - pts[:, j],
+                                      axis=-1).max(axis=1)
+                own = np.zeros(len(top), dtype=np.int64)
+                wide = diam > panel
+                own[wide] = np.minimum(8, np.ceil(np.log2(diam[wide] / panel)))
+                assert len(np.unique(own)) == 1
+                np.testing.assert_array_equal(
+                    rule.points,
+                    _composite_facet_rule(mesh.dim, 1, int(own[0])).points)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_flux_rule_on_facets_of_two_widths(m):
+    # top facets 0.3 and 0.7 wide: the wider sets the rule, 2**3 panels of
+    # 0.0875 <= q_panel = 0.1, where 2**2 would leave 0.175; the rule is
+    # exact on both facets for a constant and a linear flux
+    xs = [0.0, 0.3, 1.0]
+    verts = np.array([[x, y] for y in (0.0, 1.0) for x in xs])
+    cells = np.array([[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]])
+
+    def tag(pts):
+        return np.where((pts[..., 1] == 1.0).all(axis=1),
+                        FacetTag.NEUMANN_TOP.value,
+                        FacetTag.DIRICHLET_OUTER.value)
+
+    mesh = SimplicialMesh(verts, cells, tag, 0.7)
+    dof = build_dofmap(mesh, m)
+    _, rule, _ = fem._flux_chunks(mesh, dof, None, 0.1)
+    pieces = len(rule.weights) // len(facet_rule(2, m).weights)
+    assert 0.7 / pieces <= 0.1 < 0.7 / (pieces // 2)
+    x = dof.dof_coords[:, 0]
+    for q, total, moment in [(2.5, 2.5, 1.25),
+                             (lambda p: p[..., 0], 0.5, 1.0 / 3.0)]:
+        b = assemble_load(mesh, dof, q=q, q_panel=0.1)
+        # the P1 and P2 bases reproduce 1 and x, so b sums to the flux's
+        # integral and b @ x to that of q times x
+        assert b.sum() == pytest.approx(total, rel=1e-14)
+        assert b @ x == pytest.approx(moment, rel=1e-14)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

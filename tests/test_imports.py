@@ -262,15 +262,15 @@ def test_foreign_use_detector():
 GAMMA_READERS = {"coupling.py": {"_Interface"}}
 
 
-def gamma_tag_reads(source):
-    """(line, owner) of every read of INTERFACE_GAMMA in a module, owner
-    the top-level def or class it sits in (None at module level)."""
+def owned_reads(source, name):
+    """(line, owner) of every read of name in a module, as a name or an
+    attribute, owner the top-level def or class it sits in (None at module
+    level)."""
     found = []
     for node in ast.parse(source).body:
         owner = getattr(node, "name", None)
         found += [(sub.lineno, owner) for sub in ast.walk(node)
-                  if getattr(sub, "attr", getattr(sub, "id", None))
-                  == "INTERFACE_GAMMA"]
+                  if getattr(sub, "attr", getattr(sub, "id", None)) == name]
     return sorted(found)
 
 
@@ -280,7 +280,8 @@ def gamma_tag_reads(source):
 def test_gamma_tag_read_only_by_the_interface_terms(path):
     allowed = GAMMA_READERS.get(path.name, set())
     assert [(line, owner) for line, owner in
-            gamma_tag_reads(path.read_text()) if owner not in allowed] == []
+            owned_reads(path.read_text(), "INTERFACE_GAMMA")
+            if owner not in allowed] == []
 
 
 def test_gamma_tag_reader_detector():
@@ -291,10 +292,48 @@ def test_gamma_tag_reader_detector():
               "def _gamma_mass(mesh):\n"
               "    return mesh.facet_tags == FacetTag.INTERFACE_GAMMA.value\n"
               "TAG = INTERFACE_GAMMA\n")
-    assert gamma_tag_reads(source) == [(3, "_Interface"), (5, "_gamma_mass"),
-                                       (6, None)]
-    assert [owner for _line, owner in gamma_tag_reads(
-        (PACKAGE / "coupling.py").read_text())] == ["_Interface"]
+    assert owned_reads(source, "INTERFACE_GAMMA") == [
+        (3, "_Interface"), (5, "_gamma_mass"), (6, None)]
+    assert [owner for _line, owner in owned_reads(
+        (PACKAGE / "coupling.py").read_text(), "INTERFACE_GAMMA")] == [
+        "_Interface"]
+
+
+# the facet measure over the reference measure: fem._facet_terms, the one
+# owner of the boundary-facet quadrature's terms, is the one reader of
+# facet_measure; the boundary mass, the top flux and the gamma terms take
+# their measure scales from it
+MEASURE_READERS = {"fem.py": {"_facet_terms"}}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_facet_measure_read_only_by_the_facet_terms(path):
+    allowed = MEASURE_READERS.get(path.name, set())
+    assert [(line, owner) for line, owner in
+            owned_reads(path.read_text(), "facet_measure")
+            if owner not in allowed] == []
+
+
+def test_facet_measure_reader_detector():
+    # the three facet quadratures that each scaled by the measure before
+    # fem._facet_terms owned it
+    source = ("def assemble_boundary_mass(mesh, dofmap, facets, weight):\n"
+              "    scale = mesh.facet_measure(keys) / ref_measure\n"
+              "def _flux_chunks(mesh, dofmap, support, q_panel):\n"
+              "    scale = mesh.facet_measure(top) / (1.0 if mesh.dim == 2 "
+              "else 0.5)\n"
+              "class _Interface:\n"
+              "    def __init__(self, local_mesh, facets):\n"
+              "        self.scale = local_mesh.facet_measure(facets) / ref\n"
+              "def _facet_terms(mesh, dofmap, facets, rule):\n"
+              "    return mesh.facet_measure(facets)\n")
+    assert [(line, owner) for line, owner in
+            owned_reads(source, "facet_measure")
+            if owner not in MEASURE_READERS["fem.py"]] == [
+        (2, "assemble_boundary_mass"), (4, "_flux_chunks"), (7, "_Interface")]
+    assert [owner for _line, owner in owned_reads(
+        (PACKAGE / "fem.py").read_text(), "facet_measure")] == ["_facet_terms"]
 
 
 # the strip floor H - H_minus: GeometryConfig computes it, and every mesh

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gldd import linalg
-from gldd.errors import (NonpositiveConstant, NoConvergence, RankDeficient,
-                         SingularMatrix, TooLarge)
+from gldd.errors import (InvalidConfig, NonpositiveConstant, NoConvergence,
+                         RankDeficient, SingularMatrix, TooLarge)
 from gldd.linalg import (InterfaceBlock, LinearSolver, SolverConfig,
                          fit_rho_law, least_squares_fit, power_iteration_rho)
 
@@ -147,6 +147,11 @@ class TestSolve:
 
 
 class TestPowerIteration:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidConfig, match="seed"):
+            power_iteration_rho(lambda v: 0.5 * v, 2, seed=seed)
+
     def test_diagonal_oracle(self):
         op = lambda v: np.array([0.5, -0.9]) * v
         rho, rayleigh = power_iteration_rho(op, 2, seed=0)

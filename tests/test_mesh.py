@@ -495,6 +495,19 @@ class TestFittedMesh:
             if pts[:, 1].min() >= floor - 1e-12:
                 assert np.ptp(pts[:, 1]) == pytest.approx(h_minus, rel=1e-12)
 
+    @pytest.mark.parametrize("H", [100.0, 1000.0])
+    def test_graded_tall_box_closes(self, H):
+        # 1,002 rows summed in floating point end 1.4e-12 below H = 100 (a
+        # relative 1.4e-14), 10,002 rows 1.6e-10 above H = 1000: the
+        # relative closure check accepts both, and the top is still tagged
+        geom = GeometryConfig(L=1.0, H=H, H_minus=0.1)
+        mesh = build_fitted_mesh(geom, 0.1, 0.05, "graded")
+        assert cell_volumes(mesh).sum() == pytest.approx(geom.L * geom.H,
+                                                         rel=1e-12)
+        top = mesh.facet_tags == FacetTag.NEUMANN_TOP.value
+        assert mesh.facet_measure(mesh.facet_vertices[top]).sum() == \
+            pytest.approx(geom.L, rel=1e-13)
+
     def test_graded_cheaper_than_uniform(self):
         fine = build_fitted_mesh(GEOM, 1 / 160, 1 / 640, "uniform-fine")
         graded = build_fitted_mesh(GEOM, 1 / 160, 1 / 640, "graded")
@@ -510,9 +523,9 @@ class TestFittedMesh:
         (GEOM, 1 / 40, 1 / 160, NonDivisibleSpacing, "too shallow"),
         (GeometryConfig(H=0.03), 1 / 160, 1 / 320, NonDivisibleSpacing,
          "strip offset"),
-        # 1,002 rows of 0.1 and less summed in floating point end 1.4e-12
-        # below H = 100, past the absolute 1e-12 closure tolerance
-        (GeometryConfig(L=1.0, H=100.0, H_minus=0.1), 0.1, 0.05,
+        # a box 1e-10 taller than its rows: the offset, 8e-10 fine rows past
+        # a whole number, passes, and the rows end 1e-10 * H short of it
+        (GeometryConfig(H=(1 / 40) * (1 + 1e-10)), 1 / 160, 1 / 320,
          NonDivisibleSpacing, "did not close")],
         ids=["dim-3", "ratio-3", "too-shallow", "offset", "closure"])
     def test_graded_rejects(self, geom, h_plus, h_minus, error, match):

@@ -275,6 +275,16 @@ class TestPicardTwoLevel:
         with pytest.raises(ValueError, match="damping"):
             NonlinearConfig(damping=damping)
 
+    @pytest.mark.parametrize("field,value", [
+        ("picard_tol", 0.0), ("picard_tol", float("nan")),
+        ("picard_tol", float("inf")), ("picard_max", 0),
+        ("picard_max", -3)])
+    def test_malformed_budget_rejected(self, field, value):
+        # a NaN tolerance is never met, so the loop would spend its whole
+        # budget; a budget below one step solves nothing
+        with pytest.raises(InvalidConfig, match=field):
+            NonlinearConfig(**{field: value})
+
     def test_budget_exhaustion_raises(self):
         nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-6, picard_max=1)
         with pytest.raises(PicardNoConvergence) as info:
