@@ -119,8 +119,6 @@ def _cmd_spectrum(args) -> int:
         op = make_iteration_operator(ops, cfg.solver())
         try:
             rho_p, _ = power_iteration_rho(op, ops.n_plus, theta=cfg.theta,
-                                           tol=cfg.power_tol,
-                                           max_iters=cfg.power_max_iters,
                                            seed=cfg.seed)
             line += f" power_rho={rho_p:.6f} power_converged=True"
         except NoConvergence as exc:

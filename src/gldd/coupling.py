@@ -40,7 +40,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NonpositiveCoefficient, OrphanInterfaceFacet
+from .errors import (InvalidConfig, NonpositiveCoefficient,
+                     OrphanInterfaceFacet)
 from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
                   _basis_at_points, _CsrPattern, _elimination, _facet_mass,
                   _facet_terms, _stiffness_pattern, _zero, assemble_load,
@@ -77,6 +78,11 @@ class ProblemData:
     q: object = None
     T_D: float = 293.15
     flux_panel: float = 1e-4
+
+    def __post_init__(self):
+        if not np.isfinite(self.T_D):
+            raise InvalidConfig(f"wall temperature T_D must be finite, got "
+                                f"{self.T_D}")
 
     def flux(self, geom: GeometryConfig):
         if self.q is None:
@@ -356,8 +362,8 @@ def build_coupled_operators(geom: GeometryConfig,
     """
     problem = problem or ProblemData()
     if np.ndim(kappa_minus) != 0:
-        raise ValueError("kappa_minus must be a scalar; per-cell strip "
-                         "values go through kappa_minus_cells")
+        raise InvalidConfig("kappa_minus must be a scalar; per-cell strip "
+                            "values go through kappa_minus_cells")
     if not all(k > 0 and np.isfinite(k) for k in (kappa_plus, kappa_minus)):
         raise NonpositiveCoefficient(
             f"conductivities must be positive and finite, got kappa_plus = "

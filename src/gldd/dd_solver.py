@@ -95,7 +95,7 @@ class DDReport:
     inner_iterations: dict = field(default_factory=dict)
     iterates: Optional[list] = None
 
-    def to_json(self, path=None):
+    def to_json(self):
         payload = {
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
@@ -109,11 +109,7 @@ class DDReport:
             "n_plus": None if self.T_plus is None else len(self.T_plus),
             "n_minus": None if self.T_minus is None else len(self.T_minus),
         }
-        text = json.dumps(payload, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return json.dumps(payload, indent=2)
 
 
 def make_iteration_operator(ops: CoupledOperators,

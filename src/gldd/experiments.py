@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import platform
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -23,8 +24,32 @@ from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
 from .errors import (InsufficientRatios, InvalidConfig, IterationFailure,
                      RankDeficient, UnknownConfigKey)
-from .linalg import SolverConfig, fit_rho_law, least_squares_fit
+from .linalg import SolverConfig, check_seed, fit_rho_law, least_squares_fit
 from .mesh import GeometryConfig
+
+
+def _number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _tuple_of(test):
+    return lambda value: (isinstance(value, (list, tuple))
+                          and all(map(test, value)))
+
+
+# what a field of each annotation takes: its name in errors, and its test
+_KINDS = {
+    "int": ("an integer", _integer),
+    "float": ("a number", _number),
+    "Optional[float]": ("a number or null", lambda v: v is None or _number(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[float, ...]": ("a list of numbers", _tuple_of(_number)),
+    "tuple[int, ...]": ("a list of integers", _tuple_of(_integer)),
+}
 
 
 @dataclass(frozen=True)
@@ -32,8 +57,8 @@ class ExperimentConfig:
     """One declarative bundle of geometry, discretization, physics and
     study parameters; JSON files mirror these field names.  Every study
     point is one: a study varies a field through dataclasses.replace, never
-    through an argument of its own.  seed, power_tol and power_max_iters
-    feed only ``gldd spectrum --power``."""
+    through an argument of its own.  seed feeds only
+    ``gldd spectrum --power``."""
 
     dim: int = 2
     m: int = 1
@@ -45,21 +70,31 @@ class ExperimentConfig:
     h_minus: float = 1.0 / 320.0
     kappa_plus: float = 1.0
     kappa_minus: float = 0.5
-    kappa_list: tuple = tuple(0.5 ** l for l in range(1, 9))
-    mesh_ratios: tuple = (2, 4, 8, 16)
+    kappa_list: tuple[float, ...] = tuple(0.5 ** l for l in range(1, 9))
+    mesh_ratios: tuple[int, ...] = (2, 4, 8, 16)
     theta: float = 1.0
-    theta_list: tuple = (1.0, 0.8, 0.67, 0.5)
+    theta_list: tuple[float, ...] = (1.0, 0.8, 0.67, 0.5)
     alpha: Optional[float] = None
     T_0: float = 293.15
     tol: float = 1e-8
     max_iters: int = 5000
     solver_method: str = "dense-direct"
-    solver_rel_tol: float = 1e-12
     preconditioner: str = "none"
-    power_tol: float = 1e-10
-    power_max_iters: int = 5000
     seed: int = 0
     outdir: str = "out"
+
+    def __post_init__(self):
+        # checked before any work: the seed rule first, so that a bad seed
+        # is told the whole rule, then the type of every field; a list is
+        # held as a tuple
+        check_seed(self.seed)
+        for f in fields(self):
+            kind, fits = _KINDS[f.type]
+            value = getattr(self, f.name)
+            if not fits(value):
+                raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
+            if isinstance(value, list):
+                object.__setattr__(self, f.name, tuple(value))
 
     def geometry(self) -> GeometryConfig:
         return GeometryConfig(dim=self.dim, L=self.L, H=self.H, W=self.W,
@@ -70,7 +105,6 @@ class ExperimentConfig:
 
     def solver(self) -> SolverConfig:
         return SolverConfig(method=self.solver_method,
-                            rel_tol=self.solver_rel_tol,
                             preconditioner=self.preconditioner)
 
     def dd(self) -> DDConfig:
@@ -97,13 +131,10 @@ class ExperimentConfig:
         if unknown:
             raise UnknownConfigKey(f"{path}: unknown config keys "
                                    f"{', '.join(unknown)}")
-        for key in ("kappa_list", "mesh_ratios", "theta_list"):
-            if key in data:
-                if not isinstance(data[key], (list, tuple)):
-                    raise InvalidConfig(f"config file {path}: {key} must be "
-                                        f"a list, got {data[key]!r}")
-                data[key] = tuple(data[key])
-        return cls(**data)
+        try:
+            return cls(**data)
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"config file {path}: {exc}") from None
 
 
 @dataclass
@@ -287,13 +318,12 @@ def relaxation_study(cfg: ExperimentConfig) -> RelaxationStudy:
     return RelaxationStudy(records=records, best_theta=best, presets=presets)
 
 
-def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None,
-                       refinement_mode="uniform-fine"):
-    """Two-mesh run vs single fitted-mesh solve, preconditioned GMRES
-    everywhere, at each coefficient ratio (default 2 and 3) and each of
-    cfg's spacing ratios; returns comparison rows.  A two-mesh run that
-    stops early is recorded from its partial report; a stalled fitted solve
-    raises."""
+def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None):
+    """Two-mesh run vs one solve on the uniform fine fitted mesh,
+    preconditioned GMRES everywhere, at each coefficient ratio (default 2
+    and 3) and each of cfg's spacing ratios; returns comparison rows.  A
+    two-mesh run that stops early is recorded from its partial report; a
+    stalled fitted solve raises."""
     kappa_ratios = (2.0, 3.0) if kappa_ratios is None else kappa_ratios
     rows = []
     for x in kappa_ratios:
@@ -322,8 +352,7 @@ def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None,
             fitted = run_fitted_reference(
                 point.geometry(), point.h_plus, point.h_minus,
                 point.kappa_plus, point.kappa_minus, point.m,
-                refinement_mode=refinement_mode, problem=point.problem(),
-                solver=point.solver())
+                problem=point.problem(), solver=point.solver())
             row.update(fitted_gmres=fitted.iterations,
                        fitted_time_s=fitted.wall_time,
                        fitted_dofs=fitted.n_dofs)

@@ -701,11 +701,10 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
     return _Elimination(A, dofs).apply(A, b, value)
 
 
-def dirichlet_dofs(mesh: StructuredMesh, dofmap: DofMap,
-                   tag: FacetTag = FacetTag.DIRICHLET_OUTER) -> np.ndarray:
-    """Sorted dof indices supported on boundary facets with the given tag."""
-    return np.unique(dofmap.facet_dofs(
-        mesh.facet_vertices[mesh.facet_tags == tag.value]))
+def dirichlet_dofs(mesh: StructuredMesh, dofmap: DofMap) -> np.ndarray:
+    """Sorted dof indices supported on the DIRICHLET_OUTER facets."""
+    return np.unique(dofmap.facet_dofs(mesh.facet_vertices[
+        mesh.facet_tags == FacetTag.DIRICHLET_OUTER.value]))
 
 
 # ======================================================================

@@ -8,6 +8,7 @@ callable that applies it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,16 @@ class LinearSolver:
 # spectral radius
 # ----------------------------------------------------------------------
 
-def power_iteration_rho(operator, n, theta=1.0, tol=1e-10, max_iters=2000,
+def check_seed(seed):
+    """The one seed rule, a nonnegative integer (bool excluded); returns
+    the seed."""
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral)
+                                      and seed >= 0):
+        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
+def power_iteration_rho(operator, n, theta=1.0, tol=1e-10, max_iters=5000,
                         seed=0):
     """Estimate the spectral radius of (1-theta) I + theta M.
 
@@ -143,9 +153,7 @@ def power_iteration_rho(operator, n, theta=1.0, tol=1e-10, max_iters=2000,
     -------
     (rho, rayleigh) : magnitude estimate and the signed Rayleigh quotient
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     rho_prev = np.inf
@@ -231,7 +239,7 @@ def least_squares_fit(xs, ys, degree):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("xs and ys must be 1-d arrays of equal length")
+        raise InvalidConfig("xs and ys must be 1-d arrays of equal length")
     if len(np.unique(xs)) < degree + 1:
         raise RankDeficient(
             f"need at least {degree + 1} distinct abscissae for degree {degree}")

@@ -65,8 +65,11 @@ class GeometryConfig:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise InvalidConfig(f"dim must be 2 or 3, got {self.dim}")
-        if min(self.L, self.H, self.H_minus) <= 0 or (self.dim == 3 and self.W <= 0):
-            raise InvalidConfig("extents must be positive")
+        extents = self.extents + (self.H_minus,)
+        # written so that a NaN extent fails too
+        if not all(0 < x < np.inf for x in extents):
+            raise InvalidConfig(f"extents must be positive and finite, got "
+                                f"{extents}")
         if self.H_minus >= self.H:
             raise InvalidConfig(
                 "strip thickness must be smaller than the box height")
@@ -292,9 +295,11 @@ def _block_corners(dim):
 def _divisions(extent, h):
     if not 0.0 < h < np.inf:
         raise NonDivisibleSpacing(f"spacing {h} is not positive and finite")
-    n = extent / h
-    if abs(n - round(n)) > 1e-9:
-        raise NonDivisibleSpacing(f"extent {extent} is not a multiple of spacing {h}")
+    # in Python floats an overflow is inf, not a numpy warning
+    n = float(extent) / float(h)
+    if not (np.isfinite(n) and abs(n - round(n)) <= 1e-9):
+        raise NonDivisibleSpacing(
+            f"extent {extent} is not a finite multiple of spacing {h}")
     n = int(round(n))
     if n < 1:
         raise NonDivisibleSpacing(f"spacing {h} too coarse for extent {extent}")
@@ -352,7 +357,7 @@ def build_fitted_mesh(geom: GeometryConfig, h_plus: float, h_minus: float,
     if mode == "uniform-fine":
         return build_global_mesh(geom, h_minus)
     if mode != "graded":
-        raise ValueError(f"unknown refinement mode {mode!r}")
+        raise InvalidConfig(f"unknown refinement mode {mode!r}")
     if geom.dim != 2:
         raise GlddError("graded refinement is implemented for dim=2 only")
     return _graded_mesh_2d(geom, h_plus, h_minus)
@@ -511,18 +516,3 @@ def interface_facets(mesh: SimplicialMesh):
     facets = mesh.facet_vertices[gamma]
     normals = mesh.facet_normal(facets, mesh.facet_cells[gamma])
     return [(tuple(f), n) for f, n in zip(facets, normals)]
-
-
-def dump_mesh(mesh: SimplicialMesh, path):
-    """Write the mesh as plain text: dim / vertices / cells / tagged facets."""
-    with open(path, "w") as fh:
-        fh.write(f"dim {mesh.dim}\n")
-        fh.write(f"vertices {mesh.num_vertices}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(f"{c:.17g}" for c in v) + "\n")
-        fh.write(f"cells {mesh.num_cells}\n")
-        for c in mesh.cells:
-            fh.write(" ".join(str(int(v)) for v in c) + "\n")
-        fh.write(f"boundary_facets {len(mesh.facet_vertices)}\n")
-        for f, t in zip(mesh.facet_vertices, mesh.facet_tags):
-            fh.write(" ".join(str(int(v)) for v in f) + f" {FacetTag(t).name}\n")

@@ -75,12 +75,8 @@ class NonlinearConfig:
     kappa_plus_B: float = 1.0
     picard_tol: float = 1e-6
     picard_max: int = 100
-    damping: float = 1.0
 
     def __post_init__(self):
-        # at damping = 0 the start never moves, which reads as convergence
-        if not self.damping > 0:
-            raise InvalidConfig(f"damping must be positive, got {self.damping}")
         if not (self.picard_tol > 0 and np.isfinite(self.picard_tol)):
             raise InvalidConfig(f"picard_tol must be positive and finite, "
                                 f"got {self.picard_tol}")
@@ -119,14 +115,13 @@ def cell_midpoint_values(mesh, dofmap, coeffs):
 def _picard(step, iterates, nl: NonlinearConfig, fields):
     """The outer loop of both routes: step(iterates, first) solves the
     problem frozen at the iterates, a tuple of arrays, and returns the next
-    ones undamped.  The change is ||new - old|| / ||new|| over all damped
-    iterates together, ||new|| = 0 read as 1 so that zero data converge.
+    ones.  The change is ||new - old|| / ||new|| over all iterates
+    together, ||new|| = 0 read as 1 so that zero data converge.
     Returns the NonlinearReport with the route's fields(*iterates), or
     raises PicardNoConvergence with that report of the steps made."""
     history = []
     for it in range(1, nl.picard_max + 1):
-        new = tuple(nl.damping * x + (1 - nl.damping) * old
-                    for x, old in zip(step(iterates, it == 1), iterates))
+        new = step(iterates, it == 1)
         num = np.sqrt(sum(np.linalg.norm(x - old) ** 2
                           for x, old in zip(new, iterates)))
         den = np.sqrt(sum(np.linalg.norm(x) ** 2 for x in new))
@@ -217,13 +212,12 @@ def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
                       curve_A: MaterialCurve, curve_B: MaterialCurve,
                       nl: NonlinearConfig,
                       problem: ProblemData | None = None,
-                      solver: SolverConfig | None = None,
-                      refinement_mode: str = "uniform-fine") -> NonlinearReport:
-    """Picard loop around a single fitted-mesh solve; the comparison
-    baseline for the two-mesh nonlinear driver."""
+                      solver: SolverConfig | None = None) -> NonlinearReport:
+    """Picard loop around a single fitted-mesh solve on the uniform fine
+    mesh; the comparison baseline for the two-mesh nonlinear driver."""
     problem = problem or ProblemData()
     t0 = time.perf_counter()
-    mesh = build_fitted_mesh(geom, h_plus, h_minus, refinement_mode)
+    mesh = build_fitted_mesh(geom, h_plus, h_minus)
     dofmap = build_dofmap(mesh, m)
     in_strip = strip_cells(mesh, geom)
     load = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),

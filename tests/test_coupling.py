@@ -17,7 +17,8 @@ from gldd.coupling import (ProblemData, assemble_flux_jump_S,
                            assemble_penalty_D, build_coupled_operators,
                            default_alpha, interface_trace_gap)
 from gldd.dd_solver import solve_fitted
-from gldd.errors import NonpositiveCoefficient, OrphanInterfaceFacet
+from gldd.errors import (InvalidConfig, NonpositiveCoefficient,
+                         OrphanInterfaceFacet)
 from gldd.fem import (assemble_boundary_mass, build_dofmap, evaluate_field,
                       facet_rule, laser_flux)
 from gldd.mesh import (FacetTag, GeometryConfig, build_global_mesh,
@@ -254,6 +255,15 @@ class TestBuilder:
         # per-cell strip values go through kappa_minus_cells
         with pytest.raises(ValueError, match="kappa_minus_cells"):
             build_ops(np.array(values))
+
+    def test_array_kappa_minus_is_a_config_error(self):
+        with pytest.raises(InvalidConfig, match="kappa_minus_cells"):
+            build_ops(np.array([0.5, 0.25]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_wall_temperature_rejected(self, value):
+        with pytest.raises(InvalidConfig, match="T_D must be finite"):
+            ProblemData(T_D=value)
 
 
 def pow_laser_flux(x, dim, L):

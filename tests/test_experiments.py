@@ -3,19 +3,21 @@
 import csv
 import json
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
 import gldd.experiments as experiments
 from gldd.cli import _config_from, build_parser, fraction, main
 from gldd.errors import (Diverged, InsufficientRatios, InvalidConfig,
-                         IterationFailure, RankDeficient)
+                         IterationFailure, RankDeficient, UnknownConfigKey)
 from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               SweepRecord, compare_monolithic, emit_reports,
                               log2_growth_slope, relaxation_study, run_case,
@@ -96,6 +98,27 @@ def full_matrix_radius(ops):
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
+# JSON values by kind; a draw leaves out the kinds a field takes
+JSON_VALUES = {
+    "string": st.text(max_size=4),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "list": st.lists(st.integers(), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+
+
+def json_kinds_taken(f):
+    """The kinds of JSON_VALUES a config field takes, read off its default:
+    alpha (default None) takes null, a tuple field a list, a str field a
+    string, and the number fields none of them."""
+    if f.default is None:
+        return {"null"}
+    if isinstance(f.default, tuple):
+        return {"list"}
+    return {"string"} if isinstance(f.default, str) else set()
+
+
 class TestConfig:
     def test_from_json_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -114,6 +137,28 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"m": 2, key: True}))
         with pytest.raises(TypeError, match=key):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("key", ["solver_rel_tol", "power_tol",
+                                     "power_max_iters"])
+    def test_from_json_rejects_removed_field(self, tmp_path, key):
+        # fields no command read; a config naming one is told it does nothing
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: 1}))
+        with pytest.raises(UnknownConfigKey, match=key):
+            ExperimentConfig.from_json(path)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_from_json_rejects_a_value_of_the_wrong_type(
+            self, tmp_path_factory, data):
+        f = data.draw(st.sampled_from(fields(ExperimentConfig)))
+        kind = data.draw(st.sampled_from(
+            sorted(set(JSON_VALUES) - json_kinds_taken(f))))
+        value = data.draw(JSON_VALUES[kind])
+        path = tmp_path_factory.getbasetemp() / "typed.json"
+        path.write_text(json.dumps({f.name: value}))
+        with pytest.raises(InvalidConfig, match=f"typed.json: {f.name} must"):
             ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize("key", ["kappa_list", "mesh_ratios",
@@ -161,15 +206,17 @@ class TestRunCase:
         assert rec.converged
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("overrides", [
-        {"solver_rel_tol": 1e-10}, {"preconditioner": "diagonal"}],
+    @pytest.mark.parametrize("solver", [
+        SolverConfig(rel_tol=1e-10),
+        ExperimentConfig(preconditioner="diagonal").solver()],
         ids=["rel_tol", "diagonal"])
-    def test_direct_configs_share_one_pair(self, monkeypatch, overrides):
+    def test_direct_configs_share_one_pair(self, monkeypatch, solver):
         # a direct solve reads no tolerance or preconditioner, so the sweep
-        # under any direct config reuses the radius's pair
+        # under a DDConfig with any direct solver reuses the radius's pair
         default, _ = run_case(ExperimentConfig())
+        monkeypatch.setattr(ExperimentConfig, "solver", lambda self: solver)
         calls = count_factorizations(monkeypatch)
-        rec, _ = run_case(ExperimentConfig(**overrides))
+        rec, _ = run_case(ExperimentConfig())
         assert len(calls) == 2
         np.testing.assert_equal(asdict(replace(rec, time_s=0.0)),
                                 asdict(replace(default, time_s=0.0)))
@@ -422,7 +469,6 @@ class TestCompareMonolithic:
         cfg = ExperimentConfig(theta=3.0, mesh_ratios=(2,))
         [row] = compare_monolithic(cfg, kappa_ratios=[1.5])
         gmres = SolverConfig(method="restarted-minimal-residual",
-                             rel_tol=cfg.solver_rel_tol,
                              preconditioner="diagonal")
         ops = dd_solver.setup_case(cfg.geometry(), cfg.h_plus,
                                    cfg.h_plus / 2, cfg.m, cfg.kappa_plus, 1.5)
@@ -586,7 +632,41 @@ class TestCli:
          "seed must be a nonnegative integer"),
         (["spectrum", "--power", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"seed": 1.5})},
-         "seed must be a nonnegative integer")],
+         "seed must be a nonnegative integer"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"max_iters": "5"})}, "cfg.json: max_iters"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"h_plus": "0.01"})}, "cfg.json: h_plus"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"dim": 2.0})}, "cfg.json: dim"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"max_iters": 5.5})}, "cfg.json: max_iters"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"h_minus": None})}, "cfg.json: h_minus"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"T_0": "293"})}, "cfg.json: T_0"),
+        (["sweep-kappa", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"kappa_list": ["a", 0.5, 0.25]})},
+         "cfg.json: kappa_list"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"outdir": 5})}, "cfg.json: outdir"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"theta": True})}, "cfg.json: theta"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"kappa_minus": [0.5, 0.5]})},
+         "cfg.json: kappa_minus"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"L": float("nan")})},
+         "extents must be positive and finite"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"dim": 3, "W": float("nan")})},
+         "extents must be positive and finite"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"H": 1e308, "L": 1e308})},
+         "not a finite multiple"),
+        (["solve", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"T_0": float("nan")})},
+         "T_D must be finite")],
         ids=["zero-spacing", "zero-denominator", "zero-theta",
              "strip-too-thick", "unknown-key", "curve-not-a-number",
              "config-missing", "config-not-an-object", "kappa-minus-nan",
@@ -595,7 +675,13 @@ class TestCli:
              "compare-zero-ratio", "kappa-list-not-a-list",
              "mesh-ratios-not-a-list", "theta-list-not-a-list", "tol-nan",
              "tol-negative", "max-iters-negative", "picard-tol-nan",
-             "picard-max-zero", "seed-negative", "seed-not-an-integer"])
+             "picard-max-zero", "seed-negative", "seed-not-an-integer",
+             "max-iters-a-string", "h-plus-a-string", "dim-a-float",
+             "max-iters-a-fraction", "h-minus-null",
+             "wall-temperature-a-string", "kappa-list-holds-a-string",
+             "outdir-a-number", "theta-a-bool", "kappa-minus-a-list",
+             "length-nan", "width-nan-3d", "extent-over-spacing-overflows",
+             "wall-temperature-nan"])
     def test_invalid_input_exits_2(self, argv, files, named, tmp_path,
                                    capsys, monkeypatch):
         # an input the package rejects is a usage error, not a traceback,
@@ -609,8 +695,16 @@ class TestCli:
             code = exc.code
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: " in err
+        assert err.count("error: ") == 1 and "Traceback" not in err
         assert named is None or named in err
+
+    def test_seed_checked_before_any_work(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(experiments, "setup_case",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["spectrum", "--power", "--seed", "-1"]) == 2
+        assert calls == []
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
     def test_nonlinear_budget_exhaustion_exits_1(self, capsys):
         # an outer loop out of iterations stopped early; it is no input error

@@ -214,9 +214,12 @@ class TestBatchedDofLookup:
             for facet, t in zip(mesh.facet_vertices, mesh.facet_tags):
                 if t == tag.value:
                     found.update(int(d) for d in dof.facet_dofs(tuple(facet)))
-            got = dirichlet_dofs(mesh, dof, tag)
+            got = np.unique(dof.facet_dofs(
+                mesh.facet_vertices[mesh.facet_tags == tag.value]))
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, sorted(found))
+            if tag is FacetTag.DIRICHLET_OUTER:
+                np.testing.assert_array_equal(dirichlet_dofs(mesh, dof), got)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -147,7 +147,7 @@ class TestSolve:
 
 
 class TestPowerIteration:
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(InvalidConfig, match="seed"):
             power_iteration_rho(lambda v: 0.5 * v, 2, seed=seed)
@@ -316,6 +316,10 @@ class TestFits:
     def test_mismatched_shapes(self, xs, ys):
         with pytest.raises(ValueError, match="equal length"):
             least_squares_fit(xs, ys, 1)
+
+    def test_mismatched_shapes_are_a_config_error(self):
+        with pytest.raises(InvalidConfig, match="equal length"):
+            least_squares_fit([0.1, 0.2, 0.4], [0.0, 0.1], 1)
 
     def test_threshold_needs_negative_slope(self):
         fit = fit_rho_law([0.1, 0.2, 0.4, 0.8], [0.0, 0.1, 0.3, 0.7])

@@ -13,7 +13,7 @@ from gldd.errors import (GlddError, InvalidConfig, NonDivisibleSpacing,
                          OutOfDomain)
 from gldd.mesh import (FacetTag, GeometryConfig, SimplicialMesh,
                        build_fitted_mesh, build_global_mesh, build_local_mesh,
-                       cell_geometry, dump_mesh, face_keys, interface_facets,
+                       cell_geometry, face_keys, interface_facets,
                        locate_point, strip_cells)
 
 GEOM = GeometryConfig()
@@ -103,11 +103,21 @@ class TestGlobalMesh:
         ({"dim": 1}, "dim must be 2 or 3"),
         ({"L": 0.0}, "extents must be positive"),
         ({"H_minus": -1 / 160}, "extents must be positive"),
-        ({"dim": 3, "W": -1 / 40}, "extents must be positive")],
-        ids=["dim", "length", "strip", "width-3d"])
+        ({"dim": 3, "W": -1 / 40}, "extents must be positive"),
+        ({"L": np.nan}, "extents must be positive and finite"),
+        ({"H_minus": np.nan}, "extents must be positive and finite"),
+        ({"H": np.inf}, "extents must be positive and finite"),
+        ({"dim": 3, "W": np.nan}, "extents must be positive and finite")],
+        ids=["dim", "length", "strip", "width-3d", "length-nan", "strip-nan",
+             "height-inf", "width-nan-3d"])
     def test_geometry_rejects_bad_dim_and_extents(self, kwargs, match):
         with pytest.raises(InvalidConfig, match=match):
             GeometryConfig(**kwargs)
+
+    def test_divisions_overflow(self):
+        # extent / h overflows to inf, which has no whole number of cells
+        with pytest.raises(NonDivisibleSpacing, match="finite multiple"):
+            build_global_mesh(GeometryConfig(L=1e308, H=1e308), 1 / 160)
 
 
 class TestLocalMesh:
@@ -517,6 +527,10 @@ class TestFittedMesh:
         with pytest.raises(ValueError):
             build_fitted_mesh(GEOM, 1 / 160, 1 / 320, "adaptive")
 
+    def test_unknown_mode_is_a_config_error(self):
+        with pytest.raises(InvalidConfig, match="adaptive"):
+            build_fitted_mesh(GEOM, 1 / 160, 1 / 320, "adaptive")
+
     @pytest.mark.parametrize("geom,h_plus,h_minus,error,match", [
         (GEOM3, 1 / 160, 1 / 320, GlddError, "dim=2 only"),
         (GEOM, 1 / 160, 1 / 480, NonDivisibleSpacing, "power-of-two"),
@@ -634,13 +648,3 @@ def test_geometry_owns_the_layout():
             strip.extents, geom.extents[:-1] + (geom.H_minus,))
         np.testing.assert_array_equal(build_global_mesh(geom, 1 / 160).extents,
                                       geom.extents)
-
-
-def test_dump_mesh(tmp_path):
-    mesh = build_local_mesh(GEOM, 1 / 320)
-    path = tmp_path / "strip.txt"
-    dump_mesh(mesh, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "dim 2"
-    assert any(line.startswith("vertices 27") for line in text)
-    assert any("INTERFACE_GAMMA" in line for line in text)

@@ -170,7 +170,7 @@ class TestPicardTwoLevel:
         mids = np.array([lm.vertices[list(f)].mean(axis=0)
                          for f, _n in interface_facets(lm)])
         assert len(weights) > 2
-        # without damping each step starts from the last report's iterate
+        # each step starts from the last report's iterate
         for w, prev in zip(weights[1:], reports):
             want = 0.5 - CURVE_B(evaluate_field(lm, ld, prev.T_minus, mids))
             np.testing.assert_allclose(w, want, rtol=1e-13, atol=1e-15)
@@ -256,24 +256,6 @@ class TestPicardTwoLevel:
             assert all(x is y for x, y in zip(arrays, handed[0]))
             assert not any(x.flags.writeable for x in arrays)
         assert len(located) == locations
-
-    def test_damping_reaches_same_fixed_point(self):
-        nl_full = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-10)
-        nl_damped = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-10,
-                                    damping=0.5)
-        a = picard_two_level(GEOM, 1 / 160, 1 / 320, 1,
-                             MaterialCurve.constant(1.0), CURVE_B, nl_full)
-        b = picard_two_level(GEOM, 1 / 160, 1 / 320, 1,
-                             MaterialCurve.constant(1.0), CURVE_B, nl_damped)
-        assert b.picard_iterations >= a.picard_iterations
-        np.testing.assert_allclose(b.T_plus, a.T_plus, rtol=1e-6)
-
-    @pytest.mark.parametrize("damping", [0.0, -0.5, float("nan")])
-    def test_nonpositive_damping_rejected(self, damping):
-        # at damping = 0 the first step leaves the start iterate in place,
-        # a change of 0 that would read as convergence at the wall value
-        with pytest.raises(ValueError, match="damping"):
-            NonlinearConfig(damping=damping)
 
     @pytest.mark.parametrize("field,value", [
         ("picard_tol", 0.0), ("picard_tol", float("nan")),
