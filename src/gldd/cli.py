@@ -47,8 +47,11 @@ def _float_list(text: str):
 
 
 def _range_spec(text: str):
-    """lo:hi:n geometric grid, e.g. '0.5:8:7'."""
+    """lo:hi:n geometric grid of n >= 1 points, e.g. '0.5:8:7'; a
+    ValueError, a usage error to argparse, for anything else."""
     lo, hi, n = text.split(":")
+    if int(n) < 1:
+        raise ValueError(f"a grid of {n} points is empty")
     return np.geomspace(float(lo), float(hi), int(n))
 
 

@@ -194,9 +194,10 @@ class _Interface:
         lam = _owner_barycentrics(local_mesh, facets, owners,
                                   rule.points).reshape(-1, dim + 1)
         cells = np.repeat(owners, nq)
+        _, bary_grads, shape = cell_geometry(local_mesh)
         grads = np.einsum("pna,pad->pnd",
                           shape_bary_grads(dim, local_dofmap.m, lam),
-                          cell_geometry(local_mesh)[1][cells])
+                          bary_grads[shape[cells]])
         normals = local_mesh.facet_normal(facets, owners)
         dn = np.einsum("pnd,pd->pn", grads, np.repeat(normals, nq, axis=0))
         n = local_dofmap.n_dofs

@@ -85,8 +85,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # checked before any work: the seed rule first, so that a bad seed
-        # is told the whole rule, then the type of every field; a list is
-        # held as a tuple
+        # is told the whole rule, then the type of every field (a list is
+        # held as a tuple), the spacing ratios, and last the values of the
+        # derived objects, built here once
         check_seed(self.seed)
         for f in fields(self):
             kind, fits = _KINDS[f.type]
@@ -95,21 +96,34 @@ class ExperimentConfig:
                 raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
             if isinstance(value, list):
                 object.__setattr__(self, f.name, tuple(value))
+        for i, r in enumerate(self.mesh_ratios):
+            if not r > 0:
+                raise InvalidConfig(f"spacing ratio {r} is not positive")
+            if r in self.mesh_ratios[:i]:
+                raise InvalidConfig(f"spacing ratio {r} is repeated")
+        derived = {
+            "_geometry": GeometryConfig(dim=self.dim, L=self.L, H=self.H,
+                                        W=self.W, H_minus=self.H_minus),
+            "_problem": ProblemData(T_D=self.T_0),
+            "_dd": DDConfig(theta=self.theta, tol=self.tol,
+                            max_iters=self.max_iters,
+                            solver=SolverConfig(
+                                method=self.solver_method,
+                                preconditioner=self.preconditioner))}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def geometry(self) -> GeometryConfig:
-        return GeometryConfig(dim=self.dim, L=self.L, H=self.H, W=self.W,
-                              H_minus=self.H_minus)
+        return self._geometry
 
     def problem(self) -> ProblemData:
-        return ProblemData(T_D=self.T_0)
+        return self._problem
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(method=self.solver_method,
-                            preconditioner=self.preconditioner)
+        return self._dd.solver
 
     def dd(self) -> DDConfig:
-        return DDConfig(theta=self.theta, tol=self.tol,
-                        max_iters=self.max_iters, solver=self.solver())
+        return self._dd
 
     def operators(self):
         """The point's coupled operators, freshly built on every call."""
@@ -234,9 +248,7 @@ def sweep_kappa(cfg: ExperimentConfig):
 
 
 def _at_spacing_ratio(cfg, r):
-    """cfg with the strip spacing h+ / r."""
-    if not r > 0:
-        raise InvalidConfig(f"spacing ratio {r} is not positive")
+    """cfg with the strip spacing h+ / r, r one of its spacing ratios."""
     return replace(cfg, h_minus=cfg.h_plus / r)
 
 

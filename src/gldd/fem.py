@@ -1,14 +1,14 @@
 """Lagrange finite elements of degree 1 and 2 on simplicial meshes.
 
-Cell terms are computed for all cells at once from the stacked geometry
-of ``mesh.cell_geometry`` (stacked passes over the quadrature points for
-the stiffness, one source call on every quadrature point for the load),
-and facet terms for all facets at once, from one ``_facet_terms``.  The
-top flux is one composite rule; it calls the flux once per chunk of
-whole facets of at most ``_FLUX_CHUNK`` points, and only on the top
-facets within the flux's ``support`` when it has one (the laser flux of
-``coupling.ProblemData`` does; a user callable without one is called on
-every top facet).  A ``ScaledLoad`` keeps both
+Cell terms are computed for all cells at once from the per-shape
+geometry of ``mesh.cell_geometry``, gathered by cell shape (one unit
+stiffness per shape, one source call on every quadrature point for the
+load), and facet terms for all facets at once, from one
+``_facet_terms``.  The top flux is one composite rule; it calls the flux
+once per chunk of whole facets of at most ``_FLUX_CHUNK`` points, and
+only on the top facets within the flux's ``support`` when it has one
+(the laser flux of ``coupling.ProblemData`` does; a user callable
+without one is called on every top facet).  A ``ScaledLoad`` keeps both
 quadratures with the source values and footprint points, and the flux
 values and nonzero points of each chunk, so a load scaled again and again
 (a Picard step's) costs one scale call and one stacked product per kept
@@ -314,45 +314,20 @@ class _CsrPattern:
 
 
 def _stiffness_pattern(mesh, dofmap):
-    """The unit stiffness of every cell (kappa = 1, |det J| left out) in
-    its CSR pattern, kept on the dof map for the mesh."""
+    """The unit stiffness of every cell (kappa = 1, |det J| left out), one
+    per cell shape gathered to its cells, in its CSR pattern, kept on the
+    dof map for the mesh."""
     def build():
         rule = volume_rule(mesh.dim, dofmap.m)
         dlam = shape_bary_grads(mesh.dim, dofmap.m, rule.points)
-        units = _unit_stiffness(dlam, cell_geometry(mesh)[1], rule.weights)
+        _, grads, shape = cell_geometry(mesh)
+        g = np.einsum("qna,sad->sqnd", dlam, grads)
+        units = np.einsum("q,sqnd,sqmd->snm", rule.weights, g, g)[shape]
         dofs = dofmap.cell_dofs
         return _CsrPattern(units, dofs[:, :, None], dofs[:, None, :],
                            (dofmap.n_dofs, dofmap.n_dofs))
 
     return memoised(dofmap, "_stiffness", (mesh,), build)
-
-
-def _unit_stiffness(dlam, bary_grads, weights):
-    """sum_q w_q g_q g_q^T per cell, with g = dlam . bary_grads the shape
-    gradients (c, q, n, d).
-
-    The passes sum in the order of numpy's einsum loop for
-    einsum("qna,cad->cqnd") and einsum("q,cqnd,cqmd->cnm"): over a in turn,
-    then per q the products (w_q g_n) g_m summed over d before they are
-    added to the cell matrix, so the result is bitwise einsum's.
-    """
-    nq, nl, nb = dlam.shape
-    dim = bary_grads.shape[2]
-    g = dlam[None, :, :, 0, None] * bary_grads[:, None, None, 0, :]
-    for a in range(1, nb):
-        g += dlam[None, :, :, a, None] * bary_grads[:, None, None, a, :]
-    units = np.zeros((len(bary_grads), nl, nl))
-    acc = np.empty_like(units)
-    term = np.empty_like(units)
-    for q in range(nq):
-        gq = g[:, q]
-        np.multiply(weights[q] * gq[:, :, None, 0], gq[:, None, :, 0], out=acc)
-        for d in range(1, dim):
-            np.multiply(weights[q] * gq[:, :, None, d], gq[:, None, :, d],
-                        out=term)
-            acc += term
-        units += acc
-    return units
 
 
 def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_matrix:
@@ -365,8 +340,8 @@ def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_ma
     if not np.all((kappa > 0) & np.isfinite(kappa)):
         raise NonpositiveCoefficient("kappa must be positive and finite")
     # weights sum to the reference measure, so |detJ| is the whole Jacobian
-    return _stiffness_pattern(mesh, dofmap).matrix(
-        kappa * cell_geometry(mesh)[0])
+    adet, _, shape = cell_geometry(mesh)
+    return _stiffness_pattern(mesh, dofmap).matrix(kappa * adet[shape])
 
 
 def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
@@ -508,7 +483,8 @@ def _add_volume(b, mesh, dofmap, fq):
     """Add the volume source to b from its values fq (nc, nq) there."""
     rule = volume_rule(mesh.dim, dofmap.m)
     vvals = shape_values(mesh.dim, dofmap.m, rule.points)
-    np.add.at(b, dofmap.cell_dofs, cell_geometry(mesh)[0][:, None]
+    adet, _, shape = cell_geometry(mesh)
+    np.add.at(b, dofmap.cell_dofs, adet[shape][:, None]
               * np.einsum("q,cq,qn->cn", rule.weights, fq, vvals))
 
 
@@ -746,11 +722,11 @@ def l2_error(mesh, dofmap, coeffs, exact):
     """L2 distance between a finite element field and a callable."""
     rule = volume_rule(mesh.dim, 2)  # generous rule, degree >= 4
     vvals = shape_values(mesh.dim, dofmap.m, rule.points)
-    adet, _ = cell_geometry(mesh)
+    adet, _, shape = cell_geometry(mesh)
     uh = coeffs[dofmap.cell_dofs] @ vvals.T
     diff = uh - np.asarray(exact(rule.points @ mesh.vertices[mesh.cells]),
                            dtype=float)
-    return np.sqrt(float(adet @ (diff**2 @ rule.weights)))
+    return np.sqrt(float(adet[shape] @ (diff**2 @ rule.weights)))
 
 
 def export_matrix(A, path):

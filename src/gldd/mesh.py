@@ -19,8 +19,10 @@ Construction and geometry work on all cells or facets in stacked passes,
 with no per-cell loop: the cell array, the boundary facets and their
 tags, ``cell_geometry`` (|det J| and barycentric gradients, the single
 source of cell geometry for assembly and for point location, computed
-once per mesh), ``facet_measure`` and ``facet_normal``.  Faces and edges
-are matched through ``face_keys``, one int64 per sorted vertex tuple.
+once per mesh and per cell shape: a grid's dim! shapes repeat in every
+block, a general mesh has one per cell), ``facet_measure`` and
+``facet_normal``.  Faces and edges are matched through ``face_keys``,
+one int64 per sorted vertex tuple.
 """
 
 from __future__ import annotations
@@ -167,6 +169,11 @@ class SimplicialMesh:
         return self.cells.shape[0]
 
     @property
+    def num_shapes(self):
+        """Cell c has shape c % num_shapes; a general mesh repeats none."""
+        return self.num_cells
+
+    @property
     def boundary_facets(self):
         return [(tuple(f), FacetTag(t))
                 for f, t in zip(self.facet_vertices, self.facet_tags)]
@@ -230,22 +237,24 @@ def memoised(owner, name, key, build=None):
 
 
 def cell_geometry(mesh: SimplicialMesh):
-    """|det J| and barycentric gradients of every cell, in one stacked pass.
+    """|det J| and barycentric gradients per cell shape, in one stacked pass.
 
-    Returns abs_det (nc,) and bary_grads (nc, dim+1, dim), whose row a is
-    the gradient of lambda_a.  abs_det is dim! times the cell volume.  The
-    mesh arrays are read-only, so the result is computed once per mesh and
-    returned read-only.
+    Returns abs_det (ns,) and bary_grads (ns, dim+1, dim) of the first
+    ns = mesh.num_shapes cells, whose row a is the gradient of lambda_a,
+    and shape (nc,), the shape c % ns of each cell c, which indexes them.
+    abs_det is dim! times the cell volume.  The mesh arrays are read-only,
+    so the result is computed once per mesh and returned read-only.
     """
     return memoised(mesh, "_cell_geometry", (), lambda: _cell_geometry(mesh))
 
 
 def _cell_geometry(mesh):
-    pts = mesh.vertices[mesh.cells]
+    pts = mesh.vertices[mesh.cells[:mesh.num_shapes]]
     J = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
     Jinv = np.linalg.inv(J)
     grads = np.concatenate([-Jinv.sum(axis=1, keepdims=True), Jinv], axis=1)
-    out = (np.abs(np.linalg.det(J)), grads)
+    out = (np.abs(np.linalg.det(J)), grads,
+           np.arange(mesh.num_cells) % mesh.num_shapes)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -283,7 +292,9 @@ class StructuredMesh(SimplicialMesh):
         return (base[:, None, None]
                 + offsets[_BLOCK_SIMPLICES[dim]]).reshape(-1, dim + 1)
 
-    def cells_per_block(self):
+    @property
+    def num_shapes(self):
+        """dim!: the simplices of a block, the same in every block."""
         return len(_BLOCK_SIMPLICES[self.dim])
 
 
@@ -428,10 +439,12 @@ def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
     block below.  Its cell in the block is the first axis order, in
     itertools.permutations order, along which the in-block coordinates
     s - block do not rise by more than the slack.  Both choices give the
-    lowest cell that holds the point, and the barycentrics follow from the
-    cell's inverse reference map in ``cell_geometry``.  A point within
-    rounding of a slack edge, where s and the barycentrics may disagree,
-    is scanned instead.  Other meshes are scanned cell by cell.
+    lowest cell that holds the point.  That axis order is also the cell's
+    shape, and the barycentrics follow from the shape's inverse reference
+    map in ``cell_geometry``, applied to the point's offset from the
+    cell's first vertex.  A point within rounding of a slack edge, where s
+    and the barycentrics may disagree, is scanned instead.  Other meshes
+    are scanned cell by cell, each cell with its shape's map.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
@@ -465,9 +478,9 @@ def _locate_structured(mesh, pts):
     shape = (rises[:, orders[:, :-1], orders[:, 1:]] > 0).any(axis=2).argmin(
         axis=1)
     strides = np.cumprod((1,) + mesh.ncells_axis[:-1])
-    cells = (block.astype(np.int64) @ strides) * mesh.cells_per_block() + shape
+    cells = (block.astype(np.int64) @ strides) * mesh.num_shapes + shape
     dx = x - mesh.vertices[mesh.cells[cells, 0]]
-    lam_rest = (cell_geometry(mesh)[1][cells, 1:] @ dx[..., None])[..., 0]
+    lam_rest = (cell_geometry(mesh)[1][shape, 1:] @ dx[..., None])[..., 0]
     lam = np.concatenate([1.0 - lam_rest.sum(axis=1, keepdims=True), lam_rest],
                          axis=1)
     # s and the barycentrics round apart by a few ulps of s, so a point that
@@ -484,7 +497,8 @@ def _locate_scan(mesh, pts):
     # one point at a time, each tested against every cell at once
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
-    inv = cell_geometry(mesh)[1][:, 1:]
+    _, grads, shape = cell_geometry(mesh)
+    inv = grads[shape, 1:]
     v0 = mesh.vertices[mesh.cells[:, 0]]
     cells = np.empty(len(pts), dtype=np.int64)
     lam = np.empty((len(pts), mesh.dim + 1))

@@ -571,7 +571,8 @@ class TestGeometryReuse:
 def coo_stiffness(mesh, dofmap, kappa_cells):
     """The stiffness summed by scipy's COO-to-CSR conversion."""
     units = fem_module._stiffness_pattern(mesh, dofmap).units
-    vals = (kappa_cells * cell_geometry(mesh)[0])[:, None, None] * units
+    adet, _, shape = cell_geometry(mesh)
+    vals = (kappa_cells * adet[shape])[:, None, None] * units
     dofs = dofmap.cell_dofs
     rows = np.broadcast_to(dofs[:, :, None], vals.shape).ravel()
     cols = np.broadcast_to(dofs[:, None, :], vals.shape).ravel()

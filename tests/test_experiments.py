@@ -77,7 +77,9 @@ def stalling_solver(monkeypatch):
     solve of the first sweeps at the default case; the radius stays exact,
     as it takes direct solves of its own."""
     cg = SolverConfig(method="cg", max_iters=40)
-    monkeypatch.setattr(ExperimentConfig, "solver", lambda self: cg)
+    dd = ExperimentConfig.dd
+    monkeypatch.setattr(ExperimentConfig, "dd",
+                        lambda self: replace(dd(self), solver=cg))
     return cg
 
 
@@ -179,6 +181,16 @@ class TestConfig:
         assert replace(cfg, theta=0.4).dd().theta == 0.4
         assert cfg.dd().tol == 1e-6
         assert cfg.solver().method == "cg"
+        # built once, with the config
+        assert cfg.geometry() is cfg.geometry()
+        assert cfg.dd() is cfg.dd() and cfg.solver() is cfg.dd().solver
+
+    @pytest.mark.parametrize("ratios,bad", [
+        ((0, 2, 4), "0 is not positive"), ((2, 4, -8), "-8 is not positive"),
+        ((2, 2, 2), "2 is repeated"), ((2, 4, 2), "2 is repeated")])
+    def test_spacing_ratios_checked_when_built(self, ratios, bad):
+        with pytest.raises(InvalidConfig, match=f"spacing ratio {bad}"):
+            ExperimentConfig(mesh_ratios=ratios)
 
 
 class TestRunCase:
@@ -214,7 +226,9 @@ class TestRunCase:
         # a direct solve reads no tolerance or preconditioner, so the sweep
         # under a DDConfig with any direct solver reuses the radius's pair
         default, _ = run_case(ExperimentConfig())
-        monkeypatch.setattr(ExperimentConfig, "solver", lambda self: solver)
+        dd = ExperimentConfig.dd
+        monkeypatch.setattr(ExperimentConfig, "dd",
+                            lambda self: replace(dd(self), solver=solver))
         calls = count_factorizations(monkeypatch)
         rec, _ = run_case(ExperimentConfig())
         assert len(calls) == 2
@@ -666,7 +680,11 @@ class TestCli:
          "not a finite multiple"),
         (["solve", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"T_0": float("nan")})},
-         "T_D must be finite")],
+         "T_D must be finite"),
+        (["sweep-mesh", "--mesh-ratios", "2,2,2", "--kappa-list",
+          "0.5,0.25,0.125"], {}, "spacing ratio 2 is repeated"),
+        (["nonlinear", "--sweep-kappa-plus-b", "0.3:0.8:0"], {},
+         "sweep-kappa-plus-b")],
         ids=["zero-spacing", "zero-denominator", "zero-theta",
              "strip-too-thick", "unknown-key", "curve-not-a-number",
              "config-missing", "config-not-an-object", "kappa-minus-nan",
@@ -681,7 +699,8 @@ class TestCli:
              "wall-temperature-a-string", "kappa-list-holds-a-string",
              "outdir-a-number", "theta-a-bool", "kappa-minus-a-list",
              "length-nan", "width-nan-3d", "extent-over-spacing-overflows",
-             "wall-temperature-nan"])
+             "wall-temperature-nan", "sweep-mesh-repeated-ratio",
+             "kappa-plus-b-grid-empty"])
     def test_invalid_input_exits_2(self, argv, files, named, tmp_path,
                                    capsys, monkeypatch):
         # an input the package rejects is a usage error, not a traceback,
@@ -697,6 +716,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error: ") == 1 and "Traceback" not in err
         assert named is None or named in err
+
+    @pytest.mark.parametrize("values", [
+        {"L": float("nan")}, {"dim": 4}, {"H_minus": 1.0}, {"T_0": float("inf")},
+        {"theta": -1}, {"tol": 0}, {"max_iters": 0}, {"solver_method": "lu"},
+        {"preconditioner": "ilu"}, {"mesh_ratios": [2, 4, 4]}],
+        ids=lambda values: next(iter(values)))
+    def test_config_values_checked_when_built(self, values, tmp_path,
+                                              monkeypatch, capsys):
+        # every value a derived object rejects fails as the config is
+        # built, naming its file, before any operator is assembled
+        calls = []
+        monkeypatch.setattr(experiments, "setup_case",
+                            lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1
+        assert f"error: config file {path}: " in err
 
     def test_seed_checked_before_any_work(self, monkeypatch, capsys):
         calls = []

@@ -351,10 +351,14 @@ class TestStiffness:
             dof = build_dofmap(mesh, m)
             kappa = 0.5 + np.random.default_rng(dim * m).random(mesh.num_cells)
             K = assemble_stiffness(mesh, dof, kappa)
-            ref = _reference_stiffness(mesh, dof, kappa)
+            # bitwise with each cell's shape taken from its representative,
+            # to 1e-14 of the largest entry with its own vertices
+            ref = _reference_stiffness(mesh, dof, kappa, by_shape=True)
             np.testing.assert_array_equal(K.indptr, ref.indptr)
             np.testing.assert_array_equal(K.indices, ref.indices)
             np.testing.assert_array_equal(K.data, ref.data)
+            own = _reference_stiffness(mesh, dof, kappa)
+            assert abs(K - own).max() <= 1e-14 * abs(own).max()
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_graded_mesh_matches_per_cell_assembly(self, m):
@@ -467,13 +471,15 @@ class TestBoundaryMass:
         assert (M != flipped).nnz == 0
 
 
-def _reference_stiffness(mesh, dof, kappa):
-    """Cell-by-cell assembly with one det and inv per cell."""
+def _reference_stiffness(mesh, dof, kappa, by_shape=False):
+    """Cell-by-cell assembly with one det and inv per cell, of the cell's
+    own vertices or, by_shape, of its shape's representative's."""
     rule = volume_rule(mesh.dim, dof.m)
     dlam = shape_bary_grads(mesh.dim, dof.m, rule.points)
     rows, cols, vals = [], [], []
     for c in range(mesh.num_cells):
-        pts = mesh.vertices[mesh.cells[c]]
+        pts = mesh.vertices[mesh.cells[c % mesh.num_shapes if by_shape
+                                       else c]]
         J = (pts[1:] - pts[0]).T
         Jinv = np.linalg.inv(J)
         bgrads = np.vstack([-Jinv.sum(axis=0), Jinv])
@@ -812,8 +818,10 @@ class TestDirichlet:
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_volume_terms_match_per_cell_loop(dim, m):
-    """The batched load is bitwise the cell-by-cell sum; the L2 error sums
-    in another order, so it matches to a few rounding errors."""
+    """The batched load is bitwise the cell-by-cell sum with each cell's
+    |det J| from its shape's representative, and within 1e-14 of the
+    largest entry with |det J| from its own vertices; the L2 error sums in
+    another order, so it matches either to a few rounding errors."""
     geom = GeometryConfig(dim=dim)
     mesh = build_global_mesh(geom, 1 / 160)
     dof = build_dofmap(mesh, m)
@@ -823,18 +831,29 @@ def test_volume_terms_match_per_cell_loop(dim, m):
     vrule, erule = volume_rule(dim, m), volume_rule(dim, 2)
     vvals = shape_values(dim, m, vrule.points)
     evals = shape_values(dim, m, erule.points)
-    ref_b = np.zeros(dof.n_dofs)
-    total = 0.0
+    ref_b, own_b = np.zeros(dof.n_dofs), np.zeros(dof.n_dofs)
+    total = own_total = 0.0
+
+    def adet(c):
+        pts = mesh.vertices[mesh.cells[c]]
+        return abs(np.linalg.det((pts[1:] - pts[0]).T))
+
     for c in range(mesh.num_cells):
         pts = mesh.vertices[mesh.cells[c]]
-        adet = abs(np.linalg.det((pts[1:] - pts[0]).T))
-        np.add.at(ref_b, dof.cell_dofs[c], adet * np.einsum(
-            "q,q,qn->n", vrule.weights, f(vrule.points @ pts), vvals))
+        local = np.einsum("q,q,qn->n", vrule.weights, f(vrule.points @ pts),
+                          vvals)
         diff = evals @ coeffs[dof.cell_dofs[c]] - f(erule.points @ pts)
-        total += adet * float(erule.weights @ diff ** 2)
+        err = float(erule.weights @ diff ** 2)
+        shape_det, own_det = adet(c % mesh.num_shapes), adet(c)
+        np.add.at(ref_b, dof.cell_dofs[c], shape_det * local)
+        np.add.at(own_b, dof.cell_dofs[c], own_det * local)
+        total += shape_det * err
+        own_total += own_det * err
     np.testing.assert_array_equal(b, ref_b)
-    assert l2_error(mesh, dof, coeffs, f) == pytest.approx(np.sqrt(total),
-                                                           rel=1e-14)
+    assert np.abs(b - own_b).max() <= 1e-14 * np.abs(own_b).max()
+    error = l2_error(mesh, dof, coeffs, f)
+    assert error == pytest.approx(np.sqrt(total), rel=1e-14)
+    assert error == pytest.approx(np.sqrt(own_total), rel=1e-14)
 
 
 class TestManufactured:

@@ -375,6 +375,62 @@ def test_strip_floor_detector():
         (PACKAGE / "mesh.py").read_text())] == ["GeometryConfig"]
 
 
+# the cell Jacobians: mesh._cell_geometry inverts them and takes their
+# determinants, once per cell shape, for every reader; the one other
+# determinant is the orientation test of a block's Kuhn simplices
+JACOBIAN_OWNERS = {("mesh.py", "_cell_geometry"): {"inv", "det"},
+                   ("mesh.py", "_block_simplices"): {"det"}}
+
+
+def linalg_calls(source):
+    """(line, owner, name) of every call of numpy's linalg inv or det in a
+    module, as np.linalg.inv(...) or as a bare inv(...), owner the
+    top-level def or class it sits in (None at module level)."""
+    def called(func):
+        if isinstance(func, ast.Attribute) and \
+                getattr(func.value, "attr", None) == "linalg":
+            return func.attr
+        return getattr(func, "id", None)
+
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        found += [(sub.lineno, owner, called(sub.func))
+                  for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                  and called(sub.func) in ("inv", "det")]
+    return sorted(found)
+
+
+def test_cell_jacobians_only_in_cell_geometry():
+    assert [(path.name, line, owner, name)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for line, owner, name in linalg_calls(path.read_text())
+            if name not in JACOBIAN_OWNERS.get((path.name, owner), set())] \
+        == []
+
+
+def test_cell_jacobian_detector():
+    # the per-cell inverse that fem._unit_stiffness and a location scan
+    # could each take again
+    source = ("def _cell_geometry(mesh):\n"
+              "    return np.linalg.inv(J), abs(np.linalg.det(J))\n"
+              "def _unit_stiffness(pts):\n"
+              "    return np.linalg.inv(pts[:, 1:] - pts[:, :1])\n"
+              "from numpy.linalg import det\n"
+              "VOLUME = det(J)\n"
+              "X = np.linalg.solve(J, b)\n"
+              "class Scan:\n"
+              "    def rest(self, J, x):\n"
+              "        return la.linalg.inv(J) @ x\n")
+    assert linalg_calls(source) == [
+        (2, "_cell_geometry", "det"), (2, "_cell_geometry", "inv"),
+        (4, "_unit_stiffness", "inv"), (6, None, "det"), (10, "Scan", "inv")]
+    assert {(owner, name) for _line, owner, name in linalg_calls(
+        (PACKAGE / "mesh.py").read_text())} == {
+        ("_cell_geometry", "inv"), ("_cell_geometry", "det"),
+        ("_block_simplices", "det")}
+
+
 # a study point is one ExperimentConfig: a function that takes the config
 # reads every parameter of the point from it, so none of its other
 # parameters is named after a config field

@@ -21,7 +21,8 @@ GEOM3 = GeometryConfig(dim=3)
 
 
 def cell_volumes(mesh):
-    return cell_geometry(mesh)[0] / math.factorial(mesh.dim)
+    adet, _, shape = cell_geometry(mesh)
+    return adet[shape] / math.factorial(mesh.dim)
 
 
 def tag_counts(mesh):
@@ -170,17 +171,29 @@ GEOMETRY_MESHES = {
 @pytest.mark.parametrize("name", list(GEOMETRY_MESHES))
 class TestBatchedGeometry:
     def test_cell_geometry_matches_per_cell(self, name):
+        # shape s is bitwise its representative, cell s; every cell's own
+        # vertices give its shape's geometry to 1e-12 relative.  A grid has
+        # dim! shapes, the graded mesh one per cell, so all bitwise
         mesh = GEOMETRY_MESHES[name]()
-        adet, grads = cell_geometry(mesh)
-        assert adet.shape == (mesh.num_cells,)
-        assert grads.shape == (mesh.num_cells, mesh.dim + 1, mesh.dim)
+        adet, grads, shape = cell_geometry(mesh)
+        ns = mesh.num_shapes
+        assert ns == (mesh.num_cells if name.startswith("graded")
+                      else math.factorial(mesh.dim))
+        assert adet.shape == (ns,)
+        assert grads.shape == (ns, mesh.dim + 1, mesh.dim)
+        np.testing.assert_array_equal(shape, np.arange(mesh.num_cells) % ns)
         for c in range(mesh.num_cells):
             pts = mesh.vertices[mesh.cells[c]]
             J = (pts[1:] - pts[0]).T
             Jinv = np.linalg.inv(J)
-            assert adet[c] == abs(np.linalg.det(J))
-            np.testing.assert_array_equal(grads[c, 1:], Jinv)
-            np.testing.assert_array_equal(grads[c, 0], -Jinv.sum(axis=0))
+            s = shape[c]
+            if c == s:
+                assert adet[s] == abs(np.linalg.det(J))
+                np.testing.assert_array_equal(grads[s, 1:], Jinv)
+                np.testing.assert_array_equal(grads[s, 0], -Jinv.sum(axis=0))
+            assert abs(adet[s] - abs(np.linalg.det(J))) <= 1e-12 * adet[s]
+            assert np.abs(grads[s, 1:] - Jinv).max() <= \
+                1e-12 * np.abs(Jinv).max()
 
     def test_boundary_facets_match_dict_extraction(self, name):
         mesh = GEOMETRY_MESHES[name]()
@@ -203,6 +216,36 @@ class TestBatchedGeometry:
         assert batch.shape == (len(mesh.facet_vertices),)
         for f, m in zip(mesh.facet_vertices, batch):
             assert mesh.facet_measure(tuple(f)) == m
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_structured_cells_share_their_shape_geometry(data):
+    # a grid of n blocks per axis at a spacing h that divides the extents,
+    # placed off the origin as the strip is
+    dim = data.draw(st.sampled_from([2, 3]), label="dim")
+    n = np.array(data.draw(st.lists(st.integers(1, 6 if dim == 2 else 4),
+                                    min_size=dim, max_size=dim), label="n"))
+    h = 1.0 / data.draw(st.integers(40, 6000), label="1/h")
+    origin = np.array(data.draw(st.lists(st.floats(1e-3, 0.05), min_size=dim,
+                                         max_size=dim), label="origin"))
+    mesh = mesh_module.StructuredMesh(
+        origin, n * h, h, mesh_module._wall_tags(origin[-1] + n[-1] * h))
+    assert mesh.num_shapes * n.prod() == mesh.num_cells
+    assert mesh.num_shapes == math.factorial(dim)
+    _, grads, shape = cell_geometry(mesh)
+    pts = mesh.vertices[mesh.cells]
+    own = np.linalg.inv(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))
+    gap = np.abs(own - grads[shape, 1:]).max(axis=(1, 2))
+    assert (gap <= 1e-12 * np.abs(own).max(axis=(1, 2))).all()
+    unit = np.array(data.draw(st.lists(
+        st.lists(st.floats(0, 1), min_size=dim, max_size=dim),
+        min_size=1, max_size=20), label="points"))
+    x = origin + unit * mesh.extents
+    loc = locate_point(mesh, x)
+    rebuilt = (mesh.vertices[mesh.cells[loc.cell]]
+               * loc.barycentric[..., None]).sum(axis=1)
+    assert np.abs(rebuilt - x).max() <= 1e-12 * h
 
 
 def test_face_keys():
@@ -396,12 +439,12 @@ def _reference_locate(mesh, x):
     strides = np.cumprod((1,) + mesh.ncells_axis[:-1])
     blocks = sorted(int(np.dot(idx, strides))
                     for idx in itertools.product(*axes))
-    nshapes = mesh.cells_per_block()
+    nshapes = mesh.num_shapes
     for b in blocks:
         for t in range(nshapes):
             cell = b * nshapes + t
             v0 = mesh.vertices[mesh.cells[cell, 0]]
-            rest = cell_geometry(mesh)[1][cell, 1:] @ (x - v0)
+            rest = cell_geometry(mesh)[1][t, 1:] @ (x - v0)
             lam = np.concatenate([[1.0 - rest.sum()], rest])
             if np.all(lam >= -1e-12):
                 return cell, lam
