@@ -25,10 +25,22 @@ points (fem.ScaledLoad).  A new set of coefficients on the same
 objects (another strip conductivity, or a Picard step's per-cell
 conductivities, jump weights and penalty) then costs one weighted
 bincount per block, written into that block's one matrix in place (the
-strip block's penalty alpha * M_gamma through the kept gamma mass), the
-box load outside + ratio * inside (a Picard flux scale instead re-weights
-the kept source and flux values, with one scale call per kept point
-array, the same arrays at every step) and one factorization per block.
+strip block's penalty alpha * M_gamma through the kept gamma mass) and
+the box load outside + ratio * inside (a Picard flux scale instead
+re-weights the kept source and flux values, with one scale call per kept
+point array, the same arrays at every step).
+
+The factorizations follow the coefficients.  At the default penalty,
+alpha = 1e6 kappa_minus / h_minus, a build whose coefficients are all
+scalar is a multiple of one unit pair of its mesh pair (_UnitPair, the
+blocks at kappa = 1 and penalty ratio r = alpha / kappa_minus): the
+block solves scale the right-hand side, and the iteration operator is
+(1 - kappa_minus / kappa_plus) times the unit one.  So the unit box
+factorization is kept per box dof map, the unit strip factorization and
+unit interface block per mesh pair and r, and every scalar build on them
+(a coefficient sweep, a set-up, a relaxation study) factors nothing; an
+explicit penalty gets the unit pair of its own r.  A per-cell build (a
+Picard step) factors its own two blocks.
 """
 
 from __future__ import annotations
@@ -47,15 +59,19 @@ from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
                   _facet_terms, _stiffness_pattern, _zero, assemble_load,
                   assemble_stiffness, facet_rule, laser_flux,
                   shape_bary_grads, shape_values)
-from .linalg import InterfaceBlock, LinearSolver, SolverConfig
+from .linalg import (InterfaceBlock, LinearSolver, ScaledSolver,
+                     SolverConfig)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
 
 
 def default_alpha(kappa_minus, h_minus):
-    """Penalty weight: large enough that the trace error is negligible,
-    scaled with the coefficient and the strip resolution."""
-    return 1e6 * max(1.0, float(np.max(kappa_minus))) / h_minus
+    """Penalty weight 1e6 * kappa_minus / h_minus, at the largest value of
+    a per-cell kappa_minus: large enough that the trace error is
+    negligible, and proportional to the strip coefficient, so that a
+    scalar build's K_minus and D are kappa_minus times those of its unit
+    pair (_UnitPair)."""
+    return 1e6 * float(np.max(kappa_minus)) / h_minus
 
 
 @dataclass(frozen=True)
@@ -122,27 +138,52 @@ class CoupledOperators:
         return self.K_minus.shape[0]
 
     def solvers(self, config: SolverConfig):
-        """The (plus, minus) LinearSolver pair on K_plus and K_minus for
-        config, made once and kept while both blocks are the same objects,
-        so the sweep, the radius, M and the partial sums on these
-        operators share one factorization per block.  A direct solve reads
-        no rel_tol, max_iters or preconditioner, so every direct config
-        gets the pair of SolverConfig()."""
+        """The (plus, minus) solver pair on K_plus and K_minus for config,
+        made once and kept while both blocks are the same objects, so the
+        sweep, the radius, M and the partial sums on these operators share
+        one factorization per block.  A direct solve reads no rel_tol,
+        max_iters or preconditioner, so every direct config gets the pair
+        of SolverConfig().  On a scalar build whose four blocks are the
+        ones built, that pair is the unit pair of its mesh pair scaled by
+        kappa_plus and kappa_minus (ScaledSolver), so every scalar build on
+        one mesh pair and penalty ratio solves on one factorization per
+        block; any other pair is factored here."""
         if config.method == "direct":
             config = SolverConfig()
         pairs = memoised(self, "_solvers", (self.K_plus, self.K_minus), dict)
         if config not in pairs:
-            pairs[config] = (LinearSolver(self.K_plus, config),
-                             LinearSolver(self.K_minus, config))
+            scales = self._scales()
+            if scales is not None and config.method == "direct":
+                pairs[config] = scales[0].solvers(*scales[1:])
+            else:
+                pairs[config] = (LinearSolver(self.K_plus, config),
+                                 LinearSolver(self.K_minus, config))
         return pairs[config]
 
     def interface(self):
         """The InterfaceBlock on the direct pair solvers(SolverConfig()),
         made once and kept while all four blocks are the same objects.  A
-        direct sweep on these operators runs on it once it is kept."""
+        direct sweep on these operators runs on it once it is kept.  On a
+        scalar build it is the unit block of its mesh pair times
+        1 - kappa_minus / kappa_plus, Y and lam alike; the unit block is
+        made on the first call for a mesh pair and penalty ratio."""
+        scales = self._scales()
+        if scales is not None:
+            unit, kappa_plus, kappa_minus = scales
+            # the jump as S has it, exact where kappa_minus nears kappa_plus
+            return self._kept_interface(lambda: unit.block().scaled(
+                (kappa_plus - kappa_minus) / kappa_plus))
         plus, minus = self.solvers(SolverConfig())
         return self._kept_interface(
             lambda: InterfaceBlock(plus, self.S, minus, self.D))
+
+    def _scales(self, scales=None):
+        """(unit pair, kappa_plus, kappa_minus) of a scalar build, kept by
+        the builder while all four blocks are the ones it built; None for
+        any other operators."""
+        return memoised(self, "_unit_scales",
+                        (self.K_plus, self.K_minus, self.S, self.D),
+                        None if scales is None else lambda: scales)
 
     def _kept_interface(self, build=None):
         """The interface block kept for the current blocks, made by build()
@@ -166,7 +207,8 @@ class _Interface:
     scales scale (nf,), trace basis lvals (nq, n)), the trace basis mid
     (n,) at the facet midpoint, the gamma quadrature weights wq (nf, nq),
     the box basis at the nf * nq points (gdofs, gvals), the unit S and D
-    patterns with one owner per point, and the gamma mass of
+    patterns with one owner per point, which jump() and penalty() weight
+    into matrices, and the gamma mass of
     fem._facet_mass with one owner per facet, with the slot of each of its
     entries in the strip stiffness pattern, which holds them all (each
     facet's dofs are its owner cell's).
@@ -224,6 +266,19 @@ class _Interface:
             keys(_stiffness_pattern(local_mesh, local_dofmap)),
             keys(self.mass))
 
+    def jump(self, weights):
+        """The S terms summed with the jump weight (nf,) of each facet,
+        zeros dropped."""
+        S = self.S.matrix((weights[:, None] * self.wq).ravel())
+        S.eliminate_zeros()
+        return S
+
+    def penalty(self, alpha):
+        """-alpha times the cross mass matrix, zeros dropped."""
+        D = self.D.matrix((-alpha * self.wq).ravel())
+        D.eliminate_zeros()
+        return D
+
 
 def _owner_barycentrics(mesh, facets, owners, points):
     """Barycentrics (nf, nq, dim+1), in the owner cells (nf,) of boundary
@@ -254,11 +309,9 @@ def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
     a mesh pair; later calls only weight and sum them.
     """
     terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
-    weight = np.full(len(terms.wq), kappa_plus - kappa_minus) \
-        if facet_weights is None else np.asarray(facet_weights, dtype=float)
-    S = terms.S.matrix((weight[:, None] * terms.wq).ravel())
-    S.eliminate_zeros()
-    return S
+    return terms.jump(np.full(len(terms.wq), kappa_plus - kappa_minus)
+                      if facet_weights is None
+                      else np.asarray(facet_weights, dtype=float))
 
 
 def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
@@ -271,10 +324,84 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
     if not (alpha >= 0 and np.isfinite(alpha)):
         raise NonpositiveCoefficient(
             f"penalty weight must be nonnegative and finite, got {alpha}")
-    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
-    D = terms.D.matrix((-alpha * terms.wq).ravel())
-    D.eliminate_zeros()
-    return D
+    return _interface(global_mesh, local_mesh, global_dofmap,
+                      local_dofmap).penalty(alpha)
+
+
+# ----------------------------------------------------------------------
+# the unit pair of a mesh pair
+# ----------------------------------------------------------------------
+
+class _UnitPair:
+    """The blocks of a mesh pair at unit coefficients and penalty ratio r,
+    of which every scalar build on the pair is a multiple.
+
+    Off the Dirichlet rows (identity rows in both), a build at scalar
+    kappa_plus, kappa_minus and alpha = r * kappa_minus has
+    K_plus = kappa_plus * A_plus, K_minus = kappa_minus * K_1 with
+    K_1 = A_minus + r M_gamma, S = (kappa_plus - kappa_minus) * S_1 and
+    D = kappa_minus * D_1, the unit blocks being the builder's at
+    kappa_plus = 1, kappa_minus = 1, alpha = r and a unit jump in S.  So
+    its block solves are the unit ones with the right-hand side scaled,
+    and its iteration operator is 1 - kappa_minus / kappa_plus times the
+    unit one.  A_plus and K_1 are the first such build's eliminated
+    blocks with the rows off the Dirichlet ones divided by its
+    coefficients; their direct solvers, A_plus's kept per box dof map,
+    factor on their first solve.  The unit interface block on them, with
+    S_1 and D_1, is made on the first call of block(), from the kept
+    interface terms.
+    """
+
+    def __init__(self, ops, kappa_plus, kappa_minus, r):
+        self.terms = _interface(ops.global_mesh, ops.local_mesh,
+                                ops.global_dofmap, ops.local_dofmap)
+        self.r = r
+        plus = _elimination(ops.global_mesh, ops.global_dofmap)
+        minus = _elimination(ops.local_mesh, ops.local_dofmap)
+        self.eliminations = (plus, minus)
+
+        def unit(K, kappa, elimination):
+            A = K.copy()
+            A.data *= np.repeat(np.where(elimination.fixed, 1.0, 1.0 / kappa),
+                                np.diff(A.indptr))
+            return LinearSolver(A)
+
+        self.plus = memoised(ops.global_dofmap, "_unit_solver",
+                             (ops.global_mesh,),
+                             lambda: unit(ops.K_plus, kappa_plus, plus))
+        self.minus = unit(ops.K_minus, kappa_minus, minus)
+        self._block = None
+
+    def solvers(self, kappa_plus, kappa_minus):
+        """The direct (plus, minus) pair of a scalar build."""
+        plus, minus = self.eliminations
+        return (ScaledSolver(self.plus, kappa_plus, plus.dofs),
+                ScaledSolver(self.minus, kappa_minus, minus.dofs))
+
+    def block(self):
+        """The unit InterfaceBlock, made on the first call; S_1 has the
+        builder's sign, -1 times the unit jump."""
+        if self._block is None:
+            plus, minus = self.eliminations
+            S = self.terms.jump(np.full(len(self.terms.wq), -1.0))
+            D = self.terms.penalty(self.r)
+            self._block = InterfaceBlock(self.plus, plus.clear_rows(S),
+                                         self.minus, minus.clear_rows(D))
+        return self._block
+
+
+def _unit_pair(ops, kappa_plus, kappa_minus, r):
+    """The _UnitPair of the mesh pair of ops, a scalar build, at penalty
+    ratio r, kept on the strip dof map for the last r asked for, compared
+    by value: a sweep at the default penalty keeps one r, one at a fixed
+    explicit penalty makes a new one per coefficient."""
+    kept = memoised(ops.local_dofmap, "_unit_pair",
+                    (ops.global_mesh, ops.local_mesh, ops.global_dofmap),
+                    dict)
+    if r not in kept:
+        kept.clear()
+        kept[r] = _UnitPair(ops, kappa_plus, kappa_minus, r)
+    return kept[r]
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +496,9 @@ def build_coupled_operators(geom: GeometryConfig,
         raise NonpositiveCoefficient(
             f"conductivities must be positive and finite, got kappa_plus = "
             f"{kappa_plus}, kappa_minus = {kappa_minus}")
+    # the penalty ratio alpha / kappa_minus of the unit pair
+    r = default_alpha(1.0, local_mesh.h) if alpha is None \
+        else alpha / kappa_minus
     if alpha is None:
         alpha = default_alpha(kappa_minus, local_mesh.h)
 
@@ -404,7 +534,7 @@ def build_coupled_operators(geom: GeometryConfig,
     K_plus, f_plus = plus.apply(K_plus, f_plus, problem.T_D)
     K_minus, f_minus = minus.apply(K_minus, f_minus, problem.T_D)
 
-    return CoupledOperators(
+    ops = CoupledOperators(
         K_plus=K_plus, K_minus=K_minus, S=S, D=D,
         f_plus=f_plus, f_minus=f_minus,
         geom=geom, global_mesh=global_mesh, local_mesh=local_mesh,
@@ -412,6 +542,11 @@ def build_coupled_operators(geom: GeometryConfig,
         T_D=problem.T_D,
         global_dirichlet=plus.dofs,
         local_dirichlet=minus.dofs)
+    if kappa_plus_cells is None and kappa_minus_cells is None and \
+            jump_facet_weights is None:
+        ops._scales((_unit_pair(ops, kappa_plus, kappa_minus, r),
+                     kappa_plus, kappa_minus))
+    return ops
 
 
 def interface_trace_gap(ops: CoupledOperators, T_plus, T_minus):

@@ -15,11 +15,17 @@ implemented and cross-checked in the tests.
 D is nonzero only on the box columns J that touch gamma, so
 T_tilde = c + M T_plus = c + Y T_plus[J], with
 c = K_plus^{-1}(f_plus - S K_minus^{-1} f_minus) and the interface block
-Y = K_plus^{-1} S K_minus^{-1} D[:, J] that the exact radius forms.  One
-rule picks the route: a direct run on operators that keep their block
-(ops.interface, which every study that records a radius has called) takes
-it, with two solves for c per run, then one n_plus x |J| product per
-sweep, and the strip solve only where T_minus is reported.  Any other run
+Y = K_plus^{-1} S K_minus^{-1} D[:, J] that the exact radius forms.  The
+block solves are ops.solvers: on a scalar build, the unit pair its mesh
+pair keeps, scaled by the coefficients, and its block the unit block
+times 1 - kappa_minus / kappa_plus (see coupling), so at the default
+penalty a run at a new strip coefficient on a mesh pair factors nothing.
+
+One rule picks the route: a direct run on operators that keep their
+block (ops.interface, which every study that records a radius has
+called) takes it, with two solves for c per run, then one n_plus x |J|
+product per sweep, and the strip solve only where T_minus is reported.
+Any other run
 (a bare set-up, each Picard step, every Krylov solver) makes the two block
 solves per sweep, since building the block costs 2|J| column solves, more
 than a few sweeps save.  M and the partial sums keep their two solves as
@@ -348,8 +354,9 @@ def setup_case(geom: GeometryConfig, h_plus, h_minus, m,
     """Meshes, dof maps and coupled operators for one parameter point.
 
     Every call builds new meshes, so it also builds their coefficient-free
-    terms; a study on one mesh pair should build the pair once
-    (build_mesh_pair) and call build_coupled_operators per coefficient.
+    terms and, for its direct solves, factors their unit pair; a study on
+    one mesh pair should build the pair once (build_mesh_pair) and call
+    build_coupled_operators per coefficient.
     """
     return build_coupled_operators(
         geom, *build_mesh_pair(geom, h_plus, h_minus, m), kappa_plus,

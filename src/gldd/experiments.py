@@ -86,8 +86,9 @@ class ExperimentConfig:
     def __post_init__(self):
         # checked before any work: the seed rule first, so that a bad seed
         # is told the whole rule, then the type of every field (a list is
-        # held as a tuple), the spacing ratios, and last the values of the
-        # derived objects, built here once
+        # held as a tuple), the spacing ratios and strip coefficients of
+        # the studies, and last the values of the derived objects, built
+        # here once
         check_seed(self.seed)
         for f in fields(self):
             kind, fits = _KINDS[f.type]
@@ -101,6 +102,10 @@ class ExperimentConfig:
                 raise InvalidConfig(f"spacing ratio {r} is not positive")
             if r in self.mesh_ratios[:i]:
                 raise InvalidConfig(f"spacing ratio {r} is repeated")
+        for k in self.kappa_list:
+            if not (k > 0 and np.isfinite(k)):
+                raise InvalidConfig(
+                    f"kappa_list entry {k} is not positive and finite")
         derived = {
             "_geometry": GeometryConfig(dim=self.dim, L=self.L, H=self.H,
                                         W=self.W, H_minus=self.H_minus),
@@ -157,9 +162,10 @@ class SweepRecord:
     operators' interface block.
 
     time_s is the wall time the record's own call spent.  Studies that
-    share work between records (sweep_kappa's meshes and cross-mesh terms,
-    relaxation_study's operators and factorizations) charge the shared
-    part to the record that paid for it, the first one.
+    share work between records (sweep_kappa's meshes, cross-mesh terms,
+    unit factorization pair and unit interface block, relaxation_study's
+    operators, factorizations and block) charge the shared part to the
+    record that paid for it, the first one of its mesh pair.
     """
 
     case_id: str
@@ -221,8 +227,10 @@ def sweep_kappa(cfg: ExperimentConfig):
     """Sweep the strip coefficient, then fit the radius-vs-ratio law.
 
     The meshes, dof maps and coefficient-free coupling terms are built
-    once and every coefficient runs on them; the first record's time_s
-    includes that build.  Returns (records, fit, warnings); fit is None if
+    once and every coefficient runs on them, its radius and direct sweeps
+    on the one unit factorization pair and unit interface block of the
+    mesh pair (see coupling); the first record's time_s includes their
+    build.  Returns (records, fit, warnings); fit is None if
     the data are degenerate, with the reason appended to warnings.
     """
     geom = cfg.geometry()

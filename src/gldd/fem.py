@@ -270,17 +270,21 @@ class _CsrPattern:
 
     units (n, a, b) holds the unit values of n owners (cells, facets or
     quadrature points), and rows and cols, which broadcast to its shape,
-    their row and column indices.  The CSR pattern and the slot of every
-    triplet in it are found once; ``matrix(w)`` then sums w[k] * units[k]
-    over the owners with one bincount.  The triplets are kept in the order
-    in which scipy's COO-to-CSR conversion sums them (rows stable, then
-    scipy's own index sort within each row), so a matrix from the pattern
-    is bitwise the one scipy sums from the same triplets.
+    their row and column indices.  Owners that share their unit values
+    pass them once: units (ns, a, b) and unit_of (n,), the row of units of
+    each owner.  The CSR pattern and the slot of every triplet in it are
+    found once; ``matrix(w)`` then sums w[k] * units[k] over the owners
+    with one bincount.  The triplets are kept in the order in which
+    scipy's COO-to-CSR conversion sums them (rows stable, then scipy's own
+    index sort within each row), so a matrix from the pattern is bitwise
+    the one scipy sums from the same triplets.
     """
 
-    def __init__(self, units, rows, cols, shape):
-        rows = np.broadcast_to(rows, units.shape).ravel()
-        cols = np.broadcast_to(cols, units.shape).ravel()
+    def __init__(self, units, rows, cols, shape, unit_of=None):
+        owners = units.shape if unit_of is None else \
+            (len(unit_of),) + units.shape[1:]
+        rows = np.broadcast_to(rows, owners).ravel()
+        cols = np.broadcast_to(cols, owners).ravel()
         by_row = np.argsort(rows, kind="stable")
         indptr = np.concatenate([[0], np.cumsum(np.bincount(
             rows, minlength=shape[0]))])
@@ -297,13 +301,19 @@ class _CsrPattern:
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
             rows[new], minlength=shape[0]))])
         self.units = units
+        self.unit_of = unit_of
         self.shape = shape
         for arr in (self.perm, self.slot, self.indices, self.indptr):
             arr.setflags(write=False)
 
     def data(self, weights):
         """The CSR data of sum_k weights[k] * units[k]; weights (n,)."""
-        vals = np.asarray(weights, dtype=float)[:, None, None] * self.units
+        weights = np.asarray(weights, dtype=float)[:, None, None]
+        if self.unit_of is None:
+            vals = weights * self.units
+        else:
+            vals = np.take(self.units, self.unit_of, axis=0)
+            vals *= weights
         return np.bincount(self.slot, vals.ravel()[self.perm],
                            minlength=len(self.indices))
 
@@ -314,18 +324,18 @@ class _CsrPattern:
 
 
 def _stiffness_pattern(mesh, dofmap):
-    """The unit stiffness of every cell (kappa = 1, |det J| left out), one
-    per cell shape gathered to its cells, in its CSR pattern, kept on the
-    dof map for the mesh."""
+    """The unit stiffness (kappa = 1, |det J| left out) of each cell shape
+    and the shape of every cell, in its CSR pattern, kept on the dof map
+    for the mesh."""
     def build():
         rule = volume_rule(mesh.dim, dofmap.m)
         dlam = shape_bary_grads(mesh.dim, dofmap.m, rule.points)
         _, grads, shape = cell_geometry(mesh)
         g = np.einsum("qna,sad->sqnd", dlam, grads)
-        units = np.einsum("q,sqnd,sqmd->snm", rule.weights, g, g)[shape]
+        units = np.einsum("q,sqnd,sqmd->snm", rule.weights, g, g)
         dofs = dofmap.cell_dofs
         return _CsrPattern(units, dofs[:, :, None], dofs[:, None, :],
-                           (dofmap.n_dofs, dofmap.n_dofs))
+                           (dofmap.n_dofs, dofmap.n_dofs), unit_of=shape)
 
     return memoised(dofmap, "_stiffness", (mesh,), build)
 

@@ -8,6 +8,7 @@ callable that applies it.
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass
 
@@ -124,6 +125,29 @@ class LinearSolver:
         return x
 
 
+class ScaledSolver:
+    """A solver of unit.A with every row but the rows fixed (identity rows,
+    such as eliminated Dirichlet rows) multiplied by the scalar scale, on
+    the LinearSolver unit and so on its one factorization: a solve scales
+    b by 1/scale off the fixed rows and passes them through.  Its inner
+    iterations are unit's."""
+
+    def __init__(self, unit, scale, fixed):
+        self.unit = unit
+        self.config = unit.config
+        self.inverse = np.full(unit.A.shape[0], 1.0 / scale)
+        self.inverse[fixed] = 1.0
+
+    @property
+    def total_iterations(self):
+        return self.unit.total_iterations
+
+    def solve(self, b):
+        # rows scale; the columns of a 2-D b are right-hand sides
+        return self.unit.solve((np.asarray(b, dtype=float).T *
+                                self.inverse).T)
+
+
 # ----------------------------------------------------------------------
 # spectral radius
 # ----------------------------------------------------------------------
@@ -186,7 +210,8 @@ class InterfaceBlock:
     plus and minus are direct LinearSolvers on K_plus and K_minus: their
     factorizations serve the 2|J| column solves of Y and are kept for later
     solves, such as the sweep's.  CoupledOperators.interface builds the one
-    block of a set of operators.
+    block of a set of operators, or, for a scalar build, scales the unit
+    block of its mesh pair (scaled).
     """
 
     def __init__(self, plus, S, minus, D):
@@ -201,6 +226,13 @@ class InterfaceBlock:
         self.Y = plus.solve(S @ minus.solve(D_J))
         lam = np.linalg.eigvals(self.Y[self.J])
         self.lam = np.append(lam, 0.0) if self.J.size < S.shape[0] else lam
+
+    def scaled(self, factor):
+        """The block of factor * M: Y and lam times factor, the same J."""
+        block = copy.copy(self)
+        block.Y = factor * self.Y
+        block.lam = factor * self.lam
+        return block
 
     def rho(self, theta=1.0):
         """Spectral radius of (1 - theta) I + theta M."""

@@ -570,7 +570,8 @@ class TestGeometryReuse:
 
 def coo_stiffness(mesh, dofmap, kappa_cells):
     """The stiffness summed by scipy's COO-to-CSR conversion."""
-    units = fem_module._stiffness_pattern(mesh, dofmap).units
+    pattern = fem_module._stiffness_pattern(mesh, dofmap)
+    units = pattern.units[pattern.unit_of]
     adet, _, shape = cell_geometry(mesh)
     vals = (kappa_cells * adet[shape])[:, None, None] * units
     dofs = dofmap.cell_dofs
@@ -811,9 +812,13 @@ class TestMixedDegrees:
 
 class TestDefaults:
     def test_default_alpha(self):
-        assert default_alpha(0.5, 1 / 320) == pytest.approx(1e6 * 320.0)
+        # proportional to the strip coefficient below 1 as above it, and
+        # the largest value of a per-cell array
+        assert default_alpha(0.5, 1 / 320) == pytest.approx(0.5e6 * 320.0)
+        assert default_alpha(1 / 256, 1 / 320) == pytest.approx(1.25e6)
         assert default_alpha(4.0, 0.1) == pytest.approx(4e7)
         assert default_alpha(np.array([0.5, 3.0]), 0.1) == pytest.approx(3e7)
+        assert default_alpha(np.array([0.25, 0.5]), 0.1) == pytest.approx(5e6)
 
     def test_problem_flux_defaults_to_laser(self):
         geom = GeometryConfig()

@@ -6,15 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gldd.coupling import ProblemData
+from gldd.coupling import ProblemData, build_coupled_operators
 from gldd.dd_solver import (DDConfig, DDReport, block_residual,
-                            export_solution_csv, make_iteration_operator,
-                            neumann_partial_sum, run_coupled_direct,
-                            run_fitted_reference, run_two_level_dd,
-                            setup_case)
+                            build_mesh_pair, export_solution_csv,
+                            make_iteration_operator, neumann_partial_sum,
+                            run_coupled_direct, run_fitted_reference,
+                            run_two_level_dd, setup_case)
 from gldd.errors import (Diverged, InvalidConfig, IterationFailure,
                          MaxItersExceeded, NoConvergence, SingularMatrix)
 from gldd.fem import evaluate_field
@@ -271,10 +271,83 @@ class TestInterfaceBlockRoute:
         ops = make_ops()
         block = ops.interface()
         assert ops.interface() is block
-        assert all(s._lu is not None for s in ops.solvers(SolverConfig()))
+        # a scalar build's direct pair scales the kept unit pair
+        assert all(s.unit._lu is not None
+                   for s in ops.solvers(SolverConfig()))
         ops.D = ops.D.copy()
         assert ops._kept_interface() is None
         assert ops.interface() is not block
+
+
+class TestUnitPair:
+    """A scalar build solves on the unit pair its mesh pair keeps, scaled by
+    its coefficients, and its interface block is the unit block scaled by
+    1 - kappa_minus / kappa_plus."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(ratio=st.floats(1e-3, 4.0), kappa_plus=st.sampled_from([1.0, 3.0]),
+           dim=st.sampled_from([2, 3]), penalty=st.sampled_from([None, 4e5]))
+    @example(ratio=4.0, kappa_plus=1.0, dim=2, penalty=None)  # rho 1.28
+    @example(ratio=4.0, kappa_plus=3.0, dim=2, penalty=4e5)
+    @example(ratio=1.0, kappa_plus=1.0, dim=3, penalty=None)  # S = 0
+    @example(ratio=1.0, kappa_plus=3.0, dim=2, penalty=4e5)
+    @example(ratio=1.0 - 1e-9, kappa_plus=3.0, dim=2, penalty=None)
+    def test_matches_own_factorizations(self, ratio, kappa_plus, dim,
+                                        penalty):
+        # kappa_minus = ratio * kappa_plus on a mesh pair whose unit pair a
+        # build at kappa_plus / 2 made, against the same blocks built with
+        # per-cell strip values, which factor their own pair; both sweep
+        # first on solves alone, then on their blocks.  The explicit
+        # penalty is penalty * kappa_minus.  In 2D P2 the unit radius is
+        # 0.43, so ratio 4 diverges
+        geom = GEOM if dim == 2 else GeometryConfig(dim=3)
+        pair = build_mesh_pair(geom, 1 / 160, 1 / 320, 2 if dim == 2 else 1)
+
+        def build(kappa_minus, **cells):
+            alpha = None if penalty is None else penalty * kappa_minus
+            return build_coupled_operators(geom, *pair, kappa_plus,
+                                           kappa_minus, alpha=alpha, **cells)
+
+        build(kappa_plus / 2)
+        kappa_minus = ratio * kappa_plus
+        ops = build(kappa_minus)
+        own = build(kappa_minus, kappa_minus_cells=np.full(
+            pair[2].num_cells, kappa_minus))
+        assert ops._scales() is not None and own._scales() is None
+        config = DDConfig(max_iters=300)
+        runs = [run_or_stop(o, config) for o in (ops, own)]
+        rho, rho_own = ops.interface().rho(), own.interface().rho()
+        assert abs(rho - rho_own) <= 1e-12 * rho_own
+        runs += [run_or_stop(o, config) for o in (ops, own)]
+        for (error, report), (error_own, report_own) in (runs[:2],
+                                                         runs[2:]):
+            assert error is error_own
+            assert report.iterations == report_own.iterations
+
+    def test_two_builds_share_per_penalty_ratio(self):
+        # the box factorization is kept per box dof map, the strip's per
+        # penalty ratio alpha / kappa_minus, compared by value
+        pair = build_mesh_pair(GEOM, 1 / 160, 1 / 320, 1)
+        a, b, c, d = (build_coupled_operators(GEOM, *pair, 1.0, km,
+                                              alpha=alpha)
+                      for km, alpha in ((0.5, None), (0.25, None),
+                                        (0.25, 1e5), (0.5, 2e5)))
+        units = [ops._scales()[0] for ops in (a, b, c, d)]
+        assert units[0] is units[1] and units[2] is units[3]
+        assert units[1] is not units[2] and units[0].plus is units[2].plus
+        assert a.solvers(SolverConfig())[1].unit is units[0].minus
+
+    def test_per_cell_or_changed_blocks_factor_their_own(self):
+        pair = build_mesh_pair(GEOM, 1 / 160, 1 / 320, 1)
+        per_cell = build_coupled_operators(
+            GEOM, *pair, 1.0, 0.5,
+            kappa_plus_cells=np.ones(pair[0].num_cells))
+        changed = build_coupled_operators(GEOM, *pair, 1.0, 0.5)
+        changed.K_minus = changed.K_minus.copy()
+        for ops in (per_cell, changed):
+            assert ops._scales() is None
+            assert all(isinstance(s, LinearSolver)
+                       for s in ops.solvers(SolverConfig()))
 
 
 class TestFixedPoint:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
 import gldd.experiments as experiments
+import gldd.linalg as gldd_linalg
 from gldd.cli import _config_from, build_parser, fraction, main
 from gldd.errors import (Diverged, InsufficientRatios, InvalidConfig,
                          IterationFailure, RankDeficient, UnknownConfigKey)
@@ -363,6 +364,30 @@ class TestMeshRatioStudy:
             assert (rec.iterations, rec.converged) == \
                 (fresh.iterations, fresh.converged)
 
+    def test_two_factorizations_per_spacing_ratio(self, monkeypatch):
+        # the benchmark's study: every strip coefficient of a spacing ratio
+        # solves on the one unit pair of its mesh pair
+        factored = []
+
+        class CountingSpla:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def splu(self, A, *args, **kwargs):
+                factored.append(A.shape[0])
+                return spla.splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(gldd_linalg, "spla", CountingSpla())
+        cfg = ExperimentConfig(m=1, h_plus=1 / 160, mesh_ratios=(2, 4, 8, 16))
+        study = sweep_mesh_ratio(cfg)
+        assert len(study.records) == 32 and len(factored) == 8
+        # one box and one strip block per ratio
+        pairs = (dd_solver.build_mesh_pair(cfg.geometry(), cfg.h_plus,
+                                           cfg.h_plus / r, 1)
+                 for r in cfg.mesh_ratios)
+        assert sorted(factored) == sorted(
+            n for _, gd, _, ld in pairs for n in (gd.n_dofs, ld.n_dofs))
+
     def test_one_build_per_mesh_pair(self, monkeypatch):
         counts = count_builds(monkeypatch)
         cfg = ExperimentConfig(kappa_list=(0.5, 0.25, 0.125),
@@ -684,7 +709,12 @@ class TestCli:
         (["sweep-mesh", "--mesh-ratios", "2,2,2", "--kappa-list",
           "0.5,0.25,0.125"], {}, "spacing ratio 2 is repeated"),
         (["nonlinear", "--sweep-kappa-plus-b", "0.3:0.8:0"], {},
-         "sweep-kappa-plus-b")],
+         "sweep-kappa-plus-b"),
+        (["sweep-kappa", "--kappa-list", "0.5,0.25,-1"], {},
+         "kappa_list entry -1.0 is not positive"),
+        (["sweep-kappa", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"kappa_list": [0.5, float("nan")]})},
+         "cfg.json: kappa_list entry nan")],
         ids=["zero-spacing", "zero-denominator", "zero-theta",
              "strip-too-thick", "unknown-key", "curve-not-a-number",
              "config-missing", "config-not-an-object", "kappa-minus-nan",
@@ -700,7 +730,8 @@ class TestCli:
              "outdir-a-number", "theta-a-bool", "kappa-minus-a-list",
              "length-nan", "width-nan-3d", "extent-over-spacing-overflows",
              "wall-temperature-nan", "sweep-mesh-repeated-ratio",
-             "kappa-plus-b-grid-empty"])
+             "kappa-plus-b-grid-empty", "kappa-list-negative-entry",
+             "kappa-list-nan-entry"])
     def test_invalid_input_exits_2(self, argv, files, named, tmp_path,
                                    capsys, monkeypatch):
         # an input the package rejects is a usage error, not a traceback,
@@ -720,7 +751,8 @@ class TestCli:
     @pytest.mark.parametrize("values", [
         {"L": float("nan")}, {"dim": 4}, {"H_minus": 1.0}, {"T_0": float("inf")},
         {"theta": -1}, {"tol": 0}, {"max_iters": 0}, {"solver_method": "lu"},
-        {"preconditioner": "ilu"}, {"mesh_ratios": [2, 4, 4]}],
+        {"preconditioner": "ilu"}, {"mesh_ratios": [2, 4, 4]},
+        {"kappa_list": [0.5, 0.25, -1.0]}],
         ids=lambda values: next(iter(values)))
     def test_config_values_checked_when_built(self, values, tmp_path,
                                               monkeypatch, capsys):
@@ -736,6 +768,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error: ") == 1
         assert f"error: config file {path}: " in err
+
+    def test_kappa_list_checked_before_any_case(self, monkeypatch, capsys):
+        # a bad last entry stops the sweep before its first case is set up
+        calls = []
+        for name in ("setup_case", "build_mesh_pair"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *args, **kwargs: calls.append(args))
+        assert main(["sweep-kappa", "--kappa-list", "0.5,0.25,-1"]) == 2
+        assert calls == []
+        assert "kappa_list entry -1.0" in capsys.readouterr().err
 
     def test_seed_checked_before_any_work(self, monkeypatch, capsys):
         calls = []

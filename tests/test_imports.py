@@ -482,3 +482,52 @@ def test_config_shadow_detector():
         (10, "run_case", "h_minus"), (11, "inner", "m"),
         (13, "compare", "mesh_ratios")]
     assert {"theta", "h_minus", "kappa_minus", "mesh_ratios"} <= CONFIG_FIELDS
+
+
+# sparse factorizations: LinearSolver makes every one, where a kept unit
+# pair shares it and a counter sees it; run_coupled_direct keeps its one
+# LU of the whole block system as the independent oracle of the sweep
+FACTORIZATION_OWNERS = {("linalg.py", "LinearSolver"),
+                        ("dd_solver.py", "run_coupled_direct")}
+
+
+def factorization_calls(source):
+    """(line, owner) of every call of scipy's splu or factorized in a
+    module, as spla.splu(...) or as a bare splu(...), owner the top-level
+    def or class it sits in (None at module level)."""
+    def called(func):
+        return getattr(func, "attr", getattr(func, "id", None))
+
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        found += [(sub.lineno, owner) for sub in ast.walk(node)
+                  if isinstance(sub, ast.Call)
+                  and called(sub.func) in ("splu", "factorized")]
+    return sorted(found)
+
+
+def test_factorizations_only_in_linear_solver():
+    assert [(path.name, line, owner)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for line, owner in factorization_calls(path.read_text())
+            if (path.name, owner) not in FACTORIZATION_OWNERS] == []
+
+
+def test_factorization_detector():
+    # the two factorizations per coefficient that a study could make
+    # again beside the kept unit pair
+    source = ("class LinearSolver:\n"
+              "    def solve(self, b):\n"
+              "        return spla.splu(self.A).solve(b)\n"
+              "def sweep_kappa(cfg):\n"
+              "    lu = scipy.sparse.linalg.splu(K_minus.tocsc())\n"
+              "from scipy.sparse.linalg import splu\n"
+              "LU = splu(K_plus)\n"
+              "def factor(A):\n    return spla.factorized(A)\n")
+    assert factorization_calls(source) == [
+        (3, "LinearSolver"), (5, "sweep_kappa"), (7, None), (9, "factor")]
+    assert [owner for _line, owner in factorization_calls(
+        (PACKAGE / "dd_solver.py").read_text())] == ["run_coupled_direct"]
+    assert [owner for _line, owner in factorization_calls(
+        (PACKAGE / "linalg.py").read_text())] == ["LinearSolver"]

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from gldd import linalg
 from gldd.errors import (InvalidConfig, NonpositiveConstant, NoConvergence,
                          RankDeficient, SingularMatrix, TooLarge)
-from gldd.linalg import (InterfaceBlock, LinearSolver, SolverConfig,
-                         fit_rho_law, least_squares_fit, power_iteration_rho)
+from gldd.linalg import (InterfaceBlock, LinearSolver, ScaledSolver,
+                         SolverConfig, fit_rho_law, least_squares_fit,
+                         power_iteration_rho)
 
 
 def spd_system(n=40, seed=0):
@@ -145,6 +146,33 @@ class TestSolve:
         s.solve(2 * b)
         assert s.total_iterations > first
 
+    def test_scaled_solves_row_scaled_matrix(self, monkeypatch):
+        # diag(d) A with d = 2.5 off the identity rows 0 and 3 and 1 on
+        # them, solved on the one factorization of A, for 1-D and 2-D b
+        A, _, _ = spd_system(12, seed=4)
+        A = A.tolil()
+        for i in (0, 3):
+            A[i, :] = 0.0
+            A[:, i] = 0.0
+            A[i, i] = 1.0
+        A = sp.csr_matrix(A)
+        d = np.full(12, 2.5)
+        d[[0, 3]] = 1.0
+        factored = []
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda M, *a, **kw:
+                            factored.append(1) or real(M, *a, **kw))
+        unit = LinearSolver(A)
+        scaled = ScaledSolver(unit, 2.5, [0, 3])
+        b = np.random.default_rng(5).standard_normal((12, 3))
+        want = np.linalg.solve(d[:, None] * A.toarray(), b)
+        np.testing.assert_allclose(scaled.solve(b), want, rtol=1e-12)
+        np.testing.assert_allclose(scaled.solve(b[:, 1]), want[:, 1],
+                                   rtol=1e-12)
+        assert scaled.solve(b)[[0, 3]].tolist() == b[[0, 3]].tolist()
+        unit.solve(b[:, 0])
+        assert factored == [1] and scaled.total_iterations == 0
+
 
 class TestPowerIteration:
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True])
@@ -275,6 +303,25 @@ class TestDenseRadius:
         M = full_iteration_matrix(K_plus, S, K_minus, D)
         want = np.abs(0.4 + 0.6 * np.linalg.eigvals(M)).max()
         assert block.rho(0.6) == pytest.approx(want, rel=1e-12)
+
+    def test_scaled_block_is_block_of_scaled_operator(self):
+        # scaling S by c scales M, so Y and every eigenvalue, by c; the
+        # appended 0 stays 0
+        rng = np.random.default_rng(23)
+        n, k = 6, 4
+        K_plus = sp.csr_matrix(np.diag(rng.uniform(1, 2, n)))
+        K_minus = sp.csr_matrix(np.diag(rng.uniform(1, 2, k)))
+        S = sp.csr_matrix(rng.standard_normal((n, k)))
+        D = sp.csr_matrix(np.eye(k, n, 1) * rng.uniform(1, 2, (k, 1)))
+        block = InterfaceBlock(LinearSolver(K_plus), S, LinearSolver(K_minus),
+                               D)
+        scaled = block.scaled(-2.5)
+        direct = InterfaceBlock(LinearSolver(K_plus), -2.5 * S,
+                                LinearSolver(K_minus), D)
+        np.testing.assert_array_equal(scaled.J, direct.J)
+        np.testing.assert_allclose(scaled.Y, direct.Y, rtol=1e-14)
+        assert scaled.rho(0.7) == pytest.approx(direct.rho(0.7), rel=1e-13)
+        assert scaled.lam[-1] == 0.0 and block.Y is not scaled.Y
 
     def test_size_guard(self, monkeypatch):
         n = 12
