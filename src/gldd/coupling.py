@@ -21,30 +21,34 @@ trace basis there from its facet rule, the unit S and D terms, and the
 gamma mass with its slots in the strip's pattern); both loads unscaled;
 and per box dof map the load a Picard step scales, the source values and
 footprint points with the top-flux quadrature, flux values and nonzero
-points (fem.ScaledLoad).  A new set of coefficients on the same
-objects (another strip conductivity, or a Picard step's per-cell
-conductivities, jump weights and penalty) then costs one weighted
-bincount per block, written into that block's one matrix in place (the
-strip block's penalty alpha * M_gamma through the kept gamma mass) and
-the box load outside + ratio * inside (a Picard flux scale instead
-re-weights the kept source and flux values, with one scale call per kept
-point array, the same arrays at every step).
+points (fem.ScaledLoad).
 
-The factorizations follow the coefficients.  At the default penalty,
-alpha = 1e6 kappa_minus / h_minus, a build whose coefficients are all
-scalar is a multiple of one unit pair of its mesh pair (_UnitPair, the
-blocks at kappa = 1 and penalty ratio r = alpha / kappa_minus): the
-block solves scale the right-hand side, and the iteration operator is
-(1 - kappa_minus / kappa_plus) times the unit one.  So the unit box
-factorization is kept per box dof map, the unit strip factorization and
-unit interface block per mesh pair and r, and every scalar build on them
-(a coefficient sweep, a set-up, a relaxation study) factors nothing; an
-explicit penalty gets the unit pair of its own r.  A per-cell build (a
-Picard step) factors its own two blocks.
+At the default penalty, alpha = 1e6 kappa_minus / h_minus, a build whose
+coefficients are all scalar is a multiple of one unit pair of its mesh
+pair (_UnitPair: the blocks at kappa = 1, penalty ratio
+r = alpha / kappa_minus and a unit jump, assembled once with their
+Dirichlet rows eliminated, and the unit lifts of the walls).  Such a
+build assembles nothing: it scales copies of the unit blocks, and each
+load is the kept unscaled one, the box's as outside + ratio * inside (a
+flux scale re-weights the kept source and flux values instead, with one
+scale call per kept point array, the same arrays at every step), less
+the wall value times kappa times its block's unit lift.  Its
+block solves scale the right-hand side of the unit ones, and its
+iteration operator is (1 - kappa_minus / kappa_plus) times the unit one.
+So the unit box block and factorization are kept per box dof map, the
+unit strip block and factorization and the unit interface block per mesh
+pair and r, and every scalar build on them (a coefficient sweep, a
+set-up, a relaxation study) assembles and factors nothing; an explicit
+penalty gets the unit pair of its own r.  A per-cell build (a Picard
+step, with per-cell conductivities, jump weights and penalty) costs one
+weighted bincount per block, written into that block's one matrix in
+place (the strip block's penalty alpha * M_gamma through the kept gamma
+mass), and factors its own two blocks.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import Callable
@@ -63,6 +67,25 @@ from .linalg import (InterfaceBlock, LinearSolver, ScaledSolver,
                      SolverConfig)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
+
+
+def check_coefficients(kappa_plus, kappa_minus, alpha=None):
+    """The builder's rules for its scalar coefficients, which
+    ExperimentConfig applies as it is built: both conductivities positive
+    and finite, an explicit penalty weight nonnegative and finite.  Raises
+    NonpositiveCoefficient."""
+    if not all(k > 0 and np.isfinite(k) for k in (kappa_plus, kappa_minus)):
+        raise NonpositiveCoefficient(
+            f"conductivities must be positive and finite, got kappa_plus = "
+            f"{kappa_plus}, kappa_minus = {kappa_minus}")
+    if alpha is not None:
+        _check_penalty(alpha)
+
+
+def _check_penalty(alpha):
+    if not (alpha >= 0 and np.isfinite(alpha)):
+        raise NonpositiveCoefficient(
+            f"penalty weight must be nonnegative and finite, got {alpha}")
 
 
 def default_alpha(kappa_minus, h_minus):
@@ -207,8 +230,7 @@ class _Interface:
     scales scale (nf,), trace basis lvals (nq, n)), the trace basis mid
     (n,) at the facet midpoint, the gamma quadrature weights wq (nf, nq),
     the box basis at the nf * nq points (gdofs, gvals), the unit S and D
-    patterns with one owner per point, which jump() and penalty() weight
-    into matrices, and the gamma mass of
+    patterns with one owner per point, and the gamma mass of
     fem._facet_mass with one owner per facet, with the slot of each of its
     entries in the strip stiffness pattern, which holds them all (each
     facet's dofs are its owner cell's).
@@ -266,19 +288,6 @@ class _Interface:
             keys(_stiffness_pattern(local_mesh, local_dofmap)),
             keys(self.mass))
 
-    def jump(self, weights):
-        """The S terms summed with the jump weight (nf,) of each facet,
-        zeros dropped."""
-        S = self.S.matrix((weights[:, None] * self.wq).ravel())
-        S.eliminate_zeros()
-        return S
-
-    def penalty(self, alpha):
-        """-alpha times the cross mass matrix, zeros dropped."""
-        D = self.D.matrix((-alpha * self.wq).ravel())
-        D.eliminate_zeros()
-        return D
-
 
 def _owner_barycentrics(mesh, facets, owners, points):
     """Barycentrics (nf, nq, dim+1), in the owner cells (nf,) of boundary
@@ -306,12 +315,14 @@ def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
     points out of the strip.  facet_weights overrides
     the constant jump weight per facet (used by the nonlinear driver).
     The unit term of every quadrature point is built on the first call for
-    a mesh pair; later calls only weight and sum them.
+    a mesh pair; later calls only weight and sum them, zeros dropped.
     """
     terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
-    return terms.jump(np.full(len(terms.wq), kappa_plus - kappa_minus)
-                      if facet_weights is None
-                      else np.asarray(facet_weights, dtype=float))
+    weights = np.full(len(terms.wq), kappa_plus - kappa_minus) \
+        if facet_weights is None else np.asarray(facet_weights, dtype=float)
+    S = terms.S.matrix((weights[:, None] * terms.wq).ravel())
+    S.eliminate_zeros()
+    return S
 
 
 def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
@@ -319,18 +330,78 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
     """-alpha times the cross mass matrix on the interface.
 
     Rows are strip dofs, columns box dofs.  Built, like S, from unit terms
-    kept per mesh pair.
+    kept per mesh pair, zeros dropped.
     """
-    if not (alpha >= 0 and np.isfinite(alpha)):
-        raise NonpositiveCoefficient(
-            f"penalty weight must be nonnegative and finite, got {alpha}")
-    return _interface(global_mesh, local_mesh, global_dofmap,
-                      local_dofmap).penalty(alpha)
+    _check_penalty(alpha)
+    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
+    D = terms.D.matrix((-alpha * terms.wq).ravel())
+    D.eliminate_zeros()
+    return D
 
 
 # ----------------------------------------------------------------------
 # the unit pair of a mesh pair
 # ----------------------------------------------------------------------
+
+def _strip_blocks(global_mesh, local_mesh, global_dofmap, local_dofmap,
+                  kappa_minus, alpha, jump):
+    """The strip stiffness at kappa_minus (scalar or per cell) plus the
+    penalty alpha * M_gamma, before its Dirichlet elimination, and S, at
+    jump = (kappa_plus, kappa_minus[, facet_weights]) as
+    assemble_flux_jump_S takes it, and D, their Dirichlet rows cleared.
+
+    On a new mesh pair the strip's stiffness assembly builds its kept
+    pattern first, so that S's assembly, which builds the kept interface
+    terms, finds the gamma mass's slots in that pattern without building
+    it; D and the eliminations reuse them."""
+    K = assemble_stiffness(local_mesh, local_dofmap, kappa_minus)
+    S = assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
+                             local_dofmap, *jump)
+    np.negative(S.data, out=S.data)
+    D = assemble_penalty_D(global_mesh, local_mesh, global_dofmap,
+                           local_dofmap, alpha)
+    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
+    K.data[terms.mass_slots] += terms.mass.data(alpha * terms.scale)
+    return (K, _elimination(global_mesh, global_dofmap).clear_rows(S),
+            _elimination(local_mesh, local_dofmap).clear_rows(D))
+
+
+def _scaled(A, factor):
+    """factor * A, a kept canonical CSR matrix, in arrays of its own; a
+    shallow copy of A takes them, which skips the format checks that
+    scipy's constructor would repeat on every build."""
+    B = copy.copy(A)
+    B.data = factor * A.data
+    B.indices = A.indices.copy()
+    B.indptr = A.indptr.copy()
+    return B
+
+
+class _UnitBlock:
+    """A diagonal block at unit coefficient with its Dirichlet rows
+    eliminated, A, its direct solver, and its unit lift: per row, the
+    entries that the elimination took out of the wall columns, which a wall
+    value times the coefficient lifts off the row's load."""
+
+    def __init__(self, A, elimination):
+        self.lift = elimination.lifted(A)
+        self.A = elimination.eliminate(A)
+        self.dofs = elimination.dofs
+        # a Dirichlet row holds only its unit diagonal
+        self.ones = np.flatnonzero(np.repeat(elimination.fixed,
+                                             np.diff(self.A.indptr)))
+        self.solver = LinearSolver(self.A)
+
+    def scaled(self, kappa, load, value):
+        """The block at scalar kappa, kappa * A with the identity rows kept,
+        in arrays of its own, and load (not changed) with the lift of the
+        wall value and value on the Dirichlet rows: (K, f)."""
+        K = _scaled(self.A, kappa)
+        K.data[self.ones] = 1.0
+        f = load - value * (kappa * self.lift)
+        f[self.dofs] = value
+        return K, f
+
 
 class _UnitPair:
     """The blocks of a mesh pair at unit coefficients and penalty ratio r,
@@ -340,67 +411,65 @@ class _UnitPair:
     kappa_plus, kappa_minus and alpha = r * kappa_minus has
     K_plus = kappa_plus * A_plus, K_minus = kappa_minus * K_1 with
     K_1 = A_minus + r M_gamma, S = (kappa_plus - kappa_minus) * S_1 and
-    D = kappa_minus * D_1, the unit blocks being the builder's at
-    kappa_plus = 1, kappa_minus = 1, alpha = r and a unit jump in S.  So
-    its block solves are the unit ones with the right-hand side scaled,
-    and its iteration operator is 1 - kappa_minus / kappa_plus times the
-    unit one.  A_plus and K_1 are the first such build's eliminated
-    blocks with the rows off the Dirichlet ones divided by its
-    coefficients; their direct solvers, A_plus's kept per box dof map,
-    factor on their first solve.  The unit interface block on them, with
-    S_1 and D_1, is made on the first call of block(), from the kept
-    interface terms.
+    D = kappa_minus * D_1, and its loads lift kappa times the unit lifts.
+    The unit blocks are assembled here once, at kappa = 1, penalty r and
+    a unit jump (S_1 with the builder's sign, -1 times it), with their
+    Dirichlet rows eliminated or cleared: plus, the _UnitBlock of A_plus,
+    kept per box dof map, minus that of K_1, and S_1, D_1.  A scalar
+    build scales copies of them (build), its block solves are the unit
+    ones with the right-hand side scaled (solvers), and its iteration
+    operator is 1 - kappa_minus / kappa_plus times the unit one, whose
+    interface block is made on the first call of block().
     """
 
-    def __init__(self, ops, kappa_plus, kappa_minus, r):
-        self.terms = _interface(ops.global_mesh, ops.local_mesh,
-                                ops.global_dofmap, ops.local_dofmap)
-        self.r = r
-        plus = _elimination(ops.global_mesh, ops.global_dofmap)
-        minus = _elimination(ops.local_mesh, ops.local_dofmap)
-        self.eliminations = (plus, minus)
-
-        def unit(K, kappa, elimination):
-            A = K.copy()
-            A.data *= np.repeat(np.where(elimination.fixed, 1.0, 1.0 / kappa),
-                                np.diff(A.indptr))
-            return LinearSolver(A)
-
-        self.plus = memoised(ops.global_dofmap, "_unit_solver",
-                             (ops.global_mesh,),
-                             lambda: unit(ops.K_plus, kappa_plus, plus))
-        self.minus = unit(ops.K_minus, kappa_minus, minus)
+    def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap,
+                 r):
+        self.plus = memoised(global_dofmap, "_unit_block", (global_mesh,),
+                             lambda: _UnitBlock(
+                                 assemble_stiffness(global_mesh,
+                                                    global_dofmap, 1.0),
+                                 _elimination(global_mesh, global_dofmap)))
+        K, self.S, self.D = _strip_blocks(global_mesh, local_mesh,
+                                          global_dofmap, local_dofmap, 1.0,
+                                          r, (1.0, 0.0))
+        self.minus = _UnitBlock(K, _elimination(local_mesh, local_dofmap))
         self._block = None
+
+    def build(self, kappa_plus, kappa_minus, f_plus, f_minus, value):
+        """(K_plus, K_minus, S, D, f_plus, f_minus) at scalar kappa_plus and
+        kappa_minus from the unlifted loads f_plus and f_minus and the wall
+        value; no block shares an array with the unit blocks."""
+        K_plus, f_plus = self.plus.scaled(kappa_plus, f_plus, value)
+        K_minus, f_minus = self.minus.scaled(kappa_minus, f_minus, value)
+        S = _scaled(self.S, kappa_plus - kappa_minus) \
+            if kappa_plus != kappa_minus else sp.csr_matrix(self.S.shape)
+        D = _scaled(self.D, kappa_minus)
+        return K_plus, K_minus, S, D, f_plus, f_minus
 
     def solvers(self, kappa_plus, kappa_minus):
         """The direct (plus, minus) pair of a scalar build."""
-        plus, minus = self.eliminations
-        return (ScaledSolver(self.plus, kappa_plus, plus.dofs),
-                ScaledSolver(self.minus, kappa_minus, minus.dofs))
+        return (ScaledSolver(self.plus.solver, kappa_plus, self.plus.dofs),
+                ScaledSolver(self.minus.solver, kappa_minus, self.minus.dofs))
 
     def block(self):
-        """The unit InterfaceBlock, made on the first call; S_1 has the
-        builder's sign, -1 times the unit jump."""
+        """The unit InterfaceBlock, made on the first call."""
         if self._block is None:
-            plus, minus = self.eliminations
-            S = self.terms.jump(np.full(len(self.terms.wq), -1.0))
-            D = self.terms.penalty(self.r)
-            self._block = InterfaceBlock(self.plus, plus.clear_rows(S),
-                                         self.minus, minus.clear_rows(D))
+            self._block = InterfaceBlock(self.plus.solver, self.S,
+                                         self.minus.solver, self.D)
         return self._block
 
 
-def _unit_pair(ops, kappa_plus, kappa_minus, r):
-    """The _UnitPair of the mesh pair of ops, a scalar build, at penalty
-    ratio r, kept on the strip dof map for the last r asked for, compared
-    by value: a sweep at the default penalty keeps one r, one at a fixed
-    explicit penalty makes a new one per coefficient."""
-    kept = memoised(ops.local_dofmap, "_unit_pair",
-                    (ops.global_mesh, ops.local_mesh, ops.global_dofmap),
-                    dict)
+def _unit_pair(global_mesh, local_mesh, global_dofmap, local_dofmap, r):
+    """The _UnitPair of a mesh pair at penalty ratio r, kept on the strip
+    dof map for the last r asked for, compared by value: a sweep at the
+    default penalty keeps one r, one at a fixed explicit penalty makes a
+    new one per coefficient."""
+    kept = memoised(local_dofmap, "_unit_pair",
+                    (global_mesh, local_mesh, global_dofmap), dict)
     if r not in kept:
         kept.clear()
-        kept[r] = _UnitPair(ops, kappa_plus, kappa_minus, r)
+        kept[r] = _UnitPair(global_mesh, local_mesh, global_dofmap,
+                            local_dofmap, r)
     return kept[r]
 
 
@@ -480,50 +549,30 @@ def build_coupled_operators(geom: GeometryConfig,
     the points where the flux is nonzero, always the same read-only arrays
     (see _load), which the caller may locate once.
 
-    Each block is the one matrix its assembly returns, changed on its data
-    in place through the kept Dirichlet eliminations and, for the strip's
-    penalty alpha * M_gamma, the gamma mass of the kept interface terms,
-    which S and D are weighted from too.  Both
-    loads are kept unscaled (see _load), the box load as (outside, inside)
-    so that f_plus = outside + (kappa_plus/kappa_minus) * inside; with a
-    flux_scale the kept source and flux values are re-weighted.
+    A scalar build (no per-cell or per-facet override) assembles
+    nothing: its blocks are copies of the unit blocks its mesh pair keeps
+    for its penalty ratio r = alpha / kappa_minus (_UnitPair), Dirichlet
+    rows already eliminated, scaled by kappa_plus, kappa_minus and their
+    difference, and its loads lift kappa times the kept unit lifts.  A
+    per-cell build assembles each block as the one matrix its assembly
+    returns, changed on its data in place through the kept Dirichlet
+    eliminations and, for the strip's penalty alpha * M_gamma, the gamma
+    mass of the kept interface terms, which S and D are weighted from too.
+    Both loads are kept unscaled (see _load), the box load as (outside,
+    inside) so that f_plus = outside + (kappa_plus/kappa_minus) * inside
+    before the lift; with a flux_scale the kept source and flux values are
+    re-weighted.
     """
     problem = problem or ProblemData()
     if np.ndim(kappa_minus) != 0:
         raise InvalidConfig("kappa_minus must be a scalar; per-cell strip "
                             "values go through kappa_minus_cells")
-    if not all(k > 0 and np.isfinite(k) for k in (kappa_plus, kappa_minus)):
-        raise NonpositiveCoefficient(
-            f"conductivities must be positive and finite, got kappa_plus = "
-            f"{kappa_plus}, kappa_minus = {kappa_minus}")
+    check_coefficients(kappa_plus, kappa_minus, alpha)
     # the penalty ratio alpha / kappa_minus of the unit pair
     r = default_alpha(1.0, local_mesh.h) if alpha is None \
         else alpha / kappa_minus
     if alpha is None:
         alpha = default_alpha(kappa_minus, local_mesh.h)
-
-    kp_cells = kappa_plus if kappa_plus_cells is None else kappa_plus_cells
-    km_cells = kappa_minus if kappa_minus_cells is None else kappa_minus_cells
-
-    # on a new mesh pair the stiffness assembly builds the kept patterns
-    # first, so that S's assembly, which builds the kept interface terms,
-    # finds the gamma mass's slots in the strip's pattern without building
-    # it; D and the eliminations reuse them
-    K_plus = assemble_stiffness(global_mesh, global_dofmap, kp_cells)
-    K_minus = assemble_stiffness(local_mesh, local_dofmap, km_cells)
-    S = assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
-                             local_dofmap, kappa_plus, kappa_minus,
-                             facet_weights=jump_facet_weights)
-    np.negative(S.data, out=S.data)
-    D = assemble_penalty_D(global_mesh, local_mesh, global_dofmap,
-                           local_dofmap, alpha)
-    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
-    K_minus.data[terms.mass_slots] += terms.mass.data(alpha * terms.scale)
-    plus = _elimination(global_mesh, global_dofmap)
-    minus = _elimination(local_mesh, local_dofmap)
-    S = plus.clear_rows(S)
-    D = minus.clear_rows(D)
-
     if flux_scale is None:
         outside, inside = _load(geom, global_mesh, global_dofmap, problem)
         f_plus = outside + (kappa_plus / kappa_minus) * inside
@@ -531,8 +580,26 @@ def build_coupled_operators(geom: GeometryConfig,
         f_plus = _load(geom, global_mesh, global_dofmap, problem, flux_scale)
     # the strip lies inside its own footprint
     f_minus = _load(geom, local_mesh, local_dofmap, problem)[1]
-    K_plus, f_plus = plus.apply(K_plus, f_plus, problem.T_D)
-    K_minus, f_minus = minus.apply(K_minus, f_minus, problem.T_D)
+    scalar = kappa_plus_cells is None and kappa_minus_cells is None and \
+        jump_facet_weights is None
+    if scalar:
+        unit = _unit_pair(global_mesh, local_mesh, global_dofmap,
+                          local_dofmap, r)
+        K_plus, K_minus, S, D, f_plus, f_minus = unit.build(
+            kappa_plus, kappa_minus, f_plus, f_minus, problem.T_D)
+        plus, minus = unit.plus, unit.minus
+    else:
+        K_plus = assemble_stiffness(
+            global_mesh, global_dofmap,
+            kappa_plus if kappa_plus_cells is None else kappa_plus_cells)
+        K_minus, S, D = _strip_blocks(
+            global_mesh, local_mesh, global_dofmap, local_dofmap,
+            kappa_minus if kappa_minus_cells is None else kappa_minus_cells,
+            alpha, (kappa_plus, kappa_minus, jump_facet_weights))
+        plus = _elimination(global_mesh, global_dofmap)
+        minus = _elimination(local_mesh, local_dofmap)
+        K_plus, f_plus = plus.apply(K_plus, f_plus, problem.T_D)
+        K_minus, f_minus = minus.apply(K_minus, f_minus, problem.T_D)
 
     ops = CoupledOperators(
         K_plus=K_plus, K_minus=K_minus, S=S, D=D,
@@ -542,10 +609,8 @@ def build_coupled_operators(geom: GeometryConfig,
         T_D=problem.T_D,
         global_dirichlet=plus.dofs,
         local_dirichlet=minus.dofs)
-    if kappa_plus_cells is None and kappa_minus_cells is None and \
-            jump_facet_weights is None:
-        ops._scales((_unit_pair(ops, kappa_plus, kappa_minus, r),
-                     kappa_plus, kappa_minus))
+    if scalar:
+        ops._scales((unit, kappa_plus, kappa_minus))
     return ops
 
 

@@ -354,7 +354,8 @@ def setup_case(geom: GeometryConfig, h_plus, h_minus, m,
     """Meshes, dof maps and coupled operators for one parameter point.
 
     Every call builds new meshes, so it also builds their coefficient-free
-    terms and, for its direct solves, factors their unit pair; a study on
+    terms and unit blocks and, for its direct solves, factors the unit
+    pair; a study on
     one mesh pair should build the pair once (build_mesh_pair) and call
     build_coupled_operators per coefficient.
     """

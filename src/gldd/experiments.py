@@ -19,13 +19,15 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .coupling import ProblemData, build_coupled_operators
+from .coupling import (ProblemData, build_coupled_operators,
+                       check_coefficients)
 from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
 from .errors import (InsufficientRatios, InvalidConfig, IterationFailure,
+                     NonDivisibleSpacing, NonpositiveCoefficient,
                      RankDeficient, UnknownConfigKey)
 from .linalg import SolverConfig, check_seed, fit_rho_law, least_squares_fit
-from .mesh import GeometryConfig
+from .mesh import GeometryConfig, check_spacing
 
 
 def _number(value):
@@ -87,8 +89,10 @@ class ExperimentConfig:
         # checked before any work: the seed rule first, so that a bad seed
         # is told the whole rule, then the type of every field (a list is
         # held as a tuple), the spacing ratios and strip coefficients of
-        # the studies, and last the values of the derived objects, built
-        # here once
+        # the studies, the coefficients and spacings by the builders' own
+        # rules (whether a spacing divides the extents stays with the mesh
+        # builder), and last the values of the derived objects, built here
+        # once
         check_seed(self.seed)
         for f in fields(self):
             kind, fits = _KINDS[f.type]
@@ -106,6 +110,12 @@ class ExperimentConfig:
             if not (k > 0 and np.isfinite(k)):
                 raise InvalidConfig(
                     f"kappa_list entry {k} is not positive and finite")
+        try:
+            check_coefficients(self.kappa_plus, self.kappa_minus, self.alpha)
+            check_spacing(self.h_plus)
+            check_spacing(self.h_minus)
+        except (NonpositiveCoefficient, NonDivisibleSpacing) as exc:
+            raise InvalidConfig(str(exc)) from None
         derived = {
             "_geometry": GeometryConfig(dim=self.dim, L=self.L, H=self.H,
                                         W=self.W, H_minus=self.H_minus),
@@ -227,11 +237,12 @@ def sweep_kappa(cfg: ExperimentConfig):
     """Sweep the strip coefficient, then fit the radius-vs-ratio law.
 
     The meshes, dof maps and coefficient-free coupling terms are built
-    once and every coefficient runs on them, its radius and direct sweeps
-    on the one unit factorization pair and unit interface block of the
-    mesh pair (see coupling); the first record's time_s includes their
-    build.  Returns (records, fit, warnings); fit is None if
-    the data are degenerate, with the reason appended to warnings.
+    once and every coefficient runs on them: its blocks are the unit
+    blocks of the mesh pair scaled, and its radius and direct sweeps run
+    on the one unit factorization pair and unit interface block (see
+    coupling); the first record's time_s includes their build.  Returns
+    (records, fit, warnings); fit is None if the data are degenerate, with
+    the reason appended to warnings.
     """
     geom = cfg.geometry()
     records = []

@@ -626,9 +626,9 @@ LASER_CUTOFF = (1023 * np.log(2.0) * 1e-12) ** 0.25
 class _Elimination:
     """Where Dirichlet dofs act in one canonical CSR pattern (sorted, no
     duplicates; a matrix or a _CsrPattern), found once.  ``apply``
-    eliminates them symmetrically on the data of a matrix in that pattern;
-    ``clear_rows`` clears their rows in any matrix with the pattern's rows
-    (a coupling block)."""
+    eliminates them symmetrically on the data of a matrix in that pattern,
+    as ``lifted`` and ``eliminate`` do in two steps; ``clear_rows`` clears
+    their rows in any matrix with the pattern's rows (a coupling block)."""
 
     def __init__(self, pattern, dofs):
         n = len(pattern.indptr) - 1
@@ -646,21 +646,30 @@ class _Elimination:
         self.bare = np.setdiff1d(self.dofs, rows[self.unit])
 
     def apply(self, A, b, value):
-        """Eliminate on A's data in place, zeros dropped: constrained rows
-        and columns cleared, constrained diagonals set to 1 (only one
-        missing from the pattern needs a sparse sum) and the cleared
-        columns' entries lifted into the returned copy of b.  Returns
+        """Eliminate on A's data in place and lift the cleared columns'
+        entries at the wall value into the returned copy of b.  Returns
         (A, b)."""
-        b = b - value * np.bincount(self.lift_rows, A.data[self.lift],
-                                    minlength=len(b))
+        b = b - value * self.lifted(A)
         b[self.dofs] = value
+        return self.eliminate(A), b
+
+    def lifted(self, A):
+        """A's entries in the constrained columns off the constrained rows,
+        summed per row: what a unit wall value lifts off each row's load."""
+        return np.bincount(self.lift_rows, A.data[self.lift],
+                           minlength=len(self.fixed))
+
+    def eliminate(self, A):
+        """Constrained rows and columns of A cleared on its data in place,
+        constrained diagonals set to 1 (only one missing from the pattern
+        needs a sparse sum), zeros dropped.  Returns A."""
         A.data[self.cleared] = 0.0
         A.data[self.unit] = 1.0
         if self.bare.size:
             A = A + sp.csr_matrix((np.ones(self.bare.size),
                                    (self.bare, self.bare)), shape=A.shape)
         A.eliminate_zeros()
-        return A, b
+        return A
 
     def clear_rows(self, A):
         """Clear the constrained rows of A on its data in place, zeros

@@ -303,9 +303,16 @@ def _block_corners(dim):
     return ((np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1).astype(float)
 
 
-def _divisions(extent, h):
+def check_spacing(h):
+    """The mesh builders' rule for a spacing, which ExperimentConfig
+    applies as it is built: positive and finite.  Raises
+    NonDivisibleSpacing."""
     if not 0.0 < h < np.inf:
         raise NonDivisibleSpacing(f"spacing {h} is not positive and finite")
+
+
+def _divisions(extent, h):
+    check_spacing(h)
     # in Python floats an overflow is inf, not a numpy warning
     n = float(extent) / float(h)
     if not (np.isfinite(n) and abs(n - round(n)) <= 1e-9):

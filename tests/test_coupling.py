@@ -1,5 +1,6 @@
 """Cross-mesh coupling matrices and the coupled-system builder."""
 
+import copy
 import functools
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gldd.coupling as coupling
@@ -21,6 +22,7 @@ from gldd.errors import (InvalidConfig, NonpositiveCoefficient,
                          OrphanInterfaceFacet)
 from gldd.fem import (assemble_boundary_mass, build_dofmap, evaluate_field,
                       facet_rule, laser_flux)
+from gldd.linalg import SolverConfig
 from gldd.mesh import (FacetTag, GeometryConfig, build_global_mesh,
                        build_local_mesh, cell_geometry, interface_facets,
                        locate_point)
@@ -536,6 +538,39 @@ class TestGeometryReuse:
         fresh = build_coupled_operators(*make_pair(dim=dim, m=m), 1.0, 0.125)
         assert_same_operators(reused, fresh)
 
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(dim_m=st.sampled_from([(2, 2), (3, 1)]),
+           builds=st.lists(st.tuples(
+               st.sampled_from([1.0, 3.0]),
+               st.one_of(st.just(1.0), st.floats(1e-3, 4.0)),
+               st.one_of(st.none(), st.floats(1e4, 1e7))),
+               min_size=2, max_size=4))
+    @example(dim_m=(2, 2), builds=[(1.0, 1.0, None), (1.0, 2.7, None)])
+    @example(dim_m=(3, 1), builds=[(3.0, 0.1, 2e5), (1.0, 1.0, 2e5),
+                                   (1.0, 0.3, None)])
+    def test_scalar_builds_independent_of_order(self, dim_m, builds):
+        # (kappa_plus, kappa_minus / kappa_plus, explicit penalty or None)
+        # in turn on one mesh pair: the unit pair is assembled at unit
+        # coefficients, whichever build comes first, so the last build, its
+        # unit solvers and its interface block are bitwise those of the
+        # same build on fresh meshes
+        dim, m = dim_m
+        pair = make_pair(dim=dim, m=m)
+        for kp, ratio, alpha in builds:
+            reused = build_coupled_operators(*pair, kp, ratio * kp,
+                                             alpha=alpha)
+        fresh = build_coupled_operators(*make_pair(dim=dim, m=m), kp,
+                                        ratio * kp, alpha=alpha)
+        assert_same_operators(reused, fresh)
+        for x, y in zip(reused.solvers(SolverConfig()),
+                        fresh.solvers(SolverConfig())):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(x.unit.A, part),
+                                              getattr(y.unit.A, part))
+        a, b = reused.interface(), fresh.interface()
+        np.testing.assert_array_equal(a.Y, b.Y)
+        np.testing.assert_array_equal(a.lam, b.lam)
+
     def test_strip_load_follows_problem_data(self):
         # the strip load is kept for one set of problem data; data that
         # differ from the kept set in one field rebuild it, and another wall
@@ -739,6 +774,41 @@ class TestKeptLayouts:
         assert calls == {"dirichlet_dofs": [], "apply_dirichlet": [],
                          "assemble_load": []}
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scalar_build_assembles_nothing(self, dim, monkeypatch):
+        # a second scalar build on a mesh pair and penalty ratio scales the
+        # kept unit blocks; only a new ratio assembles, and only the strip
+        geom, gm, gd, lm, ld = make_pair(dim=dim)
+        build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5)
+        calls = {attr: count_calls(monkeypatch, home, attr)
+                 for home, attr in ((fem_module, "assemble_stiffness"),
+                                    (coupling, "assemble_flux_jump_S"),
+                                    (coupling, "assemble_penalty_D"))}
+        applied = calls["apply"] = []
+        apply = fem_module._Elimination.apply
+
+        def counting(self, *args):
+            applied.append(self)
+            return apply(self, *args)
+
+        monkeypatch.setattr(fem_module._Elimination, "apply", counting)
+        r = default_alpha(1.0, lm.h)
+        for kp, km, alpha in ((1.0, 0.25, None), (3.0, 3.0, None),
+                              (2.0, 0.125, 0.125 * r)):
+            build_coupled_operators(geom, gm, gd, lm, ld, kp, km,
+                                    alpha=alpha)
+        assert calls == {"assemble_stiffness": [], "assemble_flux_jump_S": [],
+                         "assemble_penalty_D": [], "apply": []}
+        build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5, alpha=1e5)
+        assert calls == {"assemble_stiffness": [lm],
+                         "assemble_flux_jump_S": [gm],
+                         "assemble_penalty_D": [gm], "apply": []}
+        # a per-cell build assembles and eliminates its own blocks
+        build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                kappa_minus_cells=np.full(lm.num_cells, 0.5))
+        assert calls["assemble_stiffness"] == [lm, gm, lm]
+        assert len(applied) == 2
+
     def test_fitted_solve_shares_the_elimination(self, monkeypatch):
         # the coupled build and a fitted solve on the box dof map find its
         # Dirichlet elimination once, in one object
@@ -808,6 +878,103 @@ class TestMixedDegrees:
             # the strip's own rule: the reference is met bitwise
             np.testing.assert_array_equal(K.data, want["K_minus"].data)
             np.testing.assert_array_equal(ops.f_minus, want["f_minus"])
+
+
+def summed_magnitudes(pattern, weights):
+    """The sum of |weights[k] * units[k]| over the owners of a _CsrPattern,
+    in its layout: the scale of the rounding of any sum of its triplets."""
+    magnitudes = copy.copy(pattern)
+    magnitudes.units = np.abs(pattern.units)
+    return magnitudes.matrix(np.abs(weights))
+
+
+class TestScaledRoute:
+    """A scalar build scales the unit blocks of its mesh pair where the
+    reference builder assembles at its coefficients: the two round apart
+    only where the coefficient multiplies, and not at all when every factor
+    is a power of two."""
+
+    @staticmethod
+    def deviations(pair, kp, km, alpha, problem):
+        """The largest deviation of each block and load of the scalar build
+        from the reference, in eps times its summed magnitudes; a load's
+        are those of its row's lift, T_D times the row's sum, and its own."""
+        geom, gm, gd, lm, ld = pair
+        ops = build_coupled_operators(*pair, kp, km, alpha=alpha,
+                                      problem=problem)
+        alpha = default_alpha(km, lm.h) if alpha is None else alpha
+        want = reference_operators(
+            geom, gm, gd, lm, ld, np.full(gm.num_cells, kp),
+            np.full(lm.num_cells, km),
+            np.full(len(interface_facets(lm)), kp - km), alpha, problem,
+            None, kp / km)
+        # the box load before its lift is the builder's own sum (see
+        # TestKeptLayouts); the lift is the reference's
+        outside, inside = coupling._load(geom, gm, gd, problem)
+        want["f_plus"] = masked_apply_dirichlet(
+            coo_stiffness(gm, gd, np.full(gm.num_cells, kp)),
+            outside + (kp / km) * inside, fem_module.dirichlet_dofs(gm, gd),
+            problem.T_D)[1]
+        terms = coupling._interface(gm, lm, gd, ld)
+
+        def stiffness(mesh, dofmap, kappa):
+            adet, _, shape = cell_geometry(mesh)
+            return summed_magnitudes(
+                fem_module._stiffness_pattern(mesh, dofmap),
+                kappa * adet[shape])
+
+        mag = {"K_plus": stiffness(gm, gd, kp),
+               "K_minus": stiffness(lm, ld, km)
+               + summed_magnitudes(terms.mass, alpha * terms.scale),
+               "S": summed_magnitudes(terms.S, ((kp - km) * terms.wq).ravel()),
+               "D": summed_magnitudes(terms.D, (alpha * terms.wq).ravel())}
+        eps = np.finfo(float).eps
+        out = {}
+        for name in ("K_plus", "K_minus", "S", "D"):
+            diff = abs(getattr(ops, name) - want[name]).tocsr()
+            diff.eliminate_zeros()
+            rows = np.repeat(np.arange(diff.shape[0]), np.diff(diff.indptr))
+            scale = np.asarray(mag[name][rows, diff.indices]).ravel()
+            out[name] = np.max(diff.data / (eps * scale), initial=0.0)
+        for name, block in (("f_plus", "K_plus"), ("f_minus", "K_minus")):
+            scale = np.abs(want[name]) + problem.T_D * (
+                mag[block] @ np.ones(mag[block].shape[1]))
+            out[name] = np.max(np.abs(getattr(ops, name) - want[name])
+                               / (eps * scale))
+        return out
+
+    @settings(max_examples=16, deadline=None, database=None)
+    @given(dim=st.sampled_from([2, 3]), m=st.sampled_from([1, 2]),
+           kappa_plus=st.sampled_from([1.0, 3.0]), ratio=st.floats(1e-3, 4.0),
+           alpha=st.sampled_from([None, 3.3e5]))
+    @example(dim=3, m=2, kappa_plus=1.0, ratio=1e-3, alpha=None)
+    @example(dim=3, m=2, kappa_plus=3.0, ratio=1.0 - 1e-9, alpha=3.3e5)
+    @example(dim=3, m=1, kappa_plus=3.0, ratio=4.0, alpha=None)
+    def test_within_rounding_of_reference(self, dim, m, kappa_plus, ratio,
+                                          alpha):
+        # measured up to 5.4 eps (D in 3D P1, kappa_minus / kappa_plus near
+        # 0.54), against 4 eps in the cases of TestMixedDegrees, which
+        # rounds one sum of a fixed route: each route here rounds its own
+        # sums of up to some tens of triplets per entry
+        problem = ProblemData(f=4.0e3, flux_panel=1e-3)
+        got = self.deviations(kept_pair(dim, m), kappa_plus,
+                              ratio * kappa_plus, alpha, problem)
+        assert max(got.values()) <= 8.0, got
+
+    @pytest.mark.parametrize("alpha", [None, 3.3e5])
+    @pytest.mark.parametrize("kappa_minus", [0.5, 2.0, 1 / 256])
+    @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_bitwise_at_powers_of_two(self, dim, m, kappa_minus, alpha):
+        # kappa_plus = 1: every factor but the jump 1 - kappa_minus is a
+        # power of two, and that one is too at kappa_minus = 0.5 and 2
+        problem = ProblemData(f=4.0e3, flux_panel=1e-3)
+        got = self.deviations(kept_pair(dim, m), 1.0, kappa_minus, alpha,
+                              problem)
+        jump = abs(1.0 - kappa_minus)
+        exact = {name for name in got
+                 if name != "S" or jump == 2.0 ** np.round(np.log2(jump))}
+        assert all(got[name] == 0.0 for name in exact), got
+        assert max(got.values()) <= 8.0, got
 
 
 class TestDefaults:

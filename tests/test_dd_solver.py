@@ -335,7 +335,37 @@ class TestUnitPair:
         units = [ops._scales()[0] for ops in (a, b, c, d)]
         assert units[0] is units[1] and units[2] is units[3]
         assert units[1] is not units[2] and units[0].plus is units[2].plus
-        assert a.solvers(SolverConfig())[1].unit is units[0].minus
+        assert a.solvers(SolverConfig())[1].unit is units[0].minus.solver
+
+    def test_builds_cannot_change_the_unit_pair(self):
+        # every block of a scalar build has arrays of its own: a caller
+        # that changes a build's blocks in place leaves the kept unit
+        # blocks, and so the next build and its sweep, as they were
+        pair = build_mesh_pair(GEOM, 1 / 160, 1 / 320, 1)
+        ops = build_coupled_operators(GEOM, *pair, 1.0, 1.0)
+        assert ops.S.nnz == 0
+        ops.K_plus.data *= 2.0
+        ops.K_minus.data[::2] = 0.0
+        ops.D.data[::3] = 0.0
+        ops.f_plus[:] = 0.0
+        for block in (ops.K_plus, ops.K_minus, ops.S, ops.D):
+            block.eliminate_zeros()
+            block.has_sorted_indices = False
+            block.sort_indices()
+        ops = build_coupled_operators(GEOM, *pair, 1.0, 2.7)
+        ops.S.data[:] = 0.0
+        ops.S.eliminate_zeros()
+        ops = build_coupled_operators(GEOM, *pair, 1.0, 2.7)
+        fresh = build_coupled_operators(
+            GEOM, *build_mesh_pair(GEOM, 1 / 160, 1 / 320, 1), 1.0, 2.7)
+        for name in ("K_plus", "K_minus", "S", "D"):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(getattr(ops, name), part),
+                    getattr(getattr(fresh, name), part), err_msg=name)
+        np.testing.assert_array_equal(ops.f_plus, fresh.f_plus)
+        np.testing.assert_array_equal(ops.f_minus, fresh.f_minus)
+        assert run_two_level_dd(ops).iterations == 16
 
     def test_per_cell_or_changed_blocks_factor_their_own(self):
         pair = build_mesh_pair(GEOM, 1 / 160, 1 / 320, 1)

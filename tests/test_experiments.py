@@ -649,7 +649,9 @@ class TestCli:
         (["spectrum", "--kappa-plus", "nan"], {}, "kappa_plus = nan"),
         (["solve", "--alpha", "inf"], {}, "penalty weight"),
         (["solve", "--theta", "inf"], {}, "theta must be positive and finite"),
-        (["nonlinear", "--kappa-minus", "inf"], {}, "curve conductivities"),
+        (["nonlinear", "--curve-b", "bad.csv"],
+         {"bad.csv": "T,kappa\n300,inf\n400,1\n"}, "curve conductivities"),
+        (["nonlinear", "--kappa-minus", "inf"], {}, "kappa_minus = inf"),
         (["sweep-mesh", "--mesh-ratios", "0,2,4"], {}, "spacing ratio 0"),
         (["compare-monolithic", "--mesh-ratios", "0"], {},
          "spacing ratio 0"),
@@ -719,7 +721,8 @@ class TestCli:
              "strip-too-thick", "unknown-key", "curve-not-a-number",
              "config-missing", "config-not-an-object", "kappa-minus-nan",
              "kappa-minus-inf", "kappa-plus-nan", "alpha-inf", "theta-inf",
-             "curve-kappa-inf", "sweep-mesh-zero-ratio",
+             "curve-kappa-inf", "nonlinear-kappa-minus-inf",
+             "sweep-mesh-zero-ratio",
              "compare-zero-ratio", "kappa-list-not-a-list",
              "mesh-ratios-not-a-list", "theta-list-not-a-list", "tol-nan",
              "tol-negative", "max-iters-negative", "picard-tol-nan",
@@ -752,7 +755,9 @@ class TestCli:
         {"L": float("nan")}, {"dim": 4}, {"H_minus": 1.0}, {"T_0": float("inf")},
         {"theta": -1}, {"tol": 0}, {"max_iters": 0}, {"solver_method": "lu"},
         {"preconditioner": "ilu"}, {"mesh_ratios": [2, 4, 4]},
-        {"kappa_list": [0.5, 0.25, -1.0]}],
+        {"kappa_list": [0.5, 0.25, -1.0]}, {"kappa_minus": float("inf")},
+        {"kappa_plus": float("nan")}, {"alpha": float("inf")},
+        {"h_plus": 0.0}, {"h_minus": float("nan")}],
         ids=lambda values: next(iter(values)))
     def test_config_values_checked_when_built(self, values, tmp_path,
                                               monkeypatch, capsys):
