@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands map one-to-one onto the study functions; a JSON config can
-seed any run and individual flags override it.  Exits 1 when a run stops
+seed any run and individual flags override it.  Each subcommand takes
+only the shared flags that its run reads.  Exits 1 when a run stops
 early (an IterationFailure) and 2 on a usage error or any other package
 error, invalid config values and keys included.
 """
@@ -9,6 +10,7 @@ error, invalid config values and keys included.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -19,7 +21,7 @@ import numpy as np
 from .coupling import interface_trace_gap
 from .dd_solver import (export_solution_csv, make_iteration_operator,
                         run_two_level_dd)
-from .errors import GlddError, IterationFailure, NoConvergence
+from .errors import GlddError, InvalidConfig, IterationFailure, NoConvergence
 from .experiments import (ExperimentConfig, compare_monolithic, emit_reports,
                           relaxation_study, run_case, sweep_kappa,
                           sweep_mesh_ratio)
@@ -55,25 +57,32 @@ def _range_spec(text: str):
     return np.geomspace(float(lo), float(hi), int(n))
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=Path, default=None,
-                   help="JSON file with ExperimentConfig fields")
-    p.add_argument("--dim", type=int, choices=(2, 3), default=None)
-    p.add_argument("--degree", dest="m", type=int, choices=(1, 2), default=None)
-    p.add_argument("--h-plus", type=fraction, default=None)
-    p.add_argument("--h-minus", type=fraction, default=None)
-    p.add_argument("--kappa-plus", type=float, default=None)
-    p.add_argument("--kappa-minus", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--solver", dest="solver_method", default=None,
-                   choices=tuple(_METHOD_ALIASES))
-    p.add_argument("--preconditioner", default=None,
-                   choices=("none", "diagonal"))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--outdir", default=None)
+# the flags the subcommands share
+_COMMON = (
+    ("--config", dict(type=Path,
+                      help="JSON file with ExperimentConfig fields")),
+    ("--dim", dict(type=int, choices=(2, 3))),
+    ("--degree", dict(dest="m", type=int, choices=(1, 2))),
+    ("--h-plus", dict(type=fraction)),
+    ("--h-minus", dict(type=fraction)),
+    ("--kappa-plus", dict(type=float)),
+    ("--kappa-minus", dict(type=float)),
+    ("--theta", dict(type=float)),
+    ("--alpha", dict(type=float)),
+    ("--tol", dict(type=float)),
+    ("--max-iters", dict(type=int)),
+    ("--solver", dict(dest="solver_method", choices=tuple(_METHOD_ALIASES))),
+    ("--preconditioner", dict(choices=("none", "diagonal"))),
+    ("--outdir", {}),
+)
+
+
+def _add_common(p: argparse.ArgumentParser, unread=()):
+    """The shared flags but those in unread, which the subcommand's run
+    does not read, so that passing one is a usage error."""
+    for flag, kwargs in _COMMON:
+        if flag not in unread:
+            p.add_argument(flag, default=None, **kwargs)
 
 
 def _config_from(args) -> ExperimentConfig:
@@ -178,6 +187,7 @@ def _cmd_relax(args) -> int:
     for name, value in study.presets.items():
         print(f"preset {name}: theta={value:.4f}")
     emit_reports(study.records, {}, cfg.outdir, config=cfg)
+    print(f"reports written to {cfg.outdir}")
     return 0
 
 
@@ -208,6 +218,12 @@ def _curve(spec, fallback):
 
 def _cmd_nonlinear(args) -> int:
     cfg = _config_from(args)
+    if cfg.alpha is not None:
+        # only a config file can set it: the command has no --alpha
+        raise InvalidConfig(
+            f"config file {args.config}: nonlinear reads no alpha; Picard "
+            f"steps use the per-cell default penalty "
+            f"1e6 * max(kappa_minus) / h_minus")
     curve_a = _curve(args.curve_a, cfg.kappa_plus)
     curve_b = _curve(args.curve_b, cfg.kappa_minus)
     # NonlinearConfig owns the defaults; only the flags given override them
@@ -250,8 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-mesh overlapping solver for layered diffusion "
                     "with strong coefficient contrast.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags are spelled out: an abbreviation would let an unregistered
+    # flag through as another one (relax-study --theta as --theta-list)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("solve", help="run one coupled solve")
+    p = add_parser("solve", help="run one coupled solve")
     _add_common(p)
     p.add_argument("--export-operators", action="store_true")
     p.add_argument("--export-solution", action="store_true")
@@ -259,41 +278,43 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump the full iteration report as JSON")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("spectrum", help="compute the iteration radius")
-    _add_common(p)
+    p = add_parser("spectrum", help="compute the iteration radius")
+    _add_common(p, unread=("--outdir",))
     p.add_argument("--power", action="store_true",
                    help="also print the power-iteration estimate")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the power iteration's start vector")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("sweep-kappa", help="sweep the strip coefficient")
-    _add_common(p)
+    p = add_parser("sweep-kappa", help="sweep the strip coefficient")
+    _add_common(p, unread=("--kappa-minus",))
     p.add_argument("--kappa-list", type=_float_list, default=None,
                    help="comma separated strip coefficients")
     p.set_defaults(func=_cmd_sweep_kappa)
 
-    p = sub.add_parser("sweep-mesh", help="sweep the spacing ratio")
-    _add_common(p)
+    p = add_parser("sweep-mesh", help="sweep the spacing ratio")
+    _add_common(p, unread=("--kappa-minus", "--h-minus"))
     p.add_argument("--kappa-list", type=_float_list, default=None)
     p.add_argument("--mesh-ratios", type=_ratio_list, default=None,
                    help="comma separated spacing ratios, e.g. 2,4,8,16")
     p.set_defaults(func=_cmd_sweep_mesh)
 
-    p = sub.add_parser("relax-study", help="compare relaxation weights")
-    _add_common(p)
+    p = add_parser("relax-study", help="compare relaxation weights")
+    _add_common(p, unread=("--theta",))
     p.add_argument("--theta-list", type=_float_list, default=None)
     p.set_defaults(func=_cmd_relax)
 
-    p = sub.add_parser("compare-monolithic",
-                       help="two-mesh solver vs one fitted mesh")
-    _add_common(p)
+    p = add_parser("compare-monolithic",
+                   help="two-mesh solver vs one fitted mesh")
+    _add_common(p, unread=("--kappa-minus", "--h-minus", "--solver",
+                           "--preconditioner"))
     p.add_argument("--kappa-ratios", type=_float_list, default=None,
                    help="comma separated coefficient ratios (default 2,3)")
     p.add_argument("--mesh-ratios", type=_ratio_list, default=None)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("nonlinear",
-                       help="temperature dependent conductivities")
-    _add_common(p)
+    p = add_parser("nonlinear", help="temperature dependent conductivities")
+    _add_common(p, unread=("--alpha",))
     p.add_argument("--curve-a", default=None,
                    help="bulk conductivity: constant or CSV with columns "
                         "T,kappa")

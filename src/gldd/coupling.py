@@ -44,13 +44,19 @@ step, with per-cell conductivities, jump weights and penalty) costs one
 weighted bincount per block, written into that block's one matrix in
 place (the strip block's penalty alpha * M_gamma through the kept gamma
 mass), and factors its own two blocks.
+
+CoupledOperators are fixed when built: blocks, loads and the solve state
+on them, one dict whose entries are each written once (a scalar build's
+unit pair and coefficients, the direct solver pair, the interface
+block).  Other blocks come only through dataclasses.replace, whose
+operators start with no solve state and factor their own pair.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -131,11 +137,17 @@ class ProblemData:
         return self.q
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoupledOperators:
     """All blocks of the coupled system, Dirichlet conditions eliminated,
-    and the owner of the block solves on them (solvers) and of their one
-    interface block (interface)."""
+    fixed when built, and the owner of the block solves on them (solvers)
+    and of their one interface block (interface).
+
+    Their solve state is one dict, each entry written once: "unit", the
+    (unit pair, kappa_plus, kappa_minus) of a scalar build, set by the
+    builder; "direct", the direct solver pair; "block", the interface
+    block.  dataclasses.replace, the one way to other blocks, returns
+    operators with none of it, which factor their own pair."""
 
     K_plus: sp.csr_matrix
     K_minus: sp.csr_matrix
@@ -151,6 +163,7 @@ class CoupledOperators:
     T_D: float
     global_dirichlet: np.ndarray
     local_dirichlet: np.ndarray
+    _state: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_plus(self):
@@ -161,58 +174,39 @@ class CoupledOperators:
         return self.K_minus.shape[0]
 
     def solvers(self, config: SolverConfig):
-        """The (plus, minus) solver pair on K_plus and K_minus for config,
-        made once and kept while both blocks are the same objects, so the
-        sweep, the radius, M and the partial sums on these operators share
-        one factorization per block.  A direct solve reads no rel_tol,
-        max_iters or preconditioner, so every direct config gets the pair
-        of SolverConfig().  On a scalar build whose four blocks are the
-        ones built, that pair is the unit pair of its mesh pair scaled by
-        kappa_plus and kappa_minus (ScaledSolver), so every scalar build on
-        one mesh pair and penalty ratio solves on one factorization per
-        block; any other pair is factored here."""
-        if config.method == "direct":
-            config = SolverConfig()
-        pairs = memoised(self, "_solvers", (self.K_plus, self.K_minus), dict)
-        if config not in pairs:
-            scales = self._scales()
-            if scales is not None and config.method == "direct":
-                pairs[config] = scales[0].solvers(*scales[1:])
-            else:
-                pairs[config] = (LinearSolver(self.K_plus, config),
-                                 LinearSolver(self.K_minus, config))
-        return pairs[config]
+        """The (plus, minus) solver pair on K_plus and K_minus for config.
+        A direct solve reads no rel_tol, max_iters or preconditioner, so
+        every direct config gets the one direct pair, made on the first
+        call: the sweep, the radius, M and the partial sums on these
+        operators share one factorization per block.  On a scalar build
+        that pair is the unit pair of its mesh pair scaled by kappa_plus
+        and kappa_minus (ScaledSolver), so every scalar build on one mesh
+        pair and penalty ratio solves on one factorization per block.  A
+        Krylov config factors nothing and gets a new pair per call."""
+        if config.method != "direct":
+            return (LinearSolver(self.K_plus, config),
+                    LinearSolver(self.K_minus, config))
+        if "direct" not in self._state:
+            unit = self._state.get("unit")
+            self._state["direct"] = unit[0].solvers(*unit[1:]) if unit \
+                else (LinearSolver(self.K_plus), LinearSolver(self.K_minus))
+        return self._state["direct"]
 
     def interface(self):
-        """The InterfaceBlock on the direct pair solvers(SolverConfig()),
-        made once and kept while all four blocks are the same objects.  A
-        direct sweep on these operators runs on it once it is kept.  On a
-        scalar build it is the unit block of its mesh pair times
+        """The InterfaceBlock on the direct pair, made on the first call.
+        A direct sweep on these operators runs on it once it is made.  On
+        a scalar build it is the unit block of its mesh pair times
         1 - kappa_minus / kappa_plus, Y and lam alike; the unit block is
         made on the first call for a mesh pair and penalty ratio."""
-        scales = self._scales()
-        if scales is not None:
-            unit, kappa_plus, kappa_minus = scales
-            # the jump as S has it, exact where kappa_minus nears kappa_plus
-            return self._kept_interface(lambda: unit.block().scaled(
-                (kappa_plus - kappa_minus) / kappa_plus))
-        plus, minus = self.solvers(SolverConfig())
-        return self._kept_interface(
-            lambda: InterfaceBlock(plus, self.S, minus, self.D))
-
-    def _scales(self, scales=None):
-        """(unit pair, kappa_plus, kappa_minus) of a scalar build, kept by
-        the builder while all four blocks are the ones it built; None for
-        any other operators."""
-        return memoised(self, "_unit_scales",
-                        (self.K_plus, self.K_minus, self.S, self.D),
-                        None if scales is None else lambda: scales)
-
-    def _kept_interface(self, build=None):
-        """The interface block kept for the current blocks, made by build()
-        if there is none; without build, None then."""
-        return memoised(self, "_interface",
-                        (self.K_plus, self.K_minus, self.S, self.D), build)
+        if "block" not in self._state:
+            unit = self._state.get("unit")
+            if unit is not None:
+                block = unit[0].block(*unit[1:])
+            else:
+                plus, minus = self.solvers(SolverConfig())
+                block = InterfaceBlock(plus, self.S, minus, self.D)
+            self._state["block"] = block
+        return self._state["block"]
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +411,9 @@ class _UnitPair:
     Dirichlet rows eliminated or cleared: plus, the _UnitBlock of A_plus,
     kept per box dof map, minus that of K_1, and S_1, D_1.  A scalar
     build scales copies of them (build), its block solves are the unit
-    ones with the right-hand side scaled (solvers), and its iteration
-    operator is 1 - kappa_minus / kappa_plus times the unit one, whose
-    interface block is made on the first call of block().
+    ones with the right-hand side scaled (solvers), and its interface
+    block is the unit one, made on the first call, times
+    1 - kappa_minus / kappa_plus (block).
     """
 
     def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap,
@@ -451,12 +445,14 @@ class _UnitPair:
         return (ScaledSolver(self.plus.solver, kappa_plus, self.plus.dofs),
                 ScaledSolver(self.minus.solver, kappa_minus, self.minus.dofs))
 
-    def block(self):
-        """The unit InterfaceBlock, made on the first call."""
+    def block(self, kappa_plus, kappa_minus):
+        """The InterfaceBlock of a scalar build: the unit one, made on the
+        first call, times 1 - kappa_minus / kappa_plus."""
         if self._block is None:
             self._block = InterfaceBlock(self.plus.solver, self.S,
                                          self.minus.solver, self.D)
-        return self._block
+        # the jump as S has it, exact where kappa_minus nears kappa_plus
+        return self._block.scaled((kappa_plus - kappa_minus) / kappa_plus)
 
 
 def _unit_pair(global_mesh, local_mesh, global_dofmap, local_dofmap, r):
@@ -553,11 +549,14 @@ def build_coupled_operators(geom: GeometryConfig,
     nothing: its blocks are copies of the unit blocks its mesh pair keeps
     for its penalty ratio r = alpha / kappa_minus (_UnitPair), Dirichlet
     rows already eliminated, scaled by kappa_plus, kappa_minus and their
-    difference, and its loads lift kappa times the kept unit lifts.  A
-    per-cell build assembles each block as the one matrix its assembly
-    returns, changed on its data in place through the kept Dirichlet
-    eliminations and, for the strip's penalty alpha * M_gamma, the gamma
-    mass of the kept interface terms, which S and D are weighted from too.
+    difference, and its loads lift kappa times the kept unit lifts; its
+    operators hold that unit pair with kappa_plus and kappa_minus
+    (CoupledOperators' "unit" entry), which their direct pair and
+    interface block scale.  A per-cell build assembles each block as the
+    one matrix its assembly returns, changed on its data in place through
+    the kept Dirichlet eliminations and, for the strip's penalty
+    alpha * M_gamma, the gamma mass of the kept interface terms, which S
+    and D are weighted from too.
     Both loads are kept unscaled (see _load), the box load as (outside,
     inside) so that f_plus = outside + (kappa_plus/kappa_minus) * inside
     before the lift; with a flux_scale the kept source and flux values are
@@ -610,7 +609,7 @@ def build_coupled_operators(geom: GeometryConfig,
         global_dirichlet=plus.dofs,
         local_dirichlet=minus.dofs)
     if scalar:
-        ops._scales((unit, kappa_plus, kappa_minus))
+        ops._state["unit"] = (unit, kappa_plus, kappa_minus)
     return ops
 
 

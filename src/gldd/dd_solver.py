@@ -21,15 +21,14 @@ pair keeps, scaled by the coefficients, and its block the unit block
 times 1 - kappa_minus / kappa_plus (see coupling), so at the default
 penalty a run at a new strip coefficient on a mesh pair factors nothing.
 
-One rule picks the route: a direct run on operators that keep their
-block (ops.interface, which every study that records a radius has
-called) takes it, with two solves for c per run, then one n_plus x |J|
-product per sweep, and the strip solve only where T_minus is reported.
-Any other run
-(a bare set-up, each Picard step, every Krylov solver) makes the two block
-solves per sweep, since building the block costs 2|J| column solves, more
-than a few sweeps save.  M and the partial sums keep their two solves as
-the independent reference of both.
+One rule picks the route: a direct run on operators that hold their
+block (made by ops.interface, which every study that records a radius
+has called) takes it, with two solves for c per run, then one
+n_plus x |J| product per sweep, and the strip solve only where T_minus
+is reported.  Any other run (a bare set-up, each Picard step, every
+Krylov solver) makes the two block solves per sweep, since building the
+block costs 2|J| column solves, more than a few sweeps save.  M and the
+partial sums keep their two solves as the independent reference of both.
 """
 
 from __future__ import annotations
@@ -131,12 +130,13 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     """Run the alternating iteration until the relative change of the box
     iterate drops below config.tol.
 
-    The block solves are ops.solvers(config.solver), the pair that every
-    run, radius and partial sum on ops with that config shares; the
-    report counts only this run's inner iterations.  A direct run on
-    operators that keep their interface block (ops.interface) sweeps
-    T_tilde = c + Y T_plus[J]; any other makes the two block solves (see
-    the module docstring).
+    The block solves are ops.solvers(config.solver): for a direct config
+    the one pair that every run, radius and partial sum on ops shares and
+    that counts no inner iterations, for a Krylov config a pair of this
+    run's own, whose counts the report carries.  A direct run on
+    operators that hold their interface block (made by ops.interface)
+    sweeps T_tilde = c + Y T_plus[J]; any other makes the two block
+    solves (see the module docstring).
 
     The residual history holds ||T^k - T^{k-1}|| / ||T^k|| per sweep.
     Divergence is detected on the unnormalized step ||T^k - T^{k-1}||,
@@ -153,9 +153,8 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     config = config or DDConfig()
     t0 = time.perf_counter()
     plus, minus = ops.solvers(config.solver)
-    block = ops._kept_interface() if config.solver.method == "direct" \
+    block = ops._state.get("block") if config.solver.method == "direct" \
         else None
-    inner0 = (minus.total_iterations, plus.total_iterations)
 
     def strip(T_plus):
         return minus.solve(ops.f_minus - ops.D @ T_plus)
@@ -209,8 +208,8 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
         tail = [history[-i] / history[-i - 1] for i in (1, 2, 3)
                 if history[-i - 1] > 0]
         rho = float(np.exp(np.mean(np.log(tail)))) if tail else None
-    inner = {"local": minus.total_iterations - inner0[0],
-             "global": plus.total_iterations - inner0[1]}
+    inner = {"local": minus.total_iterations,
+             "global": plus.total_iterations}
     report = DDReport(converged=failure is None, iterations=len(history),
                       residual_history=np.asarray(history),
                       T_plus=T_plus, T_minus=T_minus, theta=config.theta,

@@ -218,10 +218,10 @@ def face_keys(ids, nv):
     return keys
 
 
-def memoised(owner, name, key, build=None):
+def memoised(owner, name, key, build):
     """build(), kept on owner as attribute ``name`` and built again only
     when asked for with another key, a tuple of objects compared by
-    identity.  Without build, the value kept for key, or None.
+    identity.
 
     What is kept depends only on owner and key objects that are never
     changed in place, so it lives on owner, is built once per object and
@@ -229,8 +229,6 @@ def memoised(owner, name, key, build=None):
     """
     held = vars(owner).get(name)
     if held is None or not all(a is b for a, b in zip(held[0], key)):
-        if build is None:
-            return None
         held = (key, build())
         setattr(owner, name, held)
     return held[1]

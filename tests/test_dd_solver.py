@@ -1,7 +1,7 @@
 """Alternating iteration, closed-form equivalents and the fitted reference."""
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gldd.coupling import ProblemData, build_coupled_operators
+from gldd.coupling import (CoupledOperators, ProblemData,
+                           build_coupled_operators)
 from gldd.dd_solver import (DDConfig, DDReport, block_residual,
                             build_mesh_pair, export_solution_csv,
                             make_iteration_operator, neumann_partial_sum,
@@ -137,23 +138,49 @@ class TestSolverPair:
         assert sorted(factored) == sorted([ops.K_plus.shape,
                                            ops.K_minus.shape])
 
-    def test_pair_kept_per_config_value(self):
+    def test_one_direct_pair_new_krylov_pair_per_call(self):
+        # a direct solve reads only its method, so every direct config
+        # gets the one direct pair; a Krylov pair factors nothing, so each
+        # call makes its own
         ops = make_ops()
+        direct = ops.solvers(SolverConfig())
+        for config in (SolverConfig(method="direct"),
+                       SolverConfig(method="dense-direct", rel_tol=1e-6),
+                       SolverConfig(preconditioner="diagonal")):
+            assert ops.solvers(config) is direct
         cg = SolverConfig(method="cg")
         plus, minus = ops.solvers(cg)
-        again = ops.solvers(SolverConfig(method="cg"))
-        assert again[0] is plus and again[1] is minus
-        assert ops.solvers(SolverConfig())[0] is not plus
+        again = ops.solvers(cg)
+        assert again[0] is not plus and again[1] is not minus
+        assert plus.config == cg and minus.config == cg
 
     def test_new_block_gets_new_pair(self):
+        # blocks are fixed when built: replace makes operators with other
+        # blocks, which factor a pair of their own, and ops keeps its pair
         ops = make_ops()
         plus, minus = ops.solvers(SolverConfig())
         T = plus.solve(ops.f_plus)
-        ops.K_plus = 2.0 * ops.K_plus
-        new_plus, new_minus = ops.solvers(SolverConfig())
+        doubled = replace(ops, K_plus=2.0 * ops.K_plus)
+        new_plus, new_minus = doubled.solvers(SolverConfig())
         assert new_plus is not plus and new_minus is not minus
         np.testing.assert_allclose(new_plus.solve(ops.f_plus), 0.5 * T,
                                    rtol=1e-12)
+        assert ops.solvers(SolverConfig()) == (plus, minus)
+        with pytest.raises(FrozenInstanceError):
+            ops.K_plus = 2.0 * ops.K_plus
+
+
+def capture_pairs(monkeypatch):
+    """Every solver pair CoupledOperators.solvers hands out from here on."""
+    pairs = []
+    real = CoupledOperators.solvers
+
+    def capturing(self, config):
+        pairs.append(real(self, config))
+        return pairs[-1]
+
+    monkeypatch.setattr(CoupledOperators, "solvers", capturing)
+    return pairs
 
 
 def count_solves(monkeypatch):
@@ -251,7 +278,7 @@ class TestInterfaceBlockRoute:
         assert len(solves) == 2 * report.iterations + 2
         assert all(b.ndim == 1 for b in solves)
         assert built == []
-        assert (ops._kept_interface() is None) == (solver.method == "direct")
+        assert ("block" in ops._state) == (solver.method == "cg")
 
     def test_iteration_operator_keeps_two_solves(self, monkeypatch):
         # M stays the independent two-solve reference of the series and
@@ -266,17 +293,24 @@ class TestInterfaceBlockRoute:
             assert len(solves) == 2 * k
 
     def test_block_kept_per_blocks(self):
-        # one block per operators, on the default direct pair, made again
-        # only when a block is replaced
+        # one block per operators, on the default direct pair; operators
+        # with a block replaced hold none until they make their own, on a
+        # pair of their own
         ops = make_ops()
         block = ops.interface()
         assert ops.interface() is block
         # a scalar build's direct pair scales the kept unit pair
-        assert all(s.unit._lu is not None
-                   for s in ops.solvers(SolverConfig()))
-        ops.D = ops.D.copy()
-        assert ops._kept_interface() is None
-        assert ops.interface() is not block
+        plus, minus = ops.solvers(SolverConfig())
+        assert plus.unit._lu is not None and minus.unit._lu is not None
+        other = replace(ops, D=ops.D.copy())
+        assert "block" not in other._state
+        new_plus, new_minus = other.solvers(SolverConfig())
+        assert new_plus is not plus and new_minus is not minus
+        new_block = other.interface()
+        assert new_block is not block and ops.interface() is block
+        assert new_block.rho() == pytest.approx(block.rho(), rel=1e-12)
+        with pytest.raises(FrozenInstanceError):
+            ops.D = ops.D.copy()
 
 
 class TestUnitPair:
@@ -313,7 +347,7 @@ class TestUnitPair:
         ops = build(kappa_minus)
         own = build(kappa_minus, kappa_minus_cells=np.full(
             pair[2].num_cells, kappa_minus))
-        assert ops._scales() is not None and own._scales() is None
+        assert "unit" in ops._state and "unit" not in own._state
         config = DDConfig(max_iters=300)
         runs = [run_or_stop(o, config) for o in (ops, own)]
         rho, rho_own = ops.interface().rho(), own.interface().rho()
@@ -332,7 +366,7 @@ class TestUnitPair:
                                               alpha=alpha)
                       for km, alpha in ((0.5, None), (0.25, None),
                                         (0.25, 1e5), (0.5, 2e5)))
-        units = [ops._scales()[0] for ops in (a, b, c, d)]
+        units = [ops._state["unit"][0] for ops in (a, b, c, d)]
         assert units[0] is units[1] and units[2] is units[3]
         assert units[1] is not units[2] and units[0].plus is units[2].plus
         assert a.solvers(SolverConfig())[1].unit is units[0].minus.solver
@@ -372,10 +406,10 @@ class TestUnitPair:
         per_cell = build_coupled_operators(
             GEOM, *pair, 1.0, 0.5,
             kappa_plus_cells=np.ones(pair[0].num_cells))
-        changed = build_coupled_operators(GEOM, *pair, 1.0, 0.5)
-        changed.K_minus = changed.K_minus.copy()
+        scalar = build_coupled_operators(GEOM, *pair, 1.0, 0.5)
+        changed = replace(scalar, K_minus=scalar.K_minus.copy())
         for ops in (per_cell, changed):
-            assert ops._scales() is None
+            assert "unit" not in ops._state
             assert all(isinstance(s, LinearSolver)
                        for s in ops.solvers(SolverConfig()))
 
@@ -450,32 +484,34 @@ class TestFailureModes:
     @pytest.mark.parametrize("error,kappa_minus,config", [
         (Diverged, 12.0, DDConfig(max_iters=500)),
         (MaxItersExceeded, 0.5, DDConfig(tol=1e-16, max_iters=3))])
-    def test_failed_reports_carry_inner_iterations(self, error, kappa_minus,
-                                                   config):
+    def test_failed_reports_carry_inner_iterations(self, monkeypatch, error,
+                                                   kappa_minus, config):
         ops = make_ops(kappa_minus=kappa_minus)
         cg = SolverConfig(method="cg")
-        solvers = ops.solvers(cg)
+        pairs = capture_pairs(monkeypatch)
         with pytest.raises(error) as info:
             run_two_level_dd(ops, replace(config, solver=cg))
+        [(plus, minus)] = pairs
         assert info.value.report.inner_iterations == {
-            "local": solvers[1].total_iterations,
-            "global": solvers[0].total_iterations}
-        assert solvers[1].total_iterations > 0
+            "local": minus.total_iterations,
+            "global": plus.total_iterations}
+        assert minus.total_iterations > 0
 
-    def test_inner_stall_raises_with_partial_report(self):
+    def test_inner_stall_raises_with_partial_report(self, monkeypatch):
         # a 40-step CG budget stalls the strip solve of the second sweep
         ops = make_ops()
         cg = SolverConfig(method="cg", max_iters=40)
-        solvers = ops.solvers(cg)
+        pairs = capture_pairs(monkeypatch)
         with pytest.raises(NoConvergence) as info:
             run_two_level_dd(ops, DDConfig(solver=cg),
                              initial=np.zeros(ops.n_plus))
         report = info.value.report
         assert isinstance(report, DDReport) and not report.converged
         assert report.iterations == len(report.residual_history) == 1
+        [(plus, minus)] = pairs
         assert report.inner_iterations == {
-            "local": solvers[1].total_iterations,
-            "global": solvers[0].total_iterations}
+            "local": minus.total_iterations,
+            "global": plus.total_iterations}
         assert report.inner_iterations["local"] >= cg.max_iters
 
     @pytest.mark.parametrize("config,start,sizes", [

@@ -607,6 +607,33 @@ class TestCli:
         assert getattr(cfg, field) == value
         assert cfg == replace(ExperimentConfig(), **{field: value})
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("solve", "--seed", "1"), ("spectrum", "--outdir", "out"),
+        ("sweep-kappa", "--kappa-minus", "0.25"),
+        ("sweep-kappa", "--seed", "1"),
+        ("sweep-mesh", "--kappa-minus", "0.25"),
+        ("sweep-mesh", "--h-minus", "1/7"), ("sweep-mesh", "--seed", "1"),
+        ("relax-study", "--theta", "0.5"), ("relax-study", "--seed", "1"),
+        ("compare-monolithic", "--kappa-minus", "0.25"),
+        ("compare-monolithic", "--h-minus", "1/640"),
+        ("compare-monolithic", "--solver", "cg"),
+        ("compare-monolithic", "--preconditioner", "diagonal"),
+        ("compare-monolithic", "--seed", "1"),
+        ("nonlinear", "--alpha", "5"), ("nonlinear", "--seed", "1")])
+    def test_unread_flag_is_a_usage_error(self, command, flag, value,
+                                          capsys):
+        # a subcommand registers only the flags its run reads: sweep-kappa
+        # sweeps kappa_list, sweep-mesh sets h_minus to h_plus / ratio,
+        # relax-study sweeps theta_list, compare-monolithic sets kappa_minus
+        # from its ratios and forces diagonally preconditioned GMRES,
+        # nonlinear's Picard steps use the default penalty, and only
+        # spectrum --power draws from the seed
+        with pytest.raises(SystemExit) as info:
+            main([command, flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in \
+            capsys.readouterr().err
+
     def test_solve(self, capsys):
         assert main(["solve", "--kappa-minus", "0.5"]) == 0
         out = capsys.readouterr().out
@@ -716,7 +743,11 @@ class TestCli:
          "kappa_list entry -1.0 is not positive"),
         (["sweep-kappa", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"kappa_list": [0.5, float("nan")]})},
-         "cfg.json: kappa_list entry nan")],
+         "cfg.json: kappa_list entry nan"),
+        (["nonlinear", "--alpha", "5"], {}, "unrecognized arguments: --alpha"),
+        (["nonlinear", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"alpha": 5.0})},
+         "Picard steps use the per-cell default penalty")],
         ids=["zero-spacing", "zero-denominator", "zero-theta",
              "strip-too-thick", "unknown-key", "curve-not-a-number",
              "config-missing", "config-not-an-object", "kappa-minus-nan",
@@ -734,7 +765,8 @@ class TestCli:
              "length-nan", "width-nan-3d", "extent-over-spacing-overflows",
              "wall-temperature-nan", "sweep-mesh-repeated-ratio",
              "kappa-plus-b-grid-empty", "kappa-list-negative-entry",
-             "kappa-list-nan-entry"])
+             "kappa-list-nan-entry", "nonlinear-alpha-flag",
+             "nonlinear-alpha-in-config"])
     def test_invalid_input_exits_2(self, argv, files, named, tmp_path,
                                    capsys, monkeypatch):
         # an input the package rejects is a usage error, not a traceback,
@@ -828,7 +860,9 @@ class TestCli:
         rc = main(["relax-study", "--theta-list", "1,0.5",
                    "--outdir", str(tmp_path)])
         assert rc == 0
-        assert "best theta" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "best theta" in out
+        assert f"reports written to {tmp_path}" in out.splitlines()
         assert [r["theta"] for r in read_csv(tmp_path / "records.csv")] == [
             "1.0", "0.5"]
         assert read_csv(tmp_path / "fits.csv") == []

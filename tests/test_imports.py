@@ -531,3 +531,52 @@ def test_factorization_detector():
         (PACKAGE / "dd_solver.py").read_text())] == ["run_coupled_direct"]
     assert [owner for _line, owner in factorization_calls(
         (PACKAGE / "linalg.py").read_text())] == ["LinearSolver"]
+
+
+# state kept by identity of its key objects (mesh.memoised) lives on meshes
+# and dof maps, which are never changed in place; the coupled operators are
+# fixed when built and hold their solve state once, so nothing keys state
+# on the object that holds it
+def memoised_owners(source):
+    """(line, def or class, owner) of every memoised(...) call in a
+    module, owner the source text of its first argument and the def or
+    class the top-level one it sits in (None at module level)."""
+    found = []
+    for node in ast.parse(source).body:
+        top = getattr(node, "name", None)
+        found += [(sub.lineno, top, ast.unparse(sub.args[0]))
+                  for sub in ast.walk(node)
+                  if isinstance(sub, ast.Call) and sub.args and
+                  getattr(sub.func, "attr",
+                          getattr(sub.func, "id", None)) == "memoised"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_state_keyed_on_its_holder(path):
+    assert [(line, top) for line, top, owner in
+            memoised_owners(path.read_text()) if owner == "self"] == []
+
+
+def test_memoised_owner_detector():
+    # operators that key their solver pairs and unit scales on their own
+    # blocks, beside the interface terms and unit block kept on dof maps
+    source = ("class CoupledOperators:\n"
+              "    def solvers(self, config):\n"
+              "        pairs = memoised(self, '_solvers', (self.K_plus,),"
+              " dict)\n"
+              "    def _scales(self):\n"
+              "        return mesh.memoised(self, '_unit_scales', ())\n"
+              "def _interface(local_dofmap, build):\n"
+              "    return memoised(local_dofmap, '_interface', (), build)\n"
+              "class _UnitPair:\n"
+              "    def __init__(self, dofmap, build):\n"
+              "        self.plus = memoised(dofmap, '_unit_block', (), "
+              "build)\n")
+    assert memoised_owners(source) == [
+        (3, "CoupledOperators", "self"), (5, "CoupledOperators", "self"),
+        (7, "_interface", "local_dofmap"), (10, "_UnitPair", "dofmap")]
+    assert {owner for _line, _top, owner in memoised_owners(
+        (PACKAGE / "coupling.py").read_text())} == {"local_dofmap",
+                                                    "global_dofmap", "dofmap"}
