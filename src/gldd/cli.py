@@ -22,9 +22,9 @@ from .coupling import interface_trace_gap
 from .dd_solver import (export_solution_csv, make_iteration_operator,
                         run_two_level_dd)
 from .errors import GlddError, InvalidConfig, IterationFailure, NoConvergence
-from .experiments import (ExperimentConfig, compare_monolithic, emit_reports,
-                          relaxation_study, run_case, sweep_kappa,
-                          sweep_mesh_ratio)
+from .experiments import (ExperimentConfig, _json_object, compare_monolithic,
+                          emit_reports, relaxation_study, run_case,
+                          sweep_kappa, sweep_mesh_ratio)
 from .fem import export_matrix
 from .linalg import _METHOD_ALIASES, power_iteration_rho
 from .nonlinear import (MaterialCurve, NonlinearConfig, picard_two_level,
@@ -85,14 +85,31 @@ def _add_common(p: argparse.ArgumentParser, unread=()):
             p.add_argument(flag, default=None, **kwargs)
 
 
+# the config field each shared flag sets, and the seed, which only the
+# subcommand that registers --seed reads
+_FLAG_FIELDS = tuple(kwargs.get("dest", flag[2:].replace("-", "_"))
+                     for flag, kwargs in _COMMON
+                     if flag != "--config") + ("seed",)
+
+
 def _config_from(args) -> ExperimentConfig:
     # a flag overrides the config field its destination is named after
     overrides = {f.name: getattr(args, f.name, None)
                  for f in fields(ExperimentConfig)}
-    if args.config is not None:
-        return ExperimentConfig.from_json(args.config, **overrides)
-    return ExperimentConfig(**{k: v for k, v in overrides.items()
-                               if v is not None})
+    if args.config is None:
+        return ExperimentConfig(**{k: v for k, v in overrides.items()
+                                   if v is not None})
+    # a flag the subcommand does not register sets a field its run does
+    # not read, and a config file may not set that field either
+    keys = _json_object(args.config)
+    unread = [name for name in _FLAG_FIELDS
+              if name in keys and not hasattr(args, name)]
+    if unread:
+        note = getattr(args, "unread_note", None)
+        raise InvalidConfig(
+            f"config file {args.config}: {args.command} reads no "
+            f"{', '.join(unread)}" + (f"; {note}" if note else ""))
+    return ExperimentConfig.from_json(args.config, **overrides)
 
 
 def _cmd_solve(args) -> int:
@@ -218,12 +235,6 @@ def _curve(spec, fallback):
 
 def _cmd_nonlinear(args) -> int:
     cfg = _config_from(args)
-    if cfg.alpha is not None:
-        # only a config file can set it: the command has no --alpha
-        raise InvalidConfig(
-            f"config file {args.config}: nonlinear reads no alpha; Picard "
-            f"steps use the per-cell default penalty "
-            f"1e6 * max(kappa_minus) / h_minus")
     curve_a = _curve(args.curve_a, cfg.kappa_plus)
     curve_b = _curve(args.curve_b, cfg.kappa_minus)
     # NonlinearConfig owns the defaults; only the flags given override them
@@ -327,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--picard-max", type=int, default=None)
     p.add_argument("--sweep-kappa-plus-b", type=_range_spec, metavar="LO:HI:N",
                    help="geometric grid of background coefficients")
-    p.set_defaults(func=_cmd_nonlinear)
+    p.set_defaults(func=_cmd_nonlinear,
+                   unread_note="Picard steps use the per-cell default "
+                               "penalty 1e6 * max(kappa_minus) / h_minus")
     return parser
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -178,9 +179,13 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
                 T_tilde = plus.solve(ops.f_plus - ops.S @ T_minus)
             else:
                 T_tilde = c + block.Y @ T_plus[block.J]
-            T_next = config.theta * T_tilde + (1.0 - config.theta) * T_plus
-            step = np.linalg.norm(T_next - T_plus)
-            denom = np.linalg.norm(T_next)
+            T_next = T_tilde if config.theta == 1.0 else \
+                config.theta * T_tilde + (1.0 - config.theta) * T_plus
+            # np.linalg.norm's own sum for a real vector, without its
+            # wrapper, which costs more than the sum at these sizes
+            delta = T_next - T_plus
+            step = math.sqrt(delta @ delta)
+            denom = math.sqrt(T_next @ T_next)
             diff = step / (denom if denom > 0 else 1.0)
             history.append(diff)
             if iterates is not None:
@@ -191,7 +196,7 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
                 break
             if first_step is None:
                 first_step = step if step > 0 else None
-            elif not np.isfinite(step) or \
+            elif not math.isfinite(step) or \
                     step > _DIVERGENCE_GUARD * first_step:
                 failure = Diverged(
                     f"step grew {_DIVERGENCE_GUARD}x after {k} sweeps")

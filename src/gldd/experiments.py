@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import platform
 import time
@@ -26,16 +27,22 @@ from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
 from .errors import (InsufficientRatios, InvalidConfig, IterationFailure,
                      NonDivisibleSpacing, NonpositiveCoefficient,
                      RankDeficient, UnknownConfigKey)
+from .fem import build_dofmap
 from .linalg import SolverConfig, check_seed, fit_rho_law, least_squares_fit
-from .mesh import GeometryConfig, check_spacing
+from .mesh import (GeometryConfig, build_global_mesh, build_local_mesh,
+                   check_spacing)
 
 
+# the exact built-in types first: an ABC isinstance test costs a few
+# microseconds, and a study builds a config per point
 def _number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) is float or type(value) is int or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _tuple_of(test):
@@ -107,7 +114,7 @@ class ExperimentConfig:
             if r in self.mesh_ratios[:i]:
                 raise InvalidConfig(f"spacing ratio {r} is repeated")
         for k in self.kappa_list:
-            if not (k > 0 and np.isfinite(k)):
+            if not (k > 0 and math.isfinite(k)):
                 raise InvalidConfig(
                     f"kappa_list entry {k} is not positive and finite")
         try:
@@ -148,13 +155,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise InvalidConfig(f"config file {path}: {exc}") from None
-        if not isinstance(data, dict):
-            raise InvalidConfig(f"config file {path} holds no JSON object")
+        data = _json_object(path)
         data.update({k: v for k, v in overrides.items() if v is not None})
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
@@ -166,6 +167,19 @@ class ExperimentConfig:
             raise InvalidConfig(f"config file {path}: {exc}") from None
 
 
+def _json_object(path) -> dict:
+    """The JSON object a config file holds; InvalidConfig, naming the
+    file, if it cannot be read or holds anything else."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"config file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"config file {path} holds no JSON object")
+    return data
+
+
 @dataclass
 class SweepRecord:
     """One parameter point; rho_measured is the exact radius of the
@@ -175,7 +189,10 @@ class SweepRecord:
     share work between records (sweep_kappa's meshes, cross-mesh terms,
     unit factorization pair and unit interface block, relaxation_study's
     operators, factorizations and block) charge the shared part to the
-    record that paid for it, the first one of its mesh pair.
+    record that paid for it, the first one of its mesh pair;
+    sweep_mesh_ratio's one box (its mesh, dof map, unit block with its
+    factorization, and loads) is paid by the study's first record, each
+    ratio's strip and the terms on it by that ratio's first record.
     """
 
     case_id: str
@@ -240,18 +257,28 @@ def sweep_kappa(cfg: ExperimentConfig):
     once and every coefficient runs on them: its blocks are the unit
     blocks of the mesh pair scaled, and its radius and direct sweeps run
     on the one unit factorization pair and unit interface block (see
-    coupling); the first record's time_s includes their build.  Returns
-    (records, fit, warnings); fit is None if the data are degenerate, with
-    the reason appended to warnings.
+    coupling); the first record's time_s includes their build.
+    sweep_mesh_ratio runs the same coefficients on each ratio's strip and
+    its one box.  Returns (records, fit, warnings); fit is None if the
+    data are degenerate, with the reason appended to warnings.
     """
-    geom = cfg.geometry()
+    t0 = time.perf_counter()
+    pair = build_mesh_pair(cfg.geometry(), cfg.h_plus, cfg.h_minus, cfg.m)
+    return _sweep_pair(cfg, cfg, pair, t0)
+
+
+def _sweep_pair(cfg, study, pair, t0):
+    """sweep_kappa on a mesh pair already built at cfg's spacings, its
+    first record's time running from t0.  The builds take the geometry
+    and problem data of the config study: the box dof map keys its kept
+    loads by their identity, so the spacing ratios of one study, each a
+    config of its own, share the box's."""
+    geom, problem = study.geometry(), study.problem()
     records = []
     warnings = []
-    t0 = time.perf_counter()
-    pair = build_mesh_pair(geom, cfg.h_plus, cfg.h_minus, cfg.m)
     for km in cfg.kappa_list:
         ops = build_coupled_operators(geom, *pair, cfg.kappa_plus, km,
-                                      alpha=cfg.alpha, problem=cfg.problem())
+                                      alpha=cfg.alpha, problem=problem)
         records += _run_points(ops, [replace(cfg, kappa_minus=km)], t0)
         t0 = time.perf_counter()
     ratios = [r.kappa_ratio for r in records]
@@ -290,13 +317,30 @@ def log2_growth_slope(ratios, c_tildes) -> float:
 
 
 def sweep_mesh_ratio(cfg: ExperimentConfig) -> MeshRatioStudy:
-    """Track the fitted slope constant as the spacing ratio doubles."""
+    """Track the fitted slope constant as the spacing ratio doubles.
+
+    The box mesh and dof map, at cfg's h_plus and m, are built once for
+    the study, and with them whatever is kept on the box dof map (its
+    stiffness pattern and Dirichlet elimination, the unit box block and
+    its factorization, the unscaled box loads); each spacing ratio builds
+    only its strip mesh and dof map and runs sweep_kappa's coefficients on
+    the pair.  The study's first record's time_s includes the box build,
+    the first record of each ratio its strip build.
+    """
     ratios = sorted(cfg.mesh_ratios)
     if len(ratios) < 3:
         raise InsufficientRatios("need at least three spacing ratios")
+    geom = cfg.geometry()
     c_tildes, all_records, fits, warnings = [], [], {}, []
+    t0 = time.perf_counter()
+    gmesh = build_global_mesh(geom, cfg.h_plus)
+    box = (gmesh, build_dofmap(gmesh, cfg.m))
     for r in ratios:
-        records, fit, warns = sweep_kappa(_at_spacing_ratio(cfg, r))
+        point = _at_spacing_ratio(cfg, r)
+        lmesh = build_local_mesh(geom, point.h_minus)
+        records, fit, warns = _sweep_pair(
+            point, cfg, (*box, lmesh, build_dofmap(lmesh, cfg.m)), t0)
+        t0 = time.perf_counter()
         warnings.extend(warns)
         all_records.extend(records)
         if fit is None:

@@ -313,6 +313,64 @@ class TestInterfaceBlockRoute:
             ops.D = ops.D.copy()
 
 
+def reference_sweep(ops, config, block):
+    """The alternating iteration as written in the module docstring, with
+    np.linalg.norm and the relaxation formed at every theta, on ops's
+    direct pair (and its interface block, when block): (error class or
+    None, sweep count, residual history, T_plus, T_minus)."""
+    plus, minus = ops.solvers(config.solver)
+
+    def strip(T_plus):
+        return minus.solve(ops.f_minus - ops.D @ T_plus)
+
+    T_plus = plus.solve(ops.f_plus)
+    if block:
+        Y, J = ops.interface().Y, ops.interface().J
+        c = plus.solve(ops.f_plus - ops.S @ minus.solve(ops.f_minus))
+    history, first = [], None
+    for _ in range(config.max_iters):
+        T_tilde = c + Y @ T_plus[J] if block else \
+            plus.solve(ops.f_plus - ops.S @ strip(T_plus))
+        T_next = config.theta * T_tilde + (1.0 - config.theta) * T_plus
+        step = np.linalg.norm(T_next - T_plus)
+        denom = np.linalg.norm(T_next)
+        history.append(step / (denom if denom > 0 else 1.0))
+        T_prev, T_plus = T_plus, T_next
+        if history[-1] < config.tol:
+            return None, len(history), history, T_plus, strip(T_plus)
+        if first is None:
+            first = step if step > 0 else None
+        elif not np.isfinite(step) or step > 1e6 * first:
+            return Diverged, len(history), history, T_plus, strip(T_prev)
+    return MaxItersExceeded, len(history), history, T_plus, strip(T_prev)
+
+
+class TestSweepParity:
+    """The sweep's bookkeeping (the norms, the finiteness test, the
+    unrelaxed iterate taken as is at theta = 1) leaves every number of the
+    run as the reference loop has it, bitwise, on both routes."""
+
+    @pytest.mark.parametrize("block", [True, False],
+                             ids=["block", "two-solve"])
+    @pytest.mark.parametrize("kappa_minus,theta", [
+        (0.5, 1.0), (0.5, 0.67), (3.0, 0.67), (10.0, 1.0)])
+    def test_run_matches_reference_loop(self, block, kappa_minus, theta):
+        config = DDConfig(theta=theta, max_iters=500)
+        ops = make_ops(kappa_minus=kappa_minus, m=2)
+        if block:
+            ops.interface()
+        error, report = run_or_stop(ops, config)
+        want = reference_sweep(make_ops(kappa_minus=kappa_minus, m=2),
+                               config, block)
+        # kappa_minus = 10 diverges unrelaxed, the others converge
+        assert error is want[0] is (Diverged if kappa_minus == 10.0
+                                    else None)
+        assert report.iterations == want[1]
+        np.testing.assert_array_equal(report.residual_history, want[2])
+        np.testing.assert_array_equal(report.T_plus, want[3])
+        np.testing.assert_array_equal(report.T_minus, want[4])
+
+
 class TestUnitPair:
     """A scalar build solves on the unit pair its mesh pair keeps, scaled by
     its coefficients, and its interface block is the unit block scaled by

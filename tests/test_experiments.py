@@ -2,8 +2,11 @@
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import asdict, fields, replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,10 +67,11 @@ def count_builds(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dd_solver, "build_global_mesh",
-                        counting("global", dd_solver.build_global_mesh))
-    monkeypatch.setattr(dd_solver, "build_local_mesh",
-                        counting("local", dd_solver.build_local_mesh))
+    for module in (dd_solver, experiments):
+        monkeypatch.setattr(module, "build_global_mesh",
+                            counting("global", module.build_global_mesh))
+        monkeypatch.setattr(module, "build_local_mesh",
+                            counting("local", module.build_local_mesh))
     monkeypatch.setattr(coupling, "_Interface",
                         counting("interface", coupling._Interface))
     return counts
@@ -163,6 +167,24 @@ class TestConfig:
         path.write_text(json.dumps({f.name: value}))
         with pytest.raises(InvalidConfig, match=f"typed.json: {f.name} must"):
             ExperimentConfig.from_json(path)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(value=st.one_of(
+        st.integers(), st.floats(), st.booleans(),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.integers(0, 255).map(np.uint8), st.floats().map(np.float64),
+        st.floats(width=32).map(np.float32), st.booleans().map(np.bool_),
+        st.fractions(), st.decimals(), st.just(Fraction(1, 3)),
+        st.just(Decimal("0.5")), st.text(max_size=3), st.none()))
+    def test_type_tests_take_what_the_number_abcs_take(self, value):
+        # the exact-type shortcut changes no verdict: floats (nan and inf
+        # too) and ints pass, bools fail, numpy scalars and fractions
+        # still reach the ABC test, decimals are no Real
+        assert experiments._number(value) == (
+            isinstance(value, numbers.Real) and not isinstance(value, bool))
+        assert experiments._integer(value) == (
+            isinstance(value, numbers.Integral)
+            and not isinstance(value, bool))
 
     @pytest.mark.parametrize("key", ["kappa_list", "mesh_ratios",
                                      "theta_list"])
@@ -364,9 +386,10 @@ class TestMeshRatioStudy:
             assert (rec.iterations, rec.converged) == \
                 (fresh.iterations, fresh.converged)
 
-    def test_two_factorizations_per_spacing_ratio(self, monkeypatch):
+    def test_one_box_factorization_and_one_per_strip(self, monkeypatch):
         # the benchmark's study: every strip coefficient of a spacing ratio
-        # solves on the one unit pair of its mesh pair
+        # solves on the one unit pair of its mesh pair, and the ratios
+        # share the unit box block of the study's one box
         factored = []
 
         class CountingSpla:
@@ -380,21 +403,83 @@ class TestMeshRatioStudy:
         monkeypatch.setattr(gldd_linalg, "spla", CountingSpla())
         cfg = ExperimentConfig(m=1, h_plus=1 / 160, mesh_ratios=(2, 4, 8, 16))
         study = sweep_mesh_ratio(cfg)
-        assert len(study.records) == 32 and len(factored) == 8
-        # one box and one strip block per ratio
-        pairs = (dd_solver.build_mesh_pair(cfg.geometry(), cfg.h_plus,
+        assert len(study.records) == 32 and len(factored) == 5
+        # the box block once, one strip block per ratio
+        pairs = [dd_solver.build_mesh_pair(cfg.geometry(), cfg.h_plus,
                                            cfg.h_plus / r, 1)
-                 for r in cfg.mesh_ratios)
+                 for r in cfg.mesh_ratios]
         assert sorted(factored) == sorted(
-            n for _, gd, _, ld in pairs for n in (gd.n_dofs, ld.n_dofs))
+            [pairs[0][1].n_dofs] + [ld.n_dofs for _, _, _, ld in pairs])
 
     def test_one_build_per_mesh_pair(self, monkeypatch):
+        # one box per study, one strip and one set of interface terms per
+        # spacing ratio
         counts = count_builds(monkeypatch)
         cfg = ExperimentConfig(kappa_list=(0.5, 0.25, 0.125),
                                mesh_ratios=(2, 4, 8))
         study = sweep_mesh_ratio(cfg)
         assert len(study.records) == 9
-        assert counts == {"global": 3, "local": 3, "interface": 3}
+        assert counts == {"global": 1, "local": 3, "interface": 3}
+
+    def test_box_terms_built_once_per_study(self, monkeypatch):
+        # the box's stiffness and its two unscaled loads are kept on its
+        # dof map, which every ratio's builds find: keyed by the study's
+        # geometry and problem data, not by each ratio's config
+        boxes, stiffness, loads = [], [], []
+
+        def recording(calls, real):
+            return lambda mesh, *a, **k: calls.append(mesh) or \
+                real(mesh, *a, **k)
+
+        monkeypatch.setattr(experiments, "build_global_mesh", lambda *a:
+                            boxes.append(dd_solver.build_global_mesh(*a))
+                            or boxes[-1])
+        monkeypatch.setattr(coupling, "assemble_stiffness",
+                            recording(stiffness, coupling.assemble_stiffness))
+        monkeypatch.setattr(coupling, "assemble_load",
+                            recording(loads, coupling.assemble_load))
+        cfg = ExperimentConfig(kappa_list=(0.5, 0.25, 0.125),
+                               mesh_ratios=(2, 4, 8))
+        sweep_mesh_ratio(cfg)
+        [box] = boxes
+        # the box's unit block once and its loads (outside and inside the
+        # footprint) once, and the same for each ratio's strip
+        assert sum(mesh is box for mesh in stiffness) == 1
+        assert sum(mesh is box for mesh in loads) == 2
+        assert len(stiffness) == len(loads) / 2 == 1 + len(cfg.mesh_ratios)
+
+    @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
+    def test_records_equal_a_fresh_pair_per_ratio(self, dim, m):
+        # sharing the box changes no number: each ratio's records (but
+        # time_s), fit and slope constant are those of sweep_kappa on a
+        # pair of its own
+        cfg = ExperimentConfig(dim=dim, m=m, kappa_list=(0.5, 0.25, 0.125),
+                               mesh_ratios=(2, 4, 8))
+        study = sweep_mesh_ratio(cfg)
+        for i, r in enumerate(study.ratios):
+            records, fit, _ = sweep_kappa(replace(cfg,
+                                                  h_minus=cfg.h_plus / r))
+            got = study.records[3 * i:3 * i + 3]
+            np.testing.assert_equal(
+                [asdict(replace(rec, time_s=0.0)) for rec in got],
+                [asdict(replace(rec, time_s=0.0)) for rec in records])
+            np.testing.assert_equal(asdict(study.fits[r]), asdict(fit))
+            assert study.c_tildes[i] == fit.C_tilde
+
+    def test_box_time_charged_to_first_record(self, monkeypatch):
+        # the study's one box build is paid by its first record only
+        delay = 0.2
+        real = experiments.build_global_mesh
+
+        def slow(*args, **kwargs):
+            time.sleep(delay)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_global_mesh", slow)
+        study = sweep_mesh_ratio(ExperimentConfig(
+            kappa_list=(0.5, 0.25, 0.125), mesh_ratios=(2, 4, 8)))
+        assert study.records[0].time_s >= delay
+        assert all(r.time_s < delay for r in study.records[1:])
 
     def test_time_charged_to_first_record(self, monkeypatch):
         # the shared mesh build is paid once, by the first coefficient
@@ -633,6 +718,36 @@ class TestCli:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("sweep-mesh", "h_minus", 0.142857142857),
+        ("sweep-kappa", "kappa_minus", 3.0), ("relax-study", "theta", 0.5),
+        ("compare-monolithic", "solver_method", "cg"),
+        ("compare-monolithic", "preconditioner", "diagonal"),
+        ("solve", "seed", 1)])
+    def test_config_file_sets_an_unread_field(self, command, key, value,
+                                              tmp_path, monkeypatch, capsys):
+        # the flag rule holds for config files: a field the subcommand's
+        # run does not read is rejected, naming the file and the field,
+        # before any mesh is built
+        calls = []
+        for name in ("build_mesh_pair", "build_global_mesh", "setup_case"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m": 1, key: value}))
+        assert main([command, "--config", str(path)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1
+        assert f"config file {path}: {command} reads no {key}" in err
+
+    def test_config_file_seed_reaches_spectrum(self, tmp_path):
+        # spectrum --power draws from the seed, so its config may set it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 7}))
+        args = build_parser().parse_args(["spectrum", "--config", str(path)])
+        assert _config_from(args).seed == 7
 
     def test_solve(self, capsys):
         assert main(["solve", "--kappa-minus", "0.5"]) == 0
