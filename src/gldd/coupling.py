@@ -12,16 +12,16 @@ with the sign convention of that block system: S stores the negative
 flux-jump integral, D stores -alpha times the cross mass matrix.
 
 What does not depend on the coefficients is built once and kept on the
-mesh and dof-map objects it depends on: per dof map, the unit cell
-matrices and CSR pattern of its stiffness block and the Dirichlet
-elimination in that pattern (fem._elimination, shared with solve_fitted);
-per mesh pair, the interface terms, the one owner of the gamma quadrature
-(the box basis at every gamma point, the only points located, the strip
-trace basis there from its facet rule, the unit S and D terms, and the
-gamma mass with its slots in the strip's pattern); both loads unscaled;
-and per box dof map the load a Picard step scales, the source values and
-footprint points with the top-flux quadrature, flux values and nonzero
-points (fem.ScaledLoad).
+dof map it belongs to: per dof map, the unit cell matrices and CSR
+pattern of its stiffness block and the Dirichlet elimination in that
+pattern (fem._elimination, shared with solve_fitted); per mesh pair, on
+the strip dof map, the interface terms, the one owner of the gamma
+quadrature (the box basis at every gamma point, the only points located,
+the strip trace basis there from its facet rule, the unit S and D terms,
+and the gamma mass with its slots in the strip's pattern); both loads
+unscaled; and per box dof map the load a Picard step scales, the source
+values and footprint points with the top-flux quadrature, flux values
+and nonzero points (fem.ScaledLoad).
 
 At the default penalty, alpha = 1e6 kappa_minus / h_minus, a build whose
 coefficients are all scalar is a multiple of one unit pair of its mesh
@@ -80,7 +80,8 @@ def check_coefficients(kappa_plus, kappa_minus, alpha=None):
     ExperimentConfig applies as it is built: both conductivities positive
     and finite, an explicit penalty weight nonnegative and finite.  Raises
     NonpositiveCoefficient."""
-    if not all(k > 0 and np.isfinite(k) for k in (kappa_plus, kappa_minus)):
+    # a NaN fails the chained comparison, and an integer of any size is exact
+    if not all(0 < k < np.inf for k in (kappa_plus, kappa_minus)):
         raise NonpositiveCoefficient(
             f"conductivities must be positive and finite, got kappa_plus = "
             f"{kappa_plus}, kappa_minus = {kappa_minus}")
@@ -89,7 +90,7 @@ def check_coefficients(kappa_plus, kappa_minus, alpha=None):
 
 
 def _check_penalty(alpha):
-    if not (alpha >= 0 and np.isfinite(alpha)):
+    if not 0 <= alpha < np.inf:
         raise NonpositiveCoefficient(
             f"penalty weight must be nonnegative and finite, got {alpha}")
 
@@ -125,7 +126,7 @@ class ProblemData:
     flux_panel: float = 1e-4
 
     def __post_init__(self):
-        if not np.isfinite(self.T_D):
+        if not -np.inf < self.T_D < np.inf:
             raise InvalidConfig(f"wall temperature T_D must be finite, got "
                                 f"{self.T_D}")
 
@@ -230,7 +231,8 @@ class _Interface:
     facet's dofs are its owner cell's).
     """
 
-    def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap):
+    def __init__(self, global_dofmap, local_dofmap):
+        local_mesh = local_dofmap.mesh
         dim = local_mesh.dim
         rule = facet_rule(dim, max(local_dofmap.m, global_dofmap.m))
         nq = len(rule.weights)
@@ -244,7 +246,7 @@ class _Interface:
         self.wq = rule.weights * self.scale[:, None]
         xq = rule.points @ local_mesh.vertices[facets]
         self.gdofs, self.gvals = gdofs, gvals = _basis_at_points(
-            global_mesh, global_dofmap, xq.reshape(-1, dim))
+            global_dofmap.mesh, global_dofmap, xq.reshape(-1, dim))
         # a box basis function that vanishes at a gamma point rounds to up
         # to 1.3e-15 there (3D P2); keep such box dofs off gamma out of D
         gvals[np.abs(gvals) <= 1e-12] = 0.0
@@ -279,7 +281,7 @@ class _Interface:
             return rows * n + pattern.indices
 
         self.mass_slots = np.searchsorted(
-            keys(_stiffness_pattern(local_mesh, local_dofmap)),
+            keys(_stiffness_pattern(local_dofmap)),
             keys(self.mass))
 
 
@@ -292,12 +294,10 @@ def _owner_barycentrics(mesh, facets, owners, points):
     return points @ at_vertex
 
 
-def _interface(global_mesh, local_mesh, global_dofmap, local_dofmap):
+def _interface(global_dofmap, local_dofmap):
     """The _Interface of a mesh pair, kept on the strip dof map."""
-    return memoised(local_dofmap, "_interface",
-                    (global_mesh, local_mesh, global_dofmap),
-                    lambda: _Interface(global_mesh, local_mesh, global_dofmap,
-                                       local_dofmap))
+    return memoised(local_dofmap, "_interface", (global_dofmap,),
+                    lambda: _Interface(global_dofmap, local_dofmap))
 
 
 def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
@@ -311,7 +311,7 @@ def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
     The unit term of every quadrature point is built on the first call for
     a mesh pair; later calls only weight and sum them, zeros dropped.
     """
-    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
+    terms = _interface(global_dofmap, local_dofmap)
     weights = np.full(len(terms.wq), kappa_plus - kappa_minus) \
         if facet_weights is None else np.asarray(facet_weights, dtype=float)
     S = terms.S.matrix((weights[:, None] * terms.wq).ravel())
@@ -327,7 +327,7 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
     kept per mesh pair, zeros dropped.
     """
     _check_penalty(alpha)
-    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
+    terms = _interface(global_dofmap, local_dofmap)
     D = terms.D.matrix((-alpha * terms.wq).ravel())
     D.eliminate_zeros()
     return D
@@ -337,8 +337,7 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
 # the unit pair of a mesh pair
 # ----------------------------------------------------------------------
 
-def _strip_blocks(global_mesh, local_mesh, global_dofmap, local_dofmap,
-                  kappa_minus, alpha, jump):
+def _strip_blocks(global_dofmap, local_dofmap, kappa_minus, alpha, jump):
     """The strip stiffness at kappa_minus (scalar or per cell) plus the
     penalty alpha * M_gamma, before its Dirichlet elimination, and S, at
     jump = (kappa_plus, kappa_minus[, facet_weights]) as
@@ -348,16 +347,15 @@ def _strip_blocks(global_mesh, local_mesh, global_dofmap, local_dofmap,
     pattern first, so that S's assembly, which builds the kept interface
     terms, finds the gamma mass's slots in that pattern without building
     it; D and the eliminations reuse them."""
-    K = assemble_stiffness(local_mesh, local_dofmap, kappa_minus)
-    S = assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap,
-                             local_dofmap, *jump)
+    gmesh, lmesh = global_dofmap.mesh, local_dofmap.mesh
+    K = assemble_stiffness(lmesh, local_dofmap, kappa_minus)
+    S = assemble_flux_jump_S(gmesh, lmesh, global_dofmap, local_dofmap, *jump)
     np.negative(S.data, out=S.data)
-    D = assemble_penalty_D(global_mesh, local_mesh, global_dofmap,
-                           local_dofmap, alpha)
-    terms = _interface(global_mesh, local_mesh, global_dofmap, local_dofmap)
+    D = assemble_penalty_D(gmesh, lmesh, global_dofmap, local_dofmap, alpha)
+    terms = _interface(global_dofmap, local_dofmap)
     K.data[terms.mass_slots] += terms.mass.data(alpha * terms.scale)
-    return (K, _elimination(global_mesh, global_dofmap).clear_rows(S),
-            _elimination(local_mesh, local_dofmap).clear_rows(D))
+    return (K, _elimination(global_dofmap).clear_rows(S),
+            _elimination(local_dofmap).clear_rows(D))
 
 
 def _scaled(A, factor):
@@ -416,17 +414,14 @@ class _UnitPair:
     1 - kappa_minus / kappa_plus (block).
     """
 
-    def __init__(self, global_mesh, local_mesh, global_dofmap, local_dofmap,
-                 r):
-        self.plus = memoised(global_dofmap, "_unit_block", (global_mesh,),
-                             lambda: _UnitBlock(
-                                 assemble_stiffness(global_mesh,
-                                                    global_dofmap, 1.0),
-                                 _elimination(global_mesh, global_dofmap)))
-        K, self.S, self.D = _strip_blocks(global_mesh, local_mesh,
-                                          global_dofmap, local_dofmap, 1.0,
+    def __init__(self, global_dofmap, local_dofmap, r):
+        self.plus = memoised(
+            global_dofmap, "_unit_block", (), lambda: _UnitBlock(
+                assemble_stiffness(global_dofmap.mesh, global_dofmap, 1.0),
+                _elimination(global_dofmap)))
+        K, self.S, self.D = _strip_blocks(global_dofmap, local_dofmap, 1.0,
                                           r, (1.0, 0.0))
-        self.minus = _UnitBlock(K, _elimination(local_mesh, local_dofmap))
+        self.minus = _UnitBlock(K, _elimination(local_dofmap))
         self._block = None
 
     def build(self, kappa_plus, kappa_minus, f_plus, f_minus, value):
@@ -455,28 +450,23 @@ class _UnitPair:
         return self._block.scaled((kappa_plus - kappa_minus) / kappa_plus)
 
 
-def _unit_pair(global_mesh, local_mesh, global_dofmap, local_dofmap, r):
+def _unit_pair(global_dofmap, local_dofmap, r):
     """The _UnitPair of a mesh pair at penalty ratio r, kept on the strip
-    dof map for the last r asked for, compared by value: a sweep at the
-    default penalty keeps one r, one at a fixed explicit penalty makes a
-    new one per coefficient."""
-    kept = memoised(local_dofmap, "_unit_pair",
-                    (global_mesh, local_mesh, global_dofmap), dict)
-    if r not in kept:
-        kept.clear()
-        kept[r] = _UnitPair(global_mesh, local_mesh, global_dofmap,
-                            local_dofmap, r)
-    return kept[r]
+    dof map for the last r asked for: a sweep at the default penalty keeps
+    one r, one at a fixed explicit penalty makes a new one per
+    coefficient."""
+    return memoised(local_dofmap, "_unit_pair", (global_dofmap, r),
+                    lambda: _UnitPair(global_dofmap, local_dofmap, r))
 
 
 # ----------------------------------------------------------------------
 # full system builder
 # ----------------------------------------------------------------------
 
-def _load(geom, mesh, dofmap, problem, flux_scale=None):
-    """The load on mesh before its Dirichlet rows, with the volume source
-    inside the strip footprint and the top flux (whose support lies on the
-    strip's top) multiplied by flux_scale(x).
+def _load(geom, dofmap, problem, flux_scale=None):
+    """The load on a dof map before its Dirichlet rows, with the volume
+    source inside the strip footprint and the top flux (whose support lies
+    on the strip's top) multiplied by flux_scale(x).
 
     flux_scale is called only inside the footprint (callable scales may be
     undefined outside it, e.g. local-field lookups) and, on the flux, only
@@ -486,11 +476,11 @@ def _load(geom, mesh, dofmap, problem, flux_scale=None):
     keep what it derives from them (picard_two_level keeps their strip
     location for its run).  Without flux_scale the unscaled load is
     returned in two parts, (outside, inside) the footprint, kept on the
-    dof map.  Both are kept for the same geometry and problem data (f, q
-    and flux_panel, compared by identity).
+    dof map.  Both are kept for the geometry and problem data (f, q and
+    flux_panel) they were built for.
     """
     q = problem.flux(geom)
-    key = (mesh, geom, problem.f, problem.q, problem.flux_panel)
+    key = (geom, problem.f, problem.q, problem.flux_panel)
 
     def inside(x):
         return x[..., -1] >= geom.floor - 1e-12
@@ -498,7 +488,7 @@ def _load(geom, mesh, dofmap, problem, flux_scale=None):
     if flux_scale is not None:
         b = np.zeros(dofmap.n_dofs)
         memoised(dofmap, "_scaled_load", key,
-                 lambda: ScaledLoad(mesh, dofmap, problem.f, q,
+                 lambda: ScaledLoad(dofmap.mesh, dofmap, problem.f, q,
                                     problem.flux_panel, inside)
                  ).add_to(b, flux_scale)
         return b
@@ -507,7 +497,7 @@ def _load(geom, mesh, dofmap, problem, flux_scale=None):
         f = _as_callable(problem.f)
         source = 0.0 if _zero(problem.f) else (
             lambda x: np.asarray(f(x), dtype=float) * where(x))
-        b = assemble_load(mesh, dofmap, source, flux,
+        b = assemble_load(dofmap.mesh, dofmap, source, flux,
                           q_panel=problem.flux_panel)
         b.setflags(write=False)
         return b
@@ -573,17 +563,16 @@ def build_coupled_operators(geom: GeometryConfig,
     if alpha is None:
         alpha = default_alpha(kappa_minus, local_mesh.h)
     if flux_scale is None:
-        outside, inside = _load(geom, global_mesh, global_dofmap, problem)
+        outside, inside = _load(geom, global_dofmap, problem)
         f_plus = outside + (kappa_plus / kappa_minus) * inside
     else:
-        f_plus = _load(geom, global_mesh, global_dofmap, problem, flux_scale)
+        f_plus = _load(geom, global_dofmap, problem, flux_scale)
     # the strip lies inside its own footprint
-    f_minus = _load(geom, local_mesh, local_dofmap, problem)[1]
+    f_minus = _load(geom, local_dofmap, problem)[1]
     scalar = kappa_plus_cells is None and kappa_minus_cells is None and \
         jump_facet_weights is None
     if scalar:
-        unit = _unit_pair(global_mesh, local_mesh, global_dofmap,
-                          local_dofmap, r)
+        unit = _unit_pair(global_dofmap, local_dofmap, r)
         K_plus, K_minus, S, D, f_plus, f_minus = unit.build(
             kappa_plus, kappa_minus, f_plus, f_minus, problem.T_D)
         plus, minus = unit.plus, unit.minus
@@ -592,11 +581,11 @@ def build_coupled_operators(geom: GeometryConfig,
             global_mesh, global_dofmap,
             kappa_plus if kappa_plus_cells is None else kappa_plus_cells)
         K_minus, S, D = _strip_blocks(
-            global_mesh, local_mesh, global_dofmap, local_dofmap,
+            global_dofmap, local_dofmap,
             kappa_minus if kappa_minus_cells is None else kappa_minus_cells,
             alpha, (kappa_plus, kappa_minus, jump_facet_weights))
-        plus = _elimination(global_mesh, global_dofmap)
-        minus = _elimination(local_mesh, local_dofmap)
+        plus = _elimination(global_dofmap)
+        minus = _elimination(local_dofmap)
         K_plus, f_plus = plus.apply(K_plus, f_plus, problem.T_D)
         K_minus, f_minus = minus.apply(K_minus, f_minus, problem.T_D)
 
@@ -617,8 +606,7 @@ def interface_trace_gap(ops: CoupledOperators, T_plus, T_minus):
     """L2 norm over gamma of the mismatch between the strip trace and the
     box trace; shrinks like 1/alpha.  Both traces come from the bases the
     interface terms keep at the gamma points, so nothing is located."""
-    terms = _interface(ops.global_mesh, ops.local_mesh, ops.global_dofmap,
-                       ops.local_dofmap)
+    terms = _interface(ops.global_dofmap, ops.local_dofmap)
     tm = (T_minus[terms.ldofs] @ terms.lvals.T).ravel()
     tp = (terms.gvals * T_plus[terms.gdofs]).sum(axis=1)
     return np.sqrt(float(np.sum(terms.wq.ravel() * (tm - tp) ** 2)))

@@ -72,11 +72,11 @@ class DDConfig:
     def __post_init__(self):
         # at theta = 0 every step is zero, which reads as convergence; at
         # theta = inf the first step is non-finite
-        if not (self.theta > 0 and np.isfinite(self.theta)):
+        if not 0 < self.theta < np.inf:
             raise InvalidConfig(
                 f"theta must be positive and finite, got {self.theta}")
         # a NaN tolerance is never met; without a sweep nothing is solved
-        if not (self.tol > 0 and np.isfinite(self.tol)):
+        if not 0 < self.tol < np.inf:
             raise InvalidConfig(
                 f"tol must be positive and finite, got {self.tol}")
         if not self.max_iters >= 1:
@@ -326,7 +326,7 @@ def solve_fitted(mesh, dofmap, kappa_cells, load, T_D,
 
     The elimination is the one kept on the dof map (fem._elimination), so a
     Picard loop finds it once."""
-    A, b = _elimination(mesh, dofmap).apply(
+    A, b = _elimination(dofmap).apply(
         assemble_stiffness(mesh, dofmap, kappa_cells), load, T_D)
     lin = LinearSolver(A, solver or SolverConfig())
     return lin.solve(b), lin.total_iterations

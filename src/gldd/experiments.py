@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 import platform
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -43,6 +43,16 @@ def _number(value):
 def _integer(value):
     return type(value) is int or (
         isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _double(value):
+    """Whether a double holds value, or each item of a list or tuple; a
+    larger integer (or fraction) overflows a config's float arithmetic."""
+    if type(value) is tuple or type(value) is list:
+        return all(map(_double, value))
+    return type(value) is float or not (
+        type(value) is int or isinstance(value, numbers.Rational)) \
+        or abs(value) <= sys.float_info.max
 
 
 def _tuple_of(test):
@@ -95,17 +105,20 @@ class ExperimentConfig:
     def __post_init__(self):
         # checked before any work: the seed rule first, so that a bad seed
         # is told the whole rule, then the type of every field (a list is
-        # held as a tuple), the spacing ratios and strip coefficients of
-        # the studies, the coefficients and spacings by the builders' own
-        # rules (whether a spacing divides the extents stays with the mesh
-        # builder), and last the values of the derived objects, built here
-        # once
+        # held as a tuple) and that a double holds its numbers, the
+        # spacing ratios and strip coefficients of the studies, the
+        # coefficients and spacings by the builders' own rules (whether a
+        # spacing divides the extents stays with the mesh builder), and
+        # last the values of the derived objects, built here once
         check_seed(self.seed)
         for f in fields(self):
             kind, fits = _KINDS[f.type]
             value = getattr(self, f.name)
             if not fits(value):
                 raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
+            if not _double(value):
+                raise InvalidConfig(f"{f.name} holds a number too large "
+                                    "for a double")
             if isinstance(value, list):
                 object.__setattr__(self, f.name, tuple(value))
         for i, r in enumerate(self.mesh_ratios):
@@ -114,7 +127,7 @@ class ExperimentConfig:
             if r in self.mesh_ratios[:i]:
                 raise InvalidConfig(f"spacing ratio {r} is repeated")
         for k in self.kappa_list:
-            if not (k > 0 and math.isfinite(k)):
+            if not 0 < k < np.inf:
                 raise InvalidConfig(
                     f"kappa_list entry {k} is not positive and finite")
         try:
@@ -264,16 +277,13 @@ def sweep_kappa(cfg: ExperimentConfig):
     """
     t0 = time.perf_counter()
     pair = build_mesh_pair(cfg.geometry(), cfg.h_plus, cfg.h_minus, cfg.m)
-    return _sweep_pair(cfg, cfg, pair, t0)
+    return _sweep_pair(cfg, pair, t0)
 
 
-def _sweep_pair(cfg, study, pair, t0):
+def _sweep_pair(cfg, pair, t0):
     """sweep_kappa on a mesh pair already built at cfg's spacings, its
-    first record's time running from t0.  The builds take the geometry
-    and problem data of the config study: the box dof map keys its kept
-    loads by their identity, so the spacing ratios of one study, each a
-    config of its own, share the box's."""
-    geom, problem = study.geometry(), study.problem()
+    first record's time running from t0."""
+    geom, problem = cfg.geometry(), cfg.problem()
     records = []
     warnings = []
     for km in cfg.kappa_list:
@@ -339,7 +349,7 @@ def sweep_mesh_ratio(cfg: ExperimentConfig) -> MeshRatioStudy:
         point = _at_spacing_ratio(cfg, r)
         lmesh = build_local_mesh(geom, point.h_minus)
         records, fit, warns = _sweep_pair(
-            point, cfg, (*box, lmesh, build_dofmap(lmesh, cfg.m)), t0)
+            point, (*box, lmesh, build_dofmap(lmesh, cfg.m)), t0)
         t0 = time.perf_counter()
         warnings.extend(warns)
         all_records.extend(records)

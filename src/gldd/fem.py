@@ -323,11 +323,11 @@ class _CsrPattern:
                              shape=self.shape, copy=True)
 
 
-def _stiffness_pattern(mesh, dofmap):
+def _stiffness_pattern(dofmap):
     """The unit stiffness (kappa = 1, |det J| left out) of each cell shape
-    and the shape of every cell, in its CSR pattern, kept on the dof map
-    for the mesh."""
+    and the shape of every cell, in its CSR pattern, kept on the dof map."""
     def build():
+        mesh = dofmap.mesh
         rule = volume_rule(mesh.dim, dofmap.m)
         dlam = shape_bary_grads(mesh.dim, dofmap.m, rule.points)
         _, grads, shape = cell_geometry(mesh)
@@ -337,7 +337,7 @@ def _stiffness_pattern(mesh, dofmap):
         return _CsrPattern(units, dofs[:, :, None], dofs[:, None, :],
                            (dofmap.n_dofs, dofmap.n_dofs), unit_of=shape)
 
-    return memoised(dofmap, "_stiffness", (mesh,), build)
+    return memoised(dofmap, "_stiffness", (), build)
 
 
 def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_matrix:
@@ -351,7 +351,7 @@ def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_ma
         raise NonpositiveCoefficient("kappa must be positive and finite")
     # weights sum to the reference measure, so |detJ| is the whole Jacobian
     adet, _, shape = cell_geometry(mesh)
-    return _stiffness_pattern(mesh, dofmap).matrix(kappa * adet[shape])
+    return _stiffness_pattern(dofmap).matrix(kappa * adet[shape])
 
 
 def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
@@ -679,12 +679,12 @@ class _Elimination:
         return A
 
 
-def _elimination(mesh, dofmap):
+def _elimination(dofmap):
     """The _Elimination of the outer Dirichlet dofs in the stiffness
-    pattern of mesh, kept on the dof map for the mesh: the coupled builder
-    and solve_fitted share it."""
-    return memoised(dofmap, "_elimination", (mesh,), lambda: _Elimination(
-        _stiffness_pattern(mesh, dofmap), dirichlet_dofs(mesh, dofmap)))
+    pattern, kept on the dof map: the coupled builder and solve_fitted
+    share it."""
+    return memoised(dofmap, "_elimination", (), lambda: _Elimination(
+        _stiffness_pattern(dofmap), dirichlet_dofs(dofmap.mesh, dofmap)))
 
 
 def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):

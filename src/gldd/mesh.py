@@ -220,15 +220,16 @@ def face_keys(ids, nv):
 
 def memoised(owner, name, key, build):
     """build(), kept on owner as attribute ``name`` and built again only
-    when asked for with another key, a tuple of objects compared by
-    identity.
+    when asked for with a key, a tuple of its other inputs, that differs
+    by value: meshes and dof maps compare by identity, frozen configs and
+    numbers by value, and the tuple comparison tests identity first.
 
     What is kept depends only on owner and key objects that are never
-    changed in place, so it lives on owner, is built once per object and
-    dies with it.
+    changed in place, so it lives on owner, the dof map (or mesh) it
+    belongs to, and dies with it.
     """
     held = vars(owner).get(name)
-    if held is None or not all(a is b for a, b in zip(held[0], key)):
+    if held is None or held[0] != key:
         held = (key, build())
         setattr(owner, name, held)
     return held[1]

@@ -77,7 +77,7 @@ class NonlinearConfig:
     picard_max: int = 100
 
     def __post_init__(self):
-        if not (self.picard_tol > 0 and np.isfinite(self.picard_tol)):
+        if not 0 < self.picard_tol < np.inf:
             raise InvalidConfig(f"picard_tol must be positive and finite, "
                                 f"got {self.picard_tol}")
         if not self.picard_max >= 1:
@@ -159,7 +159,7 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
     t0 = time.perf_counter()
     gmesh, gdof, lmesh, ldof = build_mesh_pair(geom, h_plus, h_minus, m)
     in_strip = strip_cells(gmesh, geom)
-    gamma = _interface(gmesh, lmesh, gdof, ldof)
+    gamma = _interface(gdof, ldof)
     dd_iters = []
     lin_iters = []
     # id(x) -> (x, strip basis at x) for the kept footprint and flux

@@ -416,7 +416,7 @@ class TestInterfaceTerms:
     def test_gamma_mass_is_the_boundary_mass(self, dim, m):
         # both come from fem's one facet quadrature, so they agree bitwise
         _, gm, gd, lm, ld = make_pair(dim=dim, m=m)
-        terms = coupling._interface(gm, lm, gd, ld)
+        terms = coupling._interface(gd, ld)
         alpha = 3.5
         want = terms.mass.matrix(alpha * terms.scale)
         got = assemble_boundary_mass(lm, ld, gamma_facets(lm)[0], alpha)
@@ -428,7 +428,7 @@ class TestInterfaceTerms:
     def test_one_location_per_mesh_pair(self, dim, monkeypatch):
         geom, gm, gd, lm, ld = make_pair(dim=dim)
         calls = count_locations(monkeypatch)
-        coupling._Interface(gm, lm, gd, ld)
+        coupling._Interface(gd, ld)
         assert calls == [gm]
         # a build keeps its interface terms; a second one locates nothing
         calls.clear()
@@ -605,7 +605,7 @@ class TestGeometryReuse:
 
 def coo_stiffness(mesh, dofmap, kappa_cells):
     """The stiffness summed by scipy's COO-to-CSR conversion."""
-    pattern = fem_module._stiffness_pattern(mesh, dofmap)
+    pattern = fem_module._stiffness_pattern(dofmap)
     units = pattern.units[pattern.unit_of]
     adet, _, shape = cell_geometry(mesh)
     vals = (kappa_cells * adet[shape])[:, None, None] * units
@@ -815,11 +815,11 @@ class TestKeptLayouts:
         geom, gm, gd, lm, ld = make_pair()
         found = count_calls(monkeypatch, fem_module, "_Elimination")
         ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5)
-        kept = fem_module._elimination(gm, gd)
+        kept = fem_module._elimination(gd)
         T, _ = solve_fitted(gm, gd, np.ones(gm.num_cells), ops.f_plus,
                             ops.T_D)
         assert len(found) == 2
-        assert fem_module._elimination(gm, gd) is kept
+        assert fem_module._elimination(gd) is kept
         np.testing.assert_array_equal(T[ops.global_dirichlet], ops.T_D)
 
 
@@ -910,17 +910,17 @@ class TestScaledRoute:
             None, kp / km)
         # the box load before its lift is the builder's own sum (see
         # TestKeptLayouts); the lift is the reference's
-        outside, inside = coupling._load(geom, gm, gd, problem)
+        outside, inside = coupling._load(geom, gd, problem)
         want["f_plus"] = masked_apply_dirichlet(
             coo_stiffness(gm, gd, np.full(gm.num_cells, kp)),
             outside + (kp / km) * inside, fem_module.dirichlet_dofs(gm, gd),
             problem.T_D)[1]
-        terms = coupling._interface(gm, lm, gd, ld)
+        terms = coupling._interface(gd, ld)
 
         def stiffness(mesh, dofmap, kappa):
             adet, _, shape = cell_geometry(mesh)
             return summed_magnitudes(
-                fem_module._stiffness_pattern(mesh, dofmap),
+                fem_module._stiffness_pattern(dofmap),
                 kappa * adet[shape])
 
         mag = {"K_plus": stiffness(gm, gd, kp),
@@ -1035,7 +1035,7 @@ class TestKeptScaledFlux:
                           [x is gm for x in loads].count(True)))
             want = reference_box_load(geom, gm, gd, problem, flux_scale)
             np.testing.assert_array_equal(
-                coupling._load(geom, gm, gd, problem, flux_scale), want)
+                coupling._load(geom, gd, problem, flux_scale), want)
             np.testing.assert_array_equal(
                 ops.f_plus,
                 masked_apply_dirichlet(K, want, gdir, problem.T_D)[1])
@@ -1057,9 +1057,9 @@ class TestKeptScaledFlux:
         def loads(q):
             problem = ProblemData(f=lambda x: 1e3 * (1.0 + 40.0 * x[..., 0]),
                                   q=q, flux_panel=1e-3)
-            return [*coupling._load(geom, gm, gd, problem),
-                    *coupling._load(geom, lm, ld, problem),
-                    coupling._load(geom, gm, gd, problem, flux_scale)]
+            return [*coupling._load(geom, gd, problem),
+                    *coupling._load(geom, ld, problem),
+                    coupling._load(geom, gd, problem, flux_scale)]
 
         zero = loads(0.0)
         assert chunks == []

@@ -3,6 +3,7 @@
 import csv
 import json
 import numbers
+import sys
 import time
 from dataclasses import asdict, fields, replace
 from decimal import Decimal
@@ -115,6 +116,17 @@ JSON_VALUES = {
 }
 
 
+# a 401-digit integer in each number field, given to a subcommand that
+# reads that field
+PAST_A_DOUBLE = [
+    ("sweep-kappa", "kappa_list", [0.5, 10 ** 400]),
+    ("sweep-mesh", "mesh_ratios", [2, 4, 10 ** 400]),
+    ("relax-study", "theta_list", [1.0, -10 ** 400]),
+    *(("solve", field, 10 ** 400) for field in (
+        "h_plus", "h_minus", "L", "H", "kappa_plus", "kappa_minus", "alpha",
+        "T_0", "theta", "tol"))]
+
+
 def json_kinds_taken(f):
     """The kinds of JSON_VALUES a config field takes, read off its default:
     alpha (default None) takes null, a tuple field a list, a str field a
@@ -185,6 +197,32 @@ class TestConfig:
         assert experiments._integer(value) == (
             isinstance(value, numbers.Integral)
             and not isinstance(value, bool))
+
+    @pytest.mark.parametrize("field", [
+        "kappa_plus", "kappa_minus", "alpha", "T_0", "theta", "tol"])
+    def test_an_integer_a_double_holds_is_a_number(self, field):
+        # 2**70 is past numpy's integer types but not past a double: the
+        # finiteness checks compare it as the number it is
+        cfg = ExperimentConfig(**{field: 2 ** 70})
+        assert getattr(cfg, field) == 2 ** 70
+
+    @pytest.mark.parametrize("value,held", [
+        (int(sys.float_info.max), True), (-int(sys.float_info.max), True),
+        (int(sys.float_info.max) + 1, False), (-10 ** 400, False),
+        (Fraction(10 ** 400, 3), False), (Fraction(1, 3), True),
+        (float("inf"), True), (float("nan"), True), (np.float64("inf"), True),
+        (np.int64(-7), True), (True, True), ("out", True), (None, True),
+        ((2, 4, 8), True), ([0.5, float("nan")], True), ((2, 10 ** 400), False),
+        ([0.5, Fraction(-10 ** 400)], False)])
+    def test_double_range_test(self, value, held):
+        # a non-finite float is in range, and left to the finiteness
+        # checks that name it
+        assert experiments._double(value) == held
+
+    def test_a_fraction_past_a_double_is_rejected(self):
+        with pytest.raises(InvalidConfig, match="theta holds a number too "
+                                                "large for a double"):
+            ExperimentConfig(theta=Fraction(10 ** 400, 3))
 
     @pytest.mark.parametrize("key", ["kappa_list", "mesh_ratios",
                                      "theta_list"])
@@ -309,9 +347,11 @@ class TestSweepKappa:
         assert any("fit skipped" in w for w in warnings)
 
     def test_strip_load_built_once(self, monkeypatch):
-        # neither load depends on a coefficient but the ratio, so the eight
-        # builds on one mesh pair integrate the strip's flux once and the
-        # box's once (every 2D top facet fits in one flux call)
+        # neither load depends on a coefficient but the ratio, and each is
+        # kept on its dof map for geometry and problem data compared by
+        # value, so the eight builds on one mesh pair integrate the strip's
+        # flux once and the box's once (every 2D top facet fits in one flux
+        # call)
         pairs, loading, calls = [], [], []
         real_pair, real_load = experiments.build_mesh_pair, \
             coupling.assemble_load
@@ -337,6 +377,44 @@ class TestSweepKappa:
         gmesh, _, lmesh, _ = pairs[0]
         assert sum(mesh is lmesh for mesh in calls) == 1
         assert sum(mesh is gmesh for mesh in calls) == 1
+
+
+    def test_equal_configs_share_the_kept_state(self, monkeypatch):
+        # kept state compares configs by value, so a second fresh config
+        # on the same mesh pair assembles and factors nothing
+        calls = {"assemble_load": [], "assemble_stiffness": []}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(coupling, name,
+                                counting(name, getattr(coupling, name)))
+        factorizations = count_factorizations(monkeypatch)
+        first = ExperimentConfig()
+        pair = dd_solver.build_mesh_pair(first.geometry(), first.h_plus,
+                                         first.h_minus, first.m)
+
+        def run(cfg):
+            ops = coupling.build_coupled_operators(
+                cfg.geometry(), *pair, cfg.kappa_plus, cfg.kappa_minus,
+                alpha=cfg.alpha, problem=cfg.problem())
+            return (ops.interface().rho(cfg.theta),
+                    dd_solver.run_two_level_dd(ops, cfg.dd()).iterations)
+
+        want = run(first)
+        assert all(calls.values()) and factorizations
+        for seen in (*calls.values(), factorizations):
+            seen.clear()
+        second = ExperimentConfig()
+        assert second.geometry() is not first.geometry()
+        assert second.problem() is not first.problem()
+        assert run(second) == want
+        assert calls == {"assemble_load": [], "assemble_stiffness": []}
+        assert factorizations == []
 
 
 class TestMeshRatioStudy:
@@ -423,8 +501,9 @@ class TestMeshRatioStudy:
 
     def test_box_terms_built_once_per_study(self, monkeypatch):
         # the box's stiffness and its two unscaled loads are kept on its
-        # dof map, which every ratio's builds find: keyed by the study's
-        # geometry and problem data, not by each ratio's config
+        # dof map, which every ratio's builds find: the loads keyed by
+        # geometry and problem data, which each ratio's config holds equal
+        # by value
         boxes, stiffness, loads = [], [], []
 
         def recording(calls, real):
@@ -920,6 +999,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error: ") == 1
         assert f"error: config file {path}: " in err
+
+    @pytest.mark.parametrize("command,field,value", PAST_A_DOUBLE,
+                             ids=[field for _, field, _ in PAST_A_DOUBLE])
+    def test_number_past_a_double_exits_2(self, command, field, value,
+                                          tmp_path, capsys):
+        # a 401-digit integer overflows the float arithmetic of its field,
+        # so it is rejected, naming the field, as the config is built
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and "Traceback" not in err
+        assert (f"error: config file {path}: {field} holds a number too "
+                "large for a double") in err
 
     def test_kappa_list_checked_before_any_case(self, monkeypatch, capsys):
         # a bad last entry stops the sweep before its first case is set up

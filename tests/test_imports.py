@@ -533,23 +533,46 @@ def test_factorization_detector():
         (PACKAGE / "linalg.py").read_text())] == ["LinearSolver"]
 
 
-# state kept by identity of its key objects (mesh.memoised) lives on meshes
-# and dof maps, which are never changed in place; the coupled operators are
-# fixed when built and hold their solve state once, so nothing keys state
-# on the object that holds it
-def memoised_owners(source):
-    """(line, def or class, owner) of every memoised(...) call in a
-    module, owner the source text of its first argument and the def or
-    class the top-level one it sits in (None at module level)."""
+# state kept by mesh.memoised lives on the dof map (or mesh) it belongs
+# to, which is never changed in place, and is rebuilt only when another of
+# its inputs, its key, differs by value; the coupled operators are fixed
+# when built and hold their solve state once, so nothing keys state on the
+# object that holds it, and a dof map holds its mesh, so no key names one
+def memoised_calls(source):
+    """(line, def or class, owner, key) of every memoised(...) call in a
+    module: owner and key the source text of its first and third
+    arguments, a key given by name the value last assigned to that name
+    in the top-level def or class the call sits in (None at module
+    level)."""
     found = []
     for node in ast.parse(source).body:
         top = getattr(node, "name", None)
-        found += [(sub.lineno, top, ast.unparse(sub.args[0]))
-                  for sub in ast.walk(node)
-                  if isinstance(sub, ast.Call) and sub.args and
-                  getattr(sub.func, "attr",
-                          getattr(sub.func, "id", None)) == "memoised"]
+        assigned = {target.id: sub.value for sub in ast.walk(node)
+                    if isinstance(sub, ast.Assign) for target in sub.targets
+                    if isinstance(target, ast.Name)}
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and sub.args and getattr(
+                    sub.func, "attr",
+                    getattr(sub.func, "id", None)) == "memoised":
+                key = sub.args[2] if len(sub.args) > 2 else ast.Tuple([])
+                if isinstance(key, ast.Name):
+                    key = assigned.get(key.id, key)
+                found.append((sub.lineno, top, ast.unparse(sub.args[0]),
+                              ast.unparse(key)))
     return sorted(found)
+
+
+def memoised_owners(source):
+    """(line, def or class, owner) of every memoised(...) call in a
+    module (see memoised_calls)."""
+    return [call[:3] for call in memoised_calls(source)]
+
+
+def names_a_mesh(key):
+    """Whether the source text of a key reads a mesh: a name or attribute
+    spelled with "mesh" (mesh, gmesh, ops.global_mesh, dofmap.mesh)."""
+    return any("mesh" in getattr(node, "id", getattr(node, "attr", ""))
+               for node in ast.walk(ast.parse(key)))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
@@ -580,3 +603,42 @@ def test_memoised_owner_detector():
     assert {owner for _line, _top, owner in memoised_owners(
         (PACKAGE / "coupling.py").read_text())} == {"local_dofmap",
                                                     "global_dofmap", "dofmap"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_memoised_key_names_a_mesh(path):
+    assert [(line, top, key) for line, top, _owner, key in
+            memoised_calls(path.read_text()) if names_a_mesh(key)] == []
+
+
+def test_memoised_key_detector():
+    # keys that name the mesh their dof map holds, directly, through an
+    # attribute or through a name assigned before the call, beside keys
+    # of dof maps, configs and numbers
+    source = ("def _stiffness_pattern(mesh, dofmap, build):\n"
+              "    return memoised(dofmap, '_stiffness', (mesh,), build)\n"
+              "def _load(geom, dofmap, problem, build):\n"
+              "    key = (dofmap.mesh, geom, problem.f)\n"
+              "    return memoised(dofmap, '_load', key, build)\n"
+              "class _UnitPair:\n"
+              "    def __init__(self, gd, ld, r, gmesh, build):\n"
+              "        self.S = mesh.memoised(ld, '_S', (gd, gmesh), build)\n"
+              "        self.D = memoised(ld, '_D', (gd, r), build)\n"
+              "        self.plus = memoised(gd, '_unit_block', (), build)\n"
+              "def _interface(ops, build):\n"
+              "    return memoised(ops.local_dofmap, '_interface',\n"
+              "                    (ops.global_mesh,), build)\n")
+    calls = memoised_calls(source)
+    assert [(line, top, key) for line, top, _owner, key in calls] == [
+        (2, "_stiffness_pattern", "(mesh,)"),
+        (5, "_load", "(dofmap.mesh, geom, problem.f)"),
+        (8, "_UnitPair", "(gd, gmesh)"), (9, "_UnitPair", "(gd, r)"),
+        (10, "_UnitPair", "()"), (12, "_interface", "(ops.global_mesh,)")]
+    assert [line for line, _top, _owner, key in calls
+            if names_a_mesh(key)] == [2, 5, 8, 12]
+    # every key the package gives, some of them by name
+    keys = [key for path in sorted(PACKAGE.glob("*.py"))
+            for _line, _top, _owner, key in memoised_calls(path.read_text())]
+    assert "(global_dofmap, r)" in keys
+    assert "(geom, problem.f, problem.q, problem.flux_panel)" in keys

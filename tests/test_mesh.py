@@ -14,7 +14,7 @@ from gldd.errors import (GlddError, InvalidConfig, NonDivisibleSpacing,
 from gldd.mesh import (FacetTag, GeometryConfig, SimplicialMesh,
                        build_fitted_mesh, build_global_mesh, build_local_mesh,
                        cell_geometry, face_keys, interface_facets,
-                       locate_point, strip_cells)
+                       locate_point, memoised, strip_cells)
 
 GEOM = GeometryConfig()
 GEOM3 = GeometryConfig(dim=3)
@@ -256,6 +256,36 @@ def test_face_keys():
     assert face_keys(ids, 2 ** 21 - 1).dtype == np.int64
     with pytest.raises(GlddError, match="overflow"):
         face_keys(ids, 2 ** 21)
+
+
+def test_memoised_keys_compare_by_value():
+    # kept state is rebuilt only when its key differs by value: a fresh
+    # config and a recomputed penalty ratio hit, meshes in a key and as
+    # owners go by identity, so two equal meshes share nothing
+    a, b = (build_global_mesh(GEOM, 1 / 40) for _ in range(2))
+    builds = []
+
+    def kept(owner, key):
+        return memoised(owner, "_kept", key,
+                        lambda: builds.append((owner, key)) or len(builds))
+
+    h = 1 / 320
+    r, again = 1e6 / h, 1e6 / h
+    assert again == r and again is not r
+    assert GeometryConfig() == GEOM and GeometryConfig() is not GEOM
+    assert kept(a, (b, GEOM, r)) == 1
+    assert kept(a, (b, GeometryConfig(), again)) == 1
+    assert len(builds) == 1
+    # a differing value rebuilds, and the last key is the one kept
+    assert kept(a, (b, GEOM, 2 * r)) == 2
+    assert kept(a, (b, GeometryConfig(dim=3), 2 * r)) == 3
+    assert kept(a, (b, GEOM, r)) == 4
+    # an equal mesh is another mesh, as a key and as an owner
+    assert kept(a, (a, GEOM, r)) == 5
+    assert kept(b, (a, GEOM, r)) == 6
+    assert kept(a, (a, GEOM, r)) == 5
+    assert cell_geometry(a) is not cell_geometry(b)
+    assert cell_geometry(a) is cell_geometry(a)
 
 
 def _reference_boundary(mesh):
