@@ -9,7 +9,8 @@ cols: box dofs).  Together with the two stiffness blocks they form
     [[K_plus, S], [D, K_minus]] [T_plus, T_minus] = [f_plus, f_minus]
 
 with the sign convention of that block system: S stores the negative
-flux-jump integral, D stores -alpha times the cross mass matrix.
+flux-jump integral, D stores -alpha times the cross mass matrix, and
+neither has an entry on a Dirichlet row.
 
 What does not depend on the coefficients is built once and kept on the
 dof map it belongs to: per dof map, the unit cell matrices and CSR
@@ -17,15 +18,15 @@ pattern of its stiffness block and the Dirichlet elimination in that
 pattern (fem._elimination, shared with solve_fitted); per mesh pair, on
 the strip dof map, the interface terms, the one owner of the gamma
 quadrature (the box basis at every gamma point, the only points located,
-the strip trace basis there from its facet rule, the unit S and D terms,
-and the gamma mass with its slots in the strip's pattern); both loads
-unscaled; and per box dof map the load a Picard step scales, the source
-values and footprint points with the top-flux quadrature, flux values
-and nonzero points (fem.ScaledLoad).
+the strip trace basis there from its facet rule, the unit S and D terms
+in that form, and the gamma mass with its slots in the strip's pattern);
+both loads unscaled; and per box dof map the load a Picard step scales,
+the source values and footprint points with the top-flux quadrature, flux
+values and nonzero points (fem.ScaledLoad).
 
-At the default penalty, alpha = 1e6 kappa_minus / h_minus, a build whose
-coefficients are all scalar is a multiple of one unit pair of its mesh
-pair (_UnitPair: the blocks at kappa = 1, penalty ratio
+At the default penalty, alpha = default_alpha = 1e6 kappa_minus / h_minus,
+a build whose coefficients are all scalar is a multiple of one unit pair
+of its mesh pair (_UnitPair: the blocks at kappa = 1, penalty ratio
 r = alpha / kappa_minus and a unit jump, assembled once with their
 Dirichlet rows eliminated, and the unit lifts of the walls).  Such a
 build assembles nothing: it scales copies of the unit blocks, and each
@@ -225,7 +226,8 @@ class _Interface:
     scales scale (nf,), trace basis lvals (nq, n)), the trace basis mid
     (n,) at the facet midpoint, the gamma quadrature weights wq (nf, nq),
     the box basis at the nf * nq points (gdofs, gvals), the unit S and D
-    patterns with one owner per point, and the gamma mass of
+    patterns with one owner per point in block form (S with its sign, and
+    every term on a Dirichlet row zero), and the gamma mass of
     fem._facet_mass with one owner per facet, with the slot of each of its
     entries in the strip stiffness pattern, which holds them all (each
     facet's dofs are its owner cell's).
@@ -260,18 +262,21 @@ class _Interface:
                           bary_grads[shape[cells]])
         normals = local_mesh.facet_normal(facets, owners)
         dn = np.einsum("pnd,pd->pn", grads, np.repeat(normals, nq, axis=0))
+        # S, with the block sign, and D have no term on a Dirichlet row
         n = local_dofmap.n_dofs
-        self.S = _CsrPattern(gvals[:, :, None] * dn[:, None, :],
+        box = np.where(_elimination(global_dofmap).fixed[gdofs], 0.0, -gvals)
+        self.S = _CsrPattern(box[:, :, None] * dn[:, None, :],
                              gdofs[:, :, None],
                              local_dofmap.cell_dofs[cells][:, None, :],
                              (global_dofmap.n_dofs, n))
         # D: the strip trace basis on each facet times the box basis
         self.mid = shape_values(dim - 1, local_dofmap.m,
                                 np.full((1, dim), 1.0 / dim))[0]
-        lvals = np.tile(self.lvals, (len(facets), 1))
+        rows = np.repeat(self.ldofs, nq, axis=0)
+        lvals = np.where(_elimination(local_dofmap).fixed[rows], 0.0,
+                         np.tile(self.lvals, (len(facets), 1)))
         self.D = _CsrPattern(lvals[:, :, None] * gvals[:, None, :],
-                             np.repeat(self.ldofs, nq, axis=0)[:, :, None],
-                             gdofs[:, None, :],
+                             rows[:, :, None], gdofs[:, None, :],
                              (n, global_dofmap.n_dofs))
         # M_gamma: the trace basis's reference mass on each facet
         self.mass = _facet_mass(self.ldofs, rule.weights, self.lvals, n)
@@ -300,28 +305,27 @@ def _interface(global_dofmap, local_dofmap):
                     lambda: _Interface(global_dofmap, local_dofmap))
 
 
-def assemble_flux_jump_S(global_mesh, local_mesh, global_dofmap, local_dofmap,
-                         kappa_plus, kappa_minus, facet_weights=None):
-    """Matrix of sum_e int_e (kappa_plus - kappa_minus) (grad phi_loc . n) phi_glob.
+def assemble_flux_jump_S(global_dofmap, local_dofmap, jump):
+    """The flux-jump block S of the coupled system: minus
+    sum_e int_e jump (grad phi_loc . n) phi_glob, with no entry on a box
+    Dirichlet row.
 
-    Rows are box dofs, columns strip dofs.  The normal gradient is taken
-    in the strip cell owning each quadrature point's facet; the normal
-    points out of the strip.  facet_weights overrides
-    the constant jump weight per facet (used by the nonlinear driver).
-    The unit term of every quadrature point is built on the first call for
-    a mesh pair; later calls only weight and sum them, zeros dropped.
+    Rows are box dofs, columns strip dofs.  jump is kappa_plus -
+    kappa_minus, a scalar or one weight per gamma facet (the nonlinear
+    driver's).  The normal gradient is taken in the strip cell owning each
+    quadrature point's facet; the normal points out of the strip.  The
+    unit term of every quadrature point is built on the first call for a
+    mesh pair; later calls only weight and sum them, zeros dropped.
     """
     terms = _interface(global_dofmap, local_dofmap)
-    weights = np.full(len(terms.wq), kappa_plus - kappa_minus) \
-        if facet_weights is None else np.asarray(facet_weights, dtype=float)
-    S = terms.S.matrix((weights[:, None] * terms.wq).ravel())
+    S = terms.S.matrix((np.reshape(jump, (-1, 1)) * terms.wq).ravel())
     S.eliminate_zeros()
     return S
 
 
-def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
-                       alpha):
-    """-alpha times the cross mass matrix on the interface.
+def assemble_penalty_D(global_dofmap, local_dofmap, alpha):
+    """The penalty block D of the coupled system: -alpha times the cross
+    mass matrix on the interface, with no entry on a strip Dirichlet row.
 
     Rows are strip dofs, columns box dofs.  Built, like S, from unit terms
     kept per mesh pair, zeros dropped.
@@ -339,23 +343,18 @@ def assemble_penalty_D(global_mesh, local_mesh, global_dofmap, local_dofmap,
 
 def _strip_blocks(global_dofmap, local_dofmap, kappa_minus, alpha, jump):
     """The strip stiffness at kappa_minus (scalar or per cell) plus the
-    penalty alpha * M_gamma, before its Dirichlet elimination, and S, at
-    jump = (kappa_plus, kappa_minus[, facet_weights]) as
-    assemble_flux_jump_S takes it, and D, their Dirichlet rows cleared.
+    penalty alpha * M_gamma, before its Dirichlet elimination, S at jump
+    and D at alpha: (K, S, D).
 
     On a new mesh pair the strip's stiffness assembly builds its kept
     pattern first, so that S's assembly, which builds the kept interface
-    terms, finds the gamma mass's slots in that pattern without building
-    it; D and the eliminations reuse them."""
-    gmesh, lmesh = global_dofmap.mesh, local_dofmap.mesh
-    K = assemble_stiffness(lmesh, local_dofmap, kappa_minus)
-    S = assemble_flux_jump_S(gmesh, lmesh, global_dofmap, local_dofmap, *jump)
-    np.negative(S.data, out=S.data)
-    D = assemble_penalty_D(gmesh, lmesh, global_dofmap, local_dofmap, alpha)
+    terms, finds the gamma mass's slots and the strip's Dirichlet rows in
+    that pattern without building it; D reuses them."""
+    K = assemble_stiffness(local_dofmap.mesh, local_dofmap, kappa_minus)
+    S = assemble_flux_jump_S(global_dofmap, local_dofmap, jump)
     terms = _interface(global_dofmap, local_dofmap)
     K.data[terms.mass_slots] += terms.mass.data(alpha * terms.scale)
-    return (K, _elimination(global_dofmap).clear_rows(S),
-            _elimination(local_dofmap).clear_rows(D))
+    return K, S, assemble_penalty_D(global_dofmap, local_dofmap, alpha)
 
 
 def _scaled(A, factor):
@@ -405,9 +404,9 @@ class _UnitPair:
     K_1 = A_minus + r M_gamma, S = (kappa_plus - kappa_minus) * S_1 and
     D = kappa_minus * D_1, and its loads lift kappa times the unit lifts.
     The unit blocks are assembled here once, at kappa = 1, penalty r and
-    a unit jump (S_1 with the builder's sign, -1 times it), with their
-    Dirichlet rows eliminated or cleared: plus, the _UnitBlock of A_plus,
-    kept per box dof map, minus that of K_1, and S_1, D_1.  A scalar
+    a unit jump, the diagonal ones with their Dirichlet rows eliminated:
+    plus, the _UnitBlock of A_plus, kept per box dof map, minus that of
+    K_1, and S_1, D_1 as their builders return them.  A scalar
     build scales copies of them (build), its block solves are the unit
     ones with the right-hand side scaled (solvers), and its interface
     block is the unit one, made on the first call, times
@@ -420,7 +419,7 @@ class _UnitPair:
                 assemble_stiffness(global_dofmap.mesh, global_dofmap, 1.0),
                 _elimination(global_dofmap)))
         K, self.S, self.D = _strip_blocks(global_dofmap, local_dofmap, 1.0,
-                                          r, (1.0, 0.0))
+                                          r, 1.0)
         self.minus = _UnitBlock(K, _elimination(local_dofmap))
         self._block = None
 
@@ -523,9 +522,10 @@ def build_coupled_operators(geom: GeometryConfig,
     through S and through its scaled data: inside the strip region the
     volume source is multiplied by kappa_plus/kappa_minus, and the top flux
     (whose support lies on the strip's top) likewise.  The strip problem
-    gets the penalty terms on gamma.  Dirichlet walls are eliminated
-    symmetrically on both blocks; S and D rows at constrained dofs are
-    cleared so the identity rows stay exact.
+    gets the penalty terms on gamma, by default (alpha = None) at
+    default_alpha of kappa_minus, or of kappa_minus_cells on a per-cell
+    build.  Dirichlet walls are eliminated symmetrically on both diagonal
+    blocks; S and D come finished, with no entry on a constrained row.
 
     The per-cell/per-facet overrides exist for the nonlinear driver; the
     plain scalar arguments cover the piecewise-constant case.  flux_scale,
@@ -557,11 +557,6 @@ def build_coupled_operators(geom: GeometryConfig,
         raise InvalidConfig("kappa_minus must be a scalar; per-cell strip "
                             "values go through kappa_minus_cells")
     check_coefficients(kappa_plus, kappa_minus, alpha)
-    # the penalty ratio alpha / kappa_minus of the unit pair
-    r = default_alpha(1.0, local_mesh.h) if alpha is None \
-        else alpha / kappa_minus
-    if alpha is None:
-        alpha = default_alpha(kappa_minus, local_mesh.h)
     if flux_scale is None:
         outside, inside = _load(geom, global_dofmap, problem)
         f_plus = outside + (kappa_plus / kappa_minus) * inside
@@ -572,6 +567,9 @@ def build_coupled_operators(geom: GeometryConfig,
     scalar = kappa_plus_cells is None and kappa_minus_cells is None and \
         jump_facet_weights is None
     if scalar:
+        # the penalty ratio alpha / kappa_minus of the unit pair
+        r = default_alpha(1.0, local_mesh.h) if alpha is None \
+            else alpha / kappa_minus
         unit = _unit_pair(global_dofmap, local_dofmap, r)
         K_plus, K_minus, S, D, f_plus, f_minus = unit.build(
             kappa_plus, kappa_minus, f_plus, f_minus, problem.T_D)
@@ -580,10 +578,12 @@ def build_coupled_operators(geom: GeometryConfig,
         K_plus = assemble_stiffness(
             global_mesh, global_dofmap,
             kappa_plus if kappa_plus_cells is None else kappa_plus_cells)
+        km = kappa_minus if kappa_minus_cells is None else kappa_minus_cells
         K_minus, S, D = _strip_blocks(
-            global_dofmap, local_dofmap,
-            kappa_minus if kappa_minus_cells is None else kappa_minus_cells,
-            alpha, (kappa_plus, kappa_minus, jump_facet_weights))
+            global_dofmap, local_dofmap, km,
+            default_alpha(km, local_mesh.h) if alpha is None else alpha,
+            kappa_plus - kappa_minus if jump_facet_weights is None
+            else jump_facet_weights)
         plus = _elimination(global_dofmap)
         minus = _elimination(local_dofmap)
         K_plus, f_plus = plus.apply(K_plus, f_plus, problem.T_D)

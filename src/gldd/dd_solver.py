@@ -49,7 +49,7 @@ from .errors import (Diverged, InvalidConfig, IterationFailure,
                      MaxItersExceeded, SingularMatrix)
 from .fem import (_elimination, assemble_load, assemble_stiffness,
                   build_dofmap)
-from .linalg import LinearSolver, SolverConfig
+from .linalg import LinearSolver, SolverConfig, is_integer
 from .mesh import (GeometryConfig, build_fitted_mesh, build_global_mesh,
                    build_local_mesh, strip_cells)
 
@@ -79,9 +79,9 @@ class DDConfig:
         if not 0 < self.tol < np.inf:
             raise InvalidConfig(
                 f"tol must be positive and finite, got {self.tol}")
-        if not self.max_iters >= 1:
-            raise InvalidConfig(
-                f"max_iters must be at least 1, got {self.max_iters}")
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
+            raise InvalidConfig(f"max_iters must be at least 1 and an "
+                                f"integer, got {self.max_iters!r}")
 
 
 @dataclass

@@ -28,7 +28,8 @@ from .errors import (InsufficientRatios, InvalidConfig, IterationFailure,
                      NonDivisibleSpacing, NonpositiveCoefficient,
                      RankDeficient, UnknownConfigKey)
 from .fem import build_dofmap
-from .linalg import SolverConfig, check_seed, fit_rho_law, least_squares_fit
+from .linalg import (SolverConfig, check_seed, fit_rho_law, is_integer,
+                     least_squares_fit)
 from .mesh import (GeometryConfig, build_global_mesh, build_local_mesh,
                    check_spacing)
 
@@ -38,11 +39,6 @@ from .mesh import (GeometryConfig, build_global_mesh, build_local_mesh,
 def _number(value):
     return type(value) is float or type(value) is int or (
         isinstance(value, numbers.Real) and not isinstance(value, bool))
-
-
-def _integer(value):
-    return type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _double(value):
@@ -62,12 +58,12 @@ def _tuple_of(test):
 
 # what a field of each annotation takes: its name in errors, and its test
 _KINDS = {
-    "int": ("an integer", _integer),
+    "int": ("an integer", is_integer),
     "float": ("a number", _number),
     "Optional[float]": ("a number or null", lambda v: v is None or _number(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "tuple[float, ...]": ("a list of numbers", _tuple_of(_number)),
-    "tuple[int, ...]": ("a list of integers", _tuple_of(_integer)),
+    "tuple[int, ...]": ("a list of integers", _tuple_of(is_integer)),
 }
 
 
@@ -121,6 +117,8 @@ class ExperimentConfig:
                                     "for a double")
             if isinstance(value, list):
                 object.__setattr__(self, f.name, tuple(value))
+        if self.m not in (1, 2):
+            raise InvalidConfig(f"m must be 1 or 2, got {self.m}")
         for i, r in enumerate(self.mesh_ratios):
             if not r > 0:
                 raise InvalidConfig(f"spacing ratio {r} is not positive")

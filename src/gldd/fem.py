@@ -625,10 +625,9 @@ LASER_CUTOFF = (1023 * np.log(2.0) * 1e-12) ** 0.25
 
 class _Elimination:
     """Where Dirichlet dofs act in one canonical CSR pattern (sorted, no
-    duplicates; a matrix or a _CsrPattern), found once.  ``apply``
-    eliminates them symmetrically on the data of a matrix in that pattern,
-    as ``lifted`` and ``eliminate`` do in two steps; ``clear_rows`` clears
-    their rows in any matrix with the pattern's rows (a coupling block)."""
+    duplicates; a matrix or a _CsrPattern), found once: fixed marks their
+    rows.  ``apply`` eliminates them symmetrically on the data of a matrix
+    in that pattern, as ``lifted`` and ``eliminate`` do in two steps."""
 
     def __init__(self, pattern, dofs):
         n = len(pattern.indptr) - 1
@@ -668,13 +667,6 @@ class _Elimination:
         if self.bare.size:
             A = A + sp.csr_matrix((np.ones(self.bare.size),
                                    (self.bare, self.bare)), shape=A.shape)
-        A.eliminate_zeros()
-        return A
-
-    def clear_rows(self, A):
-        """Clear the constrained rows of A on its data in place, zeros
-        dropped, and return A."""
-        A.data[np.repeat(self.fixed, np.diff(A.indptr))] = 0.0
         A.eliminate_zeros()
         return A
 

@@ -152,11 +152,16 @@ class ScaledSolver:
 # spectral radius
 # ----------------------------------------------------------------------
 
+def is_integer(value):
+    """Whether value is an integer, bool excluded (the exact int first)."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 def check_seed(seed):
     """The one seed rule, a nonnegative integer (bool excluded); returns
     the seed."""
-    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral)
-                                      and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
     return seed
 

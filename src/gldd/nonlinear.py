@@ -18,15 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import (ProblemData, _interface, build_coupled_operators,
-                       default_alpha)
+from .coupling import ProblemData, _interface, build_coupled_operators
 from .dd_solver import (DDConfig, build_mesh_pair, run_two_level_dd,
                         solve_fitted)
 from .errors import (InvalidConfig, IterationFailure,
                      NonpositiveCoefficient, PicardNoConvergence)
 from .fem import (_basis_at_points, _field_at, assemble_load, build_dofmap,
                   shape_values)
-from .linalg import SolverConfig
+from .linalg import SolverConfig, is_integer
 from .mesh import GeometryConfig, build_fitted_mesh, strip_cells
 
 
@@ -77,12 +76,15 @@ class NonlinearConfig:
     picard_max: int = 100
 
     def __post_init__(self):
+        if not 0 < self.kappa_plus_B < np.inf:
+            raise InvalidConfig(f"kappa_plus_B must be positive and finite, "
+                                f"got {self.kappa_plus_B}")
         if not 0 < self.picard_tol < np.inf:
             raise InvalidConfig(f"picard_tol must be positive and finite, "
                                 f"got {self.picard_tol}")
-        if not self.picard_max >= 1:
-            raise InvalidConfig(
-                f"picard_max must be at least 1, got {self.picard_max}")
+        if not (is_integer(self.picard_max) and self.picard_max >= 1):
+            raise InvalidConfig(f"picard_max must be at least 1 and an "
+                                f"integer, got {self.picard_max!r}")
 
 
 @dataclass
@@ -145,14 +147,14 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
 
     The box coefficient is curve_A at the frozen temperature outside the
     strip footprint and the constant kappa_plus_B inside it; the strip
-    coefficient is curve_B at the frozen temperature.  The top-flux scaling
-    and the jump weights follow the same frozen values; the jump weights
-    read the strip iterate at the gamma facet midpoints through the kept
-    interface terms.  The flux scale keeps, for the run, the strip basis at
-    each point array it is handed, matched by identity: the read-only
-    footprint and box-top flux points the box dof map keeps come back at
-    every step and are located once per run.  Warm-starts each inner run
-    from the previous outer iterate.
+    coefficient is curve_B at the frozen temperature.  The top-flux scaling,
+    the jump weights and the builder's default penalty follow the same
+    frozen values; the jump weights read the strip iterate at the gamma
+    facet midpoints through the kept interface terms.  The flux scale
+    keeps, for the run, the strip basis at each point array it is handed,
+    matched by identity: the read-only footprint and box-top flux points
+    the box dof map keeps come back at every step and are located once per
+    run.  Warm-starts each inner run from the previous outer iterate.
     """
     dd = dd or DDConfig()
     problem = problem or ProblemData()
@@ -185,9 +187,9 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
         ops = build_coupled_operators(
             geom, gmesh, gdof, lmesh, ldof,
             kappa_plus=nl.kappa_plus_B, kappa_minus=float(np.mean(km_cells)),
-            alpha=default_alpha(km_cells, lmesh.h), problem=problem,
-            kappa_plus_cells=kp_cells, kappa_minus_cells=km_cells,
-            jump_facet_weights=jump_weights, flux_scale=flux_scale)
+            problem=problem, kappa_plus_cells=kp_cells,
+            kappa_minus_cells=km_cells, jump_facet_weights=jump_weights,
+            flux_scale=flux_scale)
 
         report = run_two_level_dd(ops, dd, initial=None if first else T_plus)
         dd_iters.append(report.iterations)

@@ -3,6 +3,7 @@
 import copy
 import functools
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -39,52 +40,84 @@ def interp(dofmap, fn):
     return np.asarray(fn(dofmap.dof_coords), dtype=float)
 
 
+def dirichlet_rows_empty(A, dofmap):
+    """Whether the block A has no entry on the Dirichlet rows of dofmap."""
+    dirichlet = fem_module.dirichlet_dofs(dofmap.mesh, dofmap)
+    return not np.repeat(np.isin(np.arange(A.shape[0]), dirichlet),
+                         np.diff(A.indptr)).any()
+
+
+def unconstrained(monkeypatch):
+    """From now on, interface terms are built for dof maps without
+    Dirichlet rows: the S and D quadratures on every row, which the
+    oracles integrate against whole polynomials."""
+    monkeypatch.setattr(coupling, "_elimination", lambda dofmap: (
+        types.SimpleNamespace(fixed=np.zeros(dofmap.n_dofs, dtype=bool))))
+
+
+def oracle_S(monkeypatch, jump, **pair):
+    """S on every box row, on a fresh mesh pair whose interface terms are
+    built without Dirichlet rows, once S of another fresh pair is checked
+    to be that matrix with its box Dirichlet rows emptied: (pair, S)."""
+    _, gm, gd, lm, ld = make_pair(**pair)
+    S = assemble_flux_jump_S(gd, ld, jump)
+    assert dirichlet_rows_empty(S, gd)
+    whole = make_pair(**pair)
+    with monkeypatch.context() as patch:
+        unconstrained(patch)
+        full = assemble_flux_jump_S(whole[2], whole[4], jump)
+    emptied = zero_rows(full.copy(), fem_module.dirichlet_dofs(gm, gd))
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(S, part),
+                                      getattr(emptied, part))
+    return whole, full
+
+
 class TestFluxJumpS:
     def test_zero_at_matching_coefficients(self):
         _, gm, gd, lm, ld = make_pair()
-        S = assemble_flux_jump_S(gm, lm, gd, ld, 0.7, 0.7)
+        S = assemble_flux_jump_S(gd, ld, 0.7 - 0.7)
         assert S.nnz == 0 and S.shape == (gd.n_dofs, ld.n_dofs)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_linear_oracle_2d(self, m):
+    def test_linear_oracle_2d(self, m, monkeypatch):
         # u interpolates 2 + 3x, v interpolates 5y; both exact for P1/P2,
         # the facet normal is (0,-1), so u^T S v must equal
-        # (kp - km) * (-5) * (2 L + 3 L^2 / 2)
-        geom, gm, gd, lm, ld = make_pair(m=m)
+        # -(kp - km) * (-5) * (2 L + 3 L^2 / 2) on every box row (S holds
+        # the block sign); the box Dirichlet rows are empty
         kp, km = 1.0, 0.25
-        S = assemble_flux_jump_S(gm, lm, gd, ld, kp, km)
+        (geom, gm, gd, lm, ld), S = oracle_S(monkeypatch, kp - km, m=m)
         u = interp(gd, lambda x: 2.0 + 3.0 * x[:, 0])
         v = interp(ld, lambda x: 5.0 * x[:, 1])
         L = geom.L
-        want = (kp - km) * (-5.0) * (2.0 * L + 1.5 * L ** 2)
+        want = -(kp - km) * (-5.0) * (2.0 * L + 1.5 * L ** 2)
         assert float(u @ (S @ v)) == pytest.approx(want, rel=1e-12)
 
-    def test_quadratic_oracle_m2(self):
+    def test_quadratic_oracle_m2(self, monkeypatch):
         # P2 reproduces x^2 and y^2 exactly; on gamma the conormal
         # derivative of y^2 is -2 y_if
-        geom, gm, gd, lm, ld = make_pair(m=2)
         kp, km = 2.0, 0.5
+        (geom, gm, gd, lm, ld), S = oracle_S(monkeypatch, kp - km, m=2)
         y_if = geom.H - geom.H_minus
-        S = assemble_flux_jump_S(gm, lm, gd, ld, kp, km)
         u = interp(gd, lambda x: x[:, 0] ** 2)
         v = interp(ld, lambda x: x[:, 1] ** 2)
-        want = (kp - km) * (-2.0 * y_if) * geom.L ** 3 / 3.0
+        want = -(kp - km) * (-2.0 * y_if) * geom.L ** 3 / 3.0
         assert float(u @ (S @ v)) == pytest.approx(want, rel=1e-12)
 
-    def test_linear_oracle_3d(self):
-        geom, gm, gd, lm, ld = make_pair(dim=3, h_minus=1 / 320)
+    def test_linear_oracle_3d(self, monkeypatch):
         kp, km = 1.0, 0.5
-        S = assemble_flux_jump_S(gm, lm, gd, ld, kp, km)
+        (geom, gm, gd, lm, ld), S = oracle_S(monkeypatch, kp - km, dim=3,
+                                             h_minus=1 / 320)
         u = interp(gd, lambda x: 1.0 + 2.0 * x[:, 0] + 3.0 * x[:, 1])
         v = interp(ld, lambda x: 4.0 * x[:, 2])
         L, W = geom.L, geom.W
         area_moment = L * W + 2.0 * L ** 2 * W / 2 + 3.0 * L * W ** 2 / 2
-        want = (kp - km) * (-4.0) * area_moment
+        want = -(kp - km) * (-4.0) * area_moment
         assert float(u @ (S @ v)) == pytest.approx(want, rel=1e-11)
 
     def test_support_locality(self):
         geom, gm, gd, lm, ld = make_pair()
-        S = assemble_flux_jump_S(gm, lm, gd, ld, 1.0, 0.5)
+        S = assemble_flux_jump_S(gd, ld, 1.0 - 0.5)
         y_if = geom.H - geom.H_minus
         rows, cols = S.nonzero()
         gy = gd.dof_coords[np.unique(rows), -1]
@@ -95,16 +128,15 @@ class TestFluxJumpS:
     def test_facet_weight_override_matches_constant(self):
         _, gm, gd, lm, ld = make_pair()
         nfac = len(interface_facets(lm))
-        S_const = assemble_flux_jump_S(gm, lm, gd, ld, 1.0, 0.25)
-        S_w = assemble_flux_jump_S(gm, lm, gd, ld, 1.0, 1.0,
-                                   facet_weights=np.full(nfac, 0.75))
+        S_const = assemble_flux_jump_S(gd, ld, 1.0 - 0.25)
+        S_w = assemble_flux_jump_S(gd, ld, np.full(nfac, 0.75))
         assert abs(S_const - S_w).max() < 1e-14
 
     def test_orphan_raise(self):
         # the box mesh carries no coupling facets
         _, gm, gd, _, _ = make_pair()
         with pytest.raises(OrphanInterfaceFacet):
-            assemble_flux_jump_S(gm, gm, gd, gd, 1.0, 0.5)
+            assemble_flux_jump_S(gd, gd, 1.0 - 0.5)
 
 
 class TestPenaltyD:
@@ -112,26 +144,33 @@ class TestPenaltyD:
     def test_partition_of_unity_identity(self, dim, m):
         # sum_g phi_g = 1 everywhere, so D @ 1 must equal -alpha times the
         # trace integrals int_gamma phi_loc, available independently from
-        # the strip boundary mass matrix
+        # the strip boundary mass matrix, on every strip row but the
+        # Dirichlet ones, which are empty
         _, gm, gd, lm, ld = make_pair(dim=dim, m=m)
         alpha = 3.5e4
-        D = assemble_penalty_D(gm, lm, gd, ld, alpha)
+        D = assemble_penalty_D(gd, ld, alpha)
+        assert dirichlet_rows_empty(D, ld)
+        free = np.setdiff1d(np.arange(ld.n_dofs),
+                            fem_module.dirichlet_dofs(lm, ld))
         gamma = [f for f, t in zip(lm.facet_vertices, lm.facet_tags)
                  if t == FacetTag.INTERFACE_GAMMA.value]
         M_gamma = assemble_boundary_mass(lm, ld, gamma, 1.0)
         want = -alpha * (M_gamma @ np.ones(ld.n_dofs))
         got = D @ np.ones(gd.n_dofs)
-        np.testing.assert_allclose(got, want, rtol=1e-12,
+        np.testing.assert_allclose(got[free], want[free], rtol=1e-12,
                                    atol=1e-12 * alpha * lm.h)
 
     def test_coincident_grid_hand_oracle(self):
         # with h_plus == h_minus the interface nodes coincide and D is
-        # -alpha times the 1d hat-function mass matrix on that grid
+        # -alpha times the 1d hat-function mass matrix on that grid, on
+        # every row but the two at the side walls, which are empty
         geom, gm, gd, lm, ld = make_pair(h_plus=1 / 160, h_minus=1 / 160)
         alpha = 10.0
         h = 1 / 160
         y_if = geom.H - geom.H_minus
-        D = assemble_penalty_D(gm, lm, gd, ld, alpha).toarray()
+        D = assemble_penalty_D(gd, ld, alpha)
+        assert dirichlet_rows_empty(D, ld)
+        D = D.toarray()
 
         def gamma_dofs(dofmap):
             idx = np.where(np.abs(dofmap.dof_coords[:, 1] - y_if) < 1e-12)[0]
@@ -146,8 +185,10 @@ class TestPenaltyD:
             M[k + 1, k + 1] += h / 3
             M[k, k + 1] += h / 6
             M[k + 1, k] += h / 6
-        np.testing.assert_allclose(D[np.ix_(li, gi)], -alpha * M,
-                                   rtol=1e-13, atol=1e-16)
+        inner = slice(1, n - 1)
+        np.testing.assert_allclose(D[np.ix_(li[inner], gi)],
+                                   -alpha * M[inner], rtol=1e-13,
+                                   atol=1e-16)
         # nothing outside that block: the box basis functions of dofs off
         # gamma vanish there exactly, not to point-location roundoff
         block = np.zeros_like(D)
@@ -156,7 +197,7 @@ class TestPenaltyD:
 
     def test_rows_live_on_gamma(self):
         geom, gm, gd, lm, ld = make_pair()
-        D = assemble_penalty_D(gm, lm, gd, ld, 1.0)
+        D = assemble_penalty_D(gd, ld, 1.0)
         y_if = geom.H - geom.H_minus
         rows = np.unique(D.nonzero()[0])
         assert np.all(np.abs(ld.dof_coords[rows, 1] - y_if) < 1e-12)
@@ -164,13 +205,13 @@ class TestPenaltyD:
     def test_negative_alpha_raises(self):
         _, gm, gd, lm, ld = make_pair()
         with pytest.raises(NonpositiveCoefficient):
-            assemble_penalty_D(gm, lm, gd, ld, -1.0)
+            assemble_penalty_D(gd, ld, -1.0)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
     def test_non_finite_alpha_raises(self, alpha):
         _, gm, gd, lm, ld = make_pair()
         with pytest.raises(NonpositiveCoefficient, match="finite"):
-            assemble_penalty_D(gm, lm, gd, ld, alpha)
+            assemble_penalty_D(gd, ld, alpha)
 
 
 def build_ops(kappa_minus, kappa_plus=1.0, problem=None, alpha=None, dim=2,
@@ -197,13 +238,30 @@ class TestBuilder:
             assert ops.f_minus[l] == ops.T_D
 
     def test_sign_flip_against_literal(self):
+        # S comes from its builder with the block sign and its Dirichlet
+        # rows empty, and the coupled builder takes it as it is
         geom, gm, gd, lm, ld = make_pair()
         kp, km = 1.0, 0.5
         ops = build_coupled_operators(geom, gm, gd, lm, ld, kp, km)
-        literal = assemble_flux_jump_S(gm, lm, gd, ld, kp, km)
-        free = np.setdiff1d(np.arange(ops.n_plus), ops.global_dirichlet)
-        diff = (ops.S + literal)[free]
+        literal = assemble_flux_jump_S(gd, ld, kp - km)
+        diff = ops.S - literal
         assert abs(diff).max() < 1e-15
+
+    def test_per_cell_default_penalty_at_largest_cell_value(self):
+        # the builder owns the penalty rule: without an explicit alpha a
+        # per-cell build takes default_alpha of its per-cell strip values,
+        # not of the scalar kappa_minus it is also handed
+        geom, gm, gd, lm, ld = make_pair()
+        km_cells = np.linspace(0.3, 0.9, lm.num_cells)
+        default, explicit = (
+            build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                    alpha=alpha, kappa_minus_cells=km_cells)
+            for alpha in (None, default_alpha(km_cells, lm.h)))
+        for name in ("K_minus", "D"):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(getattr(default, name), part),
+                    getattr(getattr(explicit, name), part), err_msg=name)
 
     def test_laser_load_doubles_with_ratio(self):
         # the concentrated flux lands on the strip's top wall, inside the
@@ -680,10 +738,8 @@ def reference_operators(geom, gm, gd, lm, ld, kp_cells, km_cells, weights,
     gdir = fem_module.dirichlet_dofs(gm, gd)
     ldir = fem_module.dirichlet_dofs(lm, ld)
     facets, _ = gamma_facets(lm)
-    S = zero_rows((-assemble_flux_jump_S(gm, lm, gd, ld, 1.0, 0.5,
-                                         facet_weights=weights)).tocsr(),
-                  gdir)
-    D = zero_rows(assemble_penalty_D(gm, lm, gd, ld, alpha), ldir)
+    S = assemble_flux_jump_S(gd, ld, weights)
+    D = assemble_penalty_D(gd, ld, alpha)
     K_minus = (coo_stiffness(lm, ld, km_cells)
                + assemble_boundary_mass(lm, ld, facets, alpha)).tocsr()
     scale = flux_scale if flux_scale is not None else (lambda x: ratio)
@@ -801,8 +857,8 @@ class TestKeptLayouts:
                          "assemble_penalty_D": [], "apply": []}
         build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5, alpha=1e5)
         assert calls == {"assemble_stiffness": [lm],
-                         "assemble_flux_jump_S": [gm],
-                         "assemble_penalty_D": [gm], "apply": []}
+                         "assemble_flux_jump_S": [gd],
+                         "assemble_penalty_D": [gd], "apply": []}
         # a per-cell build assembles and eliminates its own blocks
         build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
                                 kappa_minus_cells=np.full(lm.num_cells, 0.5))

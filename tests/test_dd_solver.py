@@ -603,10 +603,14 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("field,value", [
         ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
-        ("tol", float("inf")), ("max_iters", 0), ("max_iters", -3)])
+        ("tol", float("inf")), ("max_iters", 0), ("max_iters", -3),
+        ("max_iters", 2.5), ("max_iters", 1.0), ("max_iters", True),
+        ("max_iters", "5"), ("max_iters", None)])
     def test_malformed_budget_rejected(self, field, value):
         # a NaN or negative tolerance is never met, so the run would spend
-        # its whole budget; a budget below one sweep solves nothing
+        # its whole budget; a budget below one sweep solves nothing, and
+        # one that is no integer (bool excluded) ends the run in a
+        # TypeError from range
         with pytest.raises(InvalidConfig, match=field):
             DDConfig(**{field: value})
 

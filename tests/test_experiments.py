@@ -194,7 +194,7 @@ class TestConfig:
         # still reach the ABC test, decimals are no Real
         assert experiments._number(value) == (
             isinstance(value, numbers.Real) and not isinstance(value, bool))
-        assert experiments._integer(value) == (
+        assert gldd_linalg.is_integer(value) == (
             isinstance(value, numbers.Integral)
             and not isinstance(value, bool))
 
@@ -252,6 +252,12 @@ class TestConfig:
     def test_spacing_ratios_checked_when_built(self, ratios, bad):
         with pytest.raises(InvalidConfig, match=f"spacing ratio {bad}"):
             ExperimentConfig(mesh_ratios=ratios)
+
+    @pytest.mark.parametrize("m", [0, 3, -1, np.int64(4)])
+    def test_degree_checked_when_built(self, m):
+        # the elements have degree 1 or 2; any other fails before a mesh
+        with pytest.raises(InvalidConfig, match=f"m must be 1 or 2, got {m}"):
+            ExperimentConfig(m=m)
 
 
 class TestRunCase:
@@ -1023,6 +1029,22 @@ class TestCli:
         assert main(["sweep-kappa", "--kappa-list", "0.5,0.25,-1"]) == 2
         assert calls == []
         assert "kappa_list entry -1.0" in capsys.readouterr().err
+
+    def test_degree_in_config_file_exits_2(self, tmp_path, monkeypatch,
+                                           capsys):
+        # a degree the elements lack is told with its file and field, as
+        # the config is built, before any mesh is
+        calls = []
+        for name in ("setup_case", "build_mesh_pair"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"m": 3}))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and "Traceback" not in err
+        assert f"error: config file {path}: m must be 1 or 2, got 3" in err
 
     def test_seed_checked_before_any_work(self, monkeypatch, capsys):
         calls = []

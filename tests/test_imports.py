@@ -642,3 +642,65 @@ def test_memoised_key_detector():
             for _line, _top, _owner, key in memoised_calls(path.read_text())]
     assert "(global_dofmap, r)" in keys
     assert "(geom, problem.f, problem.q, problem.flux_panel)" in keys
+
+
+# every parameter a function takes is one it reads: a parameter its body
+# never reads is an argument every caller passes for nothing (the mesh
+# pair the S and D builders once took beside the dof maps that hold it)
+def unread_parameters(source):
+    """(line, function, parameter) of every parameter of a top-level
+    function, or of a method of a top-level class, that its body never
+    reads; a method's bound first parameter (self, cls) is not counted,
+    and nested functions, callbacks whose signature their caller fixes,
+    are not checked."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef):
+            defs = [(top, 0)]
+        elif isinstance(top, ast.ClassDef):
+            defs = [(node, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                    for d in node.decorator_list) else 1)
+                    for node in top.body if isinstance(node, ast.FunctionDef)]
+        else:
+            continue
+        for node, bound in defs:
+            spec = node.args
+            params = [a.arg for a in spec.posonlyargs + spec.args][bound:]
+            params += [a.arg for a in spec.kwonlyargs]
+            params += [a.arg for a in (spec.vararg, spec.kwarg)
+                       if a is not None]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            found += [(node.lineno, node.name, name) for name in params
+                      if name not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_detector():
+    # the S builder's mesh pair beside the dof maps that hold it; a
+    # parameter read only in a nested callback counts as read, and the
+    # callback's own unread parameter is its caller's to fix
+    source = ("def assemble_S(global_mesh, local_mesh, gd, ld, *, jump=1.0,"
+              " **extra):\n"
+              "    return _interface(gd, ld).S.matrix(jump)\n"
+              "def run(x, scale):\n"
+              "    def step(iterates, first):\n"
+              "        return scale * iterates\n"
+              "    return step(x, True)\n"
+              "class Solver:\n"
+              "    def solve(self, b, tol):\n        return self.A @ b\n"
+              "    @classmethod\n"
+              "    def make(cls, A):\n        return cls()\n"
+              "    @staticmethod\n"
+              "    def unit(n):\n        return 1.0\n")
+    assert unread_parameters(source) == [
+        (1, "assemble_S", "global_mesh"), (1, "assemble_S", "local_mesh"),
+        (1, "assemble_S", "extra"), (8, "solve", "tol"), (11, "make", "A"),
+        (14, "unit", "n")]

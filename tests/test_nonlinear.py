@@ -260,12 +260,23 @@ class TestPicardTwoLevel:
     @pytest.mark.parametrize("field,value", [
         ("picard_tol", 0.0), ("picard_tol", float("nan")),
         ("picard_tol", float("inf")), ("picard_max", 0),
-        ("picard_max", -3)])
+        ("picard_max", -3), ("picard_max", 2.5), ("picard_max", 1.0),
+        ("picard_max", True), ("picard_max", "5"), ("picard_max", None)])
     def test_malformed_budget_rejected(self, field, value):
         # a NaN tolerance is never met, so the loop would spend its whole
-        # budget; a budget below one step solves nothing
+        # budget; a budget below one step solves nothing, and one that is
+        # no integer (bool excluded) ends the loop in a TypeError from range
         with pytest.raises(InvalidConfig, match=field):
             NonlinearConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_kappa_plus_B_checked_when_built(self, value):
+        # the box coefficient inside the strip footprint, named as the
+        # field it is, not as the builder's kappa_plus at the first build
+        with pytest.raises(InvalidConfig,
+                           match="kappa_plus_B must be positive and finite"):
+            NonlinearConfig(kappa_plus_B=value)
 
     def test_budget_exhaustion_raises(self):
         nl = NonlinearConfig(kappa_plus_B=0.5, picard_tol=1e-6, picard_max=1)
