@@ -24,27 +24,28 @@ both loads unscaled; and per box dof map the load a Picard step scales,
 the source values and footprint points with the top-flux quadrature, flux
 values and nonzero points (fem.ScaledLoad).
 
-At the default penalty, alpha = default_alpha = 1e6 kappa_minus / h_minus,
-a build whose coefficients are all scalar is a multiple of one unit pair
+A build is of one of two kinds.  A scalar build (kappa_plus, kappa_minus
+and their difference as the jump) is, at the default penalty alpha =
+default_alpha = 1e6 kappa_minus / h_minus, a multiple of one unit pair
 of its mesh pair (_UnitPair: the blocks at kappa = 1, penalty ratio
 r = alpha / kappa_minus and a unit jump, assembled once with their
-Dirichlet rows eliminated, and the unit lifts of the walls).  Such a
-build assembles nothing: it scales copies of the unit blocks, and each
-load is the kept unscaled one, the box's as outside + ratio * inside (a
-flux scale re-weights the kept source and flux values instead, with one
-scale call per kept point array, the same arrays at every step), less
-the wall value times kappa times its block's unit lift.  Its
-block solves scale the right-hand side of the unit ones, and its
-iteration operator is (1 - kappa_minus / kappa_plus) times the unit one.
-So the unit box block and factorization are kept per box dof map, the
-unit strip block and factorization and the unit interface block per mesh
-pair and r, and every scalar build on them (a coefficient sweep, a
-set-up, a relaxation study) assembles and factors nothing; an explicit
-penalty gets the unit pair of its own r.  A per-cell build (a Picard
-step, with per-cell conductivities, jump weights and penalty) costs one
-weighted bincount per block, written into that block's one matrix in
-place (the strip block's penalty alpha * M_gamma through the kept gamma
-mass), and factors its own two blocks.
+Dirichlet rows eliminated, and the unit lifts of the walls).  It
+assembles nothing: it scales copies of the unit blocks, and each load is
+the kept unscaled one, the box's as outside + ratio * inside, less the
+wall value times kappa times its block's unit lift.  Its block solves
+scale the right-hand side of the unit ones, and its iteration operator
+is (1 - kappa_minus / kappa_plus) times the unit one.  So the unit box
+block and factorization are kept per box dof map, the unit strip block
+and factorization and the unit interface block per mesh pair and r, and
+every scalar build on them (a coefficient sweep, a set-up, a relaxation
+study) assembles and factors nothing; an explicit penalty gets the unit
+pair of its own r.  A per-cell build (a Picard step) takes box and strip
+conductivities per cell, jump weights per gamma facet and a flux scale,
+all four: it costs one weighted bincount per block, written into that
+block's one matrix in place (the strip block's penalty alpha * M_gamma
+through the kept gamma mass), re-weights the kept box source and flux
+values (one scale call per kept point array, the same arrays at every
+step) and factors its own two blocks.
 
 CoupledOperators are fixed when built: blocks, loads and the solve state
 on them, one dict whose entries are each written once (a scalar build's
@@ -64,7 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (InvalidConfig, NonpositiveCoefficient,
-                     OrphanInterfaceFacet)
+                     OrphanInterfaceFacet, check_positive, is_number)
 from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
                   _basis_at_points, _CsrPattern, _elimination, _facet_mass,
                   _facet_terms, _stiffness_pattern, _zero, assemble_load,
@@ -127,9 +128,11 @@ class ProblemData:
     flux_panel: float = 1e-4
 
     def __post_init__(self):
-        if not -np.inf < self.T_D < np.inf:
+        if not (is_number(self.T_D) and -np.inf < self.T_D < np.inf):
             raise InvalidConfig(f"wall temperature T_D must be finite, got "
-                                f"{self.T_D}")
+                                f"{self.T_D!r}")
+        # a panel at or below 0 would subdivide the facets without end
+        check_positive("flux_panel", self.flux_panel)
 
     def flux(self, geom: GeometryConfig):
         if self.q is None:
@@ -157,12 +160,10 @@ class CoupledOperators:
     D: sp.csr_matrix
     f_plus: np.ndarray
     f_minus: np.ndarray
-    geom: GeometryConfig
     global_mesh: StructuredMesh
     local_mesh: StructuredMesh
     global_dofmap: DofMap
     local_dofmap: DofMap
-    T_D: float
     global_dirichlet: np.ndarray
     local_dirichlet: np.ndarray
     _state: dict = field(default_factory=dict, init=False, repr=False)
@@ -505,6 +506,26 @@ def _load(geom, dofmap, problem, flux_scale=None):
         load(lambda x: ~inside(x), None), load(inside, q)))
 
 
+def _check_cells(global_dofmap, local_dofmap, kappa_plus_cells,
+                 kappa_minus_cells, jump_facet_weights):
+    """A per-cell build's arrays: one value per box cell, per strip cell
+    and, finite, per gamma facet of the mesh pair's interface terms.
+    Raises InvalidConfig naming the argument."""
+    n_gamma = len(_interface(global_dofmap, local_dofmap).scale)
+    for name, values, n, where in (
+            ("kappa_plus_cells", kappa_plus_cells,
+             global_dofmap.mesh.num_cells, "box cell"),
+            ("kappa_minus_cells", kappa_minus_cells,
+             local_dofmap.mesh.num_cells, "strip cell"),
+            ("jump_facet_weights", jump_facet_weights, n_gamma,
+             "gamma facet")):
+        if np.shape(values) != (n,):
+            raise InvalidConfig(f"{name} must hold one value per {where} "
+                                f"({n}), got shape {np.shape(values)}")
+    if not np.all(np.isfinite(jump_facet_weights)):
+        raise InvalidConfig("jump_facet_weights must be finite")
+
+
 def build_coupled_operators(geom: GeometryConfig,
                             global_mesh, global_dofmap,
                             local_mesh, local_dofmap,
@@ -516,74 +537,70 @@ def build_coupled_operators(geom: GeometryConfig,
                             jump_facet_weights=None,
                             flux_scale: Callable | None = None,
                             ) -> CoupledOperators:
-    """Assemble and couple both subproblems.
+    """Assemble and couple both subproblems, each mesh the one of its dof
+    map, from one of two complete descriptions (the module docstring says
+    what each keeps and reuses); Dirichlet walls are eliminated
+    symmetrically on both diagonal blocks, and S and D come finished, with
+    no entry on a constrained row.  By default (alpha = None) the penalty
+    is default_alpha of the strip conductivity, its largest cell value on
+    a per-cell build.
 
-    The box problem keeps kappa_plus everywhere and sees the strip only
-    through S and through its scaled data: inside the strip region the
-    volume source is multiplied by kappa_plus/kappa_minus, and the top flux
-    (whose support lies on the strip's top) likewise.  The strip problem
-    gets the penalty terms on gamma, by default (alpha = None) at
-    default_alpha of kappa_minus, or of kappa_minus_cells on a per-cell
-    build.  Dirichlet walls are eliminated symmetrically on both diagonal
-    blocks; S and D come finished, with no entry on a constrained row.
+    A scalar build (every per-cell argument None) has kappa_plus in the
+    box, kappa_minus in the strip and their difference as the jump of S.
+    The box sees the strip through S and through its data inside the strip
+    footprint (the volume source, and the top flux, whose support lies on
+    the strip's top), multiplied by kappa_plus / kappa_minus.  Its blocks
+    scale the unit pair of its mesh pair and penalty ratio, which its
+    operators hold with kappa_plus and kappa_minus (the "unit" entry).
 
-    The per-cell/per-facet overrides exist for the nonlinear driver; the
-    plain scalar arguments cover the piecewise-constant case.  flux_scale,
-    which replaces kappa_plus/kappa_minus on the box data inside the strip
-    footprint, is called once per kept point array per build: the volume
-    source's footprint points and, per chunk of the top-flux quadrature,
-    the points where the flux is nonzero, always the same read-only arrays
-    (see _load), which the caller may locate once.
-
-    A scalar build (no per-cell or per-facet override) assembles
-    nothing: its blocks are copies of the unit blocks its mesh pair keeps
-    for its penalty ratio r = alpha / kappa_minus (_UnitPair), Dirichlet
-    rows already eliminated, scaled by kappa_plus, kappa_minus and their
-    difference, and its loads lift kappa times the kept unit lifts; its
-    operators hold that unit pair with kappa_plus and kappa_minus
-    (CoupledOperators' "unit" entry), which their direct pair and
-    interface block scale.  A per-cell build assembles each block as the
-    one matrix its assembly returns, changed on its data in place through
-    the kept Dirichlet eliminations and, for the strip's penalty
-    alpha * M_gamma, the gamma mass of the kept interface terms, which S
-    and D are weighted from too.
-    Both loads are kept unscaled (see _load), the box load as (outside,
-    inside) so that f_plus = outside + (kappa_plus/kappa_minus) * inside
-    before the lift; with a flux_scale the kept source and flux values are
-    re-weighted.
+    A per-cell build (a Picard step) takes all four of kappa_plus_cells
+    (one value per box cell), kappa_minus_cells (one per strip cell),
+    jump_facet_weights (the jump, one finite value per gamma facet) and
+    flux_scale(x), which replaces kappa_plus / kappa_minus on the box data
+    and is called once per kept point array per build, the same read-only
+    arrays every time (see _load), which the caller may locate once.  Its
+    scalar kappa_plus and kappa_minus are only checked.  Any other set of
+    the four raises InvalidConfig.
     """
     problem = problem or ProblemData()
     if np.ndim(kappa_minus) != 0:
         raise InvalidConfig("kappa_minus must be a scalar; per-cell strip "
                             "values go through kappa_minus_cells")
     check_coefficients(kappa_plus, kappa_minus, alpha)
-    if flux_scale is None:
-        outside, inside = _load(geom, global_dofmap, problem)
-        f_plus = outside + (kappa_plus / kappa_minus) * inside
-    else:
-        f_plus = _load(geom, global_dofmap, problem, flux_scale)
-    # the strip lies inside its own footprint
-    f_minus = _load(geom, local_dofmap, problem)[1]
-    scalar = kappa_plus_cells is None and kappa_minus_cells is None and \
-        jump_facet_weights is None
+    if (global_mesh, local_mesh) != (global_dofmap.mesh, local_dofmap.mesh):
+        raise InvalidConfig("each mesh must be the mesh of its dof map")
+    cells = (kappa_plus_cells, kappa_minus_cells, jump_facet_weights,
+             flux_scale)
+    scalar = all(c is None for c in cells)
+    if not scalar and any(c is None for c in cells):
+        raise InvalidConfig("a per-cell build takes all four of "
+                            "kappa_plus_cells, kappa_minus_cells, "
+                            "jump_facet_weights and flux_scale")
+    # each kind makes its loads before its blocks, the box's before the
+    # strip's (which lies inside its own footprint): in 3D their flux
+    # quadratures set a build's peak memory, which kept blocks would raise
     if scalar:
+        outside, inside = _load(geom, global_dofmap, problem)
+        f_minus = _load(geom, local_dofmap, problem)[1]
         # the penalty ratio alpha / kappa_minus of the unit pair
         r = default_alpha(1.0, local_mesh.h) if alpha is None \
             else alpha / kappa_minus
         unit = _unit_pair(global_dofmap, local_dofmap, r)
         K_plus, K_minus, S, D, f_plus, f_minus = unit.build(
-            kappa_plus, kappa_minus, f_plus, f_minus, problem.T_D)
+            kappa_plus, kappa_minus,
+            outside + (kappa_plus / kappa_minus) * inside, f_minus,
+            problem.T_D)
         plus, minus = unit.plus, unit.minus
     else:
-        K_plus = assemble_stiffness(
-            global_mesh, global_dofmap,
-            kappa_plus if kappa_plus_cells is None else kappa_plus_cells)
-        km = kappa_minus if kappa_minus_cells is None else kappa_minus_cells
+        _check_cells(global_dofmap, local_dofmap, *cells[:3])
+        f_plus = _load(geom, global_dofmap, problem, flux_scale)
+        f_minus = _load(geom, local_dofmap, problem)[1]
+        K_plus = assemble_stiffness(global_mesh, global_dofmap,
+                                    kappa_plus_cells)
         K_minus, S, D = _strip_blocks(
-            global_dofmap, local_dofmap, km,
-            default_alpha(km, local_mesh.h) if alpha is None else alpha,
-            kappa_plus - kappa_minus if jump_facet_weights is None
-            else jump_facet_weights)
+            global_dofmap, local_dofmap, kappa_minus_cells,
+            default_alpha(kappa_minus_cells, local_mesh.h) if alpha is None
+            else alpha, jump_facet_weights)
         plus = _elimination(global_dofmap)
         minus = _elimination(local_dofmap)
         K_plus, f_plus = plus.apply(K_plus, f_plus, problem.T_D)
@@ -592,9 +609,8 @@ def build_coupled_operators(geom: GeometryConfig,
     ops = CoupledOperators(
         K_plus=K_plus, K_minus=K_minus, S=S, D=D,
         f_plus=f_plus, f_minus=f_minus,
-        geom=geom, global_mesh=global_mesh, local_mesh=local_mesh,
+        global_mesh=global_mesh, local_mesh=local_mesh,
         global_dofmap=global_dofmap, local_dofmap=local_dofmap,
-        T_D=problem.T_D,
         global_dirichlet=plus.dofs,
         local_dirichlet=minus.dofs)
     if scalar:

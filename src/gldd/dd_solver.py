@@ -45,11 +45,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
-from .errors import (Diverged, InvalidConfig, IterationFailure,
-                     MaxItersExceeded, SingularMatrix)
+from .errors import (Diverged, IterationFailure, MaxItersExceeded,
+                     SingularMatrix, check_count, check_positive)
 from .fem import (_elimination, assemble_load, assemble_stiffness,
                   build_dofmap)
-from .linalg import LinearSolver, SolverConfig, is_integer
+from .linalg import LinearSolver, SolverConfig
 from .mesh import (GeometryConfig, build_fitted_mesh, build_global_mesh,
                    build_local_mesh, strip_cells)
 
@@ -72,16 +72,10 @@ class DDConfig:
     def __post_init__(self):
         # at theta = 0 every step is zero, which reads as convergence; at
         # theta = inf the first step is non-finite
-        if not 0 < self.theta < np.inf:
-            raise InvalidConfig(
-                f"theta must be positive and finite, got {self.theta}")
+        check_positive("theta", self.theta)
         # a NaN tolerance is never met; without a sweep nothing is solved
-        if not 0 < self.tol < np.inf:
-            raise InvalidConfig(
-                f"tol must be positive and finite, got {self.tol}")
-        if not (is_integer(self.max_iters) and self.max_iters >= 1):
-            raise InvalidConfig(f"max_iters must be at least 1 and an "
-                                f"integer, got {self.max_iters!r}")
+        check_positive("tol", self.tol)
+        check_count("max_iters", self.max_iters)
 
 
 @dataclass

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tests and rules of
+the config values that InvalidConfig refuses."""
+
+import math
+import numbers
 
 
 class GlddError(Exception):
@@ -94,3 +98,33 @@ class NonpositiveConstant(GlddError):
 class PicardNoConvergence(IterationFailure):
     """Outer Picard loop exhausted its budget; report is the partial
     NonlinearReport of the steps made (converged False)."""
+
+
+# the exact built-in types first: an ABC isinstance test costs a few
+# microseconds, and a study builds its configs per point
+def is_number(value):
+    """Whether value is a real number, bool excluded."""
+    return type(value) is float or type(value) is int or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def is_integer(value):
+    """Whether value is an integer, bool excluded."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def check_positive(name, value):
+    """The rule of a positive config number: positive and finite, NaN
+    failing the comparison.  Raises InvalidConfig naming the field."""
+    if not (is_number(value) and 0 < value < math.inf):
+        raise InvalidConfig(f"{name} must be positive and finite, got "
+                            f"{value!r}")
+
+
+def check_count(name, value):
+    """The rule of a config budget: an integer of at least 1.  Raises
+    InvalidConfig naming the field."""
+    if not (is_integer(value) and value >= 1):
+        raise InvalidConfig(f"{name} must be at least 1 and an integer, got "
+                            f"{value!r}")

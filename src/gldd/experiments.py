@@ -26,19 +26,11 @@ from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
 from .errors import (InsufficientRatios, InvalidConfig, IterationFailure,
                      NonDivisibleSpacing, NonpositiveCoefficient,
-                     RankDeficient, UnknownConfigKey)
+                     RankDeficient, UnknownConfigKey, is_integer, is_number)
 from .fem import build_dofmap
-from .linalg import (SolverConfig, check_seed, fit_rho_law, is_integer,
-                     least_squares_fit)
+from .linalg import SolverConfig, check_seed, fit_rho_law, least_squares_fit
 from .mesh import (GeometryConfig, build_global_mesh, build_local_mesh,
                    check_spacing)
-
-
-# the exact built-in types first: an ABC isinstance test costs a few
-# microseconds, and a study builds a config per point
-def _number(value):
-    return type(value) is float or type(value) is int or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _double(value):
@@ -59,10 +51,11 @@ def _tuple_of(test):
 # what a field of each annotation takes: its name in errors, and its test
 _KINDS = {
     "int": ("an integer", is_integer),
-    "float": ("a number", _number),
-    "Optional[float]": ("a number or null", lambda v: v is None or _number(v)),
+    "float": ("a number", is_number),
+    "Optional[float]": ("a number or null",
+                        lambda v: v is None or is_number(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple[float, ...]": ("a list of numbers", _tuple_of(_number)),
+    "tuple[float, ...]": ("a list of numbers", _tuple_of(is_number)),
     "tuple[int, ...]": ("a list of integers", _tuple_of(is_integer)),
 }
 
@@ -75,26 +68,26 @@ class ExperimentConfig:
     through an argument of its own.  seed feeds only
     ``gldd spectrum --power``."""
 
-    dim: int = 2
+    dim: int = GeometryConfig.dim
     m: int = 1
-    L: float = 1.0 / 40.0
-    H: float = 1.0 / 40.0
-    W: float = 1.0 / 40.0
-    H_minus: float = 1.0 / 160.0
+    L: float = GeometryConfig.L
+    H: float = GeometryConfig.H
+    W: float = GeometryConfig.W
+    H_minus: float = GeometryConfig.H_minus
     h_plus: float = 1.0 / 160.0
     h_minus: float = 1.0 / 320.0
     kappa_plus: float = 1.0
     kappa_minus: float = 0.5
     kappa_list: tuple[float, ...] = tuple(0.5 ** l for l in range(1, 9))
     mesh_ratios: tuple[int, ...] = (2, 4, 8, 16)
-    theta: float = 1.0
+    theta: float = DDConfig.theta
     theta_list: tuple[float, ...] = (1.0, 0.8, 0.67, 0.5)
     alpha: Optional[float] = None
-    T_0: float = 293.15
-    tol: float = 1e-8
-    max_iters: int = 5000
-    solver_method: str = "dense-direct"
-    preconditioner: str = "none"
+    T_0: float = ProblemData.T_D
+    tol: float = DDConfig.tol
+    max_iters: int = DDConfig.max_iters
+    solver_method: str = SolverConfig.method
+    preconditioner: str = SolverConfig.preconditioner
     seed: int = 0
     outdir: str = "out"
 

@@ -9,7 +9,6 @@ callable that applies it.
 from __future__ import annotations
 
 import copy
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (InvalidConfig, NoConvergence, NonpositiveConstant,
-                     RankDeficient, SingularMatrix, TooLarge)
+                     RankDeficient, SingularMatrix, TooLarge, check_count,
+                     check_positive, is_integer)
 
 _METHOD_ALIASES = {
     "conjugate-gradient": "cg",
@@ -54,6 +54,9 @@ class SolverConfig:
     max_iters: int = 20000
 
     def __post_init__(self):
+        # a tolerance at or below 0 is never met
+        check_positive("rel_tol", self.rel_tol)
+        check_count("max_iters", self.max_iters)
         try:
             object.__setattr__(self, "method", _METHOD_ALIASES[self.method])
         except KeyError:
@@ -151,12 +154,6 @@ class ScaledSolver:
 # ----------------------------------------------------------------------
 # spectral radius
 # ----------------------------------------------------------------------
-
-def is_integer(value):
-    """Whether value is an integer, bool excluded (the exact int first)."""
-    return type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool))
-
 
 def check_seed(seed):
     """The one seed rule, a nonnegative integer (bool excluded); returns

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (GlddError, InvalidConfig, NonDivisibleSpacing,
-                     OutOfDomain)
+                     OutOfDomain, is_integer, is_number)
 
 # Containment slack for barycentric coordinates in point location.
 _BARY_TOL = 1e-12
@@ -65,13 +65,13 @@ class GeometryConfig:
     H_minus: float = 1.0 / 160.0
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise InvalidConfig(f"dim must be 2 or 3, got {self.dim}")
-        extents = self.extents + (self.H_minus,)
+        if not (is_integer(self.dim) and self.dim in (2, 3)):
+            raise InvalidConfig(f"dim must be 2 or 3, got {self.dim!r}")
+        extents = (self.L, self.H, self.W, self.H_minus)
         # written so that a NaN extent fails too
-        if not all(0 < x < np.inf for x in extents):
+        if not all(is_number(x) and 0 < x < np.inf for x in extents):
             raise InvalidConfig(f"extents must be positive and finite, got "
-                                f"{extents}")
+                                f"(L, H, W, H_minus) = {extents}")
         if self.H_minus >= self.H:
             raise InvalidConfig(
                 "strip thickness must be smaller than the box height")

@@ -22,10 +22,11 @@ from .coupling import ProblemData, _interface, build_coupled_operators
 from .dd_solver import (DDConfig, build_mesh_pair, run_two_level_dd,
                         solve_fitted)
 from .errors import (InvalidConfig, IterationFailure,
-                     NonpositiveCoefficient, PicardNoConvergence)
+                     NonpositiveCoefficient, PicardNoConvergence,
+                     check_count, check_positive)
 from .fem import (_basis_at_points, _field_at, assemble_load, build_dofmap,
                   shape_values)
-from .linalg import SolverConfig, is_integer
+from .linalg import SolverConfig
 from .mesh import GeometryConfig, build_fitted_mesh, strip_cells
 
 
@@ -76,15 +77,9 @@ class NonlinearConfig:
     picard_max: int = 100
 
     def __post_init__(self):
-        if not 0 < self.kappa_plus_B < np.inf:
-            raise InvalidConfig(f"kappa_plus_B must be positive and finite, "
-                                f"got {self.kappa_plus_B}")
-        if not 0 < self.picard_tol < np.inf:
-            raise InvalidConfig(f"picard_tol must be positive and finite, "
-                                f"got {self.picard_tol}")
-        if not (is_integer(self.picard_max) and self.picard_max >= 1):
-            raise InvalidConfig(f"picard_max must be at least 1 and an "
-                                f"integer, got {self.picard_max!r}")
+        check_positive("kappa_plus_B", self.kappa_plus_B)
+        check_positive("picard_tol", self.picard_tol)
+        check_count("picard_max", self.picard_max)
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Cross-mesh coupling matrices and the coupled-system builder."""
 
 import copy
+import dataclasses
 import functools
+import itertools
 import sys
 import types
 
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 import gldd.coupling as coupling
 import gldd.fem as fem_module
 import gldd.mesh as mesh_module
-from gldd.coupling import (ProblemData, assemble_flux_jump_S,
+from gldd.coupling import (CoupledOperators, ProblemData,
+                           assemble_flux_jump_S,
                            assemble_penalty_D, build_coupled_operators,
                            default_alpha, interface_trace_gap)
 from gldd.dd_solver import solve_fitted
@@ -214,6 +217,20 @@ class TestPenaltyD:
             assemble_penalty_D(gd, ld, alpha)
 
 
+PER_CELL = ("kappa_plus_cells", "kappa_minus_cells", "jump_facet_weights",
+            "flux_scale")
+
+
+def cells_at(gm, lm, kappa_plus, kappa_minus):
+    """The per-cell conductivities and jump weights of scalar kappa_plus
+    and kappa_minus on a mesh pair, as build_coupled_operators takes them;
+    a per-cell build adds its flux_scale."""
+    return dict(kappa_plus_cells=np.full(gm.num_cells, kappa_plus),
+                kappa_minus_cells=np.full(lm.num_cells, kappa_minus),
+                jump_facet_weights=np.full(len(interface_facets(lm)),
+                                           kappa_plus - kappa_minus))
+
+
 def build_ops(kappa_minus, kappa_plus=1.0, problem=None, alpha=None, dim=2,
               m=1, h_plus=1 / 160, h_minus=1 / 320):
     geom, gm, gd, lm, ld = make_pair(dim=dim, h_plus=h_plus,
@@ -232,10 +249,10 @@ class TestBuilder:
             row = ops.K_plus.getrow(g)
             assert row.nnz == 1 and row[0, g] == 1.0
             assert ops.S.getrow(g).nnz == 0
-            assert ops.f_plus[g] == ops.T_D
+            assert ops.f_plus[g] == ProblemData().T_D
         for l in ops.local_dirichlet:
             assert ops.D.getrow(l).nnz == 0
-            assert ops.f_minus[l] == ops.T_D
+            assert ops.f_minus[l] == ProblemData().T_D
 
     def test_sign_flip_against_literal(self):
         # S comes from its builder with the block sign and its Dirichlet
@@ -253,9 +270,11 @@ class TestBuilder:
         # not of the scalar kappa_minus it is also handed
         geom, gm, gd, lm, ld = make_pair()
         km_cells = np.linspace(0.3, 0.9, lm.num_cells)
+        cells = dict(cells_at(gm, lm, 1.0, 0.5), kappa_minus_cells=km_cells,
+                     flux_scale=lambda x: np.full(len(x), 2.0))
         default, explicit = (
             build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
-                                    alpha=alpha, kappa_minus_cells=km_cells)
+                                    alpha=alpha, **cells)
             for alpha in (None, default_alpha(km_cells, lm.h)))
         for name in ("K_minus", "D"):
             for part in ("indptr", "indices", "data"):
@@ -320,6 +339,64 @@ class TestBuilder:
         with pytest.raises(InvalidConfig, match="kappa_minus_cells"):
             build_ops(np.array([0.5, 0.25]))
 
+    @pytest.mark.parametrize("given", [
+        pytest.param(given, id="+".join(
+            name for name, g in zip(PER_CELL, given) if g))
+        for given in itertools.product((False, True), repeat=4)
+        if 0 < sum(given) < 4])
+    def test_mixed_override_sets_rejected(self, given):
+        # a build is scalar (no per-cell argument) or per-cell (all four)
+        geom, gm, gd, lm, ld = make_pair()
+        full = dict(cells_at(gm, lm, 1.0, 0.5),
+                    flux_scale=lambda x: np.full(len(x), 2.0))
+        passed = {k: full[k] for k, g in zip(PER_CELL, given) if g}
+        with pytest.raises(InvalidConfig) as info:
+            build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5, **passed)
+        assert all(name in str(info.value) for name in PER_CELL)
+
+    @pytest.mark.parametrize("per_cell", [False, True])
+    @pytest.mark.parametrize("side", ["box", "strip"])
+    def test_mesh_not_of_its_dofmap_rejected(self, side, per_cell):
+        # a 1/80 box mesh beside the dof map of a 1/160 one, or a 1/160
+        # strip mesh beside that of a 1/320 one
+        geom, gm, gd, lm, ld = make_pair()
+        if side == "box":
+            gm = build_global_mesh(geom, 1 / 80)
+        else:
+            lm = build_local_mesh(geom, 1 / 160)
+        cells = dict(cells_at(gd.mesh, ld.mesh, 1.0, 0.5),
+                     flux_scale=lambda x: np.full(len(x), 2.0)) \
+            if per_cell else {}
+        with pytest.raises(InvalidConfig, match="mesh of its dof map"):
+            build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5, **cells)
+
+    def test_operators_restate_no_inputs(self):
+        names = {f.name for f in dataclasses.fields(CoupledOperators)}
+        assert not names & {"geom", "T_D"}
+        assert {"global_dirichlet", "local_dirichlet"} <= names
+
+    @pytest.mark.parametrize("name,bad", [
+        pytest.param(name, bad, id=f"{name}-{what}")
+        for name, what, bad in (
+            ("kappa_plus_cells", "short", lambda v: v[:-1]),
+            ("kappa_plus_cells", "long", lambda v: np.append(v, 1.0)),
+            ("kappa_minus_cells", "short", lambda v: v[:-1]),
+            ("kappa_minus_cells", "row", lambda v: v.reshape(1, -1)),
+            ("jump_facet_weights", "short", lambda v: v[:-1]),
+            ("jump_facet_weights", "scalar", lambda v: 0.5),
+            ("jump_facet_weights", "nan", lambda v: np.where(
+                np.arange(len(v)) == 1, np.nan, v)),
+            ("jump_facet_weights", "inf", lambda v: np.full(len(v), np.inf)))])
+    def test_per_cell_arrays_checked(self, name, bad):
+        # one value per box cell, per strip cell and, finite, per gamma
+        # facet, each refused by name before anything is assembled
+        geom, gm, gd, lm, ld = make_pair()
+        cells = dict(cells_at(gm, lm, 1.0, 0.5),
+                     flux_scale=lambda x: np.full(len(x), 2.0))
+        cells[name] = bad(cells[name])
+        with pytest.raises(InvalidConfig, match=name):
+            build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5, **cells)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_wall_temperature_rejected(self, value):
         with pytest.raises(InvalidConfig, match="T_D must be finite"):
@@ -351,7 +428,8 @@ class TestLaserSupport:
             calls.clear()
             ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
                                           problem=problem,
-                                          flux_scale=flux_scale)
+                                          flux_scale=flux_scale,
+                                          **cells_at(gm, lm, 1.0, 0.5))
             return ops.f_plus, ops.f_minus, len(calls)
 
         # coarser 3D panels keep the scale's point location small
@@ -387,7 +465,7 @@ class TestPenaltyLimit:
         # the box field matches the wall temperature on the side walls,
         # otherwise the corner mismatch would dominate the trace gap
         ops = build_ops(0.5, alpha=alpha)
-        L = ops.geom.L
+        L = GeometryConfig().L
 
         def bump(x):
             return 293.15 + 2e5 * x[:, 0] * (L - x[:, 0]) * (x[:, 1] / L)
@@ -419,7 +497,7 @@ class TestPenaltyLimit:
         T_minus = interp(ops.local_dofmap, lin)
         assert interface_trace_gap(ops, T_plus, T_minus) < 1e-10
         gap = interface_trace_gap(ops, T_plus, T_minus + 1.0)
-        assert gap == pytest.approx(np.sqrt(ops.geom.L), rel=1e-12)
+        assert gap == pytest.approx(np.sqrt(GeometryConfig().L), rel=1e-12)
 
 
 def count_calls(monkeypatch, home, attr):
@@ -507,7 +585,8 @@ class TestInterfaceTerms:
         height = ops.global_dofmap.dof_coords[:, -1]
         np.testing.assert_array_equal(
             ops.interface().J,
-            np.flatnonzero(np.abs(height - ops.geom.floor) < 1e-12))
+            np.flatnonzero(np.abs(height - GeometryConfig(dim=dim).floor)
+                           < 1e-12))
 
     @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
     def test_trace_gap_matches_located_fields(self, dim, m, monkeypatch):
@@ -784,29 +863,18 @@ class TestKeptLayouts:
         def flux_scale(x):
             return 0.5 / (1.0 + 1e-3 * evaluate_field(lm, ld, T, x))
 
-        for scale in (None, flux_scale):
+        def ratio_scale(x):
+            return np.full(len(x), kp / km)
+
+        for scale in (ratio_scale, flux_scale):
             ops = build_coupled_operators(
                 geom, gm, gd, lm, ld, kp, km, alpha=alpha, problem=problem,
                 kappa_plus_cells=kp_cells, kappa_minus_cells=km_cells,
                 jump_facet_weights=weights, flux_scale=scale)
             want = reference_operators(geom, gm, gd, lm, ld, kp_cells,
                                        km_cells, weights, alpha, problem,
-                                       scale, kp / km)
-            for name in ("K_plus", "K_minus", "S", "D"):
-                for part in ("indptr", "indices", "data"):
-                    np.testing.assert_array_equal(
-                        getattr(getattr(ops, name), part),
-                        getattr(want[name], part), err_msg=name)
-            np.testing.assert_array_equal(ops.f_minus, want["f_minus"])
-            if scale is None:
-                # outside + ratio * inside rounds apart from the one-pass
-                # sum; an entry that cancels to rounding noise (a P2 vertex
-                # dof under a constant source) is held to the load's scale
-                atol = 1e-14 * np.abs(want["box_load"]).max()
-                np.testing.assert_allclose(ops.f_plus, want["f_plus"],
-                                           rtol=1e-14, atol=atol)
-            else:
-                np.testing.assert_array_equal(ops.f_plus, want["f_plus"])
+                                       scale, None)
+            assert_same_operators(ops, types.SimpleNamespace(**want))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_second_build_keeps_dirichlet_and_box_load(self, dim,
@@ -826,7 +894,8 @@ class TestKeptLayouts:
         # integrated again
         build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.25,
                                 problem=problem,
-                                flux_scale=lambda x: np.full(len(x), 2.0))
+                                flux_scale=lambda x: np.full(len(x), 2.0),
+                                **cells_at(gm, lm, 1.0, 0.25))
         assert calls == {"dirichlet_dofs": [], "apply_dirichlet": [],
                          "assemble_load": []}
 
@@ -861,7 +930,8 @@ class TestKeptLayouts:
                          "assemble_penalty_D": [gd], "apply": []}
         # a per-cell build assembles and eliminates its own blocks
         build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
-                                kappa_minus_cells=np.full(lm.num_cells, 0.5))
+                                flux_scale=lambda x: np.full(len(x), 2.0),
+                                **cells_at(gm, lm, 1.0, 0.5))
         assert calls["assemble_stiffness"] == [lm, gm, lm]
         assert len(applied) == 2
 
@@ -872,11 +942,11 @@ class TestKeptLayouts:
         found = count_calls(monkeypatch, fem_module, "_Elimination")
         ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5)
         kept = fem_module._elimination(gd)
-        T, _ = solve_fitted(gm, gd, np.ones(gm.num_cells), ops.f_plus,
-                            ops.T_D)
+        T_D = ProblemData().T_D
+        T, _ = solve_fitted(gm, gd, np.ones(gm.num_cells), ops.f_plus, T_D)
         assert len(found) == 2
         assert fem_module._elimination(gd) is kept
-        np.testing.assert_array_equal(T[ops.global_dirichlet], ops.T_D)
+        np.testing.assert_array_equal(T[ops.global_dirichlet], T_D)
 
 
 class TestMixedDegrees:
@@ -1086,7 +1156,8 @@ class TestKeptScaledFlux:
             loads.clear()
             ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
                                           problem=problem,
-                                          flux_scale=flux_scale)
+                                          flux_scale=flux_scale,
+                                          **cells_at(gm, lm, 1.0, 0.5))
             built.append(([x is gm for x in chunks].count(True),
                           [x is gm for x in loads].count(True)))
             want = reference_box_load(geom, gm, gd, problem, flux_scale)
@@ -1131,9 +1202,10 @@ class TestKeptScaledFlux:
             seen.append(x)
             return np.full(len(x), 0.5)
 
+        cells = cells_at(gm, lm, 1.0, 0.5)
         for _ in range(3):
             build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
-                                    flux_scale=flux_scale)
+                                    flux_scale=flux_scale, **cells)
         assert len(seen) == 3
         assert all(x is seen[0] for x in seen)
         assert not seen[0].flags.writeable
@@ -1144,7 +1216,7 @@ class TestKeptScaledFlux:
 
         with pytest.raises(ValueError, match="read-only"):
             build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
-                                    flux_scale=writing_scale)
+                                    flux_scale=writing_scale, **cells)
 
     def test_flux_called_on_first_build_only(self):
         geom, gm, gd, lm, ld = make_pair()
@@ -1158,7 +1230,8 @@ class TestKeptScaledFlux:
         for c in (0.5, 0.25, 2.0):
             ops = build_coupled_operators(
                 geom, gm, gd, lm, ld, 1.0, 0.5, problem=problem,
-                flux_scale=lambda x, c=c: np.full(len(x), c))
+                flux_scale=lambda x, c=c: np.full(len(x), c),
+                **cells_at(gm, lm, 1.0, 0.5))
         # the strip's kept load and the box's kept quadrature
         assert len(calls) == 2
         assert np.count_nonzero(ops.f_plus[~np.isin(

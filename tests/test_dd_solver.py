@@ -20,7 +20,7 @@ from gldd.errors import (Diverged, InvalidConfig, IterationFailure,
                          MaxItersExceeded, NoConvergence, SingularMatrix)
 from gldd.fem import evaluate_field
 from gldd.linalg import InterfaceBlock, LinearSolver, SolverConfig
-from gldd.mesh import GeometryConfig
+from gldd.mesh import FacetTag, GeometryConfig
 
 GEOM = GeometryConfig()
 T_D = 293.15
@@ -371,6 +371,19 @@ class TestSweepParity:
         np.testing.assert_array_equal(report.T_minus, want[4])
 
 
+def per_cell(pair, kappa_plus, kappa_minus):
+    """The per-cell arguments, flux scale included, of a build at scalar
+    kappa_plus and kappa_minus on pair (box mesh, its dof map, strip mesh,
+    its dof map)."""
+    gm, _, lm, _ = pair
+    n_gamma = np.count_nonzero(
+        lm.facet_tags == FacetTag.INTERFACE_GAMMA.value)
+    return dict(kappa_plus_cells=np.full(gm.num_cells, kappa_plus),
+                kappa_minus_cells=np.full(lm.num_cells, kappa_minus),
+                jump_facet_weights=np.full(n_gamma, kappa_plus - kappa_minus),
+                flux_scale=lambda x: np.full(len(x), kappa_plus / kappa_minus))
+
+
 class TestUnitPair:
     """A scalar build solves on the unit pair its mesh pair keeps, scaled by
     its coefficients, and its interface block is the unit block scaled by
@@ -403,8 +416,7 @@ class TestUnitPair:
         build(kappa_plus / 2)
         kappa_minus = ratio * kappa_plus
         ops = build(kappa_minus)
-        own = build(kappa_minus, kappa_minus_cells=np.full(
-            pair[2].num_cells, kappa_minus))
+        own = build(kappa_minus, **per_cell(pair, kappa_plus, kappa_minus))
         assert "unit" in ops._state and "unit" not in own._state
         config = DDConfig(max_iters=300)
         runs = [run_or_stop(o, config) for o in (ops, own)]
@@ -461,12 +473,11 @@ class TestUnitPair:
 
     def test_per_cell_or_changed_blocks_factor_their_own(self):
         pair = build_mesh_pair(GEOM, 1 / 160, 1 / 320, 1)
-        per_cell = build_coupled_operators(
-            GEOM, *pair, 1.0, 0.5,
-            kappa_plus_cells=np.ones(pair[0].num_cells))
+        cells = build_coupled_operators(GEOM, *pair, 1.0, 0.5,
+                                        **per_cell(pair, 1.0, 0.5))
         scalar = build_coupled_operators(GEOM, *pair, 1.0, 0.5)
         changed = replace(scalar, K_minus=scalar.K_minus.copy())
-        for ops in (per_cell, changed):
+        for ops in (cells, changed):
             assert "unit" not in ops._state
             assert all(isinstance(s, LinearSolver)
                        for s in ops.solvers(SolverConfig()))

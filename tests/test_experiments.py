@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
+import gldd.errors as errors
 import gldd.experiments as experiments
 import gldd.linalg as gldd_linalg
 from gldd.cli import _config_from, build_parser, fraction, main
@@ -31,6 +32,13 @@ from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               theta_parabola_minimizer)
 from gldd.linalg import LinearSolver, SolverConfig, fit_rho_law
 from gldd.mesh import GeometryConfig
+from gldd.nonlinear import NonlinearConfig
+
+# values of the wrong type for a config field of each annotation
+WRONG_TYPE = {"float": ["1", None, True, [1.0]],
+              "int": [2.0, "2", None, True, np.bool_(True)]}
+COMPONENT_CONFIGS = (GeometryConfig, coupling.ProblemData,
+                     dd_solver.DDConfig, NonlinearConfig, SolverConfig)
 
 
 def slow_setup(monkeypatch, delay=0.05):
@@ -192,9 +200,9 @@ class TestConfig:
         # the exact-type shortcut changes no verdict: floats (nan and inf
         # too) and ints pass, bools fail, numpy scalars and fractions
         # still reach the ABC test, decimals are no Real
-        assert experiments._number(value) == (
+        assert errors.is_number(value) == (
             isinstance(value, numbers.Real) and not isinstance(value, bool))
-        assert gldd_linalg.is_integer(value) == (
+        assert errors.is_integer(value) == (
             isinstance(value, numbers.Integral)
             and not isinstance(value, bool))
 
@@ -245,6 +253,39 @@ class TestConfig:
         # built once, with the config
         assert cfg.geometry() is cfg.geometry()
         assert cfg.dd() is cfg.dd() and cfg.solver() is cfg.dd().solver
+
+    def test_defaults_are_the_owners(self):
+        # each default ExperimentConfig mirrors is read from its owner
+        cfg = ExperimentConfig()
+        assert cfg.geometry() == GeometryConfig()
+        assert cfg.problem() == coupling.ProblemData()
+        assert cfg.dd() == dd_solver.DDConfig()
+
+    @pytest.mark.parametrize("config,name,value", [
+        pytest.param(config, f.name, value,
+                     id=f"{config.__name__}.{f.name}={value!r}")
+        for config in COMPONENT_CONFIGS for f in fields(config)
+        if f.type in WRONG_TYPE for value in WRONG_TYPE[f.type]])
+    def test_component_config_types_checked_when_built(self, config, name,
+                                                       value):
+        # every number and integer field of the configs a study builds,
+        # bool excluded, as the shared type tests take them
+        with pytest.raises(InvalidConfig, match=name):
+            config(**{name: value})
+
+    @pytest.mark.parametrize("config,name,value", [
+        (SolverConfig, "rel_tol", -1.0), (SolverConfig, "rel_tol", 0.0),
+        (SolverConfig, "rel_tol", float("nan")),
+        (SolverConfig, "rel_tol", float("inf")),
+        (SolverConfig, "max_iters", 0), (SolverConfig, "max_iters", 2.5),
+        (coupling.ProblemData, "flux_panel", -1.0),
+        (coupling.ProblemData, "flux_panel", 0.0),
+        (coupling.ProblemData, "flux_panel", float("nan")),
+        (coupling.ProblemData, "flux_panel", float("inf"))])
+    def test_component_config_values_checked_when_built(self, config, name,
+                                                        value):
+        with pytest.raises(InvalidConfig, match=name):
+            config(**{name: value})
 
     @pytest.mark.parametrize("ratios,bad", [
         ((0, 2, 4), "0 is not positive"), ((2, 4, -8), "-8 is not positive"),
