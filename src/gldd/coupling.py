@@ -118,8 +118,8 @@ class ProblemData:
     user-supplied q is integrated over every top facet.
     flux_panel is the quadrature panel size used for the top flux: the
     default laser spot is ~1e-3 wide, far below the coarse facet size, so
-    the top facets share one composite rule for that integral, subdivided
-    until the widest visited facet's panels reach this size.
+    the top facets share one rule for it, ceil(w / flux_panel) pieces per
+    axis (at most 256), w the widest visited facet's diameter.
     """
 
     f: object = 0.0

@@ -46,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
 from .errors import (Diverged, IterationFailure, MaxItersExceeded,
-                     SingularMatrix, check_count, check_positive)
+                     SingularMatrix, check_count, check_positive, check_type)
 from .fem import (_elimination, assemble_load, assemble_stiffness,
                   build_dofmap)
 from .linalg import LinearSolver, SolverConfig
@@ -76,6 +76,8 @@ class DDConfig:
         # a NaN tolerance is never met; without a sweep nothing is solved
         check_positive("tol", self.tol)
         check_count("max_iters", self.max_iters)
+        check_type("solver", self.solver, SolverConfig)
+        check_type("store_iterates", self.store_iterates, bool)
 
 
 @dataclass

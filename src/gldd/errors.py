@@ -128,3 +128,20 @@ def check_count(name, value):
     if not (is_integer(value) and value >= 1):
         raise InvalidConfig(f"{name} must be at least 1 and an integer, got "
                             f"{value!r}")
+
+
+def check_choice(name, value, choices):
+    """The rule of a config name: a str among choices, tested without
+    hashing value.  Raises InvalidConfig naming the field."""
+    if not (isinstance(value, str) and value in choices):
+        raise InvalidConfig(f"unknown {name} {value!r}, expected one of "
+                            f"{', '.join(choices)}")
+
+
+def check_type(name, value, kind):
+    """The rule of a config field of one type: an instance of kind (bool
+    for a flag, so no truthy stand-in passes).  Raises InvalidConfig
+    naming the field."""
+    if not isinstance(value, kind):
+        raise InvalidConfig(f"{name} must be a {kind.__name__}, got "
+                            f"{value!r}")

@@ -4,7 +4,8 @@ Cell terms are computed for all cells at once from the per-shape
 geometry of ``mesh.cell_geometry``, gathered by cell shape (one unit
 stiffness per shape, one source call on every quadrature point for the
 load), and facet terms for all facets at once, from one
-``_facet_terms``.  The top flux is one composite rule; it calls the flux
+``_facet_terms``.  The top flux is one composite rule, ceil(w / q_panel)
+pieces per axis, w the widest visited facet's diameter; it calls the flux
 once per chunk of whole facets of at most ``_FLUX_CHUNK`` points, and
 only on the top facets within the flux's ``support`` when it has one
 (the laser flux of ``coupling.ProblemData`` does; a user callable
@@ -403,17 +404,14 @@ def _as_callable(f):
 
 
 @functools.lru_cache(maxsize=32)
-def _composite_facet_rule(dim, m, splits):
-    """Facet rule refined 2**splits times per axis, in parent coordinates.
+def _composite_facet_rule(dim, m, n):
+    """Facet rule on n pieces per axis, in parent coordinates.
 
     Concentrated boundary data (the laser spot is ~1e-3 wide) would be
     invisible to a plain two-point rule on coarse facets, so the facet is
     subdivided and the base rule mapped into each piece.
     """
     base = facet_rule(dim, m)
-    if splits <= 0:
-        return base
-    n = 1 << splits
     if dim == 2:
         ends = np.arange(n + 1) / n
         ends = np.stack([1.0 - ends, ends], axis=1)
@@ -435,9 +433,9 @@ def _composite_facet_rule(dim, m, splits):
                           base.degree)
 
 
-# points per top-flux call: one finest 3D box facet (2**14 pieces of the
-# 6-point rule), so a call's arrays stay a few MB, while every top facet of
-# a 2D mesh fits in one call
+# points per top-flux call: 2**14 pieces of the 6-point rule, two 3D box
+# facets at h = 1/160 and the default panel, so a call's arrays stay a few
+# MB, while every top facet of a 2D mesh fits in one call
 _FLUX_CHUNK = 98_304
 
 
@@ -460,8 +458,8 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
         (``ProblemData.flux`` sets it for the laser).  Any other q is
         integrated on every top facet.
     q_panel : target quadrature panel size for the flux term; the widest
-        top facet visited sets the one rule, split until its panels are at
-        most q_panel across (at most 2**8 times per axis)
+        top facet visited, diameter w, sets the one rule: ceil(w / q_panel)
+        pieces per axis, at most 256, so no piece is wider than q_panel
     """
     b = np.zeros(dofmap.n_dofs)
     if not _zero(f):
@@ -513,12 +511,12 @@ def _flux_chunks(mesh, dofmap, support, q_panel):
         gap = np.maximum(wall.min(axis=1) - centre, centre - wall.max(axis=1))
         near = gap.max(axis=1) <= radius
         top, pts = top[near], pts[near]
-    splits = 0
+    n = 1
     if q_panel is not None and len(top):
         i, j = np.transpose(_local_edges(mesh.dim - 1))
         diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max()
-        splits = int(np.clip(np.ceil(np.log2(diam / q_panel)), 0, 8))
-    rule = _composite_facet_rule(mesh.dim, dofmap.m, splits)
+        n = int(np.clip(np.ceil(diam / q_panel), 1, 256))
+    rule = _composite_facet_rule(mesh.dim, dofmap.m, n)
     per = max(1, _FLUX_CHUNK // len(rule.weights))
     chunks = [(slice(a, a + per), pts[a:a + per])
               for a in range(0, len(top), per)]

@@ -16,8 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (InvalidConfig, NoConvergence, NonpositiveConstant,
-                     RankDeficient, SingularMatrix, TooLarge, check_count,
-                     check_positive, is_integer)
+                     RankDeficient, SingularMatrix, TooLarge, check_choice,
+                     check_count, check_positive, is_integer)
 
 _METHOD_ALIASES = {
     "conjugate-gradient": "cg",
@@ -57,14 +57,10 @@ class SolverConfig:
         # a tolerance at or below 0 is never met
         check_positive("rel_tol", self.rel_tol)
         check_count("max_iters", self.max_iters)
-        try:
-            object.__setattr__(self, "method", _METHOD_ALIASES[self.method])
-        except KeyError:
-            raise InvalidConfig(
-                f"unknown solver method {self.method!r}") from None
-        if self.preconditioner not in ("none", "diagonal"):
-            raise InvalidConfig(
-                f"unknown preconditioner {self.preconditioner!r}")
+        check_choice("solver method", self.method, _METHOD_ALIASES)
+        object.__setattr__(self, "method", _METHOD_ALIASES[self.method])
+        check_choice("preconditioner", self.preconditioner,
+                     ("none", "diagonal"))
 
 
 class LinearSolver:

@@ -287,6 +287,20 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=name):
             config(**{name: value})
 
+    @pytest.mark.parametrize("config,name,value", [
+        (dd_solver.DDConfig, "solver", "direct"),
+        (dd_solver.DDConfig, "solver", None),
+        (dd_solver.DDConfig, "store_iterates", "no"),
+        (dd_solver.DDConfig, "store_iterates", 1),
+        (SolverConfig, "method", []),
+        (SolverConfig, "preconditioner", ["none"])])
+    def test_component_config_kinds_checked_when_built(self, config, name,
+                                                       value):
+        # a solver that is no SolverConfig, a flag that is no bool and a
+        # name that is no str or not a known one, each refused as built
+        with pytest.raises(InvalidConfig, match=name):
+            config(**{name: value})
+
     @pytest.mark.parametrize("ratios,bad", [
         ((0, 2, 4), "0 is not positive"), ((2, 4, -8), "-8 is not positive"),
         ((2, 2, 2), "2 is repeated"), ((2, 4, 2), "2 is repeated")])

@@ -2,6 +2,7 @@
 manufactured solutions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -253,12 +254,9 @@ def test_facet_dofs_vertex_range_p1(dim):
                                   (-1,) + tuple(range(1, dim))]))
 
 
-def _reference_composite_rule(dim, m, splits):
-    """The subdivided facet rule built piece by piece."""
+def _reference_composite_rule(dim, m, n):
+    """The facet rule on n pieces per axis built piece by piece."""
     base = facet_rule(dim, m)
-    if splits <= 0:
-        return base.points, base.weights
-    n = 1 << splits
     pts, wts = [], []
     if dim == 2:
         for i in range(n):
@@ -286,11 +284,15 @@ def _reference_composite_rule(dim, m, splits):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_composite_facet_rule_matches_piece_loop(dim, m):
-    for splits in range(8):
-        rule = _composite_facet_rule(dim, m, splits)
-        pts, wts = _reference_composite_rule(dim, m, splits)
+    for n in list(range(1, 10)) + [89]:
+        rule = _composite_facet_rule(dim, m, n)
+        pts, wts = _reference_composite_rule(dim, m, n)
         np.testing.assert_array_equal(rule.points, pts)
         np.testing.assert_array_equal(rule.weights, wts)
+    # one piece is the base rule itself
+    one, base = _composite_facet_rule(dim, m, 1), facet_rule(dim, m)
+    np.testing.assert_array_equal(one.points, base.points)
+    np.testing.assert_array_equal(one.weights, base.weights)
 
 
 class TestStiffness:
@@ -566,6 +568,30 @@ def test_laser_support_leaves_load_bitwise_equal(name, m):
     assert np.count_nonzero(b) > 0
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", list(FLUX_MESHES))
+def test_laser_load_at_default_panel(name, m):
+    # the laser load at the default panel sums to the closed form of its
+    # integral, 4e4 * (2 Gamma(5/4) 1e-3)**(dim-1), and in 3D each entry
+    # is that of the rule on 256 pieces per axis.  2D is held to the sum
+    # alone: its visited strip facets are only one or two panels wide, so
+    # at m = 1 their entries are within 3.2e-8 of that reference at
+    # h = 1/640 and only about 7e-6 at h = 1/5120
+    geom, mesh = FLUX_MESHES[name]()
+    dof = build_dofmap(mesh, m)
+    problem = ProblemData()
+    q = problem.flux(geom)
+    b = assemble_load(mesh, dof, q=q, q_panel=problem.flux_panel)
+    exact = 4e4 * (2.0 * math.gamma(1.25) * 1e-3) ** (geom.dim - 1)
+    assert b.sum() == pytest.approx(exact, rel=1e-12)
+    if geom.dim == 3:
+        fine = 1e-9  # far below the facets: the rule clips at 256 pieces
+        _, rule, _ = fem._flux_chunks(mesh, dof, q.support, fine)
+        assert len(rule.weights) == 256 ** 2 * len(facet_rule(3, m).weights)
+        ref = assemble_load(mesh, dof, q=q, q_panel=fine)
+        assert np.abs(b - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_laser_flux_vanishes_past_cutoff(dim):
     c, r = GEOM.L / 2, LASER_CUTOFF
@@ -682,8 +708,10 @@ SPLIT_MESHES = {
 
 @pytest.mark.parametrize("name", list(SPLIT_MESHES))
 def test_one_flux_rule_is_every_facets_own(name):
-    # splitting each visited top facet until its own panels reach q_panel
-    # gives every facet the split count of the one rule of the widest
+    # cutting each visited top facet into its own ceil(diam / q_panel)
+    # pieces per axis (at most 256) gives every facet the piece count of
+    # the one rule of the widest, and one piece fewer would leave a piece
+    # wider than q_panel
     for mesh in SPLIT_MESHES[name]():
         dof = build_dofmap(mesh, 1)
         geom = GeometryConfig(dim=mesh.dim)
@@ -696,20 +724,20 @@ def test_one_flux_rule_is_every_facets_own(name):
                     range(mesh.dim), 2)))
                 diam = np.linalg.norm(pts[:, i] - pts[:, j],
                                       axis=-1).max(axis=1)
-                own = np.zeros(len(top), dtype=np.int64)
-                wide = diam > panel
-                own[wide] = np.minimum(8, np.ceil(np.log2(diam[wide] / panel)))
+                own = np.minimum(256, np.ceil(diam / panel)).astype(np.int64)
                 assert len(np.unique(own)) == 1
+                n = int(own[0])
+                assert n >= 1 and (n == 256 or np.all(diam / n <= panel))
+                assert n == 1 or np.all(diam / (n - 1) > panel)
                 np.testing.assert_array_equal(
-                    rule.points,
-                    _composite_facet_rule(mesh.dim, 1, int(own[0])).points)
+                    rule.points, _composite_facet_rule(mesh.dim, 1, n).points)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_flux_rule_on_facets_of_two_widths(m):
-    # top facets 0.3 and 0.7 wide: the wider sets the rule, 2**3 panels of
-    # 0.0875 <= q_panel = 0.1, where 2**2 would leave 0.175; the rule is
-    # exact on both facets for a constant and a linear flux
+    # top facets 0.3 and 0.7 wide: the wider sets the rule, 7 panels of
+    # 0.1 = q_panel, where 6 would leave 0.117; the rule is exact on both
+    # facets for a constant and a linear flux
     xs = [0.0, 0.3, 1.0]
     verts = np.array([[x, y] for y in (0.0, 1.0) for x in xs])
     cells = np.array([[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]])
@@ -723,7 +751,7 @@ def test_flux_rule_on_facets_of_two_widths(m):
     dof = build_dofmap(mesh, m)
     _, rule, _ = fem._flux_chunks(mesh, dof, None, 0.1)
     pieces = len(rule.weights) // len(facet_rule(2, m).weights)
-    assert 0.7 / pieces <= 0.1 < 0.7 / (pieces // 2)
+    assert pieces == 7 and 0.7 / pieces <= 0.1 < 0.7 / (pieces - 1)
     x = dof.dof_coords[:, 0]
     for q, total, moment in [(2.5, 2.5, 1.25),
                              (lambda p: p[..., 0], 0.5, 1.0 / 3.0)]:
