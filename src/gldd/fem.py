@@ -6,13 +6,15 @@ stiffness per shape, one source call on every quadrature point for the
 load), and facet terms for all facets at once, from one
 ``_facet_terms``.  The top flux is one composite rule, ceil(w / q_panel)
 pieces per axis, w the widest visited facet's diameter; it calls the flux
-once per chunk of whole facets of at most ``_FLUX_CHUNK`` points, and
-only on the top facets within the flux's ``support`` when it has one
-(the laser flux of ``coupling.ProblemData`` does; a user callable
-without one is called on every top facet).  A ``ScaledLoad`` keeps both
-quadratures with the source values and footprint points, and the flux
-values and nonzero points of each chunk, so a load scaled again and again
-(a Picard step's) costs one scale call and one stacked product per kept
+once per block of at most ``_FLUX_CHUNK`` points, whole facets or whole
+pieces of one facet, and only on the top facets within the flux's
+``support`` when it has one (the laser flux of ``coupling.ProblemData``
+does; a user callable without one is called on every top facet).  Each
+facet's sum is one product over its whole rule, however its points were
+blocked.  A ``ScaledLoad`` keeps both quadratures with the source values
+and footprint points, and the flux values and nonzero points of each
+chunk (whole facets, or one facet), so a load scaled again and again (a
+Picard step's) costs one scale call and one stacked product per kept
 array.
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
@@ -433,10 +435,11 @@ def _composite_facet_rule(dim, m, n):
                           base.degree)
 
 
-# points per top-flux call: 2**14 pieces of the 6-point rule, two 3D box
-# facets at h = 1/160 and the default panel, so a call's arrays stay a few
-# MB, while every top facet of a 2D mesh fits in one call
-_FLUX_CHUNK = 98_304
+# points per top-flux call: 2**11 pieces of the 6-point rule, where a 3D
+# box facet at h = 1/160 and the default panel holds 7,921, so a call's
+# points and values stay a few hundred kB, while the top facets of a 2D
+# mesh near the laser fit in one call
+_FLUX_CHUNK = 12_288
 
 
 def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
@@ -445,41 +448,53 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
 
     Parameters
     ----------
-    f : volume density, callable of coordinates (..., dim) or constant
+    f : volume density, callable of coordinates (..., dim) or constant; a
+        callable may return a scalar, which holds at every point
     q : flux density on NEUMANN_TOP facets, callable or constant; None skips
-        the boundary term.  A callable is called once per chunk of facets,
-        on points of shape (nc, nq, dim), and returns
-        values (nc, nq); a chunk holds whole facets and at most
-        ``_FLUX_CHUNK`` points unless one facet alone holds more.  It may
-        carry ``q.support = (centre, radius)``, promising q(x) == 0.0
-        exactly wherever the wall coordinates x[..., :-1] lie farther than
-        radius from centre in the max norm; the flux is then integrated
-        only on the top facets whose bounding box comes that close
-        (``ProblemData.flux`` sets it for the laser).  Any other q is
-        integrated on every top facet.
+        the boundary term.  A callable is called once per block of at most
+        ``_FLUX_CHUNK`` points, on points of shape (nc, nq, dim), and
+        returns values (nc, nq) or a scalar; a block is whole facets, or
+        whole pieces of one facet (nc = 1) when that facet alone holds
+        more.  It may carry ``q.support = (centre, radius)``, promising
+        q(x) == 0.0 exactly wherever the wall coordinates x[..., :-1] lie
+        farther than radius from centre in the max norm; the flux is then
+        integrated only on the top facets whose bounding box comes that
+        close (``ProblemData.flux`` sets it for the laser).  Any other q
+        is integrated on every top facet.
     q_panel : target quadrature panel size for the flux term; the widest
         top facet visited, diameter w, sets the one rule: ceil(w / q_panel)
         pieces per axis, at most 256, so no piece is wider than q_panel
     """
     b = np.zeros(dofmap.n_dofs)
     if not _zero(f):
-        _add_volume(b, mesh, dofmap, np.asarray(
-            _as_callable(f)(_volume_points(mesh, dofmap)), dtype=float))
+        _add_volume(b, mesh, dofmap,
+                    _values(_as_callable(f), _volume_points(mesh, dofmap)))
     if q is not None and not _zero(q):
         qfun = _as_callable(q)
         terms, rule, chunks = _flux_chunks(mesh, dofmap,
                                            getattr(q, "support", None), q_panel)
-        # the points are made inside the call, so no chunk's points outlive
-        # its flux values
+        # each chunk is summed before the next is evaluated, so all of them
+        # share one buffer for their values
+        buf = np.empty((max((len(c) for _, c, _ in chunks), default=0),
+                        len(rule.weights)))
         _add_flux(b, terms, rule.weights,
-                  ((k, np.asarray(qfun(rule.points @ corners), dtype=float))
-                   for k, corners in chunks))
+                  ((k, _flux_values(qfun, rule, corners, blocks,
+                                    buf[:len(corners)]))
+                   for k, corners, blocks in chunks))
     return b
 
 
 def _zero(f):
     """Whether the source or flux f is the constant 0, which adds nothing."""
     return not callable(f) and float(f) == 0.0
+
+
+def _values(fun, x):
+    """fun at the points x (..., dim) in a new float array of shape
+    x.shape[:-1], a scalar broadcast to it."""
+    values = np.empty(x.shape[:-1])
+    values[...] = fun(x)
+    return values
 
 
 def _volume_points(mesh, dofmap):
@@ -499,9 +514,12 @@ def _add_volume(b, mesh, dofmap, fq):
 def _flux_chunks(mesh, dofmap, support, q_panel):
     """The top-flux quadrature of assemble_load (see there for support and
     q_panel): the _facet_terms (dofs, scales, fvals) of the top facets it
-    visits, its one composite rule, and its chunks (k, corners), k a slice
-    of whole facets and corners (nc, dim, dim) their vertices, so that
-    rule.points @ corners are the chunk's points."""
+    visits, its one composite rule, and its chunks (k, corners, blocks), k
+    a slice of whole facets, corners (nc, dim, dim) their vertices and
+    blocks slices of the rule's rows, so that rule.points[rows] @ corners
+    are one block's points.  A chunk is whole facets in one block of at
+    most _FLUX_CHUNK points, or one facet that holds more, in blocks of
+    whole pieces."""
     top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
     pts = mesh.vertices[top]
     if support is not None:
@@ -517,10 +535,32 @@ def _flux_chunks(mesh, dofmap, support, q_panel):
         diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max()
         n = int(np.clip(np.ceil(diam / q_panel), 1, 256))
     rule = _composite_facet_rule(mesh.dim, dofmap.m, n)
-    per = max(1, _FLUX_CHUNK // len(rule.weights))
-    chunks = [(slice(a, a + per), pts[a:a + per])
+    nq = len(rule.weights)
+    per, blocks = _FLUX_CHUNK // nq, [slice(None)]
+    if not per:
+        # the rule's rows run piece by piece
+        piece = len(facet_rule(mesh.dim, dofmap.m).weights)
+        step = max(1, _FLUX_CHUNK // piece) * piece
+        per, blocks = 1, [slice(r, r + step) for r in range(0, nq, step)]
+    chunks = [(slice(a, a + per), pts[a:a + per], blocks)
               for a in range(0, len(top), per)]
     return _facet_terms(mesh, dofmap, top, rule), rule, chunks
+
+
+def _flux_values(q, rule, corners, blocks, values, hot_points=None):
+    """Fill values (nc, nq) with q at the rule's points on the facets of
+    one chunk of _flux_chunks, corners (nc, dim, dim) their vertices, and
+    return it: one call per block of rows, on that block's points
+    (nc, rows, dim), a scalar broadcast to them.  With a list hot_points,
+    each block's points where q is nonzero are appended to it, in the
+    order of the values."""
+    for rows in blocks:
+        # the points are made per block, so no block's points outlive it
+        x = rule.points[rows] @ corners
+        values[:, rows] = q(x)
+        if hot_points is not None:
+            hot_points.append(x[values[:, rows] != 0.0])
+    return values
 
 
 def _add_flux(b, terms, weights, chunks):
@@ -540,31 +580,36 @@ class ScaledLoad:
     """The load of assemble_load on a dof map, kept for scaling again and
     again: f times scale(x) where footprint(x), q where it is nonzero (a
     zero flux stays zero under any finite scale).  Keeps f at the volume
-    points and q at each flux chunk's, each with where the scale applies
-    and those points as one array, all read-only and the same objects at
-    every ``add_to``: f and q are called once, here."""
+    points and q at each flux chunk's (whole facets, or whole pieces of
+    one facet), each with where the scale applies and those points as one
+    array, all read-only and the same objects at every ``add_to``: f and q
+    are called once, here."""
 
     def __init__(self, mesh, dofmap, f, q, q_panel, footprint):
-        def kept(fun, x, hot=None):
-            values = np.broadcast_to(np.asarray(_as_callable(fun)(x),
-                                                dtype=float), x.shape[:-1])
-            if hot is None:
-                hot = values != 0.0
-            arrays = values.copy(), hot, x[hot]
+        def kept(*arrays):
             for arr in arrays:
                 arr.setflags(write=False)
             return arrays
+
+        def kept_flux(corners, blocks):
+            hot_points = []
+            values = _flux_values(qfun, rule, corners, blocks, np.empty(
+                (len(corners), len(rule.weights))), hot_points)
+            return kept(values, values != 0.0, np.concatenate(hot_points))
 
         self.mesh, self.dofmap = mesh, dofmap
         self.volume = self.flux = None
         if not _zero(f):
             x = _volume_points(mesh, dofmap)
-            self.volume = kept(f, x, footprint(x))
+            hot = footprint(x)
+            self.volume = kept(_values(_as_callable(f), x), hot, x[hot])
         if not _zero(q):
+            qfun = _as_callable(q)
             terms, rule, chunks = _flux_chunks(
                 mesh, dofmap, getattr(q, "support", None), q_panel)
             self.flux = terms, rule.weights, [
-                (k, kept(q, rule.points @ corners)) for k, corners in chunks]
+                (k, kept_flux(corners, blocks))
+                for k, corners, blocks in chunks]
 
     def add_to(self, b, scale):
         """Add the load to b, the volume term first and then the flux, as

@@ -89,6 +89,21 @@ def test_blocks_symmetric_with_positive_diagonal(kappa_minus, m, ratio):
         assert K.diagonal().min() > 0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scalar_callable_data_match_constants(dim):
+    # a callable source or flux that returns one value for all its points
+    # builds the operators of the constant
+    want = make_ops(problem=ProblemData(f=2.5, q=1e5), dim=dim)
+    got = make_ops(problem=ProblemData(f=lambda x: 2.5, q=lambda x: 1e5),
+                   dim=dim)
+    for name in ("f_plus", "f_minus"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for name in ("K_plus", "K_minus", "S", "D"):
+        a, b = getattr(got, name), getattr(want, name)
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+
+
 def test_shared_solvers_count_own_inner_iterations():
     # runs on one operators object share its solver pair and report what
     # each run spent, the same as a run on operators of its own

@@ -685,6 +685,80 @@ def test_flux_chunking_leaves_load_bitwise_equal(name, m, chunk, monkeypatch):
     assert np.count_nonzero(default) > 0
 
 
+@pytest.mark.parametrize("m,panel,per_facet", [
+    (1, 1e-4, 47_526), (2, 1e-4, 55_447),
+    # far below the facets: the rule clips at 256 pieces per axis
+    (1, 1e-9, 393_216), (2, 1e-9, 458_752)])
+@pytest.mark.parametrize("kept", [False, True], ids=["load", "scaled"])
+def test_flux_calls_stay_within_chunk(m, panel, per_facet, kept,
+                                      monkeypatch):
+    # a 3D box facet at h = 1/160 holds more points than one flux call
+    # takes, so it is called in blocks of whole pieces, each a 3-D point
+    # array; the load is bitwise that of one call on every facet
+    mesh = build_global_mesh(GEOM3, 1 / 160)
+    dof = build_dofmap(mesh, m)
+    support = ProblemData().flux(GEOM3).support
+    _, rule, _ = fem._flux_chunks(mesh, dof, support, panel)
+    assert len(rule.weights) == per_facet > fem._FLUX_CHUNK
+    calls, scaled = [], []
+
+    def q(x):
+        calls.append(x.shape)
+        return laser_flux(x, 3, GEOM3.L)
+
+    q.support = support
+
+    def scale(x):
+        scaled.append(len(x))
+        return 0.5 / (1.0 + x[:, 0])
+
+    def load():
+        calls.clear()
+        scaled.clear()
+        if not kept:
+            return assemble_load(mesh, dof, q=q, q_panel=panel)
+        b = np.zeros(dof.n_dofs)
+        fem.ScaledLoad(mesh, dof, 0.0, q, panel,
+                       lambda x: np.ones(x.shape[:-1], dtype=bool)
+                       ).add_to(b, scale)
+        return b
+
+    blocked = load()
+    assert calls and all(len(shape) == 3 and shape[0] == 1
+                         and shape[1] <= fem._FLUX_CHUNK for shape in calls)
+    # each kept array holds one facet's nonzero points
+    assert len(scaled) == (8 if kept else 0)
+    assert all(n <= per_facet for n in scaled)
+    monkeypatch.setattr(fem, "_FLUX_CHUNK", 2 ** 30)
+    np.testing.assert_array_equal(load(), blocked)
+    assert calls == [(8, per_facet, 3)]
+    assert np.count_nonzero(blocked) > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scalar_callable_load_matches_constant(dim):
+    # a callable source or flux may return one value for all its points,
+    # as a constant does
+    geom = GeometryConfig(dim=dim)
+    mesh = build_local_mesh(geom, 1 / 160)
+    dof = build_dofmap(mesh, 1)
+
+    def footprint(x):
+        return x[..., 0] < 0.5 * geom.L
+
+    for f, q in [(2.5, 1e5), (lambda x: 2.5, lambda x: 1e5),
+                 (lambda x: np.float64(2.5), lambda x: np.array(1e5))]:
+        b = assemble_load(mesh, dof, f=f, q=q, q_panel=1e-3)
+        kept = np.zeros(dof.n_dofs)
+        fem.ScaledLoad(mesh, dof, f, q, 1e-3, footprint).add_to(
+            kept, lambda x: 1.0 + x[:, 0])
+        if not callable(f):
+            want, want_kept = b, kept
+        np.testing.assert_array_equal(b, want)
+        np.testing.assert_array_equal(kept, want_kept)
+    assert np.count_nonzero(want) > 0
+
+
 # every mesh gldd builds, at the spacings its studies and tests use
 SPLIT_MESHES = {
     "box-2d": lambda: [build_global_mesh(GEOM, 1 / n) for n in
