@@ -21,12 +21,14 @@ import numpy as np
 from .coupling import interface_trace_gap
 from .dd_solver import (export_solution_csv, make_iteration_operator,
                         run_two_level_dd)
-from .errors import GlddError, InvalidConfig, IterationFailure, NoConvergence
+from .errors import (COUNT, GlddError, InvalidConfig, IterationFailure,
+                     NoConvergence, check_number)
 from .experiments import (ExperimentConfig, _json_object, compare_monolithic,
                           emit_reports, relaxation_study, run_case,
                           sweep_kappa, sweep_mesh_ratio)
-from .fem import export_matrix
-from .linalg import _METHOD_ALIASES, power_iteration_rho
+from .fem import DEGREES, export_matrix
+from .linalg import METHODS, PRECONDITIONERS, power_iteration_rho
+from .mesh import DIMS
 from .nonlinear import (MaterialCurve, NonlinearConfig, picard_two_level,
                         sweep_kappa_plus_B)
 
@@ -52,8 +54,7 @@ def _range_spec(text: str):
     """lo:hi:n geometric grid of n >= 1 points, e.g. '0.5:8:7'; a
     ValueError, a usage error to argparse, for anything else."""
     lo, hi, n = text.split(":")
-    if int(n) < 1:
-        raise ValueError(f"a grid of {n} points is empty")
+    check_number("N", int(n), COUNT)
     return np.geomspace(float(lo), float(hi), int(n))
 
 
@@ -61,8 +62,8 @@ def _range_spec(text: str):
 _COMMON = (
     ("--config", dict(type=Path,
                       help="JSON file with ExperimentConfig fields")),
-    ("--dim", dict(type=int, choices=(2, 3))),
-    ("--degree", dict(dest="m", type=int, choices=(1, 2))),
+    ("--dim", dict(type=int, choices=DIMS)),
+    ("--degree", dict(dest="m", type=int, choices=DEGREES)),
     ("--h-plus", dict(type=fraction)),
     ("--h-minus", dict(type=fraction)),
     ("--kappa-plus", dict(type=float)),
@@ -71,8 +72,8 @@ _COMMON = (
     ("--alpha", dict(type=float)),
     ("--tol", dict(type=float)),
     ("--max-iters", dict(type=int)),
-    ("--solver", dict(dest="solver_method", choices=tuple(_METHOD_ALIASES))),
-    ("--preconditioner", dict(choices=("none", "diagonal"))),
+    ("--solver", dict(dest="solver_method", choices=tuple(METHODS))),
+    ("--preconditioner", dict(choices=PRECONDITIONERS)),
     ("--outdir", {}),
 )
 
@@ -225,12 +226,11 @@ def _cmd_compare(args) -> int:
 
 def _curve(spec, fallback):
     # numeric literal means a constant conductivity, anything else is a CSV
-    if spec is None:
-        return MaterialCurve.constant(fallback)
     try:
-        return MaterialCurve.constant(float(spec))
+        value = float(fallback if spec is None else spec)
     except ValueError:
         return MaterialCurve.from_csv(spec)
+    return MaterialCurve.constant(value)
 
 
 def _cmd_nonlinear(args) -> int:

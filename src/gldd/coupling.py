@@ -64,8 +64,9 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (InvalidConfig, NonpositiveCoefficient,
-                     OrphanInterfaceFacet, check_positive, is_number)
+from .errors import (FINITE, NONNEGATIVE, POSITIVE, InvalidConfig,
+                     NonpositiveCoefficient, OrphanInterfaceFacet,
+                     check_entries, check_number)
 from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
                   _basis_at_points, _CsrPattern, _elimination, _facet_mass,
                   _facet_terms, _stiffness_pattern, _zero, assemble_load,
@@ -75,26 +76,6 @@ from .linalg import (InterfaceBlock, LinearSolver, ScaledSolver,
                      SolverConfig)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
                    memoised)
-
-
-def check_coefficients(kappa_plus, kappa_minus, alpha=None):
-    """The builder's rules for its scalar coefficients, which
-    ExperimentConfig applies as it is built: both conductivities positive
-    and finite, an explicit penalty weight nonnegative and finite.  Raises
-    NonpositiveCoefficient."""
-    # a NaN fails the chained comparison, and an integer of any size is exact
-    if not all(0 < k < np.inf for k in (kappa_plus, kappa_minus)):
-        raise NonpositiveCoefficient(
-            f"conductivities must be positive and finite, got kappa_plus = "
-            f"{kappa_plus}, kappa_minus = {kappa_minus}")
-    if alpha is not None:
-        _check_penalty(alpha)
-
-
-def _check_penalty(alpha):
-    if not 0 <= alpha < np.inf:
-        raise NonpositiveCoefficient(
-            f"penalty weight must be nonnegative and finite, got {alpha}")
 
 
 def default_alpha(kappa_minus, h_minus):
@@ -110,10 +91,11 @@ def default_alpha(kappa_minus, h_minus):
 class ProblemData:
     """Volume source, top-wall flux and wall temperature.
 
-    f and q may be constants or callables of coordinate arrays (..., dim);
-    q = None selects the concentrated laser flux for the geometry.  That
-    flux carries its support, the spot centre (L/2 in each wall coordinate)
-    and the half-width ``fem.LASER_CUTOFF`` past which it is exactly 0.0,
+    f and q may be finite constants or callables of coordinate arrays
+    (..., dim); q = None selects the concentrated laser flux for the
+    geometry.  That flux carries its support, the spot centre (L/2 in
+    each wall coordinate) and the half-width ``fem.LASER_CUTOFF`` past
+    which it is exactly 0.0,
     so the top-flux quadrature visits only the facets near the spot; a
     user-supplied q is integrated over every top facet.
     flux_panel is the quadrature panel size used for the top flux: the
@@ -128,11 +110,14 @@ class ProblemData:
     flux_panel: float = 1e-4
 
     def __post_init__(self):
-        if not (is_number(self.T_D) and -np.inf < self.T_D < np.inf):
-            raise InvalidConfig(f"wall temperature T_D must be finite, got "
-                                f"{self.T_D!r}")
+        # a constant source or flux is a finite number (q None: the laser)
+        if not callable(self.f):
+            check_number("f", self.f, FINITE)
+        if not (self.q is None or callable(self.q)):
+            check_number("q", self.q, FINITE)
+        check_number("T_D", self.T_D, FINITE)
         # a panel at or below 0 would subdivide the facets without end
-        check_positive("flux_panel", self.flux_panel)
+        check_number("flux_panel", self.flux_panel, POSITIVE)
 
     def flux(self, geom: GeometryConfig):
         if self.q is None:
@@ -331,7 +316,7 @@ def assemble_penalty_D(global_dofmap, local_dofmap, alpha):
     Rows are strip dofs, columns box dofs.  Built, like S, from unit terms
     kept per mesh pair, zeros dropped.
     """
-    _check_penalty(alpha)
+    check_number("alpha", alpha, NONNEGATIVE, NonpositiveCoefficient)
     terms = _interface(global_dofmap, local_dofmap)
     D = terms.D.matrix((-alpha * terms.wq).ravel())
     D.eliminate_zeros()
@@ -522,8 +507,7 @@ def _check_cells(global_dofmap, local_dofmap, kappa_plus_cells,
         if np.shape(values) != (n,):
             raise InvalidConfig(f"{name} must hold one value per {where} "
                                 f"({n}), got shape {np.shape(values)}")
-    if not np.all(np.isfinite(jump_facet_weights)):
-        raise InvalidConfig("jump_facet_weights must be finite")
+    check_entries("jump_facet_weights", jump_facet_weights, FINITE)
 
 
 def build_coupled_operators(geom: GeometryConfig,
@@ -566,7 +550,10 @@ def build_coupled_operators(geom: GeometryConfig,
     if np.ndim(kappa_minus) != 0:
         raise InvalidConfig("kappa_minus must be a scalar; per-cell strip "
                             "values go through kappa_minus_cells")
-    check_coefficients(kappa_plus, kappa_minus, alpha)
+    check_number("kappa_plus", kappa_plus, POSITIVE, NonpositiveCoefficient)
+    check_number("kappa_minus", kappa_minus, POSITIVE, NonpositiveCoefficient)
+    if alpha is not None:
+        check_number("alpha", alpha, NONNEGATIVE, NonpositiveCoefficient)
     if (global_mesh, local_mesh) != (global_dofmap.mesh, local_dofmap.mesh):
         raise InvalidConfig("each mesh must be the mesh of its dof map")
     cells = (kappa_plus_cells, kappa_minus_cells, jump_facet_weights,

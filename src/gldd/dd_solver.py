@@ -45,8 +45,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
-from .errors import (Diverged, IterationFailure, MaxItersExceeded,
-                     SingularMatrix, check_count, check_positive, check_type)
+from .errors import (COUNT, POSITIVE, Diverged, IterationFailure,
+                     MaxItersExceeded, SingularMatrix, check_number,
+                     check_type)
 from .fem import (_elimination, assemble_load, assemble_stiffness,
                   build_dofmap)
 from .linalg import LinearSolver, SolverConfig
@@ -72,10 +73,10 @@ class DDConfig:
     def __post_init__(self):
         # at theta = 0 every step is zero, which reads as convergence; at
         # theta = inf the first step is non-finite
-        check_positive("theta", self.theta)
+        check_number("theta", self.theta, POSITIVE)
         # a NaN tolerance is never met; without a sweep nothing is solved
-        check_positive("tol", self.tol)
-        check_count("max_iters", self.max_iters)
+        check_number("tol", self.tol, POSITIVE)
+        check_number("max_iters", self.max_iters, COUNT)
         check_type("solver", self.solver, SolverConfig)
         check_type("store_iterates", self.store_iterates, bool)
 

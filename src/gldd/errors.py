@@ -1,20 +1,24 @@
-"""Exception types shared across the package, and the tests and rules of
-the config values that InvalidConfig refuses."""
+"""Exception types shared across the package, and the one copy of each
+rule that config fields, builder arguments and table entries keep."""
 
 import math
 import numbers
+import sys
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class GlddError(Exception):
     """Base class for all package errors."""
 
 
-class NonDivisibleSpacing(GlddError):
-    """Requested spacing does not tile the domain extent."""
-
-
 class InvalidConfig(GlddError, ValueError):
     """A config value outside what the package accepts."""
+
+
+class NonDivisibleSpacing(InvalidConfig):
+    """Requested spacing does not tile the domain extent."""
 
 
 class UnknownConfigKey(GlddError, TypeError):
@@ -29,7 +33,7 @@ class UnsupportedDegree(GlddError):
     """Polynomial degree other than 1 or 2."""
 
 
-class NonpositiveCoefficient(GlddError):
+class NonpositiveCoefficient(InvalidConfig):
     """Diffusion coefficient must be strictly positive."""
 
 
@@ -114,28 +118,62 @@ def is_integer(value):
         isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
-def check_positive(name, value):
-    """The rule of a positive config number: positive and finite, NaN
-    failing the comparison.  Raises InvalidConfig naming the field."""
-    if not (is_number(value) and 0 < value < math.inf):
-        raise InvalidConfig(f"{name} must be positive and finite, got "
-                            f"{value!r}")
+def in_double_range(value):
+    """Whether a double holds value, or each item of a list or tuple: any
+    float, and no integer or fraction that overflows float arithmetic."""
+    if type(value) is tuple or type(value) is list:
+        return all(map(in_double_range, value))
+    return type(value) is float or not (
+        type(value) is int or isinstance(value, numbers.Rational)) \
+        or abs(value) <= sys.float_info.max
 
 
-def check_count(name, value):
-    """The rule of a config budget: an integer of at least 1.  Raises
-    InvalidConfig naming the field."""
-    if not (is_integer(value) and value >= 1):
-        raise InvalidConfig(f"{name} must be at least 1 and an integer, got "
-                            f"{value!r}")
+# what a number rule asks, and its test, which a NaN fails; the tests of
+# POSITIVE, NONNEGATIVE and FINITE run entrywise on an array
+Rule = NamedTuple("Rule", [("what", str), ("test", Callable)])
+POSITIVE = Rule("positive and finite", lambda v: (0 < v) & (v < math.inf))
+NONNEGATIVE = Rule("nonnegative and finite",
+                   lambda v: (0 <= v) & (v < math.inf))
+FINITE = Rule("finite", lambda v: (-math.inf < v) & (v < math.inf))
+COUNT = Rule("at least 1 and an integer", lambda v: is_integer(v) and v >= 1)
+WHOLE = Rule("at least 0 and an integer", lambda v: is_integer(v) and v >= 0)
+
+
+def check_number(name, value, rule, error=InvalidConfig):
+    """value under rule: a number (bool excluded) that a double holds and
+    that passes the rule's test.  Raises error naming the field."""
+    if type(value) is not float:
+        if not is_number(value):
+            raise error(f"{name} must be a number, got {value!r}")
+        if not in_double_range(value):
+            raise error(f"{name} holds a number too large for a double")
+    if not rule.test(value):
+        raise error(f"{name} must be {rule.what}, got {value!r}")
+
+
+def check_entries(name, values, rule, error=InvalidConfig):
+    """The array form of check_number: values as a float array, each entry
+    passing the rule's test; raises error naming the field (and its first
+    failing entry)."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must hold numbers a double holds") from None
+    passed = rule.test(array)
+    if not passed.all():
+        raise error(f"{name} entry {array[~passed].flat[0]} is not "
+                    f"{rule.what}")
+    return array
 
 
 def check_choice(name, value, choices):
-    """The rule of a config name: a str among choices, tested without
-    hashing value.  Raises InvalidConfig naming the field."""
-    if not (isinstance(value, str) and value in choices):
-        raise InvalidConfig(f"unknown {name} {value!r}, expected one of "
-                            f"{', '.join(choices)}")
+    """The rule of a config name or small integer: a str or an integer
+    (bool excluded) among choices.  Raises InvalidConfig naming both."""
+    if not ((isinstance(value, str) or is_integer(value))
+            and value in choices):
+        *rest, last = map(str, choices)
+        raise InvalidConfig(f"{name} must be {', '.join(rest)} or {last}, "
+                            f"got {value!r}")
 
 
 def check_type(name, value, kind):

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import platform
-import sys
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -20,27 +18,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .coupling import (ProblemData, build_coupled_operators,
-                       check_coefficients)
+from .coupling import ProblemData, build_coupled_operators
 from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
-from .errors import (InsufficientRatios, InvalidConfig, IterationFailure,
-                     NonDivisibleSpacing, NonpositiveCoefficient,
-                     RankDeficient, UnknownConfigKey, is_integer, is_number)
-from .fem import build_dofmap
-from .linalg import SolverConfig, check_seed, fit_rho_law, least_squares_fit
-from .mesh import (GeometryConfig, build_global_mesh, build_local_mesh,
-                   check_spacing)
-
-
-def _double(value):
-    """Whether a double holds value, or each item of a list or tuple; a
-    larger integer (or fraction) overflows a config's float arithmetic."""
-    if type(value) is tuple or type(value) is list:
-        return all(map(_double, value))
-    return type(value) is float or not (
-        type(value) is int or isinstance(value, numbers.Rational)) \
-        or abs(value) <= sys.float_info.max
+from .errors import (FINITE, NONNEGATIVE, POSITIVE, WHOLE, InsufficientRatios,
+                     InvalidConfig, IterationFailure, NonDivisibleSpacing,
+                     NonpositiveCoefficient, RankDeficient, UnknownConfigKey,
+                     check_choice, check_entries, check_number,
+                     in_double_range, is_integer, is_number)
+from .fem import DEGREES, build_dofmap
+from .linalg import SolverConfig, fit_rho_law, least_squares_fit
+from .mesh import GeometryConfig, build_global_mesh, build_local_mesh
 
 
 def _tuple_of(test):
@@ -48,12 +36,8 @@ def _tuple_of(test):
                           and all(map(test, value)))
 
 
-# what a field of each annotation takes: its name in errors, and its test
+# what a field of each annotation but a number takes: its name and test
 _KINDS = {
-    "int": ("an integer", is_integer),
-    "float": ("a number", is_number),
-    "Optional[float]": ("a number or null",
-                        lambda v: v is None or is_number(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "tuple[float, ...]": ("a list of numbers", _tuple_of(is_number)),
     "tuple[int, ...]": ("a list of integers", _tuple_of(is_integer)),
@@ -92,41 +76,38 @@ class ExperimentConfig:
     outdir: str = "out"
 
     def __post_init__(self):
-        # checked before any work: the seed rule first, so that a bad seed
-        # is told the whole rule, then the type of every field (a list is
-        # held as a tuple) and that a double holds its numbers, the
-        # spacing ratios and strip coefficients of the studies, the
-        # coefficients and spacings by the builders' own rules (whether a
-        # spacing divides the extents stays with the mesh builder), and
-        # last the values of the derived objects, built here once
-        check_seed(self.seed)
-        for f in fields(self):
-            kind, fits = _KINDS[f.type]
-            value = getattr(self, f.name)
+        # checked before any work: each number by its rule in errors, here
+        # or in the derived object that reads it, each other field by its
+        # kind (a list is held as a tuple); the derived objects built once
+        for name, kind, fits in _FIELD_KINDS:
+            value = getattr(self, name)
             if not fits(value):
-                raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
-            if not _double(value):
-                raise InvalidConfig(f"{f.name} holds a number too large "
+                raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
+            if not in_double_range(value):
+                raise InvalidConfig(f"{name} holds a number too large "
                                     "for a double")
-            if isinstance(value, list):
-                object.__setattr__(self, f.name, tuple(value))
-        if self.m not in (1, 2):
-            raise InvalidConfig(f"m must be 1 or 2, got {self.m}")
+            if type(value) is list:
+                object.__setattr__(self, name, tuple(value))
+        check_choice("m", self.m, DEGREES)
         for i, r in enumerate(self.mesh_ratios):
             if not r > 0:
                 raise InvalidConfig(f"spacing ratio {r} is not positive")
             if r in self.mesh_ratios[:i]:
                 raise InvalidConfig(f"spacing ratio {r} is repeated")
-        for k in self.kappa_list:
-            if not 0 < k < np.inf:
-                raise InvalidConfig(
-                    f"kappa_list entry {k} is not positive and finite")
-        try:
-            check_coefficients(self.kappa_plus, self.kappa_minus, self.alpha)
-            check_spacing(self.h_plus)
-            check_spacing(self.h_minus)
-        except (NonpositiveCoefficient, NonDivisibleSpacing) as exc:
-            raise InvalidConfig(str(exc)) from None
+        for name in ("kappa_list", "theta_list"):
+            # entry by entry is cheaper than an array, which tells a failure
+            if not all(map(POSITIVE.test, getattr(self, name))):
+                check_entries(name, getattr(self, name), POSITIVE)
+        check_number("seed", self.seed, WHOLE)
+        check_number("T_0", self.T_0, FINITE)
+        for name, error in (("kappa_plus", NonpositiveCoefficient),
+                            ("kappa_minus", NonpositiveCoefficient),
+                            ("h_plus", NonDivisibleSpacing),
+                            ("h_minus", NonDivisibleSpacing)):
+            check_number(name, getattr(self, name), POSITIVE, error)
+        if self.alpha is not None:
+            check_number("alpha", self.alpha, NONNEGATIVE,
+                         NonpositiveCoefficient)
         derived = {
             "_geometry": GeometryConfig(dim=self.dim, L=self.L, H=self.H,
                                         W=self.W, H_minus=self.H_minus),
@@ -169,6 +150,11 @@ class ExperimentConfig:
             return cls(**data)
         except InvalidConfig as exc:
             raise InvalidConfig(f"config file {path}: {exc}") from None
+
+
+# (name, kind, test) of every field that is no number
+_FIELD_KINDS = tuple((f.name, *_KINDS[f.type])
+                     for f in fields(ExperimentConfig) if f.type in _KINDS)
 
 
 def _json_object(path) -> dict:
@@ -401,38 +387,37 @@ def compare_monolithic(cfg: ExperimentConfig, kappa_ratios=None):
     two-mesh run that stops early is recorded from its partial report; a
     stalled fitted solve raises."""
     kappa_ratios = (2.0, 3.0) if kappa_ratios is None else kappa_ratios
+    # every point is made, and so checked, before any work
+    points = [(x, r, replace(
+        _at_spacing_ratio(cfg, r), kappa_minus=x * cfg.kappa_plus,
+        theta=(theta_coefficient_ratio(cfg.kappa_plus, x * cfg.kappa_plus)
+               if x >= 2 else cfg.theta),
+        solver_method="restarted-minimal-residual", preconditioner="diagonal"))
+        for x in kappa_ratios for r in cfg.mesh_ratios]
     rows = []
-    for x in kappa_ratios:
-        km = x * cfg.kappa_plus
-        theta = theta_coefficient_ratio(cfg.kappa_plus, km) if x >= 2 \
-            else cfg.theta
-        for r in cfg.mesh_ratios:
-            point = replace(_at_spacing_ratio(cfg, r), kappa_minus=km,
-                            theta=theta,
-                            solver_method="restarted-minimal-residual",
-                            preconditioner="diagonal")
-            # both sides time set-up plus solve, as the fitted side's
-            # wall_time includes its mesh build and assembly
-            t0 = time.perf_counter()
-            ops = point.operators()
-            try:
-                rep = run_two_level_dd(ops, point.dd())
-            except IterationFailure as exc:
-                rep = exc.report
-            row = {"kappa_ratio": x, "h_ratio": r, "theta": theta,
-                   "dd_converged": rep.converged,
-                   "dd_iterations": rep.iterations,
-                   "dd_local_gmres": rep.inner_iterations["local"],
-                   "dd_global_gmres": rep.inner_iterations["global"],
-                   "dd_time_s": time.perf_counter() - t0}
-            fitted = run_fitted_reference(
-                point.geometry(), point.h_plus, point.h_minus,
-                point.kappa_plus, point.kappa_minus, point.m,
-                problem=point.problem(), solver=point.solver())
-            row.update(fitted_gmres=fitted.iterations,
-                       fitted_time_s=fitted.wall_time,
-                       fitted_dofs=fitted.n_dofs)
-            rows.append(row)
+    for x, r, point in points:
+        # both sides time set-up plus solve, as the fitted side's
+        # wall_time includes its mesh build and assembly
+        t0 = time.perf_counter()
+        ops = point.operators()
+        try:
+            rep = run_two_level_dd(ops, point.dd())
+        except IterationFailure as exc:
+            rep = exc.report
+        row = {"kappa_ratio": x, "h_ratio": r, "theta": point.theta,
+               "dd_converged": rep.converged,
+               "dd_iterations": rep.iterations,
+               "dd_local_gmres": rep.inner_iterations["local"],
+               "dd_global_gmres": rep.inner_iterations["global"],
+               "dd_time_s": time.perf_counter() - t0}
+        fitted = run_fitted_reference(
+            point.geometry(), point.h_plus, point.h_minus,
+            point.kappa_plus, point.kappa_minus, point.m,
+            problem=point.problem(), solver=point.solver())
+        row.update(fitted_gmres=fitted.iterations,
+                   fitted_time_s=fitted.wall_time,
+                   fitted_dofs=fitted.n_dofs)
+        rows.append(row)
     return rows
 
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (ForeignFacet, IndexOutOfRange, NonpositiveCoefficient,
-                     UnsupportedDegree)
+from .errors import (POSITIVE, ForeignFacet, IndexOutOfRange,
+                     NonpositiveCoefficient, UnsupportedDegree, check_entries)
 from .mesh import (FacetTag, StructuredMesh, cell_geometry, face_keys,
                    locate_point, memoised)
 
@@ -150,6 +150,9 @@ def facet_rule(dim, m) -> QuadratureRule:
 # dof maps
 # ======================================================================
 
+DEGREES = (1, 2)
+
+
 class DofMap:
     """Mapping from cells to global dof indices for P1/P2 elements.
 
@@ -160,7 +163,7 @@ class DofMap:
     """
 
     def __init__(self, mesh: StructuredMesh, m: int):
-        if m not in (1, 2):
+        if m not in DEGREES:
             raise UnsupportedDegree(f"degree must be 1 or 2, got {m}")
         self.mesh = mesh
         self.m = m
@@ -349,9 +352,9 @@ def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_ma
     The unit cell matrices and the CSR pattern are built on the first call
     for a dof map; later calls only scale and sum them.
     """
-    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (mesh.num_cells,))
-    if not np.all((kappa > 0) & np.isfinite(kappa)):
-        raise NonpositiveCoefficient("kappa must be positive and finite")
+    kappa = np.broadcast_to(
+        check_entries("kappa", kappa, POSITIVE, NonpositiveCoefficient),
+        (mesh.num_cells,))
     # weights sum to the reference measure, so |detJ| is the whole Jacobian
     adet, _, shape = cell_geometry(mesh)
     return _stiffness_pattern(dofmap).matrix(kappa * adet[shape])

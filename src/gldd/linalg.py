@@ -15,11 +15,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (InvalidConfig, NoConvergence, NonpositiveConstant,
-                     RankDeficient, SingularMatrix, TooLarge, check_choice,
-                     check_count, check_positive, is_integer)
+from .errors import (COUNT, POSITIVE, WHOLE, InvalidConfig, NoConvergence,
+                     NonpositiveConstant, RankDeficient, SingularMatrix,
+                     TooLarge, check_choice, check_number)
 
-_METHOD_ALIASES = {
+# the solver methods a SolverConfig takes, each mapped to its kind
+METHODS = {
     "conjugate-gradient": "cg",
     "cg": "cg",
     "restarted-minimal-residual": "gmres",
@@ -27,6 +28,8 @@ _METHOD_ALIASES = {
     "dense-direct": "direct",
     "direct": "direct",
 }
+
+PRECONDITIONERS = ("none", "diagonal")
 
 
 # Krylov vectors kept between GMRES restarts (scipy's own default is 20).
@@ -55,12 +58,11 @@ class SolverConfig:
 
     def __post_init__(self):
         # a tolerance at or below 0 is never met
-        check_positive("rel_tol", self.rel_tol)
-        check_count("max_iters", self.max_iters)
-        check_choice("solver method", self.method, _METHOD_ALIASES)
-        object.__setattr__(self, "method", _METHOD_ALIASES[self.method])
-        check_choice("preconditioner", self.preconditioner,
-                     ("none", "diagonal"))
+        check_number("rel_tol", self.rel_tol, POSITIVE)
+        check_number("max_iters", self.max_iters, COUNT)
+        check_choice("solver method", self.method, METHODS)
+        object.__setattr__(self, "method", METHODS[self.method])
+        check_choice("preconditioner", self.preconditioner, PRECONDITIONERS)
 
 
 class LinearSolver:
@@ -151,14 +153,6 @@ class ScaledSolver:
 # spectral radius
 # ----------------------------------------------------------------------
 
-def check_seed(seed):
-    """The one seed rule, a nonnegative integer (bool excluded); returns
-    the seed."""
-    if not (is_integer(seed) and seed >= 0):
-        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
-
-
 def power_iteration_rho(operator, n, theta=1.0, tol=1e-10, max_iters=5000,
                         seed=0):
     """Estimate the spectral radius of (1-theta) I + theta M.
@@ -175,7 +169,8 @@ def power_iteration_rho(operator, n, theta=1.0, tol=1e-10, max_iters=5000,
     -------
     (rho, rayleigh) : magnitude estimate and the signed Rayleigh quotient
     """
-    rng = np.random.default_rng(check_seed(seed))
+    check_number("seed", seed, WHOLE)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     rho_prev = np.inf

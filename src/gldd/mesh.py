@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (GlddError, InvalidConfig, NonDivisibleSpacing,
-                     OutOfDomain, is_integer, is_number)
+from .errors import (POSITIVE, GlddError, InvalidConfig, NonDivisibleSpacing,
+                     OutOfDomain, check_choice, check_number)
 
 # Containment slack for barycentric coordinates in point location.
 _BARY_TOL = 1e-12
@@ -47,6 +47,9 @@ class FacetTag(Enum):
     DIRICHLET_OUTER = 1   # outer walls held at the ambient temperature
     NEUMANN_TOP = 2       # top wall receiving the surface flux
     INTERFACE_GAMMA = 3   # bottom of the strip, where the two meshes couple
+
+
+DIMS = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,9 @@ class GeometryConfig:
     H_minus: float = 1.0 / 160.0
 
     def __post_init__(self):
-        if not (is_integer(self.dim) and self.dim in (2, 3)):
-            raise InvalidConfig(f"dim must be 2 or 3, got {self.dim!r}")
-        extents = (self.L, self.H, self.W, self.H_minus)
-        # written so that a NaN extent fails too
-        if not all(is_number(x) and 0 < x < np.inf for x in extents):
-            raise InvalidConfig(f"extents must be positive and finite, got "
-                                f"(L, H, W, H_minus) = {extents}")
+        check_choice("dim", self.dim, DIMS)
+        for name in ("L", "H", "W", "H_minus"):
+            check_number(name, getattr(self, name), POSITIVE)
         if self.H_minus >= self.H:
             raise InvalidConfig(
                 "strip thickness must be smaller than the box height")
@@ -107,7 +106,7 @@ def _block_simplices(dim):
     return np.array(shapes)
 
 
-_BLOCK_SIMPLICES = {dim: _block_simplices(dim) for dim in (2, 3)}
+_BLOCK_SIMPLICES = {dim: _block_simplices(dim) for dim in DIMS}
 
 # a graded-mesh row's cells on the corners (b, b + 1, t, t + 1, t + 2) of
 # a bottom edge b with k top edges are the first k + 1: StructuredMesh's
@@ -302,16 +301,8 @@ def _block_corners(dim):
     return ((np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1).astype(float)
 
 
-def check_spacing(h):
-    """The mesh builders' rule for a spacing, which ExperimentConfig
-    applies as it is built: positive and finite.  Raises
-    NonDivisibleSpacing."""
-    if not 0.0 < h < np.inf:
-        raise NonDivisibleSpacing(f"spacing {h} is not positive and finite")
-
-
 def _divisions(extent, h):
-    check_spacing(h)
+    check_number("spacing", h, POSITIVE, NonDivisibleSpacing)
     # in Python floats an overflow is inf, not a numpy warning
     n = float(extent) / float(h)
     if not (np.isfinite(n) and abs(n - round(n)) <= 1e-9):
@@ -371,10 +362,9 @@ def build_fitted_mesh(geom: GeometryConfig, h_plus: float, h_minus: float,
     the bottom through conforming 2:1 transition bands, ending at the box
     spacing.
     """
+    check_choice("refinement mode", mode, ("uniform-fine", "graded"))
     if mode == "uniform-fine":
         return build_global_mesh(geom, h_minus)
-    if mode != "graded":
-        raise InvalidConfig(f"unknown refinement mode {mode!r}")
     if geom.dim != 2:
         raise GlddError("graded refinement is implemented for dim=2 only")
     return _graded_mesh_2d(geom, h_plus, h_minus)

@@ -21,9 +21,9 @@ import numpy as np
 from .coupling import ProblemData, _interface, build_coupled_operators
 from .dd_solver import (DDConfig, build_mesh_pair, run_two_level_dd,
                         solve_fitted)
-from .errors import (InvalidConfig, IterationFailure,
+from .errors import (COUNT, FINITE, POSITIVE, InvalidConfig, IterationFailure,
                      NonpositiveCoefficient, PicardNoConvergence,
-                     check_count, check_positive)
+                     check_entries, check_number)
 from .fem import (_basis_at_points, _field_at, assemble_load, build_dofmap,
                   shape_values)
 from .linalg import SolverConfig
@@ -35,16 +35,13 @@ class MaterialCurve:
     the tabulated range."""
 
     def __init__(self, temperatures, kappas):
-        T = np.asarray(temperatures, dtype=float)
-        k = np.asarray(kappas, dtype=float)
+        T = check_entries("temperatures", temperatures, FINITE)
+        k = check_entries("kappas", kappas, POSITIVE, NonpositiveCoefficient)
         if T.ndim != 1 or T.shape != k.shape or T.size < 1:
             raise InvalidConfig("curve needs matching 1-d T and kappa arrays")
-        if not (np.all(np.isfinite(T)) and np.all(np.diff(T) > 0)):
-            raise InvalidConfig(
-                "curve temperatures must be finite and strictly increasing")
-        if not np.all((k > 0) & np.isfinite(k)):
-            raise NonpositiveCoefficient(
-                "curve conductivities must be positive and finite")
+        if not np.all(np.diff(T) > 0):
+            raise InvalidConfig("curve temperatures must be strictly "
+                                "increasing")
         self.T = T
         self.k = k
 
@@ -66,6 +63,8 @@ class MaterialCurve:
                 raise ValueError(f"expected header 'T,kappa', got {header!r}")
             rows = sorted((float(r[0]), float(r[1])) for r in rows if r)
             return cls([r[0] for r in rows], [r[1] for r in rows])
+        except InvalidConfig as exc:
+            raise type(exc)(f"curve file {path}: {exc}") from None
         except (OSError, ValueError, IndexError) as exc:
             raise InvalidConfig(f"curve file {path}: {exc}") from None
 
@@ -77,9 +76,9 @@ class NonlinearConfig:
     picard_max: int = 100
 
     def __post_init__(self):
-        check_positive("kappa_plus_B", self.kappa_plus_B)
-        check_positive("picard_tol", self.picard_tol)
-        check_count("picard_max", self.picard_max)
+        check_number("kappa_plus_B", self.kappa_plus_B, POSITIVE)
+        check_number("picard_tol", self.picard_tol, POSITIVE)
+        check_number("picard_max", self.picard_max, COUNT)
 
 
 @dataclass

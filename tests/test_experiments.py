@@ -3,6 +3,7 @@
 import csv
 import json
 import numbers
+import re
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -31,8 +32,9 @@ from gldd.experiments import (FIT_COLUMNS, RECORD_COLUMNS, ExperimentConfig,
                               theta_coefficient_ratio,
                               theta_parabola_minimizer)
 from gldd.linalg import LinearSolver, SolverConfig, fit_rho_law
+import gldd.mesh as mesh_module
 from gldd.mesh import GeometryConfig
-from gldd.nonlinear import NonlinearConfig
+from gldd.nonlinear import MaterialCurve, NonlinearConfig
 
 # values of the wrong type for a config field of each annotation
 WRONG_TYPE = {"float": ["1", None, True, [1.0]],
@@ -225,12 +227,31 @@ class TestConfig:
     def test_double_range_test(self, value, held):
         # a non-finite float is in range, and left to the finiteness
         # checks that name it
-        assert experiments._double(value) == held
+        assert errors.in_double_range(value) == held
 
     def test_a_fraction_past_a_double_is_rejected(self):
         with pytest.raises(InvalidConfig, match="theta holds a number too "
                                                 "large for a double"):
             ExperimentConfig(theta=Fraction(10 ** 400, 3))
+
+    def test_theta_list_checked_when_built(self):
+        # every weight of a relaxation study is checked by the theta rule
+        # before the study starts, as the strip coefficients are
+        with pytest.raises(InvalidConfig, match="theta_list entry -0.5 is "
+                                                "not positive and finite"):
+            ExperimentConfig(theta_list=(1.0, -0.5))
+
+    @pytest.mark.parametrize("name,value", [
+        ("f", "abc"), ("f", float("inf")), ("q", float("nan")),
+        ("q", [1.0]), ("f", None)])
+    def test_constant_source_and_flux_are_finite_numbers(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be"):
+            coupling.ProblemData(**{name: value})
+
+    def test_callable_source_and_flux_accepted(self):
+        problem = coupling.ProblemData(f=lambda x: 1.0, q=lambda x: 0.0)
+        assert problem.f(np.zeros(2)) == 1.0
+        assert coupling.ProblemData(q=None).q is None
 
     @pytest.mark.parametrize("key", ["kappa_list", "mesh_ratios",
                                      "theta_list"])
@@ -311,8 +332,77 @@ class TestConfig:
     @pytest.mark.parametrize("m", [0, 3, -1, np.int64(4)])
     def test_degree_checked_when_built(self, m):
         # the elements have degree 1 or 2; any other fails before a mesh
-        with pytest.raises(InvalidConfig, match=f"m must be 1 or 2, got {m}"):
+        with pytest.raises(InvalidConfig,
+                           match=re.escape(f"m must be 1 or 2, got {m!r}")):
             ExperimentConfig(m=m)
+
+
+# a number no double holds, of each sign, and a fraction past one
+NO_DOUBLE = [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)]
+NO_DOUBLE_IDS = ["1e400", "-1e400", "1e400/3"]
+
+# every number and integer field of the six configs, and ProblemData's
+# constant source and flux
+NUMBER_FIELDS = [
+    (config, f.name) for config in (*COMPONENT_CONFIGS, ExperimentConfig)
+    for f in fields(config) if f.type in ("float", "int", "Optional[float]")
+] + [(coupling.ProblemData, "f"), (coupling.ProblemData, "q")]
+
+
+def record_builds(monkeypatch):
+    """The meshes built and the loads and unit pairs assembled from here
+    on, each recorded by name instead of made."""
+    calls = []
+    for module, name in ((mesh_module, "StructuredMesh"),
+                         (mesh_module, "SimplicialMesh"),
+                         (coupling, "_load"), (coupling, "_unit_pair")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs:
+                            calls.append(name))
+    return calls
+
+
+class TestNumberPastADouble:
+    """A number no double holds is refused by the shared rules wherever it
+    enters: a config field, a builder argument or a curve table, each
+    naming the field, before any mesh is built."""
+
+    def test_number_fields_cover_the_six_configs(self):
+        assert {config for config, _ in NUMBER_FIELDS} == {
+            *COMPONENT_CONFIGS, ExperimentConfig}
+        assert len(NUMBER_FIELDS) == 33
+
+    @pytest.mark.parametrize("value", NO_DOUBLE, ids=NO_DOUBLE_IDS)
+    @pytest.mark.parametrize("config,name", NUMBER_FIELDS,
+                             ids=[f"{c.__name__}.{n}"
+                                  for c, n in NUMBER_FIELDS])
+    def test_config_field(self, config, name, value, monkeypatch):
+        calls = record_builds(monkeypatch)
+        with pytest.raises(errors.GlddError, match=f"^{name} "):
+            config(**{name: value})
+        assert calls == []
+
+    @pytest.mark.parametrize("value", NO_DOUBLE, ids=NO_DOUBLE_IDS)
+    @pytest.mark.parametrize("name", ["kappa_plus", "kappa_minus", "alpha"])
+    def test_builder_argument(self, name, value, monkeypatch):
+        geom = GeometryConfig()
+        pair = dd_solver.build_mesh_pair(geom, 1 / 160, 1 / 320, 1)
+        calls = record_builds(monkeypatch)
+        args = {"kappa_plus": 1.0, "kappa_minus": 0.5, name: value}
+        with pytest.raises(errors.NonpositiveCoefficient, match=f"^{name} "):
+            coupling.build_coupled_operators(geom, *pair, **args)
+        assert calls == []
+
+    @pytest.mark.parametrize("value", NO_DOUBLE, ids=NO_DOUBLE_IDS)
+    @pytest.mark.parametrize("name", ["temperatures", "kappas"])
+    def test_curve_table(self, name, value):
+        table = {"temperatures": [300.0], "kappas": [1.0], name: [value]}
+        with pytest.raises(errors.GlddError, match=f"^{name} "):
+            MaterialCurve(**table)
+
+    def test_coefficient_and_spacing_errors_are_config_errors(self):
+        # a rule raises them directly, and a config file names them
+        assert issubclass(errors.NonpositiveCoefficient, InvalidConfig)
+        assert issubclass(errors.NonDivisibleSpacing, InvalidConfig)
 
 
 class TestRunCase:
@@ -759,6 +849,23 @@ class TestCompareMonolithic:
             compare_monolithic(ExperimentConfig(mesh_ratios=(0,)),
                                kappa_ratios=[2.0])
 
+    def test_every_point_checked_before_any_work(self, monkeypatch, capsys,
+                                                 tmp_path):
+        # a bad last coefficient ratio stops the command before the first
+        # ratio's two-mesh run and fitted solve, and writes no report
+        calls = []
+        for name in ("setup_case", "run_fitted_reference"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *args, name=name, **kwargs:
+                                calls.append(name))
+        out = tmp_path / "out"
+        assert main(["compare-monolithic", "--kappa-ratios", "2,-1",
+                     "--mesh-ratios", "2", "--outdir", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
+        assert "kappa_minus must be positive and finite, got -1.0" in \
+            capsys.readouterr().err
+
     def test_dd_time_covers_setup(self, monkeypatch):
         delay = slow_setup(monkeypatch)
         rows = compare_monolithic(ExperimentConfig(mesh_ratios=(2,)),
@@ -926,14 +1033,20 @@ class TestCli:
         (["solve", "--config", "missing.json"], {}, "missing.json"),
         (["solve", "--config", "cfg.json"], {"cfg.json": "[1, 2]"},
          "cfg.json"),
-        (["spectrum", "--kappa-minus", "nan"], {}, "kappa_minus = nan"),
-        (["spectrum", "--kappa-minus", "inf"], {}, "kappa_minus = inf"),
-        (["spectrum", "--kappa-plus", "nan"], {}, "kappa_plus = nan"),
-        (["solve", "--alpha", "inf"], {}, "penalty weight"),
+        (["spectrum", "--kappa-minus", "nan"], {},
+         "kappa_minus must be positive and finite, got nan"),
+        (["spectrum", "--kappa-minus", "inf"], {},
+         "kappa_minus must be positive and finite, got inf"),
+        (["spectrum", "--kappa-plus", "nan"], {},
+         "kappa_plus must be positive and finite, got nan"),
+        (["solve", "--alpha", "inf"], {},
+         "alpha must be nonnegative and finite, got inf"),
         (["solve", "--theta", "inf"], {}, "theta must be positive and finite"),
         (["nonlinear", "--curve-b", "bad.csv"],
-         {"bad.csv": "T,kappa\n300,inf\n400,1\n"}, "curve conductivities"),
-        (["nonlinear", "--kappa-minus", "inf"], {}, "kappa_minus = inf"),
+         {"bad.csv": "T,kappa\n300,inf\n400,1\n"},
+         "bad.csv: kappas entry inf is not positive and finite"),
+        (["nonlinear", "--kappa-minus", "inf"], {},
+         "kappa_minus must be positive and finite, got inf"),
         (["sweep-mesh", "--mesh-ratios", "0,2,4"], {}, "spacing ratio 0"),
         (["compare-monolithic", "--mesh-ratios", "0"], {},
          "spacing ratio 0"),
@@ -952,10 +1065,10 @@ class TestCli:
         (["nonlinear", "--picard-max", "0"], {},
          "picard_max must be at least 1"),
         (["spectrum", "--power", "--seed", "-1"], {},
-         "seed must be a nonnegative integer"),
+         "seed must be at least 0 and an integer, got -1"),
         (["spectrum", "--power", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"seed": 1.5})},
-         "seed must be a nonnegative integer"),
+         "seed must be at least 0 and an integer, got 1.5"),
         (["solve", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"max_iters": "5"})}, "cfg.json: max_iters"),
         (["solve", "--config", "cfg.json"],
@@ -980,16 +1093,16 @@ class TestCli:
          "cfg.json: kappa_minus"),
         (["solve", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"L": float("nan")})},
-         "extents must be positive and finite"),
+         "cfg.json: L must be positive and finite, got nan"),
         (["solve", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"dim": 3, "W": float("nan")})},
-         "extents must be positive and finite"),
+         "cfg.json: W must be positive and finite, got nan"),
         (["solve", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"H": 1e308, "L": 1e308})},
          "not a finite multiple"),
         (["solve", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"T_0": float("nan")})},
-         "T_D must be finite"),
+         "cfg.json: T_0 must be finite, got nan"),
         (["sweep-mesh", "--mesh-ratios", "2,2,2", "--kappa-list",
           "0.5,0.25,0.125"], {}, "spacing ratio 2 is repeated"),
         (["nonlinear", "--sweep-kappa-plus-b", "0.3:0.8:0"], {},
@@ -1002,7 +1115,10 @@ class TestCli:
         (["nonlinear", "--alpha", "5"], {}, "unrecognized arguments: --alpha"),
         (["nonlinear", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"alpha": 5.0})},
-         "Picard steps use the per-cell default penalty")],
+         "Picard steps use the per-cell default penalty"),
+        (["relax-study", "--config", "cfg.json"],
+         {"cfg.json": json.dumps({"theta_list": [1.0, -0.5]})},
+         "cfg.json: theta_list entry -0.5 is not positive and finite")],
         ids=["zero-spacing", "zero-denominator", "zero-theta",
              "strip-too-thick", "unknown-key", "curve-not-a-number",
              "config-missing", "config-not-an-object", "kappa-minus-nan",
@@ -1021,7 +1137,7 @@ class TestCli:
              "wall-temperature-nan", "sweep-mesh-repeated-ratio",
              "kappa-plus-b-grid-empty", "kappa-list-negative-entry",
              "kappa-list-nan-entry", "nonlinear-alpha-flag",
-             "nonlinear-alpha-in-config"])
+             "nonlinear-alpha-in-config", "theta-list-negative-entry"])
     def test_invalid_input_exits_2(self, argv, files, named, tmp_path,
                                    capsys, monkeypatch):
         # an input the package rejects is a usage error, not a traceback,
@@ -1107,7 +1223,8 @@ class TestCli:
                             lambda *args, **kwargs: calls.append(args))
         assert main(["spectrum", "--power", "--seed", "-1"]) == 2
         assert calls == []
-        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert "seed must be at least 0 and an integer, got -1" in \
+            capsys.readouterr().err
 
     def test_nonlinear_budget_exhaustion_exits_1(self, capsys):
         # an outer loop out of iterations stopped early; it is no input error

@@ -704,3 +704,56 @@ def test_unread_parameter_detector():
         (1, "assemble_S", "global_mesh"), (1, "assemble_S", "local_mesh"),
         (1, "assemble_S", "extra"), (8, "solve", "tol"), (11, "make", "A"),
         (14, "unit", "n")]
+
+
+# a comparison with an infinity is a number rule, and errors holds the one
+# copy of each (errors.POSITIVE, NONNEGATIVE and FINITE), which every
+# config, builder argument and table entry is checked by
+INFINITY_OWNERS = {"errors.py"}
+
+
+def is_infinity(node):
+    """Whether an expression is np.inf, numpy.inf, math.inf or a
+    float("inf") spelling, under any unary signs."""
+    while isinstance(node, ast.UnaryOp) and \
+            isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Attribute):
+        return node.attr == "inf" and \
+            getattr(node.value, "id", None) in ("np", "numpy", "math")
+    return isinstance(node, ast.Call) and \
+        getattr(node.func, "id", None) == "float" and \
+        len(node.args) == 1 and isinstance(node.args[0], ast.Constant) and \
+        str(node.args[0].value).strip().lstrip("+-").lower() in (
+            "inf", "infinity")
+
+
+def infinity_comparisons(source):
+    """Line of every comparison in a module that has an infinity as an
+    operand."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(map(is_infinity, [node.left, *node.comparators])))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name not in INFINITY_OWNERS),
+                         ids=lambda p: p.name)
+def test_no_infinity_comparison_outside_errors(path):
+    assert infinity_comparisons(path.read_text()) == []
+
+
+def test_infinity_comparison_detector():
+    # the hand-written rules that the config, builder and mesh checks
+    # each kept before errors held the one copy
+    source = ("import math\nimport numpy as np\n"
+              "def check(k, alpha, h):\n"
+              "    if not all(0 < x < np.inf for x in k):\n"
+              "        pass\n"
+              "    ok = 0 <= alpha < math.inf\n"
+              "    ok = -np.inf < h and h != float('-Infinity')\n"
+              "    ok = h < float(limit) or h == numpy.inf\n"
+              "    rho = np.inf\n"
+              "    return np.isfinite(h) and h < np.finfo(float).max\n")
+    assert infinity_comparisons(source) == [4, 6, 7, 7, 8]
+    assert infinity_comparisons((PACKAGE / "errors.py").read_text()) != []

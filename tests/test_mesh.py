@@ -102,13 +102,13 @@ class TestGlobalMesh:
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"dim": 1}, "dim must be 2 or 3"),
-        ({"L": 0.0}, "extents must be positive"),
-        ({"H_minus": -1 / 160}, "extents must be positive"),
-        ({"dim": 3, "W": -1 / 40}, "extents must be positive"),
-        ({"L": np.nan}, "extents must be positive and finite"),
-        ({"H_minus": np.nan}, "extents must be positive and finite"),
-        ({"H": np.inf}, "extents must be positive and finite"),
-        ({"dim": 3, "W": np.nan}, "extents must be positive and finite")],
+        ({"L": 0.0}, "L must be positive and finite, got 0.0"),
+        ({"H_minus": -1 / 160}, "H_minus must be positive and finite, got -0"),
+        ({"dim": 3, "W": -1 / 40}, "W must be positive and finite, got -0"),
+        ({"L": np.nan}, "L must be positive and finite, got nan"),
+        ({"H_minus": np.nan}, "H_minus must be positive and finite, got nan"),
+        ({"H": np.inf}, "H must be positive and finite, got inf"),
+        ({"dim": 3, "W": np.nan}, "W must be positive and finite, got nan")],
         ids=["dim", "length", "strip", "width-3d", "length-nan", "strip-nan",
              "height-inf", "width-nan-3d"])
     def test_geometry_rejects_bad_dim_and_extents(self, kwargs, match):
