@@ -56,7 +56,6 @@ operators start with no solve state and factor their own pair.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -69,8 +68,8 @@ from .errors import (FINITE, NONNEGATIVE, POSITIVE, InvalidConfig,
                      check_entries, check_number)
 from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
                   _basis_at_points, _CsrPattern, _elimination, _facet_mass,
-                  _facet_terms, _stiffness_pattern, _zero, assemble_load,
-                  assemble_stiffness, facet_rule, laser_flux,
+                  _facet_terms, _on_layout, _stiffness_pattern, _zero,
+                  assemble_load, assemble_stiffness, facet_rule, laser_flux,
                   shape_bary_grads, shape_values)
 from .linalg import (InterfaceBlock, LinearSolver, ScaledSolver,
                      SolverConfig)
@@ -266,14 +265,7 @@ class _Interface:
                              (n, global_dofmap.n_dofs))
         # M_gamma: the trace basis's reference mass on each facet
         self.mass = _facet_mass(self.ldofs, rule.weights, self.lvals, n)
-
-        def keys(pattern):
-            rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-            return rows * n + pattern.indices
-
-        self.mass_slots = np.searchsorted(
-            keys(_stiffness_pattern(local_dofmap)),
-            keys(self.mass))
+        self.mass_slots = _stiffness_pattern(local_dofmap).slots_of(self.mass)
 
 
 def _owner_barycentrics(mesh, facets, owners, points):
@@ -343,17 +335,6 @@ def _strip_blocks(global_dofmap, local_dofmap, kappa_minus, alpha, jump):
     return K, S, assemble_penalty_D(global_dofmap, local_dofmap, alpha)
 
 
-def _scaled(A, factor):
-    """factor * A, a kept canonical CSR matrix, in arrays of its own; a
-    shallow copy of A takes them, which skips the format checks that
-    scipy's constructor would repeat on every build."""
-    B = copy.copy(A)
-    B.data = factor * A.data
-    B.indices = A.indices.copy()
-    B.indptr = A.indptr.copy()
-    return B
-
-
 class _UnitBlock:
     """A diagonal block at unit coefficient with its Dirichlet rows
     eliminated, A, its direct solver, and its unit lift: per row, the
@@ -373,7 +354,7 @@ class _UnitBlock:
         """The block at scalar kappa, kappa * A with the identity rows kept,
         in arrays of its own, and load (not changed) with the lift of the
         wall value and value on the Dirichlet rows: (K, f)."""
-        K = _scaled(self.A, kappa)
+        K = _on_layout(self.A, kappa * self.A.data)
         K.data[self.ones] = 1.0
         f = load - value * (kappa * self.lift)
         f[self.dofs] = value
@@ -415,9 +396,9 @@ class _UnitPair:
         value; no block shares an array with the unit blocks."""
         K_plus, f_plus = self.plus.scaled(kappa_plus, f_plus, value)
         K_minus, f_minus = self.minus.scaled(kappa_minus, f_minus, value)
-        S = _scaled(self.S, kappa_plus - kappa_minus) \
+        S = _on_layout(self.S, (kappa_plus - kappa_minus) * self.S.data) \
             if kappa_plus != kappa_minus else sp.csr_matrix(self.S.shape)
-        D = _scaled(self.D, kappa_minus)
+        D = _on_layout(self.D, kappa_minus * self.D.data)
         return K_plus, K_minus, S, D, f_plus, f_minus
 
     def solvers(self, kappa_plus, kappa_minus):

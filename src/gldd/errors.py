@@ -29,7 +29,7 @@ class OutOfDomain(GlddError):
     """Point lies outside the mesh bounding box."""
 
 
-class UnsupportedDegree(GlddError):
+class UnsupportedDegree(InvalidConfig):
     """Polynomial degree other than 1 or 2."""
 
 
@@ -128,6 +128,14 @@ def in_double_range(value):
         or abs(value) <= sys.float_info.max
 
 
+def shown(value):
+    """repr(value), or a stand-in past Python's 4,300-digit repr limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a value too large to show"
+
+
 # what a number rule asks, and its test, which a NaN fails; the tests of
 # POSITIVE, NONNEGATIVE and FINITE run entrywise on an array
 Rule = NamedTuple("Rule", [("what", str), ("test", Callable)])
@@ -144,7 +152,7 @@ def check_number(name, value, rule, error=InvalidConfig):
     that passes the rule's test.  Raises error naming the field."""
     if type(value) is not float:
         if not is_number(value):
-            raise error(f"{name} must be a number, got {value!r}")
+            raise error(f"{name} must be a number, got {shown(value)}")
         if not in_double_range(value):
             raise error(f"{name} holds a number too large for a double")
     if not rule.test(value):
@@ -166,14 +174,14 @@ def check_entries(name, values, rule, error=InvalidConfig):
     return array
 
 
-def check_choice(name, value, choices):
+def check_choice(name, value, choices, error=InvalidConfig):
     """The rule of a config name or small integer: a str or an integer
-    (bool excluded) among choices.  Raises InvalidConfig naming both."""
+    (bool excluded) among choices.  Raises error naming both."""
     if not ((isinstance(value, str) or is_integer(value))
             and value in choices):
         *rest, last = map(str, choices)
-        raise InvalidConfig(f"{name} must be {', '.join(rest)} or {last}, "
-                            f"got {value!r}")
+        raise error(f"{name} must be {', '.join(rest)} or {last}, "
+                    f"got {shown(value)}")
 
 
 def check_type(name, value, kind):
@@ -182,4 +190,4 @@ def check_type(name, value, kind):
     naming the field."""
     if not isinstance(value, kind):
         raise InvalidConfig(f"{name} must be a {kind.__name__}, got "
-                            f"{value!r}")
+                            f"{shown(value)}")

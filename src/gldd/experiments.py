@@ -21,11 +21,12 @@ from . import __version__
 from .coupling import ProblemData, build_coupled_operators
 from .dd_solver import (DDConfig, build_mesh_pair, run_fitted_reference,
                         run_two_level_dd, setup_case)
-from .errors import (FINITE, NONNEGATIVE, POSITIVE, WHOLE, InsufficientRatios,
-                     InvalidConfig, IterationFailure, NonDivisibleSpacing,
-                     NonpositiveCoefficient, RankDeficient, UnknownConfigKey,
-                     check_choice, check_entries, check_number,
-                     in_double_range, is_integer, is_number)
+from .errors import (COUNT, FINITE, NONNEGATIVE, POSITIVE, WHOLE,
+                     InsufficientRatios, InvalidConfig, IterationFailure,
+                     NonDivisibleSpacing, NonpositiveCoefficient,
+                     RankDeficient, UnknownConfigKey, check_choice,
+                     check_entries, check_number, in_double_range,
+                     is_integer, is_number, shown)
 from .fem import DEGREES, build_dofmap
 from .linalg import SolverConfig, fit_rho_law, least_squares_fit
 from .mesh import GeometryConfig, build_global_mesh, build_local_mesh
@@ -82,7 +83,8 @@ class ExperimentConfig:
         for name, kind, fits in _FIELD_KINDS:
             value = getattr(self, name)
             if not fits(value):
-                raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
+                raise InvalidConfig(f"{name} must be {kind}, got "
+                                    f"{shown(value)}")
             if not in_double_range(value):
                 raise InvalidConfig(f"{name} holds a number too large "
                                     "for a double")
@@ -90,8 +92,7 @@ class ExperimentConfig:
                 object.__setattr__(self, name, tuple(value))
         check_choice("m", self.m, DEGREES)
         for i, r in enumerate(self.mesh_ratios):
-            if not r > 0:
-                raise InvalidConfig(f"spacing ratio {r} is not positive")
+            check_number("spacing ratio", r, COUNT)
             if r in self.mesh_ratios[:i]:
                 raise InvalidConfig(f"spacing ratio {r} is repeated")
         for name in ("kappa_list", "theta_list"):

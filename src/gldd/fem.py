@@ -20,15 +20,17 @@ Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
 (or facet, or quadrature point) order; a ``_CsrPattern`` finds their CSR
-pattern once and sums weighted unit values into it with one bincount, in
-the order scipy's COO-to-CSR conversion would, so results are
-deterministic for fixed numpy and scipy versions.  The stiffness keeps its
-unit cell matrices and pattern on the dof map: a new coefficient costs one
-scaled bincount.  Matrices are CSR, vectors plain numpy arrays.
+layout once, by one stable sort of the keys row * n_cols + col, and sums
+weighted unit values into it with one bincount, each entry in ascending
+owner order, independent of scipy; ``_on_layout`` makes every matrix on a
+kept layout.  The stiffness keeps its unit cell matrices and pattern on
+the dof map: a new coefficient costs one scaled bincount.  Matrices are
+CSR, vectors plain numpy arrays.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass
@@ -37,7 +39,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (POSITIVE, ForeignFacet, IndexOutOfRange,
-                     NonpositiveCoefficient, UnsupportedDegree, check_entries)
+                     NonpositiveCoefficient, UnsupportedDegree, check_choice,
+                     check_entries)
 from .mesh import (FacetTag, StructuredMesh, cell_geometry, face_keys,
                    locate_point, memoised)
 
@@ -163,8 +166,7 @@ class DofMap:
     """
 
     def __init__(self, mesh: StructuredMesh, m: int):
-        if m not in DEGREES:
-            raise UnsupportedDegree(f"degree must be 1 or 2, got {m}")
+        check_choice("m", m, DEGREES, UnsupportedDegree)
         self.mesh = mesh
         self.m = m
         self.cell_dofs = mesh.cells.copy()
@@ -278,37 +280,30 @@ class _CsrPattern:
     quadrature points), and rows and cols, which broadcast to its shape,
     their row and column indices.  Owners that share their unit values
     pass them once: units (ns, a, b) and unit_of (n,), the row of units of
-    each owner.  The CSR pattern and the slot of every triplet in it are
-    found once; ``matrix(w)`` then sums w[k] * units[k] over the owners
-    with one bincount.  The triplets are kept in the order in which
-    scipy's COO-to-CSR conversion sums them (rows stable, then scipy's own
-    index sort within each row), so a matrix from the pattern is bitwise
-    the one scipy sums from the same triplets.
+    each owner.  The triplets are sorted once, stably, by the int64 key
+    row * n_cols + col, each run of equal keys one slot of the canonical
+    CSR layout; ``matrix(w)`` then sums w[k] * units[k] over the owners
+    with one bincount, each entry in ascending owner order (that of a
+    cell-by-cell loop A[i, j] += k_e[a, b]), independent of scipy.
     """
 
     def __init__(self, units, rows, cols, shape, unit_of=None):
         owners = units.shape if unit_of is None else \
             (len(unit_of),) + units.shape[1:]
-        rows = np.broadcast_to(rows, owners).ravel()
-        cols = np.broadcast_to(cols, owners).ravel()
-        by_row = np.argsort(rows, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(
-            rows, minlength=shape[0]))])
-        # the triplet ids ride along as data while scipy sorts each row
-        order = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
-                              shape=shape)
-        order.sort_indices()
-        self.perm = order.data.astype(np.int32)
-        rows, cols = rows[self.perm], order.indices
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        self.slot = (np.cumsum(new) - 1).astype(np.int32)
-        self.indices = cols[new]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
-            rows[new], minlength=shape[0]))])
+        keys = np.broadcast_to(np.asarray(rows, dtype=np.int64) * shape[1]
+                               + cols, owners).ravel()
+        self.perm = np.argsort(keys, kind="stable").astype(np.int32)
+        keys = keys[self.perm]
+        new = np.diff(keys, prepend=-1) != 0
+        self.slot = np.cumsum(new, dtype=np.int32) - 1
+        rows, cols = np.divmod(keys[new], shape[1])
+        # only the layout is read: its data, all 0.0, takes no memory
+        self.layout = sp.csr_matrix(
+            (np.broadcast_to(0.0, cols.shape), cols,
+             np.searchsorted(rows, np.arange(shape[0] + 1))), shape=shape)
+        self.indices, self.indptr = self.layout.indices, self.layout.indptr
         self.units = units
         self.unit_of = unit_of
-        self.shape = shape
         for arr in (self.perm, self.slot, self.indices, self.indptr):
             arr.setflags(write=False)
 
@@ -325,8 +320,22 @@ class _CsrPattern:
 
     def matrix(self, weights):
         """CSR matrix of sum_k weights[k] * units[k]; weights (n,)."""
-        return sp.csr_matrix((self.data(weights), self.indices, self.indptr),
-                             shape=self.shape, copy=True)
+        return _on_layout(self.layout, self.data(weights))
+
+    def slots_of(self, other):
+        """The slot here of each slot of other, whose entries this holds."""
+        n_rows, n_cols = self.layout.shape
+        keys = [np.repeat(np.arange(n_rows) * n_cols, np.diff(p.indptr))
+                + p.indices for p in (self, other)]
+        return np.searchsorted(*keys)
+
+
+def _on_layout(A, data):
+    """data on the layout of A, a canonical CSR matrix, in arrays of its
+    own: a shallow copy of A skips scipy's format checks on every build."""
+    B = copy.copy(A)
+    B.data, B.indices, B.indptr = data, A.indices.copy(), A.indptr.copy()
+    return B
 
 
 def _stiffness_pattern(dofmap):

@@ -30,6 +30,7 @@ from gldd.linalg import SolverConfig
 from gldd.mesh import (FacetTag, GeometryConfig, build_global_mesh,
                        build_local_mesh, cell_geometry, interface_facets,
                        locate_point)
+from test_fem import owner_order_csr
 
 
 def make_pair(dim=2, h_plus=1 / 160, h_minus=1 / 320, m=1):
@@ -741,16 +742,14 @@ class TestGeometryReuse:
 # ----------------------------------------------------------------------
 
 def coo_stiffness(mesh, dofmap, kappa_cells):
-    """The stiffness summed by scipy's COO-to-CSR conversion."""
+    """The stiffness summed from its COO triplets in cell order."""
     pattern = fem_module._stiffness_pattern(dofmap)
     units = pattern.units[pattern.unit_of]
     adet, _, shape = cell_geometry(mesh)
     vals = (kappa_cells * adet[shape])[:, None, None] * units
     dofs = dofmap.cell_dofs
-    rows = np.broadcast_to(dofs[:, :, None], vals.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], vals.shape).ravel()
-    n = dofmap.n_dofs
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return owner_order_csr(dofs[:, :, None], dofs[:, None, :], vals,
+                           (dofmap.n_dofs, dofmap.n_dofs))
 
 
 def masked_apply_dirichlet(A, b, dofs, value):

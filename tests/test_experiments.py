@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gldd.cli as cli
 import gldd.coupling as coupling
 import gldd.dd_solver as dd_solver
 import gldd.errors as errors
@@ -323,7 +324,8 @@ class TestConfig:
             config(**{name: value})
 
     @pytest.mark.parametrize("ratios,bad", [
-        ((0, 2, 4), "0 is not positive"), ((2, 4, -8), "-8 is not positive"),
+        ((0, 2, 4), "must be at least 1 and an integer, got 0"),
+        ((2, 4, -8), "must be at least 1 and an integer, got -8"),
         ((2, 2, 2), "2 is repeated"), ((2, 4, 2), "2 is repeated")])
     def test_spacing_ratios_checked_when_built(self, ratios, bad):
         with pytest.raises(InvalidConfig, match=f"spacing ratio {bad}"):
@@ -337,9 +339,10 @@ class TestConfig:
             ExperimentConfig(m=m)
 
 
-# a number no double holds, of each sign, and a fraction past one
-NO_DOUBLE = [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)]
-NO_DOUBLE_IDS = ["1e400", "-1e400", "1e400/3"]
+# a number no double holds, of each sign, a fraction past one and an
+# integer past the 4,300 digits that Python turns into a string
+NO_DOUBLE = [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3), 10 ** 5000]
+NO_DOUBLE_IDS = ["1e400", "-1e400", "1e400/3", "1e5000"]
 
 # every number and integer field of the six configs, and ProblemData's
 # constant source and flux
@@ -399,10 +402,27 @@ class TestNumberPastADouble:
         with pytest.raises(errors.GlddError, match=f"^{name} "):
             MaterialCurve(**table)
 
-    def test_coefficient_and_spacing_errors_are_config_errors(self):
+    @pytest.mark.parametrize("refuse,name", [
+        (lambda v: errors.check_choice("dim", v, (2, 3)), "dim"),
+        (lambda v: errors.check_type("store_iterates", v, bool),
+         "store_iterates"),
+        (lambda v: errors.check_number("theta", v, errors.POSITIVE), "theta"),
+        (lambda v: ExperimentConfig(kappa_list=v), "kappa_list"),
+        (lambda v: ExperimentConfig(outdir=v), "outdir")],
+        ids=["choice", "type", "number", "list-kind", "str-kind"])
+    def test_refused_value_past_the_digit_limit(self, refuse, name):
+        # a typed error naming the field, whose message does not try to
+        # show such an integer, alone or inside a list, set or dict
+        for value in (10 ** 5000, ["a", -10 ** 5000], {10 ** 5000},
+                      {"a": 10 ** 5000}):
+            with pytest.raises(InvalidConfig, match=f"^{name} "):
+                refuse(value)
+
+    def test_coefficient_spacing_and_degree_errors_are_config_errors(self):
         # a rule raises them directly, and a config file names them
         assert issubclass(errors.NonpositiveCoefficient, InvalidConfig)
         assert issubclass(errors.NonDivisibleSpacing, InvalidConfig)
+        assert issubclass(errors.UnsupportedDegree, InvalidConfig)
 
 
 class TestRunCase:
@@ -586,7 +606,8 @@ class TestMeshRatioStudy:
 
     @pytest.mark.parametrize("ratios", [(0, 2, 4), (-2, 2, 4)])
     def test_nonpositive_ratio_rejected(self, ratios):
-        with pytest.raises(InvalidConfig, match=f"spacing ratio {ratios[0]}"):
+        with pytest.raises(InvalidConfig, match="spacing ratio must be at "
+                           f"least 1 and an integer, got {ratios[0]}"):
             sweep_mesh_ratio(ExperimentConfig(mesh_ratios=ratios))
 
     def test_constant_grows_with_refinement(self):
@@ -845,7 +866,8 @@ class TestCompareMonolithic:
         assert compare_monolithic(cfg, kappa_ratios=[]) == []
 
     def test_zero_ratio_rejected(self):
-        with pytest.raises(InvalidConfig, match="spacing ratio 0"):
+        with pytest.raises(InvalidConfig, match="spacing ratio must be at "
+                           "least 1 and an integer, got 0"):
             compare_monolithic(ExperimentConfig(mesh_ratios=(0,)),
                                kappa_ratios=[2.0])
 
@@ -1047,9 +1069,10 @@ class TestCli:
          "bad.csv: kappas entry inf is not positive and finite"),
         (["nonlinear", "--kappa-minus", "inf"], {},
          "kappa_minus must be positive and finite, got inf"),
-        (["sweep-mesh", "--mesh-ratios", "0,2,4"], {}, "spacing ratio 0"),
+        (["sweep-mesh", "--mesh-ratios", "0,2,4"], {},
+         "spacing ratio must be at least 1 and an integer, got 0"),
         (["compare-monolithic", "--mesh-ratios", "0"], {},
-         "spacing ratio 0"),
+         "spacing ratio must be at least 1 and an integer, got 0"),
         (["sweep-kappa", "--config", "cfg.json"],
          {"cfg.json": json.dumps({"kappa_list": 0.5})}, "cfg.json: kappa_list"),
         (["sweep-mesh", "--config", "cfg.json"],
@@ -1235,6 +1258,17 @@ class TestCli:
         assert main(["spectrum", "--kappa-minus", "0.5", "--power"]) == 0
         out = capsys.readouterr().out
         assert "rho" in out
+
+    def test_spectrum_unconverged_power_iteration(self, monkeypatch, capsys):
+        # a power iteration out of steps is reported with its last
+        # estimate; the exact radius was found, so the command succeeds
+        def stalled(*args, **kwargs):
+            raise errors.NoConvergence("no convergence", estimate=0.1234567)
+
+        monkeypatch.setattr(cli, "power_iteration_rho", stalled)
+        assert main(["spectrum", "--power"]) == 0
+        assert "power_rho=0.123457 power_converged=False" in \
+            capsys.readouterr().out
 
     def test_sweep_kappa_writes_reports(self, tmp_path, capsys):
         rc = main(["sweep-kappa", "--kappa-list", "0.5,0.25,0.125",

@@ -437,10 +437,8 @@ class TestBoundaryMass:
             rows.append(np.repeat(dofs, len(dofs)))
             cols.append(np.tile(dofs, len(dofs)))
             vals.append(me.ravel())
-        ref = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=M.shape).tocsr()
-        ref.sum_duplicates()
+        ref = owner_order_csr(np.concatenate(rows), np.concatenate(cols),
+                              np.concatenate(vals), M.shape)
         np.testing.assert_array_equal(M.indptr, ref.indptr)
         np.testing.assert_array_equal(M.indices, ref.indices)
         np.testing.assert_array_equal(M.data, ref.data)
@@ -492,11 +490,25 @@ def _reference_stiffness(mesh, dof, kappa, by_shape=False):
         rows.append(np.repeat(dofs, len(dofs)))
         cols.append(np.tile(dofs, len(dofs)))
         vals.append(ke.ravel())
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dof.n_dofs, dof.n_dofs)).tocsr()
-    A.sum_duplicates()
-    return A
+    return owner_order_csr(np.concatenate(rows), np.concatenate(cols),
+                           np.concatenate(vals), (dof.n_dofs, dof.n_dofs))
+
+
+def owner_order_csr(rows, cols, vals, shape):
+    """The canonical CSR matrix of COO triplets (broadcast, then raveled),
+    each entry accumulated one triplet at a time in triplet order: the
+    order of a cell-by-cell loop A[i, j] += k_e[a, b] when the triplets
+    are laid out owner by owner."""
+    rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols,
+                                                                vals))
+    keys, slot = np.unique(rows.astype(np.int64) * shape[1] + cols,
+                           return_inverse=True)
+    data = np.zeros(len(keys))
+    np.add.at(data, slot, vals)
+    row, col = np.divmod(keys, shape[1])
+    return sp.csr_matrix(
+        (data, col, np.searchsorted(row, np.arange(shape[0] + 1))),
+        shape=shape)
 
 
 class TestLoad:

@@ -533,6 +533,51 @@ def test_factorization_detector():
         (PACKAGE / "linalg.py").read_text())] == ["LinearSolver"]
 
 
+# each matrix entry is summed in owner order (fem._CsrPattern), so no sum
+# of the program's depends on scipy's in-row sort; only apply_dirichlet,
+# the one function that takes a matrix from outside, puts one in
+# canonical form
+CANONICAL_FORM_OWNERS = {("fem.py", "apply_dirichlet")}
+
+
+def canonical_form_calls(source):
+    """(line, owner) of every call of a sparse matrix's sort_indices or
+    sum_duplicates in a module, owner the top-level def or class it sits
+    in (None at module level)."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        found += [(sub.lineno, owner) for sub in ast.walk(node)
+                  if isinstance(sub, ast.Call)
+                  and getattr(sub.func, "attr", None) in ("sort_indices",
+                                                          "sum_duplicates")]
+    return sorted(found)
+
+
+def test_canonical_form_only_in_apply_dirichlet():
+    assert [(path.name, line, owner)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for line, owner in canonical_form_calls(path.read_text())
+            if (path.name, owner) not in CANONICAL_FORM_OWNERS] == []
+
+
+def test_canonical_form_detector():
+    # a pattern that finds its layout by scipy's in-row sort, and a build
+    # that sums duplicates again
+    source = ("class _CsrPattern:\n"
+              "    def __init__(self, ids, cols, indptr):\n"
+              "        order = sp.csr_matrix((ids, cols, indptr))\n"
+              "        order.sort_indices()\n"
+              "def apply_dirichlet(A, b):\n"
+              "    A.sum_duplicates()\n"
+              "K.sum_duplicates()\n"
+              "B = A.sorted_indices\n")
+    assert canonical_form_calls(source) == [
+        (4, "_CsrPattern"), (6, "apply_dirichlet"), (7, None)]
+    assert [owner for _line, owner in canonical_form_calls(
+        (PACKAGE / "fem.py").read_text())] == ["apply_dirichlet"]
+
+
 # state kept by mesh.memoised lives on the dof map (or mesh) it belongs
 # to, which is never changed in place, and is rebuilt only when another of
 # its inputs, its key, differs by value; the coupled operators are fixed

@@ -392,6 +392,34 @@ class TestLocatePoint:
         for p, cell in zip(pts[::7], batch.cell[::7]):
             assert cell == _reference_locate(mesh, p)[0]
 
+    @pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
+    def test_slack_edge_points_are_rescanned(self, geom, monkeypatch):
+        # a point the slack above a grid plane, or whose in-block
+        # coordinates rise by the slack along an axis pair, lies where s
+        # and the barycentrics may round apart: it is scanned and takes
+        # the lowest cell; a point off every slack edge is not scanned
+        mesh = build_global_mesh(geom, 1 / 160)
+        tol = mesh_module._BARY_TOL
+        plain = np.full(mesh.dim, 1.37) + 0.11 * np.arange(mesh.dim)
+        units = []
+        for axis in range(mesh.dim):
+            on_plane = plain.copy()
+            on_plane[axis] = 3 + tol
+            rise = plain.copy()
+            rise[axis] = plain[axis - 1] + tol
+            units += [on_plane, rise]
+        pts = mesh.origin + mesh.h * np.array(units + [plain])
+        scan = mesh_module._locate_scan
+        scanned = []
+        monkeypatch.setattr(mesh_module, "_locate_scan", lambda mesh, x: (
+            scanned.append(len(x)), scan(mesh, x))[1])
+        loc = locate_point(mesh, pts)
+        assert scanned == [len(pts) - 1]
+        for p, cell, lam in zip(pts, loc.cell, loc.barycentric):
+            ref_cell, ref_lam = _reference_locate(mesh, p)
+            assert cell == ref_cell
+            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-15)
+
     def test_batch_on_graded_mesh_scans(self):
         mesh = build_fitted_mesh(GEOM, 1 / 160, 1 / 640, "graded")
         rng = np.random.default_rng(15)
