@@ -69,8 +69,8 @@ from .errors import (FINITE, NONNEGATIVE, POSITIVE, InvalidConfig,
 from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
                   _basis_at_points, _CsrPattern, _elimination, _facet_mass,
                   _facet_terms, _on_layout, _stiffness_pattern, _zero,
-                  assemble_load, assemble_stiffness, facet_rule, laser_flux,
-                  shape_bary_grads, shape_values)
+                  assemble_load, assemble_stiffness, facet_rule, laser_factor,
+                  laser_flux, shape_bary_grads, shape_values)
 from .linalg import (InterfaceBlock, LinearSolver, ScaledSolver,
                      SolverConfig)
 from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
@@ -94,9 +94,13 @@ class ProblemData:
     (..., dim); q = None selects the concentrated laser flux for the
     geometry.  That flux carries its support, the spot centre (L/2 in
     each wall coordinate) and the half-width ``fem.LASER_CUTOFF`` past
-    which it is exactly 0.0,
-    so the top-flux quadrature visits only the facets near the spot; a
-    user-supplied q is integrated over every top facet.
+    which it is exactly 0.0, so the top-flux quadrature visits only the
+    facets near the spot, and its factors, one ``fem.laser_factor`` per
+    wall axis with the 4e4 amplitude in the first, whose product is the
+    flux up to rounding, so a 3D load integrates it by one-dimensional
+    moments (see ``fem.assemble_load``).  A user-supplied q is integrated
+    over every top facet by the composite rule, unless it carries
+    support or factors of its own.
     flux_panel is the quadrature panel size used for the top flux: the
     default laser spot is ~1e-3 wide, far below the coarse facet size, so
     the top facets share one rule for it, ceil(w / flux_panel) pieces per
@@ -122,6 +126,9 @@ class ProblemData:
         if self.q is None:
             q = functools.partial(laser_flux, dim=geom.dim, L=geom.L)
             q.support = (np.full(geom.dim - 1, geom.L / 2.0), LASER_CUTOFF)
+            factor = functools.partial(laser_factor, L=geom.L)
+            q.factors = (lambda z: 0.4e5 * factor(z),) + \
+                (factor,) * (geom.dim - 2)
             return q
         return self.q
 
@@ -207,9 +214,10 @@ class _Interface:
     Every gamma point is a facet-rule point, rule.points @ vertices[facet],
     of a strip facet on gamma, so its strip barycentrics are known (see
     _owner_barycentrics) and only the box basis is located, in one call.
-    Holds the strip's fem._facet_terms (facet dofs ldofs (nf, n), measure
-    scales scale (nf,), trace basis lvals (nq, n)), the trace basis mid
-    (n,) at the facet midpoint, the gamma quadrature weights wq (nf, nq),
+    Holds the strip's fem._facet_terms (facet dofs ldofs (nf, n) and
+    measure scales scale (nf,)), its trace basis lvals (nq, n) at the
+    rule's points and mid (n,) at the facet midpoint, the gamma
+    quadrature weights wq (nf, nq),
     the box basis at the nf * nq points (gdofs, gvals), the unit S and D
     patterns with one owner per point in block form (S with its sign, and
     every term on a Dirichlet row zero), and the gamma mass of
@@ -228,8 +236,9 @@ class _Interface:
             raise OrphanInterfaceFacet("mesh has no interface facets")
         facets = local_mesh.facet_vertices[gamma]
         owners = local_mesh.facet_cells[gamma]
-        self.ldofs, self.scale, self.lvals = _facet_terms(
-            local_mesh, local_dofmap, facets, rule)
+        self.ldofs, self.scale = _facet_terms(local_mesh, local_dofmap,
+                                              facets)
+        self.lvals = shape_values(dim - 1, local_dofmap.m, rule.points)
         self.wq = rule.weights * self.scale[:, None]
         xq = rule.points @ local_mesh.vertices[facets]
         self.gdofs, self.gvals = gdofs, gvals = _basis_at_points(

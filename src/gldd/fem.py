@@ -4,18 +4,25 @@ Cell terms are computed for all cells at once from the per-shape
 geometry of ``mesh.cell_geometry``, gathered by cell shape (one unit
 stiffness per shape, one source call on every quadrature point for the
 load), and facet terms for all facets at once, from one
-``_facet_terms``.  The top flux is one composite rule, ceil(w / q_panel)
-pieces per axis, w the widest visited facet's diameter; it calls the flux
-once per block of at most ``_FLUX_CHUNK`` points, whole facets or whole
-pieces of one facet, and only on the top facets within the flux's
-``support`` when it has one (the laser flux of ``coupling.ProblemData``
-does; a user callable without one is called on every top facet).  Each
-facet's sum is one product over its whole rule, however its points were
-blocked.  A ``ScaledLoad`` keeps both quadratures with the source values
-and footprint points, and the flux values and nonzero points of each
-chunk (whole facets, or one facet), so a load scaled again and again (a
-Picard step's) costs one scale call and one stacked product per kept
-array.
+``_facet_terms``.  The top flux visits only the top facets within the
+flux's ``support`` when it has one (the laser flux of
+``coupling.ProblemData`` does; a user callable without one visits every
+top facet), cut into ceil(w / q_panel) pieces per axis, w the widest
+visited facet's diameter.  A 3D flux with ``factors``, one callable per
+wall axis (the laser has them), on top facets that are all right triangles
+with legs along x and y, is integrated by one-dimensional moments of its
+factors (``_flux_moments``): 4 Gauss points on each panel, 2,136 factor
+values for a box facet at h = 1/160 and the default panel, where the
+composite rule takes 47,526 flux points at m = 1.  Every other flux takes
+the composite rule, which calls it once per block of at most
+``_FLUX_CHUNK`` points, whole facets or whole pieces of one facet, and
+keeps its trace basis beside the cached rule.  Each facet's sum is one
+product over its whole rule, however its points were blocked.  A
+``ScaledLoad`` (Picard's, whose scale is not separable) takes the
+composite rule, and keeps both quadratures with the source values and
+footprint points, and the flux values and nonzero points of each chunk
+(whole facets, or one facet), so a load scaled again and again (a Picard
+step's) costs one scale call and one stacked product per kept array.
 Dof lookup is batched too: ``DofMap`` numbers P2 edges with one
 ``np.unique`` and ``facet_dofs`` looks up a whole facet array in its sorted
 edge table.  Matrix entries are laid out as COO triplets in ascending cell
@@ -33,6 +40,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +67,26 @@ class QuadratureRule:
 
 
 def _segment_rule(degree):
-    if degree > 5:
+    if degree > 7:
         raise UnsupportedDegree(f"no segment rule of degree {degree}")
     if degree <= 3:
         a = 0.5 / np.sqrt(3.0)
         s = np.array([0.5 - a, 0.5 + a])
         w = np.array([0.5, 0.5])
         deg = 3
-    else:
+    elif degree <= 5:
         b = 0.5 * np.sqrt(3.0 / 5.0)
         s = np.array([0.5 - b, 0.5, 0.5 + b])
         w = np.array([5.0, 8.0, 5.0]) / 18.0
         deg = 5
+    else:
+        # Gauss-Legendre with 4 points: the rule of the flux moments
+        r = 2.0 / 7.0 * np.sqrt(6.0 / 5.0)
+        a, b = 0.5 * np.sqrt(3.0 / 7.0 + r), 0.5 * np.sqrt(3.0 / 7.0 - r)
+        s = np.array([0.5 - a, 0.5 - b, 0.5 + b, 0.5 + a])
+        c = np.sqrt(30.0)
+        w = np.array([18.0 - c, 18.0 + c, 18.0 + c, 18.0 - c]) / 72.0
+        deg = 7
     pts = np.stack([1.0 - s, s], axis=1)
     return QuadratureRule(pts, w, deg)
 
@@ -294,7 +310,10 @@ class _CsrPattern:
                                + cols, owners).ravel()
         self.perm = np.argsort(keys, kind="stable").astype(np.int32)
         keys = keys[self.perm]
-        new = np.diff(keys, prepend=-1) != 0
+        # the first of each run of equal keys
+        new = np.empty(len(keys), dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
         self.slot = np.cumsum(new, dtype=np.int32) - 1
         rows, cols = np.divmod(keys[new], shape[1])
         # only the layout is read: its data, all 0.0, takes no memory
@@ -388,18 +407,18 @@ def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
             f"facet {tuple(facets[foreign.argmax()].tolist())} is not a "
             "boundary facet")
     rule = facet_rule(mesh.dim, dofmap.m)
-    dofs, scale, values = _facet_terms(mesh, dofmap, keys, rule)
-    return _facet_mass(dofs, rule.weights, values,
+    dofs, scale = _facet_terms(mesh, dofmap, keys)
+    return _facet_mass(dofs, rule.weights,
+                       shape_values(mesh.dim - 1, dofmap.m, rule.points),
                        dofmap.n_dofs).matrix(weight * scale)
 
 
-def _facet_terms(mesh, dofmap, facets, rule):
-    """The dofs (nf, n) of boundary facets (nf, dim), their measures over
-    the reference measure (nf,) and the trace basis (nq, n) at rule's
-    points: the terms of every boundary-facet quadrature."""
+def _facet_terms(mesh, dofmap, facets):
+    """The dofs (nf, n) of boundary facets (nf, dim) and their measures
+    over the reference measure (nf,): the per-facet terms of every
+    boundary-facet quadrature."""
     return (dofmap.facet_dofs(facets),
-            mesh.facet_measure(facets) / (1.0 if mesh.dim == 2 else 0.5),
-            shape_values(mesh.dim - 1, dofmap.m, rule.points))
+            mesh.facet_measure(facets) / (1.0 if mesh.dim == 2 else 0.5))
 
 
 def _facet_mass(dofs, weights, values, n):
@@ -447,6 +466,15 @@ def _composite_facet_rule(dim, m, n):
                           base.degree)
 
 
+@functools.lru_cache(maxsize=32)
+def _composite_trace_basis(dim, m, n):
+    """The trace basis (nq, k) at the points of _composite_facet_rule(dim,
+    m, n), kept read-only beside it."""
+    values = shape_values(dim - 1, m, _composite_facet_rule(dim, m, n).points)
+    values.setflags(write=False)
+    return values
+
+
 # points per top-flux call: 2**11 pieces of the 6-point rule, where a 3D
 # box facet at h = 1/160 and the default panel holds 7,921, so a call's
 # points and values stay a few hundred kB, while the top facets of a 2D
@@ -472,19 +500,33 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
         farther than radius from centre in the max norm; the flux is then
         integrated only on the top facets whose bounding box comes that
         close (``ProblemData.flux`` sets it for the laser).  Any other q
-        is integrated on every top facet.
+        is integrated on every top facet.  In 3D it may also carry
+        ``q.factors = (qx, qy)``, callables of one wall coordinate (an
+        array of any shape) whose product qx(x) * qy(y) is q up to
+        rounding; where every visited top facet is a right triangle with
+        its legs along x and y, the load is then integrated by
+        one-dimensional moments (``_flux_moments``) and q itself is not
+        called.  2D loads, a q without factors and a mesh with any other
+        visited top facet take the composite rule.
     q_panel : target quadrature panel size for the flux term; the widest
         top facet visited, diameter w, sets the one rule: ceil(w / q_panel)
-        pieces per axis, at most 256, so no piece is wider than q_panel
+        pieces per axis (panels per leg for the moments), at most 256, so
+        no piece is wider than q_panel
     """
     b = np.zeros(dofmap.n_dofs)
     if not _zero(f):
         _add_volume(b, mesh, dofmap,
                     _values(_as_callable(f), _volume_points(mesh, dofmap)))
-    if q is not None and not _zero(q):
+    if q is None or _zero(q):
+        return b
+    support, factors = getattr(q, "support", None), getattr(q, "factors", None)
+    moments = None if factors is None or mesh.dim == 2 else \
+        _flux_moments(mesh, dofmap, factors, support, q_panel)
+    if moments is not None:
+        np.add.at(b, *moments)
+    else:
         qfun = _as_callable(q)
-        terms, rule, chunks = _flux_chunks(mesh, dofmap,
-                                           getattr(q, "support", None), q_panel)
+        terms, rule, chunks = _flux_chunks(mesh, dofmap, support, q_panel)
         # each chunk is summed before the next is evaluated, so all of them
         # share one buffer for their values
         buf = np.empty((max((len(c) for _, c, _ in chunks), default=0),
@@ -523,15 +565,10 @@ def _add_volume(b, mesh, dofmap, fq):
               * np.einsum("q,cq,qn->cn", rule.weights, fq, vvals))
 
 
-def _flux_chunks(mesh, dofmap, support, q_panel):
-    """The top-flux quadrature of assemble_load (see there for support and
-    q_panel): the _facet_terms (dofs, scales, fvals) of the top facets it
-    visits, its one composite rule, and its chunks (k, corners, blocks), k
-    a slice of whole facets, corners (nc, dim, dim) their vertices and
-    blocks slices of the rule's rows, so that rule.points[rows] @ corners
-    are one block's points.  A chunk is whole facets in one block of at
-    most _FLUX_CHUNK points, or one facet that holds more, in blocks of
-    whole pieces."""
+def _visited_top(mesh, support, q_panel):
+    """The top facets (nf, dim) that the flux of assemble_load visits (see
+    there for support and q_panel), their vertices (nf, dim, dim) and the
+    pieces per axis n of its rule."""
     top = mesh.facet_vertices[mesh.facet_tags == FacetTag.NEUMANN_TOP.value]
     pts = mesh.vertices[top]
     if support is not None:
@@ -546,6 +583,20 @@ def _flux_chunks(mesh, dofmap, support, q_panel):
         i, j = np.transpose(_local_edges(mesh.dim - 1))
         diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=-1).max()
         n = int(np.clip(np.ceil(diam / q_panel), 1, 256))
+    return top, pts, n
+
+
+def _flux_chunks(mesh, dofmap, support, q_panel):
+    """The composite top-flux quadrature of assemble_load (see there for
+    support and q_panel): the terms (dofs, scales, fvals) of the top
+    facets it visits, their _facet_terms and the kept trace basis, its
+    one composite rule, and its chunks (k, corners, blocks), k a slice of
+    whole facets, corners (nc, dim, dim) their vertices and blocks slices
+    of the rule's rows, so that rule.points[rows] @ corners are one
+    block's points.  A chunk is whole facets in one block of at most
+    _FLUX_CHUNK points, or one facet that holds more, in blocks of whole
+    pieces."""
+    top, pts, n = _visited_top(mesh, support, q_panel)
     rule = _composite_facet_rule(mesh.dim, dofmap.m, n)
     nq = len(rule.weights)
     per, blocks = _FLUX_CHUNK // nq, [slice(None)]
@@ -556,7 +607,132 @@ def _flux_chunks(mesh, dofmap, support, q_panel):
         per, blocks = 1, [slice(r, r + step) for r in range(0, nq, step)]
     chunks = [(slice(a, a + per), pts[a:a + per], blocks)
               for a in range(0, len(top), per)]
-    return _facet_terms(mesh, dofmap, top, rule), rule, chunks
+    terms = _facet_terms(mesh, dofmap, top) + (
+        _composite_trace_basis(mesh.dim, dofmap.m, n),)
+    return terms, rule, chunks
+
+
+# (c, i, j): the local vertices of a top facet's right angle, of the end
+# of its x leg and of the end of its y leg, in every order
+_CORNERS = np.array(list(itertools.permutations(range(3))))
+
+
+def _flux_moments(mesh, dofmap, factors, support, q_panel):
+    """The top flux qx(x) * qy(y), factors = (qx, qy), of assemble_load on
+    a 3D mesh by one-dimensional moments: the dofs (nf, k) of the top
+    facets it visits and their entries (nf, k), or None when one of them
+    is not a right triangle with its legs along x and y.
+
+    On a facet with right angle (x0, y0) and legs a along x and b along y,
+    x = x0 + a (1 - u) and y = y0 + b t over 0 <= t <= u <= 1, where the
+    barycentrics are u - t, 1 - u and t.  A trace basis function is then
+    a polynomial in t and u - t, the sum over a + b <= m of
+    c_ab(u) t**a (u - t)**b (_moment_basis), and entry i is |a b| times
+    the integral over u of qx(x(u)) sum_ab c_ab(u) M_ab(u), with M_ab(u)
+    the integral of t**a (u - t)**b qy(y(t)) from 0 to u: cumulative sums
+    over whole panels and one partial panel at each outer point
+    (_moment_rule).  Every term of M_ab has the sign of qy, so an entry
+    keeps the relative accuracy of the factors even far from the spot,
+    where powers of t alone would cancel.  Each facet costs n g (g + 2)
+    factor values, g = 4 Gauss points on each of n panels per leg, n that
+    of the composite rule.  Nothing loops over facets: one call per factor
+    on all of them, and one stacked product per corner order.
+    """
+    top, pts, n = _visited_top(mesh, support, q_panel)
+    wall = pts[:, _CORNERS, :2]
+    c, i, j = wall[:, :, 0], wall[:, :, 1], wall[:, :, 2]
+    right = ((c[..., 1] == i[..., 1]) & (c[..., 0] != i[..., 0])
+             & (c[..., 0] == j[..., 0]) & (c[..., 1] != j[..., 1]))
+    if not right.any(axis=1).all():
+        return None
+    order = right.argmax(axis=1)
+    c, i, j = wall[np.arange(len(top)), order].transpose(1, 0, 2)
+    t, weights, carry, reach = _moment_rule(dofmap.m, n)
+    x0, y0, a, b = c[:, 0], c[:, 1], i[:, 0] - c[:, 0], j[:, 1] - c[:, 1]
+    qy = factors[1](y0[:, None, None, None] + b[:, None, None, None] * t)
+    # each pair's moments over whole panels (row 0) and partial ones
+    moments = np.einsum("fpar,kpar->fkpa", qy, weights)
+    # below[:, k, p]: pair k = (a, b)'s integral of t**a (p/n - t)**b qy
+    # from 0 to p/n, each panel's own moment plus those of (a, j < b) one
+    # panel further down
+    below = np.zeros(moments.shape[:-1])
+    for k, terms in enumerate(carry):
+        step = moments[:, k, :-1, 0].copy()
+        for kk, coef in terms:
+            step += coef * below[:, kk, :-1]
+        np.cumsum(step, axis=-1, out=below[:, k, 1:])
+    inner = moments[..., 1:]
+    for k, terms in enumerate(reach):
+        for kk, coef in terms:
+            inner[:, k] += coef * below[:, kk, :, None]
+    qx = factors[0](x0[:, None, None] + a[:, None, None] * (1.0 - t[:, 0]))
+    inner *= (qx * weights[0, 0, 0])[:, None]
+    dofs, scale = _facet_terms(mesh, dofmap, top)
+    entries = np.empty(dofs.shape)
+    for corner in np.unique(order):
+        at = order == corner
+        coef = _moment_basis(dofmap.m, n, tuple(_CORNERS[corner]))
+        # one vector-matrix product per facet, as _add_flux makes
+        entries[at] = (inner[at].reshape(at.sum(), 1, -1) @ coef)[:, 0]
+    entries *= scale[:, None]
+    return dofs, entries
+
+
+def _moment_pairs(m):
+    """The powers (a, b) of t**a (u - t)**b, a + b <= m, in the order of
+    _flux_moments: b ascending, so that (a, j < b) come first."""
+    return [(a, b) for b in range(m + 1) for a in range(m + 1 - b)]
+
+
+@functools.lru_cache(maxsize=32)
+def _moment_rule(m, n):
+    """The inner rule of _flux_moments on n panels of [0, 1], Gauss with
+    g = 4 points on each, read-only: the points t (n, g + 1, g), a panel's
+    own in row 0 and those of [p, p + s_r] / n, which ends at its Gauss
+    point s_r, in row 1 + r (row 0 is the outer rule too); for each pair
+    (a, b) of _moment_pairs(m) the weights (n, g + 1, g) of
+    t**a (e - t)**b there, e the end of that panel or partial panel; and
+    the terms (pair, coefficient) that carry a pair's sums one panel up,
+    (p/n - t)**b = sum_j C(b, j) n**(j - b) ((p - 1)/n - t)**j, and up to
+    the outer points p/n + s_r/n, one coefficient (g,) per term."""
+    base = _segment_rule(7)
+    s = base.points[:, 1]
+    frac = np.concatenate([[1.0], s])[:, None]
+    t = (np.arange(n)[:, None, None] + frac * s) / n
+    dist = frac * (1.0 - s) / n
+    pairs = _moment_pairs(m)
+    weights = np.stack([t ** a * dist ** b for a, b in pairs]) \
+        * (frac * base.weights / n)
+    carry = tuple(tuple((pairs.index((a, j)), math.comb(b, j) / n ** (b - j))
+                        for j in range(b)) for a, b in pairs)
+    reach = [tuple((pairs.index((a, j)), math.comb(b, j) * (s / n) ** (b - j))
+                   for j in range(b + 1)) for a, b in pairs]
+    for arr in (t, weights) + tuple(c for terms in reach for _, c in terms):
+        arr.setflags(write=False)
+    return t, weights, carry, tuple(reach)
+
+
+@functools.lru_cache(maxsize=32)
+def _moment_basis(m, n, corner):
+    """The trace basis of _flux_moments on a facet whose corner (c, i, j)
+    is a row of _CORNERS: its coefficients of t**a (u - t)**b, (a, b) in
+    _moment_pairs(m), at the outer points u of _moment_rule(m, n), as one
+    read-only matrix (pairs * n * g, basis).  With lambda_c = u - t,
+    lambda_i = 1 - u and lambda_j = t, each function is a polynomial of
+    degree m in t and u - t, fitted on the lattice t, u - t = a, b."""
+    u = _moment_rule(m, n)[0][:, 0]
+    lattice = np.array(_moment_pairs(m), dtype=float)
+    lam = np.empty(u.shape + lattice.shape[:1] + (3,))
+    lam[..., corner[0]] = lattice[:, 1]
+    lam[..., corner[1]] = 1.0 - u[..., None]
+    lam[..., corner[2]] = lattice[:, 0]
+    values = shape_values(2, m, lam.reshape(-1, 3)).reshape(
+        lam.shape[:-1] + (-1,))
+    vander = np.prod(lattice[:, None, :] ** lattice[None, :, :], axis=-1)
+    coef = np.linalg.solve(vander, values)
+    coef = np.moveaxis(coef, -2, 0).reshape(-1, values.shape[-1])
+    coef.setflags(write=False)
+    return coef
 
 
 def _flux_values(q, rule, corners, blocks, values, hot_points=None):
@@ -595,7 +771,8 @@ class ScaledLoad:
     points and q at each flux chunk's (whole facets, or whole pieces of
     one facet), each with where the scale applies and those points as one
     array, all read-only and the same objects at every ``add_to``: f and q
-    are called once, here."""
+    are called once, here.  The flux takes the composite rule even when q
+    carries factors: the scale is not separable."""
 
     def __init__(self, mesh, dofmap, f, q, q_panel, footprint):
         def kept(*arrays):
@@ -643,8 +820,9 @@ class ScaledLoad:
 def laser_flux(x, dim, L=1.0 / 40.0):
     """Surface heat flux concentrated at the middle of the top wall.
 
-    2D: 4e4 * exp(-(L/2 - x)^4 / 1e-12); 3D adds the same quartic in y.
-    Accepts a single point or an array of points (..., dim).  Where that
+    2D: 4e4 * exp(-(L/2 - x)^4 / 1e-12), bitwise 4e4 * laser_factor(x);
+    3D adds the same quartic in y inside the exponential.  Accepts a
+    single point or an array of points (..., dim).  Where that
     exponential would fall below the smallest normal double the value is
     exactly 0.0, so it is 0.0 or at least 4e4 * DBL_MIN, and exactly 0.0
     wherever max(|L/2 - x|, |L/2 - y|) > LASER_CUTOFF.
@@ -653,21 +831,42 @@ def laser_flux(x, dim, L=1.0 / 40.0):
     if x.ndim == 1:
         # a 0-d result cannot be written in place
         return laser_flux(x[None], dim, L)[0]
-    a = np.subtract(L / 2.0, x[..., 0])
-    np.square(a, out=a)
-    np.square(a, out=a)
+    a = _quartic(x[..., 0], L)
     if dim == 3:
-        b = np.subtract(L / 2.0, x[..., 1])
-        np.square(b, out=b)
-        np.square(b, out=b)
-        a += b
+        a += _quartic(x[..., 1], L)
+    out = _normal_exp(a)
+    out *= 0.4e5
+    return out
+
+
+def laser_factor(z, L=1.0 / 40.0):
+    """The laser flux along one wall axis: exp(-(L/2 - z)^4 / 1e-12) at a
+    coordinate z or an array of them, exactly 0.0 where that would fall
+    below the smallest normal double, so wherever |L/2 - z| >
+    LASER_CUTOFF.  In 3D, 4e4 * laser_factor(x) * laser_factor(y) is
+    laser_flux up to rounding: the factors of ``ProblemData.flux``."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        return laser_factor(z[None], L)[0]
+    return _normal_exp(_quartic(z, L))
+
+
+def _quartic(z, L):
+    """(L/2 - z)^4 in a new array."""
+    a = np.subtract(L / 2.0, z)
+    np.square(a, out=a)
+    np.square(a, out=a)
+    return a
+
+
+def _normal_exp(a):
+    """exp(-a / 1e-12), a divided in place, 0.0 where it is not normal."""
     a /= 1e-12
     # a subnormal exp costs about a hundred normal ones
     normal = a < _EXP_NORMAL
     np.negative(a, out=a)
     out = np.zeros(a.shape)
     np.exp(a, out=out, where=normal)
-    out *= 0.4e5
     return out
 
 

@@ -412,6 +412,11 @@ def pow_laser_flux(x, dim, L):
     return 0.4e5 * np.exp(-expo / 1e-12)
 
 
+def pow_laser_factor(z, L):
+    """fem.laser_factor with its quartic written d ** 4."""
+    return np.exp(-(L / 2.0 - z) ** 4 / 1e-12)
+
+
 class TestLaserSupport:
     @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1)])
     def test_picard_scaled_flux_bitwise_equal(self, dim, m):
@@ -435,8 +440,13 @@ class TestLaserSupport:
 
         # coarser 3D panels keep the scale's point location small
         panel = ProblemData().flux_panel if dim == 2 else 1e-3
-        plain = ProblemData(q=lambda x: laser_flux(x, dim, geom.L),
-                            flux_panel=panel)
+
+        def plain_flux(x):
+            return laser_flux(x, dim, geom.L)
+
+        # the same factors, so the strip load takes the same rule in 3D
+        plain_flux.factors = ProblemData().flux(geom).factors
+        plain = ProblemData(q=plain_flux, flux_panel=panel)
         fp, fm, n_near = loads(ProblemData(flux_panel=panel))
         fp_plain, fm_plain, n_all = loads(plain)
         np.testing.assert_array_equal(fp, fp_plain)
@@ -452,6 +462,9 @@ class TestLaserSupport:
         geom, gm, gd, lm, ld = make_pair(dim=dim, m=m)
         q_pow = functools.partial(pow_laser_flux, dim=dim, L=geom.L)
         q_pow.support = ProblemData().flux(geom).support
+        # in 3D both loads go through the moment rule of their factors
+        factor = functools.partial(pow_laser_factor, L=geom.L)
+        q_pow.factors = (lambda z: 0.4e5 * factor(z),) + (factor,) * (dim - 2)
         new = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5)
         old = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
                                       problem=ProblemData(q=q_pow))

@@ -1,6 +1,7 @@
 """Assembly oracles: symbolic element matrices, quadrature exactness,
 manufactured solutions."""
 
+import functools
 import itertools
 import math
 
@@ -86,6 +87,19 @@ class TestQuadrature:
             approx = (rule.weights * rule.points[:, 0] ** d).sum()
             assert approx == pytest.approx(exact, rel=1e-13), d
 
+    def test_four_point_segment_rule_is_exact_to_degree_7(self):
+        # the Gauss rule of the flux moments: int_0^1 s^d ds = 1 / (d + 1)
+        rule = fem._segment_rule(7)
+        assert rule.degree == 7 and len(rule.weights) == 4
+        np.testing.assert_array_equal(rule.points.sum(axis=1), 1.0)
+        s = rule.points[:, 1]
+        for d in range(8):
+            assert (rule.weights * s ** d).sum() == pytest.approx(
+                1.0 / (d + 1), rel=1e-15, abs=0.0), d
+        # and not to degree 8
+        assert (rule.weights * s ** 8).sum() != pytest.approx(1.0 / 9.0,
+                                                               rel=1e-6)
+
     @pytest.mark.parametrize("dim,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_facet_degree(self, dim, m):
         rule = facet_rule(dim, m)
@@ -98,9 +112,10 @@ class TestQuadrature:
     @pytest.mark.parametrize("rule,dim,match", [
         (volume_rule, 3, "tetrahedron"), (facet_rule, 2, "segment")])
     def test_unsupported_degree_tet_and_segment(self, rule, dim, match):
-        # degree 3 asks for a rule exact to degree 6 or 7, past every table
+        # degree 4 asks for a rule exact to degree 8 or 9, past every table
+        # (the segment's ends at degree 7, the rule of the flux moments)
         with pytest.raises(UnsupportedDegree, match=match):
-            rule(dim, 3)
+            rule(dim, 4)
 
 
 class TestShapeFunctions:
@@ -567,16 +582,29 @@ FLUX_MESHES = {
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("name", list(FLUX_MESHES))
 def test_laser_support_leaves_load_bitwise_equal(name, m):
+    # with and without support, the laser through its factors (the moment
+    # rule in 3D) and through laser_flux alone (the composite rule): a
+    # factor is exactly 0.0 past the cutoff, as the flux is
     geom, mesh = FLUX_MESHES[name]()
     dof = build_dofmap(mesh, m)
     problem = ProblemData()
     q = problem.flux(geom)
     assert q.support is not None
+
+    def load(support, factors):
+        def flux(x):
+            return laser_flux(x, geom.dim, geom.L)
+
+        if support:
+            flux.support = q.support
+        if factors:
+            flux.factors = q.factors
+        return assemble_load(mesh, dof, q=flux, q_panel=problem.flux_panel)
+
     b = assemble_load(mesh, dof, q=q, q_panel=problem.flux_panel)
-    plain = assemble_load(mesh, dof,
-                          q=lambda x: laser_flux(x, geom.dim, geom.L),
-                          q_panel=problem.flux_panel)
-    np.testing.assert_array_equal(b, plain)
+    np.testing.assert_array_equal(b, load(True, True))
+    np.testing.assert_array_equal(b, load(False, True))
+    np.testing.assert_array_equal(load(True, False), load(False, False))
     assert np.count_nonzero(b) > 0
 
 
@@ -600,8 +628,143 @@ def test_laser_load_at_default_panel(name, m):
         fine = 1e-9  # far below the facets: the rule clips at 256 pieces
         _, rule, _ = fem._flux_chunks(mesh, dof, q.support, fine)
         assert len(rule.weights) == 256 ** 2 * len(facet_rule(3, m).weights)
-        ref = assemble_load(mesh, dof, q=q, q_panel=fine)
+        # a q without factors: the reference is the composite rule
+        composite = functools.partial(laser_flux, dim=3, L=geom.L)
+        composite.support = q.support
+        ref = assemble_load(mesh, dof, q=composite, q_panel=fine)
         assert np.abs(b - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", ["box-3d", "strip-3d"])
+def test_moment_rule_matches_fine_composite_rule(name, m):
+    # the 3D laser load by its factors' moments, at the default panel,
+    # against the composite rule on 256 pieces per axis of a q without
+    # factors; laser_flux itself is never called by the moments
+    geom, mesh = FLUX_MESHES[name]()
+    dof = build_dofmap(mesh, m)
+    problem = ProblemData()
+    q = problem.flux(geom)
+    calls = []
+
+    def flux(x):
+        calls.append(x.shape)
+        return laser_flux(x, 3, geom.L)
+
+    flux.support, flux.factors = q.support, q.factors
+    b = assemble_load(mesh, dof, q=flux, q_panel=problem.flux_panel)
+    assert calls == []
+    del flux.factors
+    ref = assemble_load(mesh, dof, q=flux, q_panel=1e-9)
+    assert calls
+    assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
+    np.testing.assert_array_equal(b == 0.0, ref == 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_laser_factors_multiply_to_the_flux(dim):
+    # 2D: the one factor is the flux, bitwise.  3D: q = 4e4 exp(-E) rounds
+    # its exponent E, so the product is within 1e-14 of q where E <= 20
+    # (q >= 8e-5, all but the far tail), and within 4 eps max(1, E)
+    # relative wherever q is nonzero
+    geom = GeometryConfig(dim=dim)
+    q = ProblemData().flux(geom)
+    assert len(q.factors) == dim - 1
+    rng = np.random.default_rng(7)
+    wall = geom.L / 2 + rng.uniform(-1.05, 1.05, (100_000, dim - 1)) \
+        * LASER_CUTOFF
+    values = q(np.column_stack([wall, np.full(len(wall), geom.H)]))
+    product = q.factors[0](wall[:, 0])
+    for k in range(1, dim - 1):
+        product = product * q.factors[k](wall[:, k])
+    if dim == 2:
+        np.testing.assert_array_equal(product, values)
+        return
+    hot = values != 0.0
+    assert 0 < hot.sum() < len(hot)
+    rel = np.abs(product[hot] - values[hot]) / values[hot]
+    E = np.log(0.4e5 / values[hot])
+    assert rel[E <= 20.0].max() <= 1e-14
+    assert np.all(rel <= 4 * np.finfo(float).eps * np.maximum(1.0, E))
+    # a factor is exactly 0.0 past the cutoff, as the flux is
+    for factor in q.factors:
+        assert np.all(factor(geom.L / 2 + np.array(
+            [-2.0, -1.001, 1.001, 2.0]) * LASER_CUTOFF) == 0.0)
+        assert factor(geom.L / 2) > 0.0 and np.ndim(factor(geom.L / 2)) == 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_skew_top_facet_takes_composite_rule(m):
+    # a 3D mesh with one top facet whose legs lie along x and y and one
+    # whose do not: the whole load takes the composite rule, bitwise that
+    # of a q without factors, and q is called
+    verts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                      [1.3, 0.9, 1.0], [0.4, 0.4, 0.0]])
+    cells = np.array([[0, 1, 2, 4], [1, 3, 2, 4]])
+    det = np.linalg.det(verts[cells[:, 1:]] - verts[cells[:, :1]])
+    cells[det < 0, :2] = cells[det < 0, 1::-1]
+
+    def tag(pts):
+        return np.where((pts[..., -1] == 1.0).all(axis=1),
+                        FacetTag.NEUMANN_TOP.value,
+                        FacetTag.DIRICHLET_OUTER.value)
+
+    mesh = SimplicialMesh(verts, cells, tag, 1.0)
+    dof = build_dofmap(mesh, m)
+    calls = []
+
+    def q(x):
+        calls.append(x.shape)
+        return (1.0 + x[..., 0]) * (2.0 - x[..., 1] ** 2)
+
+    plain = assemble_load(mesh, dof, q=q, q_panel=0.1)
+    n_plain = len(calls)
+    q.factors = (lambda x: 1.0 + x, lambda y: 2.0 - y ** 2)
+    np.testing.assert_array_equal(assemble_load(mesh, dof, q=q, q_panel=0.1),
+                                  plain)
+    assert n_plain and len(calls) == 2 * n_plain
+    # the axis-aligned facet alone takes the moments, q is not called, and
+    # its load is that of the composite rule within rounding
+    right = SimplicialMesh(verts, cells[:1], tag, 1.0)
+    dof = build_dofmap(right, m)
+    calls.clear()
+    b = assemble_load(right, dof, q=q, q_panel=0.1)
+    assert calls == []
+    del q.factors
+    ref = assemble_load(right, dof, q=q, q_panel=0.1)
+    np.testing.assert_allclose(b, ref, rtol=0.0,
+                               atol=1e-14 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", list(FLUX_MESHES))
+def test_factors_leave_composite_loads_bitwise_equal(name, m):
+    # 2D loads and a 3D ScaledLoad do not read the factors: with them they
+    # are bitwise the loads of the composite rule without them
+    geom, mesh = FLUX_MESHES[name]()
+    dof = build_dofmap(mesh, m)
+    problem = ProblemData()
+    q = problem.flux(geom)
+
+    def loads(factors):
+        def flux(x):
+            return laser_flux(x, geom.dim, geom.L)
+
+        flux.support = q.support
+        if factors:
+            flux.factors = q.factors
+        kept = np.zeros(dof.n_dofs)
+        fem.ScaledLoad(mesh, dof, 0.0, flux, problem.flux_panel,
+                       lambda x: np.ones(x.shape[:-1], dtype=bool)).add_to(
+            kept, lambda x: 0.5 / (1.0 + x[:, 0]))
+        return assemble_load(mesh, dof, q=flux,
+                             q_panel=problem.flux_panel), kept
+
+    (b, kept), (b_plain, kept_plain) = loads(True), loads(False)
+    np.testing.assert_array_equal(kept, kept_plain)
+    assert np.count_nonzero(kept) > 0
+    if geom.dim == 2:
+        np.testing.assert_array_equal(b, b_plain)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

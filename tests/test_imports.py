@@ -217,11 +217,14 @@ def test_pass_through_detector():
     assert "fem.build_dofmap" in TRACED_NAMES
 
 
-# the load quadratures: the volume points and per-cell sum, and the top
-# flux's composite rule, chunks and per-facet sum; one copy of each, in
-# fem, which assemble_load and ScaledLoad share
+# the load quadratures: the volume points and per-cell sum, the top
+# flux's visited facets, its composite rule, trace basis, chunks and
+# per-facet sum, and its 3D rule by one-dimensional moments; one copy of
+# each, in fem, which assemble_load and ScaledLoad share
 FEM_ONLY = {"_volume_points", "_add_volume", "_composite_facet_rule",
-            "_flux_chunks", "_add_flux"}
+            "_composite_trace_basis", "_visited_top", "_flux_chunks",
+            "_add_flux", "_flux_moments", "_moment_pairs", "_moment_rule",
+            "_moment_basis"}
 
 
 def foreign_uses(source, names):
