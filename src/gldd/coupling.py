@@ -56,7 +56,6 @@ operators start with no solve state and factor their own pair.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,15 +65,14 @@ import scipy.sparse as sp
 from .errors import (FINITE, NONNEGATIVE, POSITIVE, InvalidConfig,
                      NonpositiveCoefficient, OrphanInterfaceFacet,
                      check_entries, check_number)
-from .fem import (LASER_CUTOFF, DofMap, ScaledLoad, _as_callable,
-                  _basis_at_points, _CsrPattern, _elimination, _facet_mass,
-                  _facet_terms, _on_layout, _stiffness_pattern, _zero,
-                  assemble_load, assemble_stiffness, facet_rule, laser_factor,
-                  laser_flux, shape_bary_grads, shape_values)
+from .fem import (DofMap, ScaledLoad, _as_callable, _basis_at_points,
+                  _CsrPattern, _elimination, _facet_mass, _facet_terms,
+                  _on_layout, _stiffness_pattern, _zero, assemble_load,
+                  assemble_stiffness, facet_rule, laser, shape_bary_grads,
+                  shape_values)
 from .linalg import (InterfaceBlock, LinearSolver, ScaledSolver,
                      SolverConfig)
-from .mesh import (FacetTag, GeometryConfig, StructuredMesh, cell_geometry,
-                   memoised)
+from .mesh import FacetTag, GeometryConfig, cell_geometry, memoised
 
 
 def default_alpha(kappa_minus, h_minus):
@@ -91,16 +89,10 @@ class ProblemData:
     """Volume source, top-wall flux and wall temperature.
 
     f and q may be finite constants or callables of coordinate arrays
-    (..., dim); q = None selects the concentrated laser flux for the
-    geometry.  That flux carries its support, the spot centre (L/2 in
-    each wall coordinate) and the half-width ``fem.LASER_CUTOFF`` past
-    which it is exactly 0.0, so the top-flux quadrature visits only the
-    facets near the spot, and its factors, one ``fem.laser_factor`` per
-    wall axis with the 4e4 amplitude in the first, whose product is the
-    flux up to rounding, so a 3D load integrates it by one-dimensional
-    moments (see ``fem.assemble_load``).  A user-supplied q is integrated
-    over every top facet by the composite rule, unless it carries
-    support or factors of its own.
+    (..., dim); q = None selects ``fem.laser``, the concentrated laser flux
+    on the geometry, with its support and factors.  A user-supplied q is
+    integrated over every top facet by the composite rule, unless it
+    carries support or factors of its own.
     flux_panel is the quadrature panel size used for the top flux: the
     default laser spot is ~1e-3 wide, far below the coarse facet size, so
     the top facets share one rule for it, ceil(w / flux_panel) pieces per
@@ -123,21 +115,15 @@ class ProblemData:
         check_number("flux_panel", self.flux_panel, POSITIVE)
 
     def flux(self, geom: GeometryConfig):
-        if self.q is None:
-            q = functools.partial(laser_flux, dim=geom.dim, L=geom.L)
-            q.support = (np.full(geom.dim - 1, geom.L / 2.0), LASER_CUTOFF)
-            factor = functools.partial(laser_factor, L=geom.L)
-            q.factors = (lambda z: 0.4e5 * factor(z),) + \
-                (factor,) * (geom.dim - 2)
-            return q
-        return self.q
+        return laser(geom) if self.q is None else self.q
 
 
 @dataclass(frozen=True, eq=False)
 class CoupledOperators:
     """All blocks of the coupled system, Dirichlet conditions eliminated,
     fixed when built, and the owner of the block solves on them (solvers)
-    and of their one interface block (interface).
+    and of their one interface block (interface).  Meshes and Dirichlet
+    dofs are read from the dof maps (their fem._elimination's dofs).
 
     Their solve state is one dict, each entry written once: "unit", the
     (unit pair, kappa_plus, kappa_minus) of a scalar build, set by the
@@ -151,13 +137,16 @@ class CoupledOperators:
     D: sp.csr_matrix
     f_plus: np.ndarray
     f_minus: np.ndarray
-    global_mesh: StructuredMesh
-    local_mesh: StructuredMesh
     global_dofmap: DofMap
     local_dofmap: DofMap
-    global_dirichlet: np.ndarray
-    local_dirichlet: np.ndarray
     _state: dict = field(default_factory=dict, init=False, repr=False)
+
+    global_mesh = property(lambda self: self.global_dofmap.mesh)
+    local_mesh = property(lambda self: self.local_dofmap.mesh)
+    global_dirichlet = property(
+        lambda self: _elimination(self.global_dofmap).dofs)
+    local_dirichlet = property(
+        lambda self: _elimination(self.local_dofmap).dofs)
 
     @property
     def n_plus(self):
@@ -567,7 +556,6 @@ def build_coupled_operators(geom: GeometryConfig,
             kappa_plus, kappa_minus,
             outside + (kappa_plus / kappa_minus) * inside, f_minus,
             problem.T_D)
-        plus, minus = unit.plus, unit.minus
     else:
         _check_cells(global_dofmap, local_dofmap, *cells[:3])
         f_plus = _load(geom, global_dofmap, problem, flux_scale)
@@ -578,18 +566,15 @@ def build_coupled_operators(geom: GeometryConfig,
             global_dofmap, local_dofmap, kappa_minus_cells,
             default_alpha(kappa_minus_cells, local_mesh.h) if alpha is None
             else alpha, jump_facet_weights)
-        plus = _elimination(global_dofmap)
-        minus = _elimination(local_dofmap)
-        K_plus, f_plus = plus.apply(K_plus, f_plus, problem.T_D)
-        K_minus, f_minus = minus.apply(K_minus, f_minus, problem.T_D)
+        K_plus, f_plus = _elimination(global_dofmap).apply(
+            K_plus, f_plus, problem.T_D)
+        K_minus, f_minus = _elimination(local_dofmap).apply(
+            K_minus, f_minus, problem.T_D)
 
     ops = CoupledOperators(
         K_plus=K_plus, K_minus=K_minus, S=S, D=D,
         f_plus=f_plus, f_minus=f_minus,
-        global_mesh=global_mesh, local_mesh=local_mesh,
-        global_dofmap=global_dofmap, local_dofmap=local_dofmap,
-        global_dirichlet=plus.dofs,
-        local_dirichlet=minus.dofs)
+        global_dofmap=global_dofmap, local_dofmap=local_dofmap)
     if scalar:
         ops._state["unit"] = (unit, kappa_plus, kappa_minus)
     return ops

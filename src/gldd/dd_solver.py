@@ -281,12 +281,13 @@ def block_residual(ops: CoupledOperators, T_plus, T_minus):
 
 @dataclass
 class FittedSolution:
-    mesh: object
     dofmap: object
     T: np.ndarray
     iterations: int
     wall_time: float
-    n_dofs: int
+
+    mesh = property(lambda self: self.dofmap.mesh)
+    n_dofs = property(lambda self: self.dofmap.n_dofs)
 
 
 def run_fitted_reference(geom: GeometryConfig, h_plus, h_minus,
@@ -309,10 +310,8 @@ def run_fitted_reference(geom: GeometryConfig, h_plus, h_minus,
                          q_panel=problem.flux_panel)
     T, iterations = solve_fitted(mesh, dofmap, kappa_cells, load,
                                  problem.T_D, solver)
-    return FittedSolution(mesh=mesh, dofmap=dofmap, T=T,
-                          iterations=iterations,
-                          wall_time=time.perf_counter() - t0,
-                          n_dofs=dofmap.n_dofs)
+    return FittedSolution(dofmap=dofmap, T=T, iterations=iterations,
+                          wall_time=time.perf_counter() - t0)
 
 
 def solve_fitted(mesh, dofmap, kappa_cells, load, T_D,

@@ -5,8 +5,8 @@ geometry of ``mesh.cell_geometry``, gathered by cell shape (one unit
 stiffness per shape, one source call on every quadrature point for the
 load), and facet terms for all facets at once, from one
 ``_facet_terms``.  The top flux visits only the top facets within the
-flux's ``support`` when it has one (the laser flux of
-``coupling.ProblemData`` does; a user callable without one visits every
+flux's ``support`` when it has one (``laser``, the default flux of
+``coupling.ProblemData``, does; a user callable without one visits every
 top facet), cut into ceil(w / q_panel) pieces per axis, w the widest
 visited facet's diameter.  A 3D flux with ``factors``, one callable per
 wall axis (the laser has them), on top facets that are all right triangles
@@ -46,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (POSITIVE, ForeignFacet, IndexOutOfRange,
-                     NonpositiveCoefficient, UnsupportedDegree, check_choice,
-                     check_entries)
+from .errors import (FINITE, POSITIVE, ForeignFacet, IndexOutOfRange,
+                     InvalidConfig, NonpositiveCoefficient, UnsupportedDegree,
+                     check_choice, check_entries)
 from .mesh import (FacetTag, StructuredMesh, cell_geometry, face_keys,
                    locate_point, memoised)
 
@@ -499,7 +499,7 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
         q(x) == 0.0 exactly wherever the wall coordinates x[..., :-1] lie
         farther than radius from centre in the max norm; the flux is then
         integrated only on the top facets whose bounding box comes that
-        close (``ProblemData.flux`` sets it for the laser).  Any other q
+        close (``laser`` sets it).  Any other q
         is integrated on every top facet.  In 3D it may also carry
         ``q.factors = (qx, qy)``, callables of one wall coordinate (an
         array of any shape) whose product qx(x) * qy(y) is q up to
@@ -802,11 +802,18 @@ class ScaledLoad:
 
     def add_to(self, b, scale):
         """Add the load to b, the volume term first and then the flux, as
-        assemble_load sums them: one scale call per non-empty point array."""
+        assemble_load sums them: one scale call per non-empty point array,
+        whose result, finite and a scalar or one value per point, is
+        checked as the builder's flux_scale (InvalidConfig naming it)."""
         def scaled(values, hot, x_hot):
             if len(x_hot):
+                s = check_entries("flux_scale", scale(x_hot), FINITE)
+                if s.ndim and s.shape != (len(x_hot),):
+                    raise InvalidConfig(
+                        f"flux_scale must return a scalar or one value per "
+                        f"point ({len(x_hot)}), got shape {s.shape}")
                 values = values.copy()
-                values[hot] *= scale(x_hot)
+                values[hot] *= s
             return values
 
         if self.volume is not None:
@@ -817,15 +824,15 @@ class ScaledLoad:
                       ((k, scaled(*arrays)) for k, arrays in chunks))
 
 
-def laser_flux(x, dim, L=1.0 / 40.0):
+def laser_flux(x, dim, L):
     """Surface heat flux concentrated at the middle of the top wall.
 
-    2D: 4e4 * exp(-(L/2 - x)^4 / 1e-12), bitwise 4e4 * laser_factor(x);
-    3D adds the same quartic in y inside the exponential.  Accepts a
-    single point or an array of points (..., dim).  Where that
+    2D: LASER_PEAK * exp(-(L/2 - x)^4 / 1e-12), bitwise the peak times
+    laser_factor(x); 3D adds the same quartic in y inside the exponential.
+    Accepts a single point or an array of points (..., dim).  Where that
     exponential would fall below the smallest normal double the value is
-    exactly 0.0, so it is 0.0 or at least 4e4 * DBL_MIN, and exactly 0.0
-    wherever max(|L/2 - x|, |L/2 - y|) > LASER_CUTOFF.
+    exactly 0.0, so it is 0.0 or at least the peak times DBL_MIN, and
+    exactly 0.0 wherever max(|L/2 - x|, |L/2 - y|) > LASER_CUTOFF.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -835,16 +842,16 @@ def laser_flux(x, dim, L=1.0 / 40.0):
     if dim == 3:
         a += _quartic(x[..., 1], L)
     out = _normal_exp(a)
-    out *= 0.4e5
+    out *= LASER_PEAK
     return out
 
 
-def laser_factor(z, L=1.0 / 40.0):
+def laser_factor(z, L):
     """The laser flux along one wall axis: exp(-(L/2 - z)^4 / 1e-12) at a
     coordinate z or an array of them, exactly 0.0 where that would fall
     below the smallest normal double, so wherever |L/2 - z| >
-    LASER_CUTOFF.  In 3D, 4e4 * laser_factor(x) * laser_factor(y) is
-    laser_flux up to rounding: the factors of ``ProblemData.flux``."""
+    LASER_CUTOFF.  In 3D, LASER_PEAK * laser_factor(x) * laser_factor(y)
+    is laser_flux up to rounding: the factors of ``laser``."""
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
         return laser_factor(z[None], L)[0]
@@ -875,6 +882,20 @@ _EXP_NORMAL = 1022 * np.log(2.0)
 # past 1022 ln 2 laser_flux is 0.0; one ln 2 more covers the rounding of
 # the quartic and of the division
 LASER_CUTOFF = (1023 * np.log(2.0) * 1e-12) ** 0.25
+LASER_PEAK = 0.4e5
+
+
+def laser(geom):
+    """``ProblemData``'s default flux on geom: laser_flux at geom.L, with
+    its support (the spot centre L/2 per wall axis and LASER_CUTOFF), past
+    which the top-flux quadrature visits no facet, and its factors (one
+    laser_factor per wall axis, LASER_PEAK in the first), whose product a
+    3D load integrates by one-dimensional moments."""
+    q = functools.partial(laser_flux, dim=geom.dim, L=geom.L)
+    q.support = (np.full(geom.dim - 1, geom.L / 2.0), LASER_CUTOFF)
+    phi = functools.partial(laser_factor, L=geom.L)
+    q.factors = (lambda z: LASER_PEAK * phi(z),) + (phi,) * (geom.dim - 2)
+    return q
 
 
 class _Elimination:

@@ -93,12 +93,15 @@ class NonlinearReport:
     inner_dd_iterations: list = field(default_factory=list)
     inner_linear_iterations: list = field(default_factory=list)
     wall_time: float = 0.0
-    mesh: object = None
     dofmap: object = None
-    local_mesh: object = None
     local_dofmap: object = None
-    global_mesh: object = None
     global_dofmap: object = None
+
+    mesh = property(lambda self: getattr(self.dofmap, "mesh", None))
+    local_mesh = property(
+        lambda self: getattr(self.local_dofmap, "mesh", None))
+    global_mesh = property(
+        lambda self: getattr(self.global_dofmap, "mesh", None))
 
 
 def cell_midpoint_values(mesh, dofmap, coeffs):
@@ -197,8 +200,7 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
                     inner_dd_iterations=dd_iters,
                     inner_linear_iterations=lin_iters,
                     wall_time=time.perf_counter() - t0,
-                    local_mesh=lmesh, local_dofmap=ldof,
-                    global_mesh=gmesh, global_dofmap=gdof)
+                    local_dofmap=ldof, global_dofmap=gdof)
 
     return _picard(step, (np.full(gdof.n_dofs, problem.T_D),
                           np.full(ldof.n_dofs, problem.T_D)), nl, fields)
@@ -232,8 +234,7 @@ def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
         Tc = cell_midpoint_values(mesh, dofmap, T)
         return dict(T=T, kappa_B_mean=float(np.mean(curve_B(Tc[in_strip]))),
                     inner_linear_iterations=lin_iters,
-                    wall_time=time.perf_counter() - t0,
-                    mesh=mesh, dofmap=dofmap)
+                    wall_time=time.perf_counter() - t0, dofmap=dofmap)
 
     return _picard(step, (np.full(dofmap.n_dofs, problem.T_D),), nl, fields)
 

@@ -372,9 +372,46 @@ class TestBuilder:
             build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5, **cells)
 
     def test_operators_restate_no_inputs(self):
-        names = {f.name for f in dataclasses.fields(CoupledOperators)}
-        assert not names & {"geom", "T_D"}
-        assert {"global_dirichlet", "local_dirichlet"} <= names
+        # the operators hold blocks, loads and two dof maps; each mesh and
+        # Dirichlet list is read from its dof map, on either kind of build
+        assert [f.name for f in dataclasses.fields(CoupledOperators)
+                if f.init] == ["K_plus", "K_minus", "S", "D", "f_plus",
+                               "f_minus", "global_dofmap", "local_dofmap"]
+        geom, gm, gd, lm, ld = make_pair()
+        for cells in ({}, dict(cells_at(gm, lm, 1.0, 0.5),
+                               flux_scale=lambda x: 2.0)):
+            ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                          **cells)
+            assert ops.global_mesh is ops.global_dofmap.mesh is gm
+            assert ops.local_mesh is ops.local_dofmap.mesh is lm
+            assert ops.global_dirichlet is \
+                fem_module._elimination(ops.global_dofmap).dofs
+            assert ops.local_dirichlet is \
+                fem_module._elimination(ops.local_dofmap).dofs
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda x: np.full(len(x), np.nan), id="nan"),
+        pytest.param(lambda x: np.full(len(x), np.inf), id="inf"),
+        pytest.param(lambda x: np.ones(len(x) - 1), id="short"),
+        pytest.param(lambda x: np.ones((len(x), 1)), id="column")])
+    def test_flux_scale_results_checked(self, bad):
+        # a scale result that is not finite, or neither a scalar nor one
+        # value per point, is refused by name as the build runs (it was a
+        # non-finite load that the sweep blamed on the matrix, or numpy's
+        # broadcast error)
+        geom, gm, gd, lm, ld = make_pair()
+        with pytest.raises(InvalidConfig, match="flux_scale"):
+            build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
+                                    **cells_at(gm, lm, 1.0, 0.5),
+                                    flux_scale=bad)
+
+    def test_scalar_flux_scale_broadcasts(self):
+        geom, gm, gd, lm, ld = make_pair()
+        f_plus = [build_coupled_operators(
+            geom, gm, gd, lm, ld, 1.0, 0.5, **cells_at(gm, lm, 1.0, 0.5),
+            flux_scale=scale).f_plus for scale in (
+                lambda x: 2.0, lambda x: np.full(len(x), 2.0))]
+        np.testing.assert_array_equal(*f_plus)
 
     @pytest.mark.parametrize("name,bad", [
         pytest.param(name, bad, id=f"{name}-{what}")

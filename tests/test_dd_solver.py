@@ -1,7 +1,7 @@
 """Alternating iteration, closed-form equivalents and the fitted reference."""
 
 import json
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from gldd.coupling import (CoupledOperators, ProblemData,
                            build_coupled_operators)
-from gldd.dd_solver import (DDConfig, DDReport, block_residual,
-                            build_mesh_pair, export_solution_csv,
+from gldd.dd_solver import (DDConfig, DDReport, FittedSolution,
+                            block_residual, build_mesh_pair,
+                            export_solution_csv,
                             make_iteration_operator, neumann_partial_sum,
                             run_coupled_direct, run_fitted_reference,
                             run_two_level_dd, setup_case)
@@ -662,6 +663,15 @@ class TestFittedReference:
         # hottest point sits in the strip under the beam on both meshes
         assert (report.T_minus.max() - T_D) == pytest.approx(
             fitted.T.max() - T_D, rel=0.05)
+
+    def test_mesh_and_dof_count_are_the_dof_maps(self):
+        # the solution keeps its dof map only; the mesh and dof count are
+        # read from it
+        assert [f.name for f in fields(FittedSolution)] == [
+            "dofmap", "T", "iterations", "wall_time"]
+        fitted = run_fitted_reference(GEOM, 1 / 160, 1 / 320, 1.0, 0.5, 1)
+        assert fitted.mesh is fitted.dofmap.mesh
+        assert fitted.n_dofs == fitted.dofmap.n_dofs == len(fitted.T)
 
     def test_graded_mode_matches_uniform_field(self):
         uni = run_fitted_reference(GEOM, 1 / 160, 1 / 320, 1.0, 0.5, 1,

@@ -1251,13 +1251,16 @@ class TestKeptLocation:
         assert calls == [20, 20, 20]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
 @pytest.mark.parametrize("support", [True, False], ids=["laser", "plain"])
-def test_scaled_flux_matches_one_pass_load(support):
+def test_scaled_flux_matches_one_pass_load(support, geom, m):
     # ScaledLoad.add_to against assemble_load with the scale folded into a
-    # volume source inside a footprint and into q where it is nonzero
-    mesh = build_global_mesh(GEOM3, 1 / 160)
-    dof = build_dofmap(mesh, 1)
-    q = ProblemData().flux(GEOM3)
+    # volume source inside a footprint and into q where it is nonzero; the
+    # 2D path is the one picard-laser runs
+    mesh = build_global_mesh(geom, 1 / 160)
+    dof = build_dofmap(mesh, m)
+    q = ProblemData().flux(geom)
     if not support:
         q = lambda x, q=q: q(x)
 
@@ -1265,7 +1268,7 @@ def test_scaled_flux_matches_one_pass_load(support):
         return 1e3 * (1.0 + 40.0 * x[..., 0])
 
     def footprint(x):
-        return x[..., -1] >= GEOM3.H - GEOM3.H_minus - 1e-12
+        return x[..., -1] >= geom.floor - 1e-12
 
     kept = fem.ScaledLoad(mesh, dof, f, q, 1e-3, footprint)
     seen = []

@@ -260,6 +260,51 @@ def test_foreign_use_detector():
         (PACKAGE / "fem.py").read_text())}
 
 
+# the laser: fem.laser builds it from laser_flux, laser_factor,
+# LASER_CUTOFF and LASER_PEAK, the one owner of its peak, centre, cutoff
+# and factors; the package's public names include the flux itself
+LASER_PARTS = {"laser_flux", "laser_factor", "LASER_CUTOFF", "LASER_PEAK"}
+LASER_EXPORTS = {"__init__.py": {"laser_flux"}}
+
+
+def laser_parts(source):
+    """(line, name) of every use of a part of the laser in a module (see
+    foreign_uses), and (line, repr) of every number literal equal to its
+    peak, 4e4."""
+    peaks = [(node.lineno, repr(node.value))
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant)
+             and type(node.value) in (int, float) and node.value == 4e4]
+    return sorted(foreign_uses(source, LASER_PARTS) + peaks)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "fem.py"),
+                         ids=lambda p: p.name)
+def test_laser_built_only_in_fem(path):
+    allowed = LASER_EXPORTS.get(path.name, set())
+    assert [(line, name) for line, name in laser_parts(path.read_text())
+            if name not in allowed] == []
+
+
+def test_laser_part_detector():
+    # ProblemData.flux as it built the laser before fem.laser did
+    source = ("from .fem import LASER_CUTOFF, laser_factor, laser_flux\n"
+              "def flux(geom):\n"
+              "    q = functools.partial(laser_flux, dim=geom.dim, L=geom.L)\n"
+              "    q.support = (centre, fem.LASER_CUTOFF)\n"
+              "    factor = functools.partial(fem.laser_factor, L=geom.L)\n"
+              "    q.factors = (lambda z: 0.4e5 * factor(z), 40000)\n")
+    assert laser_parts(source) == [
+        (1, "LASER_CUTOFF"), (1, "laser_factor"), (1, "laser_flux"),
+        (3, "laser_flux"), (4, "LASER_CUTOFF"), (5, "laser_factor"),
+        (6, "40000"), (6, "40000.0")]
+    # fem writes the peak once, and coupling reads the laser from fem
+    assert [name for _line, name in laser_parts(
+        (PACKAGE / "fem.py").read_text()) if name[0].isdigit()] == ["40000.0"]
+    assert "laser" in names_read((PACKAGE / "coupling.py").read_text())
+
+
 # the gamma facets: mesh tags them, and coupling._Interface, the one owner
 # of the gamma quadrature, is the one reader of that tag outside mesh
 GAMMA_READERS = {"coupling.py": {"_Interface"}}

@@ -1,5 +1,7 @@
 """Temperature-dependent conductivity and the outer Picard loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from gldd.errors import (InvalidConfig, NonpositiveCoefficient,
 from gldd.linalg import SolverConfig
 from gldd.fem import build_dofmap, evaluate_field
 from gldd.mesh import GeometryConfig, build_global_mesh, interface_facets
-from gldd.nonlinear import (MaterialCurve, NonlinearConfig,
+from gldd.nonlinear import (MaterialCurve, NonlinearConfig, NonlinearReport,
                             cell_midpoint_values, picard_monolithic,
                             picard_two_level, sweep_kappa_plus_B)
 
@@ -330,6 +332,23 @@ class TestPicardMonolithic:
                                     MaterialCurve.constant(1.0), CURVE_B, nl)
             assert rep.converged and rep.picard_iterations > 2
             assert len(found) == 1
+
+
+@pytest.mark.parametrize("route", [picard_two_level, picard_monolithic])
+def test_report_meshes_are_its_dof_maps(route):
+    # a report keeps dof maps only: each mesh is read from its dof map, and
+    # is None where the route has no such dof map
+    assert not {f.name for f in dataclasses.fields(NonlinearReport)} & {
+        "mesh", "local_mesh", "global_mesh"}
+    rep = route(GEOM, 1 / 160, 1 / 320, 1, MaterialCurve.constant(1.0),
+                MaterialCurve.constant(0.5), NonlinearConfig(),
+                problem=ProblemData(f=0.0, q=0.0, T_D=0.0))
+    assert (rep.dofmap is None) == (route is picard_two_level)
+    for mesh, dofmap in ((rep.mesh, rep.dofmap),
+                         (rep.local_mesh, rep.local_dofmap),
+                         (rep.global_mesh, rep.global_dofmap)):
+        assert mesh is getattr(dofmap, "mesh", None)
+        assert (mesh is None) == (dofmap is None)
 
 
 @pytest.mark.parametrize("route", [picard_two_level, picard_monolithic])
