@@ -130,10 +130,10 @@ def _cmd_solve(args) -> int:
         print(f"operators written to {out}")
     if args.export_solution:
         out.mkdir(parents=True, exist_ok=True)
-        export_solution_csv(ops.global_mesh, ops.global_dofmap,
-                            report.T_plus, out / "T_plus.csv")
-        export_solution_csv(ops.local_mesh, ops.local_dofmap,
-                            report.T_minus, out / "T_minus.csv")
+        export_solution_csv(ops.global_dofmap, report.T_plus,
+                            out / "T_plus.csv")
+        export_solution_csv(ops.local_dofmap, report.T_minus,
+                            out / "T_minus.csv")
         print(f"solutions written to {out}")
     if args.json:
         print(report.to_json())

@@ -64,7 +64,7 @@ import scipy.sparse as sp
 
 from .errors import (FINITE, NONNEGATIVE, POSITIVE, InvalidConfig,
                      NonpositiveCoefficient, OrphanInterfaceFacet,
-                     check_entries, check_number)
+                     check_entries, check_number, check_one_per)
 from .fem import (DofMap, ScaledLoad, _as_callable, _basis_at_points,
                   _CsrPattern, _elimination, _facet_mass, _facet_terms,
                   _on_layout, _stiffness_pattern, _zero, assemble_load,
@@ -225,13 +225,12 @@ class _Interface:
             raise OrphanInterfaceFacet("mesh has no interface facets")
         facets = local_mesh.facet_vertices[gamma]
         owners = local_mesh.facet_cells[gamma]
-        self.ldofs, self.scale = _facet_terms(local_mesh, local_dofmap,
-                                              facets)
+        self.ldofs, self.scale = _facet_terms(local_dofmap, facets)
         self.lvals = shape_values(dim - 1, local_dofmap.m, rule.points)
         self.wq = rule.weights * self.scale[:, None]
         xq = rule.points @ local_mesh.vertices[facets]
         self.gdofs, self.gvals = gdofs, gvals = _basis_at_points(
-            global_dofmap.mesh, global_dofmap, xq.reshape(-1, dim))
+            global_dofmap, xq.reshape(-1, dim))
         # a box basis function that vanishes at a gamma point rounds to up
         # to 1.3e-15 there (3D P2); keep such box dofs off gamma out of D
         gvals[np.abs(gvals) <= 1e-12] = 0.0
@@ -326,7 +325,7 @@ def _strip_blocks(global_dofmap, local_dofmap, kappa_minus, alpha, jump):
     pattern first, so that S's assembly, which builds the kept interface
     terms, finds the gamma mass's slots and the strip's Dirichlet rows in
     that pattern without building it; D reuses them."""
-    K = assemble_stiffness(local_dofmap.mesh, local_dofmap, kappa_minus)
+    K = assemble_stiffness(local_dofmap, kappa_minus)
     S = assemble_flux_jump_S(global_dofmap, local_dofmap, jump)
     terms = _interface(global_dofmap, local_dofmap)
     K.data[terms.mass_slots] += terms.mass.data(alpha * terms.scale)
@@ -381,7 +380,7 @@ class _UnitPair:
     def __init__(self, global_dofmap, local_dofmap, r):
         self.plus = memoised(
             global_dofmap, "_unit_block", (), lambda: _UnitBlock(
-                assemble_stiffness(global_dofmap.mesh, global_dofmap, 1.0),
+                assemble_stiffness(global_dofmap, 1.0),
                 _elimination(global_dofmap)))
         K, self.S, self.D = _strip_blocks(global_dofmap, local_dofmap, 1.0,
                                           r, 1.0)
@@ -452,8 +451,8 @@ def _load(geom, dofmap, problem, flux_scale=None):
     if flux_scale is not None:
         b = np.zeros(dofmap.n_dofs)
         memoised(dofmap, "_scaled_load", key,
-                 lambda: ScaledLoad(dofmap.mesh, dofmap, problem.f, q,
-                                    problem.flux_panel, inside)
+                 lambda: ScaledLoad(dofmap, problem.f, q, problem.flux_panel,
+                                    inside)
                  ).add_to(b, flux_scale)
         return b
 
@@ -475,17 +474,13 @@ def _check_cells(global_dofmap, local_dofmap, kappa_plus_cells,
     """A per-cell build's arrays: one value per box cell, per strip cell
     and, finite, per gamma facet of the mesh pair's interface terms.
     Raises InvalidConfig naming the argument."""
-    n_gamma = len(_interface(global_dofmap, local_dofmap).scale)
-    for name, values, n, where in (
-            ("kappa_plus_cells", kappa_plus_cells,
-             global_dofmap.mesh.num_cells, "box cell"),
-            ("kappa_minus_cells", kappa_minus_cells,
-             local_dofmap.mesh.num_cells, "strip cell"),
-            ("jump_facet_weights", jump_facet_weights, n_gamma,
-             "gamma facet")):
-        if np.shape(values) != (n,):
-            raise InvalidConfig(f"{name} must hold one value per {where} "
-                                f"({n}), got shape {np.shape(values)}")
+    check_one_per("kappa_plus_cells", kappa_plus_cells,
+                  global_dofmap.mesh.num_cells, "box cell")
+    check_one_per("kappa_minus_cells", kappa_minus_cells,
+                  local_dofmap.mesh.num_cells, "strip cell")
+    check_one_per("jump_facet_weights", jump_facet_weights,
+                  len(_interface(global_dofmap, local_dofmap).scale),
+                  "gamma facet")
     check_entries("jump_facet_weights", jump_facet_weights, FINITE)
 
 
@@ -533,8 +528,8 @@ def build_coupled_operators(geom: GeometryConfig,
     check_number("kappa_minus", kappa_minus, POSITIVE, NonpositiveCoefficient)
     if alpha is not None:
         check_number("alpha", alpha, NONNEGATIVE, NonpositiveCoefficient)
-    if (global_mesh, local_mesh) != (global_dofmap.mesh, local_dofmap.mesh):
-        raise InvalidConfig("each mesh must be the mesh of its dof map")
+    global_dofmap.check_mesh("global_mesh", global_mesh)
+    local_dofmap.check_mesh("local_mesh", local_mesh)
     cells = (kappa_plus_cells, kappa_minus_cells, jump_facet_weights,
              flux_scale)
     scalar = all(c is None for c in cells)
@@ -560,8 +555,7 @@ def build_coupled_operators(geom: GeometryConfig,
         _check_cells(global_dofmap, local_dofmap, *cells[:3])
         f_plus = _load(geom, global_dofmap, problem, flux_scale)
         f_minus = _load(geom, local_dofmap, problem)[1]
-        K_plus = assemble_stiffness(global_mesh, global_dofmap,
-                                    kappa_plus_cells)
+        K_plus = assemble_stiffness(global_dofmap, kappa_plus_cells)
         K_minus, S, D = _strip_blocks(
             global_dofmap, local_dofmap, kappa_minus_cells,
             default_alpha(kappa_minus_cells, local_mesh.h) if alpha is None

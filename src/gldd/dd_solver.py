@@ -45,9 +45,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coupling import CoupledOperators, ProblemData, build_coupled_operators
-from .errors import (COUNT, POSITIVE, Diverged, IterationFailure,
-                     MaxItersExceeded, SingularMatrix, check_number,
-                     check_type)
+from .errors import (COUNT, FINITE, POSITIVE, WHOLE, Diverged,
+                     IterationFailure, MaxItersExceeded, SingularMatrix,
+                     check_entries, check_number, check_one_per, check_type)
 from .fem import (_elimination, assemble_load, assemble_stiffness,
                   build_dofmap)
 from .linalg import LinearSolver, SolverConfig
@@ -146,9 +146,14 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     solve or in a sweep.  Every exit builds one report, with the sweeps
     completed, the strip solve of the last one, the tail heuristic
     rho_estimate and the inner iterations; each of these
-    IterationFailures carries it as the partial report.
+    IterationFailures carries it as the partial report.  An initial box
+    iterate other than one finite value per box dof raises InvalidConfig
+    naming it.
     """
     config = config or DDConfig()
+    if initial is not None:
+        check_one_per("initial", initial, ops.n_plus, "box dof")
+        initial = check_entries("initial", initial, FINITE)
     t0 = time.perf_counter()
     plus, minus = ops.solvers(config.solver)
     block = ops._state.get("block") if config.solver.method == "direct" \
@@ -165,8 +170,7 @@ def run_two_level_dd(ops: CoupledOperators, config: DDConfig | None = None,
     first_step = None
     failure = None
     try:
-        T_plus = (plus.solve(ops.f_plus) if initial is None
-                  else np.array(initial, dtype=float))
+        T_plus = plus.solve(ops.f_plus) if initial is None else initial.copy()
         iterates = [T_plus.copy()] if config.store_iterates else None
         if block is not None:
             c = _affine_term(ops, plus, minus)
@@ -236,7 +240,9 @@ def neumann_partial_sum(ops: CoupledOperators, k: int, T_plus_0):
 
     evaluated matrix-free, accumulating the powers term by term, on
     ops.solvers(SolverConfig()), the pair make_iteration_operator(ops) uses.
+    k is a nonnegative integer (errors.WHOLE), else InvalidConfig.
     """
+    check_number("k", k, WHOLE)
     apply_M = make_iteration_operator(ops)
     c = _affine_term(ops, *ops.solvers(SolverConfig()))
     T_plus_0 = np.asarray(T_plus_0, dtype=float)
@@ -308,31 +314,33 @@ def run_fitted_reference(geom: GeometryConfig, h_plus, h_minus,
     kappa_cells = np.where(strip_cells(mesh, geom), kappa_B, kappa_A)
     load = assemble_load(mesh, dofmap, problem.f, problem.flux(geom),
                          q_panel=problem.flux_panel)
-    T, iterations = solve_fitted(mesh, dofmap, kappa_cells, load,
-                                 problem.T_D, solver)
+    T, iterations = solve_fitted(dofmap, kappa_cells, load, problem.T_D,
+                                 solver)
     return FittedSolution(dofmap=dofmap, T=T, iterations=iterations,
                           wall_time=time.perf_counter() - t0)
 
 
-def solve_fitted(mesh, dofmap, kappa_cells, load, T_D,
+def solve_fitted(dofmap, kappa_cells, load, T_D,
                  solver: SolverConfig | None = None):
-    """One solve on a fitted mesh at per-cell conductivities kappa_cells:
+    """One solve on a fitted dof map at per-cell conductivities kappa_cells:
     the stiffness, the outer Dirichlet dofs eliminated at T_D (load itself
     is left unchanged) and a LinearSolver.  Returns (T, inner iterations).
 
     The elimination is the one kept on the dof map (fem._elimination), so a
     Picard loop finds it once."""
     A, b = _elimination(dofmap).apply(
-        assemble_stiffness(mesh, dofmap, kappa_cells), load, T_D)
+        assemble_stiffness(dofmap, kappa_cells), load, T_D)
     lin = LinearSolver(A, solver or SolverConfig())
     return lin.solve(b), lin.total_iterations
 
 
-def export_solution_csv(mesh, dofmap, coeffs, path):
-    """Per-dof CSV: index, coordinates, value."""
+def export_solution_csv(dofmap, coeffs, path):
+    """Per-dof CSV: index, coordinates, value; coeffs one value per dof,
+    else InvalidConfig naming it."""
+    check_one_per("coeffs", coeffs, dofmap.n_dofs, "dof")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        cols = ["dof", "x", "y", "z"][:1 + mesh.dim] + ["value"]
+        cols = ["dof", "x", "y", "z"][:1 + dofmap.mesh.dim] + ["value"]
         writer.writerow(cols)
         for i, (xy, v) in enumerate(zip(dofmap.dof_coords, coeffs)):
             writer.writerow([i, *(f"{c:.17g}" for c in xy), f"{v:.17g}"])

@@ -174,6 +174,14 @@ def check_entries(name, values, rule, error=InvalidConfig):
     return array
 
 
+def check_one_per(name, values, n, item):
+    """The rule of an array of one value per item: shape (n,).  Raises
+    InvalidConfig naming the field, the item and n."""
+    if np.shape(values) != (n,):
+        raise InvalidConfig(f"{name} must hold one value per {item} ({n}), "
+                            f"got shape {np.shape(values)}")
+
+
 def check_choice(name, value, choices, error=InvalidConfig):
     """The rule of a config name or small integer: a str or an integer
     (bool excluded) among choices.  Raises error naming both."""

@@ -204,6 +204,12 @@ class DofMap:
         self.cell_dofs.setflags(write=False)
         self.dof_coords.setflags(write=False)
 
+    def check_mesh(self, name, mesh):
+        """The rule of a mesh passed beside this dof map: its own mesh, by
+        identity.  Raises InvalidConfig naming the argument."""
+        if mesh is not self.mesh:
+            raise InvalidConfig(f"{name} must be the mesh of its dof map")
+
     def facet_dofs(self, facets):
         """Dofs supported on one facet (k,) or on each facet of an (nf, k)
         array: its vertices, then its edge dofs in local edge order.
@@ -254,7 +260,6 @@ def build_dofmap(mesh: StructuredMesh, m: int) -> DofMap:
 
 def shape_values(dim, m, lam):
     """Values of all cell shape functions at barycentric points lam (nq, dim+1)."""
-    lam = np.atleast_2d(lam)
     if m == 1:
         return lam.copy()
     vertex = lam * (2.0 * lam - 1.0)
@@ -267,7 +272,6 @@ def shape_values(dim, m, lam):
 def shape_bary_grads(dim, m, lam):
     """Derivatives of shape functions w.r.t. barycentric coordinates,
     shape (nq, n_loc, dim+1)."""
-    lam = np.atleast_2d(lam)
     nq = lam.shape[0]
     nb = dim + 1
     if m == 1:
@@ -374,7 +378,7 @@ def _stiffness_pattern(dofmap):
     return memoised(dofmap, "_stiffness", (), build)
 
 
-def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_matrix:
+def assemble_stiffness(dofmap: DofMap, kappa) -> sp.csr_matrix:
     """Stiffness matrix for -div(kappa grad u); kappa scalar or per-cell array.
 
     The unit cell matrices and the CSR pattern are built on the first call
@@ -382,19 +386,20 @@ def assemble_stiffness(mesh: StructuredMesh, dofmap: DofMap, kappa) -> sp.csr_ma
     """
     kappa = np.broadcast_to(
         check_entries("kappa", kappa, POSITIVE, NonpositiveCoefficient),
-        (mesh.num_cells,))
+        (dofmap.mesh.num_cells,))
     # weights sum to the reference measure, so |detJ| is the whole Jacobian
-    adet, _, shape = cell_geometry(mesh)
+    adet, _, shape = cell_geometry(dofmap.mesh)
     return _stiffness_pattern(dofmap).matrix(kappa * adet[shape])
 
 
-def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
+def assemble_boundary_mass(dofmap: DofMap, facets,
                            weight: float) -> sp.csr_matrix:
     """weight * mass matrix over the given boundary facets.
 
-    Facets must be boundary facets of the mesh, in any vertex order;
-    anything else raises ForeignFacet.
+    Facets must be boundary facets of the dof map's mesh, in any vertex
+    order; anything else raises ForeignFacet.
     """
+    mesh = dofmap.mesh
     facets = np.asarray(facets, dtype=np.int64).reshape(-1, mesh.dim)
     keys = np.sort(facets, axis=1)
     nv = mesh.num_vertices
@@ -407,16 +412,17 @@ def assemble_boundary_mass(mesh: StructuredMesh, dofmap: DofMap, facets,
             f"facet {tuple(facets[foreign.argmax()].tolist())} is not a "
             "boundary facet")
     rule = facet_rule(mesh.dim, dofmap.m)
-    dofs, scale = _facet_terms(mesh, dofmap, keys)
+    dofs, scale = _facet_terms(dofmap, keys)
     return _facet_mass(dofs, rule.weights,
                        shape_values(mesh.dim - 1, dofmap.m, rule.points),
                        dofmap.n_dofs).matrix(weight * scale)
 
 
-def _facet_terms(mesh, dofmap, facets):
+def _facet_terms(dofmap, facets):
     """The dofs (nf, n) of boundary facets (nf, dim) and their measures
     over the reference measure (nf,): the per-facet terms of every
     boundary-facet quadrature."""
+    mesh = dofmap.mesh
     return (dofmap.facet_dofs(facets),
             mesh.facet_measure(facets) / (1.0 if mesh.dim == 2 else 0.5))
 
@@ -513,20 +519,21 @@ def assemble_load(mesh: StructuredMesh, dofmap: DofMap, f=0.0, q=None,
         pieces per axis (panels per leg for the moments), at most 256, so
         no piece is wider than q_panel
     """
+    dofmap.check_mesh("mesh", mesh)
     b = np.zeros(dofmap.n_dofs)
     if not _zero(f):
-        _add_volume(b, mesh, dofmap,
-                    _values(_as_callable(f), _volume_points(mesh, dofmap)))
+        _add_volume(b, dofmap,
+                    _values(_as_callable(f), _volume_points(dofmap)))
     if q is None or _zero(q):
         return b
     support, factors = getattr(q, "support", None), getattr(q, "factors", None)
     moments = None if factors is None or mesh.dim == 2 else \
-        _flux_moments(mesh, dofmap, factors, support, q_panel)
+        _flux_moments(dofmap, factors, support, q_panel)
     if moments is not None:
         np.add.at(b, *moments)
     else:
         qfun = _as_callable(q)
-        terms, rule, chunks = _flux_chunks(mesh, dofmap, support, q_panel)
+        terms, rule, chunks = _flux_chunks(dofmap, support, q_panel)
         # each chunk is summed before the next is evaluated, so all of them
         # share one buffer for their values
         buf = np.empty((max((len(c) for _, c, _ in chunks), default=0),
@@ -551,13 +558,15 @@ def _values(fun, x):
     return values
 
 
-def _volume_points(mesh, dofmap):
+def _volume_points(dofmap):
     """The volume quadrature points (nc, nq, dim) of assemble_load."""
+    mesh = dofmap.mesh
     return volume_rule(mesh.dim, dofmap.m).points @ mesh.vertices[mesh.cells]
 
 
-def _add_volume(b, mesh, dofmap, fq):
+def _add_volume(b, dofmap, fq):
     """Add the volume source to b from its values fq (nc, nq) there."""
+    mesh = dofmap.mesh
     rule = volume_rule(mesh.dim, dofmap.m)
     vvals = shape_values(mesh.dim, dofmap.m, rule.points)
     adet, _, shape = cell_geometry(mesh)
@@ -586,7 +595,7 @@ def _visited_top(mesh, support, q_panel):
     return top, pts, n
 
 
-def _flux_chunks(mesh, dofmap, support, q_panel):
+def _flux_chunks(dofmap, support, q_panel):
     """The composite top-flux quadrature of assemble_load (see there for
     support and q_panel): the terms (dofs, scales, fvals) of the top
     facets it visits, their _facet_terms and the kept trace basis, its
@@ -596,6 +605,7 @@ def _flux_chunks(mesh, dofmap, support, q_panel):
     block's points.  A chunk is whole facets in one block of at most
     _FLUX_CHUNK points, or one facet that holds more, in blocks of whole
     pieces."""
+    mesh = dofmap.mesh
     top, pts, n = _visited_top(mesh, support, q_panel)
     rule = _composite_facet_rule(mesh.dim, dofmap.m, n)
     nq = len(rule.weights)
@@ -607,7 +617,7 @@ def _flux_chunks(mesh, dofmap, support, q_panel):
         per, blocks = 1, [slice(r, r + step) for r in range(0, nq, step)]
     chunks = [(slice(a, a + per), pts[a:a + per], blocks)
               for a in range(0, len(top), per)]
-    terms = _facet_terms(mesh, dofmap, top) + (
+    terms = _facet_terms(dofmap, top) + (
         _composite_trace_basis(mesh.dim, dofmap.m, n),)
     return terms, rule, chunks
 
@@ -617,7 +627,7 @@ def _flux_chunks(mesh, dofmap, support, q_panel):
 _CORNERS = np.array(list(itertools.permutations(range(3))))
 
 
-def _flux_moments(mesh, dofmap, factors, support, q_panel):
+def _flux_moments(dofmap, factors, support, q_panel):
     """The top flux qx(x) * qy(y), factors = (qx, qy), of assemble_load on
     a 3D mesh by one-dimensional moments: the dofs (nf, k) of the top
     facets it visits and their entries (nf, k), or None when one of them
@@ -638,7 +648,7 @@ def _flux_moments(mesh, dofmap, factors, support, q_panel):
     of the composite rule.  Nothing loops over facets: one call per factor
     on all of them, and one stacked product per corner order.
     """
-    top, pts, n = _visited_top(mesh, support, q_panel)
+    top, pts, n = _visited_top(dofmap.mesh, support, q_panel)
     wall = pts[:, _CORNERS, :2]
     c, i, j = wall[:, :, 0], wall[:, :, 1], wall[:, :, 2]
     right = ((c[..., 1] == i[..., 1]) & (c[..., 0] != i[..., 0])
@@ -667,7 +677,7 @@ def _flux_moments(mesh, dofmap, factors, support, q_panel):
             inner[:, k] += coef * below[:, kk, :, None]
     qx = factors[0](x0[:, None, None] + a[:, None, None] * (1.0 - t[:, 0]))
     inner *= (qx * weights[0, 0, 0])[:, None]
-    dofs, scale = _facet_terms(mesh, dofmap, top)
+    dofs, scale = _facet_terms(dofmap, top)
     entries = np.empty(dofs.shape)
     for corner in np.unique(order):
         at = order == corner
@@ -774,7 +784,7 @@ class ScaledLoad:
     are called once, here.  The flux takes the composite rule even when q
     carries factors: the scale is not separable."""
 
-    def __init__(self, mesh, dofmap, f, q, q_panel, footprint):
+    def __init__(self, dofmap, f, q, q_panel, footprint):
         def kept(*arrays):
             for arr in arrays:
                 arr.setflags(write=False)
@@ -786,16 +796,16 @@ class ScaledLoad:
                 (len(corners), len(rule.weights))), hot_points)
             return kept(values, values != 0.0, np.concatenate(hot_points))
 
-        self.mesh, self.dofmap = mesh, dofmap
+        self.dofmap = dofmap
         self.volume = self.flux = None
         if not _zero(f):
-            x = _volume_points(mesh, dofmap)
+            x = _volume_points(dofmap)
             hot = footprint(x)
             self.volume = kept(_values(_as_callable(f), x), hot, x[hot])
         if not _zero(q):
             qfun = _as_callable(q)
             terms, rule, chunks = _flux_chunks(
-                mesh, dofmap, getattr(q, "support", None), q_panel)
+                dofmap, getattr(q, "support", None), q_panel)
             self.flux = terms, rule.weights, [
                 (k, kept_flux(corners, blocks))
                 for k, corners, blocks in chunks]
@@ -817,50 +827,45 @@ class ScaledLoad:
             return values
 
         if self.volume is not None:
-            _add_volume(b, self.mesh, self.dofmap, scaled(*self.volume))
+            _add_volume(b, self.dofmap, scaled(*self.volume))
         if self.flux is not None:
             terms, weights, chunks = self.flux
             _add_flux(b, terms, weights,
                       ((k, scaled(*arrays)) for k, arrays in chunks))
 
 
-def laser_flux(x, dim, L):
-    """Surface heat flux concentrated at the middle of the top wall.
+def laser_flux(x, centre):
+    """Surface heat flux concentrated at centre, the spot's wall
+    coordinates (dim - 1,), on points x (..., dim).
 
-    2D: LASER_PEAK * exp(-(L/2 - x)^4 / 1e-12), bitwise the peak times
-    laser_factor(x); 3D adds the same quartic in y inside the exponential.
-    Accepts a single point or an array of points (..., dim).  Where that
-    exponential would fall below the smallest normal double the value is
-    exactly 0.0, so it is 0.0 or at least the peak times DBL_MIN, and
-    exactly 0.0 wherever max(|L/2 - x|, |L/2 - y|) > LASER_CUTOFF.
+    2D: LASER_PEAK * exp(-(c - x)^4 / 1e-12), c = centre[0], bitwise the
+    peak times laser_factor(x, c); 3D adds the same quartic in y about
+    centre[1].  Where that exponential would fall below the smallest
+    normal double the value is exactly 0.0, so it is 0.0 or at least the
+    peak times DBL_MIN, and exactly 0.0 wherever a wall coordinate lies
+    farther than LASER_CUTOFF from its centre.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        # a 0-d result cannot be written in place
-        return laser_flux(x[None], dim, L)[0]
-    a = _quartic(x[..., 0], L)
-    if dim == 3:
-        a += _quartic(x[..., 1], L)
+    a = _quartic(x[..., 0], centre[0])
+    if len(centre) == 2:
+        a += _quartic(x[..., 1], centre[1])
     out = _normal_exp(a)
     out *= LASER_PEAK
     return out
 
 
-def laser_factor(z, L):
-    """The laser flux along one wall axis: exp(-(L/2 - z)^4 / 1e-12) at a
-    coordinate z or an array of them, exactly 0.0 where that would fall
-    below the smallest normal double, so wherever |L/2 - z| >
-    LASER_CUTOFF.  In 3D, LASER_PEAK * laser_factor(x) * laser_factor(y)
-    is laser_flux up to rounding: the factors of ``laser``."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        return laser_factor(z[None], L)[0]
-    return _normal_exp(_quartic(z, L))
+def laser_factor(z, centre):
+    """The laser flux along one wall axis: exp(-(centre - z)^4 / 1e-12) at
+    an array of coordinates z, exactly 0.0 where that would fall below the
+    smallest normal double, so wherever |centre - z| > LASER_CUTOFF.  In
+    3D, LASER_PEAK * laser_factor(x, cx) * laser_factor(y, cy) is
+    laser_flux at (cx, cy) up to rounding: the factors of ``laser``."""
+    return _normal_exp(_quartic(np.asarray(z, dtype=float), centre))
 
 
-def _quartic(z, L):
-    """(L/2 - z)^4 in a new array."""
-    a = np.subtract(L / 2.0, z)
+def _quartic(z, c):
+    """(c - z)^4 in a new array."""
+    a = np.subtract(c, z)
     np.square(a, out=a)
     np.square(a, out=a)
     return a
@@ -886,15 +891,16 @@ LASER_PEAK = 0.4e5
 
 
 def laser(geom):
-    """``ProblemData``'s default flux on geom: laser_flux at geom.L, with
-    its support (the spot centre L/2 per wall axis and LASER_CUTOFF), past
-    which the top-flux quadrature visits no facet, and its factors (one
-    laser_factor per wall axis, LASER_PEAK in the first), whose product a
-    3D load integrates by one-dimensional moments."""
-    q = functools.partial(laser_flux, dim=geom.dim, L=geom.L)
-    q.support = (np.full(geom.dim - 1, geom.L / 2.0), LASER_CUTOFF)
-    phi = functools.partial(laser_factor, L=geom.L)
-    q.factors = (lambda z: LASER_PEAK * phi(z),) + (phi,) * (geom.dim - 2)
+    """``ProblemData``'s default flux on geom: laser_flux at the middle of
+    the top wall, (L/2, W/2) in 3D, with its support (that centre and
+    LASER_CUTOFF), past which the top-flux quadrature visits no facet, and
+    its factors (one laser_factor per wall axis, LASER_PEAK in the first),
+    whose product a 3D load integrates by one-dimensional moments."""
+    centre = np.array(geom.extents[:-1]) / 2.0
+    q = functools.partial(laser_flux, centre=centre)
+    q.support = (centre, LASER_CUTOFF)
+    first, *rest = (functools.partial(laser_factor, centre=c) for c in centre)
+    q.factors = (lambda z: LASER_PEAK * first(z), *rest)
     return q
 
 
@@ -951,7 +957,7 @@ def _elimination(dofmap):
     pattern, kept on the dof map: the coupled builder and solve_fitted
     share it."""
     return memoised(dofmap, "_elimination", (), lambda: _Elimination(
-        _stiffness_pattern(dofmap), dirichlet_dofs(dofmap.mesh, dofmap)))
+        _stiffness_pattern(dofmap), dirichlet_dofs(dofmap)))
 
 
 def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
@@ -963,8 +969,9 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dofs, value: float):
     return _Elimination(A, dofs).apply(A, b, value)
 
 
-def dirichlet_dofs(mesh: StructuredMesh, dofmap: DofMap) -> np.ndarray:
+def dirichlet_dofs(dofmap: DofMap) -> np.ndarray:
     """Sorted dof indices supported on the DIRICHLET_OUTER facets."""
+    mesh = dofmap.mesh
     return np.unique(dofmap.facet_dofs(mesh.facet_vertices[
         mesh.facet_tags == FacetTag.DIRICHLET_OUTER.value]))
 
@@ -973,13 +980,14 @@ def dirichlet_dofs(mesh: StructuredMesh, dofmap: DofMap) -> np.ndarray:
 # field evaluation and norms
 # ======================================================================
 
-def _basis_at_points(mesh, dofmap, points):
+def _basis_at_points(dofmap, points):
     """Locate points (..., dim) and evaluate the cell basis there.
 
     Returns the dofs of each point's cell and the basis values, both shaped
     (..., n_loc).
     """
     points = np.asarray(points, dtype=float)
+    mesh = dofmap.mesh
     loc = locate_point(mesh, points.reshape(-1, mesh.dim))
     phi = shape_values(mesh.dim, dofmap.m, loc.barycentric)
     lead = points.shape[:-1] + (phi.shape[1],)
@@ -1000,12 +1008,13 @@ def evaluate_field(mesh, dofmap, coeffs, points):
     points is one point (dim,) or an array (..., dim); all of them are
     located in one call.  A single point gives a length-1 result.
     """
-    return _field_at(coeffs, _basis_at_points(mesh, dofmap,
-                                              np.atleast_2d(points)))
+    dofmap.check_mesh("mesh", mesh)
+    return _field_at(coeffs, _basis_at_points(dofmap, np.atleast_2d(points)))
 
 
-def l2_error(mesh, dofmap, coeffs, exact):
+def l2_error(dofmap, coeffs, exact):
     """L2 distance between a finite element field and a callable."""
+    mesh = dofmap.mesh
     rule = volume_rule(mesh.dim, 2)  # generous rule, degree >= 4
     vvals = shape_values(mesh.dim, dofmap.m, rule.points)
     adet, _, shape = cell_geometry(mesh)

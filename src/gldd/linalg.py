@@ -12,12 +12,12 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (COUNT, POSITIVE, WHOLE, InvalidConfig, NoConvergence,
-                     NonpositiveConstant, RankDeficient, SingularMatrix,
-                     TooLarge, check_choice, check_number)
+from .errors import (COUNT, FINITE, POSITIVE, WHOLE, InvalidConfig,
+                     NoConvergence, NonpositiveConstant, RankDeficient,
+                     SingularMatrix, TooLarge, check_choice, check_entries,
+                     check_number)
 
 # the solver methods a SolverConfig takes, each mapped to its kind
 METHODS = {
@@ -66,11 +66,11 @@ class SolverConfig:
 
 
 class LinearSolver:
-    """A matrix bound to a SolverConfig; factorization is cached, iteration
-    counts accumulate across solves."""
+    """A CSR matrix bound to a SolverConfig; factorization is cached,
+    iteration counts accumulate across solves."""
 
     def __init__(self, A, config: SolverConfig | None = None):
-        self.A = sp.csr_matrix(A)
+        self.A = A
         self.config = config or SolverConfig()
         self.total_iterations = 0
         self._lu = None
@@ -162,13 +162,16 @@ def power_iteration_rho(operator, n, theta=1.0, tol=1e-10, max_iters=5000,
     operator : callable applying M to a vector
     n : dimension of the iteration space
     tol : stop when successive radius estimates differ by less than
-        tol * max(1, estimate)
+        tol * max(1, estimate), positive
+    max_iters : the budget of operator applications, at least 1
     seed : seed for the random start vector, a nonnegative integer
 
     Returns
     -------
     (rho, rayleigh) : magnitude estimate and the signed Rayleigh quotient
     """
+    check_number("tol", tol, POSITIVE)
+    check_number("max_iters", max_iters, COUNT)
     check_number("seed", seed, WHOLE)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
@@ -200,15 +203,14 @@ class InterfaceBlock:
     Analysis, Thm 1.3.22).  lam holds them, with a 0 appended when
     |J| < n_plus, where M is singular.  _DENSE_GUARD bounds |J|.
 
-    plus and minus are direct LinearSolvers on K_plus and K_minus: their
-    factorizations serve the 2|J| column solves of Y and are kept for later
-    solves, such as the sweep's.  CoupledOperators.interface builds the one
-    block of a set of operators, or, for a scalar build, scales the unit
-    block of its mesh pair (scaled).
+    plus and minus are direct LinearSolvers on K_plus and K_minus, D a CSR
+    matrix: their factorizations serve the 2|J| column solves of Y and are
+    kept for later solves, such as the sweep's.  CoupledOperators.interface
+    builds the one block of a set of operators, or, for a scalar build,
+    scales the unit block of its mesh pair (scaled).
     """
 
     def __init__(self, plus, S, minus, D):
-        D = sp.csr_matrix(D)
         self.J = np.unique(D.indices)
         if self.J.size > _DENSE_GUARD:
             raise TooLarge(f"|J| = {self.J.size} exceeds dense guard "
@@ -260,9 +262,10 @@ class SpectralFit:
 
 
 def least_squares_fit(xs, ys, degree):
-    """Polynomial least squares, coefficients in ascending order."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    """Polynomial least squares, coefficients in ascending order; xs and
+    ys finite."""
+    xs = check_entries("xs", xs, FINITE)
+    ys = check_entries("ys", ys, FINITE)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise InvalidConfig("xs and ys must be 1-d arrays of equal length")
     if len(np.unique(xs)) < degree + 1:

@@ -8,12 +8,12 @@ each split into the dim! simplices that share its main diagonal, one per
 axis order (Kuhn's split, the same rule in 2D and 3D).  Point location is
 index arithmetic rather than search: a point's grid block is the lowest
 one holding it, and its simplex is the first axis order along which its
-in-block coordinates do not rise.  ``locate_point`` takes one point or an
-(n, dim) array of points and locates a whole array in one vectorized
-call.  A third kind of mesh, used only by the single-domain reference
-solver, grades from the strip resolution down to the coarse one through
-conforming transition rows, numbered like the grids and built by the
-same index arithmetic, one row at a time.
+in-block coordinates do not rise.  ``locate_point`` takes an (n, dim)
+array of points and locates it in one vectorized call.  A third kind of
+mesh, used only by the single-domain reference solver, grades from the
+strip resolution down to the coarse one through conforming transition
+rows, numbered like the grids and built by the same index arithmetic,
+one row at a time.
 
 Construction and geometry work on all cells or facets in stacked passes,
 with no per-cell loop: the cell array, the boundary facets and their
@@ -87,8 +87,8 @@ class GeometryConfig:
 
 
 class PointLocation(NamedTuple):
-    cell: int
-    barycentric: tuple
+    cell: np.ndarray
+    barycentric: np.ndarray
 
 
 def _block_simplices(dim):
@@ -127,7 +127,6 @@ class SimplicialMesh:
     facet_vertices : (nf, dim) sorted vertex ids of the boundary facets,
         ordered by owner cell, then by the local vertex each one omits
     facet_tags, facet_cells : (nf,) FacetTag values and owner cells
-    boundary_facets : list of (vertex tuple, FacetTag)
     h : nominal cell size
     """
 
@@ -172,13 +171,8 @@ class SimplicialMesh:
         """Cell c has shape c % num_shapes; a general mesh repeats none."""
         return self.num_cells
 
-    @property
-    def boundary_facets(self):
-        return [(tuple(f), FacetTag(t))
-                for f, t in zip(self.facet_vertices, self.facet_tags)]
-
     def facet_measure(self, facets):
-        """Measure of one facet (dim,) or of each facet in an (nf, dim) array."""
+        """Measure of each facet in an (nf, dim) array."""
         facets = np.asarray(facets)
         pts = self.vertices[facets]
         e = pts[..., 1:, :] - pts[..., :1, :]
@@ -187,7 +181,7 @@ class SimplicialMesh:
         else:
             measure = 0.5 * np.linalg.norm(
                 np.cross(e[..., 0, :], e[..., 1, :]), axis=-1)
-        return float(measure) if facets.ndim == 1 else measure
+        return measure
 
     def facet_normal(self, facets, owner_cells):
         """Unit normals of boundary facets (nf, dim) pointing out of their
@@ -422,11 +416,11 @@ def _graded_mesh_2d(geom, h_plus, h_minus):
 def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
     """Find the cell containing each point and its barycentric coordinates.
 
-    x is one point (dim,), giving PointLocation(int, tuple), or an array of
-    points (n, dim), giving PointLocation(cells (n,), barycentric
-    (n, dim+1)).  When a point sits on a shared facet the cell with the
-    lowest index wins.  Raises OutOfDomain, naming the first offending
-    point, for points outside the box.
+    x is an array of points (n, dim), giving PointLocation(cells (n,),
+    barycentric (n, dim+1)); anything else raises InvalidConfig.  When a
+    point sits on a shared facet the cell with the lowest index wins.
+    Raises OutOfDomain, naming the first offending point, for points
+    outside the box.
 
     Structured meshes locate by index arithmetic alone.  With s the
     point's offset from the origin in units of h, its block is
@@ -442,15 +436,12 @@ def locate_point(mesh: SimplicialMesh, x) -> PointLocation:
     and the barycentrics may disagree, is scanned instead.  Other meshes
     are scanned cell by cell, each cell with its shape's map.
     """
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    if hasattr(mesh, "origin"):
-        cells, lam = _locate_structured(mesh, pts)
-    else:
-        cells, lam = _locate_scan(mesh, pts)
-    if x.ndim == 1:
-        return PointLocation(int(cells[0]), tuple(lam[0]))
-    return PointLocation(cells, lam)
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != mesh.dim:
+        raise InvalidConfig(f"points must be an (n, {mesh.dim}) array, got "
+                            f"shape {pts.shape}")
+    locate = _locate_structured if hasattr(mesh, "origin") else _locate_scan
+    return PointLocation(*locate(mesh, pts))
 
 
 def _locate_structured(mesh, pts):

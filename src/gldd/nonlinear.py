@@ -105,7 +105,9 @@ class NonlinearReport:
 
 
 def cell_midpoint_values(mesh, dofmap, coeffs):
-    """Field value at every cell centroid (uniform barycentric point)."""
+    """Field value at every cell centroid (uniform barycentric point);
+    mesh must be the dof map's, else InvalidConfig."""
+    dofmap.check_mesh("mesh", mesh)
     lam = np.full((1, mesh.dim + 1), 1.0 / (mesh.dim + 1))
     phi = shape_values(mesh.dim, dofmap.m, lam)[0]
     return coeffs[dofmap.cell_dofs] @ phi
@@ -177,7 +179,7 @@ def picard_two_level(geom: GeometryConfig, h_plus, h_minus, m,
 
         def flux_scale(x):
             if id(x) not in located:
-                located[id(x)] = x, _basis_at_points(lmesh, ldof, x)
+                located[id(x)] = x, _basis_at_points(ldof, x)
             return nl.kappa_plus_B / np.asarray(
                 curve_B(_field_at(T_minus, located[id(x)][1])))
 
@@ -225,8 +227,8 @@ def picard_monolithic(geom: GeometryConfig, h_plus, h_minus, m,
     def step(iterates, first):
         Tc = cell_midpoint_values(mesh, dofmap, iterates[0])
         kappa_cells = np.where(in_strip, curve_B(Tc), curve_A(Tc))
-        T, iterations = solve_fitted(mesh, dofmap, kappa_cells, load,
-                                     problem.T_D, solver)
+        T, iterations = solve_fitted(dofmap, kappa_cells, load, problem.T_D,
+                                     solver)
         lin_iters.append(iterations)
         return (T,)
 

@@ -46,7 +46,7 @@ def interp(dofmap, fn):
 
 def dirichlet_rows_empty(A, dofmap):
     """Whether the block A has no entry on the Dirichlet rows of dofmap."""
-    dirichlet = fem_module.dirichlet_dofs(dofmap.mesh, dofmap)
+    dirichlet = fem_module.dirichlet_dofs(dofmap)
     return not np.repeat(np.isin(np.arange(A.shape[0]), dirichlet),
                          np.diff(A.indptr)).any()
 
@@ -70,7 +70,7 @@ def oracle_S(monkeypatch, jump, **pair):
     with monkeypatch.context() as patch:
         unconstrained(patch)
         full = assemble_flux_jump_S(whole[2], whole[4], jump)
-    emptied = zero_rows(full.copy(), fem_module.dirichlet_dofs(gm, gd))
+    emptied = zero_rows(full.copy(), fem_module.dirichlet_dofs(gd))
     for part in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(S, part),
                                       getattr(emptied, part))
@@ -155,10 +155,10 @@ class TestPenaltyD:
         D = assemble_penalty_D(gd, ld, alpha)
         assert dirichlet_rows_empty(D, ld)
         free = np.setdiff1d(np.arange(ld.n_dofs),
-                            fem_module.dirichlet_dofs(lm, ld))
+                            fem_module.dirichlet_dofs(ld))
         gamma = [f for f, t in zip(lm.facet_vertices, lm.facet_tags)
                  if t == FacetTag.INTERFACE_GAMMA.value]
-        M_gamma = assemble_boundary_mass(lm, ld, gamma, 1.0)
+        M_gamma = assemble_boundary_mass(ld, gamma, 1.0)
         want = -alpha * (M_gamma @ np.ones(ld.n_dofs))
         got = D @ np.ones(gd.n_dofs)
         np.testing.assert_allclose(got[free], want[free], rtol=1e-12,
@@ -441,6 +441,11 @@ class TestBuilder:
             ProblemData(T_D=value)
 
 
+def spot(geom):
+    """The centre of the laser spot: the middle of the top wall."""
+    return np.array(geom.extents[:-1]) / 2.0
+
+
 def pow_laser_flux(x, dim, L):
     """The laser flux with its quartic written d ** 4."""
     expo = (L / 2.0 - x[..., 0]) ** 4
@@ -479,7 +484,7 @@ class TestLaserSupport:
         panel = ProblemData().flux_panel if dim == 2 else 1e-3
 
         def plain_flux(x):
-            return laser_flux(x, dim, geom.L)
+            return laser_flux(x, spot(geom))
 
         # the same factors, so the strip load takes the same rule in 3D
         plain_flux.factors = ProblemData().flux(geom).factors
@@ -606,7 +611,7 @@ class TestInterfaceTerms:
         terms = coupling._interface(gd, ld)
         alpha = 3.5
         want = terms.mass.matrix(alpha * terms.scale)
-        got = assemble_boundary_mass(lm, ld, gamma_facets(lm)[0], alpha)
+        got = assemble_boundary_mass(ld, gamma_facets(lm)[0], alpha)
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, part),
                                           getattr(want, part))
@@ -863,13 +868,13 @@ def reference_box_load(geom, gm, gd, problem, scale):
 
 def reference_operators(geom, gm, gd, lm, ld, kp_cells, km_cells, weights,
                         alpha, problem, flux_scale, ratio):
-    gdir = fem_module.dirichlet_dofs(gm, gd)
-    ldir = fem_module.dirichlet_dofs(lm, ld)
+    gdir = fem_module.dirichlet_dofs(gd)
+    ldir = fem_module.dirichlet_dofs(ld)
     facets, _ = gamma_facets(lm)
     S = assemble_flux_jump_S(gd, ld, weights)
     D = assemble_penalty_D(gd, ld, alpha)
     K_minus = (coo_stiffness(lm, ld, km_cells)
-               + assemble_boundary_mass(lm, ld, facets, alpha)).tocsr()
+               + assemble_boundary_mass(ld, facets, alpha)).tocsr()
     scale = flux_scale if flux_scale is not None else (lambda x: ratio)
     f_plus = box_load = reference_box_load(geom, gm, gd, problem, scale)
     f_minus = fem_module.assemble_load(lm, ld, problem.f, problem.flux(geom),
@@ -974,14 +979,14 @@ class TestKeptLayouts:
         assert calls == {"assemble_stiffness": [], "assemble_flux_jump_S": [],
                          "assemble_penalty_D": [], "apply": []}
         build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5, alpha=1e5)
-        assert calls == {"assemble_stiffness": [lm],
+        assert calls == {"assemble_stiffness": [ld],
                          "assemble_flux_jump_S": [gd],
                          "assemble_penalty_D": [gd], "apply": []}
         # a per-cell build assembles and eliminates its own blocks
         build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5,
                                 flux_scale=lambda x: np.full(len(x), 2.0),
                                 **cells_at(gm, lm, 1.0, 0.5))
-        assert calls["assemble_stiffness"] == [lm, gm, lm]
+        assert calls["assemble_stiffness"] == [ld, gd, ld]
         assert len(applied) == 2
 
     def test_fitted_solve_shares_the_elimination(self, monkeypatch):
@@ -992,7 +997,7 @@ class TestKeptLayouts:
         ops = build_coupled_operators(geom, gm, gd, lm, ld, 1.0, 0.5)
         kept = fem_module._elimination(gd)
         T_D = ProblemData().T_D
-        T, _ = solve_fitted(gm, gd, np.ones(gm.num_cells), ops.f_plus, T_D)
+        T, _ = solve_fitted(gd, np.ones(gm.num_cells), ops.f_plus, T_D)
         assert len(found) == 2
         assert fem_module._elimination(gd) is kept
         np.testing.assert_array_equal(T[ops.global_dirichlet], T_D)
@@ -1041,7 +1046,7 @@ class TestMixedDegrees:
         # that bound summed over the row
         eps = np.finfo(float).eps
         mag = (abs(coo_stiffness(lm, ld, km_cells))
-               + abs(assemble_boundary_mass(lm, ld, facets, alpha))).tocsr()
+               + abs(assemble_boundary_mass(ld, facets, alpha))).tocsr()
         K = ops.K_minus
         rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
         bound = 4 * eps * np.asarray(mag[rows, K.indices]).ravel()
@@ -1088,7 +1093,7 @@ class TestScaledRoute:
         outside, inside = coupling._load(geom, gd, problem)
         want["f_plus"] = masked_apply_dirichlet(
             coo_stiffness(gm, gd, np.full(gm.num_cells, kp)),
-            outside + (kp / km) * inside, fem_module.dirichlet_dofs(gm, gd),
+            outside + (kp / km) * inside, fem_module.dirichlet_dofs(gd),
             problem.T_D)[1]
         terms = coupling._interface(gd, ld)
 
@@ -1166,7 +1171,7 @@ class TestDefaults:
         geom = GeometryConfig()
         q = ProblemData().flux(geom)
         x = np.array([[geom.L / 2, geom.H], [0.0, geom.H]])
-        want = laser_flux(x, dim=2, L=geom.L)
+        want = laser_flux(x, spot(geom))
         np.testing.assert_allclose(q(x), want)
 
     def test_problem_flux_passthrough(self):
@@ -1190,7 +1195,7 @@ class TestKeptScaledFlux:
         problem = ProblemData(f=f, flux_panel=1e-4 if dim == 2 else 1e-3)
         chunks = count_calls(monkeypatch, fem_module, "_flux_chunks")
         loads = count_calls(monkeypatch, fem_module, "assemble_load")
-        gdir = fem_module.dirichlet_dofs(gm, gd)
+        gdir = fem_module.dirichlet_dofs(gd)
         K = coo_stiffness(gm, gd, np.ones(gm.num_cells))
         built = []
         for step in range(3):
@@ -1207,7 +1212,7 @@ class TestKeptScaledFlux:
                                           problem=problem,
                                           flux_scale=flux_scale,
                                           **cells_at(gm, lm, 1.0, 0.5))
-            built.append(([x is gm for x in chunks].count(True),
+            built.append(([x is gd for x in chunks].count(True),
                           [x is gm for x in loads].count(True)))
             want = reference_box_load(geom, gm, gd, problem, flux_scale)
             np.testing.assert_array_equal(
@@ -1241,7 +1246,7 @@ class TestKeptScaledFlux:
         assert chunks == []
         for got, want in zip(zero, loads(lambda x: np.zeros(x.shape[:-1]))):
             np.testing.assert_array_equal(got, want)
-        assert chunks == [gm, lm, gm]
+        assert chunks == [gd, ld, gd]
 
     def test_scale_sees_one_read_only_array(self):
         geom, gm, gd, lm, ld = make_pair()
@@ -1273,7 +1278,7 @@ class TestKeptScaledFlux:
 
         def q(x):
             calls.append(x.shape)
-            return laser_flux(x, 2, geom.L)
+            return laser_flux(x, spot(geom))
 
         problem = ProblemData(q=q)
         for c in (0.5, 0.25, 2.0):

@@ -699,8 +699,7 @@ class TestReporting:
         ops = make_ops()
         report = run_two_level_dd(ops)
         path = tmp_path / "T_plus.csv"
-        export_solution_csv(ops.global_mesh, ops.global_dofmap,
-                            report.T_plus, path)
+        export_solution_csv(ops.global_dofmap, report.T_plus, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "dof,x,y,value"
         assert len(lines) == ops.global_dofmap.n_dofs + 1
@@ -711,3 +710,52 @@ class TestReporting:
             [float(cells[1]), float(cells[2])],
             ops.global_dofmap.dof_coords[k])
         assert float(cells[3]) == report.T_plus[k]
+
+    @pytest.mark.parametrize("coeffs", [np.ones(3), np.ones(26),
+                                        np.ones((25, 1))],
+                             ids=["short", "long", "column"])
+    def test_export_refuses_coeffs_not_one_per_dof(self, tmp_path, coeffs):
+        # zip would cut a short array silently: 3 rows for the 25-dof box
+        ops = make_ops()
+        assert ops.global_dofmap.n_dofs == 25
+        path = tmp_path / "T_plus.csv"
+        with pytest.raises(InvalidConfig, match=r"coeffs must hold one value "
+                                                r"per dof \(25\)"):
+            export_solution_csv(ops.global_dofmap, coeffs, path)
+        assert not path.exists()
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("k", [-1, 1.5, True, np.nan, "2"])
+    def test_partial_sum_index_is_whole(self, k):
+        # unchecked, k = -1 returns c + T0 without a word
+        ops = make_ops()
+        with pytest.raises(InvalidConfig, match="k must be"):
+            neumann_partial_sum(ops, k, np.zeros(ops.n_plus))
+
+    def test_partial_sum_index_zero_is_the_start(self):
+        ops = make_ops()
+        T0 = np.linspace(290.0, 300.0, ops.n_plus)
+        np.testing.assert_array_equal(neumann_partial_sum(ops, 0, T0), T0)
+
+    @pytest.mark.parametrize("initial,match", [
+        (np.full(24, 300.0), r"one value per box dof \(25\), got shape "
+                             r"\(24,\)"),
+        (np.full((25, 1), 300.0), r"got shape \(25, 1\)"),
+        (np.where(np.arange(25) == 3, np.nan, 300.0), "initial entry nan"),
+        (np.where(np.arange(25) == 3, np.inf, 300.0), "initial entry inf"),
+        ([300.0] * 24 + ["hot"], "initial must hold numbers")],
+        ids=["short", "column", "nan", "inf", "text"])
+    def test_initial_is_one_finite_value_per_box_dof(self, initial, match):
+        # unchecked, a short start ends in numpy's matmul ValueError and a
+        # NaN one is reported as SingularMatrix
+        with pytest.raises(InvalidConfig, match=match):
+            run_two_level_dd(make_ops(), initial=initial)
+
+    def test_initial_list_is_copied(self):
+        ops = make_ops()
+        start = [300.0] * ops.n_plus
+        report = run_two_level_dd(ops, DDConfig(store_iterates=True),
+                                  initial=start)
+        assert start == [300.0] * ops.n_plus
+        np.testing.assert_array_equal(report.iterates[0], start)

@@ -679,8 +679,8 @@ class TestMeshRatioStudy:
         boxes, stiffness, loads = [], [], []
 
         def recording(calls, real):
-            return lambda mesh, *a, **k: calls.append(mesh) or \
-                real(mesh, *a, **k)
+            return lambda first, *a, **k: calls.append(first) or \
+                real(first, *a, **k)
 
         monkeypatch.setattr(experiments, "build_global_mesh", lambda *a:
                             boxes.append(dd_solver.build_global_mesh(*a))
@@ -693,9 +693,10 @@ class TestMeshRatioStudy:
                                mesh_ratios=(2, 4, 8))
         sweep_mesh_ratio(cfg)
         [box] = boxes
-        # the box's unit block once and its loads (outside and inside the
+        # the box's unit block once (the stiffness takes the dof map, the
+        # load the mesh beside it) and its loads (outside and inside the
         # footprint) once, and the same for each ratio's strip
-        assert sum(mesh is box for mesh in stiffness) == 1
+        assert sum(dofmap.mesh is box for dofmap in stiffness) == 1
         assert sum(mesh is box for mesh in loads) == 2
         assert len(stiffness) == len(loads) / 2 == 1 + len(cfg.mesh_ratios)
 

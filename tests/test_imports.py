@@ -850,3 +850,67 @@ def test_infinity_comparison_detector():
               "    return np.isfinite(h) and h < np.finfo(float).max\n")
     assert infinity_comparisons(source) == [4, 6, 7, 7, 8]
     assert infinity_comparisons((PACKAGE / "errors.py").read_text()) != []
+
+
+# a dof map holds its mesh, so a function that takes both takes one of
+# them for nothing, and an unchecked mismatched pair runs without a word
+# (assemble_stiffness on the 1/160 box mesh and the dof map of the 1/320
+# strip, 32 cells each, gives four times the strip stiffness); the four
+# functions the benchmark calls with a mesh keep it and check it
+MESH_BESIDE_DOFMAP = {"assemble_load", "evaluate_field",
+                      "cell_midpoint_values", "build_coupled_operators"}
+
+
+def mesh_beside_dofmap(source):
+    """(line, function) of every function or method, nested ones
+    included, that takes a parameter spelled with "mesh" (mesh, gmesh,
+    local_mesh) beside one spelled with "dofmap" or ending in "dof"
+    (dofmap, global_dofmap, ldof); dofs, an index array, is no dof map."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            spec = node.args
+            names = [a.arg for a in spec.posonlyargs + spec.args
+                     + spec.kwonlyargs]
+            if any("mesh" in n for n in names) and any(
+                    "dofmap" in n or n.endswith("dof") for n in names):
+                found.append((node.lineno, getattr(node, "name", "lambda")))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_takes_a_mesh_beside_its_dofmap(path):
+    assert [(line, name) for line, name in mesh_beside_dofmap(
+        path.read_text()) if name not in MESH_BESIDE_DOFMAP] == []
+
+
+def test_mesh_beside_dofmap_detector():
+    # the stiffness, a fitted solve, a load kept for scaling, a nested
+    # lookup and a lambda that take the mesh beside its dof map, beside
+    # functions that take one of them or an index array of dofs
+    source = ("def assemble_stiffness(mesh, dofmap, kappa):\n"
+              "    return _stiffness_pattern(dofmap).matrix(kappa)\n"
+              "def solve_fitted(dofmap, kappa_cells, load, T_D, *,\n"
+              "                 fitted_mesh=None):\n"
+              "    pass\n"
+              "class ScaledLoad:\n"
+              "    def __init__(self, mesh, dofmap, f, q):\n"
+              "        pass\n"
+              "def picard(geom):\n"
+              "    def located(lmesh, ldof, x):\n"
+              "        return _basis_at_points(ldof, x)\n"
+              "    return lambda gmesh, gdof: gdof\n"
+              "def apply_dirichlet(A, b, dofs, value):\n"
+              "    pass\n"
+              "def strip_cells(mesh, geom):\n"
+              "    pass\n"
+              "def l2_error(dofmap, coeffs, exact):\n"
+              "    pass\n")
+    assert mesh_beside_dofmap(source) == [
+        (1, "assemble_stiffness"), (3, "solve_fitted"), (7, "__init__"),
+        (10, "located"), (12, "lambda")]
+    # the package's own: the four the benchmark calls with a mesh
+    assert {name for path in PACKAGE.glob("*.py") for _line, name in
+            mesh_beside_dofmap(path.read_text())} == MESH_BESIDE_DOFMAP

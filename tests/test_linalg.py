@@ -180,6 +180,16 @@ class TestPowerIteration:
         with pytest.raises(InvalidConfig, match="seed"):
             power_iteration_rho(lambda v: 0.5 * v, 2, seed=seed)
 
+    @pytest.mark.parametrize("name,value", [
+        ("tol", np.nan), ("tol", 0.0), ("tol", -1e-10), ("tol", np.inf),
+        ("max_iters", 0), ("max_iters", 2.5), ("max_iters", True)])
+    def test_bad_budget_rejected(self, name, value):
+        # unchecked, max_iters = 0 raises NoConvergence with an infinite
+        # estimate, and a NaN tol runs the whole budget
+        with pytest.raises(InvalidConfig, match=f"{name} must be"):
+            power_iteration_rho(lambda v: 0.5 * v, 2, seed=0,
+                                **{name: value})
+
     def test_diagonal_oracle(self):
         op = lambda v: np.array([0.5, -0.9]) * v
         rho, rayleigh = power_iteration_rho(op, 2, seed=0)
@@ -367,6 +377,18 @@ class TestFits:
     def test_mismatched_shapes_are_a_config_error(self):
         with pytest.raises(InvalidConfig, match="equal length"):
             least_squares_fit([0.1, 0.2, 0.4], [0.0, 0.1], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["xs", "ys"])
+    def test_non_finite_values_rejected(self, name, bad, capfd):
+        # unchecked, a NaN makes LAPACK print DLASCL errors to stderr
+        # before a raw LinAlgError
+        data = {"xs": [0.1, 0.2, 0.4, 0.8], "ys": [0.0, 0.1, 0.3, 0.7]}
+        data[name][2] = bad
+        with pytest.raises(InvalidConfig, match=f"{name} entry {bad} is not "
+                                                "finite"):
+            least_squares_fit(data["xs"], data["ys"], 1)
+        assert capfd.readouterr().err == ""
 
     def test_threshold_needs_negative_slope(self):
         fit = fit_rho_law([0.1, 0.2, 0.4, 0.8], [0.0, 0.1, 0.3, 0.7])

@@ -37,7 +37,8 @@ class TestGlobalMesh:
         mesh = build_global_mesh(GEOM, 1 / 160)
         assert mesh.num_vertices == 25
         assert mesh.num_cells == 32
-        assert len(mesh.boundary_facets) == 16
+        assert mesh.facet_vertices.shape == (16, 2)
+        assert mesh.facet_tags.shape == mesh.facet_cells.shape == (16,)
 
     def test_counts_3d(self):
         mesh = build_global_mesh(GEOM3, 1 / 160)
@@ -83,7 +84,7 @@ class TestGlobalMesh:
 
     def test_boundary_facets_unique(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
-        keys = [tuple(sorted(f)) for f, _ in mesh.boundary_facets]
+        keys = [tuple(sorted(f)) for f in mesh.facet_vertices]
         assert len(keys) == len(set(keys))
 
     def test_non_divisible_spacing(self):
@@ -215,7 +216,7 @@ class TestBatchedGeometry:
         batch = mesh.facet_measure(mesh.facet_vertices)
         assert batch.shape == (len(mesh.facet_vertices),)
         for f, m in zip(mesh.facet_vertices, batch):
-            assert mesh.facet_measure(tuple(f)) == m
+            assert mesh.facet_measure(f[None]) == [m]
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -317,43 +318,44 @@ def _reference_tag(mesh, name, facet):
     return FacetTag.DIRICHLET_OUTER.value
 
 
+def rebuilt(mesh, loc):
+    """The points (n, dim) that a PointLocation's cells and barycentrics
+    give back."""
+    return np.einsum("pvd,pv->pd", mesh.vertices[mesh.cells[loc.cell]],
+                     loc.barycentric)
+
+
 class TestLocatePoint:
     def test_roundtrip_2d(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
         rng = np.random.default_rng(11)
         pts = rng.random((1000, 2)) * [GEOM.L, GEOM.H]
-        for p in pts:
-            loc = locate_point(mesh, p)
-            lam = np.asarray(loc.barycentric)
-            assert lam.min() >= -1e-12
-            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-            rec = mesh.vertices[mesh.cells[loc.cell]].T @ lam
-            np.testing.assert_allclose(rec, p, atol=1e-12)
+        loc = locate_point(mesh, pts)
+        assert loc.barycentric.min() >= -1e-12
+        np.testing.assert_allclose(loc.barycentric.sum(axis=1), 1.0, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(rebuilt(mesh, loc), pts, atol=1e-12)
 
     def test_roundtrip_3d(self):
         mesh = build_global_mesh(GEOM3, 1 / 160)
         rng = np.random.default_rng(12)
         pts = rng.random((200, 3)) * [GEOM3.L, GEOM3.W, GEOM3.H]
-        for p in pts:
-            loc = locate_point(mesh, p)
-            rec = mesh.vertices[mesh.cells[loc.cell]].T @ np.asarray(loc.barycentric)
-            np.testing.assert_allclose(rec, p, atol=1e-12)
+        loc = locate_point(mesh, pts)
+        np.testing.assert_allclose(rebuilt(mesh, loc), pts, atol=1e-12)
 
     def test_shared_edge_lowest_cell_wins(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
         h = 1 / 160
-        # diagonal of the first grid square is shared by cells 0 and 1
-        loc = locate_point(mesh, [0.5 * h, 0.5 * h])
-        assert loc.cell == 0
-        # vertex shared by many cells
-        loc = locate_point(mesh, [h, h])
-        assert loc.cell == 0
+        # diagonal of the first grid square is shared by cells 0 and 1, and
+        # a vertex by many cells
+        loc = locate_point(mesh, [[0.5 * h, 0.5 * h], [h, h]])
+        assert loc.cell.tolist() == [0, 0]
 
     def test_boundary_points(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
-        for p in ([0.0, 0.0], [GEOM.L, GEOM.H], [GEOM.L / 3, 0.0]):
-            loc = locate_point(mesh, p)
-            assert np.asarray(loc.barycentric).min() >= -1e-12
+        loc = locate_point(mesh, [[0.0, 0.0], [GEOM.L, GEOM.H],
+                                  [GEOM.L / 3, 0.0]])
+        assert loc.barycentric.min() >= -1e-12
 
     @pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
     @pytest.mark.parametrize("build", [build_global_mesh, build_local_mesh],
@@ -365,10 +367,10 @@ class TestLocatePoint:
         assert batch.cell.shape == (len(pts),)
         assert batch.barycentric.shape == (len(pts), mesh.dim + 1)
         for p, cell, lam in zip(pts, batch.cell, batch.barycentric):
-            one = locate_point(mesh, p)
+            one = locate_point(mesh, p[None])
             ref_cell, ref_lam = _reference_locate(mesh, p)
-            assert one.cell == cell == ref_cell
-            np.testing.assert_allclose(lam, one.barycentric, rtol=0,
+            assert one.cell == [cell] and cell == ref_cell
+            np.testing.assert_allclose(lam, one.barycentric[0], rtol=0,
                                        atol=1e-15)
             np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-15)
 
@@ -427,9 +429,9 @@ class TestLocatePoint:
         pts = np.vstack([rng.random((100, 2)) * [GEOM.L, GEOM.H], verts])
         batch = locate_point(mesh, pts)
         for p, cell, lam in zip(pts, batch.cell, batch.barycentric):
-            one = locate_point(mesh, p)
-            assert one.cell == cell
-            np.testing.assert_allclose(lam, one.barycentric, rtol=0,
+            one = locate_point(mesh, p[None])
+            assert one.cell == [cell]
+            np.testing.assert_allclose(lam, one.barycentric[0], rtol=0,
                                        atol=1e-15)
 
     def test_graded_scan_matches_per_cell_solve(self):
@@ -458,17 +460,25 @@ class TestLocatePoint:
         # lower-left half of the unit square
         mesh = SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
                               [[0, 1, 2]], mesh_module._wall_tags(1.0), 1.0)
-        assert locate_point(mesh, [0.2, 0.3]).cell == 0
+        assert locate_point(mesh, [[0.2, 0.3]]).cell == [0]
         with pytest.raises(OutOfDomain, match="not contained in any cell"):
-            locate_point(mesh, [0.9, 0.9])
+            locate_point(mesh, [[0.9, 0.9]])
 
     def test_tolerance_band(self):
         mesh = build_global_mesh(GEOM, 1 / 160)
-        locate_point(mesh, [-1e-13, 1e-3])  # snapped inside
+        locate_point(mesh, [[-1e-13, 1e-3]])  # snapped inside
         with pytest.raises(OutOfDomain):
-            locate_point(mesh, [-1e-3, 1e-3])
+            locate_point(mesh, [[-1e-3, 1e-3]])
         with pytest.raises(OutOfDomain):
-            locate_point(mesh, [GEOM.L + 1e-6, GEOM.H])
+            locate_point(mesh, [[GEOM.L + 1e-6, GEOM.H]])
+
+    @pytest.mark.parametrize("shape", [(2,), (), (4, 3), (4, 2, 1), (0,)])
+    def test_points_must_be_an_n_by_dim_array(self, shape):
+        # one point (dim,) is refused like any other shape but (n, dim)
+        mesh = build_global_mesh(GEOM, 1 / 160)
+        with pytest.raises(InvalidConfig, match=r"\(n, 2\) array"):
+            locate_point(mesh, np.full(shape, 1e-3))
+        assert locate_point(mesh, np.empty((0, 2))).cell.shape == (0,)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(data=st.data())

@@ -16,7 +16,8 @@ from gldd.errors import (InvalidConfig, NonpositiveCoefficient,
                          PicardNoConvergence)
 from gldd.linalg import SolverConfig
 from gldd.fem import build_dofmap, evaluate_field
-from gldd.mesh import GeometryConfig, build_global_mesh, interface_facets
+from gldd.mesh import (GeometryConfig, build_global_mesh, build_local_mesh,
+                       interface_facets)
 from gldd.nonlinear import (MaterialCurve, NonlinearConfig, NonlinearReport,
                             cell_midpoint_values, picard_monolithic,
                             picard_two_level, sweep_kappa_plus_B)
@@ -83,6 +84,16 @@ class TestMidpointValues:
         want = 2.0 + 3.0 * centroids[:, 0] - centroids[:, 1]
         np.testing.assert_allclose(cell_midpoint_values(mesh, dofmap, coeffs),
                                    want, rtol=1e-13)
+
+    def test_mesh_not_of_its_dofmap_rejected(self):
+        # the 1/160 box and the 1/320 strip both have 32 cells, so the box
+        # mesh beside the strip dof map would give 32 values without a word
+        box = build_global_mesh(GEOM, 1 / 160)
+        strip = build_dofmap(build_local_mesh(GEOM, 1 / 320), 1)
+        assert box.num_cells == strip.mesh.num_cells == 32
+        with pytest.raises(InvalidConfig, match="mesh must be the mesh of "
+                                                "its dof map"):
+            cell_midpoint_values(box, strip, np.zeros(strip.n_dofs))
 
 
 CURVE_B = MaterialCurve([290.0, 430.0], [0.65, 0.35])
